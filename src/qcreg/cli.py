@@ -9,9 +9,7 @@ Subcommands map one-to-one onto the library surfaces:
 * ``catalog``   - list the built-in test maps.
 
 Flags mirror config keys and override them. Exit codes: 0 ok, 1 usage or
-configuration error, 2 invariant violation, 3 numerical failure. The
-environment variable QCREG_THREADS caps the worker count for per-circle
-fan-out.
+configuration error, 2 invariant violation, 3 numerical failure.
 """
 
 from __future__ import annotations

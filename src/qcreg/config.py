@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -88,16 +90,32 @@ def _reject_unknown(given: dict, allowed, where: str) -> None:
         raise ConfigError(f"unknown keys {unknown} in {where}; allowed: {sorted(allowed)}")
 
 
+def _positive_number(value, where: str) -> float:
+    # bool is an int subclass; JSON true/false is never a radius
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{where} must be positive and finite, got {value!r}")
+    return float(value)
+
+
 def _radii_array(spec, where: str) -> np.ndarray:
     if isinstance(spec, list):
-        radii = np.asarray(spec, dtype=float)
+        radii = np.array([_positive_number(r, where) for r in spec])
     elif isinstance(spec, dict):
         _reject_unknown(spec, ("min", "max", "count"), where)
         merged = {**DEFAULTS["radii"], **spec}
-        radii = np.geomspace(merged["min"], merged["max"], int(merged["count"]))
+        count = merged["count"]
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 2:
+            raise ConfigError(f"{where}.count must be an integer >= 2, got {count!r}")
+        radii = np.geomspace(
+            _positive_number(merged["min"], f"{where}.min"),
+            _positive_number(merged["max"], f"{where}.max"),
+            int(count),
+        )
     else:
         raise ConfigError(f"{where} must be a list or a min/max/count object")
-    if radii.size < 2 or np.any(radii <= 0) or np.any(np.diff(radii) <= 0):
+    if radii.size < 2 or np.any(np.diff(radii) <= 0):
         raise ConfigError(f"{where} must be >= 2 positive strictly increasing values")
     return radii
 

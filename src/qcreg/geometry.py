@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._threads import ordered_map
 from .errors import InvariantViolationError, NumericalError, OrientationError
 from .plane import CircleSpec, MapModel, beltrami_of
 from .quadrature import QuadratureConfig, angle_nodes, circular_average
@@ -310,7 +309,7 @@ def geometry_profile(
             t = float(np.sqrt(t * neighbor))
             return t, boundary_at(t)
 
-    per_radius = ordered_map(boundary, range(radii.size))
+    per_radius = [boundary(i) for i in range(radii.size)]
     radii = np.array([p[0] for p in per_radius])
     if np.any(np.diff(radii) <= 0):
         raise NumericalError("radius perturbation broke the grid ordering")
@@ -320,12 +319,12 @@ def geometry_profile(
 
     area_jac = np.empty_like(radii)
     area_jac[0] = image_area_jacobian(map_model, CircleSpec(0j, radii[0]), cfg=cfg)
-    increments = ordered_map(
-        lambda i: image_area_jacobian(
+    increments = [
+        image_area_jacobian(
             map_model, CircleSpec(0j, radii[i]), cfg=cfg, r_inner=radii[i - 1]
-        ),
-        range(1, radii.size),
-    )
+        )
+        for i in range(1, radii.size)
+    ]
     area_jac[1:] = area_jac[0] + np.cumsum(increments)
 
     rel_len = np.abs(len_formula - len_direct) / len_direct

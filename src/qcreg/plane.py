@@ -13,7 +13,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import FieldValidationError, SingularPointError
 
@@ -197,13 +196,27 @@ def beltrami_of(map_model: MapModel, z) -> np.ndarray:
     return f_zbar / f_z
 
 
+def _radical_inverse(indices: np.ndarray, base: int) -> np.ndarray:
+    """Van der Corput radical inverse: reflect the base-`base` digits of each index."""
+    out = np.zeros(indices.shape)
+    scale = 1.0 / base
+    while np.any(indices):
+        indices, digit = np.divmod(indices, base)
+        out += digit * scale
+        scale /= base
+    return out
+
+
 def disk_samples(n: int, center: complex = 0j, radius: float = 1.0) -> np.ndarray:
-    """Deterministic low-discrepancy points in a disk (area-uniform Halton)."""
-    sampler = qmc.Halton(d=2, scramble=False)
-    sampler.fast_forward(1)  # index 0 is (0, 0), which would land on the center
-    uv = sampler.random(n)
-    r = radius * np.sqrt(uv[:, 0])
-    theta = 2.0 * np.pi * uv[:, 1]
+    """Deterministic low-discrepancy points in a disk (area-uniform Halton).
+
+    The unit-square sequence is the unscrambled 2-D Halton sequence in
+    bases 2 and 3 at indices 1..n (index 0 is (0, 0), which would land on
+    the center); u sets the area-uniform radius sqrt(u), v the angle.
+    """
+    indices = np.arange(1, n + 1)
+    r = radius * np.sqrt(_radical_inverse(indices, 2))
+    theta = 2.0 * np.pi * _radical_inverse(indices, 3)
     return center + r * np.exp(1j * theta)
 
 

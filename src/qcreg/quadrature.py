@@ -14,7 +14,6 @@ from typing import Callable
 
 import numpy as np
 
-from ._threads import ordered_map
 from .errors import ConfigError, NumericalError
 from .plane import CircleSpec, DomainSpec
 
@@ -141,8 +140,7 @@ def sup_over_circles(
     circles = domain.admissible_circles()
     if not circles:
         raise ConfigError("no admissible circle fits inside the outer domain")
-    values = ordered_map(per_circle, circles)
-    values = [float(v) for v in values]
+    values = [float(per_circle(c)) for c in circles]
     if not all(np.isfinite(values)):
         i = next(i for i, v in enumerate(values) if not np.isfinite(v))
         raise NumericalError(f"per-circle value not finite on {circles[i]}")

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 
@@ -58,6 +57,41 @@ def write_matrix_grid(tmp_path, name="matrix.csv"):
         K=2.0,
     )
     return path
+
+
+BAD_RADII = [
+    {"count": "abc"},
+    {"count": None},
+    {"count": 16.7},
+    {"count": True},
+    {"count": -3},
+    {"min": "0.01"},
+    {"min": 0.0},
+    {"max": float("nan")},
+    ["a", 0.5],
+    [[0.1, 0.2]],
+]
+BAD_RADII_IDS = [json.dumps(r) for r in BAD_RADII]
+
+
+class TestRadiiValidation:
+    @pytest.mark.parametrize("radii", BAD_RADII, ids=BAD_RADII_IDS)
+    def test_profile_radii_rejected(self, radii):
+        with pytest.raises(ConfigError, match=r"^radii"):
+            build_config({"subject": "radial_stretch(K=2)", "radii": radii})
+
+    @pytest.mark.parametrize("radii", BAD_RADII, ids=BAD_RADII_IDS)
+    def test_domain_radii_rejected(self, radii):
+        with pytest.raises(ConfigError, match=r"^domain\.radii"):
+            build_config({"subject": "radial_stretch(K=2)", "domain": {"radii": radii}})
+
+    def test_numpy_scalars_accepted(self):
+        cfg = build_config(
+            {"subject": "radial_stretch(K=2)",
+             "radii": {"min": np.float64(0.01), "count": np.int64(5)}}
+        )
+        assert cfg.profile_radii.size == 5
+        assert cfg.profile_radii[0] == pytest.approx(0.01)
 
 
 class TestLoadConfig:
@@ -315,22 +349,24 @@ class TestCli:
 
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "r.json"
-        env = dict(os.environ, QCREG_THREADS="2")
         proc = subprocess.run(
             [sys.executable, "-m", "qcreg", "analyze", "--subject",
              "radial_stretch(K=2)", "--radii-count", "5", "--out", str(out)],
             capture_output=True,
-            env=env,
         )
         assert proc.returncode == 0, proc.stderr.decode()
         assert out.exists()
 
-
-class TestThreadedDeterminism:
-    def test_thread_count_does_not_change_bytes(self, monkeypatch):
-        cfg = default_config_for("affine(a=1,b=0.25)", radii={"count": 9})
-        monkeypatch.setenv("QCREG_THREADS", "1")
-        a = report_json_bytes(run_analysis(cfg))
-        monkeypatch.setenv("QCREG_THREADS", "4")
-        b = report_json_bytes(run_analysis(cfg))
-        assert a == b
+    @pytest.mark.parametrize(
+        "radii", [{"count": "abc"}, {"count": None}, ["a", 0.5], {"count": 16.7}], ids=json.dumps
+    )
+    def test_malformed_radii_exit_1_without_traceback(self, tmp_path, radii):
+        cfg_path = write_config(tmp_path, {"subject": "radial_stretch(K=2)", "radii": radii})
+        proc = subprocess.run(
+            [sys.executable, "-m", "qcreg", "profile", "--config", str(cfg_path)],
+            capture_output=True,
+        )
+        stderr = proc.stderr.decode()
+        assert proc.returncode == 1, stderr
+        assert "Traceback" not in stderr
+        assert "config error: radii" in stderr

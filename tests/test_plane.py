@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.stats import qmc
 
 from qcreg import (
     BeltramiField,
@@ -220,6 +221,23 @@ class TestDiskSamples:
     def test_translated(self):
         pts = disk_samples(128, center=2 + 1j, radius=0.5)
         assert np.abs(pts - (2 + 1j)).max() <= 0.5
+
+    @staticmethod
+    def _scipy_reference(n, center=0j, radius=1.0):
+        sampler = qmc.Halton(d=2, scramble=False)
+        sampler.fast_forward(1)
+        uv = sampler.random(n)
+        r = radius * np.sqrt(uv[:, 0])
+        theta = 2.0 * np.pi * uv[:, 1]
+        return center + r * np.exp(1j * theta)
+
+    @pytest.mark.parametrize("n", [1, 7, 4096, 5000])
+    def test_bit_identical_to_scipy_halton(self, n):
+        assert np.array_equal(disk_samples(n), self._scipy_reference(n))
+
+    def test_bit_identical_to_scipy_halton_on_scaled_disk(self):
+        pts = disk_samples(4096, center=-0.7 + 2.5j, radius=3.25)
+        assert np.array_equal(pts, self._scipy_reference(4096, -0.7 + 2.5j, 3.25))
 
 
 class TestSampledField:
