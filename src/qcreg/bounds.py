@@ -23,13 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FieldValidationError, NumericalError
-from .geometry import (
-    DEGENERATE_LENGTH,
-    image_area_green,
-    quasicircle_length_direct,
-)
+from .geometry import DEGENERATE_LENGTH, image_area_green, length_and_area
 from .plane import BeltramiField, CircleSpec, DomainSpec, MapModel
-from .quadrature import QuadratureConfig, SupResult, circular_average, sup_over_circles
+from .quadrature import (
+    QuadratureConfig,
+    SupResult,
+    circle_nodes,
+    circular_average,
+    sup_over_circles,
+)
 
 
 def distortion_integrand(mu, eta):
@@ -52,7 +54,8 @@ def distortion_average(field: BeltramiField, circle: CircleSpec, cfg: Quadrature
     """Normalized-arclength average of the distortion weight on one circle."""
 
     def integrand(theta):
-        return distortion_integrand(field(circle.at(theta)), np.exp(1j * theta))
+        z, eta = circle_nodes(circle, theta)
+        return distortion_integrand(field(z), eta)
 
     return circular_average(integrand, circle, cfg)
 
@@ -72,10 +75,9 @@ def distortion_constant(
 
 def isoperimetric_ratio(map_model: MapModel, circle: CircleSpec, cfg: QuadratureConfig) -> float:
     """4 pi area / length^2 for the image of one circle (boundary data only)."""
-    length = quasicircle_length_direct(map_model, circle, cfg)
+    length, area = length_and_area(map_model, circle, cfg)
     if length < DEGENERATE_LENGTH:
         raise NumericalError(f"degenerate image of {circle}: length = {length}")
-    area = image_area_green(map_model, circle, cfg)
     return 4.0 * np.pi * area / (length * length)
 
 
@@ -131,8 +133,15 @@ def mori_consistency(
     """Check every per-circle distortion average against K = (1+k)/(1-k).
 
     Report-only: never raises on violation, just records the worst margin.
+    Computes the C supremum; callers that already hold it (as
+    `regularity_report` and `elliptic_holder_bound` do) build the same
+    report from it with `mori_from_sup`.
     """
-    sup = distortion_constant(field, domain, cfg)
+    return mori_from_sup(field, distortion_constant(field, domain, cfg), tol)
+
+
+def mori_from_sup(field: BeltramiField, sup: SupResult, tol: float = 1e-9) -> MoriReport:
+    """MoriReport from an already computed distortion supremum of `field`."""
     K = field.distortion_ratio
     margin = sup.value - K
     return MoriReport(
@@ -315,7 +324,7 @@ def regularity_report(
         iso_value, iso_argmax = 1.0, None
 
     alpha_improved = holder_lower_bound(iso_value, c_sup.value)
-    mori = mori_consistency(field, domain, cfg)
+    mori = mori_from_sup(field, c_sup)
 
     verdict = None
     if map_model is not None:

@@ -90,28 +90,59 @@ def _reject_unknown(given: dict, allowed, where: str) -> None:
         raise ConfigError(f"unknown keys {unknown} in {where}; allowed: {sorted(allowed)}")
 
 
-def _positive_number(value, where: str) -> float:
-    # bool is an int subclass; JSON true/false is never a radius
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+def _is_real(value) -> bool:
+    # bool is an int subclass; JSON true/false is never a number here
+    return not isinstance(value, bool) and isinstance(value, numbers.Real)
+
+
+def _number(value, where: str, *, positive: bool = False) -> float:
+    if not _is_real(value):
         raise ConfigError(f"{where} must be a number, got {value!r}")
-    if not (math.isfinite(value) and value > 0):
-        raise ConfigError(f"{where} must be positive and finite, got {value!r}")
+    if not math.isfinite(value) or (positive and not value > 0):
+        kind = "positive and finite" if positive else "finite"
+        raise ConfigError(f"{where} must be {kind}, got {value!r}")
     return float(value)
+
+
+def _integer(value, where: str, minimum: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ConfigError(f"{where} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def _flag(value, where: str) -> bool:
+    if not isinstance(value, (bool, np.bool_)):
+        raise ConfigError(f"{where} must be true or false, got {value!r}")
+    return bool(value)
+
+
+def _point(value, where: str) -> complex:
+    if not (
+        isinstance(value, (list, tuple))
+        and len(value) == 2
+        and all(_is_real(v) and math.isfinite(v) for v in value)
+    ):
+        raise ConfigError(f"{where} must be an [x, y] pair of finite numbers, got {value!r}")
+    return complex(value[0], value[1])
+
+
+def _section(raw: dict, key: str) -> dict:
+    value = raw.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be an object, got {value!r}")
+    return dict(value)
 
 
 def _radii_array(spec, where: str) -> np.ndarray:
     if isinstance(spec, list):
-        radii = np.array([_positive_number(r, where) for r in spec])
+        radii = np.array([_number(r, where, positive=True) for r in spec])
     elif isinstance(spec, dict):
         _reject_unknown(spec, ("min", "max", "count"), where)
         merged = {**DEFAULTS["radii"], **spec}
-        count = merged["count"]
-        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 2:
-            raise ConfigError(f"{where}.count must be an integer >= 2, got {count!r}")
         radii = np.geomspace(
-            _positive_number(merged["min"], f"{where}.min"),
-            _positive_number(merged["max"], f"{where}.max"),
-            int(count),
+            _number(merged["min"], f"{where}.min", positive=True),
+            _number(merged["max"], f"{where}.max", positive=True),
+            _integer(merged["count"], f"{where}.count", 2),
         )
     else:
         raise ConfigError(f"{where} must be a list or a min/max/count object")
@@ -124,15 +155,19 @@ def _domain_from(raw: dict) -> tuple[DomainSpec, dict]:
     _reject_unknown(raw, DEFAULTS["domain"].keys(), "domain")
     merged = {**DEFAULTS["domain"], **raw}
     radii = _radii_array(merged["radii"], "domain.radii")
-    centers = tuple(complex(c[0], c[1]) for c in merged["centers"])
+    if not (isinstance(merged["centers"], (list, tuple)) and merged["centers"]):
+        raise ConfigError(f"domain.centers must be a nonempty list, got {merged['centers']!r}")
+    centers = tuple(
+        _point(c, f"domain.centers[{i}]") for i, c in enumerate(merged["centers"])
+    )
     try:
         domain = DomainSpec(
             centers=centers,
             radii=tuple(radii),
-            outer_center=complex(merged["outer_center"][0], merged["outer_center"][1]),
-            outer_radius=float(merged["outer_radius"]),
-            inner_radius=float(merged["inner_radius"]),
-            margin=float(merged["margin"]),
+            outer_center=_point(merged["outer_center"], "domain.outer_center"),
+            outer_radius=_number(merged["outer_radius"], "domain.outer_radius", positive=True),
+            inner_radius=_number(merged["inner_radius"], "domain.inner_radius"),
+            margin=_number(merged["margin"], "domain.margin"),
         )
     except ValueError as exc:
         raise ConfigError(f"bad domain: {exc}") from exc
@@ -157,28 +192,34 @@ def build_config(raw: dict) -> AnalysisConfig:
     if "subject" not in raw or not isinstance(raw["subject"], str):
         raise ConfigError("config needs exactly one 'subject' string")
 
-    quad_raw = dict(raw.get("quadrature", {}))
+    quad_raw = _section(raw, "quadrature")
     _reject_unknown(quad_raw, DEFAULTS["quadrature"].keys(), "quadrature")
     quad_merged = {**DEFAULTS["quadrature"], **quad_raw}
     try:
         quadrature = QuadratureConfig(
-            nodes=int(quad_merged["nodes"]),
-            max_doublings=int(quad_merged["max_doublings"]),
-            rel_tol=float(quad_merged["rel_tol"]),
+            nodes=_integer(quad_merged["nodes"], "quadrature.nodes", 16),
+            max_doublings=_integer(quad_merged["max_doublings"], "quadrature.max_doublings", 0),
+            rel_tol=_number(quad_merged["rel_tol"], "quadrature.rel_tol", positive=True),
         )
     except ValueError as exc:
         raise ConfigError(f"bad quadrature: {exc}") from exc
 
-    domain, domain_resolved = _domain_from(dict(raw.get("domain", {})))
+    domain, domain_resolved = _domain_from(_section(raw, "domain"))
     profile_radii = _radii_array(raw.get("radii", dict(DEFAULTS["radii"])), "radii")
 
-    diag_raw = dict(raw.get("diagnostics", {}))
+    diag_raw = _section(raw, "diagnostics")
     _reject_unknown(diag_raw, DEFAULTS["diagnostics"].keys(), "diagnostics")
     diag = {**DEFAULTS["diagnostics"], **diag_raw}
+    run_geometry = _flag(diag["geometry"], "diagnostics.geometry")
+    run_extremal = _flag(diag["extremal"], "diagnostics.extremal")
+    threshold = _number(raw.get("threshold", DEFAULTS["threshold"]), "threshold")
 
     interpolation = raw.get("interpolation", DEFAULTS["interpolation"])
     if interpolation not in ("bilinear", "nearest"):
         raise ConfigError(f"interpolation must be bilinear or nearest, got {interpolation!r}")
+    for key in ("output_json", "output_csv_dir"):
+        if not isinstance(raw.get(key), (str, type(None))):
+            raise ConfigError(f"{key} must be a path string, got {raw[key]!r}")
 
     resolved = {
         "subject": raw["subject"],
@@ -186,7 +227,7 @@ def build_config(raw: dict) -> AnalysisConfig:
         "quadrature": quadrature.describe(),
         "radii": [float(r) for r in profile_radii],
         "diagnostics": diag,
-        "threshold": float(raw.get("threshold", DEFAULTS["threshold"])),
+        "threshold": threshold,
         "interpolation": interpolation,
     }
     return AnalysisConfig(
@@ -194,9 +235,9 @@ def build_config(raw: dict) -> AnalysisConfig:
         domain=domain,
         quadrature=quadrature,
         profile_radii=profile_radii,
-        run_geometry=bool(diag["geometry"]),
-        run_extremal=bool(diag["extremal"]),
-        threshold=float(resolved["threshold"]),
+        run_geometry=run_geometry,
+        run_extremal=run_extremal,
+        threshold=threshold,
         interpolation=interpolation,
         output_json=raw.get("output_json"),
         output_csv_dir=raw.get("output_csv_dir"),

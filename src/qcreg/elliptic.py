@@ -23,11 +23,11 @@ from .bounds import (
     RegularityReport,
     distortion_constant,
     holder_lower_bound,
-    mori_consistency,
+    mori_from_sup,
 )
 from .errors import FieldValidationError
 from .plane import BeltramiField, CircleSpec, DomainSpec, disk_samples
-from .quadrature import QuadratureConfig, circular_average, sup_over_circles
+from .quadrature import QuadratureConfig, circle_nodes, circular_average, sup_over_circles
 
 #: allowed asymmetry when building the triple from a full 2x2 evaluator
 SYMMETRY_TOL = 1e-12
@@ -239,7 +239,7 @@ def elliptic_holder_bound(
         alpha_classical=1.0 / validated.K,
         distortion_argmax=c_sup.argmax,
         isoperimetric_argmax=None,
-        mori=mori_consistency(mu_field, domain, cfg),
+        mori=mori_from_sup(mu_field, c_sup),
         gronwall=None,
     )
 
@@ -280,12 +280,15 @@ def comparison_bounds(
     cfg: QuadratureConfig = QuadratureConfig(),
     *,
     samples: int = 4096,
+    improved: RegularityReport | None = None,
 ) -> ComparisonReport:
     """Compare the eigenvalue-ratio, divergence-average and improved bounds.
 
     lambda and Lambda are estimated as extreme sampled eigenvalues over the
     outer domain (an essential-inf/sup approximation; the sample count is
-    reported alongside).
+    reported alongside). `improved` is the `elliptic_holder_bound` report of
+    the same field, domain and config when the caller already holds it;
+    otherwise it is computed here.
     """
     validated = field if field.verified else validate_matrix_field(field)
     pts = disk_samples(samples, domain.outer_center, domain.outer_radius)
@@ -294,14 +297,15 @@ def comparison_bounds(
 
     def normal_average(circle: CircleSpec) -> float:
         def integrand(theta):
-            a11, a12, a22 = validated(circle.at(theta))
+            a11, a12, a22 = validated(circle_nodes(circle, theta)[0])
             c, s = np.cos(theta), np.sin(theta)
             return a11 * c * c + 2.0 * a12 * c * s + a22 * s * s
 
         return circular_average(integrand, circle, cfg)
 
     div_sup = sup_over_circles(normal_average, domain, cfg)
-    improved = elliptic_holder_bound(validated, domain, cfg)
+    if improved is None:
+        improved = elliptic_holder_bound(validated, domain, cfg)
     return ComparisonReport(
         alpha_eigen_ratio=float(np.sqrt(lam / Lam)),
         alpha_divergence=1.0 / div_sup.value,

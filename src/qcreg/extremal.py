@@ -24,7 +24,7 @@ import numpy as np
 from .errors import SingularPointError
 from .geometry import GeometryProfile
 from .plane import BeltramiField, CircleSpec, MapModel
-from .quadrature import QuadratureConfig, angle_nodes, circular_average
+from .quadrature import QuadratureConfig, angle_nodes, circle_nodes, circular_average
 
 
 def stretch_factor(K: float) -> float:
@@ -116,7 +116,7 @@ def epsilon_weight_integral(
     def avg(r):
         circle = CircleSpec(0j, float(r))
         return circular_average(
-            lambda theta: epsilon_decompose(field, K, circle.at(theta)).real,
+            lambda theta: epsilon_decompose(field, K, circle_nodes(circle, theta)[0]).real,
             circle,
             cfg,
         )
@@ -221,6 +221,8 @@ def empirical_holder(
     map_model: MapModel,
     radii,
     cfg: QuadratureConfig = QuadratureConfig(),
+    *,
+    profile: GeometryProfile | None = None,
 ) -> list[tuple[float, float, float]]:
     """Exponent estimates (t, from_area, from_sup) at each scale t in (0, 1).
 
@@ -228,20 +230,28 @@ def empirical_holder(
     displacement is comparable to the image area, so this converges to the
     pointwise exponent with an O(1/log t) correction. `from_sup` is
     log(max_theta |f(t e^{i theta}) - f(0)|) / log t.
+
+    A `geometry_profile` of the same map and quadrature config may be
+    passed: its Green areas are used at the radii it holds, and the area is
+    computed for any other radius (the profile may have nudged one).
     """
     from .geometry import image_area_green
 
     radii = np.asarray(radii, dtype=float)
     if np.any(radii <= 0) or np.any(radii >= 1):
         raise ValueError("empirical exponents need radii in (0, 1)")
+    known = {} if profile is None else dict(zip(profile.radii.tolist(), profile.area_green))
     f0 = complex(np.asarray(map_model.value(np.zeros(1, dtype=complex)))[0])
     theta = angle_nodes(cfg.nodes)
     out = []
     for t in radii:
-        area = image_area_green(map_model, CircleSpec(0j, float(t)), cfg)
+        circle = CircleSpec(0j, float(t))
+        area = known.get(float(t))
+        if area is None:
+            area = image_area_green(map_model, circle, cfg)
         if area <= 0:
             raise ValueError(f"image area vanished at t = {t}")
-        displacement = np.abs(map_model.value(CircleSpec(0j, float(t)).at(theta)) - f0)
+        displacement = np.abs(map_model.value(circle_nodes(circle, theta)[0]) - f0)
         from_area = float(np.log(area) / (2.0 * np.log(t)))
         from_sup = float(np.log(displacement.max()) / np.log(t))
         out.append((float(t), from_area, from_sup))
@@ -332,7 +342,7 @@ def epsilon_distortion_margin(
     for circle in circles:
 
         def pair(theta):
-            eps_re = epsilon_decompose(field, K, circle.at(theta)).real
+            eps_re = epsilon_decompose(field, K, circle_nodes(circle, theta)[0]).real
             w = -k + eps_re
             g = (1.0 - w) / (1.0 + w)
             return g, K - c1 * eps_re

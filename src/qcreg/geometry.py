@@ -19,13 +19,14 @@ accuracy there.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvariantViolationError, NumericalError, OrientationError
 from .plane import CircleSpec, MapModel, beltrami_of
-from .quadrature import QuadratureConfig, angle_nodes, circular_average
+from .quadrature import QuadratureConfig, circle_nodes, circular_average, unit_nodes
 
 #: relative agreement demanded between the two length / area routes
 ORACLE_REL_TOL = 1e-6
@@ -43,7 +44,7 @@ def _boundary_data(map_model: MapModel, circle: CircleSpec, theta: np.ndarray):
     Non-finite partials are allowed to propagate: the quadrature layer
     turns them into a NumericalError naming the node.
     """
-    z = circle.at(theta)
+    z, _ = circle_nodes(circle, theta)
     f_x, f_y = map_model.partials(z)
     with np.errstate(invalid="ignore"):
         dgamma = circle.radius * (-np.sin(theta) * f_x + np.cos(theta) * f_y)
@@ -64,6 +65,31 @@ def quasicircle_length_direct(
     return 2.0 * np.pi * circular_average(integrand, circle, cfg)
 
 
+def _green_density(map_model: MapModel, z, dgamma):
+    """Integrand of the boundary area integral: Im(conj(f) * d f / d theta)."""
+    return (np.conj(map_model.value(z)) * dgamma).imag
+
+
+def length_and_area(
+    map_model: MapModel,
+    circle: CircleSpec,
+    cfg: QuadratureConfig = QuadratureConfig(),
+) -> tuple[float, float]:
+    """Direct-route length of f(circle) and Green area of f(disk), one pass.
+
+    Both integrands are built from the same boundary data and averaged as
+    two stacked rows, so each equals `quasicircle_length_direct` /
+    `image_area_green` called alone, bit for bit.
+    """
+
+    def integrand(theta):
+        z, dgamma = _boundary_data(map_model, circle, theta)
+        return np.stack((np.abs(dgamma), _green_density(map_model, z, dgamma)))
+
+    speed, green = circular_average(integrand, circle, cfg)
+    return 2.0 * np.pi * speed, np.pi * green
+
+
 def quasicircle_length_formula(
     map_model: MapModel,
     circle: CircleSpec,
@@ -81,7 +107,7 @@ def quasicircle_length_formula(
     field = map_model.beltrami
 
     def integrand(theta):
-        z = circle.at(theta)
+        z, eta = circle_nodes(circle, theta)
         mu = field(z) if field is not None else beltrami_of(map_model, z)
         jac = np.asarray(map_model.jacobian(z), dtype=float)
         if np.any(jac < 0):
@@ -89,7 +115,6 @@ def quasicircle_length_formula(
             raise OrientationError(
                 f"negative Jacobian {jac[j]} at theta = {theta[j]:.12g} on {circle}"
             )
-        eta = np.exp(1j * theta)
         return np.sqrt(distortion_integrand(mu, eta)) * np.sqrt(jac) * circle.radius
 
     return 2.0 * np.pi * circular_average(integrand, circle, cfg)
@@ -97,8 +122,7 @@ def quasicircle_length_formula(
 
 def _ring_mean_jacobian(map_model, center, radii, n_theta):
     """Mean of J_f over the angle for each radius; negative values rejected."""
-    theta = angle_nodes(n_theta)
-    z = center + np.multiply.outer(np.asarray(radii, dtype=float), np.exp(1j * theta))
+    z = center + np.multiply.outer(np.asarray(radii, dtype=float), unit_nodes(n_theta))
     jac = np.asarray(map_model.jacobian(z), dtype=float)
     if not np.all(np.isfinite(jac)):
         raise NumericalError(f"non-finite Jacobian on ring around {center}")
@@ -112,9 +136,18 @@ def _segments_toward_zero(t: float, octaves: int) -> np.ndarray:
     return t * 2.0 ** -np.arange(octaves + 1)
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1] (read-only, cached)."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def _radial_integral(ring_fn, edges: np.ndarray, gl_order: int) -> np.ndarray:
     """Per-segment integrals of ring_fn over [edges[i+1], edges[i]]."""
-    x, w = np.polynomial.legendre.leggauss(gl_order)
+    x, w = _gauss_legendre(gl_order)
     a, b = edges[1:], edges[:-1]
     mid, half = (a + b) / 2.0, (b - a) / 2.0
     r = mid[:, None] + half[:, None] * x[None, :]
@@ -196,8 +229,7 @@ def image_area_green(
 
     def integrand(theta):
         z, dgamma = _boundary_data(map_model, circle, theta)
-        gamma = map_model.value(z)
-        return (np.conj(gamma) * dgamma).imag
+        return _green_density(map_model, z, dgamma)
 
     return np.pi * circular_average(integrand, circle, cfg)
 
@@ -212,9 +244,7 @@ def isoperimetric_defect(
     Nonnegative up to quadrature tolerance by the isoperimetric inequality;
     zero exactly when the image is a disk.
     """
-    circle = CircleSpec(0j, float(t))
-    length = quasicircle_length_direct(map_model, circle, cfg)
-    area = image_area_green(map_model, circle, cfg)
+    length, area = length_and_area(map_model, CircleSpec(0j, float(t)), cfg)
     if area <= 0 or length < DEGENERATE_LENGTH:
         raise NumericalError(f"degenerate image at t = {t}: area={area}, length={length}")
     return length * length / (4.0 * np.pi * area) - 1.0
@@ -292,11 +322,8 @@ def geometry_profile(
 
     def boundary_at(t):
         circle = CircleSpec(0j, float(t))
-        return (
-            quasicircle_length_direct(map_model, circle, cfg),
-            quasicircle_length_formula(map_model, circle, cfg),
-            image_area_green(map_model, circle, cfg),
-        )
+        length, area = length_and_area(map_model, circle, cfg)
+        return length, quasicircle_length_formula(map_model, circle, cfg), area
 
     def boundary(i):
         t = radii[i]

@@ -9,6 +9,7 @@ carry tabulated branch data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -44,55 +45,115 @@ class QuadratureConfig:
         }
 
 
+#: node counts up to this keep their angles and e^{i theta} (24 bytes a node)
+CACHED_NODES_MAX = 1 << 16
+
+_node_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _node_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    table = _node_tables.get(n)
+    if table is None:
+        theta = 2.0 * np.pi * (np.arange(n) + 0.5) / n
+        unit = np.exp(1j * theta)
+        theta.flags.writeable = False
+        unit.flags.writeable = False
+        table = (theta, unit)
+        if n <= CACHED_NODES_MAX:
+            _node_tables[n] = table
+    return table
+
+
 def angle_nodes(n: int) -> np.ndarray:
-    """Half-offset uniform angles 2 pi (j + 1/2) / n."""
-    return 2.0 * np.pi * (np.arange(n) + 0.5) / n
+    """Half-offset uniform angles 2 pi (j + 1/2) / n (read-only, cached per n)."""
+    return _node_table(int(n))[0]
+
+
+def unit_nodes(n: int) -> np.ndarray:
+    """e^{i theta} at `angle_nodes(n)` (read-only, cached per n)."""
+    return _node_table(int(n))[1]
+
+
+def circle_nodes(circle: CircleSpec, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Points ``circle.at(theta)`` and the outward normals e^{i theta}.
+
+    When `theta` is a cached `angle_nodes` array, e^{i theta} comes from the
+    same cache; the values equal a fresh evaluation bit for bit either way.
+    """
+    theta = np.asarray(theta, dtype=float)
+    table = _node_tables.get(theta.size)
+    unit = table[1] if table is not None and theta is table[0] else np.exp(1j * theta)
+    return circle.center + circle.radius * unit, unit
 
 
 def circular_average(
     integrand: Callable[[np.ndarray], np.ndarray],
     circle: CircleSpec,
     cfg: QuadratureConfig = QuadratureConfig(),
-) -> float:
+) -> float | tuple[float, ...]:
     """Average of a real integrand over a circle w.r.t. normalized arclength.
 
     Parameters
     ----------
     integrand : callable
-        Vectorized map from an angle array to real values; the circle is
-        already baked into the closure.
+        Vectorized map from an angle array of shape (N,) to real values;
+        the circle is already baked into the closure. It may return one
+        row, shape (N,), or k stacked rows, shape (k, N), that share the
+        angle nodes (for instance several quantities built from the same
+        boundary data).
     circle : CircleSpec
         Used only for error reporting; the average is taken in the angle
         variable, which equals the normalized-arclength average.
     cfg : QuadratureConfig
         Node count is doubled until two successive estimates agree to
         rel_tol (relative, with an absolute floor of rel_tol for values
-        below 1) or the doubling budget is exhausted.
+        below 1) or the doubling budget is exhausted. Each stacked row has
+        its own test and keeps the estimate of the level where it
+        converged, so a row averages to exactly what a call with that row
+        alone returns; the integrand is called until every row has
+        converged or the budget is spent.
+
+    Returns
+    -------
+    float for a one-row integrand, else a tuple of k floats.
 
     Raises
     ------
     NumericalError
-        If the integrand produces a non-finite value; the message names the
-        first offending node.
+        If a row that has not converged yet takes a non-finite value; the
+        message names the first offending node.
     """
     n = cfg.nodes
-    prev = None
+    prev = refining = None
     for _ in range(cfg.max_doublings + 1):
         theta = angle_nodes(n)
         vals = np.asarray(integrand(theta), dtype=float)
-        finite = np.isfinite(vals)
-        if not np.all(finite):
-            j = int(np.flatnonzero(~finite)[0])
-            raise NumericalError(
-                f"non-finite integrand value at theta = {theta[j]:.12g} "
-                f"on circle(center={circle.center}, radius={circle.radius})"
-            )
-        est = float(vals.mean())
-        if prev is not None and abs(est - prev) <= cfg.rel_tol * max(1.0, abs(est)):
-            return est
-        prev = est
+        rows = np.atleast_2d(vals)
+        cur = rows.mean(axis=-1).tolist()
+        if refining is None:
+            est, refining = list(cur), list(range(len(cur)))
+        # a non-finite value makes its row's mean non-finite, so the nodes are
+        # scanned only then (or when a finite sum overflowed)
+        if not all(math.isfinite(cur[i]) for i in refining):
+            bad = ~np.isfinite(rows[refining]).all(axis=0)
+            if bad.any():
+                j = int(np.flatnonzero(bad)[0])
+                raise NumericalError(
+                    f"non-finite integrand value at theta = {theta[j]:.12g} "
+                    f"on circle(center={circle.center}, radius={circle.radius})"
+                )
+        if prev is not None:
+            for i in refining:
+                est[i] = cur[i]
+            refining = [
+                i for i in refining
+                if not abs(cur[i] - prev[i]) <= cfg.rel_tol * max(1.0, abs(cur[i]))
+            ]
+            if not refining:
+                break
+        prev = cur
         n *= 2
-    return est
+    return est[0] if vals.ndim < 2 else tuple(est)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,12 @@ from . import __version__
 from .bounds import RegularityReport, regularity_report
 from .catalog import entry_from_spec
 from .config import AnalysisConfig
-from .elliptic import ComparisonReport, comparison_bounds, validate_matrix_field
+from .elliptic import (
+    ComparisonReport,
+    comparison_bounds,
+    elliptic_holder_bound,
+    validate_matrix_field,
+)
 from .errors import InvariantViolationError
 from .extremal import (
     DefectProfile,
@@ -101,7 +106,9 @@ def run_analysis(cfg: AnalysisConfig) -> RunReport:
             defect = defect_weight_integral(geometry)
             interior = cfg.profile_radii[cfg.profile_radii < 1.0]
             if interior.size:
-                holder = empirical_holder(map_model, interior, cfg.quadrature)
+                holder = empirical_holder(
+                    map_model, interior, cfg.quadrature, profile=geometry
+                )
                 verdict = extremality_report(epsilon, defect, holder, cfg.threshold)
     elif kind == "sampled-mu":
         sampled = load_sampled_field(cfg.subject, cfg.interpolation)
@@ -113,10 +120,10 @@ def run_analysis(cfg: AnalysisConfig) -> RunReport:
             )
     elif kind == "matrix":
         matrix = validate_matrix_field(load_matrix_field(cfg.subject, cfg.interpolation))
-        elliptic = comparison_bounds(matrix, cfg.domain, cfg.quadrature)
-        from .elliptic import elliptic_holder_bound
-
         report = elliptic_holder_bound(matrix, cfg.domain, cfg.quadrature)
+        elliptic = comparison_bounds(
+            matrix, cfg.domain, cfg.quadrature, improved=report
+        )
     else:  # pragma: no cover - classify_subject exhausts the kinds
         raise AssertionError(kind)
 

@@ -94,6 +94,61 @@ class TestRadiiValidation:
         assert cfg.profile_radii[0] == pytest.approx(0.01)
 
 
+# (config fragment, key the ConfigError must name)
+BAD_CONFIGS = [
+    ({"domain": {"centers": [["a", 0]]}}, "domain.centers[0]"),
+    ({"domain": {"centers": [[0]]}}, "domain.centers[0]"),
+    ({"domain": {"centers": [[0, 0], [0.1, None]]}}, "domain.centers[1]"),
+    ({"domain": {"centers": []}}, "domain.centers"),
+    ({"domain": {"centers": "origin"}}, "domain.centers"),
+    ({"domain": {"outer_center": [0]}}, "domain.outer_center"),
+    ({"domain": {"outer_center": ["0", "0"]}}, "domain.outer_center"),
+    ({"domain": {"outer_radius": None}}, "domain.outer_radius"),
+    ({"domain": {"margin": "0.1"}}, "domain.margin"),
+    ({"domain": 5}, "domain"),
+    ({"threshold": "x"}, "threshold"),
+    ({"threshold": None}, "threshold"),
+    ({"quadrature": {"nodes": None}}, "quadrature.nodes"),
+    ({"quadrature": {"nodes": 16.5}}, "quadrature.nodes"),
+    ({"quadrature": {"nodes": "256"}}, "quadrature.nodes"),
+    ({"quadrature": {"max_doublings": 2.5}}, "quadrature.max_doublings"),
+    ({"quadrature": {"max_doublings": True}}, "quadrature.max_doublings"),
+    ({"quadrature": {"rel_tol": "1e-9"}}, "quadrature.rel_tol"),
+    ({"diagnostics": {"geometry": "no"}}, "diagnostics.geometry"),
+    ({"diagnostics": {"extremal": 1}}, "diagnostics.extremal"),
+    ({"output_json": 5}, "output_json"),
+]
+BAD_CONFIG_IDS = [json.dumps(c) for c, _ in BAD_CONFIGS]
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("fragment,key", BAD_CONFIGS, ids=BAD_CONFIG_IDS)
+    def test_build_config_names_the_key(self, fragment, key):
+        with pytest.raises(ConfigError) as info:
+            build_config({"subject": "radial_stretch(K=2)", **fragment})
+        assert str(info.value).startswith(key + " ")
+
+    @pytest.mark.parametrize("fragment,key", BAD_CONFIGS, ids=BAD_CONFIG_IDS)
+    def test_analyze_config_exits_1(self, tmp_path, capsys, fragment, key):
+        cfg_path = write_config(tmp_path, {"subject": "radial_stretch(K=2)", **fragment})
+        assert main(["analyze", "--config", str(cfg_path)]) == 1
+        assert f"config error: {key} " in capsys.readouterr().err
+
+    def test_valid_values_resolve_as_before(self):
+        cfg = build_config({
+            "subject": "radial_stretch(K=2)",
+            "domain": {"centers": [[0, 0], [0.25, -0.5]], "outer_center": [0, 0],
+                       "outer_radius": 1, "margin": 0},
+            "quadrature": {"nodes": 64, "max_doublings": 0},
+            "diagnostics": {"geometry": False, "extremal": False},
+            "threshold": 0,
+        })
+        assert cfg.domain.centers == (0j, 0.25 - 0.5j)
+        assert (cfg.quadrature.nodes, cfg.quadrature.max_doublings) == (64, 0)
+        assert (cfg.run_geometry, cfg.run_extremal, cfg.threshold) == (False, False, 0.0)
+        assert cfg.resolved["domain"]["outer_radius"] == 1
+
+
 class TestLoadConfig:
     def test_minimal_subject_fills_defaults(self, tmp_path):
         cfg = load_config(write_config(tmp_path, {"subject": "radial_stretch(K=2)"}))

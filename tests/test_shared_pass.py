@@ -1,0 +1,317 @@
+"""One boundary pass per circle: shared results equal the separate routes bit for bit.
+
+Every comparison here is exact (`==`): stacking integrands, reusing a
+profile's Green areas or a precomputed supremum must not move a single ULP,
+because the reports are promised byte-identical.
+"""
+
+import sys
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import qcreg.bounds
+import qcreg.elliptic
+import qcreg.quadrature
+import qcreg.reporting
+from qcreg import (
+    CircleSpec,
+    DomainSpec,
+    MapModel,
+    NumericalError,
+    QuadratureConfig,
+    affine_map,
+    beltrami_from_matrix,
+    build_config,
+    circular_average,
+    comparison_bounds,
+    elliptic_holder_bound,
+    empirical_holder,
+    geometry_profile,
+    image_area_green,
+    matrix_field_from_function,
+    matrix_from_beltrami,
+    mori_consistency,
+    power_spiral,
+    quasicircle_length_direct,
+    quasicircle_length_formula,
+    radial_stretch,
+    regularity_report,
+    run_analysis,
+    spiral_map,
+    validate_matrix_field,
+)
+from qcreg.bounds import isoperimetric_ratio
+from qcreg.geometry import length_and_area
+from qcreg.quadrature import angle_nodes, circle_nodes, unit_nodes
+
+UNIT = CircleSpec(0j, 1.0)
+CFG = QuadratureConfig(nodes=256, max_doublings=4)
+
+MAPS = [
+    radial_stretch(2.0).map,
+    spiral_map(1.0).map,
+    affine_map(1.0, 0.3 - 0.2j).map,
+    power_spiral(0.6, 0.8).map,
+]
+MAP_IDS = ["radial_stretch", "spiral", "affine", "power_spiral"]
+CIRCLES = [CircleSpec(0j, 0.05), CircleSpec(0j, 0.7), CircleSpec(0.4 + 0.0j, 0.3),
+           CircleSpec(-0.2 + 0.3j, 0.15)]
+
+
+def level_row(settle_at):
+    """Row averaging to the node count until `settle_at` nodes, then constant."""
+    return lambda theta: np.full(theta.size, float(min(theta.size, settle_at)))
+
+
+def smooth_row(theta):
+    return np.abs(1.0 - (1 / 3) * np.exp(-2j * theta)) ** 2 + 0.1 * np.cos(5 * theta)
+
+
+class TestStackedAverage:
+    def test_rows_converging_at_different_levels(self):
+        rows = [smooth_row, level_row(512), level_row(1024), lambda t: 1.0 + np.cos(256 * t)]
+        stacked = circular_average(lambda t: np.stack([r(t) for r in rows]), UNIT, CFG)
+        separate = tuple(circular_average(r, UNIT, CFG) for r in rows)
+        assert stacked == separate
+        assert stacked[1:3] == (512.0, 1024.0)
+
+    def test_row_that_exhausts_the_budget(self):
+        never = level_row(np.inf)
+        rows = [smooth_row, never]
+        stacked = circular_average(lambda t: np.stack([r(t) for r in rows]), UNIT, CFG)
+        separate = tuple(circular_average(r, UNIT, CFG) for r in rows)
+        assert stacked == separate
+        assert stacked[1] == CFG.nodes * 2.0**CFG.max_doublings
+
+    def test_single_row_returns_a_float(self):
+        assert isinstance(circular_average(smooth_row, UNIT, CFG), float)
+        one = circular_average(lambda t: smooth_row(t)[None, :], UNIT, CFG)
+        assert one == (circular_average(smooth_row, UNIT, CFG),)
+
+    def test_nan_in_a_converged_row_does_not_raise(self):
+        def late_nan(theta):
+            out = np.full(theta.size, 2.0)
+            if theta.size >= 1024:
+                out[7] = np.nan
+            return out
+
+        stacked = circular_average(
+            lambda t: np.stack([late_nan(t), level_row(2048)(t)]), UNIT, CFG
+        )
+        assert stacked == (2.0, 2048.0)
+
+    def test_nan_in_a_refining_row_names_the_node(self):
+        def early_nan(theta):
+            out = np.ones(theta.size)
+            if theta.size >= 512:
+                out[3] = np.inf
+            return out
+
+        theta = angle_nodes(512)
+        with pytest.raises(NumericalError, match=f"theta = {theta[3]:.12g} on circle"):
+            circular_average(lambda t: np.stack([early_nan(t), level_row(4096)(t)]), UNIT, CFG)
+        with pytest.raises(NumericalError, match=f"theta = {theta[3]:.12g} on circle"):
+            circular_average(lambda t: np.stack([level_row(4096)(t), early_nan(t)]), UNIT, CFG)
+
+    def test_converged_rows_do_not_name_the_node(self):
+        def nan_at(node, from_size):
+            def row(theta):
+                out = np.full(theta.size, 2.0)
+                if theta.size >= from_size:
+                    out[node] = np.nan
+                return out
+
+            return row
+
+        # row 0 converges at 512 nodes and turns NaN at node 1 from 1024 on;
+        # row 1 is still refining when it turns NaN at node 5
+        rows = [nan_at(1, 1024), lambda t: level_row(4096)(t) + nan_at(5, 1024)(t)]
+        theta = angle_nodes(1024)
+        with pytest.raises(NumericalError, match=f"theta = {theta[5]:.12g} on circle"):
+            circular_average(lambda t: np.stack([r(t) for r in rows]), UNIT, CFG)
+
+
+class TestNodeCache:
+    def test_cached_arrays_are_read_only(self):
+        for arr in (angle_nodes(256), unit_nodes(256)):
+            assert not arr.flags.writeable
+        assert angle_nodes(256) is angle_nodes(256)
+
+    @pytest.mark.parametrize("circle", CIRCLES)
+    def test_circle_nodes_match_circle_at(self, circle):
+        theta = angle_nodes(512)
+        z, unit = circle_nodes(circle, theta)
+        assert np.array_equal(z, circle.at(theta))
+        assert np.array_equal(unit, np.exp(1j * theta))
+        fresh = np.array(theta)  # not the cached array: computed on the spot
+        assert np.array_equal(circle_nodes(circle, fresh)[0], z)
+
+
+class TestBoundaryPass:
+    @pytest.mark.parametrize("model", MAPS, ids=MAP_IDS)
+    @pytest.mark.parametrize("circle", CIRCLES)
+    def test_length_and_area_equal_the_single_routes(self, model, circle):
+        length = quasicircle_length_direct(model, circle, CFG)
+        area = image_area_green(model, circle, CFG)
+        assert length_and_area(model, circle, CFG) == (length, area)
+        assert isoperimetric_ratio(model, circle, CFG) == 4.0 * np.pi * area / (length * length)
+
+    @pytest.mark.parametrize("model", MAPS, ids=MAP_IDS)
+    def test_geometry_profile_columns_equal_the_single_routes(self, model):
+        radii = np.geomspace(0.01, 1.0, 6)
+        prof = geometry_profile(model, radii, CFG)
+        for i, t in enumerate(prof.radii):
+            circle = CircleSpec(0j, float(t))
+            assert prof.length_direct[i] == quasicircle_length_direct(model, circle, CFG)
+            assert prof.length_formula[i] == quasicircle_length_formula(model, circle, CFG)
+            assert prof.area_green[i] == image_area_green(model, circle, CFG)
+
+
+def domain_with_offsets():
+    return DomainSpec(centers=(0j, 0.3 + 0.1j), radii=tuple(np.geomspace(0.05, 0.6, 5)))
+
+
+class TestNoSecondC:
+    @pytest.mark.parametrize("model", MAPS, ids=MAP_IDS)
+    def test_regularity_mori_equals_mori_consistency(self, model):
+        domain = domain_with_offsets()
+        rep = regularity_report(model, domain, CFG, gronwall_radii=[0.1, 0.5, 1.0])
+        assert rep.mori == mori_consistency(model.beltrami, domain, CFG)
+
+    def test_field_subject_mori_equals_mori_consistency(self):
+        field = spiral_map(0.7).map.beltrami
+        domain = domain_with_offsets()
+        assert regularity_report(field, domain, CFG).mori == mori_consistency(field, domain, CFG)
+
+    def test_elliptic_mori_and_comparison_with_precomputed_bound(self):
+        matrix = validate_matrix_field(varying_matrix_field())
+        domain = domain_with_offsets()
+        improved = elliptic_holder_bound(matrix, domain, CFG)
+        assert improved.mori == mori_consistency(beltrami_from_matrix(matrix), domain, CFG)
+        alone = comparison_bounds(matrix, domain, CFG)
+        assert comparison_bounds(matrix, domain, CFG, improved=improved) == alone
+        assert alone.alpha_improved == improved.alpha_improved
+
+
+def varying_matrix_field():
+    """Smooth det-1 field rebuilt pointwise from mu(z) = 0.3 e^{i Re z} z."""
+
+    def fn(z):
+        a11, a12, a22 = matrix_from_beltrami(0.3 * np.exp(1j * z.real) * z)
+        return np.stack([np.stack([a11, a12], -1), np.stack([a12, a22], -1)], -2)
+
+    K = (1 + 0.3) / (1 - 0.3)
+    return matrix_field_from_function(fn, K, det_normalized=True)
+
+
+def nan_on_circle(model, radius):
+    """The map with non-finite partials on the circle |z| = radius only."""
+
+    def partials(z):
+        f_x, f_y = model.partials(z)
+        bad = np.abs(np.abs(z) - radius) < 1e-12
+        return np.where(bad, np.nan, f_x), np.where(bad, np.nan, f_y)
+
+    return replace(model, partials=partials)
+
+
+class TestNoSecondGreenArea:
+    def test_profile_areas_equal_computed_areas(self):
+        model = power_spiral(0.6, 0.8).map
+        radii = np.geomspace(1e-3, 1.0, 9)
+        prof = geometry_profile(model, radii, CFG)
+        interior = radii[radii < 1.0]
+        alone = empirical_holder(model, interior, CFG)
+        counted = CountingModel(model)
+        assert empirical_holder(counted.model, interior, CFG, profile=prof) == alone
+        assert counted.points["partials"] == 0  # every area came from the profile
+
+    def test_nudged_radius_falls_back_to_computing(self):
+        model = radial_stretch(2.0).map
+        radii = np.geomspace(1e-3, 1.0, 9)
+        prof = geometry_profile(nan_on_circle(model, radii[4]), radii, CFG)
+        assert radii[4] not in prof.radii  # the profile nudged that radius
+        interior = radii[radii < 1.0]
+        counted = CountingModel(model)
+        got = empirical_holder(counted.model, interior, CFG, profile=prof)
+        assert got == empirical_holder(model, interior, CFG)
+        assert counted.points["partials"] > 0
+
+
+class CountingModel:
+    """A MapModel whose callables count the points they are handed."""
+
+    def __init__(self, model: MapModel):
+        self.points = {"value": 0, "partials": 0, "jacobian": 0}
+
+        def counted(name):
+            fn = getattr(model, name)
+
+            def wrapper(z):
+                self.points[name] += np.size(z)
+                return fn(z)
+
+            return wrapper
+
+        self.model = replace(model, **{name: counted(name) for name in self.points})
+
+
+@pytest.fixture
+def work_counts(monkeypatch):
+    """Count map points, C suprema and circular averages of a run_analysis."""
+    counts = {"distortion_constant": 0, "circular_average": 0}
+    models = []
+    entry_from_spec = qcreg.reporting.entry_from_spec
+
+    def counted_entry(spec):
+        entry = entry_from_spec(spec)
+        models.append(CountingModel(entry.map))
+        return replace(entry, map=models[-1].model)
+
+    def calls(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(qcreg.reporting, "entry_from_spec", counted_entry)
+    dist = calls("distortion_constant", qcreg.bounds.distortion_constant)
+    monkeypatch.setattr(qcreg.bounds, "distortion_constant", dist)
+    monkeypatch.setattr(qcreg.elliptic, "distortion_constant", dist)
+    avg = calls("circular_average", qcreg.quadrature.circular_average)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qcreg") and getattr(module, "circular_average", None) is circular_average:
+            monkeypatch.setattr(module, "circular_average", avg)
+    return counts, models
+
+
+class TestWorkCounts:
+    def test_default_catalog_run(self, work_counts):
+        counts, models = work_counts
+        run_analysis(build_config({"subject": "radial_stretch(K=2)"}))
+        (model,) = models
+        # C and A on 16 circles, 25 Gronwall areas, 33 radii x (length and
+        # area, length formula), 33 epsilon averages; the holder estimates
+        # reuse the profile's areas
+        assert counts == {"distortion_constant": 1, "circular_average": 156}
+        assert model.points == {"value": 65025, "partials": 56832, "jacobian": 731904}
+
+    def test_regularity_report_computes_c_once(self, work_counts):
+        counts, _ = work_counts
+        regularity_report(spiral_map(1.0).map, domain_with_offsets(), CFG)
+        assert counts["distortion_constant"] == 1
+
+    def test_matrix_run_computes_c_once(self, work_counts, tmp_path):
+        from qcreg import save_matrix_field
+
+        n = 17
+        shape = (n, n)
+        path = tmp_path / "matrix.csv"
+        save_matrix_field(path, (np.full(shape, 0.5), np.zeros(shape), np.full(shape, 2.0)),
+                          origin=-1.2 - 1.2j, spacing=2.4 / (n - 1), K=2.0)
+        counts, _ = work_counts
+        run_analysis(build_config({"subject": str(path)}))
+        assert counts["distortion_constant"] == 1
