@@ -136,6 +136,14 @@ def _segments_toward_zero(t: float, octaves: int) -> np.ndarray:
     return t * 2.0 ** -np.arange(octaves + 1)
 
 
+def _annulus_edges(t: float, r_inner: float) -> np.ndarray:
+    """Edges of the annulus [r_inner, t] split at the octaves t * 2^-k
+    (decreasing, r_inner last and not repeated)."""
+    n_oct = max(1, int(np.ceil(np.log2(t / r_inner))))
+    seg = _segments_toward_zero(t, n_oct)
+    return np.append(seg[seg > r_inner], r_inner)
+
+
 @functools.lru_cache(maxsize=None)
 def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1] (read-only, cached)."""
@@ -188,12 +196,7 @@ def image_area_jacobian(
             map_model, disk.center, r, n_theta
         )
         if r_inner > 0.0:
-            # annulus [r_inner, t]: split at octave boundaries relative to t
-            n_oct = max(1, int(np.ceil(np.log2(t / r_inner))))
-            edges = np.unique(
-                np.concatenate((_segments_toward_zero(t, n_oct), [r_inner]))
-            )[::-1]
-            edges = edges[edges >= r_inner - 1e-300]
+            edges = _annulus_edges(t, r_inner)
             return float(_radial_integral(ring, edges, radial_nodes).sum())
         edges = _segments_toward_zero(t, RADIAL_OCTAVES)
         seg = _radial_integral(ring, edges, radial_nodes)

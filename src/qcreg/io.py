@@ -6,10 +6,17 @@ holding ``{origin: [x0, y0], spacing: h, nx, ny, k_max}``.
 
 Sampled matrix grid mirrors the same layout with header ``x,y,a11,a12,a22``
 and a descriptor ``{origin, spacing, nx, ny, K}``.
+
+Numbers are written as ``%.18e`` (19 significant digits, so a float64 reads
+back exactly), byte for byte what ``np.savetxt`` writes. The writers format
+each grid coordinate once and each grid row with one ``%`` call. The loaders
+reject, with ``ConfigError``, an unparsable or non-finite entry (naming the
+file and its 1-based line) and coordinates that disagree with the descriptor.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
@@ -49,10 +56,32 @@ def _load_grid_csv(csv_path, header: str) -> np.ndarray:
         first = fh.readline().strip()
     if first.replace(" ", "") != header:
         raise ConfigError(f"{csv_path} must start with header {header!r}, got {first!r}")
-    data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] != len(header.split(",")):
-        raise ConfigError(f"{csv_path}: expected {len(header.split(','))} columns")
+    try:
+        data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise ConfigError(f"{csv_path}: {exc}") from None
+    names = header.split(",")
+    if data.shape[1] != len(names):
+        raise ConfigError(f"{csv_path}: expected {len(names)} columns")
+    finite = np.isfinite(data)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise ConfigError(
+            f"{csv_path} line {_data_line(csv_path, row)}: "
+            f"{names[col]} = {data[row, col]} is not finite"
+        )
     return data
+
+
+def _data_line(csv_path, row: int) -> int:
+    """1-based file line of data row `row`, skipping what np.loadtxt skips
+    (the header, blank lines and ``#`` comment lines)."""
+    with open(csv_path) as fh:
+        lines = (
+            n for n, text in enumerate(fh, 1)
+            if n > 1 and text.split("#", 1)[0].strip()
+        )
+        return next(itertools.islice(lines, row, None))
 
 
 def _check_grid_coords(data, desc, csv_path):
@@ -63,14 +92,42 @@ def _check_grid_coords(data, desc, csv_path):
         raise ConfigError(
             f"{csv_path}: {data.shape[0]} rows but descriptor says nx*ny = {nx * ny}"
         )
-    ix = np.tile(np.arange(nx), ny)
-    iy = np.repeat(np.arange(ny), nx)
+    # compared per axis, so no full-size expected coordinate arrays are built
+    atol = 1e-9 * max(1.0, h)
     if not (
-        np.allclose(data[:, 0], x0 + ix * h, atol=1e-9 * max(1.0, h))
-        and np.allclose(data[:, 1], y0 + iy * h, atol=1e-9 * max(1.0, h))
+        np.allclose(data[:, 0].reshape(ny, nx), x0 + np.arange(nx) * h, atol=atol)
+        and np.allclose(
+            data[:, 1].reshape(ny, nx), (y0 + np.arange(ny) * h)[:, None], atol=atol
+        )
     ):
         raise ConfigError(f"{csv_path}: grid coordinates disagree with the descriptor")
     return nx, ny, h, complex(x0, y0)
+
+
+def _write_grid_csv(csv_path, header: str, origin: complex, spacing, columns) -> None:
+    """Write float value grids of shape (ny, nx) as CSV rows ``x, y, *values``.
+
+    The bytes are those of ``np.savetxt(fmt="%.18e", delimiter=",")`` on the
+    stacked columns, but each of the nx + ny coordinates is formatted once
+    and each grid row of nx lines is one ``%`` call over its values, so
+    memory stays bounded by one grid row.
+    """
+    ny, nx = columns[0].shape
+    if any(c.shape != (ny, nx) for c in columns):
+        raise ValueError("value grids must share one (ny, nx) shape")
+    xs = ["%.18e" % x for x in (origin.real + np.arange(nx) * spacing).tolist()]
+    ys = ["%.18e" % y for y in (origin.imag + np.arange(ny) * spacing).tolist()]
+    # "{y}" stands for the row's y; no formatted number contains a brace
+    row_format = "".join(f"{x},{{y}}" + ",%.18e" * len(columns) + "\n" for x in xs)
+    with open(csv_path, "w") as fh:
+        fh.write(header + "\n")
+        for iy, y in enumerate(ys):
+            values = np.stack([c[iy] for c in columns], axis=-1).ravel().tolist()
+            fh.write(row_format.replace("{y}", y) % tuple(values))
+
+
+def _write_sidecar(csv_path, desc: dict) -> None:
+    sidecar_path(csv_path).write_text(json.dumps(desc, sort_keys=True) + "\n")
 
 
 def load_sampled_field(csv_path, interpolation: str = "bilinear") -> SampledField:
@@ -91,30 +148,19 @@ def load_sampled_field(csv_path, interpolation: str = "bilinear") -> SampledFiel
 def save_sampled_field(csv_path, field: SampledField) -> None:
     """Write a sampled grid and its sidecar descriptor."""
     ny, nx = field.shape
-    ix = np.tile(np.arange(nx), ny)
-    iy = np.repeat(np.arange(ny), nx)
-    flat = field.values.reshape(-1)
-    rows = np.column_stack(
-        [
-            field.origin.real + ix * field.spacing,
-            field.origin.imag + iy * field.spacing,
-            flat.real,
-            flat.imag,
-        ]
+    _write_grid_csv(
+        csv_path, MU_HEADER, field.origin, field.spacing,
+        (field.values.real, field.values.imag),
     )
-    np.savetxt(csv_path, rows, delimiter=",", header=MU_HEADER, comments="")
-    sidecar_path(csv_path).write_text(
-        json.dumps(
-            {
-                "origin": [field.origin.real, field.origin.imag],
-                "spacing": field.spacing,
-                "nx": nx,
-                "ny": ny,
-                "k_max": field.k_max,
-            },
-            sort_keys=True,
-        )
-        + "\n"
+    _write_sidecar(
+        csv_path,
+        {
+            "origin": [field.origin.real, field.origin.imag],
+            "spacing": field.spacing,
+            "nx": nx,
+            "ny": ny,
+            "k_max": field.k_max,
+        },
     )
 
 
@@ -140,29 +186,15 @@ def save_matrix_field(csv_path, entries_grid, origin, spacing, K) -> None:
     """Write matrix-entry grids (a11, a12, a22 arrays of shape (ny, nx))."""
     a11, a12, a22 = (np.asarray(g, dtype=float) for g in entries_grid)
     ny, nx = a11.shape
-    ix = np.tile(np.arange(nx), ny)
-    iy = np.repeat(np.arange(ny), nx)
     origin = complex(origin)
-    rows = np.column_stack(
-        [
-            origin.real + ix * spacing,
-            origin.imag + iy * spacing,
-            a11.reshape(-1),
-            a12.reshape(-1),
-            a22.reshape(-1),
-        ]
-    )
-    np.savetxt(csv_path, rows, delimiter=",", header=MATRIX_HEADER, comments="")
-    sidecar_path(csv_path).write_text(
-        json.dumps(
-            {
-                "origin": [origin.real, origin.imag],
-                "spacing": float(spacing),
-                "nx": nx,
-                "ny": ny,
-                "K": float(K),
-            },
-            sort_keys=True,
-        )
-        + "\n"
+    _write_grid_csv(csv_path, MATRIX_HEADER, origin, spacing, (a11, a12, a22))
+    _write_sidecar(
+        csv_path,
+        {
+            "origin": [origin.real, origin.imag],
+            "spacing": float(spacing),
+            "nx": nx,
+            "ny": ny,
+            "K": float(K),
+        },
     )

@@ -374,6 +374,11 @@ class SampledField:
         if self.interpolation not in ("nearest", "bilinear"):
             raise ValueError(f"unknown interpolation {self.interpolation!r}")
         worst = float(np.abs(vals).max())
+        if not np.isfinite(worst):
+            iy, ix = np.argwhere(~np.isfinite(vals))[0]
+            raise FieldValidationError(
+                f"grid value at [{iy}, {ix}] is not finite: {vals[iy, ix]}"
+            )
         if worst > self.k_max + KMAX_SLACK:
             raise FieldValidationError(
                 f"grid contains |mu| = {worst} > k_max = {self.k_max}"

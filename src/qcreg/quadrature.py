@@ -10,6 +10,7 @@ carry tabulated branch data.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,14 +29,18 @@ class QuadratureConfig:
     rel_tol: float = 1e-9
 
     def __post_init__(self):
-        n = int(self.nodes)
+        for name in ("nodes", "max_doublings"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        n = self.nodes
         if n < 16 or (n & (n - 1)) != 0:
             raise ValueError(f"nodes must be a power of two >= 16, got {n}")
         if self.max_doublings < 0:
             raise ValueError("max_doublings must be >= 0")
         if not (self.rel_tol > 0):
             raise ValueError("rel_tol must be positive")
-        object.__setattr__(self, "nodes", n)
 
     def describe(self) -> dict:
         return {

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,16 @@ from qcreg.cli import main
 from qcreg.config import build_config, default_config_for
 from qcreg.bounds import distortion_average
 from qcreg.reporting import report_json_bytes
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_module(*args):
+    """Run `python -m qcreg ARGS` on this checkout's sources."""
+    old = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=str(SRC) + (os.pathsep + old if old else ""))
+    return subprocess.run([sys.executable, "-m", "qcreg", *args], capture_output=True, env=env)
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -404,10 +416,8 @@ class TestCli:
 
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "r.json"
-        proc = subprocess.run(
-            [sys.executable, "-m", "qcreg", "analyze", "--subject",
-             "radial_stretch(K=2)", "--radii-count", "5", "--out", str(out)],
-            capture_output=True,
+        proc = run_module(
+            "analyze", "--subject", "radial_stretch(K=2)", "--radii-count", "5", "--out", str(out)
         )
         assert proc.returncode == 0, proc.stderr.decode()
         assert out.exists()
@@ -417,10 +427,7 @@ class TestCli:
     )
     def test_malformed_radii_exit_1_without_traceback(self, tmp_path, radii):
         cfg_path = write_config(tmp_path, {"subject": "radial_stretch(K=2)", "radii": radii})
-        proc = subprocess.run(
-            [sys.executable, "-m", "qcreg", "profile", "--config", str(cfg_path)],
-            capture_output=True,
-        )
+        proc = run_module("profile", "--config", str(cfg_path))
         stderr = proc.stderr.decode()
         assert proc.returncode == 1, stderr
         assert "Traceback" not in stderr

@@ -18,6 +18,7 @@ from qcreg import (
     radial_stretch,
     spiral_map,
 )
+from qcreg.geometry import _annulus_edges, _segments_toward_zero
 
 IDENTITY = radial_stretch(1.0)
 UNIT = CircleSpec(0j, 1.0)
@@ -105,6 +106,33 @@ class TestAreas:
         entry = radial_stretch(5.0)
         got = image_area_jacobian(entry.map, CircleSpec(0j, 0.5), cfg=cfg)
         assert got == pytest.approx(np.pi * 0.5 ** (2 / 5), rel=1e-10)
+
+
+def annulus_edges_reference(t, r_inner):
+    """The np.unique construction the annulus edges replaced (it pulled in
+    numpy.ma on every cold run)."""
+    n_oct = max(1, int(np.ceil(np.log2(t / r_inner))))
+    edges = np.unique(
+        np.concatenate((_segments_toward_zero(t, n_oct), [r_inner]))
+    )[::-1]
+    return edges[edges >= r_inner - 1e-300]
+
+
+def annulus_edge_cases():
+    rng = np.random.default_rng(7)
+    for t in (1.0, 0.5, 2.0**-10, 3.0, 0.3, 1e-3, 0.0731, 1e5):
+        fractions = [2.0, 1.0, 0.5, 0.25, 2.0**-10, 2.0**-60, 0.3, 0.999999, 1e-250 / t]
+        for r in [t * f for f in fractions] + list(t * rng.uniform(1e-8, 1.5, 12)):
+            yield t, r
+        yield t, np.nextafter(t / 4, 0.0)
+        yield t, np.nextafter(t / 4, np.inf)
+
+
+def test_annulus_edges_bit_equal_to_unique_construction():
+    for t, r_inner in annulus_edge_cases():
+        got = _annulus_edges(t, r_inner)
+        want = annulus_edges_reference(t, r_inner)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (t, r_inner)
 
 
 class TestIsoperimetricDefect:

@@ -29,6 +29,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             QuadratureConfig(rel_tol=0.0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"nodes": 16.5}, {"nodes": 256.0}, {"nodes": True}, {"nodes": "256"},
+         {"max_doublings": 2.5}, {"max_doublings": True}, {"max_doublings": None}],
+        ids=str,
+    )
+    def test_rejects_non_integers(self, kwargs):
+        name = next(iter(kwargs))
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            QuadratureConfig(**kwargs)
+
+    def test_numpy_integers_stored_as_int(self):
+        cfg = QuadratureConfig(nodes=np.int64(64), max_doublings=np.int32(3))
+        assert type(cfg.nodes) is int and type(cfg.max_doublings) is int
+        assert cfg.describe() == {"nodes": 64, "max_doublings": 3, "rel_tol": 1e-9}
+
 
 class TestCircularAverage:
     def test_constant(self):
