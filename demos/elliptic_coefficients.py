@@ -54,18 +54,25 @@ for lam in (0.5, 0.7, 0.9):
 print()
 print("=== grid files: x,y,a11,a12,a22 plus a JSON descriptor ===")
 with tempfile.TemporaryDirectory() as tmp:
-    n, half = 33, 1.2
+    # a varying det-1 grid: A rebuilt node by node from a smooth mu
+    n, half, k = 33, 1.2, 1 / 3
     h = 2 * half / (n - 1)
-    shape = (n, n)
+    xs = -half + h * np.arange(n)
+    x, y = xs[None, :], xs[:, None]
+    node_mu = k * np.exp(1j * (2 * x - y)) * (0.75 + 0.25 * np.cos(3 * y))
     path = Path(tmp) / "matrix.csv"
     save_matrix_field(
         path,
-        (np.full(shape, 0.5), np.zeros(shape), np.full(shape, 2.0)),
+        matrix_from_beltrami(node_mu),
         origin=complex(-half, -half),
         spacing=h,
-        K=2.0,
+        K=(1 + k) / (1 - k),
     )
-    loaded = validate_matrix_field(load_matrix_field(path))
+    # loaded as the mu grid it encodes: mu is interpolated, so det A = 1
+    # holds between the nodes as well
+    loaded = validate_matrix_field(load_matrix_field(path, interpolation="bilinear"))
+    off_node = np.array([0.11 + 0.07j, -0.43 + 0.29j])
+    print(f"max |det A - 1| between nodes: {np.abs(loaded.determinant(off_node) - 1).max():.1e}")
     rep = comparison_bounds(loaded, domain, cfg)
-    print(f"loaded {path.name}: divergence bound {rep.alpha_divergence:.6f}, "
-          f"improved bound {rep.alpha_improved:.6f}")
+    print(f"loaded {path.name} (bilinear): eigen-ratio {rep.alpha_eigen_ratio:.6f}, "
+          f"divergence {rep.alpha_divergence:.6f}, improved {rep.alpha_improved:.6f}")

@@ -36,6 +36,7 @@ from .config import AnalysisConfig, build_config, default_config_for, load_confi
 from .elliptic import (
     ComparisonReport,
     MatrixField,
+    beltrami_from_entries,
     beltrami_from_matrix,
     comparison_bounds,
     constant_matrix_field,

@@ -9,7 +9,8 @@ map whose distortion coefficient is
 That coefficient satisfies |mu| <= (K-1)/(K+1) whenever the eigenvalues of
 A lie in [1/K, K], so the exponent machinery applies verbatim to the PDE
 side. Only the determinant-1 case is wired up: general determinants do not
-reduce to a single complex-linear coefficient and are rejected.
+reduce to a single complex-linear coefficient and are rejected:
+`validate_matrix_field` checks |det A - 1| <= DET_TOL for every field.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ class MatrixField:
 
     entries: TripleFunc
     K: float
-    det_normalized: bool = False
     verified: bool = False
 
     def __post_init__(self):
@@ -73,7 +73,7 @@ class MatrixField:
         return a11 * a22 - a12**2
 
 
-def constant_matrix_field(matrix, K: float, det_normalized: bool | None = None) -> MatrixField:
+def constant_matrix_field(matrix, K: float) -> MatrixField:
     """MatrixField for a constant symmetric 2x2 matrix."""
     m = np.asarray(matrix, dtype=float)
     if m.shape != (2, 2):
@@ -81,17 +81,15 @@ def constant_matrix_field(matrix, K: float, det_normalized: bool | None = None) 
     if abs(m[0, 1] - m[1, 0]) > SYMMETRY_TOL:
         raise FieldValidationError(f"matrix asymmetry {abs(m[0,1]-m[1,0])} > {SYMMETRY_TOL}")
     a11, a12, a22 = float(m[0, 0]), float(0.5 * (m[0, 1] + m[1, 0])), float(m[1, 1])
-    if det_normalized is None:
-        det_normalized = abs(a11 * a22 - a12 * a12 - 1.0) <= DET_TOL
 
     def entries(z):
         shape = np.asarray(z).shape
         return (np.full(shape, a11), np.full(shape, a12), np.full(shape, a22))
 
-    return MatrixField(entries=entries, K=float(K), det_normalized=det_normalized)
+    return MatrixField(entries=entries, K=float(K))
 
 
-def matrix_field_from_function(fn, K: float, *, det_normalized: bool = False) -> MatrixField:
+def matrix_field_from_function(fn, K: float) -> MatrixField:
     """Wrap an evaluator returning full (..., 2, 2) matrices, checking symmetry."""
 
     def entries(z):
@@ -103,7 +101,7 @@ def matrix_field_from_function(fn, K: float, *, det_normalized: bool = False) ->
             raise FieldValidationError(f"matrix asymmetry {asym} > {SYMMETRY_TOL}")
         return m[..., 0, 0], m[..., 0, 1], m[..., 1, 1]
 
-    return MatrixField(entries=entries, K=float(K), det_normalized=det_normalized)
+    return MatrixField(entries=entries, K=float(K))
 
 
 def validate_matrix_field(
@@ -118,7 +116,7 @@ def validate_matrix_field(
 
     Checks that the eigenvalues lie in [1/K, K], verifies the unified
     inequality |xi|^2 + |A xi|^2 <= (K + 1/K) <A xi, xi> on random unit
-    vectors, and (for det-normalized fields) that |det A - 1| <= 1e-9.
+    vectors, and that |det A - 1| <= DET_TOL.
     The returned field re-checks the eigenvalue range on every later
     evaluation.
     """
@@ -143,10 +141,9 @@ def validate_matrix_field(
         raise FieldValidationError(
             f"unified ellipticity inequality fails by {worst} on the sample"
         )
-    if field.det_normalized:
-        dev = float(np.abs(field.determinant(pts) - 1.0).max())
-        if dev > DET_TOL:
-            raise FieldValidationError(f"|det A - 1| = {dev} > {DET_TOL} on the sample")
+    dev = float(np.abs(field.determinant(pts) - 1.0).max())
+    if dev > DET_TOL:
+        raise FieldValidationError(f"|det A - 1| = {dev} > {DET_TOL} on the sample")
 
     inner = field.entries
 
@@ -195,10 +192,15 @@ def beltrami_from_matrix(field: MatrixField) -> BeltramiField:
                 f"|det A - 1| = {dev} > {DET_TOL}: normalize the field to "
                 "determinant 1 before building a distortion coefficient"
             )
-        return (a22 - a11 - 2j * a12) / (2.0 + a11 + a22)
+        return beltrami_from_entries(a11, a12, a22)
 
     k_max = (field.K - 1.0) / (field.K + 1.0)
     return BeltramiField(mu=mu, k_max=k_max)
+
+
+def beltrami_from_entries(a11, a12, a22) -> np.ndarray:
+    """The bridge mu = (a22 - a11 - 2 i a12) / (2 + a11 + a22) of det-1 entries."""
+    return (a22 - a11 - 2j * a12) / (2.0 + a11 + a22)
 
 
 def matrix_from_beltrami(mu) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -5,12 +5,16 @@ order (x fastest), plus a sidecar JSON descriptor next to it (``<file>.json``)
 holding ``{origin: [x0, y0], spacing: h, nx, ny, k_max}``.
 
 Sampled matrix grid mirrors the same layout with header ``x,y,a11,a12,a22``
-and a descriptor ``{origin, spacing, nx, ny, K}``.
+and a descriptor ``{origin, spacing, nx, ny, K}``. It loads as the mu grid it
+encodes under the det-1 bridge of `qcreg.elliptic`, so a node that is not
+positive definite with det 1 (within 1e-9), or is off the declared K, raises
+``FieldValidationError`` naming the node ``[iy, ix]``.
 
 Numbers are written as ``%.18e`` (19 significant digits, so a float64 reads
 back exactly), byte for byte what ``np.savetxt`` writes. The writers format
 each grid coordinate once and each grid row with one ``%`` call. The loaders
-reject, with ``ConfigError``, an unparsable or non-finite entry (naming the
+reject, with ``ConfigError``, a descriptor value of the wrong type or range
+(naming the file and the key), an unparsable or non-finite entry (naming the
 file and its 1-based line) and coordinates that disagree with the descriptor.
 """
 
@@ -18,13 +22,15 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
-from .elliptic import MatrixField
-from .errors import ConfigError
-from .plane import SampledField, grid_interpolate
+from .config import _integer, _number, _point
+from .elliptic import DET_TOL, MatrixField, beltrami_from_entries, matrix_from_beltrami
+from .errors import ConfigError, FieldValidationError
+from .plane import SampledField
 
 MU_HEADER = "x,y,re,im"
 MATRIX_HEADER = "x,y,a11,a12,a22"
@@ -34,7 +40,10 @@ def sidecar_path(csv_path) -> Path:
     return Path(str(csv_path) + ".json")
 
 
-def _load_descriptor(csv_path, required_keys) -> dict:
+def _load_descriptor(csv_path, bound_key: str, bound_range: tuple[float, float]) -> dict:
+    """The sidecar's values, checked: nx and ny integers >= 1, spacing
+    positive and finite, origin a finite [x, y] pair (as a complex) and the
+    field bound `bound_key` a finite number in [low, high)."""
     path = sidecar_path(csv_path)
     if not path.exists():
         raise ConfigError(f"missing sidecar descriptor {path}")
@@ -42,10 +51,23 @@ def _load_descriptor(csv_path, required_keys) -> dict:
         desc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"bad JSON in {path} at line {exc.lineno}: {exc.msg}")
-    missing = [k for k in required_keys if k not in desc]
+    if not isinstance(desc, dict):
+        raise ConfigError(f"descriptor {path} must be a JSON object")
+    missing = [k for k in ("origin", "spacing", "nx", "ny", bound_key) if k not in desc]
     if missing:
         raise ConfigError(f"descriptor {path} missing keys {missing}")
-    return desc
+    where = f"descriptor {path}:"
+    low, high = bound_range
+    bound = _number(desc[bound_key], f"{where} {bound_key}")
+    if not low <= bound < high:
+        raise ConfigError(f"{where} {bound_key} must lie in [{low}, {high}), got {bound!r}")
+    return {
+        "nx": _integer(desc["nx"], f"{where} nx", 1),
+        "ny": _integer(desc["ny"], f"{where} ny", 1),
+        "spacing": _number(desc["spacing"], f"{where} spacing", positive=True),
+        "origin": _point(desc["origin"], f"{where} origin"),
+        bound_key: bound,
+    }
 
 
 def _load_grid_csv(csv_path, header: str) -> np.ndarray:
@@ -85,9 +107,8 @@ def _data_line(csv_path, row: int) -> int:
 
 
 def _check_grid_coords(data, desc, csv_path):
-    nx, ny = int(desc["nx"]), int(desc["ny"])
-    h = float(desc["spacing"])
-    x0, y0 = float(desc["origin"][0]), float(desc["origin"][1])
+    nx, ny, h = desc["nx"], desc["ny"], desc["spacing"]
+    x0, y0 = desc["origin"].real, desc["origin"].imag
     if data.shape[0] != nx * ny:
         raise ConfigError(
             f"{csv_path}: {data.shape[0]} rows but descriptor says nx*ny = {nx * ny}"
@@ -132,7 +153,7 @@ def _write_sidecar(csv_path, desc: dict) -> None:
 
 def load_sampled_field(csv_path, interpolation: str = "bilinear") -> SampledField:
     """Read a sampled complex-distortion grid (CSV + sidecar descriptor)."""
-    desc = _load_descriptor(csv_path, ("origin", "spacing", "nx", "ny", "k_max"))
+    desc = _load_descriptor(csv_path, "k_max", (0.0, 1.0))
     data = _load_grid_csv(csv_path, MU_HEADER)
     nx, ny, h, origin = _check_grid_coords(data, desc, csv_path)
     values = (data[:, 2] + 1j * data[:, 3]).reshape(ny, nx)
@@ -140,7 +161,7 @@ def load_sampled_field(csv_path, interpolation: str = "bilinear") -> SampledFiel
         origin=origin,
         spacing=h,
         values=values,
-        k_max=float(desc["k_max"]),
+        k_max=desc["k_max"],
         interpolation=interpolation,
     )
 
@@ -165,21 +186,27 @@ def save_sampled_field(csv_path, field: SampledField) -> None:
 
 
 def load_matrix_field(csv_path, interpolation: str = "bilinear") -> MatrixField:
-    """Read a sampled coefficient-matrix grid as an interpolating MatrixField."""
-    desc = _load_descriptor(csv_path, ("origin", "spacing", "nx", "ny", "K"))
+    """Read a sampled coefficient-matrix grid as the mu grid it encodes.
+
+    Interpolating mu keeps |mu| <= (K-1)/(K+1), so the matrices rebuilt from
+    it have det 1 and eigenvalues in [1/K, K] between the nodes too.
+    """
+    desc = _load_descriptor(csv_path, "K", (1.0, math.inf))
     data = _load_grid_csv(csv_path, MATRIX_HEADER)
     nx, ny, h, origin = _check_grid_coords(data, desc, csv_path)
-    K = float(desc["K"])
-    grids = [data[:, col].reshape(ny, nx) for col in (2, 3, 4)]
-
-    def entries(z):
-        return tuple(
-            grid_interpolate(origin, h, g, z, interpolation) for g in grids
+    a11, a12, a22 = (data[:, col].reshape(ny, nx) for col in (2, 3, 4))
+    dev = np.abs(a11 * a22 - a12**2 - 1.0)
+    bad = (dev > DET_TOL) | (a11 <= 0)  # with det 1, a11 > 0 means positive definite
+    if bad.any():
+        iy, ix = np.argwhere(bad)[0]
+        raise FieldValidationError(
+            f"{csv_path}: grid node [{iy}, {ix}] has |det A - 1| = {dev[iy, ix]} and "
+            f"a11 = {a11[iy, ix]}; need det 1 within {DET_TOL} and a11 > 0"
         )
-
-    dets = data[:, 2] * data[:, 4] - data[:, 3] ** 2
-    det_normalized = bool(np.abs(dets - 1.0).max() <= 1e-9)
-    return MatrixField(entries=entries, K=K, det_normalized=det_normalized)
+    K = desc["K"]
+    mu = beltrami_from_entries(a11, a12, a22)
+    sampled = SampledField(origin, h, mu, (K - 1.0) / (K + 1.0), interpolation)
+    return MatrixField(entries=lambda z: matrix_from_beltrami(sampled.evaluate(z)), K=K)
 
 
 def save_matrix_field(csv_path, entries_grid, origin, spacing, K) -> None:

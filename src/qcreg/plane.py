@@ -322,34 +322,6 @@ def derive_beltrami(
     return validate_field(raw, k, region=region, samples=samples)
 
 
-def grid_interpolate(origin: complex, spacing: float, values: np.ndarray, z, method: str):
-    """Nearest / bilinear interpolation of a row-major grid at complex points.
-
-    ``values[iy, ix]`` sits at origin + (ix + iy * 1j) * spacing; queries
-    are clamped to the grid hull so boundary-touching nodes stay defined.
-    """
-    z = np.asarray(z, dtype=complex)
-    values = np.asarray(values)
-    ny, nx = values.shape
-    gx = np.clip((z.real - origin.real) / spacing, 0.0, nx - 1.0)
-    gy = np.clip((z.imag - origin.imag) / spacing, 0.0, ny - 1.0)
-    if method == "nearest":
-        return values[np.rint(gy).astype(int), np.rint(gx).astype(int)]
-    if method != "bilinear":
-        raise ValueError(f"unknown interpolation {method!r}")
-    ix = np.clip(np.floor(gx).astype(int), 0, max(nx - 2, 0))
-    iy = np.clip(np.floor(gy).astype(int), 0, max(ny - 2, 0))
-    tx, ty = gx - ix, gy - iy
-    ix1 = np.minimum(ix + 1, nx - 1)
-    iy1 = np.minimum(iy + 1, ny - 1)
-    return (
-        values[iy, ix] * (1 - tx) * (1 - ty)
-        + values[iy, ix1] * tx * (1 - ty)
-        + values[iy1, ix] * (1 - tx) * ty
-        + values[iy1, ix1] * tx * ty
-    )
-
-
 @dataclass(frozen=True)
 class SampledField:
     """Grid-sampled complex coefficient with nearest / bilinear interpolation.
@@ -373,15 +345,17 @@ class SampledField:
             raise ValueError("spacing must be positive and finite")
         if self.interpolation not in ("nearest", "bilinear"):
             raise ValueError(f"unknown interpolation {self.interpolation!r}")
-        worst = float(np.abs(vals).max())
-        if not np.isfinite(worst):
-            iy, ix = np.argwhere(~np.isfinite(vals))[0]
+        mags = np.abs(vals)
+        if not np.isfinite(mags).all():
+            iy, ix = np.argwhere(~np.isfinite(mags))[0]
             raise FieldValidationError(
                 f"grid value at [{iy}, {ix}] is not finite: {vals[iy, ix]}"
             )
-        if worst > self.k_max + KMAX_SLACK:
+        if mags.max() > self.k_max + KMAX_SLACK:
+            iy, ix = np.argwhere(mags > self.k_max + KMAX_SLACK)[0]
             raise FieldValidationError(
-                f"grid contains |mu| = {worst} > k_max = {self.k_max}"
+                f"grid value at [{iy}, {ix}] has |mu| = {mags[iy, ix]} "
+                f"> k_max = {self.k_max}"
             )
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "origin", complex(self.origin))
@@ -391,8 +365,22 @@ class SampledField:
         return self.values.shape  # (ny, nx)
 
     def evaluate(self, z) -> np.ndarray:
-        return grid_interpolate(
-            self.origin, self.spacing, self.values, z, self.interpolation
+        z = np.asarray(z, dtype=complex)
+        ny, nx = self.values.shape
+        gx = np.clip((z.real - self.origin.real) / self.spacing, 0.0, nx - 1.0)
+        gy = np.clip((z.imag - self.origin.imag) / self.spacing, 0.0, ny - 1.0)
+        if self.interpolation == "nearest":
+            return self.values[np.rint(gy).astype(int), np.rint(gx).astype(int)]
+        ix = np.clip(np.floor(gx).astype(int), 0, max(nx - 2, 0))
+        iy = np.clip(np.floor(gy).astype(int), 0, max(ny - 2, 0))
+        tx, ty = gx - ix, gy - iy
+        ix1 = np.minimum(ix + 1, nx - 1)
+        iy1 = np.minimum(iy + 1, ny - 1)
+        return (
+            self.values[iy, ix] * (1 - tx) * (1 - ty)
+            + self.values[iy, ix1] * tx * (1 - ty)
+            + self.values[iy1, ix] * (1 - tx) * ty
+            + self.values[iy1, ix1] * tx * ty
         )
 
     def as_beltrami(self) -> BeltramiField:

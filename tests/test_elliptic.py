@@ -4,10 +4,12 @@ import pytest
 from qcreg import (
     FieldValidationError,
     MatrixField,
+    beltrami_from_entries,
     beltrami_from_matrix,
     beltrami_of,
     comparison_bounds,
     constant_matrix_field,
+    distortion_integrand,
     elliptic_holder_bound,
     matrix_field_from_function,
     matrix_from_beltrami,
@@ -99,9 +101,10 @@ class TestValidation:
         with pytest.raises(FieldValidationError):
             field(np.array([2.0 + 0j]))
 
-    def test_det_normalized_check(self):
-        bad = constant_matrix_field([[2.0, 0], [0, 2.0]], K=2.0, det_normalized=True)
-        with pytest.raises(FieldValidationError):
+    def test_det_one_check(self):
+        # eigenvalues 2, 2 lie in [1/2, 2]; only det A = 4 is wrong
+        bad = constant_matrix_field([[2.0, 0], [0, 2.0]], K=2.0)
+        with pytest.raises(FieldValidationError, match=r"\|det A - 1\|"):
             validate_matrix_field(bad)
 
     def test_unified_inequality_on_random_vectors(self, rng):
@@ -174,8 +177,17 @@ class TestMatrixRoundTrip:
         mu = 0.8 * (rng.normal(size=64) + 1j * rng.normal(size=64))
         mu = mu / np.maximum(1.0, np.abs(mu) / 0.7)
         a11, a12, a22 = matrix_from_beltrami(mu)
-        back = (a22 - a11 - 2j * a12) / (2.0 + a11 + a22)
-        assert np.abs(back - mu).max() <= 1e-12
+        assert np.abs(beltrami_from_entries(a11, a12, a22) - mu).max() <= 1e-12
+
+    def test_normal_quadratic_form_is_the_distortion_integrand(self, rng):
+        # det 1: <eta, A eta> = |1 - conj(eta)^2 mu|^2 / (1 - |mu|^2) for unit eta
+        mu = 0.9 * np.sqrt(rng.uniform(size=256)) * np.exp(2j * np.pi * rng.uniform(size=256))
+        eta = np.exp(2j * np.pi * rng.uniform(size=256))
+        a11, a12, a22 = matrix_from_beltrami(mu)
+        c, s = eta.real, eta.imag
+        form = a11 * c * c + 2.0 * a12 * c * s + a22 * s * s
+        distortion = distortion_integrand(mu, eta)
+        assert np.abs(form - distortion).max() <= 1e-12 * distortion.max()
 
 
 class TestGradientBound:

@@ -5,16 +5,21 @@ import pytest
 
 from qcreg import (
     ConfigError,
+    DomainSpec,
     FieldValidationError,
+    QuadratureConfig,
     SampledField,
+    comparison_bounds,
     load_matrix_field,
     load_sampled_field,
     save_matrix_field,
+    matrix_from_beltrami,
     save_sampled_field,
     validate_matrix_field,
 )
 from qcreg.cli import main
 from qcreg.io import sidecar_path
+from qcreg.plane import disk_samples
 
 
 def make_field(n=33, half_width=1.2, k=0.25):
@@ -94,7 +99,7 @@ class TestMatrixFieldIO:
         path = self._write(tmp_path)
         field = load_matrix_field(path)
         assert field.K == 2.0
-        assert field.det_normalized
+        assert field.determinant(np.array([0.1 + 0.2j]))[0] == pytest.approx(1.0, abs=1e-12)
         a11, a12, a22 = field(np.array([0.1 + 0.2j]))
         assert a11[0] == pytest.approx(0.5)
         assert a22[0] == pytest.approx(2.0)
@@ -358,3 +363,204 @@ class TestNonFiniteGridsRejected:
         err = capsys.readouterr().err
         assert code == 1
         assert f"{path} line 2: a11" in err
+
+
+def rewrite_sidecar(path, **changes):
+    desc = json.loads(sidecar_path(path).read_text())
+    desc.update(changes)
+    sidecar_path(path).write_text(json.dumps(desc))
+
+
+def two_row_matrix_grid(tmp_path):
+    path = tmp_path / "matrix.csv"
+    save_matrix_field(
+        path, (np.ones((1, 2)), np.zeros((1, 2)), np.ones((1, 2))), origin=0, spacing=0.5, K=2.0
+    )
+    return path
+
+
+def two_row_mu_grid(tmp_path):
+    path = tmp_path / "mu.csv"
+    save_sampled_field(
+        path, SampledField(origin=0j, spacing=0.5, values=np.full((1, 2), 0.1j), k_max=0.2)
+    )
+    return path
+
+
+# (key, bad value) pairs that both grid kinds share, then the bound of each kind
+BAD_GRID_KEYS = [
+    ("nx", "two"), ("nx", 3.7), ("nx", True), ("nx", 0), ("nx", -2), ("ny", -1), ("ny", None),
+    ("spacing", 0), ("spacing", -0.5), ("spacing", "x"), ("spacing", float("inf")),
+    ("spacing", False), ("origin", [0]), ("origin", [0, 0, 0]), ("origin", [0, "a"]),
+    ("origin", [float("nan"), 0]), ("origin", "00"), ("origin", 0),
+]
+BAD_MU_BOUNDS = [("k_max", "x"), ("k_max", 1.5), ("k_max", 1.0), ("k_max", -0.1),
+                 ("k_max", float("nan")), ("k_max", True)]
+BAD_MATRIX_BOUNDS = [("K", "big"), ("K", 0.5), ("K", float("inf")), ("K", float("nan")),
+                     ("K", None)]
+
+
+class TestSidecarDescriptorChecked:
+    @pytest.mark.parametrize("key,value", BAD_GRID_KEYS + BAD_MU_BOUNDS)
+    def test_mu_descriptor(self, tmp_path, key, value):
+        path = two_row_mu_grid(tmp_path)
+        rewrite_sidecar(path, **{key: value})
+        with pytest.raises(ConfigError) as info:
+            load_sampled_field(path)
+        assert f"{sidecar_path(path)}: {key} must" in str(info.value)
+
+    @pytest.mark.parametrize("key,value", BAD_GRID_KEYS + BAD_MATRIX_BOUNDS)
+    def test_matrix_descriptor(self, tmp_path, key, value):
+        path = two_row_matrix_grid(tmp_path)
+        rewrite_sidecar(path, **{key: value})
+        with pytest.raises(ConfigError) as info:
+            load_matrix_field(path)
+        assert f"{sidecar_path(path)}: {key} must" in str(info.value)
+
+    @pytest.mark.parametrize("key,value", [("nx", "two"), ("nx", 3.7), ("origin", [0]), ("k_max", 1.5)])
+    def test_cli_analyze_exits_1(self, tmp_path, capsys, key, value):
+        path = two_row_mu_grid(tmp_path)
+        rewrite_sidecar(path, **{key: value})
+        code = main(["analyze", "--subject", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"{sidecar_path(path)}: {key} must" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("key,value", [("ny", -1), ("spacing", "x"), ("K", "big"), ("K", 0.5)])
+    def test_cli_elliptic_exits_1(self, tmp_path, capsys, key, value):
+        path = two_row_matrix_grid(tmp_path)
+        rewrite_sidecar(path, **{key: value})
+        code = main(["elliptic", "--subject", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"{sidecar_path(path)}: {key} must" in err and "Traceback" not in err
+
+    def test_descriptor_must_be_an_object(self, tmp_path):
+        path = two_row_mu_grid(tmp_path)
+        sidecar_path(path).write_text("[1, 2]")
+        with pytest.raises(ConfigError, match="JSON object"):
+            load_sampled_field(path)
+
+    def test_integer_values_accepted(self, tmp_path):
+        path = two_row_matrix_grid(tmp_path)
+        rewrite_sidecar(path, nx=2, spacing=0.5, K=1)  # an integer K is a number >= 1
+        assert load_matrix_field(path).K == 1.0
+
+
+class TestBoundExceededNamesTheNode:
+    def test_sampled_field(self):
+        values = np.full((4, 6), 0.1 + 0j)
+        values[3, 2] = 0.3j
+        values[3, 4] = 0.5
+        with pytest.raises(FieldValidationError, match=r"\[3, 2\] has \|mu\| = 0\.3 > k_max = 0\.2"):
+            SampledField(origin=0j, spacing=0.1, values=values, k_max=0.2)
+
+    @pytest.mark.parametrize("diagonal", [-1.0, -2.0])
+    def test_negative_definite_det_one_node(self, tmp_path, recwarn, diagonal):
+        # diag(d, 1/d) with d < 0 has det 1 but is not elliptic
+        shape = (3, 5)
+        a11, a22 = np.ones(shape), np.ones(shape)
+        a11[2, 1], a22[2, 1] = diagonal, 1 / diagonal
+        path = tmp_path / "matrix.csv"
+        save_matrix_field(path, (a11, np.zeros(shape), a22), origin=0, spacing=0.5, K=2.0)
+        with pytest.raises(FieldValidationError, match=r"node \[2, 1\] .*a11 > 0"):
+            load_matrix_field(path)
+        assert not recwarn.list
+
+    def test_matrix_node_outside_eigenvalue_range(self, tmp_path):
+        # diag(1/3, 3) has det 1 but eigenvalue ratio 9 > K^2 = 4
+        shape = (3, 5)
+        a11, a22 = np.full(shape, 0.5), np.full(shape, 2.0)
+        a11[1, 3], a22[1, 3] = 1 / 3, 3.0
+        path = tmp_path / "matrix.csv"
+        save_matrix_field(path, (a11, np.zeros(shape), a22), origin=0, spacing=0.5, K=2.0)
+        with pytest.raises(FieldValidationError, match=r"\[1, 3\] has \|mu\|"):
+            load_matrix_field(path)
+
+
+VARYING_N = 65
+VARYING_HALF_WIDTH = 1.2
+VARYING_K_MAX = 0.3
+
+
+def varying_mu(x, y):
+    """Smooth mu with |mu| <= VARYING_K_MAX, not constant along any axis."""
+    return VARYING_K_MAX * np.exp(1j * (2.0 * x - 1.3 * y)) * (0.75 + 0.25 * np.sin(3.0 * y + x))
+
+
+def write_varying_matrix_grid(tmp_path):
+    """A 65^2 det-1 grid built from mu with `matrix_from_beltrami`; returns
+    the path and the node entries (a11, a12, a22)."""
+    h = 2 * VARYING_HALF_WIDTH / (VARYING_N - 1)
+    xs = -VARYING_HALF_WIDTH + h * np.arange(VARYING_N)
+    entries = matrix_from_beltrami(varying_mu(xs[None, :], xs[:, None]))
+    K = (1 + VARYING_K_MAX) / (1 - VARYING_K_MAX)
+    path = tmp_path / "varying.csv"
+    save_matrix_field(path, entries, origin=complex(-VARYING_HALF_WIDTH, -VARYING_HALF_WIDTH),
+                      spacing=h, K=K)
+    return path, entries
+
+
+INTERPOLATIONS = ["bilinear", "nearest"]
+
+
+class TestVaryingMatrixGrid:
+    @pytest.mark.parametrize("interpolation", INTERPOLATIONS)
+    def test_det_one_between_nodes(self, tmp_path, interpolation):
+        path, _ = write_varying_matrix_grid(tmp_path)
+        field = load_matrix_field(path, interpolation)
+        pts = disk_samples(4096, 0.1 - 0.05j, 1.1)  # off the nodes, out to the hull
+        assert np.abs(field.determinant(pts) - 1.0).max() <= 1e-12
+
+    def test_nearest_reproduces_the_nodes(self, tmp_path):
+        path, entries = write_varying_matrix_grid(tmp_path)
+        field = load_matrix_field(path, "nearest")
+        h = 2 * VARYING_HALF_WIDTH / (VARYING_N - 1)
+        ix = np.arange(VARYING_N)
+        nodes = -VARYING_HALF_WIDTH * (1 + 1j) + h * (ix[None, :] + 1j * ix[:, None])
+        for got, want in zip(field(nodes), entries):
+            assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("interpolation", INTERPOLATIONS)
+    def test_comparison_bounds_and_bridge_identity(self, tmp_path, interpolation):
+        # For det 1, <eta, A eta> = |1 - conj(eta)^2 mu|^2 / (1 - |mu|^2) at
+        # every point, so the divergence average is the distortion average
+        # and both suprema agree to the quadrature tolerance.
+        path, _ = write_varying_matrix_grid(tmp_path)
+        field = validate_matrix_field(load_matrix_field(path, interpolation))
+        rep = comparison_bounds(field, DomainSpec.origin_disk(), QuadratureConfig())
+        assert rep.alpha_divergence == pytest.approx(rep.alpha_improved, rel=1e-9)
+        assert rep.alpha_eigen_ratio <= rep.alpha_divergence
+        assert rep.alpha_improved < 1.0
+
+    @pytest.mark.parametrize("interpolation", INTERPOLATIONS)
+    def test_cli_elliptic_exits_0(self, tmp_path, capsys, interpolation):
+        path, _ = write_varying_matrix_grid(tmp_path)
+        code = main(["elliptic", "--subject", str(path), "--interpolation", interpolation])
+        out = capsys.readouterr().out
+        assert code == 0
+        ell = json.loads(out)["elliptic"]
+        assert ell["alpha_divergence"] == pytest.approx(ell["alpha_improved"], rel=1e-9)
+
+    def _break_node(self, path, iy, ix):
+        """Scale node [iy, ix] by 1.01, so its det becomes 1.0201."""
+        lines = read_lines(path)
+        row = 1 + iy * VARYING_N + ix
+        x, y, *entries = lines[row].split(",")
+        lines[row] = ",".join([x, y] + [repr(1.01 * float(e)) for e in entries]) + "\n"
+        write_lines(path, lines)
+
+    def test_non_det_one_node_rejected(self, tmp_path):
+        path, _ = write_varying_matrix_grid(tmp_path)
+        self._break_node(path, 40, 7)
+        with pytest.raises(FieldValidationError, match=r"node \[40, 7\] has \|det A - 1\| = 0\.020"):
+            load_matrix_field(path)
+
+    @pytest.mark.parametrize("interpolation", INTERPOLATIONS)
+    def test_cli_non_det_one_node_exits_2(self, tmp_path, capsys, interpolation):
+        path, _ = write_varying_matrix_grid(tmp_path)
+        self._break_node(path, 40, 7)
+        code = main(["elliptic", "--subject", str(path), "--interpolation", interpolation])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{path}: grid node [40, 7] has |det A - 1|" in err

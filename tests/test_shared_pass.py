@@ -203,7 +203,7 @@ def varying_matrix_field():
         return np.stack([np.stack([a11, a12], -1), np.stack([a12, a22], -1)], -2)
 
     K = (1 + 0.3) / (1 - 0.3)
-    return matrix_field_from_function(fn, K, det_normalized=True)
+    return matrix_field_from_function(fn, K)
 
 
 def nan_on_circle(model, radius):
