@@ -64,13 +64,9 @@ def distortion_constant(
     field: BeltramiField,
     domain: DomainSpec,
     cfg: QuadratureConfig = QuadratureConfig(),
-    *,
-    refine: bool = False,
 ) -> SupResult:
     """C: supremum of per-circle distortion averages over the domain grid."""
-    return sup_over_circles(
-        lambda c: distortion_average(field, c, cfg), domain, cfg, refine=refine
-    )
+    return sup_over_circles(lambda c: distortion_average(field, c, cfg), domain)
 
 
 def isoperimetric_ratio(map_model: MapModel, circle: CircleSpec, cfg: QuadratureConfig) -> float:
@@ -85,13 +81,9 @@ def isoperimetric_constant(
     map_model: MapModel,
     domain: DomainSpec,
     cfg: QuadratureConfig = QuadratureConfig(),
-    *,
-    refine: bool = False,
 ) -> SupResult:
     """A: supremum of 4 pi area / length^2 over the domain grid (<= 1)."""
-    return sup_over_circles(
-        lambda c: isoperimetric_ratio(map_model, c, cfg), domain, cfg, refine=refine
-    )
+    return sup_over_circles(lambda c: isoperimetric_ratio(map_model, c, cfg), domain)
 
 
 def holder_lower_bound(iso_sup: float, dist_sup: float) -> float:

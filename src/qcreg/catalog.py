@@ -238,6 +238,8 @@ def entry_from_spec(spec: str) -> CatalogEntry:
                 raise ConfigError(
                     f"unknown parameter {key!r} for {name}; expected {list(param_names)}"
                 )
+            if key in kwargs:
+                raise ConfigError(f"parameter {key!r} given twice in {spec!r}")
             kwargs[key] = _parse_value(raw)
     try:
         return ctor(**kwargs)

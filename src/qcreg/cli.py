@@ -44,7 +44,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", help="write the JSON report here (default: stdout)")
     sub.add_argument("--csv-dir", help="also write the per-profile CSV bundle here")
     sub.add_argument("--nodes", type=int, help="angular quadrature nodes (power of two)")
-    sub.add_argument("--max-doublings", type=int, help="angular refinement budget")
+    sub.add_argument("--max-doublings", type=int, help="angular node-doubling budget")
     sub.add_argument("--rel-tol", type=float, help="quadrature convergence tolerance")
     sub.add_argument("--radii-min", type=float, help="smallest profile radius")
     sub.add_argument("--radii-max", type=float, help="largest profile radius")

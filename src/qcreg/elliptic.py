@@ -28,7 +28,7 @@ from .bounds import (
 )
 from .errors import FieldValidationError
 from .plane import BeltramiField, CircleSpec, DomainSpec, disk_samples
-from .quadrature import QuadratureConfig, circle_nodes, circular_average, sup_over_circles
+from .quadrature import QuadratureConfig
 
 #: allowed asymmetry when building the triple from a full 2x2 evaluator
 SYMMETRY_TOL = 1e-12
@@ -63,10 +63,7 @@ class MatrixField:
 
     def eigenvalues(self, z):
         """Eigenvalue pair (lambda_min, lambda_max) at each point."""
-        a11, a12, a22 = self(z)
-        mean = (a11 + a22) / 2.0
-        spread = np.sqrt(((a11 - a22) / 2.0) ** 2 + a12**2)
-        return mean - spread, mean + spread
+        return _eigenvalues(*self(z))
 
     def determinant(self, z):
         a11, a12, a22 = self(z)
@@ -114,11 +111,11 @@ def validate_matrix_field(
 ) -> MatrixField:
     """Certify ellipticity on a deterministic sample and wrap the evaluator.
 
-    Checks that the eigenvalues lie in [1/K, K], verifies the unified
-    inequality |xi|^2 + |A xi|^2 <= (K + 1/K) <A xi, xi> on random unit
-    vectors, and that |det A - 1| <= DET_TOL.
-    The returned field re-checks the eigenvalue range on every later
-    evaluation.
+    Checks that the entries are finite with eigenvalues in [1/K, K],
+    verifies the unified inequality |xi|^2 + |A xi|^2 <= (K + 1/K) <A xi, xi>
+    on random unit vectors, and that |det A - 1| <= DET_TOL.
+    The returned field re-checks the entries and the eigenvalue range on
+    every later evaluation.
     """
     if K is None:
         K = field.K
@@ -126,9 +123,9 @@ def validate_matrix_field(
         raise FieldValidationError(f"need K >= 1, got {K}")
     region = region or CircleSpec(0j, 1.0)
     pts = disk_samples(samples, region.center, region.radius)
-    _check_eigen_range(field, pts, K)
-
     a11, a12, a22 = field(pts)
+    _check_eigen_range(a11, a12, a22, pts, K)
+
     rng = np.random.default_rng(seed)
     phi = rng.uniform(0.0, 2.0 * np.pi, size=pts.shape)
     x, y = np.cos(phi), np.sin(phi)
@@ -141,37 +138,37 @@ def validate_matrix_field(
         raise FieldValidationError(
             f"unified ellipticity inequality fails by {worst} on the sample"
         )
-    dev = float(np.abs(field.determinant(pts) - 1.0).max())
+    dev = float(np.abs(a11 * a22 - a12**2 - 1.0).max())
     if dev > DET_TOL:
         raise FieldValidationError(f"|det A - 1| = {dev} > {DET_TOL} on the sample")
 
-    inner = field.entries
-
     def checked(z):
-        a11, a12, a22 = inner(np.asarray(z, dtype=complex))
-        a11 = np.asarray(a11, dtype=float)
-        a12 = np.asarray(a12, dtype=float)
-        a22 = np.asarray(a22, dtype=float)
-        mean = (a11 + a22) / 2.0
-        spread = np.sqrt(((a11 - a22) / 2.0) ** 2 + a12**2)
-        lo, hi = mean - spread, mean + spread
-        if lo.size and (float(lo.min()) < 1.0 / K - 1e-12 or float(hi.max()) > K + 1e-12):
-            raise FieldValidationError(
-                f"eigenvalues [{lo.min()}, {hi.max()}] leave [{1.0/K}, {K}]"
-            )
-        return a11, a12, a22
+        entries = field(z)
+        _check_eigen_range(*entries, z, K)
+        return entries
 
     return replace(field, entries=checked, K=float(K), verified=True)
 
 
-def _check_eigen_range(field: MatrixField, pts, K: float) -> None:
-    lo, hi = field.eigenvalues(pts)
-    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-        raise FieldValidationError("non-finite matrix entries")
-    if float(lo.min()) < 1.0 / K - 1e-12 or float(hi.max()) > K + 1e-12:
-        raise FieldValidationError(
-            f"eigenvalues [{lo.min()}, {hi.max()}] leave [{1.0/K}, {K}]"
-        )
+def _eigenvalues(a11, a12, a22):
+    mean = (a11 + a22) / 2.0
+    spread = np.sqrt(((a11 - a22) / 2.0) ** 2 + a12**2)
+    return mean - spread, mean + spread
+
+
+def _check_eigen_range(a11, a12, a22, pts, K: float) -> None:
+    """Raise at the first point with a non-finite entry or eigenvalues outside [1/K, K]."""
+    a11, a12, a22, pts = np.broadcast_arrays(a11, a12, a22, pts)
+    lo, hi = _eigenvalues(a11, a12, a22)
+    ok = (lo >= 1.0 / K - 1e-12) & (hi <= K + 1e-12)  # False wherever NaN
+    if ok.all():
+        return
+    j = np.unravel_index(np.argmin(ok), ok.shape)
+    if not np.isfinite([a11[j], a12[j], a22[j]]).all():
+        raise FieldValidationError(f"non-finite matrix entries at z = {pts[j]}")
+    raise FieldValidationError(
+        f"eigenvalues [{lo[j]}, {hi[j]}] at z = {pts[j]} leave [{1.0/K}, {K}]"
+    )
 
 
 def beltrami_from_matrix(field: MatrixField) -> BeltramiField:
@@ -248,13 +245,16 @@ def elliptic_holder_bound(
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Three exponent bounds for the same coefficient field.
+    """Exponent bounds for the same coefficient field.
 
     * alpha_eigen_ratio: sqrt(lambda / Lambda) from the extreme sampled
       eigenvalues (the classical isotropic-type estimate);
     * alpha_divergence: inverse of the supremum of per-circle averages of
-      <eta, A eta>;
-    * alpha_improved: the distortion-based bound of `elliptic_holder_bound`.
+      <eta, A eta>. For det A = 1 that form equals the distortion weight
+      |1 - conj(eta)^2 mu|^2 / (1 - |mu|^2) pointwise, so the supremum is
+      C and this is the distortion bound 1 / C;
+    * alpha_improved: the bound 1 / (A C) of `elliptic_holder_bound`, with
+      A = 1.
     """
 
     alpha_eigen_ratio: float
@@ -263,7 +263,6 @@ class ComparisonReport:
     lambda_min: float
     lambda_max: float
     sample_count: int
-    divergence_argmax: CircleSpec
 
     def describe(self) -> dict:
         return {
@@ -288,32 +287,22 @@ def comparison_bounds(
 
     lambda and Lambda are estimated as extreme sampled eigenvalues over the
     outer domain (an essential-inf/sup approximation; the sample count is
-    reported alongside). `improved` is the `elliptic_holder_bound` report of
-    the same field, domain and config when the caller already holds it;
+    reported alongside). The divergence bound is the 1 / C that the
+    `elliptic_holder_bound` report holds. `improved` is that report for the
+    same field, domain and config when the caller already holds it;
     otherwise it is computed here.
     """
     validated = field if field.verified else validate_matrix_field(field)
     pts = disk_samples(samples, domain.outer_center, domain.outer_radius)
     lo, hi = validated.eigenvalues(pts)
     lam, Lam = float(lo.min()), float(hi.max())
-
-    def normal_average(circle: CircleSpec) -> float:
-        def integrand(theta):
-            a11, a12, a22 = validated(circle_nodes(circle, theta)[0])
-            c, s = np.cos(theta), np.sin(theta)
-            return a11 * c * c + 2.0 * a12 * c * s + a22 * s * s
-
-        return circular_average(integrand, circle, cfg)
-
-    div_sup = sup_over_circles(normal_average, domain, cfg)
     if improved is None:
         improved = elliptic_holder_bound(validated, domain, cfg)
     return ComparisonReport(
         alpha_eigen_ratio=float(np.sqrt(lam / Lam)),
-        alpha_divergence=1.0 / div_sup.value,
+        alpha_divergence=improved.alpha_distortion,
         alpha_improved=improved.alpha_improved,
         lambda_min=lam,
         lambda_max=Lam,
         sample_count=samples,
-        divergence_argmax=div_sup.argmax,
     )

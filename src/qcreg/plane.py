@@ -42,10 +42,6 @@ class CircleSpec:
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "radius", r)
 
-    def at(self, theta: np.ndarray) -> np.ndarray:
-        """Points center + radius * e^{i theta}."""
-        return self.center + self.radius * np.exp(1j * np.asarray(theta, dtype=float))
-
 
 @dataclass(frozen=True)
 class DomainSpec:
@@ -387,8 +383,3 @@ class SampledField:
         return BeltramiField(
             mu=self.evaluate, k_max=self.k_max, provenance="sampled-grid"
         )
-
-    def hull(self) -> tuple[complex, complex]:
-        """Lower-left and upper-right corners of the grid."""
-        ny, nx = self.values.shape
-        return self.origin, self.origin + self.spacing * ((nx - 1) + 1j * (ny - 1))

@@ -80,7 +80,7 @@ def unit_nodes(n: int) -> np.ndarray:
 
 
 def circle_nodes(circle: CircleSpec, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Points ``circle.at(theta)`` and the outward normals e^{i theta}.
+    """Points center + radius e^{i theta} and the outward normals e^{i theta}.
 
     When `theta` is a cached `angle_nodes` array, e^{i theta} comes from the
     same cache; the values equal a fresh evaluation bit for bit either way.
@@ -169,16 +169,6 @@ class SupResult:
     argmax: CircleSpec
     per_circle: tuple[tuple[CircleSpec, float], ...]
 
-    def describe(self) -> dict:
-        return {
-            "value": self.value,
-            "argmax": {
-                "center": [self.argmax.center.real, self.argmax.center.imag],
-                "radius": self.argmax.radius,
-            },
-            "circles_evaluated": len(self.per_circle),
-        }
-
 
 def _argmax_stable(circles, values):
     # deterministic under grid permutation: break exact ties by geometry
@@ -191,17 +181,11 @@ def _argmax_stable(circles, values):
 def sup_over_circles(
     per_circle: Callable[[CircleSpec], float],
     domain: DomainSpec,
-    cfg: QuadratureConfig = QuadratureConfig(),
-    *,
-    refine: bool = False,
 ) -> SupResult:
     """Evaluate a per-circle functional on every admissible circle, take the max.
 
     This is a finite-grid approximation of an essential supremum over a
-    continuum of circles; the returned argmax lets callers refine their
-    grids. With ``refine=True`` one extra level of radii (geometric means
-    with the grid neighbors of the argmax) is evaluated at the argmax
-    center and merged into the result.
+    continuum of circles; the argmax is the circle that set it.
     """
     circles = domain.admissible_circles()
     if not circles:
@@ -210,23 +194,6 @@ def sup_over_circles(
     if not all(np.isfinite(values)):
         i = next(i for i, v in enumerate(values) if not np.isfinite(v))
         raise NumericalError(f"per-circle value not finite on {circles[i]}")
-
-    if refine:
-        i = _argmax_stable(circles, values)
-        best = circles[i]
-        radii = sorted({c.radius for c in circles if c.center == best.center})
-        j = radii.index(best.radius)
-        extra = []
-        if j > 0:
-            extra.append(np.sqrt(radii[j - 1] * best.radius))
-        if j + 1 < len(radii):
-            extra.append(np.sqrt(radii[j + 1] * best.radius))
-        for r in extra:
-            c = CircleSpec(best.center, float(r))
-            if domain.fits(c.center, c.radius):
-                circles.append(c)
-                values.append(float(per_circle(c)))
-
     i = _argmax_stable(circles, values)
     return SupResult(
         value=values[i],

@@ -168,6 +168,10 @@ class TestSpecStrings:
         with pytest.raises(ConfigError):
             entry_from_spec("radial_stretch(Q=2)")
 
+    def test_repeated_parameter_rejected(self):
+        with pytest.raises(ConfigError, match=r"'gamma' given twice in 'spiral\(gamma=1, gamma=2\)'"):
+            entry_from_spec("spiral(gamma=1, gamma=2)")
+
     def test_positional_rejected(self):
         with pytest.raises(ConfigError):
             entry_from_spec("radial_stretch(2)")

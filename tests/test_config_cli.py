@@ -376,6 +376,11 @@ class TestCli:
     def test_bad_subject_exit_one(self, capsys):
         assert main(["analyze", "--subject", "nosuchmap()"]) == 1
 
+    def test_repeated_catalog_parameter_exit_one(self, capsys):
+        assert main(["analyze", "--subject", "radial_stretch(K=2,K=3)"]) == 1
+        err = capsys.readouterr().err
+        assert "'K' given twice" in err and "radial_stretch(K=2,K=3)" in err
+
     def test_invariant_violation_exit_two(self, tmp_path, capsys):
         # sampled grid whose values exceed the declared k_max certificate
         n = 17

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qcreg import (
+    DomainSpec,
     FieldValidationError,
     MatrixField,
     beltrami_from_entries,
@@ -98,8 +99,34 @@ class TestValidation:
 
         field = validate_matrix_field(MatrixField(entries=entries, K=2.0))
         field(np.array([0.5 + 0j]))  # fine inside the sample region
-        with pytest.raises(FieldValidationError):
-            field(np.array([2.0 + 0j]))
+        with pytest.raises(FieldValidationError, match=r"at z = \(2\+0j\) leave"):
+            field(np.array([0.5, 2.0, 3.0], dtype=complex))
+
+    def test_validation_evaluates_the_sample_once(self):
+        calls = []
+
+        def entries(z):
+            calls.append(np.size(z))
+            return constant_matrix_field(DIAG_M, K=2.0).entries(z)
+
+        validate_matrix_field(MatrixField(entries=entries, K=2.0), samples=512)
+        assert calls == [512]
+
+    def test_non_finite_entries_outside_the_sample_raise_at_use(self, cfg):
+        # diag(1/2, 2) on the closed unit disk, NaN beyond: validation on the
+        # unit disk passes, and the eigenvalue sample over the outer disk of
+        # radius 1.5 must name a NaN point instead of reporting NaN bounds
+        def fn(z):
+            inside = (np.abs(z) <= 1.0)[..., None, None]
+            return np.where(inside, np.array(DIAG_M), np.nan)
+
+        field = validate_matrix_field(matrix_field_from_function(fn, K=2.0))
+        domain = DomainSpec(centers=(0j,), radii=(0.25, 0.5, 0.99), outer_radius=1.5)
+        improved = elliptic_holder_bound(field, domain, cfg)
+        assert improved.alpha_distortion == pytest.approx(0.8, abs=1e-12)
+        with pytest.raises(FieldValidationError, match="non-finite matrix entries at z = ") as err:
+            comparison_bounds(field, domain, cfg, improved=improved)
+        assert abs(complex(str(err.value).split("z = ")[1])) > 1.0
 
     def test_det_one_check(self):
         # eigenvalues 2, 2 lie in [1/2, 2]; only det A = 4 is wrong

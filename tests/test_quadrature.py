@@ -119,7 +119,7 @@ class TestSupOverCircles:
     def test_constant_distortion_for_radial_stretch(self, domain, cfg):
         entry = radial_stretch(2.0)
         res = sup_over_circles(
-            lambda c: distortion_average(entry.map.beltrami, c, cfg), domain, cfg
+            lambda c: distortion_average(entry.map.beltrami, c, cfg), domain
         )
         values = [v for _, v in res.per_circle]
         assert np.allclose(values, 2.0, atol=1e-12)
@@ -140,13 +140,3 @@ class TestSupOverCircles:
         shuffled = [circles[i] for i in perm]
         values = [fn(c) for c in shuffled]
         assert max(values) == pytest.approx(base.value, abs=0)
-
-    def test_refinement_adds_intermediate_radii(self):
-        dom = DomainSpec(centers=(0j,), radii=(0.25, 0.5, 1.0))
-        # peak between grid radii: refinement must find a better value
-        fn = lambda c: -((c.radius - 0.7) ** 2)
-        coarse = sup_over_circles(fn, dom, refine=False)
-        fine = sup_over_circles(fn, dom, refine=True)
-        assert fine.value >= coarse.value
-        assert len(fine.per_circle) > len(coarse.per_circle)
-        assert fine.value == max(v for _, v in fine.per_circle)

@@ -143,7 +143,7 @@ class TestNodeCache:
     def test_circle_nodes_match_circle_at(self, circle):
         theta = angle_nodes(512)
         z, unit = circle_nodes(circle, theta)
-        assert np.array_equal(z, circle.at(theta))
+        assert np.array_equal(z, circle.center + circle.radius * np.exp(1j * theta))
         assert np.array_equal(unit, np.exp(1j * theta))
         fresh = np.array(theta)  # not the cached array: computed on the spot
         assert np.array_equal(circle_nodes(circle, fresh)[0], z)
@@ -193,6 +193,46 @@ class TestNoSecondC:
         alone = comparison_bounds(matrix, domain, CFG)
         assert comparison_bounds(matrix, domain, CFG, improved=improved) == alone
         assert alone.alpha_improved == improved.alpha_improved
+
+    @pytest.mark.parametrize("source", ["function", "bilinear", "nearest"])
+    def test_divergence_bound_equals_the_normal_form_supremum(self, source, tmp_path):
+        # for det A = 1, <eta, A eta> is the distortion weight, so the
+        # supremum of its circle averages is C again
+        if source == "function":
+            matrix = validate_matrix_field(varying_matrix_field())
+        else:
+            matrix = validate_matrix_field(matrix_grid_65(tmp_path, source))
+        domain = domain_with_offsets()
+        rep = comparison_bounds(matrix, domain, CFG)
+        oracle = normal_form_sup(matrix, domain, CFG)
+        assert abs(1.0 / rep.alpha_divergence - oracle) <= 1e-12 * oracle
+
+
+def normal_form_sup(matrix, domain, cfg):
+    """Oracle: sup over the domain's circles of the circle average of <eta, A eta>."""
+
+    def average(circle):
+        def integrand(theta):
+            a11, a12, a22 = matrix(circle.center + circle.radius * np.exp(1j * theta))
+            c, s = np.cos(theta), np.sin(theta)
+            return a11 * c * c + 2.0 * a12 * c * s + a22 * s * s
+
+        return circular_average(integrand, circle, cfg)
+
+    return max(average(circle) for circle in domain.admissible_circles())
+
+
+def matrix_grid_65(tmp_path, interpolation):
+    """A 65^2 det-1 grid of a smooth varying mu over [-1.05, 1.05]^2, loaded back."""
+    from qcreg import load_matrix_field, save_matrix_field
+
+    x = np.linspace(-1.05, 1.05, 65)
+    z = x[None, :] + 1j * x[:, None]
+    mu = 0.4 * np.exp(1j * (1.3 * z.real - 0.7 * z.imag)) * (0.5 + 0.5 * np.cos(2 * z.real))
+    path = tmp_path / "matrix.csv"
+    save_matrix_field(path, matrix_from_beltrami(mu), origin=-1.05 - 1.05j,
+                      spacing=2.1 / 64, K=(1 + 0.4) / (1 - 0.4))
+    return load_matrix_field(path, interpolation)
 
 
 def varying_matrix_field():
@@ -314,4 +354,14 @@ class TestWorkCounts:
                           origin=-1.2 - 1.2j, spacing=2.4 / (n - 1), K=2.0)
         counts, _ = work_counts
         run_analysis(build_config({"subject": str(path)}))
-        assert counts["distortion_constant"] == 1
+        # C on the 16 circles of the default domain, and nothing else
+        assert counts == {"distortion_constant": 1, "circular_average": 16}
+
+    def test_comparison_with_precomputed_bound_averages_nothing(self, work_counts):
+        matrix = validate_matrix_field(varying_matrix_field())
+        domain = domain_with_offsets()
+        improved = elliptic_holder_bound(matrix, domain, CFG)
+        counts, _ = work_counts
+        before = dict(counts)
+        comparison_bounds(matrix, domain, CFG, improved=improved)
+        assert counts == before
