@@ -28,9 +28,10 @@ from .plane import BeltramiField, CircleSpec, DomainSpec, MapModel
 from .quadrature import (
     QuadratureConfig,
     SupResult,
-    circle_nodes,
     circular_average,
+    family,
     sup_over_circles,
+    unwrap,
 )
 
 
@@ -50,14 +51,17 @@ def distortion_integrand(mu, eta):
     return np.abs(1.0 - np.conj(eta) ** 2 * mu) ** 2 / (1.0 - m2)
 
 
-def distortion_average(field: BeltramiField, circle: CircleSpec, cfg: QuadratureConfig) -> float:
-    """Normalized-arclength average of the distortion weight on one circle."""
+def distortion_average(field: BeltramiField, circle, cfg: QuadratureConfig):
+    """Normalized-arclength average of the distortion weight on a circle.
 
-    def integrand(theta):
-        z, eta = circle_nodes(circle, theta)
-        return distortion_integrand(field(z), eta)
+    `circle` is a CircleSpec (returns a float) or a family of circles
+    (returns an array, all circles averaged together).
+    """
 
-    return circular_average(integrand, circle, cfg)
+    def integrand(nodes):
+        return distortion_integrand(field(nodes.points), nodes.unit)
+
+    return unwrap(circular_average(integrand, family(circle), cfg), circle)
 
 
 def distortion_constant(
@@ -66,15 +70,23 @@ def distortion_constant(
     cfg: QuadratureConfig = QuadratureConfig(),
 ) -> SupResult:
     """C: supremum of per-circle distortion averages over the domain grid."""
-    return sup_over_circles(lambda c: distortion_average(field, c, cfg), domain)
+    return sup_over_circles(lambda circles: distortion_average(field, circles, cfg), domain)
 
 
-def isoperimetric_ratio(map_model: MapModel, circle: CircleSpec, cfg: QuadratureConfig) -> float:
-    """4 pi area / length^2 for the image of one circle (boundary data only)."""
-    length, area = length_and_area(map_model, circle, cfg)
-    if length < DEGENERATE_LENGTH:
-        raise NumericalError(f"degenerate image of {circle}: length = {length}")
-    return 4.0 * np.pi * area / (length * length)
+def isoperimetric_ratio(map_model: MapModel, circle, cfg: QuadratureConfig):
+    """4 pi area / length^2 for the image of a circle (boundary data only).
+
+    `circle` is a CircleSpec (returns a float) or a family (an array).
+    """
+    circles = family(circle)
+    length, area = length_and_area(map_model, circles, cfg)
+    degenerate = np.flatnonzero(length < DEGENERATE_LENGTH)
+    if degenerate.size:
+        i = int(degenerate[0])
+        raise NumericalError(
+            f"degenerate image of {circles[i]}: length = {length[i]}", circle=circles[i]
+        )
+    return unwrap(4.0 * np.pi * area / (length * length), circle)
 
 
 def isoperimetric_constant(
@@ -83,7 +95,7 @@ def isoperimetric_constant(
     cfg: QuadratureConfig = QuadratureConfig(),
 ) -> SupResult:
     """A: supremum of 4 pi area / length^2 over the domain grid (<= 1)."""
-    return sup_over_circles(lambda c: isoperimetric_ratio(map_model, c, cfg), domain)
+    return sup_over_circles(lambda circles: isoperimetric_ratio(map_model, circles, cfg), domain)
 
 
 def holder_lower_bound(iso_sup: float, dist_sup: float) -> float:
@@ -322,11 +334,9 @@ def regularity_report(
     if map_model is not None:
         if gronwall_radii is None:
             gronwall_radii = np.geomspace(0.01, 1.0, 25)
-        phi = [
-            (float(t), image_area_green(map_model, CircleSpec(0j, float(t)), cfg))
-            for t in gronwall_radii
-        ]
-        verdict = gronwall_check(phi, 2.0 * alpha_improved)
+        circles = [CircleSpec(0j, float(t)) for t in gronwall_radii]
+        phi = image_area_green(map_model, circles, cfg)
+        verdict = gronwall_check(zip(gronwall_radii, phi), 2.0 * alpha_improved)
 
     return RegularityReport(
         distortion_sup=c_sup.value,

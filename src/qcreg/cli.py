@@ -43,7 +43,10 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--subject", help="catalog spec like 'radial_stretch(K=2)' or a CSV path")
     sub.add_argument("--out", help="write the JSON report here (default: stdout)")
     sub.add_argument("--csv-dir", help="also write the per-profile CSV bundle here")
-    sub.add_argument("--nodes", type=int, help="angular quadrature nodes (power of two)")
+    sub.add_argument(
+        "--nodes", type=int,
+        help="angular quadrature nodes (power of two; nodes * 2**max_doublings <= 2**20)",
+    )
     sub.add_argument("--max-doublings", type=int, help="angular node-doubling budget")
     sub.add_argument("--rel-tol", type=float, help="quadrature convergence tolerance")
     sub.add_argument("--radii-min", type=float, help="smallest profile radius")

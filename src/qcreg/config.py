@@ -21,7 +21,7 @@ import numpy as np
 from .catalog import entry_from_spec
 from .errors import ConfigError
 from .plane import DomainSpec
-from .quadrature import QuadratureConfig
+from .quadrature import MAX_CIRCLE_NODES, QuadratureConfig
 
 DEFAULTS = {
     "domain": {
@@ -195,10 +195,17 @@ def build_config(raw: dict) -> AnalysisConfig:
     quad_raw = _section(raw, "quadrature")
     _reject_unknown(quad_raw, DEFAULTS["quadrature"].keys(), "quadrature")
     quad_merged = {**DEFAULTS["quadrature"], **quad_raw}
+    nodes = _integer(quad_merged["nodes"], "quadrature.nodes", 16)
+    max_doublings = _integer(quad_merged["max_doublings"], "quadrature.max_doublings", 0)
+    if nodes << min(max_doublings, 64) > MAX_CIRCLE_NODES:
+        raise ConfigError(
+            f"quadrature.nodes * 2**quadrature.max_doublings = {nodes} * 2**{max_doublings} "
+            f"exceeds the ceiling of {MAX_CIRCLE_NODES} nodes per circle"
+        )
     try:
         quadrature = QuadratureConfig(
-            nodes=_integer(quad_merged["nodes"], "quadrature.nodes", 16),
-            max_doublings=_integer(quad_merged["max_doublings"], "quadrature.max_doublings", 0),
+            nodes=nodes,
+            max_doublings=max_doublings,
             rel_tol=_number(quad_merged["rel_tol"], "quadrature.rel_tol", positive=True),
         )
     except ValueError as exc:

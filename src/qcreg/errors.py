@@ -22,7 +22,14 @@ class InvariantViolationError(QcregError):
 
 
 class NumericalError(QcregError):
-    """Numerical breakdown: non-finite values, degenerate images, oracle mismatch."""
+    """Numerical breakdown: non-finite values, degenerate images, oracle mismatch.
+
+    `circle` is the circle it happened on, when one circle is to blame.
+    """
+
+    def __init__(self, message: str = "", circle=None):
+        super().__init__(message)
+        self.circle = circle
 
 
 class SingularPointError(NumericalError):

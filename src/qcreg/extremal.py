@@ -24,7 +24,13 @@ import numpy as np
 from .errors import SingularPointError
 from .geometry import GeometryProfile
 from .plane import BeltramiField, CircleSpec, MapModel
-from .quadrature import QuadratureConfig, angle_nodes, circle_nodes, circular_average
+from .quadrature import (
+    QuadratureConfig,
+    angle_nodes,
+    circle_nodes,
+    circular_average,
+    unit_nodes,
+)
 
 
 def stretch_factor(K: float) -> float:
@@ -113,15 +119,11 @@ def epsilon_weight_integral(
     if np.any(radii <= 0) or np.any(np.diff(radii) <= 0):
         raise ValueError("radii must be positive and strictly increasing")
 
-    def avg(r):
-        circle = CircleSpec(0j, float(r))
-        return circular_average(
-            lambda theta: epsilon_decompose(field, K, circle_nodes(circle, theta)[0]).real,
-            circle,
-            cfg,
-        )
-
-    eps_avg = np.array([avg(r) for r in radii])
+    eps_avg = circular_average(
+        lambda nodes: epsilon_decompose(field, K, nodes.points).real,
+        [CircleSpec(0j, float(r)) for r in radii],
+        cfg,
+    )
     W = _log_integral_from_anchor(radii, eps_avg)
     return EpsilonProfile(
         radii=radii,
@@ -232,8 +234,9 @@ def empirical_holder(
     log(max_theta |f(t e^{i theta}) - f(0)|) / log t.
 
     A `geometry_profile` of the same map and quadrature config may be
-    passed: its Green areas are used at the radii it holds, and the area is
-    computed for any other radius (the profile may have nudged one).
+    passed: its Green areas are used at the radii it holds, and the areas
+    at any other radii (the profile may have nudged one) are averaged
+    together. The displacements of all radii come from one `value` call.
     """
     from .geometry import image_area_green
 
@@ -241,21 +244,20 @@ def empirical_holder(
     if np.any(radii <= 0) or np.any(radii >= 1):
         raise ValueError("empirical exponents need radii in (0, 1)")
     known = {} if profile is None else dict(zip(profile.radii.tolist(), profile.area_green))
+    missing = [CircleSpec(0j, t) for t in radii.tolist() if t not in known]
+    if missing:
+        areas = image_area_green(map_model, missing, cfg)
+        known.update(zip((c.radius for c in missing), areas))
+    areas = np.array([known[t] for t in radii.tolist()])
+    if np.any(areas <= 0):
+        raise ValueError(f"image area vanished at t = {radii[np.argmax(areas <= 0)]}")
     f0 = complex(np.asarray(map_model.value(np.zeros(1, dtype=complex)))[0])
-    theta = angle_nodes(cfg.nodes)
-    out = []
-    for t in radii:
-        circle = CircleSpec(0j, float(t))
-        area = known.get(float(t))
-        if area is None:
-            area = image_area_green(map_model, circle, cfg)
-        if area <= 0:
-            raise ValueError(f"image area vanished at t = {t}")
-        displacement = np.abs(map_model.value(circle_nodes(circle, theta)[0]) - f0)
-        from_area = float(np.log(area) / (2.0 * np.log(t)))
-        from_sup = float(np.log(displacement.max()) / np.log(t))
-        out.append((float(t), from_area, from_sup))
-    return out
+    z = radii[:, None] * unit_nodes(cfg.nodes)
+    displacement = np.abs(map_model.value(z) - f0).max(axis=1)
+    return [
+        (t, float(np.log(area) / (2.0 * np.log(t))), float(np.log(d) / np.log(t)))
+        for t, area, d in zip(radii.tolist(), areas, displacement)
+    ]
 
 
 @dataclass(frozen=True)

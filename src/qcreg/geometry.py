@@ -21,12 +21,21 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvariantViolationError, NumericalError, OrientationError
 from .plane import CircleSpec, MapModel, beltrami_of
-from .quadrature import QuadratureConfig, circle_nodes, circular_average, unit_nodes
+from .quadrature import (
+    CircleNodes,
+    QuadratureConfig,
+    circular_average,
+    family,
+    row_batches,
+    unit_nodes,
+    unwrap,
+)
 
 #: relative agreement demanded between the two length / area routes
 ORACLE_REL_TOL = 1e-6
@@ -38,31 +47,33 @@ RADIAL_OCTAVES = 60
 DEGENERATE_LENGTH = 1e-14
 
 
-def _boundary_data(map_model: MapModel, circle: CircleSpec, theta: np.ndarray):
-    """Image points and their theta-derivative along f(circle).
+def _boundary_data(map_model: MapModel, nodes: CircleNodes):
+    """Image points and their theta-derivative along the image curves.
 
     Non-finite partials are allowed to propagate: the quadrature layer
-    turns them into a NumericalError naming the node.
+    turns them into a NumericalError naming the circle and node.
     """
-    z, _ = circle_nodes(circle, theta)
+    z = nodes.points
     f_x, f_y = map_model.partials(z)
     with np.errstate(invalid="ignore"):
-        dgamma = circle.radius * (-np.sin(theta) * f_x + np.cos(theta) * f_y)
+        dgamma = nodes.radius * (-np.sin(nodes.theta) * f_x + np.cos(nodes.theta) * f_y)
     return z, dgamma
 
 
 def quasicircle_length_direct(
     map_model: MapModel,
-    circle: CircleSpec,
+    circle,
     cfg: QuadratureConfig = QuadratureConfig(),
-) -> float:
-    """Length of f(circle) by quadrature of the parameterization speed."""
+):
+    """Length of f(circle) by quadrature of the parameterization speed.
 
-    def integrand(theta):
-        _, dgamma = _boundary_data(map_model, circle, theta)
-        return np.abs(dgamma)
+    `circle` is a CircleSpec (returns a float) or a family (an array).
+    """
 
-    return 2.0 * np.pi * circular_average(integrand, circle, cfg)
+    def integrand(nodes):
+        return np.abs(_boundary_data(map_model, nodes)[1])
+
+    return unwrap(2.0 * np.pi * circular_average(integrand, family(circle), cfg), circle)
 
 
 def _green_density(map_model: MapModel, z, dgamma):
@@ -72,62 +83,72 @@ def _green_density(map_model: MapModel, z, dgamma):
 
 def length_and_area(
     map_model: MapModel,
-    circle: CircleSpec,
+    circle,
     cfg: QuadratureConfig = QuadratureConfig(),
-) -> tuple[float, float]:
+):
     """Direct-route length of f(circle) and Green area of f(disk), one pass.
 
     Both integrands are built from the same boundary data and averaged as
-    two stacked rows, so each equals `quasicircle_length_direct` /
-    `image_area_green` called alone, bit for bit.
+    two stacked rows, so each converges where `quasicircle_length_direct` /
+    `image_area_green` alone would. `circle` is a CircleSpec (returns two
+    floats) or a family (two arrays).
     """
 
-    def integrand(theta):
-        z, dgamma = _boundary_data(map_model, circle, theta)
+    def integrand(nodes):
+        z, dgamma = _boundary_data(map_model, nodes)
         return np.stack((np.abs(dgamma), _green_density(map_model, z, dgamma)))
 
-    speed, green = circular_average(integrand, circle, cfg)
-    return 2.0 * np.pi * speed, np.pi * green
+    speed, green = circular_average(integrand, family(circle), cfg)
+    return unwrap(2.0 * np.pi * speed, circle), unwrap(np.pi * green, circle)
 
 
 def quasicircle_length_formula(
     map_model: MapModel,
-    circle: CircleSpec,
+    circle,
     cfg: QuadratureConfig = QuadratureConfig(),
-) -> float:
+):
     """Length of f(circle) via the distortion-weighted Jacobian form.
 
     Integrates sqrt(|1 - conj(eta)^2 mu|^2 / (1 - |mu|^2)) * sqrt(J_f) * t
     over the angle, with eta the outward unit normal. Requires mu and J_f
     on the circle; raises OrientationError if the Jacobian is negative at
-    a node.
+    a node. `circle` is a CircleSpec (returns a float) or a family (an
+    array).
     """
     from .bounds import distortion_integrand  # local import avoids a cycle
 
     field = map_model.beltrami
 
-    def integrand(theta):
-        z, eta = circle_nodes(circle, theta)
+    def integrand(nodes):
+        z = nodes.points
         mu = field(z) if field is not None else beltrami_of(map_model, z)
         jac = np.asarray(map_model.jacobian(z), dtype=float)
         if np.any(jac < 0):
-            j = int(np.flatnonzero(jac < 0)[0])
+            i, j = np.argwhere(jac < 0)[0]
             raise OrientationError(
-                f"negative Jacobian {jac[j]} at theta = {theta[j]:.12g} on {circle}"
+                f"negative Jacobian {jac[i, j]} at theta = {nodes.theta[j]:.12g} "
+                f"on {nodes.circles[i]}",
+                circle=nodes.circles[i],
             )
-        return np.sqrt(distortion_integrand(mu, eta)) * np.sqrt(jac) * circle.radius
+        return np.sqrt(distortion_integrand(mu, nodes.unit)) * np.sqrt(jac) * nodes.radius
 
-    return 2.0 * np.pi * circular_average(integrand, circle, cfg)
+    return unwrap(2.0 * np.pi * circular_average(integrand, family(circle), cfg), circle)
 
 
-def _ring_mean_jacobian(map_model, center, radii, n_theta):
-    """Mean of J_f over the angle for each radius; negative values rejected."""
-    z = center + np.multiply.outer(np.asarray(radii, dtype=float), unit_nodes(n_theta))
+def _ring_mean_jacobian(map_model, center, radii, unit):
+    """Mean of J_f over the angle on each ring center[i] + radii[i] e^{i theta}.
+
+    Negative or non-finite values are rejected, naming the first bad ring.
+    """
+    z = radii[:, None] * unit
+    z += center[:, None]  # in place: one array of rings, not two
     jac = np.asarray(map_model.jacobian(z), dtype=float)
-    if not np.all(np.isfinite(jac)):
-        raise NumericalError(f"non-finite Jacobian on ring around {center}")
-    if np.any(jac < 0):
-        raise OrientationError(f"negative Jacobian on ring around {center}")
+    bad, error, what = ~np.isfinite(jac).all(axis=-1), NumericalError, "non-finite"
+    if not bad.any():
+        bad, error, what = (jac < 0).any(axis=-1), OrientationError, "negative"
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise error(f"{what} Jacobian on the ring of radius {radii[i]} around {center[i]}")
     return jac.mean(axis=-1)
 
 
@@ -153,24 +174,47 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _radial_integral(ring_fn, edges: np.ndarray, gl_order: int) -> np.ndarray:
-    """Per-segment integrals of ring_fn over [edges[i+1], edges[i]]."""
-    x, w = _gauss_legendre(gl_order)
-    a, b = edges[1:], edges[:-1]
-    mid, half = (a + b) / 2.0, (b - a) / 2.0
-    r = mid[:, None] + half[:, None] * x[None, :]
-    g = ring_fn(r.ravel()).reshape(r.shape)
-    return (g * w[None, :]).sum(axis=1) * half
+class _RadialRule(NamedTuple):
+    """Gauss-Legendre radii of one area integral over [r_inner, t] (or (0, t])."""
+
+    center: complex
+    radii: np.ndarray  # (segments * order,) Gauss-Legendre radii, segment by segment
+    half: np.ndarray  # (segments,) half-widths of the segments
+    tail: bool  # add the geometric tail below the last segment
+
+    @classmethod
+    def build(cls, disk: CircleSpec, r_inner: float, order: int) -> "_RadialRule":
+        t = disk.radius
+        if r_inner > 0.0:
+            edges = _annulus_edges(t, r_inner)
+        else:
+            edges = _segments_toward_zero(t, RADIAL_OCTAVES)
+        x, _ = _gauss_legendre(order)
+        a, b = edges[1:], edges[:-1]
+        mid, half = (a + b) / 2.0, (b - a) / 2.0
+        radii = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+        return cls(disk.center, radii, half, tail=not r_inner > 0.0)
+
+    def total(self, ring: np.ndarray, w: np.ndarray) -> float:
+        """The integral from the ring values 2 pi r <J_f> at `radii`."""
+        seg = (ring.reshape(self.half.size, w.size) * w[None, :]).sum(axis=1) * self.half
+        total = float(seg.sum())
+        # geometric tail below the last segment; exact for power-law Jacobians
+        if self.tail and seg[-2] != 0.0:
+            q = seg[-1] / seg[-2]
+            if 0.0 < q < 1.0:
+                total += float(seg[-1] * q / (1.0 - q))
+        return total
 
 
 def image_area_jacobian(
     map_model: MapModel,
-    disk: CircleSpec,
+    disk,
     radial_nodes: int = 10,
     cfg: QuadratureConfig = QuadratureConfig(),
     *,
-    r_inner: float = 0.0,
-) -> float:
+    r_inner=0.0,
+):
     """Area of f(disk) as the polar integral of the Jacobian.
 
     Parameters
@@ -178,63 +222,70 @@ def image_area_jacobian(
     map_model : MapModel
         Map with an integrable Jacobian; a singular disk center is allowed
         (the grading below absorbs power-law blow-up).
-    disk : CircleSpec
+    disk : CircleSpec or sequence of CircleSpec
         Integration runs over r in (r_inner, disk.radius] around
-        disk.center.
+        disk.center. A sequence stacks several integrals (a profile's
+        annulus increments) and returns an array.
     radial_nodes : int
         Gauss-Legendre points per geometric radial segment.
     cfg : QuadratureConfig
-        Angular resolution; the whole radial integral is recomputed on a
-        doubled angular grid until it is stable to cfg.rel_tol.
-    r_inner : float
-        Optional inner radius for annulus increments (used by profiles).
+        Angular resolution: each integral's whole radial rule is recomputed
+        on a doubled angular grid until it is stable to cfg.rel_tol. The
+        stacked integrals share each level's Jacobian calls, which take the
+        rings of all their rules in batches of at most MAX_BATCH_NODES
+        points, and each integral has its own convergence test.
+    r_inner : float or sequence of float
+        Inner radius per disk for annulus increments (used by profiles);
+        0 integrates the whole disk, with a geometric tail toward its center.
     """
-    t = disk.radius
-
-    def compute(n_theta):
-        ring = lambda r: 2.0 * np.pi * r * _ring_mean_jacobian(
-            map_model, disk.center, r, n_theta
-        )
-        if r_inner > 0.0:
-            edges = _annulus_edges(t, r_inner)
-            return float(_radial_integral(ring, edges, radial_nodes).sum())
-        edges = _segments_toward_zero(t, RADIAL_OCTAVES)
-        seg = _radial_integral(ring, edges, radial_nodes)
-        total = float(seg.sum())
-        # geometric tail below the last segment; exact for power-law Jacobians
-        if seg[-2] != 0.0:
-            q = seg[-1] / seg[-2]
-            if 0.0 < q < 1.0:
-                total += float(seg[-1] * q / (1.0 - q))
-        return total
-
+    disks = family(disk)
+    inner = np.broadcast_to(np.asarray(r_inner, dtype=float), (len(disks),))
+    rules = [_RadialRule.build(d, r, radial_nodes) for d, r in zip(disks, inner)]
+    _, w = _gauss_legendre(radial_nodes)
+    est = np.empty(len(disks))
+    active = list(range(len(disks)))
     n = cfg.nodes
-    prev = compute(n)
-    for _ in range(cfg.max_doublings):
+    for level in range(cfg.max_doublings + 1):
+        unit = unit_nodes(n)
+        picked = [rules[i] for i in active]
+        radii = np.concatenate([rule.radii for rule in picked])
+        center = np.concatenate([np.full(rule.radii.size, rule.center) for rule in picked])
+        mean = np.concatenate([
+            _ring_mean_jacobian(map_model, center[rows], radii[rows], unit)
+            for rows in row_batches(radii.size, n)
+        ])
+        ring = 2.0 * np.pi * radii * mean
+        ends = np.cumsum([rule.radii.size for rule in picked])
+        cur = [rule.total(part, w) for rule, part in zip(picked, np.split(ring, ends[:-1]))]
+        still = []
+        for i, value in zip(active, cur):
+            if not (level and abs(value - est[i]) <= cfg.rel_tol * max(1.0, abs(value))):
+                still.append(i)
+            est[i] = value
+        active = still
+        if not active:
+            break
         n *= 2
-        cur = compute(n)
-        if abs(cur - prev) <= cfg.rel_tol * max(1.0, abs(cur)):
-            return cur
-        prev = cur
-    return prev
+    return unwrap(est, disk)
 
 
 def image_area_green(
     map_model: MapModel,
-    circle: CircleSpec,
+    circle,
     cfg: QuadratureConfig = QuadratureConfig(),
-) -> float:
+):
     """Area of f(disk) via the boundary integral (1/2) contour (u dv - v du).
 
     Needs only boundary data; exact for maps injective on the closed disk,
-    which makes it the independent oracle for the Jacobian route.
+    which makes it the independent oracle for the Jacobian route. `circle`
+    is a CircleSpec (returns a float) or a family (an array).
     """
 
-    def integrand(theta):
-        z, dgamma = _boundary_data(map_model, circle, theta)
+    def integrand(nodes):
+        z, dgamma = _boundary_data(map_model, nodes)
         return _green_density(map_model, z, dgamma)
 
-    return np.pi * circular_average(integrand, circle, cfg)
+    return unwrap(np.pi * circular_average(integrand, family(circle), cfg), circle)
 
 
 def isoperimetric_defect(
@@ -312,10 +363,13 @@ def geometry_profile(
 
     Both length routes and both area routes are computed for every radius;
     a relative disagreement beyond `oracle_rel_tol` raises NumericalError.
-    The area column is accumulated incrementally (one singular-aware
-    integral for the smallest radius, annulus increments after that), so
-    `phi` is nondecreasing by construction of the Jacobian integral; a
-    decrease or a defect below -1e-6 raises InvariantViolationError.
+    The boundary pass and the length formula each average all radii
+    together. The area column is accumulated incrementally (one
+    singular-aware integral for the smallest radius, annulus increments
+    after that, all stacked in one `image_area_jacobian` call), so `phi`
+    is nondecreasing by construction of the Jacobian integral; a decrease
+    or a defect below -1e-6 raises InvariantViolationError. A radius whose
+    boundary pass raises a NumericalError naming its circle is nudged once.
     """
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or radii.size == 0:
@@ -323,39 +377,32 @@ def geometry_profile(
     if np.any(radii <= 0) or np.any(np.diff(radii) <= 0):
         raise ValueError("radii must be positive and strictly increasing")
 
-    def boundary_at(t):
-        circle = CircleSpec(0j, float(t))
-        length, area = length_and_area(map_model, circle, cfg)
-        return length, quasicircle_length_formula(map_model, circle, cfg), area
-
-    def boundary(i):
-        t = radii[i]
+    grid, nudged = radii, set()
+    radii = radii.copy()
+    while True:
+        circles = [CircleSpec(0j, float(t)) for t in radii]
         try:
-            return t, boundary_at(t)
-        except NumericalError:
-            # curves can fail to be rectifiable on a null set of radii:
-            # nudge by one grid step (log-midpoint) and retry once
-            neighbor = radii[i + 1] if i + 1 < radii.size else radii[i - 1]
-            t = float(np.sqrt(t * neighbor))
-            return t, boundary_at(t)
-
-    per_radius = [boundary(i) for i in range(radii.size)]
-    radii = np.array([p[0] for p in per_radius])
+            len_direct, area_green = length_and_area(map_model, circles, cfg)
+            len_formula = quasicircle_length_formula(map_model, circles, cfg)
+            break
+        except NumericalError as exc:
+            # curves can fail to be rectifiable on a null set of radii: nudge
+            # the failing radius by one grid step (log-midpoint), retry once
+            i = circles.index(exc.circle) if exc.circle in circles else None
+            if i is None or i in nudged:
+                raise
+            nudged.add(i)
+            neighbor = grid[i + 1] if i + 1 < grid.size else grid[i - 1]
+            radii[i] = np.sqrt(grid[i] * neighbor)
     if np.any(np.diff(radii) <= 0):
         raise NumericalError("radius perturbation broke the grid ordering")
-    len_direct = np.array([p[1][0] for p in per_radius])
-    len_formula = np.array([p[1][1] for p in per_radius])
-    area_green = np.array([p[1][2] for p in per_radius])
 
+    increments = image_area_jacobian(
+        map_model, circles, cfg=cfg, r_inner=np.concatenate(([0.0], radii[:-1]))
+    )
     area_jac = np.empty_like(radii)
-    area_jac[0] = image_area_jacobian(map_model, CircleSpec(0j, radii[0]), cfg=cfg)
-    increments = [
-        image_area_jacobian(
-            map_model, CircleSpec(0j, radii[i]), cfg=cfg, r_inner=radii[i - 1]
-        )
-        for i in range(1, radii.size)
-    ]
-    area_jac[1:] = area_jac[0] + np.cumsum(increments)
+    area_jac[0] = increments[0]
+    area_jac[1:] = area_jac[0] + np.cumsum(increments[1:])
 
     rel_len = np.abs(len_formula - len_direct) / len_direct
     if np.any(rel_len > oracle_rel_tol):

@@ -83,12 +83,14 @@ class DomainSpec:
         return True
 
     def admissible_circles(self) -> list[CircleSpec]:
-        return [
-            CircleSpec(c, r)
-            for c in self.centers
-            for r in self.radii
-            if self.fits(c, r)
-        ]
+        """The fitting circles, centers outer and radii inner (built once)."""
+        circles = self.__dict__.get("_admissible")
+        if circles is None:
+            circles = tuple(
+                CircleSpec(c, r) for c in self.centers for r in self.radii if self.fits(c, r)
+            )
+            object.__setattr__(self, "_admissible", circles)
+        return list(circles)
 
     @classmethod
     def origin_disk(

@@ -298,6 +298,20 @@ class TestEmitReport:
 
 
 class TestCli:
+    def test_node_count_above_the_ceiling_exit_one(self):
+        proc = run_module("analyze", "--subject", "radial_stretch(K=2)",
+                          "--nodes", "1125899906842624")
+        stderr = proc.stderr.decode()
+        assert proc.returncode == 1, stderr
+        assert "Traceback" not in stderr
+        assert "config error: quadrature.nodes * 2**quadrature.max_doublings" in stderr
+
+    @pytest.mark.parametrize("quad", [{"nodes": 2**20, "max_doublings": 1},
+                                      {"nodes": 256, "max_doublings": 13}], ids=str)
+    def test_build_config_names_the_node_ceiling(self, quad):
+        with pytest.raises(ConfigError, match=r"quadrature\.nodes \* 2\*\*quadrature\.max_doublings"):
+            build_config({"subject": "radial_stretch(K=2)", "quadrature": quad})
+
     def test_catalog_listing(self, capsys):
         assert main(["catalog"]) == 0
         out = capsys.readouterr().out

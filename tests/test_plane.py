@@ -65,6 +65,17 @@ class TestCircleAndDomain:
         )
         assert dom2.admissible_circles() == []
 
+    def test_admissible_circles_are_built_once(self):
+        dom = DomainSpec(centers=(0j, 0.5 + 0j), radii=(0.25, 0.75), outer_radius=1.0)
+        first = dom.admissible_circles()
+        expected = [CircleSpec(0j, 0.25), CircleSpec(0j, 0.75), CircleSpec(0.5 + 0j, 0.25)]
+        assert first == expected
+        first.clear()  # the caller's list is a copy
+        again = dom.admissible_circles()
+        assert again == expected
+        assert all(a is b for a, b in zip(again, dom.admissible_circles()))
+        assert dom == DomainSpec(centers=(0j, 0.5 + 0j), radii=(0.25, 0.75), outer_radius=1.0)
+
 
 class TestWirtinger:
     def test_identity_map(self):

@@ -12,6 +12,7 @@ from qcreg import (
     sup_over_circles,
 )
 from qcreg.bounds import distortion_average
+from qcreg.quadrature import MAX_CIRCLE_NODES
 
 UNIT = CircleSpec(0j, 1.0)
 
@@ -39,6 +40,21 @@ class TestConfig:
         name = next(iter(kwargs))
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             QuadratureConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"nodes": 2**21, "max_doublings": 0}, {"nodes": 2**15, "max_doublings": 6},
+         {"nodes": 16, "max_doublings": 17}, {"nodes": 2**50}, {"max_doublings": 10**12}],
+        ids=str,
+    )
+    def test_rejects_rules_above_the_node_ceiling(self, kwargs):
+        with pytest.raises(ValueError, match="exceeds the ceiling"):
+            QuadratureConfig(**kwargs)
+
+    def test_rules_up_to_the_ceiling_are_valid(self):
+        QuadratureConfig(nodes=512, max_doublings=6)  # the largest rule the tests use
+        QuadratureConfig(nodes=MAX_CIRCLE_NODES, max_doublings=0)
+        QuadratureConfig(nodes=16, max_doublings=16)
 
     def test_numpy_integers_stored_as_int(self):
         cfg = QuadratureConfig(nodes=np.int64(64), max_doublings=np.int32(3))
@@ -106,20 +122,20 @@ class TestCircularAverage:
 
 class TestSupOverCircles:
     def test_constant_functional(self, domain):
-        res = sup_over_circles(lambda c: 4.5, domain)
+        res = sup_over_circles(lambda circles: [4.5] * len(circles), domain)
         assert res.value == 4.5
         assert len(res.per_circle) == len(domain.admissible_circles())
 
     def test_radius_functional_peaks_at_largest(self):
         dom = DomainSpec(centers=(0j,), radii=tuple(np.linspace(0.1, 1.0, 10)))
-        res = sup_over_circles(lambda c: c.radius, dom)
+        res = sup_over_circles(lambda circles: [c.radius for c in circles], dom)
         assert res.value == pytest.approx(1.0)
         assert res.argmax.radius == pytest.approx(1.0)
 
     def test_constant_distortion_for_radial_stretch(self, domain, cfg):
         entry = radial_stretch(2.0)
         res = sup_over_circles(
-            lambda c: distortion_average(entry.map.beltrami, c, cfg), domain
+            lambda circles: distortion_average(entry.map.beltrami, circles, cfg), domain
         )
         values = [v for _, v in res.per_circle]
         assert np.allclose(values, 2.0, atol=1e-12)
@@ -127,13 +143,13 @@ class TestSupOverCircles:
     def test_empty_admissible_set_is_error(self):
         dom = DomainSpec(centers=(5 + 0j,), radii=(0.5,), outer_radius=1.0)
         with pytest.raises(ConfigError):
-            sup_over_circles(lambda c: 1.0, dom)
+            sup_over_circles(lambda circles: [1.0] * len(circles), dom)
 
     def test_permutation_invariance(self, rng):
         radii = tuple(np.geomspace(0.1, 0.9, 12))
         dom = DomainSpec(centers=(0j, 0.05 + 0.05j), radii=radii)
         fn = lambda c: np.sin(7 * c.radius) + 0.1 * c.center.real
-        base = sup_over_circles(fn, dom)
+        base = sup_over_circles(lambda circles: [fn(c) for c in circles], dom)
 
         circles = dom.admissible_circles()
         perm = rng.permutation(len(circles))

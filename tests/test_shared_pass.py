@@ -333,10 +333,10 @@ class TestWorkCounts:
         counts, models = work_counts
         run_analysis(build_config({"subject": "radial_stretch(K=2)"}))
         (model,) = models
-        # C and A on 16 circles, 25 Gronwall areas, 33 radii x (length and
-        # area, length formula), 33 epsilon averages; the holder estimates
-        # reuse the profile's areas
-        assert counts == {"distortion_constant": 1, "circular_average": 156}
+        # one average per circle family: C and A on 16 circles, 25 Gronwall
+        # areas, 33 radii x (length and area, length formula), 33 epsilon
+        # averages; the holder estimates reuse the profile's areas
+        assert counts == {"distortion_constant": 1, "circular_average": 6}
         assert model.points == {"value": 65025, "partials": 56832, "jacobian": 731904}
 
     def test_regularity_report_computes_c_once(self, work_counts):
@@ -355,7 +355,7 @@ class TestWorkCounts:
         counts, _ = work_counts
         run_analysis(build_config({"subject": str(path)}))
         # C on the 16 circles of the default domain, and nothing else
-        assert counts == {"distortion_constant": 1, "circular_average": 16}
+        assert counts == {"distortion_constant": 1, "circular_average": 1}
 
     def test_comparison_with_precomputed_bound_averages_nothing(self, work_counts):
         matrix = validate_matrix_field(varying_matrix_field())
