@@ -19,20 +19,14 @@ from __future__ import annotations
 import csv
 import io as _io
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import FieldValidationError, NumericalError
 from .geometry import DEGENERATE_LENGTH, image_area_green, length_and_area
 from .plane import BeltramiField, CircleSpec, DomainSpec, MapModel
-from .quadrature import (
-    QuadratureConfig,
-    SupResult,
-    circular_average,
-    family,
-    sup_over_circles,
-    unwrap,
-)
+from .quadrature import QuadratureConfig, SupResult, circular_average, sup_over_circles
 
 
 def distortion_integrand(mu, eta):
@@ -51,17 +45,15 @@ def distortion_integrand(mu, eta):
     return np.abs(1.0 - np.conj(eta) ** 2 * mu) ** 2 / (1.0 - m2)
 
 
-def distortion_average(field: BeltramiField, circle, cfg: QuadratureConfig):
-    """Normalized-arclength average of the distortion weight on a circle.
-
-    `circle` is a CircleSpec (returns a float) or a family of circles
-    (returns an array, all circles averaged together).
-    """
+def distortion_average(
+    field: BeltramiField, circles: Sequence[CircleSpec], cfg: QuadratureConfig
+) -> np.ndarray:
+    """Normalized-arclength averages of the distortion weight, one per circle."""
 
     def integrand(nodes):
         return distortion_integrand(field(nodes.points), nodes.unit)
 
-    return unwrap(circular_average(integrand, family(circle), cfg), circle)
+    return circular_average(integrand, circles, cfg)
 
 
 def distortion_constant(
@@ -73,12 +65,11 @@ def distortion_constant(
     return sup_over_circles(lambda circles: distortion_average(field, circles, cfg), domain)
 
 
-def isoperimetric_ratio(map_model: MapModel, circle, cfg: QuadratureConfig):
-    """4 pi area / length^2 for the image of a circle (boundary data only).
-
-    `circle` is a CircleSpec (returns a float) or a family (an array).
-    """
-    circles = family(circle)
+def isoperimetric_ratio(
+    map_model: MapModel, circles: Sequence[CircleSpec], cfg: QuadratureConfig
+) -> np.ndarray:
+    """4 pi area / length^2 for the image of each circle (boundary data only)."""
+    circles = tuple(circles)
     length, area = length_and_area(map_model, circles, cfg)
     degenerate = np.flatnonzero(length < DEGENERATE_LENGTH)
     if degenerate.size:
@@ -86,7 +77,7 @@ def isoperimetric_ratio(map_model: MapModel, circle, cfg: QuadratureConfig):
         raise NumericalError(
             f"degenerate image of {circles[i]}: length = {length[i]}", circle=circles[i]
         )
-    return unwrap(4.0 * np.pi * area / (length * length), circle)
+    return 4.0 * np.pi * area / (length * length)
 
 
 def isoperimetric_constant(

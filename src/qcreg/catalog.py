@@ -9,6 +9,8 @@ pure radial stretch (gamma = 0, alpha = 1/K) and the pure rotation map
 
 from __future__ import annotations
 
+import cmath
+import math
 import re
 from dataclasses import dataclass
 
@@ -44,7 +46,9 @@ def _power_model(alpha: float, gamma: float) -> tuple[MapModel, complex]:
     mu(z) = c * z / conj(z) with c = (alpha-1+i gamma) / (alpha+1+i gamma);
     the Jacobian is alpha * |z|^(2 alpha - 2). The origin is a fixed point
     of the map and a singular point of mu and the partials unless the map
-    is the identity.
+    is the identity. Near it (and for extreme parameters) the callables
+    return non-finite values without a warning; the quadrature and field
+    checks turn those into errors that name the circle or point.
     """
     s = (alpha - 1.0) + 1j * gamma
     c = s / (s + 2.0)
@@ -56,36 +60,38 @@ def _power_model(alpha: float, gamma: float) -> tuple[MapModel, complex]:
             return z.copy()
         out = np.zeros_like(z)
         nz = z != 0
-        out[nz] = z[nz] * np.abs(z[nz]) ** s
+        with np.errstate(all="ignore"):
+            out[nz] = z[nz] * np.abs(z[nz]) ** s
         return out
 
     def ratio(z):
         # z / conj(z) = e^{2 i arg z}; nan exactly at the origin
-        with np.errstate(invalid="ignore", divide="ignore"):
+        with np.errstate(all="ignore"):
             return z / np.conj(z)
 
     def mu(z):
         z = np.asarray(z, dtype=complex)
         if identity:
             return np.zeros_like(z)
-        return c * ratio(z)
+        with np.errstate(all="ignore"):
+            return c * ratio(z)
 
     def partials(z):
         z = np.asarray(z, dtype=complex)
         if identity:
             one = np.ones_like(z)
             return one, 1j * one
-        with np.errstate(invalid="ignore", divide="ignore"):
+        with np.errstate(all="ignore"):
             m = np.abs(z) ** s
-        f_z = (1.0 + s / 2.0) * m
-        f_zbar = (s / 2.0) * m * ratio(z)
-        return f_z + f_zbar, 1j * (f_z - f_zbar)
+            f_z = (1.0 + s / 2.0) * m
+            f_zbar = (s / 2.0) * m * ratio(z)
+            return f_z + f_zbar, 1j * (f_z - f_zbar)
 
     def jacobian(z):
         z = np.asarray(z, dtype=complex)
         if alpha == 1.0:
             return np.ones(z.shape)
-        with np.errstate(invalid="ignore", divide="ignore"):
+        with np.errstate(all="ignore"):
             return alpha * np.abs(z) ** (2.0 * alpha - 2.0)
 
     field = BeltramiField(
@@ -146,12 +152,22 @@ def spiral_map(gamma: float) -> CatalogEntry:
 
 
 def affine_map(a: complex, b: complex) -> CatalogEntry:
-    """f(z) = a z + b conj(z) with |b| < |a|; constant mu = b/a."""
+    """f(z) = a z + b conj(z) with |b| < |a|; constant mu = b/a.
+
+    The Jacobian |a|^2 - |b|^2 must be a finite positive float.
+    """
     a, b = complex(a), complex(b)
-    if abs(b) >= abs(a):
-        raise ValueError(f"need |b| < |a| for orientation, got |a|={abs(a)}, |b|={abs(b)}")
+    if not (cmath.isfinite(a) and cmath.isfinite(b)):
+        raise ValueError(f"need finite a and b, got a={a}, b={b}")
+    try:
+        if abs(b) >= abs(a):
+            raise ValueError(f"need |b| < |a| for orientation, got |a|={abs(a)}, |b|={abs(b)}")
+        jac_c = abs(a) ** 2 - abs(b) ** 2
+    except OverflowError:
+        raise ValueError(f"the Jacobian |a|^2 - |b|^2 overflows for a={a}, b={b}") from None
+    if not (math.isfinite(jac_c) and jac_c > 0):
+        raise ValueError(f"the Jacobian |a|^2 - |b|^2 = {jac_c} is not a positive float")
     mu_c = b / a
-    jac_c = abs(a) ** 2 - abs(b) ** 2
 
     def value(z):
         z = np.asarray(z, dtype=complex)

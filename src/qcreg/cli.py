@@ -77,7 +77,9 @@ def build_parser() -> _Parser:
 def _config_from_args(args) -> AnalysisConfig:
     raw: dict = {}
     if args.config:
-        raw = json.loads(json.dumps(load_config(args.config).resolved))
+        loaded = load_config(args.config)
+        raw = json.loads(json.dumps(loaded.resolved))
+        raw["output_json"], raw["output_csv_dir"] = loaded.output_json, loaded.output_csv_dir
     if args.subject:
         raw["subject"] = args.subject
     if "subject" not in raw:
@@ -114,15 +116,13 @@ def _config_from_args(args) -> AnalysisConfig:
         raw["output_json"] = args.out
     if args.csv_dir:
         raw["output_csv_dir"] = args.csv_dir
+    if args.command == "profile":
+        raw["diagnostics"] = {"geometry": True, "extremal": False}
+    elif args.command == "extremal":
+        raw["diagnostics"] = {"geometry": True, "extremal": True}
     return build_config(raw)
 
 
-def _toggles_for(command: str) -> dict:
-    if command == "profile":
-        return {"geometry": True, "extremal": False}
-    if command == "extremal":
-        return {"geometry": True, "extremal": True}
-    return {}
 
 
 def main(argv=None) -> int:
@@ -133,12 +133,6 @@ def main(argv=None) -> int:
                 print(f"{row['name']}({row['parameters']})  ->  {row['map']}")
             return 0
         cfg = _config_from_args(args)
-        toggles = _toggles_for(args.command)
-        if toggles:
-            raw = dict(cfg.resolved)
-            raw["diagnostics"] = toggles
-            raw["output_json"], raw["output_csv_dir"] = cfg.output_json, cfg.output_csv_dir
-            cfg = build_config(raw)
         if args.command == "elliptic" and cfg.subject_kind != "matrix":
             raise ConfigError(
                 f"'elliptic' needs a coefficient-matrix CSV subject, got {cfg.subject_kind}"

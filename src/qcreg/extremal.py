@@ -17,20 +17,14 @@ dr/r measure is uniform, with the trapezoid rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import SingularPointError
+from .errors import NumericalError, SingularPointError
 from .geometry import GeometryProfile
 from .plane import BeltramiField, CircleSpec, MapModel
-from .quadrature import (
-    QuadratureConfig,
-    angle_nodes,
-    circle_nodes,
-    circular_average,
-    unit_nodes,
-)
+from .quadrature import QuadratureConfig, circular_average, unit_nodes
 
 
 def stretch_factor(K: float) -> float:
@@ -250,7 +244,7 @@ def empirical_holder(
         known.update(zip((c.radius for c in missing), areas))
     areas = np.array([known[t] for t in radii.tolist()])
     if np.any(areas <= 0):
-        raise ValueError(f"image area vanished at t = {radii[np.argmax(areas <= 0)]}")
+        raise NumericalError(f"image area vanished at t = {radii[np.argmax(areas <= 0)]}")
     f0 = complex(np.asarray(map_model.value(np.zeros(1, dtype=complex)))[0])
     z = radii[:, None] * unit_nodes(cfg.nodes)
     displacement = np.abs(map_model.value(z) - f0).max(axis=1)
@@ -333,23 +327,19 @@ def epsilon_distortion_margin(
     Here g(r) is the per-circle distortion average computed with the
     real-part substitution w = -k + Re(eps) (the imaginary part of eps is
     dropped, matching the pointwise identity that produces the constant
-    c1 = 2 / ((1+k)(1-k))). Both averages share the same nodes so the
-    pointwise inequality survives discretization exactly; the returned
-    margin is max over circles of (g - bound) and should be <= 0 up to
-    roundoff for any field with |mu| <= k.
+    c1 = 2 / ((1+k)(1-k))). Both averages are two stacked rows on the same
+    cfg.nodes nodes, without doubling, so the pointwise inequality survives
+    discretization exactly; the returned margin is max over circles of
+    (g - bound) and should be <= 0 up to roundoff for any field with
+    |mu| <= k.
     """
     k = stretch_factor(K)
     c1 = 2.0 / ((1.0 + k) * (1.0 - k))
-    worst = -np.inf
-    for circle in circles:
 
-        def pair(theta):
-            eps_re = epsilon_decompose(field, K, circle_nodes(circle, theta)[0]).real
-            w = -k + eps_re
-            g = (1.0 - w) / (1.0 + w)
-            return g, K - c1 * eps_re
+    def pair(nodes):
+        eps_re = epsilon_decompose(field, K, nodes.points).real
+        w = -k + eps_re
+        return np.stack(((1.0 - w) / (1.0 + w), K - c1 * eps_re))
 
-        theta = angle_nodes(cfg.nodes)
-        g_vals, bound_vals = pair(theta)
-        worst = max(worst, float(g_vals.mean() - bound_vals.mean()))
-    return worst
+    g, bound = circular_average(pair, circles, replace(cfg, max_doublings=0))
+    return float((g - bound).max())

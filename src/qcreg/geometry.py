@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,10 +31,9 @@ from .quadrature import (
     CircleNodes,
     QuadratureConfig,
     circular_average,
-    family,
+    refine,
     row_batches,
     unit_nodes,
-    unwrap,
 )
 
 #: relative agreement demanded between the two length / area routes
@@ -62,18 +61,15 @@ def _boundary_data(map_model: MapModel, nodes: CircleNodes):
 
 def quasicircle_length_direct(
     map_model: MapModel,
-    circle,
+    circles: Sequence[CircleSpec],
     cfg: QuadratureConfig = QuadratureConfig(),
-):
-    """Length of f(circle) by quadrature of the parameterization speed.
-
-    `circle` is a CircleSpec (returns a float) or a family (an array).
-    """
+) -> np.ndarray:
+    """Lengths of the image curves f(circle) by quadrature of the speed."""
 
     def integrand(nodes):
         return np.abs(_boundary_data(map_model, nodes)[1])
 
-    return unwrap(2.0 * np.pi * circular_average(integrand, family(circle), cfg), circle)
+    return 2.0 * np.pi * circular_average(integrand, circles, cfg)
 
 
 def _green_density(map_model: MapModel, z, dgamma):
@@ -83,37 +79,35 @@ def _green_density(map_model: MapModel, z, dgamma):
 
 def length_and_area(
     map_model: MapModel,
-    circle,
+    circles: Sequence[CircleSpec],
     cfg: QuadratureConfig = QuadratureConfig(),
-):
-    """Direct-route length of f(circle) and Green area of f(disk), one pass.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Direct-route lengths of f(circle) and Green areas of f(disk), one pass.
 
     Both integrands are built from the same boundary data and averaged as
     two stacked rows, so each converges where `quasicircle_length_direct` /
-    `image_area_green` alone would. `circle` is a CircleSpec (returns two
-    floats) or a family (two arrays).
+    `image_area_green` alone would.
     """
 
     def integrand(nodes):
         z, dgamma = _boundary_data(map_model, nodes)
         return np.stack((np.abs(dgamma), _green_density(map_model, z, dgamma)))
 
-    speed, green = circular_average(integrand, family(circle), cfg)
-    return unwrap(2.0 * np.pi * speed, circle), unwrap(np.pi * green, circle)
+    speed, green = circular_average(integrand, circles, cfg)
+    return 2.0 * np.pi * speed, np.pi * green
 
 
 def quasicircle_length_formula(
     map_model: MapModel,
-    circle,
+    circles: Sequence[CircleSpec],
     cfg: QuadratureConfig = QuadratureConfig(),
-):
-    """Length of f(circle) via the distortion-weighted Jacobian form.
+) -> np.ndarray:
+    """Lengths of the image curves f(circle) via the distortion-weighted form.
 
     Integrates sqrt(|1 - conj(eta)^2 mu|^2 / (1 - |mu|^2)) * sqrt(J_f) * t
     over the angle, with eta the outward unit normal. Requires mu and J_f
-    on the circle; raises OrientationError if the Jacobian is negative at
-    a node. `circle` is a CircleSpec (returns a float) or a family (an
-    array).
+    on the circles; raises OrientationError if the Jacobian is negative at
+    a node.
     """
     from .bounds import distortion_integrand  # local import avoids a cycle
 
@@ -132,7 +126,7 @@ def quasicircle_length_formula(
             )
         return np.sqrt(distortion_integrand(mu, nodes.unit)) * np.sqrt(jac) * nodes.radius
 
-    return unwrap(2.0 * np.pi * circular_average(integrand, family(circle), cfg), circle)
+    return 2.0 * np.pi * circular_average(integrand, circles, cfg)
 
 
 def _ring_mean_jacobian(map_model, center, radii, unit):
@@ -209,45 +203,43 @@ class _RadialRule(NamedTuple):
 
 def image_area_jacobian(
     map_model: MapModel,
-    disk,
+    disks: Sequence[CircleSpec],
     radial_nodes: int = 10,
     cfg: QuadratureConfig = QuadratureConfig(),
     *,
     r_inner=0.0,
-):
-    """Area of f(disk) as the polar integral of the Jacobian.
+) -> np.ndarray:
+    """Areas of f(disk) as polar integrals of the Jacobian, one per disk.
 
     Parameters
     ----------
     map_model : MapModel
         Map with an integrable Jacobian; a singular disk center is allowed
         (the grading below absorbs power-law blow-up).
-    disk : CircleSpec or sequence of CircleSpec
-        Integration runs over r in (r_inner, disk.radius] around
-        disk.center. A sequence stacks several integrals (a profile's
-        annulus increments) and returns an array.
+    disks : sequence of CircleSpec
+        Integral i runs over r in (r_inner[i], disks[i].radius] around
+        disks[i].center; the integrals are stacked (a profile's annulus
+        increments are one call).
     radial_nodes : int
         Gauss-Legendre points per geometric radial segment.
     cfg : QuadratureConfig
-        Angular resolution: each integral's whole radial rule is recomputed
-        on a doubled angular grid until it is stable to cfg.rel_tol. The
-        stacked integrals share each level's Jacobian calls, which take the
-        rings of all their rules in batches of at most MAX_BATCH_NODES
-        points, and each integral has its own convergence test.
+        Angular resolution, doubled by `refine`: each integral's whole
+        radial rule is recomputed on the doubled angular grid until it is
+        stable to cfg.rel_tol, with a convergence test per integral. The
+        integrals still refining share each level's Jacobian calls, which
+        take the rings of all their rules in batches of at most
+        MAX_BATCH_NODES points.
     r_inner : float or sequence of float
         Inner radius per disk for annulus increments (used by profiles);
         0 integrates the whole disk, with a geometric tail toward its center.
     """
-    disks = family(disk)
     inner = np.broadcast_to(np.asarray(r_inner, dtype=float), (len(disks),))
     rules = [_RadialRule.build(d, r, radial_nodes) for d, r in zip(disks, inner)]
     _, w = _gauss_legendre(radial_nodes)
-    est = np.empty(len(disks))
-    active = list(range(len(disks)))
-    n = cfg.nodes
-    for level in range(cfg.max_doublings + 1):
+
+    def evaluate(n, items, refining):
         unit = unit_nodes(n)
-        picked = [rules[i] for i in active]
+        picked = [rules[i] for i in items]
         radii = np.concatenate([rule.radii for rule in picked])
         center = np.concatenate([np.full(rule.radii.size, rule.center) for rule in picked])
         mean = np.concatenate([
@@ -256,36 +248,27 @@ def image_area_jacobian(
         ])
         ring = 2.0 * np.pi * radii * mean
         ends = np.cumsum([rule.radii.size for rule in picked])
-        cur = [rule.total(part, w) for rule, part in zip(picked, np.split(ring, ends[:-1]))]
-        still = []
-        for i, value in zip(active, cur):
-            if not (level and abs(value - est[i]) <= cfg.rel_tol * max(1.0, abs(value))):
-                still.append(i)
-            est[i] = value
-        active = still
-        if not active:
-            break
-        n *= 2
-    return unwrap(est, disk)
+        return [rule.total(part, w) for rule, part in zip(picked, np.split(ring, ends[:-1]))]
+
+    return refine(evaluate, len(rules), cfg)
 
 
 def image_area_green(
     map_model: MapModel,
-    circle,
+    circles: Sequence[CircleSpec],
     cfg: QuadratureConfig = QuadratureConfig(),
-):
-    """Area of f(disk) via the boundary integral (1/2) contour (u dv - v du).
+) -> np.ndarray:
+    """Areas of f(disk) via the boundary integral (1/2) contour (u dv - v du).
 
-    Needs only boundary data; exact for maps injective on the closed disk,
-    which makes it the independent oracle for the Jacobian route. `circle`
-    is a CircleSpec (returns a float) or a family (an array).
+    Needs only boundary data; exact for maps injective on the closed disks,
+    which makes it the independent oracle for the Jacobian route.
     """
 
     def integrand(nodes):
         z, dgamma = _boundary_data(map_model, nodes)
         return _green_density(map_model, z, dgamma)
 
-    return unwrap(np.pi * circular_average(integrand, family(circle), cfg), circle)
+    return np.pi * circular_average(integrand, circles, cfg)
 
 
 def isoperimetric_defect(
@@ -298,7 +281,7 @@ def isoperimetric_defect(
     Nonnegative up to quadrature tolerance by the isoperimetric inequality;
     zero exactly when the image is a disk.
     """
-    length, area = length_and_area(map_model, CircleSpec(0j, float(t)), cfg)
+    (length,), (area,) = length_and_area(map_model, [CircleSpec(0j, float(t))], cfg)
     if area <= 0 or length < DEGENERATE_LENGTH:
         raise NumericalError(f"degenerate image at t = {t}: area={area}, length={length}")
     return length * length / (4.0 * np.pi * area) - 1.0
@@ -387,13 +370,14 @@ def geometry_profile(
             break
         except NumericalError as exc:
             # curves can fail to be rectifiable on a null set of radii: nudge
-            # the failing radius by one grid step (log-midpoint), retry once
+            # the failing radius by one grid step (log-midpoint, formed without
+            # the product, which underflows for subnormal radii), retry once
             i = circles.index(exc.circle) if exc.circle in circles else None
             if i is None or i in nudged:
                 raise
             nudged.add(i)
             neighbor = grid[i + 1] if i + 1 < grid.size else grid[i - 1]
-            radii[i] = np.sqrt(grid[i] * neighbor)
+            radii[i] = np.sqrt(grid[i]) * np.sqrt(neighbor)
     if np.any(np.diff(radii) <= 0):
         raise NumericalError("radius perturbation broke the grid ordering")
 
@@ -403,6 +387,8 @@ def geometry_profile(
     area_jac = np.empty_like(radii)
     area_jac[0] = increments[0]
     area_jac[1:] = area_jac[0] + np.cumsum(increments[1:])
+    if not area_jac[0] > 0:  # the areas grow with t, so the first is the least
+        raise NumericalError(f"image area underflows to {area_jac[0]} at t = {radii[0]}")
 
     rel_len = np.abs(len_formula - len_direct) / len_direct
     if np.any(rel_len > oracle_rel_tol):

@@ -4,7 +4,9 @@ Averages use the uniform-angle trapezoid rule with a half-node offset
 theta_j = 2 pi (j + 1/2) / N. On periodic integrands this rule is exact for
 trigonometric polynomials of degree < N and converges spectrally for smooth
 data; the offset keeps nodes off the rays where z / conj(z) fields may
-carry tabulated branch data.
+carry tabulated branch data. `refine` is the one node-doubling loop: the
+circle averages here and the Jacobian areas of `qcreg.geometry` both
+refine through it.
 """
 
 from __future__ import annotations
@@ -97,18 +99,6 @@ def unit_nodes(n: int) -> np.ndarray:
     return _node_table(int(n))[1]
 
 
-def circle_nodes(circle: CircleSpec, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Points center + radius e^{i theta} and the outward normals e^{i theta}.
-
-    When `theta` is a cached `angle_nodes` array, e^{i theta} comes from the
-    same cache; the values equal a fresh evaluation bit for bit either way.
-    """
-    theta = np.asarray(theta, dtype=float)
-    table = _node_tables.get(theta.size)
-    unit = table[1] if table is not None and theta is table[0] else np.exp(1j * theta)
-    return circle.center + circle.radius * unit, unit
-
-
 class CircleNodes(NamedTuple):
     """The angle nodes of one doubling level on a batch of circles.
 
@@ -141,52 +131,71 @@ def row_batches(rows: int, n: int) -> list[slice]:
     return [slice(k, k + step) for k in range(0, rows, step)]
 
 
-def family(circle) -> tuple[CircleSpec, ...]:
-    """A lone CircleSpec as a family of one; a sequence of circles as a tuple."""
-    return (circle,) if isinstance(circle, CircleSpec) else tuple(circle)
+def refine(evaluate: Callable, count: int, cfg: QuadratureConfig) -> np.ndarray:
+    """Estimates of `count` items, each refined by node doubling until stable.
 
+    `evaluate(n, items, refining)` returns the estimates at n nodes of the
+    items in the index array `items`: shape (items.size,) for one row per
+    item, or (k, items.size) for k stacked rows. `refining` marks the rows
+    of those items that have not converged yet, shape (k, items.size); at
+    the first level, where every row refines, it is all True of shape
+    (1, items.size).
 
-def unwrap(values, circle):
-    """A family result as the caller asked for it: a float for a lone circle."""
-    return float(values[0]) if isinstance(circle, CircleSpec) else values
+    Node counts double from cfg.nodes. From the second level on a row
+    converges when two successive estimates agree to cfg.rel_tol (relative,
+    with an absolute floor of rel_tol for values below 1) and keeps the
+    estimate of that level; an item leaves the later levels once all its
+    rows have converged. After cfg.max_doublings doublings every row keeps
+    its last estimate. Returns shape (count,) or (k, count), as `evaluate`.
+    """
+    items = np.arange(count)
+    refining = np.ones((1, count), dtype=bool)
+    n = cfg.nodes
+    for level in range(cfg.max_doublings + 1):
+        values = np.asarray(evaluate(n, items, refining[:, items]), dtype=float)
+        cur = values.reshape(-1, items.size)
+        if not level:
+            est = np.empty((cur.shape[0], count))
+            prev = np.empty_like(est)
+            refining = np.ones(est.shape, dtype=bool)
+        ref = refining[:, items]
+        est[:, items] = np.where(ref, cur, est[:, items])
+        if level:
+            ref &= ~(np.abs(cur - prev[:, items]) <= cfg.rel_tol * np.maximum(1.0, np.abs(cur)))
+            refining[:, items] = ref
+        prev[:, items] = cur
+        items = items[ref.any(axis=0)]
+        if not items.size:
+            break
+        n *= 2
+    return est[0] if values.ndim == 1 else est
 
 
 def circular_average(
-    integrand: Callable,
-    circle,
+    integrand: Callable[[CircleNodes], np.ndarray],
+    circles: Sequence[CircleSpec],
     cfg: QuadratureConfig = QuadratureConfig(),
-):
-    """Average of a real integrand over circles w.r.t. normalized arclength.
+) -> np.ndarray:
+    """Averages of a real integrand over circles w.r.t. normalized arclength.
 
     Parameters
     ----------
     integrand : callable
-        For a lone `circle`, a vectorized map from an angle array of shape
-        (N,) to real values, the circle baked into the closure; it may
-        return one row, shape (N,), or k stacked rows, shape (k, N), that
-        share the angle nodes (for instance several quantities built from
-        the same boundary data). For a family of circles, a map from a
-        `CircleNodes` batch of m circles to shape (m, N), or (k, m, N)
-        for k stacked rows.
-    circle : CircleSpec or sequence of CircleSpec
-        A lone circle, or the family whose circles are averaged together:
-        each doubling level evaluates every circle still refining, in
-        batches of at most MAX_BATCH_NODES nodes (a circle with more nodes
-        than that is a batch of its own). A lone circle is a family of one.
+        Maps a `CircleNodes` batch of m circles to shape (m, N), or to
+        (k, m, N) for k stacked rows that share the boundary data (for
+        instance several quantities built from the same map partials).
+    circles : sequence of CircleSpec
+        The family averaged together: each doubling level evaluates every
+        circle still refining, in batches of at most MAX_BATCH_NODES nodes
+        (a circle with more nodes than that is a batch of its own).
     cfg : QuadratureConfig
-        Node count is doubled until two successive estimates agree to
-        rel_tol (relative, with an absolute floor of rel_tol for values
-        below 1) or the doubling budget is exhausted. Each row of each
-        circle has its own test and keeps the estimate of the level where
-        it converged; a circle leaves the later levels once all its rows
-        have converged. A row thus converges at the level it would reach
-        alone, though its values can differ from a lone evaluation by
-        round-off.
+        The doubling rule of `refine`: each row of each circle has its own
+        convergence test, so a row converges at the level it would reach in
+        a family of one, though its value can differ from that by round-off.
 
     Returns
     -------
-    For a lone circle, a float for a one-row integrand, else a tuple of k
-    floats. For a family, an array of shape (m,), or (k, m) for k rows.
+    An array of shape (m,), or (k, m) for k stacked rows.
 
     Raises
     ------
@@ -195,57 +204,35 @@ def circular_average(
         message names the circle and its first offending node, and the
         error's `circle` is that circle.
     """
-    lone = isinstance(circle, CircleSpec)
-    circles = family(circle)
+    circles = tuple(circles)
     if not circles:
         raise ValueError("circular_average needs at least one circle")
-    if lone:
-        evaluate = lambda nodes: np.asarray(integrand(nodes.theta), dtype=float)[..., None, :]
-    else:
-        evaluate = integrand
     center = np.array([c.center for c in circles], dtype=complex)[:, None]
     radius = np.array([c.radius for c in circles], dtype=float)[:, None]
-    active = np.arange(len(circles))
-    est = prev = refining = None
-    n = cfg.nodes
-    for level in range(cfg.max_doublings + 1):
+
+    def evaluate(n, items, refining):
         theta, unit = _node_table(n)
         parts = []
-        for rows in row_batches(active.size, n):
-            idx = active[rows]
+        for rows in row_batches(items.size, n):
+            idx = items[rows]
             batch = tuple(circles[i] for i in idx)
             vals = np.asarray(
-                evaluate(CircleNodes(batch, theta, unit, center[idx], radius[idx])),
+                integrand(CircleNodes(batch, theta, unit, center[idx], radius[idx])),
                 dtype=float,
             )
-            rows = vals if vals.ndim == 3 else vals[None]
-            if rows.shape[1:] != (idx.size, n):
+            stacked = vals if vals.ndim == 3 else vals[None]
+            if stacked.shape[1:] != (idx.size, n):
                 raise ValueError(
                     f"integrand returned shape {vals.shape} for {idx.size} circle(s) "
                     f"of {n} nodes"
                 )
-            means = rows.mean(axis=-1)
-            if est is None:
-                est = np.empty((means.shape[0], len(circles)))
-                prev = np.empty_like(est)
-                refining = np.ones(est.shape, dtype=bool)
-            _check_finite(rows, means, refining[:, idx], batch, theta)
+            means = stacked.mean(axis=-1)
+            _check_finite(stacked, means, refining[:, rows], batch, theta)
             parts.append(means)
-        cur = np.concatenate(parts, axis=1)
-        ref = refining[:, active]
-        est[:, active] = np.where(ref, cur, est[:, active])
-        if level:
-            ref &= ~(np.abs(cur - prev[:, active]) <= cfg.rel_tol * np.maximum(1.0, np.abs(cur)))
-            refining[:, active] = ref
-        prev[:, active] = cur
-        active = active[ref.any(axis=0)]
-        if not active.size:
-            break
-        n *= 2
-    single = vals.ndim == 2
-    if lone:
-        return float(est[0, 0]) if single else tuple(est[:, 0].tolist())
-    return est[0] if single else est
+        means = np.concatenate(parts, axis=1)
+        return means if vals.ndim == 3 else means[0]
+
+    return refine(evaluate, len(circles), cfg)
 
 
 def _check_finite(rows, means, refining, batch, theta) -> None:
@@ -254,8 +241,9 @@ def _check_finite(rows, means, refining, batch, theta) -> None:
     A non-finite value makes its row's mean non-finite, so the nodes are
     scanned only then (or when a finite sum overflowed).
     """
-    if np.isfinite(means[refining]).all():
+    if np.isfinite(means).all():
         return
+    refining = np.broadcast_to(refining, means.shape)
     for col, circle in enumerate(batch):
         bad = ~np.isfinite(rows[refining[:, col], col]).all(axis=0)
         if bad.any():

@@ -75,9 +75,9 @@ def test_criterion_01_length_formula_cross_oracle():
     worst = 0.0
     for entry in CATALOG_CASES:
         for t in RADII:
-            circle = CircleSpec(0j, t)
-            direct = quasicircle_length_direct(entry.map, circle, CFG_8192)
-            formula = quasicircle_length_formula(entry.map, circle, CFG_8192)
+            circle = [CircleSpec(0j, t)]
+            (direct,) = quasicircle_length_direct(entry.map, circle, CFG_8192)
+            (formula,) = quasicircle_length_formula(entry.map, circle, CFG_8192)
             worst = max(worst, abs(formula - direct) / direct)
     _report(1, "length-formula-vs-direct", worst <= 1e-6, f"worst rel = {worst:.3e}")
 
@@ -86,9 +86,9 @@ def test_criterion_02_area_cross_oracle():
     worst = 0.0
     for entry in CATALOG_CASES:
         for t in RADII:
-            circle = CircleSpec(0j, t)
-            green = image_area_green(entry.map, circle, CFG)
-            jac = image_area_jacobian(entry.map, circle, cfg=CFG)
+            circle = [CircleSpec(0j, t)]
+            (green,) = image_area_green(entry.map, circle, CFG)
+            (jac,) = image_area_jacobian(entry.map, circle, cfg=CFG)
             worst = max(worst, abs(green - jac) / jac)
     _report(2, "area-green-vs-jacobian", worst <= 1e-6, f"worst rel = {worst:.3e}")
 

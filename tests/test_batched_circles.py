@@ -61,27 +61,30 @@ def ring_domain():
 
 
 def lone_distortion(field, circle, levels):
-    """One-circle average of the distortion weight, written on the angles alone."""
+    """Family-of-one average of the distortion weight, written on the angles alone."""
 
-    def integrand(theta):
+    def integrand(nodes):
+        theta = nodes.theta
         levels[circle] = theta.size
         unit = np.exp(1j * theta)
-        return distortion_integrand(field(circle.center + circle.radius * unit), unit)
+        return distortion_integrand(field(circle.center + circle.radius * unit), unit)[None]
 
-    return circular_average(integrand, circle, CFG)
+    (value,) = circular_average(integrand, [circle], CFG)
+    return value
 
 
 def lone_roundness(model, circle, levels):
     """One-circle 4 pi area / length^2 from the speed and Green rows."""
 
-    def integrand(theta):
+    def integrand(nodes):
+        theta = nodes.theta
         levels[circle] = theta.size
         z = circle.center + circle.radius * np.exp(1j * theta)
         f_x, f_y = model.partials(z)
         dgamma = circle.radius * (-np.sin(theta) * f_x + np.cos(theta) * f_y)
-        return np.stack((np.abs(dgamma), (np.conj(model.value(z)) * dgamma).imag))
+        return np.stack((np.abs(dgamma), (np.conj(model.value(z)) * dgamma).imag))[:, None]
 
-    speed, green = circular_average(integrand, circle, CFG)
+    (speed,), (green,) = circular_average(integrand, [circle], CFG)
     length, area = 2.0 * np.pi * speed, np.pi * green
     return 4.0 * np.pi * area / (length * length)
 
@@ -92,13 +95,13 @@ def batch_levels(monkeypatch):
     levels = {}
     average = qcreg.bounds.circular_average
 
-    def recording(integrand, circle, cfg):
+    def recording(integrand, circles, cfg):
         def recorded(nodes):
             for c in nodes.circles:
                 levels[c] = nodes.theta.size
             return integrand(nodes)
 
-        return average(recorded, circle, cfg)
+        return average(recorded, circles, cfg)
 
     for module in (qcreg.bounds, qcreg.geometry):
         monkeypatch.setattr(module, "circular_average", recording)
@@ -231,12 +234,12 @@ class TestEvaluationCap:
         calls = []
         average = qcreg.bounds.circular_average
 
-        def recording(integrand, circle, cfg):
+        def recording(integrand, circles, cfg):
             def recorded(nodes):
                 calls.append((nodes.size, nodes.theta.size))
                 return integrand(nodes)
 
-            return average(recorded, circle, cfg)
+            return average(recorded, circles, cfg)
 
         monkeypatch.setattr(qcreg.bounds, "circular_average", recording)
         regularity_report(field, DomainSpec.origin_disk(), CFG)

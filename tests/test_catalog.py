@@ -96,6 +96,28 @@ class TestAffineMap:
         with pytest.raises(ValueError):
             affine_map(1.0, 2.0)
 
+    @pytest.mark.parametrize(
+        "a, b, message",
+        [(np.inf, 0.0, "finite"), (1.0, np.nan, "finite"), (complex(1, np.inf), 0.0, "finite"),
+         (1e200, 0.0, "overflows"), (1e308 + 1e308j, 0.0, "overflows"),
+         (1e-200, 0.0, "not a positive float"), (5e-324, 0.0, "not a positive float")],
+        ids=str,
+    )
+    def test_non_finite_parameters_or_jacobian_rejected(self, a, b, message):
+        with pytest.raises(ValueError, match=message):
+            affine_map(a, b)
+
+    @pytest.mark.parametrize("spec", ["affine(a=1e200,b=0)", "affine(a=inf,b=0)",
+                                      "affine(a=1,b=nan)", "affine(a=1e-170,b=0)"])
+    def test_spec_with_bad_parameters_is_a_config_error(self, spec):
+        with pytest.raises(ConfigError, match="bad parameters for affine"):
+            entry_from_spec(spec)
+
+    def test_jacobian_formula_unchanged(self):
+        a, b = 1.0 + 0.25j, 0.3 - 0.2j
+        z = np.array([0.1 + 0.2j])
+        assert affine_map(a, b).map.jacobian(z)[0] == abs(a) ** 2 - abs(b) ** 2
+
 
 class TestPowerSpiral:
     def test_alpha_one_gamma_zero_is_identity(self, rng):

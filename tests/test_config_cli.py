@@ -262,7 +262,7 @@ class TestRunAnalysis:
         from qcreg import entry_from_spec
 
         field = entry_from_spec(cfg.subject).map.beltrami
-        val = distortion_average(field, CircleSpec(arg.center, arg.radius), cfg.quadrature)
+        (val,) = distortion_average(field, [CircleSpec(arg.center, arg.radius)], cfg.quadrature)
         assert val == pytest.approx(rep.regularity.distortion_sup, abs=1e-12)
 
 
@@ -382,6 +382,37 @@ class TestCli:
                      "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert len(payload["provenance"]["config"]["radii"]) == 7
+
+    @pytest.mark.parametrize("command", ["analyze", "profile"])
+    def test_config_file_outputs_are_honoured(self, tmp_path, capsys, command):
+        out, csv_dir = tmp_path / "from-config.json", tmp_path / "csv-from-config"
+        cfg_path = write_config(tmp_path, {
+            "subject": "radial_stretch(K=2)", "radii": {"count": 5},
+            "output_json": str(out), "output_csv_dir": str(csv_dir),
+        })
+        assert main([command, "--config", str(cfg_path)]) == 0
+        assert capsys.readouterr().out == ""
+        payload = json.loads(out.read_text())
+        assert len(payload["provenance"]["config"]["radii"]) == 5
+        assert (csv_dir / "geometry.csv").exists()
+
+    def test_flags_override_config_file_outputs(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, {
+            "subject": "radial_stretch(K=2)", "radii": {"count": 5},
+            "output_json": str(tmp_path / "from-config.json"),
+            "output_csv_dir": str(tmp_path / "csv-from-config"),
+        })
+        out, csv_dir = tmp_path / "from-flag.json", tmp_path / "csv-from-flag"
+        assert main(["profile", "--config", str(cfg_path), "--out", str(out),
+                     "--csv-dir", str(csv_dir)]) == 0
+        assert out.exists() and (csv_dir / "geometry.csv").exists()
+        assert not (tmp_path / "from-config.json").exists()
+        assert not (tmp_path / "csv-from-config").exists()
+
+    @pytest.mark.parametrize("spec", ["affine(a=1e200,b=0)", "affine(a=inf,b=0)"])
+    def test_affine_parameters_out_of_range_exit_one(self, capsys, spec):
+        assert main(["analyze", "--subject", spec]) == 1
+        assert "config error: bad parameters for affine" in capsys.readouterr().err
 
     def test_missing_subject_is_usage_error(self, capsys):
         assert main(["analyze"]) == 1

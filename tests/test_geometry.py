@@ -33,34 +33,34 @@ ELLIPSE_DEFECT = ELLIPSE_PERIMETER**2 / (4 * np.pi * ELLIPSE_AREA) - 1
 
 class TestLengthDirect:
     def test_identity_unit_circle(self, cfg):
-        got = quasicircle_length_direct(IDENTITY.map, UNIT, cfg)
+        (got,) = quasicircle_length_direct(IDENTITY.map, [UNIT], cfg)
         assert got == pytest.approx(2 * np.pi, rel=1e-13)
 
     @pytest.mark.parametrize("t", [0.1, 0.5, 1.0])
     def test_radial_stretch_maps_to_circle_of_radius_sqrt_t(self, t, cfg):
-        got = quasicircle_length_direct(radial_stretch(2.0).map, CircleSpec(0j, t), cfg)
+        (got,) = quasicircle_length_direct(radial_stretch(2.0).map, [CircleSpec(0j, t)], cfg)
         assert got == pytest.approx(2 * np.pi * np.sqrt(t), rel=1e-13)
 
     def test_affine_matches_ellipse_perimeter(self, cfg):
-        got = quasicircle_length_direct(affine_map(1.0, 1 / 3).map, UNIT, cfg)
+        (got,) = quasicircle_length_direct(affine_map(1.0, 1 / 3).map, [UNIT], cfg)
         assert got == pytest.approx(ELLIPSE_PERIMETER, rel=1e-12)
         assert got == pytest.approx(6.4590, abs=5e-5)
 
 
 class TestLengthFormula:
     def test_identity(self, cfg):
-        got = quasicircle_length_formula(IDENTITY.map, UNIT, cfg)
+        (got,) = quasicircle_length_formula(IDENTITY.map, [UNIT], cfg)
         assert got == pytest.approx(2 * np.pi, rel=1e-13)
 
     @pytest.mark.parametrize("t", [0.1, 0.5, 1.0])
     def test_radial_stretch(self, t, cfg):
-        got = quasicircle_length_formula(radial_stretch(2.0).map, CircleSpec(0j, t), cfg)
+        (got,) = quasicircle_length_formula(radial_stretch(2.0).map, [CircleSpec(0j, t)], cfg)
         assert got == pytest.approx(2 * np.pi * np.sqrt(t), rel=1e-13)
 
     def test_cross_oracle_spiral(self, cfg):
         entry = spiral_map(1.0)
-        direct = quasicircle_length_direct(entry.map, UNIT, cfg)
-        formula = quasicircle_length_formula(entry.map, UNIT, cfg)
+        (direct,) = quasicircle_length_direct(entry.map, [UNIT], cfg)
+        (formula,) = quasicircle_length_formula(entry.map, [UNIT], cfg)
         assert formula == pytest.approx(direct, rel=1e-12)
 
     def test_negative_jacobian_rejected(self, cfg):
@@ -72,39 +72,66 @@ class TestLengthFormula:
             beltrami=entry.map.beltrami,
         )
         with pytest.raises(OrientationError):
-            quasicircle_length_formula(flipped, UNIT, cfg)
+            quasicircle_length_formula(flipped, [UNIT], cfg)
 
 
 class TestAreas:
     def test_identity_unit_disk(self, cfg):
-        assert image_area_jacobian(IDENTITY.map, UNIT, cfg=cfg) == pytest.approx(np.pi, rel=1e-13)
-        assert image_area_green(IDENTITY.map, UNIT, cfg) == pytest.approx(np.pi, rel=1e-13)
+        (jac,) = image_area_jacobian(IDENTITY.map, [UNIT], cfg=cfg)
+        assert jac == pytest.approx(np.pi, rel=1e-13)
+        (green,) = image_area_green(IDENTITY.map, [UNIT], cfg)
+        assert green == pytest.approx(np.pi, rel=1e-13)
 
     def test_radial_stretch_quarter_disk(self, cfg):
         disk = CircleSpec(0j, 0.25)
         entry = radial_stretch(2.0)
         # image of D_t is the disk of radius t^(1/2): area pi t
-        assert image_area_jacobian(entry.map, disk, cfg=cfg) == pytest.approx(np.pi / 4, rel=1e-12)
-        assert image_area_green(entry.map, disk, cfg) == pytest.approx(np.pi / 4, rel=1e-12)
+        (jac,) = image_area_jacobian(entry.map, [disk], cfg=cfg)
+        assert jac == pytest.approx(np.pi / 4, rel=1e-12)
+        (green,) = image_area_green(entry.map, [disk], cfg)
+        assert green == pytest.approx(np.pi / 4, rel=1e-12)
 
     def test_affine_unit_disk(self, cfg):
         entry = affine_map(1.0, 1 / 3)
-        assert image_area_jacobian(entry.map, UNIT, cfg=cfg) == pytest.approx(ELLIPSE_AREA, rel=1e-12)
-        assert image_area_green(entry.map, UNIT, cfg) == pytest.approx(ELLIPSE_AREA, rel=1e-12)
+        (jac,) = image_area_jacobian(entry.map, [UNIT], cfg=cfg)
+        assert jac == pytest.approx(ELLIPSE_AREA, rel=1e-12)
+        (green,) = image_area_green(entry.map, [UNIT], cfg)
+        assert green == pytest.approx(ELLIPSE_AREA, rel=1e-12)
 
     def test_spiral_preserves_disk(self, cfg):
-        assert image_area_green(spiral_map(1.0).map, UNIT, cfg) == pytest.approx(np.pi, rel=1e-12)
+        (green,) = image_area_green(spiral_map(1.0).map, [UNIT], cfg)
+        assert green == pytest.approx(np.pi, rel=1e-12)
 
     def test_offcenter_disk_smooth_map(self, cfg):
         # affine image area is |a|^2 - |b|^2 times pi r^2 for any center
         disk = CircleSpec(0.3 + 0.2j, 0.4)
-        got = image_area_jacobian(affine_map(1.0, 1 / 3).map, disk, cfg=cfg)
+        (got,) = image_area_jacobian(affine_map(1.0, 1 / 3).map, [disk], cfg=cfg)
         assert got == pytest.approx((8 / 9) * np.pi * 0.4**2, rel=1e-12)
+
+    def test_stacked_disks_leave_once_converged(self):
+        # J = exp(30 x): on the small annulus the angular rule converges at
+        # 32 nodes, on the ring 0.5 < r < 1 only at 128; each integral has 10
+        # Gauss-Legendre rings, so the calls read 20 rings until the small
+        # one leaves, then 10
+        sizes = []
+
+        def jacobian(z):
+            sizes.append(np.size(z))
+            return np.exp(30.0 * z.real)
+
+        model = MapModel(value=lambda z: z, partials=lambda z: (z, z), jacobian=jacobian)
+        cfg = QuadratureConfig(nodes=16, max_doublings=6)
+        disks, inner = [CircleSpec(0j, 0.02), CircleSpec(0j, 1.0)], [0.01, 0.5]
+        both = image_area_jacobian(model, disks, cfg=cfg, r_inner=inner)
+        assert sizes == [20 * 16, 20 * 32, 10 * 64, 10 * 128]
+        for i in range(2):
+            alone = image_area_jacobian(model, disks[i:i + 1], cfg=cfg, r_inner=inner[i:i + 1])
+            assert alone == both[i]
 
     def test_strong_singularity_still_accurate(self, cfg):
         # K = 5: Jacobian blows up like r^(-1.6) at the origin
         entry = radial_stretch(5.0)
-        got = image_area_jacobian(entry.map, CircleSpec(0j, 0.5), cfg=cfg)
+        (got,) = image_area_jacobian(entry.map, [CircleSpec(0j, 0.5)], cfg=cfg)
         assert got == pytest.approx(np.pi * 0.5 ** (2 / 5), rel=1e-10)
 
 
@@ -216,3 +243,19 @@ class TestRadiusPerturbation:
         prof = geometry_profile(broken_ring, [0.25, 0.5, 1.0], cfg)
         assert prof.radii[1] == pytest.approx(np.sqrt(0.5))
         assert np.allclose(prof.phi, np.pi * prof.radii**2, rtol=1e-12)
+
+    def test_nudge_toward_a_tiny_neighbor_does_not_underflow(self, cfg):
+        # 1e-200 * 1e-150 underflows to 0, the log-midpoint 1e-175 does not;
+        # a = 1e150 keeps the image areas pi a^2 t^2 above the underflow too
+        entry = affine_map(1e150, 0.0)
+
+        def partials(z):
+            f_x, f_y = entry.map.partials(z)
+            bad = np.abs(np.abs(z) - 1e-200) < 1e-209
+            return np.where(bad, np.inf, f_x), f_y
+
+        broken_ring = MapModel(value=entry.map.value, partials=partials,
+                               jacobian=entry.map.jacobian, beltrami=entry.map.beltrami)
+        prof = geometry_profile(broken_ring, [1e-200, 1e-150, 1.0], cfg)
+        assert prof.radii[0] == pytest.approx(1e-175, rel=1e-15)
+        assert np.allclose(prof.phi, np.pi * 1e300 * prof.radii**2, rtol=1e-12)

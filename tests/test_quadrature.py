@@ -12,9 +12,15 @@ from qcreg import (
     sup_over_circles,
 )
 from qcreg.bounds import distortion_average
-from qcreg.quadrature import MAX_CIRCLE_NODES
+from qcreg.quadrature import MAX_CIRCLE_NODES, refine
 
 UNIT = CircleSpec(0j, 1.0)
+
+
+def theta_average(f, cfg=QuadratureConfig()):
+    """Average of f(theta) on the unit circle, as a family of one."""
+    (value,) = circular_average(lambda nodes: f(nodes.theta)[None, :], [UNIT], cfg)
+    return value
 
 
 class TestConfig:
@@ -64,17 +70,17 @@ class TestConfig:
 
 class TestCircularAverage:
     def test_constant(self):
-        assert circular_average(lambda t: np.ones_like(t), UNIT) == pytest.approx(1.0)
+        assert theta_average(lambda t: np.ones_like(t)) == pytest.approx(1.0)
 
     def test_cosine_averages_to_zero(self):
-        assert abs(circular_average(np.cos, UNIT)) <= 1e-15
+        assert abs(theta_average(np.cos)) <= 1e-15
 
     def test_distortion_style_integrand(self):
         # oracle: mean over theta of |1 - c e^{-2 i theta}|^2 = 1 + |c|^2
         # for c = 1/3 that is 10/9; cross-checked against a 2^16-node sum
         c = 1 / 3
         integrand = lambda t: np.abs(1 - c * np.exp(-2j * t)) ** 2
-        got = circular_average(integrand, UNIT)
+        got = theta_average(integrand)
         assert got == pytest.approx(10 / 9, abs=1e-13)
         theta = 2 * np.pi * (np.arange(2**16) + 0.5) / 2**16
         assert got == pytest.approx(float(integrand(theta).mean()), abs=1e-13)
@@ -92,11 +98,11 @@ class TestCircularAverage:
             return acc
 
         cfg = QuadratureConfig(nodes=256, max_doublings=0)
-        assert circular_average(poly, UNIT, cfg) == pytest.approx(2.0, abs=1e-13)
+        assert theta_average(poly, cfg) == pytest.approx(2.0, abs=1e-13)
 
     def test_doubling_converges_smooth(self):
         cfg = QuadratureConfig(nodes=16, max_doublings=10, rel_tol=1e-12)
-        got = circular_average(lambda t: np.exp(np.sin(t)), UNIT, cfg)
+        got = theta_average(lambda t: np.exp(np.sin(t)), cfg)
         theta = 2 * np.pi * (np.arange(2**15) + 0.5) / 2**15
         assert got == pytest.approx(float(np.exp(np.sin(theta)).mean()), rel=1e-11)
 
@@ -105,8 +111,8 @@ class TestCircularAverage:
         cfg_a = QuadratureConfig(nodes=256, max_doublings=6, rel_tol=1e-9)
         cfg_b = QuadratureConfig(nodes=512, max_doublings=6, rel_tol=1e-9)
         circle = CircleSpec(0j, 0.5)
-        a = distortion_average(entry.map.beltrami, circle, cfg_a)
-        b = distortion_average(entry.map.beltrami, circle, cfg_b)
+        (a,) = distortion_average(entry.map.beltrami, [circle], cfg_a)
+        (b,) = distortion_average(entry.map.beltrami, [circle], cfg_b)
         assert abs(a - b) <= 1e-9 * max(1.0, abs(b))
 
     def test_nonfinite_integrand_names_node(self):
@@ -116,8 +122,85 @@ class TestCircularAverage:
             return out
 
         with pytest.raises(NumericalError) as err:
-            circular_average(bad, UNIT, QuadratureConfig(max_doublings=0))
+            theta_average(bad, QuadratureConfig(max_doublings=0))
         assert "theta" in str(err.value)
+
+
+class ScriptedEvaluate:
+    """An `evaluate` for `refine` that reads each row's estimate per level from
+    a script, {(row, item): [estimate at level 0, level 1, ...]}, and records
+    its calls as (node count, items, refining mask)."""
+
+    def __init__(self, script, nodes):
+        self.script, self.nodes, self.calls = script, nodes, []
+        self.rows = 1 + max(row for row, _ in script)
+
+    def __call__(self, n, items, refining):
+        self.calls.append((n, items.tolist(), np.array(refining)))
+        level = (n // self.nodes).bit_length() - 1
+        return np.array([[self.script[row, i][level] for i in items] for row in range(self.rows)])
+
+
+class TestRefine:
+    CFG = QuadratureConfig(nodes=16, max_doublings=4)
+    # item 0: row 0 converges at level 2, row 1 at level 1, so it leaves after level 2
+    # item 1: row 0 converges at level 1 (its later values must not count),
+    #         row 1 at level 4, the last level
+    # item 2: row 0 never converges, row 1 converges at level 1
+    SCRIPT = {
+        (0, 0): [1.0, 2.0, 2.0, 5.0, 7.0], (1, 0): [3.0, 3.0, 8.0, 8.0, 8.0],
+        (0, 1): [1.0, 1.0, 9.0, 9.0, 9.0], (1, 1): [1.0, 2.0, 3.0, 4.0, 4.0],
+        (0, 2): [1.0, 2.0, 3.0, 4.0, 5.0], (1, 2): [0.0, 0.0, 6.0, 6.0, 6.0],
+    }
+
+    def run(self):
+        evaluate = ScriptedEvaluate(self.SCRIPT, self.CFG.nodes)
+        return refine(evaluate, 3, self.CFG), evaluate.calls
+
+    def test_each_row_keeps_the_value_of_its_converged_level(self):
+        est, _ = self.run()
+        assert est.tolist() == [[2.0, 1.0, 5.0], [3.0, 4.0, 0.0]]
+
+    def test_converged_items_are_not_evaluated_again(self):
+        _, calls = self.run()
+        assert [(n, items) for n, items, _ in calls] == [
+            (16, [0, 1, 2]), (32, [0, 1, 2]), (64, [0, 1, 2]), (128, [1, 2]), (256, [1, 2]),
+        ]
+
+    def test_evaluate_receives_the_refining_mask(self):
+        _, calls = self.run()
+        masks = [mask.tolist() for _, _, mask in calls]
+        assert masks == [
+            [[True, True, True]],  # the first level: every row refines
+            [[True, True, True], [True, True, True]],
+            [[True, False, True], [False, True, False]],
+            [[False, True], [True, False]],
+            [[False, True], [True, False]],
+        ]
+
+    def test_an_item_that_never_converges_keeps_its_last_estimate(self):
+        est, calls = self.run()
+        assert sum(2 in items for _, items, _ in calls) == self.CFG.max_doublings + 1
+        assert est[0, 2] == self.SCRIPT[0, 2][-1]
+
+    def test_one_row_per_item(self):
+        script = {(0, 0): [5.0, 5.0, 1.0], (0, 1): [1.0, 2.0, 3.0]}
+        evaluate = ScriptedEvaluate(script, 16)
+
+        def one_row(n, items, refining):
+            return evaluate(n, items, refining)[0]
+
+        est = refine(one_row, 2, QuadratureConfig(nodes=16, max_doublings=2))
+        assert est.shape == (2,) and est.tolist() == [5.0, 3.0]
+
+    def test_tolerance_is_relative_with_a_floor_of_one(self):
+        # 1e3 -> 1e3 + 5e-7 moves by 5e-10 relative, 1e-12 -> 9e-10 by less
+        # than 1e-9 absolute: both converge; 1 -> 1 + 2e-9 moves by 2e-9
+        script = {(0, 0): [1e3, 1e3 + 5e-7, 0.0], (0, 1): [1e-12, 9e-10, 0.0],
+                  (0, 2): [1.0, 1.0 + 2e-9, 1.0 + 2e-9]}
+        evaluate = ScriptedEvaluate(script, 16)
+        refine(evaluate, 3, QuadratureConfig(nodes=16, max_doublings=2, rel_tol=1e-9))
+        assert [items for _, items, _ in evaluate.calls] == [[0, 1, 2], [0, 1, 2], [2]]
 
 
 class TestSupOverCircles:

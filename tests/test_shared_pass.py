@@ -44,7 +44,7 @@ from qcreg import (
 )
 from qcreg.bounds import isoperimetric_ratio
 from qcreg.geometry import length_and_area
-from qcreg.quadrature import angle_nodes, circle_nodes, unit_nodes
+from qcreg.quadrature import CircleNodes, angle_nodes, unit_nodes
 
 UNIT = CircleSpec(0j, 1.0)
 CFG = QuadratureConfig(nodes=256, max_doublings=4)
@@ -69,26 +69,28 @@ def smooth_row(theta):
     return np.abs(1.0 - (1 / 3) * np.exp(-2j * theta)) ** 2 + 0.1 * np.cos(5 * theta)
 
 
+def unit_average(f):
+    """Averages of f(theta), one (N,) row or (k, N) rows, on UNIT as a family
+    of one: a tuple of one float per row."""
+    est = circular_average(lambda nodes: np.asarray(f(nodes.theta))[..., None, :], [UNIT], CFG)
+    return tuple(est.reshape(-1).tolist())
+
+
 class TestStackedAverage:
     def test_rows_converging_at_different_levels(self):
         rows = [smooth_row, level_row(512), level_row(1024), lambda t: 1.0 + np.cos(256 * t)]
-        stacked = circular_average(lambda t: np.stack([r(t) for r in rows]), UNIT, CFG)
-        separate = tuple(circular_average(r, UNIT, CFG) for r in rows)
+        stacked = unit_average(lambda t: np.stack([r(t) for r in rows]))
+        separate = tuple(unit_average(r)[0] for r in rows)
         assert stacked == separate
         assert stacked[1:3] == (512.0, 1024.0)
 
     def test_row_that_exhausts_the_budget(self):
         never = level_row(np.inf)
         rows = [smooth_row, never]
-        stacked = circular_average(lambda t: np.stack([r(t) for r in rows]), UNIT, CFG)
-        separate = tuple(circular_average(r, UNIT, CFG) for r in rows)
+        stacked = unit_average(lambda t: np.stack([r(t) for r in rows]))
+        separate = tuple(unit_average(r)[0] for r in rows)
         assert stacked == separate
         assert stacked[1] == CFG.nodes * 2.0**CFG.max_doublings
-
-    def test_single_row_returns_a_float(self):
-        assert isinstance(circular_average(smooth_row, UNIT, CFG), float)
-        one = circular_average(lambda t: smooth_row(t)[None, :], UNIT, CFG)
-        assert one == (circular_average(smooth_row, UNIT, CFG),)
 
     def test_nan_in_a_converged_row_does_not_raise(self):
         def late_nan(theta):
@@ -97,9 +99,7 @@ class TestStackedAverage:
                 out[7] = np.nan
             return out
 
-        stacked = circular_average(
-            lambda t: np.stack([late_nan(t), level_row(2048)(t)]), UNIT, CFG
-        )
+        stacked = unit_average(lambda t: np.stack([late_nan(t), level_row(2048)(t)]))
         assert stacked == (2.0, 2048.0)
 
     def test_nan_in_a_refining_row_names_the_node(self):
@@ -111,9 +111,9 @@ class TestStackedAverage:
 
         theta = angle_nodes(512)
         with pytest.raises(NumericalError, match=f"theta = {theta[3]:.12g} on circle"):
-            circular_average(lambda t: np.stack([early_nan(t), level_row(4096)(t)]), UNIT, CFG)
+            unit_average(lambda t: np.stack([early_nan(t), level_row(4096)(t)]))
         with pytest.raises(NumericalError, match=f"theta = {theta[3]:.12g} on circle"):
-            circular_average(lambda t: np.stack([level_row(4096)(t), early_nan(t)]), UNIT, CFG)
+            unit_average(lambda t: np.stack([level_row(4096)(t), early_nan(t)]))
 
     def test_converged_rows_do_not_name_the_node(self):
         def nan_at(node, from_size):
@@ -130,7 +130,7 @@ class TestStackedAverage:
         rows = [nan_at(1, 1024), lambda t: level_row(4096)(t) + nan_at(5, 1024)(t)]
         theta = angle_nodes(1024)
         with pytest.raises(NumericalError, match=f"theta = {theta[5]:.12g} on circle"):
-            circular_average(lambda t: np.stack([r(t) for r in rows]), UNIT, CFG)
+            unit_average(lambda t: np.stack([r(t) for r in rows]))
 
 
 class TestNodeCache:
@@ -142,31 +142,32 @@ class TestNodeCache:
     @pytest.mark.parametrize("circle", CIRCLES)
     def test_circle_nodes_match_circle_at(self, circle):
         theta = angle_nodes(512)
-        z, unit = circle_nodes(circle, theta)
-        assert np.array_equal(z, circle.center + circle.radius * np.exp(1j * theta))
-        assert np.array_equal(unit, np.exp(1j * theta))
-        fresh = np.array(theta)  # not the cached array: computed on the spot
-        assert np.array_equal(circle_nodes(circle, fresh)[0], z)
+        assert np.array_equal(unit_nodes(512), np.exp(1j * theta))
+        nodes = CircleNodes((circle,), theta, unit_nodes(512),
+                            np.array([[circle.center]]), np.array([[circle.radius]]))
+        assert np.array_equal(nodes.points[0], circle.center + circle.radius * np.exp(1j * theta))
 
 
 class TestBoundaryPass:
     @pytest.mark.parametrize("model", MAPS, ids=MAP_IDS)
     @pytest.mark.parametrize("circle", CIRCLES)
     def test_length_and_area_equal_the_single_routes(self, model, circle):
-        length = quasicircle_length_direct(model, circle, CFG)
-        area = image_area_green(model, circle, CFG)
-        assert length_and_area(model, circle, CFG) == (length, area)
-        assert isoperimetric_ratio(model, circle, CFG) == 4.0 * np.pi * area / (length * length)
+        (length,) = quasicircle_length_direct(model, [circle], CFG)
+        (area,) = image_area_green(model, [circle], CFG)
+        (both_length,), (both_area,) = length_and_area(model, [circle], CFG)
+        assert (both_length, both_area) == (length, area)
+        (ratio,) = isoperimetric_ratio(model, [circle], CFG)
+        assert ratio == 4.0 * np.pi * area / (length * length)
 
     @pytest.mark.parametrize("model", MAPS, ids=MAP_IDS)
     def test_geometry_profile_columns_equal_the_single_routes(self, model):
         radii = np.geomspace(0.01, 1.0, 6)
         prof = geometry_profile(model, radii, CFG)
         for i, t in enumerate(prof.radii):
-            circle = CircleSpec(0j, float(t))
-            assert prof.length_direct[i] == quasicircle_length_direct(model, circle, CFG)
-            assert prof.length_formula[i] == quasicircle_length_formula(model, circle, CFG)
-            assert prof.area_green[i] == image_area_green(model, circle, CFG)
+            circle = [CircleSpec(0j, float(t))]
+            assert prof.length_direct[i] == quasicircle_length_direct(model, circle, CFG)[0]
+            assert prof.length_formula[i] == quasicircle_length_formula(model, circle, CFG)[0]
+            assert prof.area_green[i] == image_area_green(model, circle, CFG)[0]
 
 
 def domain_with_offsets():
@@ -212,12 +213,14 @@ def normal_form_sup(matrix, domain, cfg):
     """Oracle: sup over the domain's circles of the circle average of <eta, A eta>."""
 
     def average(circle):
-        def integrand(theta):
+        def integrand(nodes):
+            theta = nodes.theta
             a11, a12, a22 = matrix(circle.center + circle.radius * np.exp(1j * theta))
             c, s = np.cos(theta), np.sin(theta)
-            return a11 * c * c + 2.0 * a12 * c * s + a22 * s * s
+            return (a11 * c * c + 2.0 * a12 * c * s + a22 * s * s)[None]
 
-        return circular_average(integrand, circle, cfg)
+        (value,) = circular_average(integrand, [circle], cfg)
+        return value
 
     return max(average(circle) for circle in domain.admissible_circles())
 
