@@ -19,7 +19,7 @@ import json
 import sys
 
 from .catalog import list_catalog
-from .config import DEFAULTS, AnalysisConfig, build_config, load_config
+from .config import DEFAULTS, AnalysisConfig, build_config, read_config
 from .errors import (
     ConfigError,
     FieldValidationError,
@@ -74,40 +74,35 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _override(raw: dict, key: str, flags) -> None:
+    """Set the keys of the object raw[key] that given flags name, keep the rest."""
+    given = {name: val for name, val in flags if val is not None}
+    if not given:
+        return
+    section = raw.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{key} must be an object for flags to override its keys, "
+                          f"got {section!r}")
+    raw[key] = {**section, **given}
+
+
 def _config_from_args(args) -> AnalysisConfig:
-    raw: dict = {}
-    if args.config:
-        loaded = load_config(args.config)
-        raw = json.loads(json.dumps(loaded.resolved))
-        raw["output_json"], raw["output_csv_dir"] = loaded.output_json, loaded.output_csv_dir
+    raw = read_config(args.config) if args.config else {}
     if args.subject:
         raw["subject"] = args.subject
     if "subject" not in raw:
         raise ConfigError("a subject is required (--subject or a config file)")
-    quad = dict(raw.get("quadrature", {}))
-    for key, val in (
+    _override(raw, "quadrature", (
         ("nodes", args.nodes),
         ("max_doublings", args.max_doublings),
         ("rel_tol", args.rel_tol),
-    ):
-        if val is not None:
-            quad[key] = val
-    if quad:
-        raw["quadrature"] = quad
-    radii = raw.get("radii", {})
-    if isinstance(radii, list):
-        radii = {}
-    for key, val in (
+    ))
+    _override(raw, "radii", (
         ("min", args.radii_min),
         ("max", args.radii_max),
         ("count", args.radii_count),
-    ):
-        if val is not None:
-            radii = {**radii, key: val}
-    if radii:
-        raw["radii"] = radii
-    if args.outer_radius is not None:
-        raw.setdefault("domain", {})["outer_radius"] = args.outer_radius
+    ))
+    _override(raw, "domain", (("outer_radius", args.outer_radius),))
     if args.threshold is not None:
         raw["threshold"] = args.threshold
     if args.interpolation is not None:

@@ -252,11 +252,10 @@ def build_config(raw: dict) -> AnalysisConfig:
     )
 
 
-def load_config(path) -> AnalysisConfig:
-    """Read and validate a JSON config file.
+def read_config(path) -> dict:
+    """The JSON object of a config file, as written (not yet validated).
 
-    Parse errors carry the offending line; an invalid catalog subject
-    raises ConfigError listing the available names.
+    Parse errors carry the offending line.
     """
     path = Path(path)
     if not path.exists():
@@ -267,7 +266,16 @@ def load_config(path) -> AnalysisConfig:
         raise ConfigError(f"{path}: JSON parse error at line {exc.lineno}: {exc.msg}")
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
-    cfg = build_config(raw)
+    return raw
+
+
+def load_config(path) -> AnalysisConfig:
+    """Read and validate a JSON config file.
+
+    Parse errors carry the offending line; an invalid catalog subject
+    raises ConfigError listing the available names.
+    """
+    cfg = build_config(read_config(path))
     cfg.subject_kind  # parses catalog specs / sniffs file headers, raising early
     return cfg
 

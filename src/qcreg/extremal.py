@@ -24,7 +24,7 @@ import numpy as np
 from .errors import NumericalError, SingularPointError
 from .geometry import GeometryProfile
 from .plane import BeltramiField, CircleSpec, MapModel
-from .quadrature import QuadratureConfig, circular_average, unit_nodes
+from .quadrature import QuadratureConfig, circular_average, level_nodes
 
 
 def stretch_factor(K: float) -> float:
@@ -225,7 +225,8 @@ def empirical_holder(
     `from_area` is log(area(f(D_t))) / (2 log t): the squared worst-case
     displacement is comparable to the image area, so this converges to the
     pointwise exponent with an O(1/log t) correction. `from_sup` is
-    log(max_theta |f(t e^{i theta}) - f(0)|) / log t.
+    log(max_theta |f(t e^{i theta}) - f(0)|) / log t, the maximum taken
+    over the cfg.nodes angles of the first level of the quadrature rule.
 
     A `geometry_profile` of the same map and quadrature config may be
     passed: its Green areas are used at the radii it holds, and the areas
@@ -246,7 +247,8 @@ def empirical_holder(
     if np.any(areas <= 0):
         raise NumericalError(f"image area vanished at t = {radii[np.argmax(areas <= 0)]}")
     f0 = complex(np.asarray(map_model.value(np.zeros(1, dtype=complex)))[0])
-    z = radii[:, None] * unit_nodes(cfg.nodes)
+    _, unit = level_nodes(cfg.nodes, True)  # the first level's cfg.nodes angles
+    z = radii[:, None] * unit
     displacement = np.abs(map_model.value(z) - f0).max(axis=1)
     return [
         (t, float(np.log(area) / (2.0 * np.log(t))), float(np.log(d) / np.log(t)))

@@ -31,9 +31,9 @@ from .quadrature import (
     CircleNodes,
     QuadratureConfig,
     circular_average,
+    level_nodes,
     refine,
     row_batches,
-    unit_nodes,
 )
 
 #: relative agreement demanded between the two length / area routes
@@ -223,12 +223,13 @@ def image_area_jacobian(
     radial_nodes : int
         Gauss-Legendre points per geometric radial segment.
     cfg : QuadratureConfig
-        Angular resolution, doubled by `refine`: each integral's whole
-        radial rule is recomputed on the doubled angular grid until it is
-        stable to cfg.rel_tol, with a convergence test per integral. The
-        integrals still refining share each level's Jacobian calls, which
-        take the rings of all their rules in batches of at most
-        MAX_BATCH_NODES points.
+        Angular resolution, doubled by `refine` until each integral is
+        stable to cfg.rel_tol, with a convergence test per integral. A
+        doubling evaluates each ring of an integral's radial rule only at
+        the angles it adds (`level_nodes`) and combines their mean with the
+        ring's running mean. The integrals still refining share each
+        level's Jacobian calls, which take the rings of all their rules in
+        batches of at most MAX_BATCH_NODES points.
     r_inner : float or sequence of float
         Inner radius per disk for annulus increments (used by profiles);
         0 integrates the whole disk, with a geometric tail toward its center.
@@ -237,18 +238,26 @@ def image_area_jacobian(
     rules = [_RadialRule.build(d, r, radial_nodes) for d, r in zip(disks, inner)]
     _, w = _gauss_legendre(radial_nodes)
 
+    # ring means of each rule over the angles of the levels so far: the
+    # geometric tail is nonlinear in them, so levels combine means, not totals
+    means = [None] * len(rules)
+
     def evaluate(n, items, refining):
-        unit = unit_nodes(n)
+        first = n == cfg.nodes
+        _, unit = level_nodes(n, first)
         picked = [rules[i] for i in items]
         radii = np.concatenate([rule.radii for rule in picked])
         center = np.concatenate([np.full(rule.radii.size, rule.center) for rule in picked])
-        mean = np.concatenate([
+        fresh = np.concatenate([
             _ring_mean_jacobian(map_model, center[rows], radii[rows], unit)
-            for rows in row_batches(radii.size, n)
+            for rows in row_batches(radii.size, unit.size)
         ])
-        ring = 2.0 * np.pi * radii * mean
         ends = np.cumsum([rule.radii.size for rule in picked])
-        return [rule.total(part, w) for rule, part in zip(picked, np.split(ring, ends[:-1]))]
+        totals = []
+        for i, rule, part in zip(items, picked, np.split(fresh, ends[:-1])):
+            means[i] = part if first else 0.5 * (means[i] + part)
+            totals.append(rule.total(2.0 * np.pi * rule.radii * means[i], w))
+        return totals
 
     return refine(evaluate, len(rules), cfg)
 

@@ -1,16 +1,20 @@
 """Periodic quadrature on circles and supremum search over circle families.
 
-Averages use the uniform-angle trapezoid rule with a half-node offset
-theta_j = 2 pi (j + 1/2) / N. On periodic integrands this rule is exact for
-trigonometric polynomials of degree < N and converges spectrally for smooth
-data; the offset keeps nodes off the rays where z / conj(z) fields may
-carry tabulated branch data. `refine` is the one node-doubling loop: the
-circle averages here and the Jacobian areas of `qcreg.geometry` both
-refine through it.
+Averages use the uniform-angle trapezoid rule. On periodic integrands it is
+exact for trigonometric polynomials of degree < N and converges spectrally
+for smooth data. The rules are nested: every node is
+theta_i = 2 pi (i + 1/2) / MAX_CIRCLE_NODES for an integer i, and the rule
+of N nodes takes every (MAX_CIRCLE_NODES / N)-th one, so the 2N rule holds
+the N rule and a doubling evaluates only the N nodes it adds. The half-step
+offset keeps every node off the axes theta = 0, pi/2, pi, 3 pi/2, the rays
+where z / conj(z) fields may carry tabulated branch data. `refine` is the
+one node-doubling loop: the circle averages here and the Jacobian areas of
+`qcreg.geometry` both refine through it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -70,45 +74,39 @@ class QuadratureConfig:
         }
 
 
-#: node counts up to this keep their angles and e^{i theta} (24 bytes a node)
-CACHED_NODES_MAX = 1 << 16
+@functools.lru_cache(maxsize=None)
+def level_nodes(n: int, first: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Angles and e^{i theta} a level of the nested rule evaluates (read-only,
+    cached).
 
-_node_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _node_table(n: int) -> tuple[np.ndarray, np.ndarray]:
-    table = _node_tables.get(n)
-    if table is None:
-        theta = 2.0 * np.pi * (np.arange(n) + 0.5) / n
-        unit = np.exp(1j * theta)
-        theta.flags.writeable = False
-        unit.flags.writeable = False
-        table = (theta, unit)
-        if n <= CACHED_NODES_MAX:
-            _node_tables[n] = table
-    return table
-
-
-def angle_nodes(n: int) -> np.ndarray:
-    """Half-offset uniform angles 2 pi (j + 1/2) / n (read-only, cached per n)."""
-    return _node_table(int(n))[0]
-
-
-def unit_nodes(n: int) -> np.ndarray:
-    """e^{i theta} at `angle_nodes(n)` (read-only, cached per n)."""
-    return _node_table(int(n))[1]
+    Every node is theta_i = 2 pi (i + 1/2) / MAX_CIRCLE_NODES for an integer
+    i. The rule of n nodes takes i at the multiples of MAX_CIRCLE_NODES / n:
+    a first level evaluates all n of them, a later level only the n / 2 odd
+    multiples its halved rule lacks. The levels of one doubling are disjoint
+    and their union is the rule of the last one. The cache holds at most two
+    entries per power of two up to MAX_CIRCLE_NODES, under 3 * 2**20 nodes.
+    """
+    stride = MAX_CIRCLE_NODES // n
+    index = np.arange(0, MAX_CIRCLE_NODES, stride) if first else (
+        np.arange(stride, MAX_CIRCLE_NODES, 2 * stride))
+    theta = (2.0 * np.pi / MAX_CIRCLE_NODES) * (index + 0.5)
+    unit = np.exp(1j * theta)
+    theta.flags.writeable = False
+    unit.flags.writeable = False
+    return theta, unit
 
 
 class CircleNodes(NamedTuple):
-    """The angle nodes of one doubling level on a batch of circles.
+    """The angle nodes one doubling level evaluates on a batch of circles.
 
-    Row i of every (m, N) array lies on `circles[i]`; `size` is the number
-    of nodes the batch evaluates, m * N.
+    These are the `level_nodes`: all N nodes of the rule at the first level,
+    the N / 2 it adds at a later one. Row i of every (m, N') array lies on
+    `circles[i]`; `size` is the number of nodes the batch evaluates, m * N'.
     """
 
     circles: tuple[CircleSpec, ...]
-    theta: np.ndarray  # (N,) angles shared by every row
-    unit: np.ndarray  # (N,) e^{i theta}, the outward normals
+    theta: np.ndarray  # (N',) angles shared by every row
+    unit: np.ndarray  # (N',) e^{i theta}, the outward normals
     center: np.ndarray  # (m, 1) complex
     radius: np.ndarray  # (m, 1)
 
@@ -118,9 +116,9 @@ class CircleNodes(NamedTuple):
 
     @property
     def points(self) -> np.ndarray:
-        """(m, N) points center + radius e^{i theta}."""
+        """(m, N') points center + radius e^{i theta}."""
         z = self.radius * self.unit
-        z += self.center  # in place: one (m, N) array, not two
+        z += self.center  # in place: one (m, N') array, not two
         return z
 
 
@@ -141,7 +139,10 @@ def refine(evaluate: Callable, count: int, cfg: QuadratureConfig) -> np.ndarray:
     the first level, where every row refines, it is all True of shape
     (1, items.size).
 
-    Node counts double from cfg.nodes. From the second level on a row
+    Node counts double from cfg.nodes, and n is the size of the level's
+    whole rule. On the nested rule of `level_nodes` a later level evaluates
+    only the n / 2 nodes it adds, and its estimate is the mean of the level
+    before and the mean of those nodes. From the second level on a row
     converges when two successive estimates agree to cfg.rel_tol (relative,
     with an absolute floor of rel_tol for values below 1) and keeps the
     estimate of that level; an item leaves the later levels once all its
@@ -181,9 +182,13 @@ def circular_average(
     Parameters
     ----------
     integrand : callable
-        Maps a `CircleNodes` batch of m circles to shape (m, N), or to
-        (k, m, N) for k stacked rows that share the boundary data (for
+        Maps a `CircleNodes` batch of m circles to shape (m, N'), or to
+        (k, m, N') for k stacked rows that share the boundary data (for
         instance several quantities built from the same map partials).
+        At the first level N' is the N = cfg.nodes of the whole rule; at a
+        later level of N nodes the batch carries only the N' = N / 2 nodes
+        that level adds, and each row's mean over them is combined with the
+        row's running mean of the levels before.
     circles : sequence of CircleSpec
         The family averaged together: each doubling level evaluates every
         circle still refining, in batches of at most MAX_BATCH_NODES nodes
@@ -210,10 +215,14 @@ def circular_average(
     center = np.array([c.center for c in circles], dtype=complex)[:, None]
     radius = np.array([c.radius for c in circles], dtype=float)[:, None]
 
+    running = None  # (k, m) mean of every row over the nodes of the levels so far
+
     def evaluate(n, items, refining):
-        theta, unit = _node_table(n)
+        nonlocal running
+        first = n == cfg.nodes
+        theta, unit = level_nodes(n, first)
         parts = []
-        for rows in row_batches(items.size, n):
+        for rows in row_batches(items.size, theta.size):
             idx = items[rows]
             batch = tuple(circles[i] for i in idx)
             vals = np.asarray(
@@ -221,22 +230,28 @@ def circular_average(
                 dtype=float,
             )
             stacked = vals if vals.ndim == 3 else vals[None]
-            if stacked.shape[1:] != (idx.size, n):
+            if stacked.shape[1:] != (idx.size, theta.size):
                 raise ValueError(
                     f"integrand returned shape {vals.shape} for {idx.size} circle(s) "
-                    f"of {n} nodes"
+                    f"of {theta.size} nodes"
                 )
             means = stacked.mean(axis=-1)
             _check_finite(stacked, means, refining[:, rows], batch, theta)
             parts.append(means)
-        means = np.concatenate(parts, axis=1)
+        fresh = np.concatenate(parts, axis=1)
+        if first:
+            running = fresh
+        else:
+            running[:, items] = 0.5 * (running[:, items] + fresh)
+        means = running[:, items]
         return means if vals.ndim == 3 else means[0]
 
     return refine(evaluate, len(circles), cfg)
 
 
 def _check_finite(rows, means, refining, batch, theta) -> None:
-    """Raise at the first non-finite node of a row that is still refining.
+    """Raise at the first non-finite node, among the nodes a level adds, of a
+    row that is still refining.
 
     A non-finite value makes its row's mean non-finite, so the nodes are
     scanned only then (or when a finite sum overflowed).

@@ -36,7 +36,7 @@ from qcreg import (
     validate_field,
 )
 from qcreg.bounds import distortion_integrand
-from qcreg.quadrature import MAX_BATCH_NODES, TIE_ULPS, _argmax_stable, angle_nodes
+from qcreg.quadrature import MAX_BATCH_NODES, TIE_ULPS, _argmax_stable, level_nodes
 
 #: largest distance in units in the last place between a batched and a lone value
 ULPS = 4
@@ -65,7 +65,7 @@ def lone_distortion(field, circle, levels):
 
     def integrand(nodes):
         theta = nodes.theta
-        levels[circle] = theta.size
+        levels[circle] = levels.get(circle, 0) + 1
         unit = np.exp(1j * theta)
         return distortion_integrand(field(circle.center + circle.radius * unit), unit)[None]
 
@@ -78,7 +78,7 @@ def lone_roundness(model, circle, levels):
 
     def integrand(nodes):
         theta = nodes.theta
-        levels[circle] = theta.size
+        levels[circle] = levels.get(circle, 0) + 1
         z = circle.center + circle.radius * np.exp(1j * theta)
         f_x, f_y = model.partials(z)
         dgamma = circle.radius * (-np.sin(theta) * f_x + np.cos(theta) * f_y)
@@ -91,14 +91,15 @@ def lone_roundness(model, circle, levels):
 
 @pytest.fixture
 def batch_levels(monkeypatch):
-    """Finest node count each circle of a family average reached."""
+    """Number of doubling levels each circle of a family average was evaluated
+    at (a circle sits in one batch per level)."""
     levels = {}
     average = qcreg.bounds.circular_average
 
     def recording(integrand, circles, cfg):
         def recorded(nodes):
             for c in nodes.circles:
-                levels[c] = nodes.theta.size
+                levels[c] = levels.get(c, 0) + 1
             return integrand(nodes)
 
         return average(recorded, circles, cfg)
@@ -141,7 +142,7 @@ class TestBatchedAgainstLoneCircles:
 class TestNonFiniteInOneCircle:
     def test_integrand_nan_names_the_first_bad_circle_and_node(self):
         circles = [CircleSpec(0j, r) for r in (0.2, 0.5, 0.8)]
-        theta = angle_nodes(CFG.nodes)
+        theta, _ = level_nodes(CFG.nodes, True)
 
         def integrand(nodes):
             out = np.ones((len(nodes.circles), nodes.theta.size))
@@ -231,21 +232,23 @@ class TestEvaluationCap:
         sampled = SampledField(origin=-1.05 - 1.05j, spacing=2.1 / (n - 1), values=mu,
                                k_max=0.4, interpolation="nearest")
         field = validate_field(sampled.as_beltrami())
-        calls = []
+        sizes, levels = [], {}
         average = qcreg.bounds.circular_average
 
         def recording(integrand, circles, cfg):
             def recorded(nodes):
-                calls.append((nodes.size, nodes.theta.size))
+                sizes.append(nodes.size)
+                for c in nodes.circles:  # a circle sits in one batch per level
+                    levels[c] = levels.get(c, 0) + 1
                 return integrand(nodes)
 
             return average(recorded, circles, cfg)
 
         monkeypatch.setattr(qcreg.bounds, "circular_average", recording)
         regularity_report(field, DomainSpec.origin_disk(), CFG)
-        assert max(n for _, n in calls) == CFG.nodes * 2**CFG.max_doublings
-        assert max(size for size, _ in calls) <= MAX_BATCH_NODES
-        assert calls[0][0] == 16 * CFG.nodes  # the first level is one batch
+        assert max(levels.values()) == CFG.max_doublings + 1  # the full budget
+        assert max(sizes) <= MAX_BATCH_NODES
+        assert sizes[0] == 16 * CFG.nodes  # the first level is one batch
 
     def test_jacobian_batches_of_a_profile(self):
         sizes = []
@@ -259,7 +262,7 @@ class TestEvaluationCap:
         # the whole disk's 600 rings and the 32 annulus increments' 10 rings
         # each are evaluated together, in batches under the cap
         assert max(sizes) <= MAX_BATCH_NODES
-        assert sum(sizes) == 731904  # the points of TestWorkCounts, in fewer calls
+        assert sum(sizes) == 487936  # the points of TestWorkCounts, in fewer calls
         assert len(sizes) < 33
 
 

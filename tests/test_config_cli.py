@@ -383,6 +383,27 @@ class TestCli:
         payload = json.loads(out.read_text())
         assert len(payload["provenance"]["config"]["radii"]) == 7
 
+    def test_radii_flags_override_only_the_keys_they_name(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, {
+            "subject": "radial_stretch(K=2)", "radii": {"min": 0.01, "max": 1.0, "count": 3},
+            "quadrature": {"nodes": 64, "max_doublings": 2},
+        })
+        out = tmp_path / "r.json"
+        assert main(["profile", "--config", str(cfg_path), "--radii-count", "4",
+                     "--max-doublings", "1", "--out", str(out)]) == 0
+        config = json.loads(out.read_text())["provenance"]["config"]
+        assert config["radii"] == np.geomspace(0.01, 1.0, 4).tolist()
+        assert config["quadrature"]["nodes"] == 64
+        assert config["quadrature"]["max_doublings"] == 1
+
+    @pytest.mark.parametrize("flag", ["--radii-min", "--radii-max", "--radii-count"])
+    def test_radii_list_with_a_radii_flag_exits_one(self, tmp_path, capsys, flag):
+        cfg_path = write_config(
+            tmp_path, {"subject": "radial_stretch(K=2)", "radii": [0.01, 0.1, 1.0]}
+        )
+        assert main(["profile", "--config", str(cfg_path), flag, "3"]) == 1
+        assert "config error: radii must be an object" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["analyze", "profile"])
     def test_config_file_outputs_are_honoured(self, tmp_path, capsys, command):
         out, csv_dir = tmp_path / "from-config.json", tmp_path / "csv-from-config"

@@ -112,7 +112,8 @@ class TestAreas:
         # J = exp(30 x): on the small annulus the angular rule converges at
         # 32 nodes, on the ring 0.5 < r < 1 only at 128; each integral has 10
         # Gauss-Legendre rings, so the calls read 20 rings until the small
-        # one leaves, then 10
+        # one leaves, then 10, each ring at the 16, 16, 32, 64 angles that
+        # the levels of 16, 32, 64, 128 nodes add
         sizes = []
 
         def jacobian(z):
@@ -123,7 +124,7 @@ class TestAreas:
         cfg = QuadratureConfig(nodes=16, max_doublings=6)
         disks, inner = [CircleSpec(0j, 0.02), CircleSpec(0j, 1.0)], [0.01, 0.5]
         both = image_area_jacobian(model, disks, cfg=cfg, r_inner=inner)
-        assert sizes == [20 * 16, 20 * 32, 10 * 64, 10 * 128]
+        assert sizes == [20 * 16, 20 * 16, 10 * 32, 10 * 64]
         for i in range(2):
             alone = image_area_jacobian(model, disks[i:i + 1], cfg=cfg, r_inner=inner[i:i + 1])
             assert alone == both[i]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,11 @@ from qcreg import (
     QuadratureConfig,
     circular_average,
     radial_stretch,
+    spiral_map,
     sup_over_circles,
 )
-from qcreg.bounds import distortion_average
-from qcreg.quadrature import MAX_CIRCLE_NODES, refine
+from qcreg.bounds import distortion_average, distortion_integrand
+from qcreg.quadrature import MAX_CIRCLE_NODES, level_nodes, refine
 
 UNIT = CircleSpec(0j, 1.0)
 
@@ -124,6 +127,64 @@ class TestCircularAverage:
         with pytest.raises(NumericalError) as err:
             theta_average(bad, QuadratureConfig(max_doublings=0))
         assert "theta" in str(err.value)
+
+
+def node_index(theta):
+    """The integers i of theta = 2 pi (i + 1/2) / MAX_CIRCLE_NODES."""
+    x = theta * (MAX_CIRCLE_NODES / (2.0 * np.pi)) - 0.5
+    index = np.rint(x)
+    assert np.abs(x - index).max() < 1e-6
+    return index.astype(np.int64)
+
+
+#: every rule size a config can reach, 16 to MAX_CIRCLE_NODES
+RULE_SIZES = [1 << k for k in range(4, MAX_CIRCLE_NODES.bit_length())]
+
+#: a configuration whose rows converge only where successive levels agree bitwise
+NO_EARLY_STOP = QuadratureConfig(nodes=16, max_doublings=5, rel_tol=1e-300)
+
+
+class TestNestedRule:
+    # level_nodes.__wrapped__ skips the cache, so the large levels are not kept
+
+    @pytest.mark.parametrize("n0, doublings", [(16, 10), (256, 6), (1 << 13, 7)])
+    def test_levels_are_disjoint_and_make_up_the_finest_rule(self, n0, doublings):
+        levels = [node_index(level_nodes.__wrapped__(n0 << k, k == 0)[0])
+                  for k in range(doublings + 1)]
+        assert [index.size for index in levels] == [n0] + [n0 << (k - 1)
+                                                           for k in range(1, doublings + 1)]
+        union = np.concatenate(levels)
+        assert np.unique(union).size == union.size  # pairwise disjoint
+        n = n0 << doublings
+        assert np.array_equal(np.sort(union), np.arange(n) * (MAX_CIRCLE_NODES // n))
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_no_node_on_an_axis(self, first):
+        half_step = np.pi / MAX_CIRCLE_NODES
+        for n in RULE_SIZES:
+            theta, unit = level_nodes.__wrapped__(n, first)
+            to_axis = np.mod(theta, np.pi / 2)
+            assert np.minimum(to_axis, np.pi / 2 - to_axis).min() >= 0.99 * half_step, n
+            assert (unit.real != 0).all() and (unit.imag != 0).all(), n
+
+    @pytest.mark.parametrize("degree", [20, 200, 600])
+    def test_nested_average_is_the_one_shot_mean_of_trig_polynomials(self, degree, rng):
+        coeffs = rng.normal(size=degree) + 1j * rng.normal(size=degree)
+        coeffs /= np.abs(coeffs).sum()  # values in [1, 3], mean 2
+        k = np.arange(1, degree + 1)
+        poly = lambda theta: 2.0 + (np.exp(1j * np.outer(theta, k)) @ coeffs).real
+        theta, _ = level_nodes(NO_EARLY_STOP.nodes << NO_EARLY_STOP.max_doublings, True)
+        one_shot = float(poly(theta).mean())
+        assert abs(theta_average(poly, NO_EARLY_STOP) - one_shot) <= 4 * math.ulp(one_shot)
+
+    def test_nested_average_is_the_one_shot_mean_of_a_catalog_integrand(self):
+        field = spiral_map(1.2).map.beltrami
+        circle = CircleSpec(0.3 + 0.1j, 0.5)
+        _, unit = level_nodes(NO_EARLY_STOP.nodes << NO_EARLY_STOP.max_doublings, True)
+        one_shot = float(distortion_integrand(field(circle.center + circle.radius * unit),
+                                              unit).mean())
+        (nested,) = distortion_average(field, [circle], NO_EARLY_STOP)
+        assert abs(nested - one_shot) <= 4 * math.ulp(one_shot)
 
 
 class ScriptedEvaluate:

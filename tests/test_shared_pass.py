@@ -44,7 +44,7 @@ from qcreg import (
 )
 from qcreg.bounds import isoperimetric_ratio
 from qcreg.geometry import length_and_area
-from qcreg.quadrature import CircleNodes, angle_nodes, unit_nodes
+from qcreg.quadrature import CircleNodes, level_nodes
 
 UNIT = CircleSpec(0j, 1.0)
 CFG = QuadratureConfig(nodes=256, max_doublings=4)
@@ -61,25 +61,43 @@ CIRCLES = [CircleSpec(0j, 0.05), CircleSpec(0j, 0.7), CircleSpec(0.4 + 0.0j, 0.3
 
 
 def level_row(settle_at):
-    """Row averaging to the node count until `settle_at` nodes, then constant."""
-    return lambda theta: np.full(theta.size, float(min(theta.size, settle_at)))
+    """Row averaging to the rule size n until `settle_at` nodes, then constant.
+
+    A later level's nodes carry 2 min(n, s) - min(n / 2, s), so the mean of
+    the level before and theirs is min(n, s), exactly.
+    """
+
+    def row(theta, n):
+        value = min(n, settle_at)
+        if n > CFG.nodes:
+            value = 2 * value - min(n // 2, settle_at)
+        return np.full(theta.size, float(value))
+
+    return row
 
 
-def smooth_row(theta):
+def smooth_row(theta, n):
     return np.abs(1.0 - (1 / 3) * np.exp(-2j * theta)) ** 2 + 0.1 * np.cos(5 * theta)
 
 
 def unit_average(f):
-    """Averages of f(theta), one (N,) row or (k, N) rows, on UNIT as a family
-    of one: a tuple of one float per row."""
-    est = circular_average(lambda nodes: np.asarray(f(nodes.theta))[..., None, :], [UNIT], CFG)
+    """Averages of f(theta, n), one (N',) row or (k, N') rows at the angles a
+    level evaluates, n the size of its whole rule, on UNIT as a family of one:
+    a tuple of one float per row."""
+    levels = []
+
+    def integrand(nodes):
+        levels.append(CFG.nodes << len(levels))  # one call per level
+        return np.asarray(f(nodes.theta, levels[-1]))[..., None, :]
+
+    est = circular_average(integrand, [UNIT], CFG)
     return tuple(est.reshape(-1).tolist())
 
 
 class TestStackedAverage:
     def test_rows_converging_at_different_levels(self):
-        rows = [smooth_row, level_row(512), level_row(1024), lambda t: 1.0 + np.cos(256 * t)]
-        stacked = unit_average(lambda t: np.stack([r(t) for r in rows]))
+        rows = [smooth_row, level_row(512), level_row(1024), lambda t, n: 1.0 + np.cos(256 * t)]
+        stacked = unit_average(lambda t, n: np.stack([r(t, n) for r in rows]))
         separate = tuple(unit_average(r)[0] for r in rows)
         assert stacked == separate
         assert stacked[1:3] == (512.0, 1024.0)
@@ -87,39 +105,39 @@ class TestStackedAverage:
     def test_row_that_exhausts_the_budget(self):
         never = level_row(np.inf)
         rows = [smooth_row, never]
-        stacked = unit_average(lambda t: np.stack([r(t) for r in rows]))
+        stacked = unit_average(lambda t, n: np.stack([r(t, n) for r in rows]))
         separate = tuple(unit_average(r)[0] for r in rows)
         assert stacked == separate
         assert stacked[1] == CFG.nodes * 2.0**CFG.max_doublings
 
     def test_nan_in_a_converged_row_does_not_raise(self):
-        def late_nan(theta):
+        def late_nan(theta, n):
             out = np.full(theta.size, 2.0)
-            if theta.size >= 1024:
+            if n >= 1024:
                 out[7] = np.nan
             return out
 
-        stacked = unit_average(lambda t: np.stack([late_nan(t), level_row(2048)(t)]))
+        stacked = unit_average(lambda t, n: np.stack([late_nan(t, n), level_row(2048)(t, n)]))
         assert stacked == (2.0, 2048.0)
 
     def test_nan_in_a_refining_row_names_the_node(self):
-        def early_nan(theta):
+        def early_nan(theta, n):
             out = np.ones(theta.size)
-            if theta.size >= 512:
+            if n >= 512:
                 out[3] = np.inf
             return out
 
-        theta = angle_nodes(512)
+        theta, _ = level_nodes(512, False)  # the angles the 512-node level adds
         with pytest.raises(NumericalError, match=f"theta = {theta[3]:.12g} on circle"):
-            unit_average(lambda t: np.stack([early_nan(t), level_row(4096)(t)]))
+            unit_average(lambda t, n: np.stack([early_nan(t, n), level_row(4096)(t, n)]))
         with pytest.raises(NumericalError, match=f"theta = {theta[3]:.12g} on circle"):
-            unit_average(lambda t: np.stack([level_row(4096)(t), early_nan(t)]))
+            unit_average(lambda t, n: np.stack([level_row(4096)(t, n), early_nan(t, n)]))
 
     def test_converged_rows_do_not_name_the_node(self):
         def nan_at(node, from_size):
-            def row(theta):
+            def row(theta, n):
                 out = np.full(theta.size, 2.0)
-                if theta.size >= from_size:
+                if n >= from_size:
                     out[node] = np.nan
                 return out
 
@@ -127,23 +145,24 @@ class TestStackedAverage:
 
         # row 0 converges at 512 nodes and turns NaN at node 1 from 1024 on;
         # row 1 is still refining when it turns NaN at node 5
-        rows = [nan_at(1, 1024), lambda t: level_row(4096)(t) + nan_at(5, 1024)(t)]
-        theta = angle_nodes(1024)
+        rows = [nan_at(1, 1024), lambda t, n: level_row(4096)(t, n) + nan_at(5, 1024)(t, n)]
+        theta, _ = level_nodes(1024, False)
         with pytest.raises(NumericalError, match=f"theta = {theta[5]:.12g} on circle"):
-            unit_average(lambda t: np.stack([r(t) for r in rows]))
+            unit_average(lambda t, n: np.stack([r(t, n) for r in rows]))
 
 
 class TestNodeCache:
     def test_cached_arrays_are_read_only(self):
-        for arr in (angle_nodes(256), unit_nodes(256)):
-            assert not arr.flags.writeable
-        assert angle_nodes(256) is angle_nodes(256)
+        for first in (True, False):
+            for arr in level_nodes(256, first):
+                assert not arr.flags.writeable
+            assert level_nodes(256, first) is level_nodes(256, first)
 
     @pytest.mark.parametrize("circle", CIRCLES)
     def test_circle_nodes_match_circle_at(self, circle):
-        theta = angle_nodes(512)
-        assert np.array_equal(unit_nodes(512), np.exp(1j * theta))
-        nodes = CircleNodes((circle,), theta, unit_nodes(512),
+        theta, unit = level_nodes(512, True)
+        assert np.array_equal(unit, np.exp(1j * theta))
+        nodes = CircleNodes((circle,), theta, unit,
                             np.array([[circle.center]]), np.array([[circle.radius]]))
         assert np.array_equal(nodes.points[0], circle.center + circle.radius * np.exp(1j * theta))
 
@@ -338,9 +357,10 @@ class TestWorkCounts:
         (model,) = models
         # one average per circle family: C and A on 16 circles, 25 Gronwall
         # areas, 33 radii x (length and area, length formula), 33 epsilon
-        # averages; the holder estimates reuse the profile's areas
+        # averages; the holder estimates reuse the profile's areas, and each
+        # doubling evaluates only the angles it adds
         assert counts == {"distortion_constant": 1, "circular_average": 6}
-        assert model.points == {"value": 65025, "partials": 56832, "jacobian": 731904}
+        assert model.points == {"value": 46081, "partials": 37888, "jacobian": 487936}
 
     def test_regularity_report_computes_c_once(self, work_counts):
         counts, _ = work_counts
