@@ -53,15 +53,33 @@ def _power_model(alpha: float, gamma: float) -> tuple[MapModel, complex]:
     s = (alpha - 1.0) + 1j * gamma
     c = s / (s + 2.0)
     identity = c == 0
+    # (copy of the last node array, |z|^s on it): `value` and `partials` are
+    # called on the same nodes, so the complex power is taken once. The entry
+    # is keyed on content and swapped whole, so a caller that changes its
+    # array in place, or a concurrent caller, never reads a stale power.
+    last = None
+
+    def power(z):
+        nonlocal last
+        entry = last
+        if entry is not None and np.array_equal(entry[0], z):
+            return entry[1]
+        with np.errstate(all="ignore"):
+            m = np.abs(z) ** s
+        last = (z.copy(), m)
+        return m
 
     def value(z):
         z = np.asarray(z, dtype=complex)
         if identity:
             return z.copy()
-        out = np.zeros_like(z)
-        nz = z != 0
+        m = power(z)
+        # Keep the operand order z * m. Both m * z and z times a fresh
+        # temporary such as np.abs(z) ** s (whose buffer numpy reuses in
+        # place, operands swapped, from 256 KiB on) round differently.
         with np.errstate(all="ignore"):
-            out[nz] = z[nz] * np.abs(z[nz]) ** s
+            out = np.asarray(z * m)
+        out[z == 0] = 0
         return out
 
     def ratio(z):
@@ -81,8 +99,8 @@ def _power_model(alpha: float, gamma: float) -> tuple[MapModel, complex]:
         if identity:
             one = np.ones_like(z)
             return one, 1j * one
+        m = power(z)
         with np.errstate(all="ignore"):
-            m = np.abs(z) ** s
             f_z = (1.0 + s / 2.0) * m
             f_zbar = (s / 2.0) * m * ratio(z)
             return f_z + f_zbar, 1j * (f_z - f_zbar)

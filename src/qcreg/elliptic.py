@@ -27,7 +27,14 @@ from .bounds import (
     mori_from_sup,
 )
 from .errors import FieldValidationError
-from .plane import BeltramiField, CircleSpec, DomainSpec, disk_samples
+from .plane import (
+    VALIDATION_DISK,
+    BeltramiField,
+    CircleSpec,
+    DomainSpec,
+    SampledField,
+    disk_samples,
+)
 from .quadrature import QuadratureConfig
 
 #: allowed asymmetry when building the triple from a full 2x2 evaluator
@@ -42,11 +49,16 @@ TripleFunc = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 @dataclass(frozen=True)
 class MatrixField:
-    """Symmetric 2x2 coefficient field with declared ellipticity bound K."""
+    """Symmetric 2x2 coefficient field with declared ellipticity bound K.
+
+    `grid` is the mu grid a field read from a file interpolates; its hull
+    is where the entries are data.
+    """
 
     entries: TripleFunc
     K: float
     verified: bool = False
+    grid: SampledField | None = None
 
     def __post_init__(self):
         if not (self.K >= 1.0 and np.isfinite(self.K)):
@@ -121,7 +133,7 @@ def validate_matrix_field(
         K = field.K
     if not K >= 1.0:
         raise FieldValidationError(f"need K >= 1, got {K}")
-    region = region or CircleSpec(0j, 1.0)
+    region = region or VALIDATION_DISK
     pts = disk_samples(samples, region.center, region.radius)
     a11, a12, a22 = field(pts)
     _check_eigen_range(a11, a12, a22, pts, K)

@@ -206,7 +206,9 @@ def load_matrix_field(csv_path, interpolation: str = "bilinear") -> MatrixField:
     K = desc["K"]
     mu = beltrami_from_entries(a11, a12, a22)
     sampled = SampledField(origin, h, mu, (K - 1.0) / (K + 1.0), interpolation)
-    return MatrixField(entries=lambda z: matrix_from_beltrami(sampled.evaluate(z)), K=K)
+    return MatrixField(
+        entries=lambda z: matrix_from_beltrami(sampled.evaluate(z)), K=K, grid=sampled
+    )
 
 
 def save_matrix_field(csv_path, entries_grid, origin, spacing, K) -> None:

@@ -2,8 +2,10 @@
 
 Evaluators throughout the package are vectorized: they accept a numpy array
 of complex points and return an array of the same shape. All containers are
-frozen dataclasses and all operations are pure, so everything here is safe
-to evaluate concurrently.
+frozen dataclasses and every result depends only on the arguments, so
+everything here is safe to evaluate concurrently. A map callable may keep a
+private cache (the catalog's power maps share |z|^s between `value` and
+`partials`), provided it is thread-safe and never returns a stale value.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import FieldValidationError, SingularPointError
+from .errors import ConfigError, FieldValidationError, SingularPointError
 
 # z-array -> complex array of the same shape
 ComplexFunc = Callable[[np.ndarray], np.ndarray]
@@ -24,6 +26,9 @@ FZ_SINGULAR_TOL = 1e-14
 
 #: validation slack for |mu| <= k_max and the hard ceiling |mu| < 1
 KMAX_SLACK = 1e-12
+
+#: slack, in grid cells, allowed to a disk that touches a sampled grid's hull
+HULL_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -41,6 +46,10 @@ class CircleSpec:
             raise ValueError(f"circle radius must be positive and finite, got {r}")
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "radius", r)
+
+
+#: the disk a field is certified on unless the caller names another
+VALIDATION_DISK = CircleSpec(0j, 1.0)
 
 
 @dataclass(frozen=True)
@@ -157,7 +166,9 @@ class MapModel:
 
     `partials(z)` returns the pair (f_x, f_y); `jacobian(z)` must equal
     Im(conj(f_x) * f_y) at evaluated points and stay positive away from the
-    declared singular points.
+    declared singular points. The callables may share a cache between them
+    if it is thread-safe and keyed on the content of `z`, so that a result
+    never depends on earlier calls.
     """
 
     value: ComplexFunc
@@ -255,7 +266,7 @@ def validate_field(
         k_max = beltrami.k_max
     if not (0.0 <= k_max < 1.0):
         raise FieldValidationError(f"k_max must lie in [0, 1), got {k_max}")
-    region = region or CircleSpec(0j, 1.0)
+    region = region or VALIDATION_DISK
     pts = disk_samples(samples, region.center, region.radius)
     if beltrami.singular_points:
         for s in beltrami.singular_points:
@@ -302,7 +313,7 @@ def derive_beltrami(
     The bound is taken as the sampled maximum of |f_zbar / f_z| plus a tiny
     slack; useful when a MapModel arrives without an attached field.
     """
-    region = region or CircleSpec(0j, 1.0)
+    region = region or VALIDATION_DISK
     pts = disk_samples(samples, region.center, region.radius)
     for s in map_model.singular_points:
         pts = pts[np.abs(pts - s) > 1e-9]
@@ -326,7 +337,7 @@ class SampledField:
 
     `values[iy, ix]` sits at origin + (ix + iy * 1j) * spacing. Queries are
     clamped to the grid hull, so boundary-touching quadrature nodes stay
-    well-defined.
+    well-defined; `require_covers` rejects a disk that leaves the hull.
     """
 
     origin: complex
@@ -361,6 +372,22 @@ class SampledField:
     @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape  # (ny, nx)
+
+    def require_covers(self, disk: CircleSpec, what: str) -> None:
+        """Raise ConfigError when the disk leaves the hull of the grid nodes.
+
+        Outside the hull `evaluate` would only repeat the edge values, so
+        every number computed there would describe the clamp, not the data.
+        """
+        ny, nx = self.values.shape
+        x0, y0 = self.origin.real, self.origin.imag
+        x1, y1 = x0 + (nx - 1) * self.spacing, y0 + (ny - 1) * self.spacing
+        c, r, slack = disk.center, disk.radius, HULL_SLACK * self.spacing
+        if (c.real - r < x0 - slack or c.real + r > x1 + slack
+                or c.imag - r < y0 - slack or c.imag + r > y1 + slack):
+            raise ConfigError(
+                f"{what} {disk} leaves the grid hull [{x0!r}, {x1!r}] x [{y0!r}, {y1!r}]"
+            )
 
     def evaluate(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=complex)

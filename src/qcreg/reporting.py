@@ -37,7 +37,7 @@ from .extremal import (
 )
 from .geometry import GeometryProfile, geometry_profile
 from .io import load_matrix_field, load_sampled_field
-from .plane import validate_field
+from .plane import VALIDATION_DISK, CircleSpec, validate_field
 
 #: slack allowed on the isoperimetric sup before a run is declared invalid
 ISO_SUP_TOL = 1e-6
@@ -112,6 +112,8 @@ def run_analysis(cfg: AnalysisConfig) -> RunReport:
                 verdict = extremality_report(epsilon, defect, holder, cfg.threshold)
     elif kind == "sampled-mu":
         sampled = load_sampled_field(cfg.subject, cfg.interpolation)
+        profile = ("the largest profile circle", CircleSpec(0j, cfg.profile_radii.max()))
+        _require_grid_covers(sampled, cfg, [profile] if cfg.run_extremal else [])
         field = validate_field(sampled.as_beltrami())
         report = regularity_report(field, cfg.domain, cfg.quadrature)
         if cfg.run_extremal:
@@ -119,7 +121,10 @@ def run_analysis(cfg: AnalysisConfig) -> RunReport:
                 field, field.distortion_ratio, cfg.profile_radii, cfg.quadrature
             )
     elif kind == "matrix":
-        matrix = validate_matrix_field(load_matrix_field(cfg.subject, cfg.interpolation))
+        matrix = load_matrix_field(cfg.subject, cfg.interpolation)
+        outer = CircleSpec(cfg.domain.outer_center, cfg.domain.outer_radius)
+        _require_grid_covers(matrix.grid, cfg, [("the eigenvalue sample disk", outer)])
+        matrix = validate_matrix_field(matrix)
         report = elliptic_holder_bound(matrix, cfg.domain, cfg.quadrature)
         elliptic = comparison_bounds(
             matrix, cfg.domain, cfg.quadrature, improved=report
@@ -151,6 +156,18 @@ def run_analysis(cfg: AnalysisConfig) -> RunReport:
         elliptic=elliptic,
         provenance=provenance,
     )
+
+
+def _require_grid_covers(grid, cfg, more_disks) -> None:
+    """Reject a grid subject whose hull leaves out a disk the run evaluates.
+
+    The disks are the validation disk, every admissible circle and the
+    (name, disk) pairs of `more_disks`; the first one outside is named.
+    """
+    disks = [("the validation disk", VALIDATION_DISK)]
+    disks += [("admissible circle", c) for c in cfg.domain.admissible_circles()]
+    for what, disk in disks + more_disks:
+        grid.require_covers(disk, what)
 
 
 def _enforce_invariants(report, geometry, elliptic) -> None:

@@ -1,8 +1,16 @@
+import sys
+import threading
+import types
+from dataclasses import fields, replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from qcreg import (
+    CircleSpec,
     ConfigError,
+    MapModel,
     affine_map,
     beltrami_of,
     catalog_names,
@@ -13,6 +21,8 @@ from qcreg import (
     spiral_map,
     validate_field,
 )
+from qcreg.extremal import empirical_holder
+from qcreg.geometry import geometry_profile, length_and_area
 from conftest import random_points
 
 
@@ -210,3 +220,192 @@ class TestSpecStrings:
     def test_listing_covers_all_names(self):
         listed = {row["name"] for row in list_catalog()}
         assert listed == set(catalog_names())
+
+
+# -- the power family shares |z|^s between value and partials -----------------
+
+#: one entry of every power family (the affine family has no power)
+POWER_SPECS = ["radial_stretch(K=2.5)", "spiral(gamma=0.9)", "power_spiral(alpha=0.7,gamma=-0.8)"]
+
+
+def uncached_power_callables(entry):
+    """`value` and `partials` of a power family written without a shared power:
+    each call takes |z|^s itself, and `value` multiplies on the masked copy."""
+    params = entry.parameters
+    if entry.name == "radial_stretch":
+        alpha, gamma = 1.0 / params["K"], 0.0
+    elif entry.name == "spiral":
+        alpha, gamma = 1.0, params["gamma"]
+    else:
+        alpha, gamma = params["alpha"], params["gamma"]
+    s = (alpha - 1.0) + 1j * gamma
+
+    def value(z):
+        z = np.asarray(z, dtype=complex)
+        out = np.zeros_like(z)
+        nz = z != 0
+        with np.errstate(all="ignore"):
+            out[nz] = z[nz] * np.abs(z[nz]) ** s
+        return out
+
+    def partials(z):
+        z = np.asarray(z, dtype=complex)
+        with np.errstate(all="ignore"):
+            m = np.abs(z) ** s
+            f_z = (1.0 + s / 2.0) * m
+            f_zbar = (s / 2.0) * m * (z / np.conj(z))
+            return f_z + f_zbar, 1j * (f_z - f_zbar)
+
+    return value, partials
+
+
+def uncached_model(entry):
+    value, partials = uncached_power_callables(entry)
+    return replace(entry.map, value=value, partials=partials)
+
+
+def node_array(rows=64, n=512, shift=0.0):
+    """(rows, n) points on circles about the origin and off it, z = 0 included.
+
+    64 x 512 = 2^15 points, the batch cap: 512 KiB of complex, above the
+    size from which numpy reuses the buffers of temporaries.
+    """
+    theta = 2.0 * np.pi * (np.arange(n) + 0.5) / n
+    radii = np.geomspace(1e-3, 1.0, rows)[:, None]
+    centers = (0.3 * np.exp(1j * np.arange(rows)) * (np.arange(rows) % 3 > 0))[:, None]
+    z = radii * np.exp(1j * (theta + shift)) + centers
+    z[0, 0] = z[rows // 2, 7] = 0.0
+    return z
+
+
+def assert_same_bits(got, want):
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+def assert_same_partials(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert_same_bits(g, w)
+
+
+class TestSharedPower:
+    @pytest.mark.parametrize("spec", POWER_SPECS)
+    @pytest.mark.parametrize("order", ["pv", "vp", "vv", "pp", "pvpv"])
+    @pytest.mark.parametrize("shape", [(64, 512), (4, 16)], ids=["2^15", "small"])
+    def test_bitwise_equal_to_the_uncached_formulas(self, spec, order, shape):
+        model = entry_from_spec(spec).map
+        value, partials = uncached_power_callables(entry_from_spec(spec))
+        z = node_array(*shape)
+        for call in order:
+            if call == "v":
+                assert_same_bits(model.value(z), value(z))
+            else:
+                assert_same_partials(model.partials(z), partials(z))
+
+    @pytest.mark.parametrize("spec", POWER_SPECS)
+    def test_array_changed_in_place_between_calls(self, spec):
+        model = entry_from_spec(spec).map
+        value, partials = uncached_power_callables(entry_from_spec(spec))
+        z = node_array()
+        model.partials(z)
+        z[3:9] *= 1.7
+        z[1, 1] = 0.0
+        assert_same_bits(model.value(z), value(z))
+        z[20] = z[21]  # only a part changes
+        assert_same_partials(model.partials(z), partials(z))
+        assert_same_bits(model.value(z), value(z))
+
+    @pytest.mark.parametrize("spec", POWER_SPECS)
+    def test_copies_of_the_nodes_and_0d_input(self, spec):
+        model = entry_from_spec(spec).map
+        value, partials = uncached_power_callables(entry_from_spec(spec))
+        z = node_array()
+        model.partials(z)
+        assert_same_bits(model.value(z.copy()), value(z))
+        for point in (0j, 0.25 - 0.5j):
+            got = model.value(np.asarray(point))
+            assert got.shape == () and got.dtype == complex
+            assert_same_bits(got, value(np.asarray(point)))
+
+    @pytest.mark.parametrize("spec", POWER_SPECS)
+    def test_threads_on_different_arrays(self, spec):
+        # more threads than cores and a short switch interval, so calls on
+        # different arrays interleave between the cache lookup and the store
+        model = entry_from_spec(spec).map
+        value, partials = uncached_power_callables(entry_from_spec(spec))
+        arrays = [node_array(shift=0.01 * k) for k in range(4)]
+        expected = [(*partials(z), value(z)) for z in arrays]
+        start = threading.Barrier(len(arrays))
+        mismatches, finished = [], []
+
+        def work(k):
+            z = arrays[k]
+            start.wait(timeout=60)
+            for _ in range(20):
+                got = (*model.partials(z), model.value(z))
+                if not all(np.array_equal(g.view(np.uint8), w.view(np.uint8))
+                           for g, w in zip(got, expected[k])):
+                    mismatches.append(k)
+            finished.append(k)
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(arrays))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(finished) == list(range(len(arrays)))
+        assert not mismatches
+
+    @pytest.mark.parametrize("spec", POWER_SPECS)
+    def test_through_the_callables_the_tracer_wraps(self, spec):
+        tracing = types.ModuleType("bench_tracing")
+        source = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+        exec(compile(source.read_text(), str(source), "exec"), tracing.__dict__)
+        tracer = tracing.Tracer()
+        entry = tracer._entry_from_spec(entry_from_spec)(spec)
+        value, partials = uncached_power_callables(entry)
+        z = node_array()
+        assert_same_partials(entry.map.partials(z), partials(z))
+        assert_same_bits(entry.map.value(z), value(z))
+        assert_same_bits(entry.map.value(z[:2]), value(z[:2]))
+        assert tracer.counts == {"catalog.partials.points": z.size,
+                                 "catalog.value.points": z.size + z[:2].size}
+
+    def test_map_model_fields_unchanged(self):
+        assert [f.name for f in fields(MapModel)] == [
+            "value", "partials", "jacobian", "beltrami", "singular_points"]
+
+
+class TestPipelineBytes:
+    """The analysis layers give the same bits on the shared power as on the
+    uncached formulas."""
+
+    CIRCLES = [CircleSpec(c, r) for c in (0j, 0.4, -0.3 + 0.3j)
+               for r in np.geomspace(0.05, 0.55, 24).tolist()]
+    RADII = np.geomspace(1e-3, 1.0, 33)
+
+    @pytest.mark.parametrize("spec", POWER_SPECS)
+    def test_length_and_area(self, spec):
+        entry = entry_from_spec(spec)
+        got = length_and_area(entry.map, self.CIRCLES)
+        want = length_and_area(uncached_model(entry), self.CIRCLES)
+        assert_same_partials(got, want)
+
+    @pytest.mark.parametrize("spec", POWER_SPECS)
+    def test_geometry_profile_and_empirical_holder(self, spec):
+        entry = entry_from_spec(spec)
+        old = uncached_model(entry)
+        got, want = geometry_profile(entry.map, self.RADII), geometry_profile(old, self.RADII)
+        for f in fields(got):
+            assert_same_bits(getattr(got, f.name), getattr(want, f.name))
+        interior = self.RADII[self.RADII < 1.0]
+        assert (empirical_holder(entry.map, interior, profile=got)
+                == empirical_holder(old, interior, profile=want))
+        assert empirical_holder(entry.map, interior) == empirical_holder(old, interior)
