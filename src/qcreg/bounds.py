@@ -28,6 +28,12 @@ from .geometry import DEGENERATE_LENGTH, image_area_green, length_and_area
 from .plane import BeltramiField, CircleSpec, DomainSpec, MapModel
 from .quadrature import QuadratureConfig, SupResult, circular_average, sup_over_circles
 
+#: slack of the Mori check: a circle average may exceed K by this much
+MORI_TOL = 1e-9
+
+#: allowed relative drop in the Gronwall monotonicity check
+GRONWALL_REL_TOL = 1e-6
+
 
 def distortion_integrand(mu, eta):
     """Pointwise distortion weight |1 - conj(eta)^2 mu|^2 / (1 - |mu|^2).
@@ -98,7 +104,11 @@ def holder_lower_bound(iso_sup: float, dist_sup: float) -> float:
 
 @dataclass(frozen=True)
 class MoriReport:
-    """Per-circle distortion averages checked against the uniform bound K."""
+    """Per-circle distortion averages checked against the uniform bound K.
+
+    `max_average` is the C supremum; `describe` leaves it out, because a
+    report already carries it as `distortion_sup`.
+    """
 
     k_max: float
     distortion_ratio: float  # K = (1 + k_max) / (1 - k_max)
@@ -112,7 +122,6 @@ class MoriReport:
         return {
             "k_max": self.k_max,
             "K": self.distortion_ratio,
-            "max_average": self.max_average,
             "worst_margin": self.worst_margin,
             "passed": self.passed,
             "tol": self.tol,
@@ -123,19 +132,18 @@ def mori_consistency(
     field: BeltramiField,
     domain: DomainSpec,
     cfg: QuadratureConfig = QuadratureConfig(),
-    tol: float = 1e-9,
 ) -> MoriReport:
     """Check every per-circle distortion average against K = (1+k)/(1-k).
 
-    Report-only: never raises on violation, just records the worst margin.
-    Computes the C supremum; callers that already hold it (as
-    `regularity_report` and `elliptic_holder_bound` do) build the same
+    Report-only: never raises on violation, just records the worst margin;
+    the check passes when that margin is at most MORI_TOL. Computes the C
+    supremum; `regularity_report`, which already holds it, builds the same
     report from it with `mori_from_sup`.
     """
-    return mori_from_sup(field, distortion_constant(field, domain, cfg), tol)
+    return mori_from_sup(field, distortion_constant(field, domain, cfg))
 
 
-def mori_from_sup(field: BeltramiField, sup: SupResult, tol: float = 1e-9) -> MoriReport:
+def mori_from_sup(field: BeltramiField, sup: SupResult) -> MoriReport:
     """MoriReport from an already computed distortion supremum of `field`."""
     K = field.distortion_ratio
     margin = sup.value - K
@@ -145,8 +153,8 @@ def mori_from_sup(field: BeltramiField, sup: SupResult, tol: float = 1e-9) -> Mo
         max_average=sup.value,
         worst_margin=margin,
         worst_circle=sup.argmax,
-        passed=bool(margin <= tol),
-        tol=tol,
+        passed=bool(margin <= MORI_TOL),
+        tol=MORI_TOL,
     )
 
 
@@ -175,7 +183,7 @@ class GronwallVerdict:
         }
 
 
-def gronwall_check(samples, exponent: float, rel_tol: float = 1e-6) -> GronwallVerdict:
+def gronwall_check(samples, exponent: float) -> GronwallVerdict:
     """Verify the integrated growth inequality on (t, phi(t)) samples.
 
     Parameters
@@ -184,9 +192,10 @@ def gronwall_check(samples, exponent: float, rel_tol: float = 1e-6) -> GronwallV
         t strictly increasing in (0, 1], phi positive.
     exponent : float
         Growth exponent, typically 2 / (A * C).
-    rel_tol : float
-        Allowed relative drop; discrete monotonicity is used instead of
-        numerical differentiation to avoid noise amplification.
+
+    The check allows a relative drop of GRONWALL_REL_TOL; discrete
+    monotonicity is used instead of numerical differentiation to avoid
+    noise amplification.
     """
     pts = [(float(t), float(p)) for t, p in samples]
     if len(pts) < 2:
@@ -203,11 +212,11 @@ def gronwall_check(samples, exponent: float, rel_tol: float = 1e-6) -> GronwallV
     ref = phi[-1] * (t / t[-1]) ** exponent
     endpoint = float((phi / ref - 1.0).max())
     return GronwallVerdict(
-        passed=bool(worst <= rel_tol and endpoint <= rel_tol),
+        passed=bool(worst <= GRONWALL_REL_TOL and endpoint <= GRONWALL_REL_TOL),
         exponent=float(exponent),
         worst_margin=worst,
         endpoint_margin=endpoint,
-        rel_tol=rel_tol,
+        rel_tol=GRONWALL_REL_TOL,
     )
 
 

@@ -219,7 +219,7 @@ def build_config(raw: dict) -> AnalysisConfig:
     diag = {**DEFAULTS["diagnostics"], **diag_raw}
     run_geometry = _flag(diag["geometry"], "diagnostics.geometry")
     run_extremal = _flag(diag["extremal"], "diagnostics.extremal")
-    threshold = _number(raw.get("threshold", DEFAULTS["threshold"]), "threshold")
+    threshold = _number(raw.get("threshold", DEFAULTS["threshold"]), "threshold", positive=True)
 
     interpolation = raw.get("interpolation", DEFAULTS["interpolation"])
     if interpolation not in ("bilinear", "nearest"):

@@ -20,17 +20,12 @@ from typing import Callable
 
 import numpy as np
 
-from .bounds import (
-    RegularityReport,
-    distortion_constant,
-    holder_lower_bound,
-    mori_from_sup,
-)
+from .bounds import RegularityReport, regularity_report
 from .errors import FieldValidationError
 from .plane import (
     VALIDATION_DISK,
+    VALIDATION_SAMPLES,
     BeltramiField,
-    CircleSpec,
     DomainSpec,
     SampledField,
     disk_samples,
@@ -42,6 +37,9 @@ SYMMETRY_TOL = 1e-12
 
 #: allowed deviation of det A from 1 for the complex-linear reduction
 DET_TOL = 1e-9
+
+#: points of the eigenvalue sample over the outer domain disk
+EIGEN_SAMPLES = 4096
 
 # entries as (a11, a12, a22) arrays
 TripleFunc = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
@@ -113,32 +111,22 @@ def matrix_field_from_function(fn, K: float) -> MatrixField:
     return MatrixField(entries=entries, K=float(K))
 
 
-def validate_matrix_field(
-    field: MatrixField,
-    K: float | None = None,
-    *,
-    region: CircleSpec | None = None,
-    samples: int = 4096,
-    seed: int = 0,
-) -> MatrixField:
+def validate_matrix_field(field: MatrixField) -> MatrixField:
     """Certify ellipticity on a deterministic sample and wrap the evaluator.
 
-    Checks that the entries are finite with eigenvalues in [1/K, K],
+    On VALIDATION_SAMPLES points of VALIDATION_DISK, checks that the entries
+    are finite with eigenvalues in [1/K, K] for the field's declared K,
     verifies the unified inequality |xi|^2 + |A xi|^2 <= (K + 1/K) <A xi, xi>
-    on random unit vectors, and that |det A - 1| <= DET_TOL.
+    on random unit vectors (fixed seed), and that |det A - 1| <= DET_TOL.
     The returned field re-checks the entries and the eigenvalue range on
     every later evaluation.
     """
-    if K is None:
-        K = field.K
-    if not K >= 1.0:
-        raise FieldValidationError(f"need K >= 1, got {K}")
-    region = region or VALIDATION_DISK
-    pts = disk_samples(samples, region.center, region.radius)
+    K = field.K
+    pts = disk_samples(VALIDATION_SAMPLES, VALIDATION_DISK.center, VALIDATION_DISK.radius)
     a11, a12, a22 = field(pts)
     _check_eigen_range(a11, a12, a22, pts, K)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     phi = rng.uniform(0.0, 2.0 * np.pi, size=pts.shape)
     x, y = np.cos(phi), np.sin(phi)
     ax = a11 * x + a12 * y
@@ -159,7 +147,7 @@ def validate_matrix_field(
         _check_eigen_range(*entries, z, K)
         return entries
 
-    return replace(field, entries=checked, K=float(K), verified=True)
+    return replace(field, entries=checked, verified=True)
 
 
 def _eigenvalues(a11, a12, a22):
@@ -235,43 +223,30 @@ def elliptic_holder_bound(
 ) -> RegularityReport:
     """Exponent report for solutions of div(A grad u) = 0 with det A = 1.
 
-    Builds the distortion coefficient, runs the distortion supremum and
-    sets the roundness factor to 1 (no solution map is available), so the
-    reported bound is 1 / C with C the distortion supremum.
+    The `regularity_report` of the field's distortion coefficient
+    `beltrami_from_matrix`: <eta, A eta> equals its distortion weight
+    pointwise, so the PDE bound is 1 / C. No solution map is available,
+    so A = 1 and the report carries no Gronwall verdict.
     """
     validated = field if field.verified else validate_matrix_field(field)
-    mu_field = beltrami_from_matrix(validated)
-    c_sup = distortion_constant(mu_field, domain, cfg)
-    return RegularityReport(
-        distortion_sup=c_sup.value,
-        isoperimetric_sup=1.0,
-        alpha_improved=holder_lower_bound(1.0, c_sup.value),
-        alpha_distortion=1.0 / c_sup.value,
-        alpha_classical=1.0 / validated.K,
-        distortion_argmax=c_sup.argmax,
-        isoperimetric_argmax=None,
-        mori=mori_from_sup(mu_field, c_sup),
-        gronwall=None,
-    )
+    return regularity_report(beltrami_from_matrix(validated), domain, cfg)
 
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Exponent bounds for the same coefficient field.
+    """The eigenvalue-ratio bound beside the divergence bound of the same field.
 
     * alpha_eigen_ratio: sqrt(lambda / Lambda) from the extreme sampled
       eigenvalues (the classical isotropic-type estimate);
     * alpha_divergence: inverse of the supremum of per-circle averages of
       <eta, A eta>. For det A = 1 that form equals the distortion weight
       |1 - conj(eta)^2 mu|^2 / (1 - |mu|^2) pointwise, so the supremum is
-      C and this is the distortion bound 1 / C;
-    * alpha_improved: the bound 1 / (A C) of `elliptic_holder_bound`, with
-      A = 1.
+      C and this is the `alpha_distortion` 1 / C of the field's
+      `elliptic_holder_bound` report, bit for bit.
     """
 
     alpha_eigen_ratio: float
     alpha_divergence: float
-    alpha_improved: float
     lambda_min: float
     lambda_max: float
     sample_count: int
@@ -280,7 +255,6 @@ class ComparisonReport:
         return {
             "alpha_eigen_ratio": self.alpha_eigen_ratio,
             "alpha_divergence": self.alpha_divergence,
-            "alpha_improved": self.alpha_improved,
             "lambda_min": self.lambda_min,
             "lambda_max": self.lambda_max,
             "sample_count": self.sample_count,
@@ -292,20 +266,19 @@ def comparison_bounds(
     domain: DomainSpec,
     cfg: QuadratureConfig = QuadratureConfig(),
     *,
-    samples: int = 4096,
     improved: RegularityReport | None = None,
 ) -> ComparisonReport:
-    """Compare the eigenvalue-ratio, divergence-average and improved bounds.
+    """Compare the eigenvalue-ratio bound with the divergence-average bound.
 
-    lambda and Lambda are estimated as extreme sampled eigenvalues over the
-    outer domain (an essential-inf/sup approximation; the sample count is
-    reported alongside). The divergence bound is the 1 / C that the
-    `elliptic_holder_bound` report holds. `improved` is that report for the
-    same field, domain and config when the caller already holds it;
-    otherwise it is computed here.
+    lambda and Lambda are estimated as extreme eigenvalues on EIGEN_SAMPLES
+    points of the outer domain disk (an essential-inf/sup approximation;
+    the sample count is reported alongside). The divergence bound is the
+    1 / C of the `elliptic_holder_bound` report. `improved` is that report
+    for the same field, domain and config when the caller already holds
+    it; otherwise it is computed here.
     """
     validated = field if field.verified else validate_matrix_field(field)
-    pts = disk_samples(samples, domain.outer_center, domain.outer_radius)
+    pts = disk_samples(EIGEN_SAMPLES, domain.outer_center, domain.outer_radius)
     lo, hi = validated.eigenvalues(pts)
     lam, Lam = float(lo.min()), float(hi.max())
     if improved is None:
@@ -313,8 +286,7 @@ def comparison_bounds(
     return ComparisonReport(
         alpha_eigen_ratio=float(np.sqrt(lam / Lam)),
         alpha_divergence=improved.alpha_distortion,
-        alpha_improved=improved.alpha_improved,
         lambda_min=lam,
         lambda_max=Lam,
-        sample_count=samples,
+        sample_count=EIGEN_SAMPLES,
     )

@@ -42,6 +42,9 @@ ORACLE_REL_TOL = 1e-6
 #: octaves of radial grading between the disk radius and the tail cutoff
 RADIAL_OCTAVES = 60
 
+#: Gauss-Legendre points per geometric radial segment
+RADIAL_NODES = 10
+
 #: below this curve length an image is treated as degenerate
 DEGENERATE_LENGTH = 1e-14
 
@@ -159,10 +162,11 @@ def _annulus_edges(t: float, r_inner: float) -> np.ndarray:
     return np.append(seg[seg > r_inner], r_inner)
 
 
-@functools.lru_cache(maxsize=None)
-def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1] (read-only, cached)."""
-    x, w = np.polynomial.legendre.leggauss(order)
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """RADIAL_NODES Gauss-Legendre nodes and weights on [-1, 1] (read-only,
+    computed at first use: the cold CLI need not pay for them)."""
+    x, w = np.polynomial.legendre.leggauss(RADIAL_NODES)
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
@@ -177,13 +181,13 @@ class _RadialRule(NamedTuple):
     tail: bool  # add the geometric tail below the last segment
 
     @classmethod
-    def build(cls, disk: CircleSpec, r_inner: float, order: int) -> "_RadialRule":
+    def build(cls, disk: CircleSpec, r_inner: float) -> "_RadialRule":
         t = disk.radius
         if r_inner > 0.0:
             edges = _annulus_edges(t, r_inner)
         else:
             edges = _segments_toward_zero(t, RADIAL_OCTAVES)
-        x, _ = _gauss_legendre(order)
+        x, _ = _gauss_legendre()
         a, b = edges[1:], edges[:-1]
         mid, half = (a + b) / 2.0, (b - a) / 2.0
         radii = (mid[:, None] + half[:, None] * x[None, :]).ravel()
@@ -204,7 +208,6 @@ class _RadialRule(NamedTuple):
 def image_area_jacobian(
     map_model: MapModel,
     disks: Sequence[CircleSpec],
-    radial_nodes: int = 10,
     cfg: QuadratureConfig = QuadratureConfig(),
     *,
     r_inner=0.0,
@@ -219,9 +222,8 @@ def image_area_jacobian(
     disks : sequence of CircleSpec
         Integral i runs over r in (r_inner[i], disks[i].radius] around
         disks[i].center; the integrals are stacked (a profile's annulus
-        increments are one call).
-    radial_nodes : int
-        Gauss-Legendre points per geometric radial segment.
+        increments are one call). The radial rule takes RADIAL_NODES
+        Gauss-Legendre points per geometric segment.
     cfg : QuadratureConfig
         Angular resolution, doubled by `refine` until each integral is
         stable to cfg.rel_tol, with a convergence test per integral. A
@@ -235,8 +237,8 @@ def image_area_jacobian(
         0 integrates the whole disk, with a geometric tail toward its center.
     """
     inner = np.broadcast_to(np.asarray(r_inner, dtype=float), (len(disks),))
-    rules = [_RadialRule.build(d, r, radial_nodes) for d, r in zip(disks, inner)]
-    _, w = _gauss_legendre(radial_nodes)
+    rules = [_RadialRule.build(d, r) for d, r in zip(disks, inner)]
+    _, w = _gauss_legendre()
 
     # ring means of each rule over the angles of the levels so far: the
     # geometric tail is nonlinear in them, so levels combine means, not totals
@@ -348,13 +350,11 @@ def geometry_profile(
     map_model: MapModel,
     radii,
     cfg: QuadratureConfig = QuadratureConfig(),
-    *,
-    oracle_rel_tol: float = ORACLE_REL_TOL,
 ) -> GeometryProfile:
     """Image geometry of origin-centered circles at the given radii.
 
     Both length routes and both area routes are computed for every radius;
-    a relative disagreement beyond `oracle_rel_tol` raises NumericalError.
+    a relative disagreement beyond ORACLE_REL_TOL raises NumericalError.
     The boundary pass and the length formula each average all radii
     together. The area column is accumulated incrementally (one
     singular-aware integral for the smallest radius, annulus increments
@@ -400,13 +400,13 @@ def geometry_profile(
         raise NumericalError(f"image area underflows to {area_jac[0]} at t = {radii[0]}")
 
     rel_len = np.abs(len_formula - len_direct) / len_direct
-    if np.any(rel_len > oracle_rel_tol):
+    if np.any(rel_len > ORACLE_REL_TOL):
         i = int(np.argmax(rel_len))
         raise NumericalError(
             f"length routes disagree by {rel_len[i]:.3e} at t = {radii[i]}"
         )
     rel_area = np.abs(area_green - area_jac) / area_jac
-    if np.any(rel_area > oracle_rel_tol):
+    if np.any(rel_area > ORACLE_REL_TOL):
         i = int(np.argmax(rel_area))
         raise NumericalError(
             f"area routes disagree by {rel_area[i]:.3e} at t = {radii[i]}"

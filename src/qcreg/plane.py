@@ -48,8 +48,9 @@ class CircleSpec:
         object.__setattr__(self, "radius", r)
 
 
-#: the disk a field is certified on unless the caller names another
+#: the disk a field is certified on, and the size of its validation sample
 VALIDATION_DISK = CircleSpec(0j, 1.0)
+VALIDATION_SAMPLES = 4096
 
 
 @dataclass(frozen=True)
@@ -229,26 +230,17 @@ def disk_samples(n: int, center: complex = 0j, radius: float = 1.0) -> np.ndarra
     return center + r * np.exp(1j * theta)
 
 
-def validate_field(
-    beltrami: BeltramiField,
-    k_max: float | None = None,
-    *,
-    region: CircleSpec | None = None,
-    samples: int = 4096,
-) -> BeltramiField:
+def validate_field(beltrami: BeltramiField, k_max: float | None = None) -> BeltramiField:
     """Certify |mu| <= k_max on a deterministic sample and wrap the evaluator.
 
     Parameters
     ----------
     beltrami : BeltramiField
-        Field to certify. Declared singular points are excluded from the
+        Field to certify on VALIDATION_SAMPLES low-discrepancy points of
+        VALIDATION_DISK. Declared singular points are excluded from the
         sample set.
     k_max : float, optional
         Bound to certify against; defaults to the field's declared bound.
-    region : CircleSpec, optional
-        Disk over which to sample; defaults to the unit disk.
-    samples : int
-        Size of the low-discrepancy validation sample.
 
     Returns
     -------
@@ -266,11 +258,7 @@ def validate_field(
         k_max = beltrami.k_max
     if not (0.0 <= k_max < 1.0):
         raise FieldValidationError(f"k_max must lie in [0, 1), got {k_max}")
-    region = region or VALIDATION_DISK
-    pts = disk_samples(samples, region.center, region.radius)
-    if beltrami.singular_points:
-        for s in beltrami.singular_points:
-            pts = pts[np.abs(pts - s) > 1e-9]
+    pts = _validation_points(beltrami.singular_points)
     sampled = beltrami(pts)
     _check_mu_bound(sampled, k_max, context="validation sample")
     observed = float(np.abs(sampled).max()) if pts.size else 0.0
@@ -302,21 +290,22 @@ def _check_mu_bound(values: np.ndarray, k_max: float, context: str) -> None:
         )
 
 
-def derive_beltrami(
-    map_model: MapModel,
-    *,
-    region: CircleSpec | None = None,
-    samples: int = 4096,
-) -> BeltramiField:
+def _validation_points(singular_points) -> np.ndarray:
+    """The validation sample of VALIDATION_DISK without the declared singular points."""
+    pts = disk_samples(VALIDATION_SAMPLES, VALIDATION_DISK.center, VALIDATION_DISK.radius)
+    for s in singular_points:
+        pts = pts[np.abs(pts - s) > 1e-9]
+    return pts
+
+
+def derive_beltrami(map_model: MapModel) -> BeltramiField:
     """Build a certified BeltramiField from a map's own partials.
 
-    The bound is taken as the sampled maximum of |f_zbar / f_z| plus a tiny
-    slack; useful when a MapModel arrives without an attached field.
+    The bound is taken as the sampled maximum of |f_zbar / f_z| over the
+    `validate_field` sample plus a tiny slack; useful when a MapModel
+    arrives without an attached field.
     """
-    region = region or VALIDATION_DISK
-    pts = disk_samples(samples, region.center, region.radius)
-    for s in map_model.singular_points:
-        pts = pts[np.abs(pts - s) > 1e-9]
+    pts = _validation_points(map_model.singular_points)
     observed = float(np.abs(beltrami_of(map_model, pts)).max())
     if observed >= 1.0 - KMAX_SLACK:
         raise FieldValidationError(
@@ -328,7 +317,7 @@ def derive_beltrami(
         k_max=k,
         singular_points=map_model.singular_points,
     )
-    return validate_field(raw, k, region=region, samples=samples)
+    return validate_field(raw, k)
 
 
 @dataclass(frozen=True)

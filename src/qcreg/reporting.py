@@ -25,7 +25,7 @@ from .elliptic import (
     elliptic_holder_bound,
     validate_matrix_field,
 )
-from .errors import InvariantViolationError
+from .errors import ConfigError, InvariantViolationError
 from .extremal import (
     DefectProfile,
     EpsilonProfile,
@@ -86,12 +86,20 @@ def run_analysis(cfg: AnalysisConfig) -> RunReport:
 
     Raises InvariantViolationError when a mathematical invariant fails
     (isoperimetric sup above 1, negative defects, bound ordering); the CLI
-    maps that onto exit code 2.
+    maps that onto exit code 2. Raises ConfigError when the extremal
+    diagnostics of a catalog subject have no profile radius below 1, where
+    the Holder estimates and the verdict live.
     """
     kind = cfg.subject_kind
     geometry = epsilon = defect = holder = verdict = elliptic = None
 
     if kind == "catalog":
+        interior = cfg.profile_radii[cfg.profile_radii < 1.0]
+        if cfg.run_extremal and not interior.size:
+            raise ConfigError(
+                "the extremal diagnostics need a profile radius below 1, but the radii "
+                f"span [{float(cfg.profile_radii[0])!r}, {float(cfg.profile_radii[-1])!r}]"
+            )
         entry = entry_from_spec(cfg.subject)
         map_model = entry.map
         field = validate_field(map_model.beltrami)
@@ -104,12 +112,8 @@ def run_analysis(cfg: AnalysisConfig) -> RunReport:
                 field, K, cfg.profile_radii, cfg.quadrature
             )
             defect = defect_weight_integral(geometry)
-            interior = cfg.profile_radii[cfg.profile_radii < 1.0]
-            if interior.size:
-                holder = empirical_holder(
-                    map_model, interior, cfg.quadrature, profile=geometry
-                )
-                verdict = extremality_report(epsilon, defect, holder, cfg.threshold)
+            holder = empirical_holder(map_model, interior, cfg.quadrature, profile=geometry)
+            verdict = extremality_report(epsilon, defect, holder, cfg.threshold)
     elif kind == "sampled-mu":
         sampled = load_sampled_field(cfg.subject, cfg.interpolation)
         profile = ("the largest profile circle", CircleSpec(0j, cfg.profile_radii.max()))
@@ -181,9 +185,8 @@ def _enforce_invariants(report, geometry, elliptic) -> None:
         raise InvariantViolationError("distortion bound fell below the uniform bound")
     if geometry is not None and float(np.min(geometry.delta)) < -1e-6:
         raise InvariantViolationError("negative isoperimetric defect beyond tolerance")
-    if elliptic is not None:
-        if elliptic.alpha_eigen_ratio > elliptic.alpha_divergence + 1e-9:
-            raise InvariantViolationError("eigen-ratio bound exceeded divergence bound")
+    if elliptic is not None and elliptic.alpha_eigen_ratio > report.alpha_distortion + 1e-9:
+        raise InvariantViolationError("eigen-ratio bound exceeded divergence bound")
 
 
 def report_json_bytes(report: RunReport) -> bytes:

@@ -19,6 +19,7 @@ from qcreg import (
     comparison_bounds,
     constant_matrix_field,
     defect_weight_integral,
+    elliptic_holder_bound,
     empirical_holder,
     epsilon_distortion_margin,
     epsilon_weight_integral,
@@ -250,27 +251,27 @@ def test_criterion_11_elliptic_bridge():
 
     ordering_ok = True
     for lam in (0.4, 0.5, 0.8):
-        rep = comparison_bounds(
-            constant_matrix_field([[lam, 0.0], [0.0, 1.0 / lam]], K=1.0 / lam),
-            DOMAIN,
-            CFG,
-        )
+        field = constant_matrix_field([[lam, 0.0], [0.0, 1.0 / lam]], K=1.0 / lam)
+        improved = elliptic_holder_bound(field, DOMAIN, CFG)
+        rep = comparison_bounds(field, DOMAIN, CFG, improved=improved)
         ordering_ok &= (
             rep.alpha_eigen_ratio <= rep.alpha_divergence + 1e-9
-            and rep.alpha_divergence <= rep.alpha_improved + 1e-9
+            and rep.alpha_divergence <= improved.alpha_improved + 1e-9
         )
 
-    diag = comparison_bounds(constant_matrix_field([[0.5, 0.0], [0.0, 2.0]], K=2.0), DOMAIN, CFG)
+    diag_field = constant_matrix_field([[0.5, 0.0], [0.0, 2.0]], K=2.0)
+    diag_improved = elliptic_holder_bound(diag_field, DOMAIN, CFG)
+    diag = comparison_bounds(diag_field, DOMAIN, CFG, improved=diag_improved)
     triple_ok = (
         abs(diag.alpha_eigen_ratio - 0.5) <= 1e-9
         and abs(diag.alpha_divergence - 0.8) <= 1e-9
-        and abs(diag.alpha_improved - 0.8) <= 1e-9
+        and abs(diag_improved.alpha_improved - 0.8) <= 1e-9
     )
     ok = worst_mu <= 1e-12 and ordering_ok and triple_ok
     _report(11, "elliptic-bridge", ok,
             f"worst |mu - oracle| = {worst_mu:.3e}, ordering = {ordering_ok}, "
             f"diag triple = ({diag.alpha_eigen_ratio:.3f}, {diag.alpha_divergence:.3f}, "
-            f"{diag.alpha_improved:.3f})")
+            f"{diag_improved.alpha_improved:.3f})")
 
 
 def test_criterion_12_determinism():

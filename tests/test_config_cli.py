@@ -120,6 +120,9 @@ BAD_CONFIGS = [
     ({"domain": 5}, "domain"),
     ({"threshold": "x"}, "threshold"),
     ({"threshold": None}, "threshold"),
+    ({"threshold": 0}, "threshold"),
+    ({"threshold": -1}, "threshold"),
+    ({"threshold": float("inf")}, "threshold"),
     ({"quadrature": {"nodes": None}}, "quadrature.nodes"),
     ({"quadrature": {"nodes": 16.5}}, "quadrature.nodes"),
     ({"quadrature": {"nodes": "256"}}, "quadrature.nodes"),
@@ -153,11 +156,11 @@ class TestConfigValidation:
                        "outer_radius": 1, "margin": 0},
             "quadrature": {"nodes": 64, "max_doublings": 0},
             "diagnostics": {"geometry": False, "extremal": False},
-            "threshold": 0,
+            "threshold": 1,
         })
         assert cfg.domain.centers == (0j, 0.25 - 0.5j)
         assert (cfg.quadrature.nodes, cfg.quadrature.max_doublings) == (64, 0)
-        assert (cfg.run_geometry, cfg.run_extremal, cfg.threshold) == (False, False, 0.0)
+        assert (cfg.run_geometry, cfg.run_extremal, cfg.threshold) == (False, False, 1.0)
         assert cfg.resolved["domain"]["outer_radius"] == 1
 
 
@@ -227,7 +230,7 @@ class TestRunAnalysis:
         rep = run_analysis(cfg)
         assert rep.elliptic.alpha_eigen_ratio == pytest.approx(0.5, abs=1e-9)
         assert rep.elliptic.alpha_divergence == pytest.approx(0.8, abs=1e-9)
-        assert rep.elliptic.alpha_improved == pytest.approx(0.8, abs=1e-9)
+        assert rep.regularity.alpha_improved == pytest.approx(0.8, abs=1e-9)
         assert rep.geometry is None
 
     def test_sampled_mu_subject(self, tmp_path):
@@ -298,6 +301,16 @@ class TestEmitReport:
 
 
 class TestCli:
+    def test_extremal_without_a_radius_below_one_exits_1(self):
+        proc = run_module("extremal", "--subject", "radial_stretch(K=2)",
+                          "--radii-min", "1", "--radii-max", "1.5", "--radii-count", "3")
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        assert proc.stderr.decode().splitlines() == [
+            "qcreg: config error: the extremal diagnostics need a profile radius below 1, "
+            "but the radii span [1.0, 1.5]"
+        ]
+
     def test_node_count_above_the_ceiling_exit_one(self):
         proc = run_module("analyze", "--subject", "radial_stretch(K=2)",
                           "--nodes", "1125899906842624")

@@ -17,7 +17,7 @@ from qcreg import (
     validate_matrix_field,
     wirtinger_from_cartesian,
 )
-from qcreg.plane import MapModel, disk_samples
+from qcreg.plane import VALIDATION_SAMPLES, MapModel, disk_samples
 from conftest import random_points
 
 IDENTITY_M = [[1.0, 0.0], [0.0, 1.0]]
@@ -80,7 +80,7 @@ class TestValidation:
 
     def test_out_of_range_rejected(self):
         with pytest.raises(FieldValidationError):
-            validate_matrix_field(constant_matrix_field([[0.1, 0], [0, 20.0]], K=20.0), K=2.0)
+            validate_matrix_field(constant_matrix_field([[0.1, 0], [0, 20.0]], K=2.0))
 
     def test_asymmetry_rejected(self):
         with pytest.raises(FieldValidationError):
@@ -109,8 +109,8 @@ class TestValidation:
             calls.append(np.size(z))
             return constant_matrix_field(DIAG_M, K=2.0).entries(z)
 
-        validate_matrix_field(MatrixField(entries=entries, K=2.0), samples=512)
-        assert calls == [512]
+        validate_matrix_field(MatrixField(entries=entries, K=2.0))
+        assert calls == [VALIDATION_SAMPLES]
 
     def test_non_finite_entries_outside_the_sample_raise_at_use(self, cfg):
         # diag(1/2, 2) on the closed unit disk, NaN beyond: validation on the
@@ -249,25 +249,30 @@ class TestEllipticBounds:
 
 class TestComparisonBounds:
     def test_identity_all_ones(self, domain, cfg):
-        rep = comparison_bounds(constant_matrix_field(IDENTITY_M, K=1.0), domain, cfg)
+        field = constant_matrix_field(IDENTITY_M, K=1.0)
+        improved = elliptic_holder_bound(field, domain, cfg)
+        rep = comparison_bounds(field, domain, cfg, improved=improved)
         assert rep.alpha_eigen_ratio == pytest.approx(1.0)
         assert rep.alpha_divergence == pytest.approx(1.0)
-        assert rep.alpha_improved == pytest.approx(1.0)
+        assert improved.alpha_improved == pytest.approx(1.0)
 
     def test_diag_values(self, domain, cfg):
-        rep = comparison_bounds(constant_matrix_field(DIAG_M, K=2.0), domain, cfg)
+        field = constant_matrix_field(DIAG_M, K=2.0)
+        improved = elliptic_holder_bound(field, domain, cfg)
+        rep = comparison_bounds(field, domain, cfg, improved=improved)
         assert rep.alpha_eigen_ratio == pytest.approx(0.5, abs=1e-12)
         # normal average = (a11 + a22)/2 = 1.25 on every circle
         assert rep.alpha_divergence == pytest.approx(0.8, abs=1e-12)
-        assert rep.alpha_improved == pytest.approx(0.8, abs=1e-9)
+        assert improved.alpha_improved == pytest.approx(0.8, abs=1e-9)
 
     @pytest.mark.parametrize("lam", [0.4, 0.6, 0.9])
     def test_ordering_on_diagonal_fields(self, lam, domain, cfg):
         matrix = [[lam, 0.0], [0.0, 1.0 / lam]]
-        K = 1.0 / lam
-        rep = comparison_bounds(constant_matrix_field(matrix, K=K), domain, cfg)
+        field = constant_matrix_field(matrix, K=1.0 / lam)
+        improved = elliptic_holder_bound(field, domain, cfg)
+        rep = comparison_bounds(field, domain, cfg, improved=improved)
         assert rep.alpha_eigen_ratio <= rep.alpha_divergence + 1e-9
-        assert rep.alpha_divergence <= rep.alpha_improved + 1e-9
+        assert rep.alpha_divergence <= improved.alpha_improved + 1e-9
 
     def test_eigen_extremes_reported(self, domain, cfg):
         rep = comparison_bounds(constant_matrix_field(DIAG_M, K=2.0), domain, cfg)

@@ -10,6 +10,7 @@ from qcreg import (
     QuadratureConfig,
     SampledField,
     comparison_bounds,
+    elliptic_holder_bound,
     load_matrix_field,
     load_sampled_field,
     save_matrix_field,
@@ -528,10 +529,12 @@ class TestVaryingMatrixGrid:
         # and both suprema agree to the quadrature tolerance.
         path, _ = write_varying_matrix_grid(tmp_path)
         field = validate_matrix_field(load_matrix_field(path, interpolation))
-        rep = comparison_bounds(field, DomainSpec.origin_disk(), QuadratureConfig())
-        assert rep.alpha_divergence == pytest.approx(rep.alpha_improved, rel=1e-9)
+        domain, cfg = DomainSpec.origin_disk(), QuadratureConfig()
+        improved = elliptic_holder_bound(field, domain, cfg)
+        rep = comparison_bounds(field, domain, cfg, improved=improved)
+        assert rep.alpha_divergence == pytest.approx(improved.alpha_improved, rel=1e-9)
         assert rep.alpha_eigen_ratio <= rep.alpha_divergence
-        assert rep.alpha_improved < 1.0
+        assert improved.alpha_improved < 1.0
 
     @pytest.mark.parametrize("interpolation", INTERPOLATIONS)
     def test_cli_elliptic_exits_0(self, tmp_path, capsys, interpolation):
@@ -539,8 +542,11 @@ class TestVaryingMatrixGrid:
         code = main(["elliptic", "--subject", str(path), "--interpolation", interpolation])
         out = capsys.readouterr().out
         assert code == 0
-        ell = json.loads(out)["elliptic"]
-        assert ell["alpha_divergence"] == pytest.approx(ell["alpha_improved"], rel=1e-9)
+        payload = json.loads(out)
+        ell = payload["elliptic"]
+        assert ell["alpha_divergence"] == pytest.approx(
+            payload["regularity"]["alpha_improved"], rel=1e-9
+        )
 
     def _break_node(self, path, iy, ix):
         """Scale node [iy, ix] by 1.01, so its det becomes 1.0201."""

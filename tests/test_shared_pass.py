@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import qcreg.bounds
-import qcreg.elliptic
 import qcreg.quadrature
 import qcreg.reporting
 from qcreg import (
@@ -212,7 +211,7 @@ class TestNoSecondC:
         assert improved.mori == mori_consistency(beltrami_from_matrix(matrix), domain, CFG)
         alone = comparison_bounds(matrix, domain, CFG)
         assert comparison_bounds(matrix, domain, CFG, improved=improved) == alone
-        assert alone.alpha_improved == improved.alpha_improved
+        assert alone.alpha_divergence == improved.alpha_distortion == improved.alpha_improved
 
     @pytest.mark.parametrize("source", ["function", "bilinear", "nearest"])
     def test_divergence_bound_equals_the_normal_form_supremum(self, source, tmp_path):
@@ -244,9 +243,9 @@ def normal_form_sup(matrix, domain, cfg):
     return max(average(circle) for circle in domain.admissible_circles())
 
 
-def matrix_grid_65(tmp_path, interpolation):
-    """A 65^2 det-1 grid of a smooth varying mu over [-1.05, 1.05]^2, loaded back."""
-    from qcreg import load_matrix_field, save_matrix_field
+def write_matrix_grid_65(tmp_path):
+    """A 65^2 det-1 grid CSV of a smooth varying mu over [-1.05, 1.05]^2."""
+    from qcreg import save_matrix_field
 
     x = np.linspace(-1.05, 1.05, 65)
     z = x[None, :] + 1j * x[:, None]
@@ -254,7 +253,14 @@ def matrix_grid_65(tmp_path, interpolation):
     path = tmp_path / "matrix.csv"
     save_matrix_field(path, matrix_from_beltrami(mu), origin=-1.05 - 1.05j,
                       spacing=2.1 / 64, K=(1 + 0.4) / (1 - 0.4))
-    return load_matrix_field(path, interpolation)
+    return path
+
+
+def matrix_grid_65(tmp_path, interpolation):
+    """The grid of `write_matrix_grid_65`, loaded back."""
+    from qcreg import load_matrix_field
+
+    return load_matrix_field(write_matrix_grid_65(tmp_path), interpolation)
 
 
 def varying_matrix_field():
@@ -342,7 +348,6 @@ def work_counts(monkeypatch):
     monkeypatch.setattr(qcreg.reporting, "entry_from_spec", counted_entry)
     dist = calls("distortion_constant", qcreg.bounds.distortion_constant)
     monkeypatch.setattr(qcreg.bounds, "distortion_constant", dist)
-    monkeypatch.setattr(qcreg.elliptic, "distortion_constant", dist)
     avg = calls("circular_average", qcreg.quadrature.circular_average)
     for name, module in list(sys.modules.items()):
         if name.startswith("qcreg") and getattr(module, "circular_average", None) is circular_average:
@@ -388,3 +393,52 @@ class TestWorkCounts:
         before = dict(counts)
         comparison_bounds(matrix, domain, CFG, improved=improved)
         assert counts == before
+
+
+def json_keys(payload):
+    """Every key of a JSON payload, at any depth."""
+    if isinstance(payload, dict):
+        return set(payload) | {k for v in payload.values() for k in json_keys(v)}
+    if isinstance(payload, list):
+        return {k for v in payload for k in json_keys(v)}
+    return set()
+
+
+class TestOneReportPath:
+    """A matrix subject's report is the regularity report of its distortion coefficient."""
+
+    def test_function_field(self):
+        matrix = varying_matrix_field()
+        domain = domain_with_offsets()
+        expected = regularity_report(beltrami_from_matrix(validate_matrix_field(matrix)),
+                                     domain, CFG)
+        assert elliptic_holder_bound(matrix, domain, CFG) == expected
+
+    @pytest.mark.parametrize("interpolation", ["bilinear", "nearest"])
+    def test_matrix_grid_run(self, tmp_path, interpolation):
+        path = write_matrix_grid_65(tmp_path)
+        cfg = build_config({"subject": str(path), "interpolation": interpolation})
+        report = run_analysis(cfg)
+        matrix = validate_matrix_field(matrix_grid_65(tmp_path, interpolation))
+        expected = regularity_report(beltrami_from_matrix(matrix), cfg.domain, cfg.quadrature)
+        assert report.regularity == expected
+
+        payload = report.to_json_dict()
+        assert set(payload["elliptic"]) == {
+            "alpha_eigen_ratio", "alpha_divergence", "lambda_min", "lambda_max", "sample_count"
+        }
+        assert payload["elliptic"]["alpha_divergence"] == payload["regularity"]["alpha_distortion"]
+        assert "max_average" not in json_keys(payload)
+
+    def test_no_report_repeats_the_c_supremum(self, tmp_path):
+        from qcreg import SampledField, save_sampled_field
+
+        x = np.linspace(-1.05, 1.05, 33)
+        mu = 0.3 * np.exp(1j * (x[None, :] + 2j * x[:, None]).real)
+        path = tmp_path / "mu.csv"
+        save_sampled_field(path, SampledField(origin=-1.05 - 1.05j, spacing=2.1 / 32,
+                                              values=mu, k_max=0.3))
+        for subject in ("radial_stretch(K=2)", str(path)):
+            payload = run_analysis(build_config({"subject": subject})).to_json_dict()
+            assert payload["regularity"]["mori"]
+            assert "max_average" not in json_keys(payload)
