@@ -18,7 +18,6 @@ import numpy as np
 from qcreg import (
     DomainSpec,
     QuadratureConfig,
-    beltrami_from_matrix,
     comparison_bounds,
     constant_matrix_field,
     elliptic_holder_bound,
@@ -37,11 +36,11 @@ print("diag(1/2, 2) accepted with K = 2; eigenvalues sit exactly at the bounds")
 
 print()
 print("=== the induced complex-distortion coefficient ===")
-mu = beltrami_from_matrix(diag)
+mu = diag.beltrami
 z = np.array([0.4 + 0.3j])
 print(f"diag(1/2, 2)         -> mu = {mu(z)[0]:.6f} (real axis stretch)")
 rotated = validate_matrix_field(constant_matrix_field([[1.25, -0.75], [-0.75, 1.25]], K=2.0))
-print(f"same field rotated   -> mu = {beltrami_from_matrix(rotated)(z)[0]:.6f}")
+print(f"same field rotated   -> mu = {rotated.beltrami(z)[0]:.6f}")
 a11, a12, a22 = matrix_from_beltrami(mu(z))
 print(f"round trip from mu   -> a11 = {a11[0]:.6f}, a12 = {a12[0]:.6f}, a22 = {a22[0]:.6f}")
 
@@ -53,7 +52,7 @@ for lam in (0.5, 0.7, 0.9):
     matrix = [[lam, 0.0], [0.0, 1.0 / lam]]
     field = validate_matrix_field(constant_matrix_field(matrix, K=1.0 / lam))
     report = elliptic_holder_bound(field, domain, cfg)
-    rep = comparison_bounds(field, domain, cfg, improved=report)
+    rep = comparison_bounds(field, domain, report)
     print(f"diag({lam}, {1/lam:.3f}): eigen-ratio {rep.alpha_eigen_ratio:.4f} "
           f"<= 1/C {report.alpha_distortion:.4f}")
 
@@ -80,6 +79,6 @@ with tempfile.TemporaryDirectory() as tmp:
     off_node = np.array([0.11 + 0.07j, -0.43 + 0.29j])
     print(f"max |det A - 1| between nodes: {np.abs(loaded.determinant(off_node) - 1).max():.1e}")
     report = elliptic_holder_bound(loaded, domain, cfg)
-    rep = comparison_bounds(loaded, domain, cfg, improved=report)
+    rep = comparison_bounds(loaded, domain, report)
     print(f"loaded {path.name} (bilinear): eigen-ratio {rep.alpha_eigen_ratio:.6f}, "
           f"1/C {report.alpha_distortion:.6f}")

@@ -37,11 +37,11 @@ def diagnose(name, entry):
     defect = defect_weight_integral(geo)
     estimates = empirical_holder(entry.map, radii[radii < 1.0], cfg)
     verdict = extremality_report(eps, defect, estimates)
-    t, alpha_area, alpha_sup = estimates[0]
+    t, alpha_area = estimates[0]
     print(f"{name} (K = {K:.4f}):")
     print(f"  min ratio-W = {verdict.min_ratio_w:.3e}, min ratio-I = {verdict.min_ratio_i:.3e}")
-    print(f"  exponent estimates at t = {t:g}: from area {alpha_area:.4f}, "
-          f"from displacement {alpha_sup:.4f} (1/K = {1/K:.4f})")
+    print(f"  exponent estimate at t = {t:g} from the image area: {alpha_area:.4f} "
+          f"(1/K = {1/K:.4f})")
     print(f"  verdict: {verdict.verdict}")
     print()
 

@@ -37,7 +37,6 @@ from .elliptic import (
     ComparisonReport,
     MatrixField,
     beltrami_from_entries,
-    beltrami_from_matrix,
     comparison_bounds,
     constant_matrix_field,
     elliptic_holder_bound,

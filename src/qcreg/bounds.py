@@ -34,6 +34,9 @@ MORI_TOL = 1e-9
 #: allowed relative drop in the Gronwall monotonicity check
 GRONWALL_REL_TOL = 1e-6
 
+#: radii t of the origin circles whose image areas phi(t) the Gronwall check reads
+GRONWALL_RADII = np.geomspace(0.01, 1.0, 25)
+
 
 def distortion_integrand(mu, eta):
     """Pointwise distortion weight |1 - conj(eta)^2 mu|^2 / (1 - |mu|^2).
@@ -303,14 +306,13 @@ def regularity_report(
     subject: MapModel | BeltramiField,
     domain: DomainSpec,
     cfg: QuadratureConfig = QuadratureConfig(),
-    *,
-    gronwall_radii=None,
 ) -> RegularityReport:
     """Full exponent report for a map (with field) or for a bare field.
 
     With only a BeltramiField the roundness factor A defaults to 1 (no
     image geometry is available and the bound degrades gracefully to the
-    distortion-only form); the Gronwall check is skipped in that case.
+    distortion-only form); the Gronwall check, on the origin circles of
+    GRONWALL_RADII, is skipped in that case.
     """
     from .plane import derive_beltrami  # local import keeps module load light
 
@@ -332,11 +334,9 @@ def regularity_report(
 
     verdict = None
     if map_model is not None:
-        if gronwall_radii is None:
-            gronwall_radii = np.geomspace(0.01, 1.0, 25)
-        circles = [CircleSpec(0j, float(t)) for t in gronwall_radii]
+        circles = [CircleSpec(0j, float(t)) for t in GRONWALL_RADII]
         phi = image_area_green(map_model, circles, cfg)
-        verdict = gronwall_check(zip(gronwall_radii, phi), 2.0 * alpha_improved)
+        verdict = gronwall_check(zip(GRONWALL_RADII, phi), 2.0 * alpha_improved)
 
     return RegularityReport(
         distortion_sup=c_sup.value,

@@ -7,7 +7,8 @@ averages of Re(eps) and the isoperimetric defect delta(r) decay:
 
 * W(t) = integral_t^1 <Re eps>_{S_r} dr/r, compared against log(1/t);
 * I(t) = integral_t^1 delta(r) dr/r, compared against log(1/t);
-* the lower density at 0 of super-level sets {r : delta(r) > delta_0}.
+* the lower density at 0 of super-level sets {r : delta(r) > delta_0}
+  (`superlevel_lower_density`, a library function no report calls).
 
 For a worst-case field the infimum of both ratios over scales is 0 and the
 super-level sets have zero lower density; ratios bounded away from 0 rule
@@ -24,7 +25,7 @@ import numpy as np
 from .errors import NumericalError, SingularPointError
 from .geometry import GeometryProfile
 from .plane import BeltramiField, CircleSpec, MapModel
-from .quadrature import QuadratureConfig, circular_average, level_nodes
+from .quadrature import QuadratureConfig, circular_average
 
 
 def stretch_factor(K: float) -> float:
@@ -130,13 +131,12 @@ def epsilon_weight_integral(
 
 @dataclass(frozen=True)
 class DefectProfile:
-    """Isoperimetric defects with their weighted log-integral and densities."""
+    """Isoperimetric defects with their weighted log-integral."""
 
     radii: np.ndarray
     delta: np.ndarray
     I: np.ndarray
     ratio_i: np.ndarray
-    density_estimates: tuple[tuple[float, float], ...] = ()
 
     CSV_HEADER = "t,delta,I,ratio_I"
 
@@ -150,33 +150,19 @@ class DefectProfile:
             "delta": [float(x) for x in self.delta],
             "I": [float(x) for x in self.I],
             "ratio_I": [float(x) for x in self.ratio_i],
-            "density_estimates": [[d0, est] for d0, est in self.density_estimates],
         }
 
 
-def defect_weight_integral(
-    profile: GeometryProfile,
-    delta0_grid=(),
-) -> DefectProfile:
-    """I(t) = integral_t^{r_max} delta(r) dr/r from a geometry profile.
-
-    Optionally estimates the lower density of {r : delta(r) > delta_0} for
-    each threshold in `delta0_grid`, using the profile radii as the
-    gamma-grid.
-    """
+def defect_weight_integral(profile: GeometryProfile) -> DefectProfile:
+    """I(t) = integral_t^{r_max} delta(r) dr/r from a geometry profile."""
     radii = np.asarray(profile.radii, dtype=float)
     delta = np.asarray(profile.delta, dtype=float)
     integral = _log_integral_from_anchor(radii, delta)
-    densities = tuple(
-        (float(d0), superlevel_lower_density(zip(radii, delta), d0, radii))
-        for d0 in delta0_grid
-    )
     return DefectProfile(
         radii=radii,
         delta=delta,
         I=integral,
         ratio_i=_ratio_to_log(radii, integral),
-        density_estimates=densities,
     )
 
 
@@ -219,19 +205,17 @@ def empirical_holder(
     cfg: QuadratureConfig = QuadratureConfig(),
     *,
     profile: GeometryProfile | None = None,
-) -> list[tuple[float, float, float]]:
-    """Exponent estimates (t, from_area, from_sup) at each scale t in (0, 1).
+) -> list[tuple[float, float]]:
+    """Exponent estimates (t, from_area) at each scale t in (0, 1).
 
     `from_area` is log(area(f(D_t))) / (2 log t): the squared worst-case
     displacement is comparable to the image area, so this converges to the
-    pointwise exponent with an O(1/log t) correction. `from_sup` is
-    log(max_theta |f(t e^{i theta}) - f(0)|) / log t, the maximum taken
-    over the cfg.nodes angles of the first level of the quadrature rule.
+    pointwise exponent with an O(1/log t) correction.
 
     A `geometry_profile` of the same map and quadrature config may be
     passed: its Green areas are used at the radii it holds, and the areas
     at any other radii (the profile may have nudged one) are averaged
-    together. The displacements of all radii come from one `value` call.
+    together.
     """
     from .geometry import image_area_green
 
@@ -246,13 +230,9 @@ def empirical_holder(
     areas = np.array([known[t] for t in radii.tolist()])
     if np.any(areas <= 0):
         raise NumericalError(f"image area vanished at t = {radii[np.argmax(areas <= 0)]}")
-    f0 = complex(np.asarray(map_model.value(np.zeros(1, dtype=complex)))[0])
-    _, unit = level_nodes(cfg.nodes, True)  # the first level's cfg.nodes angles
-    z = radii[:, None] * unit
-    displacement = np.abs(map_model.value(z) - f0).max(axis=1)
     return [
-        (t, float(np.log(area) / (2.0 * np.log(t))), float(np.log(d) / np.log(t)))
-        for t, area, d in zip(radii.tolist(), areas, displacement)
+        (t, float(np.log(area) / (2.0 * np.log(t))))
+        for t, area in zip(radii.tolist(), areas)
     ]
 
 

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import _integer, _number, _point
-from .elliptic import DET_TOL, MatrixField, beltrami_from_entries, matrix_from_beltrami
+from .elliptic import DET_TOL, MatrixField, beltrami_from_entries
 from .errors import ConfigError, FieldValidationError
 from .plane import SampledField
 
@@ -188,8 +188,10 @@ def save_sampled_field(csv_path, field: SampledField) -> None:
 def load_matrix_field(csv_path, interpolation: str = "bilinear") -> MatrixField:
     """Read a sampled coefficient-matrix grid as the mu grid it encodes.
 
-    Interpolating mu keeps |mu| <= (K-1)/(K+1), so the matrices rebuilt from
-    it have det 1 and eigenvalues in [1/K, K] between the nodes too.
+    Each node is checked here; the field then holds that mu grid as is, and
+    the analysis reads mu like a sampled-mu subject's. Interpolating mu keeps
+    |mu| <= (K-1)/(K+1), so the matrices rebuilt from it have det 1 and
+    eigenvalues in [1/K, K] between the nodes too.
     """
     desc = _load_descriptor(csv_path, "K", (1.0, math.inf))
     data = _load_grid_csv(csv_path, MATRIX_HEADER)
@@ -206,9 +208,7 @@ def load_matrix_field(csv_path, interpolation: str = "bilinear") -> MatrixField:
     K = desc["K"]
     mu = beltrami_from_entries(a11, a12, a22)
     sampled = SampledField(origin, h, mu, (K - 1.0) / (K + 1.0), interpolation)
-    return MatrixField(
-        entries=lambda z: matrix_from_beltrami(sampled.evaluate(z)), K=K, grid=sampled
-    )
+    return MatrixField(beltrami=sampled.as_beltrami(), K=K, grid=sampled)
 
 
 def save_matrix_field(csv_path, entries_grid, origin, spacing, K) -> None:

@@ -252,7 +252,8 @@ def validate_field(beltrami: BeltramiField, k_max: float | None = None) -> Beltr
     Raises
     ------
     FieldValidationError
-        If any sample has |mu| >= 1 - 1e-12 or |mu| > k_max + 1e-12.
+        If any sample has |mu| >= 1 - 1e-12 or |mu| > k_max + 1e-12, naming
+        the first such point; later evaluations raise the same way.
     """
     if k_max is None:
         k_max = beltrami.k_max
@@ -260,14 +261,15 @@ def validate_field(beltrami: BeltramiField, k_max: float | None = None) -> Beltr
         raise FieldValidationError(f"k_max must lie in [0, 1), got {k_max}")
     pts = _validation_points(beltrami.singular_points)
     sampled = beltrami(pts)
-    _check_mu_bound(sampled, k_max, context="validation sample")
+    _check_mu_bound(sampled, k_max, "validation sample", pts)
     observed = float(np.abs(sampled).max()) if pts.size else 0.0
 
     inner = beltrami.mu
 
     def checked(z):
-        out = np.asarray(inner(np.asarray(z, dtype=complex)), dtype=complex)
-        _check_mu_bound(out, k_max, context="evaluation")
+        z = np.asarray(z, dtype=complex)
+        out = np.asarray(inner(z), dtype=complex)
+        _check_mu_bound(out, k_max, "evaluation", z)
         return out
 
     return replace(
@@ -275,19 +277,21 @@ def validate_field(beltrami: BeltramiField, k_max: float | None = None) -> Beltr
     )
 
 
-def _check_mu_bound(values: np.ndarray, k_max: float, context: str) -> None:
+def _check_mu_bound(values: np.ndarray, k_max: float, context: str, points) -> None:
+    """Raise at the first point whose mu is non-finite, reaches 1 or exceeds k_max."""
     mags = np.abs(np.asarray(values))
-    if not np.all(np.isfinite(mags)):
-        raise FieldValidationError(f"non-finite mu value in {context}")
-    worst = float(mags.max()) if mags.size else 0.0
-    if worst >= 1.0 - KMAX_SLACK:
-        raise FieldValidationError(
-            f"|mu| = {worst} reaches 1 in {context}; field is degenerate"
-        )
-    if worst > k_max + KMAX_SLACK:
-        raise FieldValidationError(
-            f"|mu| = {worst} exceeds declared bound k_max = {k_max} in {context}"
-        )
+    worst = mags.max(initial=0.0)  # NaN when any value is
+    if worst <= k_max + KMAX_SLACK and worst < 1.0 - KMAX_SLACK:
+        return
+    for bad, problem in (
+        (~np.isfinite(mags), "is not finite"),
+        (mags >= 1.0 - KMAX_SLACK, "reaches 1; field is degenerate"),
+        (mags > k_max + KMAX_SLACK, f"exceeds declared bound k_max = {k_max}"),
+    ):
+        if bad.any():
+            j = np.unravel_index(np.argmax(bad), bad.shape)
+            z = np.broadcast_to(points, bad.shape)[j]
+            raise FieldValidationError(f"|mu| = {mags[j]} {problem} in {context} at z = {z}")
 
 
 def _validation_points(singular_points) -> np.ndarray:

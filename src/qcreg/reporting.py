@@ -71,8 +71,7 @@ class RunReport:
             out["defect_profile"] = self.defect.describe()
         if self.holder_estimates is not None:
             out["holder_estimates"] = [
-                {"t": t, "from_area": a, "from_sup": s}
-                for t, a, s in self.holder_estimates
+                {"t": t, "from_area": a} for t, a in self.holder_estimates
             ]
         if self.extremality is not None:
             out["extremality"] = self.extremality.describe()
@@ -130,9 +129,7 @@ def run_analysis(cfg: AnalysisConfig) -> RunReport:
         _require_grid_covers(matrix.grid, cfg, [("the eigenvalue sample disk", outer)])
         matrix = validate_matrix_field(matrix)
         report = elliptic_holder_bound(matrix, cfg.domain, cfg.quadrature)
-        elliptic = comparison_bounds(
-            matrix, cfg.domain, cfg.quadrature, improved=report
-        )
+        elliptic = comparison_bounds(matrix, cfg.domain, report)
     else:  # pragma: no cover - classify_subject exhausts the kinds
         raise AssertionError(kind)
 
@@ -205,7 +202,7 @@ def emit_report(
     Returns the list of files written. CSV headers:
     geometry ``t,len_direct,len_formula,area_jac,area_green,phi,h,delta``;
     epsilon ``t,eps_re_avg,W,ratio_W``; defect ``t,delta,I,ratio_I``;
-    holder ``t,from_area,from_sup``; regularity: one flat row.
+    holder ``t,from_area``; regularity: one flat row.
     """
     written: list[Path] = []
     if json_path is not None:
@@ -234,7 +231,7 @@ def emit_report(
         if report.holder_estimates is not None:
             path = csv_dir / "holder.csv"
             rows = np.asarray(report.holder_estimates, dtype=float)
-            np.savetxt(path, rows, delimiter=",", header="t,from_area,from_sup", comments="")
+            np.savetxt(path, rows, delimiter=",", header="t,from_area", comments="")
             written.append(path)
     return written
 

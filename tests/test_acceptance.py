@@ -15,7 +15,6 @@ from qcreg import (
     DomainSpec,
     QuadratureConfig,
     affine_map,
-    beltrami_from_matrix,
     comparison_bounds,
     constant_matrix_field,
     defect_weight_integral,
@@ -241,7 +240,7 @@ def test_criterion_11_elliptic_bridge():
     z = rng.uniform(-1, 1, 64) + 1j * rng.uniform(-1, 1, 64)
     worst_mu = 0.0
     for matrix, K in matrices.values():
-        field = beltrami_from_matrix(constant_matrix_field(matrix, K=K))
+        field = constant_matrix_field(matrix, K=K).beltrami
         got = field(z)
         m = np.asarray(matrix, float)
         # oracle: conjugate pairing of the constant-coefficient solution u = x
@@ -253,7 +252,7 @@ def test_criterion_11_elliptic_bridge():
     for lam in (0.4, 0.5, 0.8):
         field = constant_matrix_field([[lam, 0.0], [0.0, 1.0 / lam]], K=1.0 / lam)
         improved = elliptic_holder_bound(field, DOMAIN, CFG)
-        rep = comparison_bounds(field, DOMAIN, CFG, improved=improved)
+        rep = comparison_bounds(field, DOMAIN, improved)
         ordering_ok &= (
             rep.alpha_eigen_ratio <= rep.alpha_divergence + 1e-9
             and rep.alpha_divergence <= improved.alpha_improved + 1e-9
@@ -261,7 +260,7 @@ def test_criterion_11_elliptic_bridge():
 
     diag_field = constant_matrix_field([[0.5, 0.0], [0.0, 2.0]], K=2.0)
     diag_improved = elliptic_holder_bound(diag_field, DOMAIN, CFG)
-    diag = comparison_bounds(diag_field, DOMAIN, CFG, improved=diag_improved)
+    diag = comparison_bounds(diag_field, DOMAIN, diag_improved)
     triple_ok = (
         abs(diag.alpha_eigen_ratio - 0.5) <= 1e-9
         and abs(diag.alpha_divergence - 0.8) <= 1e-9

@@ -4,9 +4,7 @@ import pytest
 from qcreg import (
     DomainSpec,
     FieldValidationError,
-    MatrixField,
     beltrami_from_entries,
-    beltrami_from_matrix,
     beltrami_of,
     comparison_bounds,
     constant_matrix_field,
@@ -89,15 +87,15 @@ class TestValidation:
                     np.array([[1.0, 0.1], [0.0, 1.0]]), np.asarray(z).shape + (2, 2)
                 ),
                 K=2.0,
-            ).entries(np.zeros(3, complex))
+            ).beltrami(np.zeros(3, complex))
 
     def test_checked_wrapper_rejects_later_violations(self):
-        def entries(z):
+        def fn(z):
             big = np.where(np.abs(z) > 1.5, 10.0, 1.0)
-            shape = np.asarray(z).shape
-            return big * np.ones(shape), np.zeros(shape), big * np.ones(shape)
+            zero = np.zeros(np.shape(z))
+            return np.stack([np.stack([big, zero], -1), np.stack([zero, big], -1)], -2)
 
-        field = validate_matrix_field(MatrixField(entries=entries, K=2.0))
+        field = validate_matrix_field(matrix_field_from_function(fn, K=2.0))
         field(np.array([0.5 + 0j]))  # fine inside the sample region
         with pytest.raises(FieldValidationError, match=r"at z = \(2\+0j\) leave"):
             field(np.array([0.5, 2.0, 3.0], dtype=complex))
@@ -105,11 +103,11 @@ class TestValidation:
     def test_validation_evaluates_the_sample_once(self):
         calls = []
 
-        def entries(z):
+        def fn(z):
             calls.append(np.size(z))
-            return constant_matrix_field(DIAG_M, K=2.0).entries(z)
+            return np.broadcast_to(np.array(DIAG_M), np.shape(z) + (2, 2))
 
-        validate_matrix_field(MatrixField(entries=entries, K=2.0))
+        validate_matrix_field(matrix_field_from_function(fn, K=2.0))
         assert calls == [VALIDATION_SAMPLES]
 
     def test_non_finite_entries_outside_the_sample_raise_at_use(self, cfg):
@@ -125,7 +123,7 @@ class TestValidation:
         improved = elliptic_holder_bound(field, domain, cfg)
         assert improved.alpha_distortion == pytest.approx(0.8, abs=1e-12)
         with pytest.raises(FieldValidationError, match="non-finite matrix entries at z = ") as err:
-            comparison_bounds(field, domain, cfg, improved=improved)
+            comparison_bounds(field, domain, improved)
         assert abs(complex(str(err.value).split("z = ")[1])) > 1.0
 
     def test_det_one_check(self):
@@ -150,14 +148,14 @@ class TestValidation:
 
 class TestBeltramiFromMatrix:
     def test_identity_matrix(self):
-        field = beltrami_from_matrix(constant_matrix_field(IDENTITY_M, K=1.0))
+        field = constant_matrix_field(IDENTITY_M, K=1.0).beltrami
         assert np.abs(field(np.array([0.3 + 0.1j]))).max() == 0.0
 
     @pytest.mark.parametrize(
         "matrix,K", [(IDENTITY_M, 1.0), (DIAG_M, 2.0), (ROTATED_M, 2.0)]
     )
     def test_matches_conjugate_pair_oracle(self, matrix, K, rng):
-        field = beltrami_from_matrix(constant_matrix_field(matrix, K=K))
+        field = constant_matrix_field(matrix, K=K).beltrami
         z = random_points(rng, 128)
         got = field(z)
 
@@ -167,20 +165,20 @@ class TestBeltramiFromMatrix:
             assert np.abs(got - f_zb / f_z).max() <= 1e-12
 
     def test_diag_value(self):
-        field = beltrami_from_matrix(constant_matrix_field(DIAG_M, K=2.0))
+        field = constant_matrix_field(DIAG_M, K=2.0).beltrami
         assert field(np.array([1j]))[0] == pytest.approx(1 / 3, abs=1e-15)
 
     def test_rotated_value(self):
-        field = beltrami_from_matrix(constant_matrix_field(ROTATED_M, K=2.0))
+        field = constant_matrix_field(ROTATED_M, K=2.0).beltrami
         assert field(np.array([1j]))[0] == pytest.approx(1j / 3, abs=1e-15)
 
     def test_rejects_unnormalized_determinant(self):
-        field = beltrami_from_matrix(constant_matrix_field([[2.0, 0], [0, 2.0]], K=2.0))
+        field = constant_matrix_field([[2.0, 0], [0, 2.0]], K=2.0).beltrami
         with pytest.raises(FieldValidationError, match="determinant"):
             field(np.array([0.5 + 0j]))
 
     def test_bound_respected(self, rng):
-        field = beltrami_from_matrix(constant_matrix_field(DIAG_M, K=2.0))
+        field = constant_matrix_field(DIAG_M, K=2.0).beltrami
         z = random_points(rng, 64)
         assert np.abs(field(z)).max() <= (2 - 1) / (2 + 1) + 1e-15
 
@@ -192,7 +190,7 @@ class TestMatrixRoundTrip:
         assert (a11 * a22 - a12**2)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_round_trip_on_rotated(self, rng):
-        field = beltrami_from_matrix(constant_matrix_field(ROTATED_M, K=2.0))
+        field = constant_matrix_field(ROTATED_M, K=2.0).beltrami
         z = random_points(rng, 64)
         a11, a12, a22 = matrix_from_beltrami(field(z))
         assert np.abs(a11 - 1.25).max() <= 1e-9
@@ -251,7 +249,7 @@ class TestComparisonBounds:
     def test_identity_all_ones(self, domain, cfg):
         field = constant_matrix_field(IDENTITY_M, K=1.0)
         improved = elliptic_holder_bound(field, domain, cfg)
-        rep = comparison_bounds(field, domain, cfg, improved=improved)
+        rep = comparison_bounds(field, domain, improved)
         assert rep.alpha_eigen_ratio == pytest.approx(1.0)
         assert rep.alpha_divergence == pytest.approx(1.0)
         assert improved.alpha_improved == pytest.approx(1.0)
@@ -259,7 +257,7 @@ class TestComparisonBounds:
     def test_diag_values(self, domain, cfg):
         field = constant_matrix_field(DIAG_M, K=2.0)
         improved = elliptic_holder_bound(field, domain, cfg)
-        rep = comparison_bounds(field, domain, cfg, improved=improved)
+        rep = comparison_bounds(field, domain, improved)
         assert rep.alpha_eigen_ratio == pytest.approx(0.5, abs=1e-12)
         # normal average = (a11 + a22)/2 = 1.25 on every circle
         assert rep.alpha_divergence == pytest.approx(0.8, abs=1e-12)
@@ -270,12 +268,13 @@ class TestComparisonBounds:
         matrix = [[lam, 0.0], [0.0, 1.0 / lam]]
         field = constant_matrix_field(matrix, K=1.0 / lam)
         improved = elliptic_holder_bound(field, domain, cfg)
-        rep = comparison_bounds(field, domain, cfg, improved=improved)
+        rep = comparison_bounds(field, domain, improved)
         assert rep.alpha_eigen_ratio <= rep.alpha_divergence + 1e-9
         assert rep.alpha_divergence <= improved.alpha_improved + 1e-9
 
     def test_eigen_extremes_reported(self, domain, cfg):
-        rep = comparison_bounds(constant_matrix_field(DIAG_M, K=2.0), domain, cfg)
+        field = constant_matrix_field(DIAG_M, K=2.0)
+        rep = comparison_bounds(field, domain, elliptic_holder_bound(field, domain, cfg))
         assert rep.lambda_min == pytest.approx(0.5)
         assert rep.lambda_max == pytest.approx(2.0)
         assert rep.sample_count == 4096

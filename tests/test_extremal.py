@@ -188,15 +188,6 @@ class TestDefectWeightIntegral:
         out = defect_weight_integral(geo)
         assert np.allclose(out.ratio_i[:-1], ELLIPSE_DEFECT, atol=1e-9)
 
-    def test_density_estimates_attached(self):
-        radii = np.geomspace(0.01, 1, 65)
-        out = defect_weight_integral(
-            synthetic_profile(radii, np.full(65, 0.2)), delta0_grid=(0.1, 0.5)
-        )
-        estimates = dict(out.density_estimates)
-        assert estimates[0.1] == pytest.approx(1.0)
-        assert estimates[0.5] == pytest.approx(0.0)
-
 
 class TestSuperlevelDensity:
     def test_constant_above_threshold(self):
@@ -236,28 +227,21 @@ class TestSuperlevelDensity:
 
 
 class TestEmpiricalHolder:
-    def test_identity_sup_estimator_exact(self, cfg):
-        out = empirical_holder(radial_stretch(1.0).map, [0.01, 0.1, 0.5], cfg)
-        for _, _, from_sup in out:
-            assert from_sup == pytest.approx(1.0, abs=1e-12)
-
     def test_identity_area_estimator_within_correction(self, cfg):
         out = empirical_holder(radial_stretch(1.0).map, [0.01, 0.1, 0.5], cfg)
-        for t, from_area, _ in out:
+        for t, from_area in out:
             bound = abs(np.log(np.pi)) / (2 * abs(np.log(t))) + 1e-9
             assert abs(from_area - 1.0) <= bound
 
     def test_radial_stretch_converges_to_half(self, cfg):
         out = empirical_holder(radial_stretch(2.0).map, [1e-6, 1e-4, 1e-2], cfg)
-        for t, from_area, from_sup in out:
+        for t, from_area in out:
             bound = abs(np.log(np.pi)) / (2 * abs(np.log(t))) + 1e-9
             assert abs(from_area - 0.5) <= bound
-            assert from_sup == pytest.approx(0.5, abs=1e-12)
 
     def test_spiral_tends_to_one(self, cfg):
-        (t, from_area, from_sup), = empirical_holder(spiral_map(1.0).map, [1e-4], cfg)
+        (t, from_area), = empirical_holder(spiral_map(1.0).map, [1e-4], cfg)
         assert abs(from_area - 1.0) <= 1.0 / abs(np.log(t))
-        assert from_sup == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_radii_outside_unit_interval(self, cfg):
         with pytest.raises(ValueError):

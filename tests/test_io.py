@@ -531,7 +531,7 @@ class TestVaryingMatrixGrid:
         field = validate_matrix_field(load_matrix_field(path, interpolation))
         domain, cfg = DomainSpec.origin_disk(), QuadratureConfig()
         improved = elliptic_holder_bound(field, domain, cfg)
-        rep = comparison_bounds(field, domain, cfg, improved=improved)
+        rep = comparison_bounds(field, domain, improved)
         assert rep.alpha_divergence == pytest.approx(improved.alpha_improved, rel=1e-9)
         assert rep.alpha_eigen_ratio <= rep.alpha_divergence
         assert improved.alpha_improved < 1.0

@@ -14,6 +14,7 @@ from qcreg import (
     beltrami_of,
     derive_beltrami,
     disk_samples,
+    distortion_constant,
     radial_stretch,
     spiral_map,
     affine_map,
@@ -203,6 +204,27 @@ class TestValidateField:
         assert np.allclose(out(np.array([0.5 + 0j])), 0.1)
         with pytest.raises(FieldValidationError):
             out(np.array([3.0 + 0j]))
+
+    def test_rejection_at_use_names_the_point(self, cfg):
+        # within the bound on the unit disk where the sample lies, above it
+        # beyond: a circle average over |z| = 1.5 must name a point off the disk
+        field = BeltramiField(
+            mu=lambda z: np.where(np.abs(z) <= 1.0, 0.1 + 0j, 0.5 + 0j), k_max=0.2
+        )
+        out = validate_field(field)
+        domain = DomainSpec(centers=(0j,), radii=(0.5, 1.5), outer_radius=2.0)
+        with pytest.raises(
+            FieldValidationError, match=r"\|mu\| = 0\.5 exceeds declared bound k_max = 0\.2 "
+            r"in evaluation at z = "
+        ) as err:
+            distortion_constant(out, domain, cfg)
+        assert abs(complex(str(err.value).split("z = ")[1])) > 1.0
+
+    def test_sample_rejection_names_the_point(self):
+        field = BeltramiField(mu=lambda z: np.where(z.real > 0.5, 0.9 + 0j, 0j), k_max=0.2)
+        with pytest.raises(FieldValidationError, match="in validation sample at z = ") as err:
+            validate_field(field)
+        assert complex(str(err.value).split("z = ")[1]).real > 0.5
 
     def test_singular_points_excluded_from_sample(self):
         entry = radial_stretch(2.0)

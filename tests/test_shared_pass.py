@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import qcreg.bounds
+import qcreg.elliptic
 import qcreg.quadrature
 import qcreg.reporting
 from qcreg import (
@@ -21,7 +22,6 @@ from qcreg import (
     NumericalError,
     QuadratureConfig,
     affine_map,
-    beltrami_from_matrix,
     build_config,
     circular_average,
     comparison_bounds,
@@ -196,7 +196,7 @@ class TestNoSecondC:
     @pytest.mark.parametrize("model", MAPS, ids=MAP_IDS)
     def test_regularity_mori_equals_mori_consistency(self, model):
         domain = domain_with_offsets()
-        rep = regularity_report(model, domain, CFG, gronwall_radii=[0.1, 0.5, 1.0])
+        rep = regularity_report(model, domain, CFG)
         assert rep.mori == mori_consistency(model.beltrami, domain, CFG)
 
     def test_field_subject_mori_equals_mori_consistency(self):
@@ -208,10 +208,9 @@ class TestNoSecondC:
         matrix = validate_matrix_field(varying_matrix_field())
         domain = domain_with_offsets()
         improved = elliptic_holder_bound(matrix, domain, CFG)
-        assert improved.mori == mori_consistency(beltrami_from_matrix(matrix), domain, CFG)
-        alone = comparison_bounds(matrix, domain, CFG)
-        assert comparison_bounds(matrix, domain, CFG, improved=improved) == alone
-        assert alone.alpha_divergence == improved.alpha_distortion == improved.alpha_improved
+        assert improved.mori == mori_consistency(matrix.beltrami, domain, CFG)
+        rep = comparison_bounds(matrix, domain, improved)
+        assert rep.alpha_divergence == improved.alpha_distortion == improved.alpha_improved
 
     @pytest.mark.parametrize("source", ["function", "bilinear", "nearest"])
     def test_divergence_bound_equals_the_normal_form_supremum(self, source, tmp_path):
@@ -222,7 +221,7 @@ class TestNoSecondC:
         else:
             matrix = validate_matrix_field(matrix_grid_65(tmp_path, source))
         domain = domain_with_offsets()
-        rep = comparison_bounds(matrix, domain, CFG)
+        rep = comparison_bounds(matrix, domain, elliptic_holder_bound(matrix, domain, CFG))
         oracle = normal_form_sup(matrix, domain, CFG)
         assert abs(1.0 / rep.alpha_divergence - oracle) <= 1e-12 * oracle
 
@@ -243,16 +242,22 @@ def normal_form_sup(matrix, domain, cfg):
     return max(average(circle) for circle in domain.admissible_circles())
 
 
-def write_matrix_grid_65(tmp_path):
-    """A 65^2 det-1 grid CSV of a smooth varying mu over [-1.05, 1.05]^2."""
-    from qcreg import save_matrix_field
-
+def matrix_grid_65_entries():
+    """Node entries (a11, a12, a22) and K of a smooth varying det-1 field
+    sampled on 65^2 nodes over [-1.05, 1.05]^2."""
     x = np.linspace(-1.05, 1.05, 65)
     z = x[None, :] + 1j * x[:, None]
     mu = 0.4 * np.exp(1j * (1.3 * z.real - 0.7 * z.imag)) * (0.5 + 0.5 * np.cos(2 * z.real))
+    return matrix_from_beltrami(mu), (1 + 0.4) / (1 - 0.4)
+
+
+def write_matrix_grid_65(tmp_path):
+    """The grid of `matrix_grid_65_entries` as a CSV; returns its path."""
+    from qcreg import save_matrix_field
+
+    entries, K = matrix_grid_65_entries()
     path = tmp_path / "matrix.csv"
-    save_matrix_field(path, matrix_from_beltrami(mu), origin=-1.05 - 1.05j,
-                      spacing=2.1 / 64, K=(1 + 0.4) / (1 - 0.4))
+    save_matrix_field(path, entries, origin=-1.05 - 1.05j, spacing=2.1 / 64, K=K)
     return path
 
 
@@ -362,10 +367,10 @@ class TestWorkCounts:
         (model,) = models
         # one average per circle family: C and A on 16 circles, 25 Gronwall
         # areas, 33 radii x (length and area, length formula), 33 epsilon
-        # averages; the holder estimates reuse the profile's areas, and each
-        # doubling evaluates only the angles it adds
+        # averages; the holder estimates reuse the profile's areas and make no
+        # value call, and each doubling evaluates only the angles it adds
         assert counts == {"distortion_constant": 1, "circular_average": 6}
-        assert model.points == {"value": 46081, "partials": 37888, "jacobian": 487936}
+        assert model.points == {"value": 37888, "partials": 37888, "jacobian": 487936}
 
     def test_regularity_report_computes_c_once(self, work_counts):
         counts, _ = work_counts
@@ -391,7 +396,7 @@ class TestWorkCounts:
         improved = elliptic_holder_bound(matrix, domain, CFG)
         counts, _ = work_counts
         before = dict(counts)
-        comparison_bounds(matrix, domain, CFG, improved=improved)
+        comparison_bounds(matrix, domain, improved)
         assert counts == before
 
 
@@ -410,7 +415,7 @@ class TestOneReportPath:
     def test_function_field(self):
         matrix = varying_matrix_field()
         domain = domain_with_offsets()
-        expected = regularity_report(beltrami_from_matrix(validate_matrix_field(matrix)),
+        expected = regularity_report(validate_matrix_field(matrix).beltrami,
                                      domain, CFG)
         assert elliptic_holder_bound(matrix, domain, CFG) == expected
 
@@ -420,7 +425,7 @@ class TestOneReportPath:
         cfg = build_config({"subject": str(path), "interpolation": interpolation})
         report = run_analysis(cfg)
         matrix = validate_matrix_field(matrix_grid_65(tmp_path, interpolation))
-        expected = regularity_report(beltrami_from_matrix(matrix), cfg.domain, cfg.quadrature)
+        expected = regularity_report(matrix.beltrami, cfg.domain, cfg.quadrature)
         assert report.regularity == expected
 
         payload = report.to_json_dict()
@@ -429,6 +434,42 @@ class TestOneReportPath:
         }
         assert payload["elliptic"]["alpha_divergence"] == payload["regularity"]["alpha_distortion"]
         assert "max_average" not in json_keys(payload)
+
+    @pytest.mark.parametrize("interpolation", ["bilinear", "nearest"])
+    def test_matrix_grid_and_its_mu_grid_share_one_report(self, tmp_path, interpolation):
+        # the mu grid holds the bridge of the matrix grid's nodes, bit for bit
+        from qcreg import SampledField, beltrami_from_entries, save_sampled_field
+
+        matrix_path = write_matrix_grid_65(tmp_path)
+        entries, K = matrix_grid_65_entries()
+        mu_path = tmp_path / "mu.csv"
+        save_sampled_field(mu_path, SampledField(
+            origin=-1.05 - 1.05j, spacing=2.1 / 64, values=beltrami_from_entries(*entries),
+            k_max=(K - 1.0) / (K + 1.0)))
+        reports = [
+            run_analysis(build_config({"subject": str(path), "interpolation": interpolation}))
+            for path in (matrix_path, mu_path)
+        ]
+        assert [r.subject_kind for r in reports] == ["matrix", "sampled-mu"]
+        assert reports[0].regularity == reports[1].regularity
+
+    def test_grid_report_rebuilds_no_matrix(self, tmp_path, monkeypatch):
+        # the regularity pass of a grid subject reads its mu grid: no node
+        # goes mu -> A -> mu
+        matrix = validate_matrix_field(matrix_grid_65(tmp_path, "bilinear"))
+        calls = {"matrix_from_beltrami": 0, "beltrami_from_entries": 0}
+        for name in calls:
+            fn = getattr(qcreg.elliptic, name)
+
+            def counted(*args, name=name, fn=fn):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(qcreg.elliptic, name, counted)
+        elliptic_holder_bound(matrix, domain_with_offsets(), CFG)
+        assert calls == {"matrix_from_beltrami": 0, "beltrami_from_entries": 0}
+        matrix.eigenvalues(np.array([0.1j]))  # where A is needed, it is rebuilt
+        assert calls["matrix_from_beltrami"] == 1
 
     def test_no_report_repeats_the_c_supremum(self, tmp_path):
         from qcreg import SampledField, save_sampled_field
