@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import csv
 import io as _io
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -105,8 +104,7 @@ def holder_lower_bound(iso_sup: float, dist_sup: float) -> float:
     return 1.0 / (iso_sup * dist_sup)
 
 
-@dataclass(frozen=True)
-class MoriReport:
+class MoriReport(NamedTuple):
     """Per-circle distortion averages checked against the uniform bound K.
 
     `max_average` is the C supremum; `describe` leaves it out, because a
@@ -161,8 +159,7 @@ def mori_from_sup(field: BeltramiField, sup: SupResult) -> MoriReport:
     )
 
 
-@dataclass(frozen=True)
-class GronwallVerdict:
+class GronwallVerdict(NamedTuple):
     """Discrete monotonicity check of t^(-exponent) * phi(t).
 
     `worst_margin` is the largest relative drop between consecutive samples
@@ -229,8 +226,7 @@ def _circle_dict(circle: CircleSpec | None):
     return {"center": [circle.center.real, circle.center.imag], "radius": circle.radius}
 
 
-@dataclass(frozen=True)
-class RegularityReport:
+class RegularityReport(NamedTuple):
     """Exponent bounds with the circles that realized the suprema."""
 
     distortion_sup: float  # C

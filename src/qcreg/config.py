@@ -13,8 +13,8 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,27 +40,30 @@ DEFAULTS = {
 }
 
 
-@dataclass(frozen=True)
-class AnalysisConfig:
+class AnalysisConfig(NamedTuple):
+    """A validated config, as `build_config` makes it.
+
+    `subject_kind` is `classify_subject(subject)`, found once; `resolved` is
+    the config with every default filled in, which the report's provenance
+    and `config_hash` carry.
+    """
+
     subject: str
+    subject_kind: str
     domain: DomainSpec
     quadrature: QuadratureConfig
     profile_radii: np.ndarray
+    resolved: dict
     run_geometry: bool = True
     run_extremal: bool = True
     threshold: float = 0.01
     interpolation: str = "bilinear"
     output_json: str | None = None
     output_csv_dir: str | None = None
-    resolved: dict = field(default_factory=dict, compare=False)
 
     def config_hash(self) -> str:
         canon = json.dumps(self.resolved, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()
-
-    @property
-    def subject_kind(self) -> str:
-        return classify_subject(self.subject)
 
 
 def classify_subject(subject: str) -> str:
@@ -176,7 +179,12 @@ def _domain_from(raw: dict) -> tuple[DomainSpec, dict]:
 
 
 def build_config(raw: dict) -> AnalysisConfig:
-    """Validate a raw config dict, fill defaults, resolve grids."""
+    """Validate a raw config dict, fill defaults, resolve grids, classify the
+    subject.
+
+    The subject is classified last, once: a catalog spec is parsed and a CSV
+    subject's header read, so an invalid subject raises ConfigError here.
+    """
     allowed = (
         "subject",
         "domain",
@@ -239,16 +247,17 @@ def build_config(raw: dict) -> AnalysisConfig:
     }
     return AnalysisConfig(
         subject=raw["subject"],
+        subject_kind=classify_subject(raw["subject"]),
         domain=domain,
         quadrature=quadrature,
         profile_radii=profile_radii,
+        resolved=resolved,
         run_geometry=run_geometry,
         run_extremal=run_extremal,
         threshold=threshold,
         interpolation=interpolation,
         output_json=raw.get("output_json"),
         output_csv_dir=raw.get("output_csv_dir"),
-        resolved=resolved,
     )
 
 
@@ -275,9 +284,7 @@ def load_config(path) -> AnalysisConfig:
     Parse errors carry the offending line; an invalid catalog subject
     raises ConfigError listing the available names.
     """
-    cfg = build_config(read_config(path))
-    cfg.subject_kind  # parses catalog specs / sniffs file headers, raising early
-    return cfg
+    return build_config(read_config(path))
 
 
 def default_config_for(subject: str, **overrides) -> AnalysisConfig:

@@ -18,13 +18,20 @@ node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .bounds import RegularityReport, regularity_report
 from .errors import FieldValidationError
-from .plane import BeltramiField, DomainSpec, SampledField, disk_samples, validate_field
+from .plane import (
+    BeltramiField,
+    DomainSpec,
+    SampledField,
+    _Validated,
+    disk_samples,
+    validate_field,
+)
 from .quadrature import QuadratureConfig
 
 #: allowed asymmetry when building the triple from a full 2x2 evaluator
@@ -37,8 +44,13 @@ DET_TOL = 1e-9
 EIGEN_SAMPLES = 4096
 
 
-@dataclass(frozen=True)
-class MatrixField:
+class _MatrixFields(NamedTuple):
+    beltrami: BeltramiField
+    K: float
+    grid: SampledField | None
+
+
+class MatrixField(_Validated, _MatrixFields):
     """Symmetric det-1 coefficient field, held as its distortion coefficient.
 
     `beltrami` is the mu of the bridge, bounded by (K-1)/(K+1); the entries
@@ -47,12 +59,11 @@ class MatrixField:
     its hull is where the field is data.
     """
 
-    beltrami: BeltramiField
-    K: float
-    grid: SampledField | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        _k_max(self.K)  # raises unless K >= 1 is finite
+    def __new__(cls, beltrami: BeltramiField, K: float, grid: SampledField | None = None):
+        _k_max(K)  # raises unless K >= 1 is finite
+        return super().__new__(cls, beltrami, K, grid)
 
     def __call__(self, z):
         """The entries (a11, a12, a22) at each point."""
@@ -126,7 +137,7 @@ def validate_matrix_field(field: MatrixField) -> MatrixField:
         raise FieldValidationError(
             f"unified ellipticity inequality fails by {worst} on the sample"
         )
-    return replace(field, beltrami=beltrami)
+    return field._replace(beltrami=beltrami)
 
 
 def _eigenvalues(a11, a12, a22):
@@ -194,8 +205,7 @@ def elliptic_holder_bound(
     return regularity_report(field.beltrami, domain, cfg)
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """The eigenvalue-ratio bound beside the divergence bound of the same field.
 
     * alpha_eigen_ratio: sqrt(lambda / Lambda) from the extreme sampled

@@ -18,7 +18,7 @@ dr/r measure is uniform, with the trapezoid rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,8 +67,7 @@ def _ratio_to_log(radii: np.ndarray, integral: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class EpsilonProfile:
+class EpsilonProfile(NamedTuple):
     """Circular averages of Re(eps) with their weighted log-integral.
 
     `ratio_w[i] = W(t_i) / log(r_max / t_i)`; at the anchor radius both
@@ -129,8 +128,7 @@ def epsilon_weight_integral(
     )
 
 
-@dataclass(frozen=True)
-class DefectProfile:
+class DefectProfile(NamedTuple):
     """Isoperimetric defects with their weighted log-integral."""
 
     radii: np.ndarray
@@ -236,8 +234,7 @@ def empirical_holder(
     ]
 
 
-@dataclass(frozen=True)
-class ExtremalityVerdict:
+class ExtremalityVerdict(NamedTuple):
     """Joint verdict over the perturbation and defect diagnostics.
 
     The field is `consistent-with-extremal` when the running minima of both
@@ -323,5 +320,5 @@ def epsilon_distortion_margin(
         w = -k + eps_re
         return np.stack(((1.0 - w) / (1.0 + w), K - c1 * eps_re))
 
-    g, bound = circular_average(pair, circles, replace(cfg, max_doublings=0))
+    g, bound = circular_average(pair, circles, cfg._replace(max_doublings=0))
     return float((g - bound).max())

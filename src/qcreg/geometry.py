@@ -19,8 +19,6 @@ accuracy there.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -44,6 +42,21 @@ RADIAL_OCTAVES = 60
 
 #: Gauss-Legendre points per geometric radial segment
 RADIAL_NODES = 10
+
+#: the RADIAL_NODES Gauss-Legendre nodes and weights on [-1, 1] (read-only),
+#: bit for bit those of numpy.polynomial.legendre.leggauss(RADIAL_NODES),
+#: written out so that no run imports numpy.polynomial
+GAUSS_LEGENDRE_NODES = np.array((
+    -0.9739065285171717, -0.8650633666889845, -0.6794095682990244,
+    -0.4333953941292472, -0.14887433898163122, 0.14887433898163122,
+    0.4333953941292472, 0.6794095682990244, 0.8650633666889845, 0.9739065285171717,
+))
+GAUSS_LEGENDRE_WEIGHTS = np.array((
+    0.06667134430868814, 0.1494513491505804, 0.219086362515982,
+    0.2692667193099965, 0.2955242247147528, 0.2955242247147528,
+    0.2692667193099965, 0.219086362515982, 0.1494513491505804, 0.06667134430868814,
+))
+GAUSS_LEGENDRE_NODES.flags.writeable = GAUSS_LEGENDRE_WEIGHTS.flags.writeable = False
 
 #: below this curve length an image is treated as degenerate
 DEGENERATE_LENGTH = 1e-14
@@ -162,16 +175,6 @@ def _annulus_edges(t: float, r_inner: float) -> np.ndarray:
     return np.append(seg[seg > r_inner], r_inner)
 
 
-@functools.cache
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """RADIAL_NODES Gauss-Legendre nodes and weights on [-1, 1] (read-only,
-    computed at first use: the cold CLI need not pay for them)."""
-    x, w = np.polynomial.legendre.leggauss(RADIAL_NODES)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
-
-
 class _RadialRule(NamedTuple):
     """Gauss-Legendre radii of one area integral over [r_inner, t] (or (0, t])."""
 
@@ -187,14 +190,14 @@ class _RadialRule(NamedTuple):
             edges = _annulus_edges(t, r_inner)
         else:
             edges = _segments_toward_zero(t, RADIAL_OCTAVES)
-        x, _ = _gauss_legendre()
         a, b = edges[1:], edges[:-1]
         mid, half = (a + b) / 2.0, (b - a) / 2.0
-        radii = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+        radii = (mid[:, None] + half[:, None] * GAUSS_LEGENDRE_NODES[None, :]).ravel()
         return cls(disk.center, radii, half, tail=not r_inner > 0.0)
 
-    def total(self, ring: np.ndarray, w: np.ndarray) -> float:
+    def total(self, ring: np.ndarray) -> float:
         """The integral from the ring values 2 pi r <J_f> at `radii`."""
+        w = GAUSS_LEGENDRE_WEIGHTS
         seg = (ring.reshape(self.half.size, w.size) * w[None, :]).sum(axis=1) * self.half
         total = float(seg.sum())
         # geometric tail below the last segment; exact for power-law Jacobians
@@ -238,7 +241,6 @@ def image_area_jacobian(
     """
     inner = np.broadcast_to(np.asarray(r_inner, dtype=float), (len(disks),))
     rules = [_RadialRule.build(d, r) for d, r in zip(disks, inner)]
-    _, w = _gauss_legendre()
 
     # ring means of each rule over the angles of the levels so far: the
     # geometric tail is nonlinear in them, so levels combine means, not totals
@@ -258,7 +260,7 @@ def image_area_jacobian(
         totals = []
         for i, rule, part in zip(items, picked, np.split(fresh, ends[:-1])):
             means[i] = part if first else 0.5 * (means[i] + part)
-            totals.append(rule.total(2.0 * np.pi * rule.radii * means[i], w))
+            totals.append(rule.total(2.0 * np.pi * rule.radii * means[i]))
         return totals
 
     return refine(evaluate, len(rules), cfg)
@@ -298,8 +300,7 @@ def isoperimetric_defect(
     return length * length / (4.0 * np.pi * area) - 1.0
 
 
-@dataclass(frozen=True)
-class GeometryProfile:
+class GeometryProfile(NamedTuple):
     """Per-radius image geometry with both routes for each quantity.
 
     `phi` is the Jacobian-route area (the quantity whose growth rate

@@ -2,17 +2,22 @@
 
 Evaluators throughout the package are vectorized: they accept a numpy array
 of complex points and return an array of the same shape. All containers are
-frozen dataclasses and every result depends only on the arguments, so
-everything here is safe to evaluate concurrently. A map callable may keep a
-private cache (the catalog's power maps share |z|^s between `value` and
-`partials`), provided it is thread-safe and never returns a stale value.
+immutable records that cost next to nothing to define at import:
+NamedTuples, whose validating kinds check their fields in `__new__`, and
+`__slots__` classes for a record that keeps a cache (`DomainSpec`) or a
+grid array it checks once (`SampledField`). `MapModel` stays a frozen
+dataclass, so `dataclasses.replace` can swap its callables. Every result
+depends only on the arguments, so everything here is safe to evaluate
+concurrently. A map callable may keep a private cache (the catalog's power
+maps share |z|^s between `value` and `partials`), provided it is
+thread-safe and never returns a stale value.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+import functools
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,21 +36,67 @@ KMAX_SLACK = 1e-12
 HULL_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class CircleSpec:
-    """Circle with the given center and radius > 0."""
+class _Validated:
+    """Mixin for a NamedTuple subclass whose `__new__` checks and coerces the
+    fields: `_make`, and with it `_replace`, builds through that `__new__`."""
 
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _Frozen:
+    """Immutable `__slots__` record: `__init__` sets the `_fields` once with
+    `_set`, and they make the repr, equality and hash."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, **values) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+
+class _CircleFields(NamedTuple):
     center: complex
     radius: float
 
-    def __post_init__(self):
-        c, r = complex(self.center), float(self.radius)
+
+class CircleSpec(_Validated, _CircleFields):
+    """Circle with the given center and radius > 0."""
+
+    __slots__ = ()
+
+    def __new__(cls, center: complex, radius: float):
+        c, r = complex(center), float(radius)
         if not (np.isfinite(c.real) and np.isfinite(c.imag)):
             raise ValueError("circle center must be finite")
         if not (np.isfinite(r) and r > 0):
             raise ValueError(f"circle radius must be positive and finite, got {r}")
-        object.__setattr__(self, "center", c)
-        object.__setattr__(self, "radius", r)
+        return super().__new__(cls, c, r)
 
 
 #: the disk a field is certified on, and the size of its validation sample
@@ -53,8 +104,7 @@ VALIDATION_DISK = CircleSpec(0j, 1.0)
 VALIDATION_SAMPLES = 4096
 
 
-@dataclass(frozen=True)
-class DomainSpec:
+class DomainSpec(_Frozen):
     """Search grids of circle centers and radii inside an outer disk/annulus.
 
     A pair (center, radius) is admissible when the circle fits inside the
@@ -62,27 +112,37 @@ class DomainSpec:
     the filtering; the grids themselves may contain non-fitting pairs.
     """
 
-    centers: tuple[complex, ...]
-    radii: tuple[float, ...]
-    outer_center: complex = 0j
-    outer_radius: float = 1.0
-    inner_radius: float = 0.0
-    margin: float = 0.0
+    _fields = ("centers", "radii", "outer_center", "outer_radius", "inner_radius", "margin")
+    __slots__ = _fields + ("_admissible",)
 
-    def __post_init__(self):
-        centers = tuple(complex(c) for c in self.centers)
-        radii = tuple(float(r) for r in self.radii)
+    def __init__(
+        self,
+        centers: Sequence[complex],
+        radii: Sequence[float],
+        outer_center: complex = 0j,
+        outer_radius: float = 1.0,
+        inner_radius: float = 0.0,
+        margin: float = 0.0,
+    ):
+        centers = tuple(complex(c) for c in centers)
+        radii = tuple(float(r) for r in radii)
         if not centers or not radii:
             raise ValueError("center grid and radius grid must be nonempty")
         if any(r <= 0 or not np.isfinite(r) for r in radii):
             raise ValueError("all grid radii must be positive and finite")
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise ValueError("radius grid must be strictly increasing")
-        if not (0 <= self.inner_radius < self.outer_radius):
+        if not (0 <= inner_radius < outer_radius):
             raise ValueError("need 0 <= inner_radius < outer_radius")
-        object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "radii", radii)
-        object.__setattr__(self, "outer_center", complex(self.outer_center))
+        self._set(
+            centers=centers,
+            radii=radii,
+            outer_center=complex(outer_center),
+            outer_radius=outer_radius,
+            inner_radius=inner_radius,
+            margin=margin,
+            _admissible=None,
+        )
 
     def fits(self, center: complex, radius: float) -> bool:
         d = abs(complex(center) - self.outer_center)
@@ -94,13 +154,11 @@ class DomainSpec:
 
     def admissible_circles(self) -> list[CircleSpec]:
         """The fitting circles, centers outer and radii inner (built once)."""
-        circles = self.__dict__.get("_admissible")
-        if circles is None:
-            circles = tuple(
+        if self._admissible is None:
+            self._set(_admissible=tuple(
                 CircleSpec(c, r) for c in self.centers for r in self.radii if self.fits(c, r)
-            )
-            object.__setattr__(self, "_admissible", circles)
-        return list(circles)
+            ))
+        return list(self._admissible)
 
     @classmethod
     def origin_disk(
@@ -131,8 +189,15 @@ class DomainSpec:
         }
 
 
-@dataclass(frozen=True)
-class BeltramiField:
+class _BeltramiFields(NamedTuple):
+    mu: ComplexFunc
+    k_max: float
+    provenance: str
+    singular_points: tuple[complex, ...]
+    verified_k_max: float | None
+
+
+class BeltramiField(_Validated, _BeltramiFields):
     """Evaluable complex-distortion coefficient with a certified bound.
 
     `mu` must satisfy |mu(z)| <= k_max < 1 wherever it is evaluated;
@@ -140,17 +205,21 @@ class BeltramiField:
     wraps the evaluator so every later evaluation keeps checking it.
     """
 
-    mu: ComplexFunc
-    k_max: float
-    provenance: str = "closed-form"
-    singular_points: tuple[complex, ...] = ()
-    verified_k_max: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0.0 <= self.k_max < 1.0):
-            raise ValueError(f"k_max must lie in [0, 1), got {self.k_max}")
-        if self.provenance not in ("closed-form", "sampled-grid"):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
+    def __new__(
+        cls,
+        mu: ComplexFunc,
+        k_max: float,
+        provenance: str = "closed-form",
+        singular_points: tuple[complex, ...] = (),
+        verified_k_max: float | None = None,
+    ):
+        if not (0.0 <= k_max < 1.0):
+            raise ValueError(f"k_max must lie in [0, 1), got {k_max}")
+        if provenance not in ("closed-form", "sampled-grid"):
+            raise ValueError(f"unknown provenance {provenance!r}")
+        return super().__new__(cls, mu, k_max, provenance, singular_points, verified_k_max)
 
     def __call__(self, z) -> np.ndarray:
         return np.asarray(self.mu(np.asarray(z, dtype=complex)), dtype=complex)
@@ -272,9 +341,7 @@ def validate_field(beltrami: BeltramiField, k_max: float | None = None) -> Beltr
         _check_mu_bound(out, k_max, "evaluation", z)
         return out
 
-    return replace(
-        beltrami, mu=checked, k_max=float(k_max), verified_k_max=observed
-    )
+    return beltrami._replace(mu=checked, k_max=float(k_max), verified_k_max=observed)
 
 
 def _check_mu_bound(values: np.ndarray, k_max: float, context: str, points) -> None:
@@ -294,9 +361,17 @@ def _check_mu_bound(values: np.ndarray, k_max: float, context: str, points) -> N
             raise FieldValidationError(f"|mu| = {mags[j]} {problem} in {context} at z = {z}")
 
 
+@functools.cache
+def _validation_sample() -> np.ndarray:
+    """The VALIDATION_SAMPLES points of VALIDATION_DISK (read-only, built once)."""
+    pts = disk_samples(VALIDATION_SAMPLES, VALIDATION_DISK.center, VALIDATION_DISK.radius)
+    pts.flags.writeable = False
+    return pts
+
+
 def _validation_points(singular_points) -> np.ndarray:
     """The validation sample of VALIDATION_DISK without the declared singular points."""
-    pts = disk_samples(VALIDATION_SAMPLES, VALIDATION_DISK.center, VALIDATION_DISK.radius)
+    pts = _validation_sample()
     for s in singular_points:
         pts = pts[np.abs(pts - s) > 1e-9]
     return pts
@@ -324,8 +399,7 @@ def derive_beltrami(map_model: MapModel) -> BeltramiField:
     return validate_field(raw, k)
 
 
-@dataclass(frozen=True)
-class SampledField:
+class SampledField(_Frozen):
     """Grid-sampled complex coefficient with nearest / bilinear interpolation.
 
     `values[iy, ix]` sits at origin + (ix + iy * 1j) * spacing. Queries are
@@ -333,34 +407,37 @@ class SampledField:
     well-defined; `require_covers` rejects a disk that leaves the hull.
     """
 
-    origin: complex
-    spacing: float
-    values: np.ndarray
-    k_max: float
-    interpolation: str = "bilinear"
+    __slots__ = _fields = ("origin", "spacing", "values", "k_max", "interpolation")
 
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
+    def __init__(
+        self,
+        origin: complex,
+        spacing: float,
+        values: np.ndarray,
+        k_max: float,
+        interpolation: str = "bilinear",
+    ):
+        vals = np.asarray(values, dtype=complex)
         if vals.ndim != 2 or vals.size == 0:
             raise ValueError("values must be a nonempty 2-D array")
-        if not (self.spacing > 0 and np.isfinite(self.spacing)):
+        if not (spacing > 0 and np.isfinite(spacing)):
             raise ValueError("spacing must be positive and finite")
-        if self.interpolation not in ("nearest", "bilinear"):
-            raise ValueError(f"unknown interpolation {self.interpolation!r}")
+        if interpolation not in ("nearest", "bilinear"):
+            raise ValueError(f"unknown interpolation {interpolation!r}")
         mags = np.abs(vals)
         if not np.isfinite(mags).all():
             iy, ix = np.argwhere(~np.isfinite(mags))[0]
             raise FieldValidationError(
                 f"grid value at [{iy}, {ix}] is not finite: {vals[iy, ix]}"
             )
-        if mags.max() > self.k_max + KMAX_SLACK:
-            iy, ix = np.argwhere(mags > self.k_max + KMAX_SLACK)[0]
+        if mags.max() > k_max + KMAX_SLACK:
+            iy, ix = np.argwhere(mags > k_max + KMAX_SLACK)[0]
             raise FieldValidationError(
                 f"grid value at [{iy}, {ix}] has |mu| = {mags[iy, ix]} "
-                f"> k_max = {self.k_max}"
+                f"> k_max = {k_max}"
             )
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "origin", complex(self.origin))
+        self._set(origin=complex(origin), spacing=spacing, values=vals, k_max=k_max,
+                  interpolation=interpolation)
 
     @property
     def shape(self) -> tuple[int, int]:

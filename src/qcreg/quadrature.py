@@ -17,13 +17,12 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .plane import CircleSpec, DomainSpec
+from .plane import CircleSpec, DomainSpec, _Validated
 
 
 #: ceiling on nodes * 2**max_doublings, the finest rule one circle can reach
@@ -35,36 +34,38 @@ MAX_CIRCLE_NODES = 1 << 20
 MAX_BATCH_NODES = 1 << 15
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
+class _QuadratureFields(NamedTuple):
+    nodes: int
+    max_doublings: int
+    rel_tol: float
+
+
+class QuadratureConfig(_Validated, _QuadratureFields):
     """Angular node count (power of two, >= 16), doubling budget, tolerance.
 
     The finest rule, nodes * 2**max_doublings, may not exceed
     MAX_CIRCLE_NODES.
     """
 
-    nodes: int = 256
-    max_doublings: int = 6
-    rel_tol: float = 1e-9
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("nodes", "max_doublings"):
-            value = getattr(self, name)
+    def __new__(cls, nodes: int = 256, max_doublings: int = 6, rel_tol: float = 1e-9):
+        for name, value in (("nodes", nodes), ("max_doublings", max_doublings)):
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        n = self.nodes
+        n, max_doublings = int(nodes), int(max_doublings)
         if n < 16 or (n & (n - 1)) != 0:
             raise ValueError(f"nodes must be a power of two >= 16, got {n}")
-        if self.max_doublings < 0:
+        if max_doublings < 0:
             raise ValueError("max_doublings must be >= 0")
-        if n << min(self.max_doublings, 64) > MAX_CIRCLE_NODES:
+        if n << min(max_doublings, 64) > MAX_CIRCLE_NODES:
             raise ValueError(
-                f"nodes * 2**max_doublings = {n} * 2**{self.max_doublings} exceeds "
+                f"nodes * 2**max_doublings = {n} * 2**{max_doublings} exceeds "
                 f"the ceiling of {MAX_CIRCLE_NODES} nodes per circle"
             )
-        if not (self.rel_tol > 0):
+        if not (rel_tol > 0):
             raise ValueError("rel_tol must be positive")
+        return super().__new__(cls, n, max_doublings, rel_tol)
 
     def describe(self) -> dict:
         return {
@@ -270,8 +271,7 @@ def _check_finite(rows, means, refining, batch, theta) -> None:
             )
 
 
-@dataclass(frozen=True)
-class SupResult:
+class SupResult(NamedTuple):
     """Maximum of a per-circle quantity over an admissible circle family."""
 
     value: float

@@ -10,8 +10,8 @@ optional CSV bundle (one file per profile, documented headers).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +43,7 @@ from .plane import VALIDATION_DISK, CircleSpec, validate_field
 ISO_SUP_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(NamedTuple):
     subject: str
     subject_kind: str
     regularity: RegularityReport

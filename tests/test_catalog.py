@@ -403,8 +403,8 @@ class TestPipelineBytes:
         entry = entry_from_spec(spec)
         old = uncached_model(entry)
         got, want = geometry_profile(entry.map, self.RADII), geometry_profile(old, self.RADII)
-        for f in fields(got):
-            assert_same_bits(getattr(got, f.name), getattr(want, f.name))
+        for name in got._fields:
+            assert_same_bits(getattr(got, name), getattr(want, name))
         interior = self.RADII[self.RADII < 1.0]
         assert (empirical_holder(entry.map, interior, profile=got)
                 == empirical_holder(old, interior, profile=want))

@@ -209,6 +209,15 @@ class TestLoadConfig:
         assert build_config({"subject": str(mu)}).subject_kind == "sampled-mu"
         assert build_config({"subject": str(matrix)}).subject_kind == "matrix"
 
+    @pytest.mark.parametrize("subject, message", [
+        ("nosuchmap()", "radial_stretch"),
+        ("absent.csv", "cannot read subject file"),
+    ])
+    def test_build_config_classifies_the_subject(self, subject, message):
+        with pytest.raises(ConfigError, match=message):
+            build_config({"subject": subject})
+        assert build_config({"subject": "spiral(gamma=1)"}).subject_kind == "catalog"
+
 
 class TestRunAnalysis:
     def test_radial_stretch_full_run(self):

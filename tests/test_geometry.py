@@ -18,7 +18,13 @@ from qcreg import (
     radial_stretch,
     spiral_map,
 )
-from qcreg.geometry import _annulus_edges, _segments_toward_zero
+from qcreg.geometry import (
+    GAUSS_LEGENDRE_NODES,
+    GAUSS_LEGENDRE_WEIGHTS,
+    RADIAL_NODES,
+    _annulus_edges,
+    _segments_toward_zero,
+)
 
 IDENTITY = radial_stretch(1.0)
 UNIT = CircleSpec(0j, 1.0)
@@ -161,6 +167,14 @@ def test_annulus_edges_bit_equal_to_unique_construction():
         got = _annulus_edges(t, r_inner)
         want = annulus_edges_reference(t, r_inner)
         assert got.dtype == want.dtype and np.array_equal(got, want), (t, r_inner)
+
+
+def test_gauss_legendre_table_bit_equal_to_leggauss():
+    # the literal table spares every cold run the numpy.polynomial import
+    x, w = np.polynomial.legendre.leggauss(RADIAL_NODES)
+    for got, want in ((GAUSS_LEGENDRE_NODES, x), (GAUSS_LEGENDRE_WEIGHTS, w)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
 
 
 class TestIsoperimetricDefect:

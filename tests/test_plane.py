@@ -43,6 +43,20 @@ class TestCircleAndDomain:
         with pytest.raises(ValueError):
             CircleSpec(complex("nan"), 1.0)
 
+    def test_records_are_immutable_and_replace_revalidates(self):
+        circle, domain = CircleSpec(1, 2), DomainSpec(centers=(0,), radii=(0.5,))
+        assert repr(circle) == "CircleSpec(center=(1+0j), radius=2.0)"
+        assert repr(domain) == (
+            "DomainSpec(centers=(0j,), radii=(0.5,), outer_center=0j, outer_radius=1.0, "
+            "inner_radius=0.0, margin=0.0)"
+        )
+        for record, name in ((circle, "radius"), (domain, "margin"), (domain, "extra")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0.25)
+        assert circle._replace(radius=3) == CircleSpec(1, 3.0)
+        with pytest.raises(ValueError, match="radius must be positive"):
+            circle._replace(radius=-1.0)
+
     def test_domain_requires_increasing_radii(self):
         with pytest.raises(ValueError):
             DomainSpec(centers=(0j,), radii=(0.5, 0.5))
@@ -230,6 +244,20 @@ class TestValidateField:
         entry = radial_stretch(2.0)
         out = validate_field(entry.map.beltrami)
         assert out.verified_k_max == pytest.approx(1 / 3, abs=1e-12)
+
+    def test_validation_sample_is_built_once(self, monkeypatch):
+        import qcreg.plane as plane
+
+        sample = plane._validation_points(())
+        calls = []
+        monkeypatch.setattr(plane, "disk_samples", lambda *a: calls.append(a))
+        assert plane._validation_points(()) is sample and calls == []
+        assert not sample.flags.writeable
+        assert np.array_equal(sample, disk_samples(plane.VALIDATION_SAMPLES))
+        # a singular point leaves the cached sample whole
+        trimmed = plane._validation_points((sample[7],))
+        assert trimmed.size == sample.size - 1
+        assert np.array_equal(plane._validation_points(()), sample)
 
     def test_derive_beltrami(self):
         entry = affine_map(1.0, 0.25)
