@@ -14,8 +14,18 @@ Numbers are written as ``%.18e`` (19 significant digits, so a float64 reads
 back exactly), byte for byte what ``np.savetxt`` writes. The writers format
 each grid coordinate once and each grid row with one ``%`` call. The loaders
 reject, with ``ConfigError``, a descriptor value of the wrong type or range
-(naming the file and the key), an unparsable or non-finite entry (naming the
-file and its 1-based line) and coordinates that disagree with the descriptor.
+(naming the file and the key), a file with no data rows, an unparsable or
+non-finite entry (naming the file, its 1-based line and the column) and
+coordinates that disagree with the descriptor.
+
+Both loaders read a CSV with one ``np.loadtxt`` call, or, for a file above
+``BLOCK_BYTES`` on a machine with two usable CPUs and ``os.fork``, with one
+such call per CPU on a contiguous block of rows, each in a forked child
+(`_parse_blocks`). The block result is bit-identical to the serial one: the
+parent checks, while the children parse, that every line after the header
+is one data row (no blank, whitespace-only or ``#`` line, no lone ``\\r``)
+and that there are nx*ny of them. If that check or a child fails, the
+serial call runs, so every result and message is the serial one.
 """
 
 from __future__ import annotations
@@ -23,6 +33,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
+import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +47,14 @@ from .plane import SampledField
 
 MU_HEADER = "x,y,re,im"
 MATRIX_HEADER = "x,y,a11,a12,a22"
+
+#: grid CSVs above this many bytes are parsed in blocks on several CPUs
+BLOCK_BYTES = 4 << 20
+#: bytes a line may start with for the block parse: a number's first character
+_ROW_START = np.zeros(256, dtype=bool)
+_ROW_START[list(b"+-.0123456789")] = True
+#: np.loadtxt's message for an entry it cannot parse: (entry repr, row, column)
+_UNPARSABLE = r"could not convert string (.*) to \w+ at row (\d+), column (\d+)\."
 
 
 def sidecar_path(csv_path) -> Path:
@@ -70,7 +91,8 @@ def _load_descriptor(csv_path, bound_key: str, bound_range: tuple[float, float])
     }
 
 
-def _load_grid_csv(csv_path, header: str) -> np.ndarray:
+def _load_grid_csv(csv_path, header: str, rows: int) -> np.ndarray:
+    """The data rows of a grid CSV whose descriptor says nx*ny = `rows`."""
     csv_path = Path(csv_path)
     if not csv_path.exists():
         raise ConfigError(f"no such file: {csv_path}")
@@ -78,11 +100,10 @@ def _load_grid_csv(csv_path, header: str) -> np.ndarray:
         first = fh.readline().strip()
     if first.replace(" ", "") != header:
         raise ConfigError(f"{csv_path} must start with header {header!r}, got {first!r}")
-    try:
-        data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
-    except ValueError as exc:
-        raise ConfigError(f"{csv_path}: {exc}") from None
     names = header.split(",")
+    data = _parse_rows(csv_path, names, rows)
+    if len(data) == 0:
+        raise ConfigError(f"{csv_path}: 0 data rows but descriptor says nx*ny = {rows}")
     if data.shape[1] != len(names):
         raise ConfigError(f"{csv_path}: expected {len(names)} columns")
     finite = np.isfinite(data)
@@ -95,13 +116,179 @@ def _load_grid_csv(csv_path, header: str) -> np.ndarray:
     return data
 
 
+def _parse_rows(csv_path, names, rows: int) -> np.ndarray:
+    """np.loadtxt of the rows after the header, in blocks when that pays.
+
+    A file above BLOCK_BYTES is split into one block of rows per usable CPU
+    (fewer when a block would hold under half of BLOCK_BYTES), each parsed in
+    a forked child; see `_parse_blocks`. Otherwise, or when the block parse
+    cannot vouch for its result, one serial np.loadtxt reads the file.
+    """
+    blocks = min(_usable_cpus(), math.ceil(csv_path.stat().st_size / BLOCK_BYTES), rows)
+    if blocks >= 2 and hasattr(os, "fork"):
+        data = _parse_blocks(csv_path, len(names), rows, blocks)
+        if data is not None:
+            return data
+    try:
+        with warnings.catch_warnings():
+            # a file with no data rows is reported by the caller
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            return np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        bad = re.fullmatch(_UNPARSABLE, str(exc))
+        if bad is None or int(bad[3]) > len(names):
+            raise ConfigError(f"{csv_path}: {exc}") from None
+        text, row, col = bad.groups()
+        raise ConfigError(
+            f"{csv_path} line {_data_line(csv_path, int(row))}: "
+            f"{names[int(col) - 1]} = {text} is not a number"
+        ) from None
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _parse_blocks(csv_path, ncols: int, rows: int, blocks: int):
+    """The serial np.loadtxt result, parsed as `blocks` contiguous blocks of
+    rows in forked children, or None when it might differ from it.
+
+    Child i parses data rows [lo, hi) with skiprows=1 + lo and
+    max_rows=hi - lo (the last block reads to the end) and sends them down
+    a pipe; the parent parses nothing. skiprows counts physical lines and
+    max_rows data rows, so the split is exact only when every line after
+    the header is one data row: while the children run, the parent proves
+    that with `_plain_rows`. A failed scan, a failed or killed child or a
+    block of the wrong shape gives None; no child outlives this call.
+    """
+    from signal import SIGKILL  # about 1 ms to import: only a block parse pays it
+
+    bounds = [rows * i // blocks for i in range(blocks + 1)]
+    children = []  # (pid, read end of its pipe), in block order
+    try:
+        for i, lo in enumerate(bounds[:-1]):
+            max_rows = bounds[i + 1] - lo if i < blocks - 1 else None
+            read_fd, write_fd = os.pipe()
+            try:
+                with warnings.catch_warnings():
+                    # From Python 3.12 os.fork warns when the process has
+                    # threads, as numpy's BLAS pool gives it. The child only
+                    # runs np.loadtxt (no BLAS), writes to its pipe and leaves
+                    # through os._exit, so it needs no lock another thread
+                    # may hold; only that one warning is silenced.
+                    warnings.filterwarnings(
+                        "ignore", r"This process .* is multi-threaded", DeprecationWarning
+                    )
+                    pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                return None
+            if pid == 0:
+                _block_child(csv_path, 1 + lo, max_rows, write_fd,
+                             [read_fd] + [fd for _, fd in children])
+            os.close(write_fd)
+            children.append((pid, read_fd))
+        if _plain_rows(csv_path) != rows:
+            return None
+        out = np.empty((rows, ncols))
+        shape = np.empty(2, dtype=np.int64)
+        for i, (pid, read_fd) in enumerate(children):
+            lo, hi = bounds[i], bounds[i + 1]
+            with open(read_fd, "rb", buffering=0, closefd=False) as pipe:
+                if not (
+                    _read_exactly(pipe, shape)
+                    and tuple(shape) == (hi - lo, ncols)
+                    and _read_exactly(pipe, out[lo:hi])
+                ):
+                    return None
+            status = os.waitpid(pid, 0)[1]
+            children[i] = (None, read_fd)  # reaped
+            if status != 0:
+                return None
+        return out
+    finally:
+        for pid, read_fd in children:
+            os.close(read_fd)
+            if pid is not None:
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _block_child(csv_path, skiprows: int, max_rows, write_fd: int, read_fds) -> None:
+    """Body of a forked child: parse one block and write its shape and rows
+    to `write_fd`. It never returns, so it runs no exit hook, no flush of
+    the parent's buffers and no caller's code; it prints nothing."""
+    code = 1
+    try:
+        for fd in read_fds:
+            os.close(fd)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 2)
+        block = np.loadtxt(
+            csv_path, delimiter=",", skiprows=skiprows, max_rows=max_rows, ndmin=2
+        )
+        with open(write_fd, "wb") as pipe:
+            pipe.write(np.array(block.shape, dtype=np.int64).tobytes())
+            pipe.write(memoryview(block).cast("B"))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _read_exactly(pipe, array) -> bool:
+    """Fill the contiguous `array` from `pipe`; False at an early end."""
+    view = memoryview(array).cast("B")
+    while view:
+        n = pipe.readinto(view)
+        if not n:
+            return False
+        view = view[n:]
+    return True
+
+
+def _plain_rows(csv_path, chunk: int = 1 << 20):
+    """The number of lines after the header, when each of them starts with
+    a number's first character and no line ends in a lone carriage return;
+    None otherwise.
+
+    np.loadtxt then reads each of those lines as one data row, so its
+    skiprows and max_rows count alike. Blank, whitespace-only and ``#``
+    lines, which it skips or reads differently, give None, and so does a
+    lone ``\\r``, which it reads as a line end that this count would miss.
+    """
+    # buf[0] holds the previous chunk's last byte: a line end whose next byte
+    # is still unread is checked with the next chunk, and one at the end of
+    # the file starts no line. The header's first byte is not checked.
+    buf = bytearray(chunk + 1)
+    lines = 0
+    with open(csv_path, "rb", buffering=0) as fh:
+        while n := fh.readinto(memoryview(buf)[1:]):
+            a = np.frombuffer(buf, dtype=np.uint8, count=n + 1)
+            ends, following = a[:-1], a[1:]
+            newline = ends == ord("\n")
+            if not _ROW_START[following[newline]].all():
+                return None
+            if buf.find(b"\r", 0, n + 1) >= 0 and (
+                following[ends == ord("\r")] != ord("\n")
+            ).any():
+                return None
+            lines += int(np.count_nonzero(newline))
+            buf[0] = buf[n]
+    return None if buf[0] == ord("\r") else lines
+
+
 def _data_line(csv_path, row: int) -> int:
-    """1-based file line of data row `row`, skipping what np.loadtxt skips
-    (the header, blank lines and ``#`` comment lines)."""
+    """1-based file line of data row `row`, skipping what np.loadtxt skips:
+    the header and every line that is empty up to its line end or ``#``
+    (a whitespace-only line is a data row to np.loadtxt)."""
     with open(csv_path) as fh:
         lines = (
             n for n, text in enumerate(fh, 1)
-            if n > 1 and text.split("#", 1)[0].strip()
+            if n > 1 and text.split("#", 1)[0].rstrip("\n")
         )
         return next(itertools.islice(lines, row, None))
 
@@ -154,7 +341,7 @@ def _write_sidecar(csv_path, desc: dict) -> None:
 def load_sampled_field(csv_path, interpolation: str = "bilinear") -> SampledField:
     """Read a sampled complex-distortion grid (CSV + sidecar descriptor)."""
     desc = _load_descriptor(csv_path, "k_max", (0.0, 1.0))
-    data = _load_grid_csv(csv_path, MU_HEADER)
+    data = _load_grid_csv(csv_path, MU_HEADER, desc["nx"] * desc["ny"])
     nx, ny, h, origin = _check_grid_coords(data, desc, csv_path)
     values = (data[:, 2] + 1j * data[:, 3]).reshape(ny, nx)
     return SampledField(
@@ -194,7 +381,7 @@ def load_matrix_field(csv_path, interpolation: str = "bilinear") -> MatrixField:
     eigenvalues in [1/K, K] between the nodes too.
     """
     desc = _load_descriptor(csv_path, "K", (1.0, math.inf))
-    data = _load_grid_csv(csv_path, MATRIX_HEADER)
+    data = _load_grid_csv(csv_path, MATRIX_HEADER, desc["nx"] * desc["ny"])
     nx, ny, h, origin = _check_grid_coords(data, desc, csv_path)
     a11, a12, a22 = (data[:, col].reshape(ny, nx) for col in (2, 3, 4))
     dev = np.abs(a11 * a22 - a12**2 - 1.0)

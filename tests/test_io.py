@@ -1,7 +1,15 @@
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import qcreg.io
 
 from qcreg import (
     ConfigError,
@@ -19,7 +27,7 @@ from qcreg import (
     validate_matrix_field,
 )
 from qcreg.cli import main
-from qcreg.io import sidecar_path
+from qcreg.io import MATRIX_HEADER, MU_HEADER, sidecar_path
 from qcreg.plane import disk_samples
 
 
@@ -347,8 +355,9 @@ class TestNonFiniteGridsRejected:
         lines = read_lines(path)
         lines[3] = "0,0,abc,0\n"
         write_lines(path, lines)
-        with pytest.raises(ConfigError, match="abc"):
+        with pytest.raises(ConfigError) as info:
             load_sampled_field(path)
+        assert str(info.value) == f"{path} line 4: re = 'abc' is not a number"
 
     @pytest.mark.parametrize("interpolation", ["bilinear", "nearest"])
     def test_cli_analyze_exits_1(self, tmp_path, capsys, interpolation):
@@ -570,3 +579,434 @@ class TestVaryingMatrixGrid:
         err = capsys.readouterr().err
         assert code == 2
         assert f"{path}: grid node [40, 7] has |det A - 1|" in err
+
+
+def test_unparsable_entry_names_file_line_and_column(tmp_path, capsys):
+    path = tmp_path / "u.csv"
+    save_sampled_field(path, non_square_field())
+    lines = read_lines(path)
+    lines[2:2] = ["\n", "# a comment line\n"]
+    lines[4] = "0.1,0,abc,0.1\n"
+    write_lines(path, lines)
+    message = f"{path} line 5: re = 'abc' is not a number"
+    with pytest.raises(ConfigError) as info:
+        load_sampled_field(path)
+    assert str(info.value) == message
+    assert main(["analyze", "--subject", str(path)]) == 1
+    assert capsys.readouterr().err == f"qcreg: config error: {message}\n"
+
+
+def test_whitespace_only_line_is_a_data_row(tmp_path):
+    # np.loadtxt skips a line only when it is empty up to its end or '#'
+    path = tmp_path / "u.csv"
+    save_sampled_field(path, non_square_field())
+    lines = read_lines(path)
+    lines[1:1] = ["\n", "  \n"]
+    write_lines(path, lines)
+    with pytest.raises(ConfigError) as info:
+        load_sampled_field(path)
+    assert str(info.value) == f"{path} line 3: x = '  ' is not a number"
+
+
+@pytest.mark.parametrize("load,header", [(load_sampled_field, MU_HEADER),
+                                         (load_matrix_field, MATRIX_HEADER)])
+def test_header_only_grid(tmp_path, recwarn, capsys, load, header):
+    path = tmp_path / "g.csv"
+    if header == MU_HEADER:
+        save_sampled_field(path, non_square_field())
+    else:
+        save_matrix_field(path, (np.ones((3, 5)), np.zeros((3, 5)), np.ones((3, 5))),
+                          origin=0, spacing=0.5, K=2.0)
+    path.write_text(header + "\n")
+    message = f"{path}: 0 data rows but descriptor says nx*ny = 15"
+    with pytest.raises(ConfigError) as info:
+        load(path)
+    assert str(info.value) == message
+    command = "analyze" if header == MU_HEADER else "elliptic"
+    assert main([command, "--subject", str(path)]) == 1
+    assert capsys.readouterr().err == f"qcreg: config error: {message}\n"
+    assert not recwarn.list
+
+
+# -- the block parse -------------------------------------------------------------
+
+SERIAL_LOADTXT = np.loadtxt
+
+
+def serial_rows(path):
+    return SERIAL_LOADTXT(path, delimiter=",", skiprows=1, ndmin=2)
+
+
+class BlockParse:
+    """Makes every grid CSV take the block parse in `blocks` children, and
+    counts what happens: the forks, and the np.loadtxt calls of this process
+    (the serial path or a fallback). `child_action` maps a child's skiprows
+    to what that child does instead of its normal parse: "kill" itself,
+    "hang", return a "short" or "long" block (a row less or more), or
+    "exit 3" after sending its block."""
+
+    def __init__(self, monkeypatch, blocks):
+        self.pid = os.getpid()
+        self.forks = 0
+        self.parent_loads = 0
+        self.child_action = {}
+        real_fork = os.fork
+        monkeypatch.setattr(qcreg.io, "BLOCK_BYTES", 1)
+        monkeypatch.setattr(qcreg.io, "_usable_cpus", lambda: blocks)
+
+        def fork():
+            self.forks += 1
+            return real_fork()
+
+        def loadtxt(*args, **kwargs):
+            if os.getpid() == self.pid:
+                self.parent_loads += 1
+                return SERIAL_LOADTXT(*args, **kwargs)
+            action = self.child_action.get(kwargs["skiprows"])
+            if action == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            elif action == "hang":
+                time.sleep(120)
+            elif action == "exit 3":
+                real_exit = os._exit
+                os._exit = lambda code: real_exit(3)
+            rows = SERIAL_LOADTXT(*args, **kwargs)
+            if action == "short":
+                return rows[:-1]
+            return np.vstack([rows, rows[-1:]]) if action == "long" else rows
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+
+    @property
+    def ran(self):
+        """The last load took the block path and did not fall back."""
+        return self.forks > 0 and self.parent_loads == 0
+
+
+@pytest.fixture
+def deadline():
+    """Turn a wait on a child that never ends into a TimeoutError."""
+    def expire(signum, frame):
+        raise TimeoutError("still waiting on a block child after 60 s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, old)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def outcome(load, *args):
+    """What a load gives: its value, or the type and text of its error."""
+    try:
+        return load(*args)
+    except (ConfigError, FieldValidationError) as exc:
+        return type(exc), str(exc)
+
+
+def same(a, b):
+    if isinstance(a, tuple):
+        return a == b
+    return a.shape == b.shape and np.array_equal(a, b)
+
+
+# 7 x 5 = 35 data rows, which neither 2 nor 3 blocks divide
+BLOCK_SHAPE = (7, 5)
+
+
+def special_mu_grid(tmp_path, shape=BLOCK_SHAPE):
+    """A mu grid of the finite special values, written unchecked."""
+    finite = [v for v in SPECIAL_VALUES if np.isfinite(v)]
+    values = np.resize(finite, shape) + 1j * np.resize(np.roll(finite, 3), shape)
+    path = tmp_path / "mu.csv"
+    save_sampled_field(path, raw_sampled_field(values, complex(-3.7, -0.0), 0.1))
+    return path
+
+
+def special_matrix_grid(tmp_path, shape=BLOCK_SHAPE):
+    finite = [v for v in SPECIAL_VALUES if np.isfinite(v)]
+    grids = tuple(np.resize(np.roll(finite, k), shape) for k in (0, 4, 7))
+    path = tmp_path / "matrix.csv"
+    save_matrix_field(path, grids, origin=-1e-3 - 250j, spacing=2.4 / 64, K=2.0)
+    return path
+
+
+def smooth_mu_grid(tmp_path, shape=BLOCK_SHAPE):
+    ny, nx = shape
+    values = 0.3 * np.exp(1j * (np.arange(nx)[None, :] - 0.7 * np.arange(ny)[:, None]))
+    path = tmp_path / "mu.csv"
+    save_sampled_field(path, SampledField(origin=-0.5 + 0.25j, spacing=0.125,
+                                          values=values, k_max=0.3))
+    return path
+
+
+@pytest.mark.parametrize("blocks", [2, 3])
+@pytest.mark.usefixtures("deadline")
+class TestBlockParseEqualsSerial:
+    @pytest.mark.parametrize("write,header", [(special_mu_grid, MU_HEADER),
+                                              (special_matrix_grid, MATRIX_HEADER)])
+    def test_rows_bit_equal(self, tmp_path, monkeypatch, blocks, write, header):
+        path = write(tmp_path)
+        want = serial_rows(path)
+        spy = BlockParse(monkeypatch, blocks)
+        got = qcreg.io._load_grid_csv(path, header, len(want))
+        assert spy.ran and spy.forks == blocks
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))  # -0.0 stays -0.0
+        assert_no_child_left()
+
+    def test_sampled_field(self, tmp_path, monkeypatch, blocks):
+        path = smooth_mu_grid(tmp_path)
+        want = load_sampled_field(path)
+        spy = BlockParse(monkeypatch, blocks)
+        got = load_sampled_field(path)
+        assert spy.ran
+        assert np.array_equal(got.values, want.values) and got.origin == want.origin
+        assert_no_child_left()
+
+    def test_matrix_field(self, tmp_path, monkeypatch, blocks):
+        path, _ = write_varying_matrix_grid(tmp_path)
+        want = load_matrix_field(path)
+        spy = BlockParse(monkeypatch, blocks)
+        got = load_matrix_field(path)
+        assert spy.ran
+        assert np.array_equal(got.grid.values, want.grid.values) and got.K == want.K
+        assert_no_child_left()
+
+    def test_one_row_per_block(self, tmp_path, monkeypatch, blocks):
+        path = smooth_mu_grid(tmp_path, (1, blocks))
+        want = serial_rows(path)
+        spy = BlockParse(monkeypatch, blocks)
+        assert np.array_equal(qcreg.io._load_grid_csv(path, MU_HEADER, blocks), want)
+        assert spy.ran and spy.forks == blocks
+
+
+def edit_data_row(path, row, edit):
+    """Apply `edit` to the list of lines at data row `row` (-1: the last)."""
+    lines = read_lines(path)
+    at = 1 + row if row >= 0 else len(lines) + row
+    edit(lines, at)
+    write_lines(path, lines)
+
+
+# lines that np.loadtxt skips or reads otherwise than as one data row, so
+# that skiprows and max_rows count them apart or a line count would miss them
+ODD_LINES = {
+    "blank": "\n",
+    "whitespace-only": "  \t\n",
+    "comment": "# a comment line\n",
+    "indented comment": "   # a comment\n",
+    "empty CRLF": "\r\n",
+    "lone CR": "\r",
+}
+
+
+def odd_edit(odd, how):
+    """Insert the odd line before a data row, put it in the row's place
+    (which keeps the number of line ends), or, for "CR end", end the row
+    with a lone carriage return."""
+    if odd == "CR end":
+        return lambda lines, at: lines.__setitem__(at, lines[at].rstrip("\n") + "\r")
+    if how == "insert":
+        return lambda lines, at: lines.insert(at, ODD_LINES[odd])
+    return lambda lines, at: lines.__setitem__(at, ODD_LINES[odd])
+
+
+ODD_CASES = [(odd, how) for odd in ODD_LINES for how in ("insert", "replace")] + [
+    ("CR end", None)
+]
+
+
+def replace_field(col, text):
+    def edit(lines, at):
+        fields = lines[at].rstrip("\n").split(",")
+        fields[col] = text
+        lines[at] = ",".join(fields) + "\n"
+    return edit
+
+
+class TestPlainRowsScan:
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 1 << 20])
+    @pytest.mark.parametrize("ending", [b"\n", b"\r\n"])
+    @pytest.mark.parametrize("last_newline", [True, False])
+    def test_counts_the_data_lines(self, tmp_path, chunk, ending, last_newline):
+        path = smooth_mu_grid(tmp_path)
+        data = path.read_bytes().replace(b"\n", ending)
+        path.write_bytes(data if last_newline else data[: -len(ending)])
+        assert qcreg.io._plain_rows(path, chunk) == 35
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 1 << 20])
+    @pytest.mark.parametrize("row", [0, 17, -1])
+    @pytest.mark.parametrize("odd,how", ODD_CASES)
+    def test_rejects_odd_lines(self, tmp_path, chunk, row, odd, how):
+        path = smooth_mu_grid(tmp_path)
+        edit_data_row(path, row, odd_edit(odd, how))
+        assert qcreg.io._plain_rows(path, chunk) is None
+
+    def test_header_only(self, tmp_path):
+        path = tmp_path / "mu.csv"
+        path.write_text(MU_HEADER + "\n")
+        assert qcreg.io._plain_rows(path) == 0
+
+
+@pytest.mark.parametrize("blocks", [2, 3])
+@pytest.mark.usefixtures("deadline")
+class TestBlockParseFallsBackToSerial:
+    @pytest.mark.parametrize("row", [0, 17, -1])
+    @pytest.mark.parametrize("odd,how", ODD_CASES)
+    def test_odd_line(self, tmp_path, monkeypatch, blocks, row, odd, how):
+        path = smooth_mu_grid(tmp_path)
+        edit_data_row(path, row, odd_edit(odd, how))
+        want = outcome(qcreg.io._load_grid_csv, path, MU_HEADER, 35)
+        spy = BlockParse(monkeypatch, blocks)
+        got = outcome(qcreg.io._load_grid_csv, path, MU_HEADER, 35)
+        assert same(got, want)
+        assert spy.forks == blocks and spy.parent_loads == 1  # scanned, then serial
+        assert_no_child_left()
+
+    def test_crlf_file(self, tmp_path, monkeypatch, blocks):
+        path = smooth_mu_grid(tmp_path)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        want = load_sampled_field(path)
+        spy = BlockParse(monkeypatch, blocks)
+        got = load_sampled_field(path)
+        assert spy.ran  # CRLF line ends count alike in skiprows and max_rows
+        assert np.array_equal(got.values, want.values)
+
+    @pytest.mark.parametrize("text", ["nan", "-inf"])
+    def test_non_finite_in_the_last_block(self, tmp_path, monkeypatch, blocks, text):
+        path = smooth_mu_grid(tmp_path)
+        edit_data_row(path, 33, replace_field(3, text))
+        want = outcome(load_sampled_field, path)
+        spy = BlockParse(monkeypatch, blocks)
+        got = outcome(load_sampled_field, path)
+        assert got == want == (ConfigError, f"{path} line 35: im = {text} is not finite")
+        assert spy.ran
+        assert_no_child_left()
+
+    def test_unparsable_in_the_last_block(self, tmp_path, monkeypatch, blocks):
+        path = smooth_mu_grid(tmp_path)
+        edit_data_row(path, -1, replace_field(2, "1.0e"))
+        want = outcome(load_sampled_field, path)
+        spy = BlockParse(monkeypatch, blocks)
+        got = outcome(load_sampled_field, path)
+        assert got == want == (ConfigError, f"{path} line 36: re = '1.0e' is not a number")
+        assert spy.forks == blocks and spy.parent_loads == 1
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_row_count_off_by_one(self, tmp_path, monkeypatch, blocks, extra):
+        path = smooth_mu_grid(tmp_path)
+        lines = read_lines(path)
+        write_lines(path, lines[:-1] if extra < 0 else lines + lines[-1:])
+        want = outcome(load_sampled_field, path)
+        spy = BlockParse(monkeypatch, blocks)
+        got = outcome(load_sampled_field, path)
+        assert got == want == (
+            ConfigError, f"{path}: {35 + extra} rows but descriptor says nx*ny = 35"
+        )
+        assert spy.forks == blocks and spy.parent_loads == 1
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("action", ["kill", "short", "long", "exit 3"])
+    @pytest.mark.parametrize("block", ["first", "last"])
+    def test_failed_child(self, tmp_path, monkeypatch, blocks, action, block):
+        path = smooth_mu_grid(tmp_path)
+        want = load_sampled_field(path)
+        spy = BlockParse(monkeypatch, blocks)
+        spy.child_action = {1 if block == "first" else 1 + 35 * (blocks - 1) // blocks: action}
+        got = load_sampled_field(path)
+        assert spy.forks == blocks and spy.parent_loads == 1
+        assert np.array_equal(got.values, want.values)
+        assert_no_child_left()
+
+    def test_other_children_are_stopped(self, tmp_path, monkeypatch, blocks):
+        # the first child dies, so the parse falls back without waiting for
+        # the last one, which would otherwise run for two minutes
+        path = smooth_mu_grid(tmp_path)
+        spy = BlockParse(monkeypatch, blocks)
+        spy.child_action = {1: "kill", 1 + 35 * (blocks - 1) // blocks: "hang"}
+        start = time.monotonic()
+        load_sampled_field(path)
+        assert time.monotonic() - start < 60
+        assert spy.parent_loads == 1
+        assert_no_child_left()
+
+
+@pytest.mark.usefixtures("deadline")
+class TestBlockParseNeedsCpusAndFork:
+    def test_one_usable_cpu_forks_nothing(self, tmp_path, monkeypatch):
+        path = smooth_mu_grid(tmp_path)
+        want = load_sampled_field(path)
+        monkeypatch.setattr(qcreg.io, "BLOCK_BYTES", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked on one usable CPU"))
+        assert np.array_equal(load_sampled_field(path).values, want.values)
+
+    def test_no_fork_forks_nothing(self, tmp_path, monkeypatch):
+        path = smooth_mu_grid(tmp_path)
+        want = load_sampled_field(path)
+        monkeypatch.setattr(qcreg.io, "BLOCK_BYTES", 1)
+        monkeypatch.setattr(qcreg.io, "_usable_cpus", lambda: 2)
+        monkeypatch.delattr(os, "fork")
+        assert np.array_equal(load_sampled_field(path).values, want.values)
+
+    def test_real_affinity_sets_the_block_count(self, tmp_path, monkeypatch):
+        # run under `taskset -c 0` in CI, so the one-CPU path runs for real
+        path = smooth_mu_grid(tmp_path)
+        want = load_sampled_field(path)
+        real_fork, forks = os.fork, []
+        monkeypatch.setattr(qcreg.io, "BLOCK_BYTES", 1)
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        assert np.array_equal(load_sampled_field(path).values, want.values)
+        usable = qcreg.io._usable_cpus()
+        assert len(forks) == (min(usable, 35) if usable >= 2 else 0)
+        assert_no_child_left()
+
+    def test_small_file_stays_serial(self, tmp_path, monkeypatch):
+        path = smooth_mu_grid(tmp_path)
+        monkeypatch.setattr(qcreg.io, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked for a small file"))
+        assert path.stat().st_size <= qcreg.io.BLOCK_BYTES
+        load_sampled_field(path)
+
+
+def test_cli_analyze_on_a_block_parsed_grid(tmp_path):
+    """A cold `qcreg analyze` whose grid is parsed in two blocks exits 0 with
+    empty stderr, and prints what the serial parse gives."""
+    path = tmp_path / "mu.csv"
+    h = 2.4 / 64
+    xs = -1.2 + h * np.arange(65)
+    save_sampled_field(path, SampledField(origin=-1.2 - 1.2j, spacing=h, values=varying_mu(
+        xs[None, :], xs[:, None]), k_max=VARYING_K_MAX))
+    run = (
+        "import os, sys\n"
+        "import qcreg.io\n"
+        "from qcreg.cli import main\n"
+        "forks, fork = [], os.fork\n"
+        "if sys.argv[1] == 'blocks':\n"
+        "    qcreg.io.BLOCK_BYTES = 1\n"
+        "    qcreg.io._usable_cpus = lambda: 2\n"
+        "    os.fork = lambda: forks.append(1) or fork()\n"
+        "code = main(['analyze', '--subject', sys.argv[2]])\n"
+        "sys.exit(code or len(forks) != (sys.argv[1] == 'blocks') * 2)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(qcreg.io.__file__).parents[1]))
+    # From Python 3.12 os.fork warns in a process with threads, which numpy's
+    # BLAS pool can start. Called through the lambda above, the warning
+    # belongs to __main__, where Python shows DeprecationWarnings by default,
+    # so one the block parse failed to silence would reach stderr.
+    procs = {
+        mode: subprocess.run([sys.executable, "-c", run, mode, str(path)],
+                             capture_output=True, env=env, timeout=300)
+        for mode in ("serial", "blocks")
+    }
+    for proc in procs.values():
+        assert proc.returncode == 0 and proc.stderr == b""
+    assert procs["blocks"].stdout == procs["serial"].stdout
