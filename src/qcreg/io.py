@@ -14,8 +14,10 @@ Numbers are written as ``%.18e`` (19 significant digits, so a float64 reads
 back exactly), byte for byte what ``np.savetxt`` writes. The writers format
 each grid coordinate once and each grid row with one ``%`` call. The loaders
 reject, with ``ConfigError``, a descriptor value of the wrong type or range
-(naming the file and the key), a file with no data rows, an unparsable or
-non-finite entry (naming the file, its 1-based line and the column) and
+(naming the file and the key), a file with no data rows, a row with the
+wrong number of fields, a whitespace-only line included (naming the file,
+its 1-based line and the expected and found counts), an unparsable or
+non-finite entry (naming the file, its line and the column) and
 coordinates that disagree with the descriptor.
 
 Both loaders read a CSV with one ``np.loadtxt`` call, or, for a file above
@@ -53,8 +55,12 @@ BLOCK_BYTES = 4 << 20
 #: bytes a line may start with for the block parse: a number's first character
 _ROW_START = np.zeros(256, dtype=bool)
 _ROW_START[list(b"+-.0123456789")] = True
-#: np.loadtxt's message for an entry it cannot parse: (entry repr, row, column)
+#: np.loadtxt's message for an entry it cannot parse: (entry repr, 0-based
+#: data row, 1-based column)
 _UNPARSABLE = r"could not convert string (.*) to \w+ at row (\d+), column (\d+)\."
+#: np.loadtxt's message for a row whose field count differs from the first
+#: row's: (first row's count, this row's count, 1-based data row)
+_RAGGED = r"the number of columns changed from (\d+) to (\d+) at row (\d+);.*"
 
 
 def sidecar_path(csv_path) -> Path:
@@ -105,12 +111,12 @@ def _load_grid_csv(csv_path, header: str, rows: int) -> np.ndarray:
     if len(data) == 0:
         raise ConfigError(f"{csv_path}: 0 data rows but descriptor says nx*ny = {rows}")
     if data.shape[1] != len(names):
-        raise ConfigError(f"{csv_path}: expected {len(names)} columns")
+        raise _column_count_error(csv_path, len(names), 0, data.shape[1])
     finite = np.isfinite(data)
     if not finite.all():
         row, col = np.argwhere(~finite)[0]
         raise ConfigError(
-            f"{csv_path} line {_data_line(csv_path, row)}: "
+            f"{csv_path} line {_data_line(csv_path, row)[0]}: "
             f"{names[col]} = {data[row, col]} is not finite"
         )
     return data
@@ -135,14 +141,35 @@ def _parse_rows(csv_path, names, rows: int) -> np.ndarray:
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             return np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as exc:
-        bad = re.fullmatch(_UNPARSABLE, str(exc))
-        if bad is None or int(bad[3]) > len(names):
-            raise ConfigError(f"{csv_path}: {exc}") from None
-        text, row, col = bad.groups()
-        raise ConfigError(
-            f"{csv_path} line {_data_line(csv_path, int(row))}: "
-            f"{names[int(col) - 1]} = {text} is not a number"
-        ) from None
+        raise _parse_error(csv_path, names, str(exc)) from None
+
+
+def _parse_error(csv_path, names, message: str) -> ConfigError:
+    """The ConfigError for np.loadtxt's `message`, naming the file line: a
+    row of the wrong field count (a whitespace-only line is a row of one
+    field), else an entry that is not a number."""
+    ncols = len(names)
+    ragged = re.fullmatch(_RAGGED, message)
+    if ragged is not None:
+        first, found, row = (int(g) for g in ragged.groups())
+        # the first row's count is the reference, so it may be the wrong one
+        if first != ncols:
+            found, row = first, 1
+        return _column_count_error(csv_path, ncols, row - 1, found)
+    bad = re.fullmatch(_UNPARSABLE, message)
+    if bad is None:
+        return ConfigError(f"{csv_path}: {message}")
+    text, row, col = bad[1], int(bad[2]), int(bad[3])
+    line, row_text = _data_line(csv_path, row)
+    found = row_text.split("#", 1)[0].count(",") + 1
+    if found != ncols:  # a first row np.loadtxt read as one field, say
+        return _column_count_error(csv_path, ncols, row, found)
+    return ConfigError(f"{csv_path} line {line}: {names[col - 1]} = {text} is not a number")
+
+
+def _column_count_error(csv_path, ncols: int, row: int, found: int) -> ConfigError:
+    line, _ = _data_line(csv_path, row)
+    return ConfigError(f"{csv_path} line {line}: expected {ncols} columns, found {found}")
 
 
 def _usable_cpus() -> int:
@@ -281,13 +308,13 @@ def _plain_rows(csv_path, chunk: int = 1 << 20):
     return None if buf[0] == ord("\r") else lines
 
 
-def _data_line(csv_path, row: int) -> int:
-    """1-based file line of data row `row`, skipping what np.loadtxt skips:
-    the header and every line that is empty up to its line end or ``#``
-    (a whitespace-only line is a data row to np.loadtxt)."""
+def _data_line(csv_path, row: int) -> tuple[int, str]:
+    """1-based file line and text of data row `row`, skipping what
+    np.loadtxt skips: the header and every line that is empty up to its
+    line end or ``#`` (a whitespace-only line is a data row to np.loadtxt)."""
     with open(csv_path) as fh:
         lines = (
-            n for n, text in enumerate(fh, 1)
+            (n, text) for n, text in enumerate(fh, 1)
             if n > 1 and text.split("#", 1)[0].rstrip("\n")
         )
         return next(itertools.islice(lines, row, None))
@@ -343,7 +370,9 @@ def load_sampled_field(csv_path, interpolation: str = "bilinear") -> SampledFiel
     desc = _load_descriptor(csv_path, "k_max", (0.0, 1.0))
     data = _load_grid_csv(csv_path, MU_HEADER, desc["nx"] * desc["ny"])
     nx, ny, h, origin = _check_grid_coords(data, desc, csv_path)
-    values = (data[:, 2] + 1j * data[:, 3]).reshape(ny, nx)
+    # the adjacent re, im columns of each row read as one complex number in
+    # place: no complex grid is built, and signed zeros survive as written
+    values = data.view(complex)[:, 1].reshape(ny, nx)
     return SampledField(
         origin=origin,
         spacing=h,

@@ -402,9 +402,11 @@ def derive_beltrami(map_model: MapModel) -> BeltramiField:
 class SampledField(_Frozen):
     """Grid-sampled complex coefficient with nearest / bilinear interpolation.
 
-    `values[iy, ix]` sits at origin + (ix + iy * 1j) * spacing. Queries are
-    clamped to the grid hull, so boundary-touching quadrature nodes stay
-    well-defined; `require_covers` rejects a disk that leaves the hull.
+    `values[iy, ix]` sits at origin + (ix + iy * 1j) * spacing. `evaluate`
+    raises ConfigError at a query more than HULL_SLACK cells outside the
+    hull of the nodes and clamps one within that slack, so a quadrature node
+    that touches the hull up to round-off reads the edge value;
+    `require_covers` rejects a whole disk that leaves the hull.
     """
 
     __slots__ = _fields = ("origin", "spacing", "values", "k_max", "interpolation")
@@ -449,9 +451,7 @@ class SampledField(_Frozen):
         Outside the hull `evaluate` would only repeat the edge values, so
         every number computed there would describe the clamp, not the data.
         """
-        ny, nx = self.values.shape
-        x0, y0 = self.origin.real, self.origin.imag
-        x1, y1 = x0 + (nx - 1) * self.spacing, y0 + (ny - 1) * self.spacing
+        x0, x1, y0, y1 = self._hull()
         c, r, slack = disk.center, disk.radius, HULL_SLACK * self.spacing
         if (c.real - r < x0 - slack or c.real + r > x1 + slack
                 or c.imag - r < y0 - slack or c.imag + r > y1 + slack):
@@ -459,11 +459,27 @@ class SampledField(_Frozen):
                 f"{what} {disk} leaves the grid hull [{x0!r}, {x1!r}] x [{y0!r}, {y1!r}]"
             )
 
+    def _hull(self) -> tuple[float, float, float, float]:
+        ny, nx = self.values.shape
+        x0, y0 = self.origin.real, self.origin.imag
+        return x0, x0 + (nx - 1) * self.spacing, y0, y0 + (ny - 1) * self.spacing
+
     def evaluate(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
         ny, nx = self.values.shape
-        gx = np.clip((z.real - self.origin.real) / self.spacing, 0.0, nx - 1.0)
-        gy = np.clip((z.imag - self.origin.imag) / self.spacing, 0.0, ny - 1.0)
+        gx = (z.real - self.origin.real) / self.spacing
+        gy = (z.imag - self.origin.imag) / self.spacing
+        low, x_high, y_high = -HULL_SLACK, nx - 1 + HULL_SLACK, ny - 1 + HULL_SLACK
+        if z.size and (gx.min() < low or gx.max() > x_high
+                       or gy.min() < low or gy.max() > y_high):
+            outside = (gx < low) | (gx > x_high) | (gy < low) | (gy > y_high)
+            x0, x1, y0, y1 = self._hull()
+            raise ConfigError(
+                f"sampled field evaluated at {complex(z[outside][0])}, outside the grid "
+                f"hull [{x0!r}, {x1!r}] x [{y0!r}, {y1!r}]"
+            )
+        gx = np.clip(gx, 0.0, nx - 1.0)
+        gy = np.clip(gy, 0.0, ny - 1.0)
         if self.interpolation == "nearest":
             return self.values[np.rint(gy).astype(int), np.rint(gx).astype(int)]
         ix = np.clip(np.floor(gx).astype(int), 0, max(nx - 2, 0))

@@ -10,6 +10,16 @@ offset keeps every node off the axes theta = 0, pi/2, pi, 3 pi/2, the rays
 where z / conj(z) fields may carry tabulated branch data. `refine` is the
 one node-doubling loop: the circle averages here and the Jacobian areas of
 `qcreg.geometry` both refine through it.
+
+Circle families and ring rules are evaluated in batches of at most
+MAX_BATCH_NODES nodes, for two reasons. A complex node array of the cap is
+128 KiB, so the temporaries of a batch stay cache-sized, and fewer of them
+make the allocator grow and trim its heap (page faults and system time on
+every batch). And a batch's node arrays stay below numpy's 256 KiB size for
+reusing the buffers of temporaries in place, which reorders complex
+products and so would make a circle's average depend on the family it is
+averaged in. Under the cap a circle's average is bit-identical alone and in
+any family; a row longer than the cap is a batch of its own either way.
 """
 
 from __future__ import annotations
@@ -30,8 +40,11 @@ MAX_CIRCLE_NODES = 1 << 20
 
 #: most nodes one integrand (or ring Jacobian) call evaluates: the rows of a
 #: circle family or of a radial rule go in batches that fit, and a row with
-#: more nodes than that is a batch of its own
-MAX_BATCH_NODES = 1 << 15
+#: more nodes than that is a batch of its own. 2**13 complex nodes are
+#: 128 KiB, so a batch's temporaries stay cache-sized and mostly reuse the
+#: heap, and no batch reaches numpy's 256 KiB temporary-elision size, which
+#: would make a row's value depend on the rows batched with it
+MAX_BATCH_NODES = 1 << 13
 
 
 class _QuadratureFields(NamedTuple):
@@ -193,11 +206,14 @@ def circular_average(
     circles : sequence of CircleSpec
         The family averaged together: each doubling level evaluates every
         circle still refining, in batches of at most MAX_BATCH_NODES nodes
-        (a circle with more nodes than that is a batch of its own).
+        (a circle with more nodes than that is a batch of its own). The
+        cap keeps a batch's arrays cache-sized and under numpy's 256 KiB
+        size for reusing temporaries in place, so an elementwise integrand
+        gives every row the bits it has in a family of one.
     cfg : QuadratureConfig
         The doubling rule of `refine`: each row of each circle has its own
         convergence test, so a row converges at the level it would reach in
-        a family of one, though its value can differ from that by round-off.
+        a family of one, with the value it has there.
 
     Returns
     -------

@@ -1,9 +1,10 @@
 """Circle families averaged together, against lone-circle oracles.
 
 A family is evaluated as stacked (m, N) rows per doubling level, so a
-circle's nodes sit in a larger array than when it is averaged alone. Its
-value may then differ from the lone evaluation by round-off (at most
-ULPS units in the last place here), but it must converge at the same
+circle's nodes sit in a larger array than when it is averaged alone. The
+batches stay under MAX_BATCH_NODES, below numpy's size for reusing the
+buffers of temporaries in place, so a circle's value in a family is
+bit-identical to its lone value (ULPS = 0), and it converges at the same
 level, so the work stays the same.
 """
 
@@ -25,21 +26,25 @@ from qcreg import (
     affine_map,
     circular_average,
     distortion_constant,
+    epsilon_decompose,
+    epsilon_weight_integral,
     geometry_profile,
     image_area_jacobian,
     isoperimetric_constant,
     power_spiral,
+    quasicircle_length_formula,
     radial_stretch,
     regularity_report,
     spiral_map,
     sup_over_circles,
     validate_field,
 )
-from qcreg.bounds import distortion_integrand
+from qcreg.bounds import distortion_average, distortion_integrand
+from qcreg.geometry import length_and_area
 from qcreg.quadrature import MAX_BATCH_NODES, TIE_ULPS, _argmax_stable, level_nodes
 
 #: largest distance in units in the last place between a batched and a lone value
-ULPS = 4
+ULPS = 0
 
 CFG = QuadratureConfig()
 
@@ -139,6 +144,86 @@ class TestBatchedAgainstLoneCircles:
         assert batch_levels == lone_levels
 
 
+def wavy_grid(interpolation, n=65):
+    """A spatially varying mu grid on [-1.05, 1.05]^2."""
+    x = np.linspace(-1.05, 1.05, n)
+    z = x[None, :] + 1j * x[:, None]
+    mu = 0.4 * np.exp(1j * (1.3 * z.real - 0.7 * z.imag)) * (0.5 + 0.5 * np.cos(2 * z.real))
+    return SampledField(origin=-1.05 - 1.05j, spacing=2.1 / (n - 1), values=mu,
+                        k_max=0.4, interpolation=interpolation)
+
+
+#: the profile radii of a default analysis
+PROFILE_RADII = np.geomspace(1e-3, 1.0, 65)
+
+
+def assert_family_equals_lone(rows, circles):
+    """`rows(family)` gives k stacked rows of per-circle values, or one row;
+    every value of the whole family must carry the bits of the circle's
+    family of one."""
+    family = np.atleast_2d(rows(circles))
+    lone = np.column_stack([np.atleast_2d(rows(circles[i:i + 1])) for i in range(len(circles))])
+    assert family.shape == lone.shape
+    differ = family.view(np.uint64) != lone.view(np.uint64)
+    assert not differ.any(), f"{differ.sum()} of {differ.size} values differ from the lone ones"
+
+
+class TestFamilyEqualsLone:
+    """Exact equality of every stacked-row quantity of a report with the
+    lone-circle evaluation (the catalog distortion rows are
+    TestBatchedAgainstLoneCircles's, at ULPS = 0)."""
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_speed_and_green_rows(self, name):
+        model = FAMILIES[name]
+        assert_family_equals_lone(
+            lambda circles: length_and_area(model, circles, CFG),
+            ring_domain().admissible_circles(),
+        )
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_length_formula_rows(self, name):
+        model = FAMILIES[name]
+        circles = [CircleSpec(0j, float(t)) for t in PROFILE_RADII]
+        assert_family_equals_lone(
+            lambda family: quasicircle_length_formula(model, family, CFG), circles
+        )
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_epsilon_rows(self, name):
+        field = validate_field(FAMILIES[name].beltrami)
+        K = field.distortion_ratio
+        circles = [CircleSpec(0j, float(t)) for t in PROFILE_RADII]
+
+        def rows(family):
+            return circular_average(
+                lambda nodes: epsilon_decompose(field, K, nodes.points).real, family, CFG
+            )
+
+        assert_family_equals_lone(rows, circles)
+        # the profile's averages are these rows
+        assert np.array_equal(epsilon_weight_integral(field, K, PROFILE_RADII, CFG).eps_re_avg,
+                              rows(circles))
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_jacobian_areas(self, name):
+        model = FAMILIES[name]
+        disks = [CircleSpec(0j, float(t)) for t in PROFILE_RADII[::2]]
+        inner = np.concatenate(([0.0], PROFILE_RADII[:-1:2]))
+        family = image_area_jacobian(model, disks, CFG, r_inner=inner)
+        lone = [image_area_jacobian(model, disks[i:i + 1], CFG, r_inner=inner[i:i + 1])[0]
+                for i in range(len(disks))]
+        assert family.tobytes() == np.array(lone).tobytes()
+
+    @pytest.mark.parametrize("interpolation", ["nearest", "bilinear"])
+    def test_sampled_field_distortion_rows(self, interpolation):
+        field = validate_field(wavy_grid(interpolation).as_beltrami())
+        assert_family_equals_lone(
+            lambda circles: distortion_average(field, circles, CFG),
+            DomainSpec.origin_disk().admissible_circles(),
+        )
+
+
 class TestNonFiniteInOneCircle:
     def test_integrand_nan_names_the_first_bad_circle_and_node(self):
         circles = [CircleSpec(0j, r) for r in (0.2, 0.5, 0.8)]
@@ -224,14 +309,14 @@ class TestTiePolicy:
 
 
 class TestEvaluationCap:
+    def test_node_arrays_stay_below_numpys_elision_size(self):
+        # numpy reuses the buffer of a temporary of 256 KiB or more in place,
+        # which reorders complex products: a 16-byte complex node array of
+        # the cap must stay below that, or a row's bits depend on its family
+        assert MAX_BATCH_NODES * 16 < 256 * 1024
+
     def test_nearest_grid_at_the_full_budget(self, monkeypatch):
-        n = 65
-        x = np.linspace(-1.05, 1.05, n)
-        z = x[None, :] + 1j * x[:, None]
-        mu = 0.4 * np.exp(1j * (1.3 * z.real - 0.7 * z.imag)) * (0.5 + 0.5 * np.cos(2 * z.real))
-        sampled = SampledField(origin=-1.05 - 1.05j, spacing=2.1 / (n - 1), values=mu,
-                               k_max=0.4, interpolation="nearest")
-        field = validate_field(sampled.as_beltrami())
+        field = validate_field(wavy_grid("nearest").as_beltrami())
         sizes, levels = [], {}
         average = qcreg.bounds.circular_average
 
@@ -263,7 +348,11 @@ class TestEvaluationCap:
         # each are evaluated together, in batches under the cap
         assert max(sizes) <= MAX_BATCH_NODES
         assert sum(sizes) == 487936  # the points of TestWorkCounts, in fewer calls
-        assert len(sizes) < 33
+        # both the 33 length-formula circles and the 920 rings converge at the
+        # second level, and each level evaluates 256 angles per row, in
+        # batches of as many whole rows as the cap holds
+        batches = lambda rows: math.ceil(rows / (MAX_BATCH_NODES // CFG.nodes))
+        assert len(sizes) == 2 * batches(33) + 2 * batches(920)
 
 
 class TestRingChecks:

@@ -267,8 +267,8 @@ def uncached_model(entry):
 def node_array(rows=64, n=512, shift=0.0):
     """(rows, n) points on circles about the origin and off it, z = 0 included.
 
-    64 x 512 = 2^15 points, the batch cap: 512 KiB of complex, above the
-    size from which numpy reuses the buffers of temporaries.
+    64 x 512 = 2^15 points, four times the batch cap: 512 KiB of complex,
+    above the size from which numpy reuses the buffers of temporaries.
     """
     theta = 2.0 * np.pi * (np.arange(n) + 0.5) / n
     radii = np.geomspace(1e-3, 1.0, rows)[:, None]

@@ -1,9 +1,9 @@
 """A sampled grid must cover every disk an analysis evaluates it on.
 
-`SampledField.evaluate` clamps queries to the grid hull, so a domain that
-leaves the hull would be analysed on edge values extended as constants.
-`run_analysis` rejects it instead (ConfigError, CLI exit 1), naming the
-disk and the hull.
+`SampledField.evaluate` raises ConfigError, naming the point and the hull,
+at a query more than HULL_SLACK cells outside the grid hull, so no number
+is computed from edge values extended as constants. `run_analysis` checks
+every disk first (ConfigError, CLI exit 1), naming the disk and the hull.
 """
 
 import json
@@ -14,14 +14,18 @@ import pytest
 from qcreg import (
     CircleSpec,
     ConfigError,
+    DomainSpec,
     SampledField,
     load_matrix_field,
+    regularity_report,
     run_analysis,
     save_matrix_field,
     save_sampled_field,
+    validate_field,
 )
 from qcreg.cli import main
 from qcreg.config import build_config
+from qcreg.plane import HULL_SLACK
 
 from test_config_cli import write_matrix_grid, write_mu_grid
 
@@ -55,6 +59,45 @@ class TestRequireCovers:
                             k_max=0.1)
         assert -1 + (n - 1) * grid.spacing < 1.0
         grid.require_covers(CircleSpec(0j, 1.0), "unit disk")
+
+
+class TestEvaluateOutsideTheHull:
+    TINY = SampledField(origin=0.5 + 0.5j, spacing=0.01, values=np.full((3, 3), 0.2 + 0j),
+                        k_max=0.3)
+    HULL = r"outside the grid hull \[0\.5, 0\.52\] x \[0\.5, 0\.52\]$"
+
+    @pytest.mark.parametrize("validated", [True, False])
+    def test_regularity_report_on_the_origin_disk_raises(self, validated):
+        field = self.TINY.as_beltrami()
+        with pytest.raises(ConfigError, match=r"^sampled field evaluated at \(.*\), " + self.HULL):
+            regularity_report(validate_field(field) if validated else field,
+                              DomainSpec.origin_disk())
+
+    @pytest.mark.parametrize("interpolation", ["nearest", "bilinear"])
+    def test_the_first_point_outside_is_named(self, interpolation):
+        grid = SampledField(self.TINY.origin, self.TINY.spacing, self.TINY.values,
+                            self.TINY.k_max, interpolation)
+        z = np.array([0.51 + 0.51j, 0.53 + 0.51j, 0.4 + 0.4j])
+        with pytest.raises(ConfigError, match=r"^sampled field evaluated at \(0\.53\+0\.51j\), "
+                                              + self.HULL):
+            grid.evaluate(z)
+
+    @pytest.mark.parametrize("side", [1, -1, 1j, -1j])
+    def test_slack_is_clamped_and_beyond_it_raises(self, side):
+        # the hull's centre is one cell from each of its sides
+        h = self.TINY.spacing
+        centre = 0.51 + 0.51j
+        inside = centre + side * h * (1 + 0.5 * HULL_SLACK)
+        outside = centre + side * h * (1 + 2 * HULL_SLACK)
+        assert self.TINY.evaluate(np.array([inside]))[0] == 0.2
+        with pytest.raises(ConfigError, match=self.HULL):
+            self.TINY.evaluate(np.array([outside]))
+
+    def test_scalar_and_empty_queries(self):
+        assert self.TINY.evaluate(0.51 + 0.51j) == 0.2
+        assert self.TINY.evaluate(np.empty((0,), dtype=complex)).shape == (0,)
+        with pytest.raises(ConfigError, match=self.HULL):
+            self.TINY.evaluate(0j)
 
 
 class TestSampledMu:

@@ -605,7 +605,58 @@ def test_whitespace_only_line_is_a_data_row(tmp_path):
     write_lines(path, lines)
     with pytest.raises(ConfigError) as info:
         load_sampled_field(path)
-    assert str(info.value) == f"{path} line 3: x = '  ' is not a number"
+    assert str(info.value) == f"{path} line 3: expected 4 columns, found 1"
+
+
+# (edit of the lines of a 3 x 5 mu grid, file line it breaks, fields found there)
+COLUMN_CASES = {
+    "short row": (lambda lines: lines.__setitem__(3, "0,0.25,0.1\n"), 4, 3),
+    "long row": (lambda lines: lines.__setitem__(3, "0,0.25,0.1,0,7\n"), 4, 5),
+    "trailing comma": (lambda lines: lines.__setitem__(3, "0,0.25,0.1,0,\n"), 4, 5),
+    "whitespace-only line": (lambda lines: lines.__setitem__(3, " \t \n"), 4, 1),
+    "short first row": (lambda lines: lines.__setitem__(1, "-0.5,0.25,0\n"), 2, 3),
+    "after a comment": (
+        lambda lines: (lines.insert(2, "# note\n"), lines.__setitem__(6, "1\n")), 7, 1
+    ),
+}
+
+
+@pytest.mark.parametrize("case", COLUMN_CASES)
+def test_wrong_column_count_names_the_line(tmp_path, capsys, case):
+    edit, line, found = COLUMN_CASES[case]
+    path = tmp_path / "c.csv"
+    save_sampled_field(path, non_square_field())
+    lines = read_lines(path)
+    edit(lines)
+    write_lines(path, lines)
+    message = f"{path} line {line}: expected 4 columns, found {found}"
+    with pytest.raises(ConfigError) as info:
+        load_sampled_field(path)
+    assert str(info.value) == message
+    assert main(["analyze", "--subject", str(path)]) == 1
+    assert capsys.readouterr().err == f"qcreg: config error: {message}\n"
+
+
+def test_every_row_short_names_the_first_line(tmp_path):
+    path = tmp_path / "m.csv"
+    save_matrix_field(path, (np.ones((3, 5)), np.zeros((3, 5)), np.ones((3, 5))),
+                      origin=0, spacing=0.5, K=2.0)
+    lines = read_lines(path)
+    write_lines(path, lines[:1] + [line.rsplit(",", 1)[0] + "\n" for line in lines[1:]])
+    with pytest.raises(ConfigError) as info:
+        load_matrix_field(path)
+    assert str(info.value) == f"{path} line 2: expected 5 columns, found 4"
+
+
+def test_signed_zeros_survive_the_load(tmp_path):
+    values = np.array([[0.0, -0.0, 0.1], [-0.0, 0.0, -0.1]])
+    values = values + 0j
+    values.imag = [[-0.0, 0.0, -0.0], [-0.0, 0.1, 0.0]]
+    path = tmp_path / "z.csv"
+    save_sampled_field(path, SampledField(origin=0j, spacing=0.5, values=values, k_max=0.2))
+    loaded = load_sampled_field(path).values
+    assert np.array_equal(np.signbit(loaded.real), np.signbit(values.real))
+    assert np.array_equal(np.signbit(loaded.imag), np.signbit(values.imag))
 
 
 @pytest.mark.parametrize("load,header", [(load_sampled_field, MU_HEADER),
@@ -897,6 +948,21 @@ class TestBlockParseFallsBackToSerial:
         spy = BlockParse(monkeypatch, blocks)
         got = outcome(load_sampled_field, path)
         assert got == want == (ConfigError, f"{path} line 36: re = '1.0e' is not a number")
+        assert spy.forks == blocks and spy.parent_loads == 1
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("text,found", [("0.5,1.25,0.1\n", 3), ("  \n", 1)],
+                             ids=["ragged row", "whitespace-only line"])
+    @pytest.mark.parametrize("row", [0, 17, -1])
+    def test_wrong_column_count(self, tmp_path, monkeypatch, blocks, text, found, row):
+        path = smooth_mu_grid(tmp_path)
+        edit_data_row(path, row, lambda lines, at: lines.__setitem__(at, text))
+        want = outcome(load_sampled_field, path)
+        spy = BlockParse(monkeypatch, blocks)
+        got = outcome(load_sampled_field, path)
+        line = 2 + row if row >= 0 else 36
+        assert got == want == (ConfigError, f"{path} line {line}: expected 4 columns, "
+                                            f"found {found}")
         assert spy.forks == blocks and spy.parent_loads == 1
         assert_no_child_left()
 
