@@ -32,7 +32,7 @@ from .catalog import (
     radial_stretch,
     spiral_map,
 )
-from .config import AnalysisConfig, build_config, default_config_for, load_config
+from .config import AnalysisConfig, build_config, default_config_for
 from .elliptic import (
     ComparisonReport,
     MatrixField,
@@ -71,7 +71,6 @@ from .geometry import (
     geometry_profile,
     image_area_green,
     image_area_jacobian,
-    isoperimetric_defect,
     quasicircle_length_direct,
     quasicircle_length_formula,
 )
@@ -94,4 +93,4 @@ from .plane import (
     wirtinger_from_cartesian,
 )
 from .quadrature import QuadratureConfig, SupResult, circular_average, sup_over_circles
-from .reporting import RunReport, emit_report, load_report_json, run_analysis
+from .reporting import RunReport, emit_report, run_analysis

@@ -16,8 +16,6 @@ exponent: t^(-2/(A C)) * phi(t) must be nondecreasing.
 
 from __future__ import annotations
 
-import csv
-import io as _io
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -252,50 +250,6 @@ class RegularityReport(NamedTuple):
             "gronwall": self.gronwall.describe() if self.gronwall else None,
         }
         return out
-
-    CSV_FIELDS = (
-        "distortion_sup",
-        "isoperimetric_sup",
-        "alpha_improved",
-        "alpha_distortion",
-        "alpha_classical",
-        "C_center_x",
-        "C_center_y",
-        "C_radius",
-        "A_center_x",
-        "A_center_y",
-        "A_radius",
-        "mori_margin",
-        "mori_passed",
-        "gronwall_margin",
-        "gronwall_passed",
-    )
-
-    def to_csv_row(self) -> str:
-        """Single flat CSV row (with header line) for spreadsheet ingestion."""
-        a_arg = self.isoperimetric_argmax
-        row = {
-            "distortion_sup": self.distortion_sup,
-            "isoperimetric_sup": self.isoperimetric_sup,
-            "alpha_improved": self.alpha_improved,
-            "alpha_distortion": self.alpha_distortion,
-            "alpha_classical": self.alpha_classical,
-            "C_center_x": self.distortion_argmax.center.real,
-            "C_center_y": self.distortion_argmax.center.imag,
-            "C_radius": self.distortion_argmax.radius,
-            "A_center_x": a_arg.center.real if a_arg else "",
-            "A_center_y": a_arg.center.imag if a_arg else "",
-            "A_radius": a_arg.radius if a_arg else "",
-            "mori_margin": self.mori.worst_margin,
-            "mori_passed": self.mori.passed,
-            "gronwall_margin": self.gronwall.worst_margin if self.gronwall else "",
-            "gronwall_passed": self.gronwall.passed if self.gronwall else "",
-        }
-        buf = _io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=self.CSV_FIELDS)
-        writer.writeheader()
-        writer.writerow(row)
-        return buf.getvalue()
 
 
 def regularity_report(

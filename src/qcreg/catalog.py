@@ -29,16 +29,6 @@ class CatalogEntry:
     map: MapModel
     exact_exponent: float | None = None
 
-    def spec_string(self) -> str:
-        args = ",".join(f"{k}={_fmt(v)}" for k, v in self.parameters.items())
-        return f"{self.name}({args})"
-
-
-def _fmt(v):
-    if isinstance(v, complex) and v.imag == 0:
-        return repr(v.real)
-    return repr(v)
-
 
 def _power_model(alpha: float, gamma: float) -> tuple[MapModel, complex]:
     """MapModel for f(z) = z |z|^(alpha-1+i gamma) plus its constant mu factor.
@@ -206,30 +196,26 @@ def affine_map(a: complex, b: complex) -> CatalogEntry:
     return CatalogEntry(name="affine", parameters=params, map=model, exact_exponent=1.0)
 
 
-# config-facing registry: name -> (constructor, ordered parameter names)
-_REGISTRY = {
-    "radial_stretch": (radial_stretch, ("K",)),
-    "spiral": (spiral_map, ("gamma",)),
-    "spiral_map": (spiral_map, ("gamma",)),
-    "affine": (affine_map, ("a", "b")),
-    "affine_map": (affine_map, ("a", "b")),
-    "power_spiral": (power_spiral, ("alpha", "gamma")),
+# the catalog: spec name -> (constructor, ordered parameter names, formula of f)
+_FAMILIES = {
+    "radial_stretch": (radial_stretch, ("K",), "z |z|^(1/K - 1)"),
+    "spiral": (spiral_map, ("gamma",), "z |z|^(i gamma)"),
+    "affine": (affine_map, ("a", "b"), "a z + b conj(z)"),
+    "power_spiral": (power_spiral, ("alpha", "gamma"), "z |z|^(alpha - 1 + i gamma)"),
 }
 
 _SPEC_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*\((.*)\)\s*$")
 
 
 def catalog_names() -> list[str]:
-    return ["radial_stretch", "spiral", "affine", "power_spiral"]
+    return list(_FAMILIES)
 
 
 def list_catalog() -> list[dict]:
     """One row per family: name, parameters, short description."""
     return [
-        {"name": "radial_stretch", "parameters": "K", "map": "z |z|^(1/K - 1)"},
-        {"name": "spiral", "parameters": "gamma", "map": "z |z|^(i gamma)"},
-        {"name": "affine", "parameters": "a, b", "map": "a z + b conj(z)"},
-        {"name": "power_spiral", "parameters": "alpha, gamma", "map": "z |z|^(alpha - 1 + i gamma)"},
+        {"name": name, "parameters": ", ".join(params), "map": formula}
+        for name, (_, params, formula) in _FAMILIES.items()
     ]
 
 
@@ -258,9 +244,9 @@ def entry_from_spec(spec: str) -> CatalogEntry:
             f"with name in {catalog_names()}"
         )
     name, argstr = m.group(1), m.group(2).strip()
-    if name not in _REGISTRY:
+    if name not in _FAMILIES:
         raise ConfigError(f"unknown catalog map {name!r}; available: {catalog_names()}")
-    ctor, param_names = _REGISTRY[name]
+    ctor, param_names, _ = _FAMILIES[name]
     kwargs = {}
     if argstr:
         for part in argstr.split(","):

@@ -54,12 +54,12 @@ class AnalysisConfig(NamedTuple):
     quadrature: QuadratureConfig
     profile_radii: np.ndarray
     resolved: dict
-    run_geometry: bool = True
-    run_extremal: bool = True
-    threshold: float = 0.01
-    interpolation: str = "bilinear"
-    output_json: str | None = None
-    output_csv_dir: str | None = None
+    run_geometry: bool
+    run_extremal: bool
+    threshold: float
+    interpolation: str
+    output_json: str | None
+    output_csv_dir: str | None
 
     def config_hash(self) -> str:
         canon = json.dumps(self.resolved, sort_keys=True, separators=(",", ":"))
@@ -276,15 +276,6 @@ def read_config(path) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     return raw
-
-
-def load_config(path) -> AnalysisConfig:
-    """Read and validate a JSON config file.
-
-    Parse errors carry the offending line; an invalid catalog subject
-    raises ConfigError listing the available names.
-    """
-    return build_config(read_config(path))
 
 
 def default_config_for(subject: str, **overrides) -> AnalysisConfig:

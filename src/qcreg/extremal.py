@@ -80,12 +80,6 @@ class EpsilonProfile(NamedTuple):
     W: np.ndarray
     ratio_w: np.ndarray
 
-    CSV_HEADER = "t,eps_re_avg,W,ratio_W"
-
-    def to_csv(self, path) -> None:
-        rows = np.column_stack([self.radii, self.eps_re_avg, self.W, self.ratio_w])
-        np.savetxt(path, rows, delimiter=",", header=self.CSV_HEADER, comments="")
-
     def describe(self) -> dict:
         return {
             "K": self.distortion_bound,
@@ -135,12 +129,6 @@ class DefectProfile(NamedTuple):
     delta: np.ndarray
     I: np.ndarray
     ratio_i: np.ndarray
-
-    CSV_HEADER = "t,delta,I,ratio_I"
-
-    def to_csv(self, path) -> None:
-        rows = np.column_stack([self.radii, self.delta, self.I, self.ratio_i])
-        np.savetxt(path, rows, delimiter=",", header=self.CSV_HEADER, comments="")
 
     def describe(self) -> dict:
         return {

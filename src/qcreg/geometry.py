@@ -284,27 +284,11 @@ def image_area_green(
     return np.pi * circular_average(integrand, circles, cfg)
 
 
-def isoperimetric_defect(
-    map_model: MapModel,
-    t: float,
-    cfg: QuadratureConfig = QuadratureConfig(),
-) -> float:
-    """delta(t) = length(f(S_t))^2 / (4 pi area(f(D_t))) - 1 for origin circles.
-
-    Nonnegative up to quadrature tolerance by the isoperimetric inequality;
-    zero exactly when the image is a disk.
-    """
-    (length,), (area,) = length_and_area(map_model, [CircleSpec(0j, float(t))], cfg)
-    if area <= 0 or length < DEGENERATE_LENGTH:
-        raise NumericalError(f"degenerate image at t = {t}: area={area}, length={length}")
-    return length * length / (4.0 * np.pi * area) - 1.0
-
-
 class GeometryProfile(NamedTuple):
     """Per-radius image geometry with both routes for each quantity.
 
-    `phi` is the Jacobian-route area (the quantity whose growth rate
-    carries the Holder exponent), `h = phi / length^2`, and
+    `area_jacobian` is the Jacobian-route area (the quantity whose growth
+    rate carries the Holder exponent), `h = area_jacobian / length^2`, and
     `delta = 1 / (4 pi h) - 1` is the isoperimetric defect.
     """
 
@@ -313,26 +297,8 @@ class GeometryProfile(NamedTuple):
     length_formula: np.ndarray
     area_jacobian: np.ndarray
     area_green: np.ndarray
-    phi: np.ndarray
     h: np.ndarray
     delta: np.ndarray
-
-    CSV_HEADER = "t,len_direct,len_formula,area_jac,area_green,phi,h,delta"
-
-    def to_csv(self, path) -> None:
-        rows = np.column_stack(
-            [
-                self.radii,
-                self.length_direct,
-                self.length_formula,
-                self.area_jacobian,
-                self.area_green,
-                self.phi,
-                self.h,
-                self.delta,
-            ]
-        )
-        np.savetxt(path, rows, delimiter=",", header=self.CSV_HEADER, comments="")
 
     def describe(self) -> dict:
         return {
@@ -341,7 +307,6 @@ class GeometryProfile(NamedTuple):
             "len_formula": [float(x) for x in self.length_formula],
             "area_jac": [float(x) for x in self.area_jacobian],
             "area_green": [float(x) for x in self.area_green],
-            "phi": [float(x) for x in self.phi],
             "h": [float(x) for x in self.h],
             "delta": [float(x) for x in self.delta],
         }
@@ -359,8 +324,8 @@ def geometry_profile(
     The boundary pass and the length formula each average all radii
     together. The area column is accumulated incrementally (one
     singular-aware integral for the smallest radius, annulus increments
-    after that, all stacked in one `image_area_jacobian` call), so `phi`
-    is nondecreasing by construction of the Jacobian integral; a decrease
+    after that, all stacked in one `image_area_jacobian` call), so the
+    Jacobian-route area is nondecreasing by construction of the Jacobian integral; a decrease
     or a defect below -1e-6 raises InvariantViolationError. A radius whose
     boundary pass raises a NumericalError naming its circle is nudged once.
     """
@@ -415,9 +380,8 @@ def geometry_profile(
     if np.any(np.diff(area_jac) < 0):
         raise InvariantViolationError("image area decreased with the radius")
 
-    phi = area_jac
-    h = phi / len_direct**2
-    delta = len_direct**2 / (4.0 * np.pi * phi) - 1.0
+    h = area_jac / len_direct**2
+    delta = len_direct**2 / (4.0 * np.pi * area_jac) - 1.0
     if np.any(delta < -1e-6):
         raise InvariantViolationError(
             f"isoperimetric defect fell to {delta.min():.3e} < -1e-6"
@@ -428,7 +392,6 @@ def geometry_profile(
         length_formula=len_formula,
         area_jacobian=area_jac,
         area_green=area_green,
-        phi=phi,
         h=h,
         delta=delta,
     )

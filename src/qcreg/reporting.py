@@ -4,7 +4,7 @@
 pipelines and returns a RunReport whose JSON form is byte-stable for a
 fixed config and package version: all sampling is deterministic and no
 timestamps enter the output. `emit_report` writes the JSON report and an
-optional CSV bundle (one file per profile, documented headers).
+optional CSV bundle, each file from its block of the JSON report.
 """
 
 from __future__ import annotations
@@ -191,17 +191,56 @@ def report_json_bytes(report: RunReport) -> bytes:
     return (text + "\n").encode()
 
 
+#: the CSV file of each list-valued block of the JSON report, in writing order
+_CSV_FILES = (
+    ("geometry_profile", "geometry.csv"),
+    ("epsilon_profile", "epsilon.csv"),
+    ("defect_profile", "defect.csv"),
+    ("holder_estimates", "holder.csv"),
+)
+
+
+def _regularity_row(block: dict) -> dict:
+    """The `regularity` block as the one flat row of regularity.csv.
+
+    The suprema and exponents keep their names; each argmax circle becomes
+    `C_`/`A_` center and radius cells, and each verdict its worst margin and
+    pass flag. An absent circle or verdict gives None (an empty cell).
+    """
+    row = {key: block[key] for key in (
+        "distortion_sup", "isoperimetric_sup", "alpha_improved",
+        "alpha_distortion", "alpha_classical",
+    )}
+    for prefix, key in (("C", "distortion_argmax"), ("A", "isoperimetric_argmax")):
+        circle = block[key] or {"center": (None, None), "radius": None}
+        row[f"{prefix}_center_x"], row[f"{prefix}_center_y"] = circle["center"]
+        row[f"{prefix}_radius"] = circle["radius"]
+    for key in ("mori", "gronwall"):
+        verdict = block[key] or {}
+        row[f"{key}_margin"] = verdict.get("worst_margin")
+        row[f"{key}_passed"] = verdict.get("passed")
+    return row
+
+
+def _columns(block) -> dict:
+    """The list-valued keys of a profile block; a list of records is transposed."""
+    if isinstance(block, list):
+        return {key: [record[key] for record in block] for key in block[0]}
+    return {key: value for key, value in block.items() if isinstance(value, list)}
+
+
 def emit_report(
     report: RunReport,
     json_path=None,
     csv_dir=None,
 ) -> list[Path]:
-    """Write the JSON report and/or the per-profile CSV bundle.
+    """Write the JSON report and/or the CSV bundle; returns the files written.
 
-    Returns the list of files written. CSV headers:
-    geometry ``t,len_direct,len_formula,area_jac,area_green,phi,h,delta``;
-    epsilon ``t,eps_re_avg,W,ratio_W``; defect ``t,delta,I,ratio_I``;
-    holder ``t,from_area``; regularity: one flat row.
+    Every CSV comes from its block of `RunReport.to_json_dict()`:
+    regularity.csv is the header and the row of `_regularity_row` (CRLF line
+    ends, an empty cell for None), and each file of `_CSV_FILES` has one
+    ``%.18e`` column per list-valued key of its block, in the block's order
+    (README "File formats" lists the headers).
     """
     written: list[Path] = []
     if json_path is not None:
@@ -212,29 +251,17 @@ def emit_report(
     if csv_dir is not None:
         csv_dir = Path(csv_dir)
         csv_dir.mkdir(parents=True, exist_ok=True)
-        reg = csv_dir / "regularity.csv"
-        reg.write_text(report.regularity.to_csv_row())
-        written.append(reg)
-        if report.geometry is not None:
-            path = csv_dir / "geometry.csv"
-            report.geometry.to_csv(path)
-            written.append(path)
-        if report.epsilon is not None:
-            path = csv_dir / "epsilon.csv"
-            report.epsilon.to_csv(path)
-            written.append(path)
-        if report.defect is not None:
-            path = csv_dir / "defect.csv"
-            report.defect.to_csv(path)
-            written.append(path)
-        if report.holder_estimates is not None:
-            path = csv_dir / "holder.csv"
-            rows = np.asarray(report.holder_estimates, dtype=float)
-            np.savetxt(path, rows, delimiter=",", header="t,from_area", comments="")
-            written.append(path)
+        payload = report.to_json_dict()
+        row = _regularity_row(payload["regularity"])
+        cells = ("" if value is None else str(value) for value in row.values())
+        path = csv_dir / "regularity.csv"
+        path.write_text(",".join(row) + "\r\n" + ",".join(cells) + "\r\n")
+        written.append(path)
+        for key, name in _CSV_FILES:
+            if key in payload:
+                columns = _columns(payload[key])
+                path = csv_dir / name
+                np.savetxt(path, np.column_stack(list(columns.values())), delimiter=",",
+                           header=",".join(columns), comments="")
+                written.append(path)
     return written
-
-
-def load_report_json(path) -> dict:
-    """Read back an emitted JSON report (round-trip counterpart of emit)."""
-    return json.loads(Path(path).read_text())

@@ -24,3 +24,13 @@ def random_points(rng, n, r_min=1e-3, r_max=1.0):
     r = rng.uniform(r_min, r_max, n)
     theta = rng.uniform(0.0, 2.0 * np.pi, n)
     return r * np.exp(1j * theta)
+
+
+def entry_id(entry):
+    """Test id `name(key=value,...)` of a catalog entry; a complex parameter
+    with no imaginary part is written as its real part."""
+    args = ",".join(
+        f"{key}={(value.real if value.imag == 0 else value)!r}"
+        for key, value in entry.parameters.items()
+    )
+    return f"{entry.name}({args})"

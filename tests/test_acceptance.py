@@ -26,7 +26,6 @@ from qcreg import (
     image_area_green,
     image_area_jacobian,
     isoperimetric_constant,
-    isoperimetric_defect,
     mori_consistency,
     power_spiral,
     quasicircle_length_direct,
@@ -134,10 +133,8 @@ def test_criterion_06_isoperimetric_sanity():
     for entry in CATALOG_CASES:
         sup = isoperimetric_constant(entry.map, DOMAIN, CFG)
         worst_sup = max(worst_sup, sup.value)
-    worst_defect = 0.0
-    for t in np.geomspace(0.05, 1.0, 9):
-        got = isoperimetric_defect(affine_map(1.0, 1 / 3).map, t, CFG)
-        worst_defect = max(worst_defect, abs(got - ELLIPSE_DEFECT))
+    delta = geometry_profile(affine_map(1.0, 1 / 3).map, np.geomspace(0.05, 1.0, 9), CFG).delta
+    worst_defect = float(np.abs(delta - ELLIPSE_DEFECT).max())
     ok = worst_sup <= 1.0 + 1e-6 and worst_defect <= 1e-4
     _report(6, "isoperimetric-sanity", ok,
             f"max sup = {worst_sup:.12f}, worst |defect - oracle| = {worst_defect:.3e}")

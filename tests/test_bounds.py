@@ -7,8 +7,10 @@ from scipy.special import ellipe
 from qcreg import (
     BeltramiField,
     FieldValidationError,
+    RunReport,
     distortion_constant,
     distortion_integrand,
+    emit_report,
     gronwall_check,
     holder_lower_bound,
     isoperimetric_constant,
@@ -217,9 +219,10 @@ class TestRegularityReport:
         assert rep.alpha_distortion == pytest.approx(1.0, abs=1e-9)
         assert rep.alpha_classical < 1.0
 
-    def test_csv_row_shape(self, domain, cfg):
+    def test_csv_row_shape(self, domain, cfg, tmp_path):
         rep = regularity_report(radial_stretch(2.0).map, domain, cfg)
-        text = rep.to_csv_row()
-        header, row = text.strip().splitlines()
+        run = RunReport("radial_stretch(K=2)", "catalog", rep, *[None] * 6, provenance={})
+        (path,) = emit_report(run, csv_dir=tmp_path)
+        header, row = path.read_text().strip().splitlines()
         assert header.split(",")[0] == "distortion_sup"
         assert len(header.split(",")) == len(row.split(","))

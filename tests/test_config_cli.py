@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -13,15 +14,14 @@ from qcreg import (
     DomainSpec,
     QuadratureConfig,
     SampledField,
+    catalog_names,
     emit_report,
-    load_config,
-    load_report_json,
     run_analysis,
     save_matrix_field,
     save_sampled_field,
 )
 from qcreg.cli import main
-from qcreg.config import build_config, default_config_for
+from qcreg.config import build_config, default_config_for, read_config
 from qcreg.bounds import distortion_average
 from qcreg.reporting import report_json_bytes
 
@@ -166,18 +166,18 @@ class TestConfigValidation:
 
 class TestLoadConfig:
     def test_minimal_subject_fills_defaults(self, tmp_path):
-        cfg = load_config(write_config(tmp_path, {"subject": "radial_stretch(K=2)"}))
+        cfg = build_config(read_config(write_config(tmp_path, {"subject": "radial_stretch(K=2)"})))
         assert cfg.quadrature == QuadratureConfig()
         assert cfg.domain.radii[0] == pytest.approx(0.05)
         assert cfg.profile_radii.size == 33
         assert cfg.run_geometry and cfg.run_extremal
 
     def test_radii_object_makes_log_spacing(self, tmp_path):
-        cfg = load_config(
+        cfg = build_config(read_config(
             write_config(
                 tmp_path, {"subject": "spiral(gamma=1)", "radii": {"min": 1e-4, "count": 64}}
             )
-        )
+        ))
         assert cfg.profile_radii.size == 64
         assert cfg.profile_radii[0] == pytest.approx(1e-4)
         ratios = cfg.profile_radii[1:] / cfg.profile_radii[:-1]
@@ -185,23 +185,23 @@ class TestLoadConfig:
 
     def test_unknown_subject_lists_catalog(self, tmp_path):
         with pytest.raises(ConfigError, match="radial_stretch"):
-            load_config(write_config(tmp_path, {"subject": "nosuchmap()"}))
+            build_config(read_config(write_config(tmp_path, {"subject": "nosuchmap()"})))
 
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown keys"):
-            load_config(
+            build_config(read_config(
                 write_config(tmp_path, {"subject": "spiral(gamma=1)", "nodez": 1})
-            )
+            ))
 
     def test_parse_error_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{\n "subject": "radial_stretch(K=2)",\n broken\n}')
         with pytest.raises(ConfigError, match="line 3"):
-            load_config(path)
+            build_config(read_config(path))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
-            load_config(tmp_path / "absent.json")
+            build_config(read_config(tmp_path / "absent.json"))
 
     def test_subject_kind_sniffs_headers(self, tmp_path):
         mu = write_mu_grid(tmp_path)
@@ -278,12 +278,24 @@ class TestRunAnalysis:
         assert val == pytest.approx(rep.regularity.distortion_sup, abs=1e-12)
 
 
+#: the CSV file of each list-valued block of a report, in the order emitted
+CSV_BLOCKS = {
+    "geometry.csv": "geometry_profile",
+    "epsilon.csv": "epsilon_profile",
+    "defect.csv": "defect_profile",
+    "holder.csv": "holder_estimates",
+}
+REGULARITY_SCALARS = (
+    "distortion_sup", "isoperimetric_sup", "alpha_improved", "alpha_distortion", "alpha_classical",
+)
+
+
 class TestEmitReport:
     def test_json_round_trip(self, tmp_path):
         rep = run_analysis(default_config_for("radial_stretch(K=2)"))
         out = tmp_path / "report.json"
         emit_report(rep, json_path=out)
-        assert load_report_json(out) == rep.to_json_dict()
+        assert json.loads(out.read_text()) == rep.to_json_dict()
 
     def test_csv_bundle_headers(self, tmp_path):
         rep = run_analysis(default_config_for("radial_stretch(K=2)"))
@@ -291,7 +303,56 @@ class TestEmitReport:
         names = {f.name for f in files}
         assert names == {"regularity.csv", "geometry.csv", "epsilon.csv", "defect.csv", "holder.csv"}
         geometry = (tmp_path / "bundle" / "geometry.csv").read_text().splitlines()[0]
-        assert geometry == "t,len_direct,len_formula,area_jac,area_green,phi,h,delta"
+        assert geometry == "t,len_direct,len_formula,area_jac,area_green,h,delta"
+
+    @pytest.mark.parametrize("kind", ["catalog-extremal", "sampled-mu"])
+    def test_every_csv_equals_its_json_block(self, tmp_path, kind):
+        if kind == "catalog-extremal":
+            subject, names = "power_spiral(alpha=0.5,gamma=1)", set(CSV_BLOCKS)
+        else:
+            subject, names = str(write_mu_grid(tmp_path)), {"epsilon.csv"}
+        rep = run_analysis(default_config_for(subject, radii={"min": 1e-3, "count": 9}))
+        payload = rep.to_json_dict()
+        files = emit_report(rep, csv_dir=tmp_path / "bundle")
+        assert [f.name for f in files] == ["regularity.csv"] + [n for n in CSV_BLOCKS if n in names]
+        for path in files[1:]:
+            block = payload[CSV_BLOCKS[path.name]]
+            if isinstance(block, list):  # holder_estimates: one record per row
+                block = {key: [record[key] for record in block] for key in block[0]}
+            keys = [key for key, value in block.items() if isinstance(value, list)]
+            header, *lines = path.read_text().splitlines()
+            assert header.split(",") == keys
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            assert data.shape == (len(block["t"]), len(keys)) == (len(lines), len(keys))
+            for j, key in enumerate(keys):
+                assert data[:, j].tolist() == block[key], (path.name, key)
+
+        with open(files[0], newline="") as fh:
+            assert fh.read().count("\r\n") == 2
+            fh.seek(0)
+            (row,) = csv.DictReader(fh)
+        reg = payload["regularity"]
+        assert list(row) == list(REGULARITY_SCALARS) + [
+            "C_center_x", "C_center_y", "C_radius", "A_center_x", "A_center_y", "A_radius",
+            "mori_margin", "mori_passed", "gronwall_margin", "gronwall_passed",
+        ]
+        want = {key: reg[key] for key in REGULARITY_SCALARS}
+        for prefix, key in (("C", "distortion_argmax"), ("A", "isoperimetric_argmax")):
+            circle = reg[key] or {"center": [None, None], "radius": None}
+            want.update(zip((f"{prefix}_center_x", f"{prefix}_center_y", f"{prefix}_radius"),
+                            (*circle["center"], circle["radius"])))
+        for key in ("mori", "gronwall"):
+            verdict = reg[key] or {}
+            want[f"{key}_margin"] = verdict.get("worst_margin")
+            want[f"{key}_passed"] = verdict.get("passed")
+        assert (reg["isoperimetric_argmax"] is None) == (kind == "sampled-mu")
+        for key, value in want.items():
+            if value is None:
+                assert row[key] == "", key
+            elif isinstance(value, bool):
+                assert row[key] == str(value), key
+            else:
+                assert float(row[key]) == value, key
 
     def test_missing_profiles_omitted(self, tmp_path):
         cfg = default_config_for(str(write_matrix_grid(tmp_path)))
@@ -463,6 +524,13 @@ class TestCli:
 
     def test_bad_subject_exit_one(self, capsys):
         assert main(["analyze", "--subject", "nosuchmap()"]) == 1
+
+    @pytest.mark.parametrize("spec", ["spiral_map(gamma=1)", "affine_map(a=1,b=0.1)"])
+    def test_constructor_names_are_not_spec_names(self, capsys, spec):
+        assert main(["analyze", "--subject", spec]) == 1
+        err = capsys.readouterr().err
+        assert f"unknown catalog map {spec.split('(')[0]!r}" in err
+        assert all(name in err for name in catalog_names())
 
     def test_repeated_catalog_parameter_exit_one(self, capsys):
         assert main(["analyze", "--subject", "radial_stretch(K=2,K=3)"]) == 1

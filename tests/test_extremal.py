@@ -39,16 +39,15 @@ def synthetic_profile(radii, delta):
     """GeometryProfile with prescribed defect values and consistent columns."""
     radii = np.asarray(radii, float)
     delta = np.asarray(delta, float)
-    phi = np.pi * radii**2
-    length = np.sqrt(4 * np.pi * phi * (1 + delta))
+    area = np.pi * radii**2
+    length = np.sqrt(4 * np.pi * area * (1 + delta))
     return GeometryProfile(
         radii=radii,
         length_direct=length,
         length_formula=length,
-        area_jacobian=phi,
-        area_green=phi,
-        phi=phi,
-        h=phi / length**2,
+        area_jacobian=area,
+        area_green=area,
+        h=area / length**2,
         delta=delta,
     )
 

@@ -8,16 +8,18 @@ from qcreg import (
     OrientationError,
     QuadratureConfig,
     affine_map,
+    emit_report,
     geometry_profile,
     image_area_green,
     image_area_jacobian,
-    isoperimetric_defect,
     power_spiral,
     quasicircle_length_direct,
     quasicircle_length_formula,
     radial_stretch,
+    run_analysis,
     spiral_map,
 )
+from qcreg.config import default_config_for
 from qcreg.geometry import (
     GAUSS_LEGENDRE_NODES,
     GAUSS_LEGENDRE_WEIGHTS,
@@ -179,14 +181,14 @@ def test_gauss_legendre_table_bit_equal_to_leggauss():
 
 class TestIsoperimetricDefect:
     def test_identity_zero(self, cfg):
-        assert abs(isoperimetric_defect(IDENTITY.map, 1.0, cfg)) <= 1e-12
+        assert abs(geometry_profile(IDENTITY.map, [1.0], cfg).delta[0]) <= 1e-12
 
     @pytest.mark.parametrize("t", [0.1, 0.5, 1.0])
     def test_circle_images_have_zero_defect(self, t, cfg):
-        assert abs(isoperimetric_defect(radial_stretch(2.0).map, t, cfg)) <= 1e-11
+        assert abs(geometry_profile(radial_stretch(2.0).map, [t], cfg).delta[0]) <= 1e-11
 
     def test_affine_matches_elliptic_integral_oracle(self, cfg):
-        got = isoperimetric_defect(affine_map(1.0, 1 / 3).map, 0.5, cfg)
+        (got,) = geometry_profile(affine_map(1.0, 1 / 3).map, [0.5], cfg).delta
         assert got == pytest.approx(ELLIPSE_DEFECT, abs=1e-10)
         assert got == pytest.approx(0.1888, abs=5e-5)
 
@@ -194,13 +196,13 @@ class TestIsoperimetricDefect:
 class TestGeometryProfile:
     def test_identity_two_radii(self, cfg):
         prof = geometry_profile(IDENTITY.map, [0.5, 1.0], cfg)
-        assert prof.phi == pytest.approx([np.pi / 4, np.pi], rel=1e-13)
+        assert prof.area_jacobian == pytest.approx([np.pi / 4, np.pi], rel=1e-13)
         assert np.abs(prof.delta).max() <= 1e-12
 
     def test_radial_stretch_linear_phi(self, cfg):
         radii = np.geomspace(0.01, 1.0, 9)
         prof = geometry_profile(radial_stretch(2.0).map, radii, cfg)
-        assert np.allclose(prof.phi, np.pi * radii, rtol=1e-11)
+        assert np.allclose(prof.area_jacobian, np.pi * radii, rtol=1e-11)
         assert np.abs(prof.delta).max() <= 1e-10
 
     def test_affine_constant_defect(self, cfg):
@@ -213,21 +215,26 @@ class TestGeometryProfile:
 
     def test_phi_nondecreasing(self, cfg):
         prof = geometry_profile(power_spiral(0.5, 1.0).map, np.geomspace(0.05, 1, 9), cfg)
-        assert np.all(np.diff(prof.phi) >= 0)
+        assert np.all(np.diff(prof.area_jacobian) >= 0)
 
     def test_rejects_unsorted_radii(self, cfg):
         with pytest.raises(ValueError):
             geometry_profile(IDENTITY.map, [0.5, 0.25], cfg)
 
-    def test_csv_round_trip(self, cfg, tmp_path):
-        prof = geometry_profile(IDENTITY.map, [0.5, 1.0], cfg)
+    def test_csv_round_trip(self, tmp_path):
+        cfg = default_config_for(
+            "radial_stretch(K=1)", radii=[0.5, 1.0],
+            diagnostics={"geometry": True, "extremal": False},
+        )
+        report = run_analysis(cfg)
+        prof = report.geometry
         path = tmp_path / "geometry.csv"
-        prof.to_csv(path)
+        assert path in emit_report(report, csv_dir=tmp_path)
         header = path.read_text().splitlines()[0]
-        assert header == "t,len_direct,len_formula,area_jac,area_green,phi,h,delta"
+        assert header == "t,len_direct,len_formula,area_jac,area_green,h,delta"
         data = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert data.shape == (2, 8)
-        assert data[:, 5] == pytest.approx(prof.phi)
+        assert data.shape == (2, 7)
+        assert data[:, 3] == pytest.approx(prof.area_jacobian)
 
 
 class TestScaleInvariance:
@@ -236,7 +243,7 @@ class TestScaleInvariance:
         K = 5.0
         radii = np.geomspace(0.01, 1.0, 7)
         prof = geometry_profile(radial_stretch(K).map, radii, cfg)
-        assert np.allclose(prof.phi / (np.pi * radii ** (2 / K)), 1.0, atol=1e-9)
+        assert np.allclose(prof.area_jacobian / (np.pi * radii ** (2 / K)), 1.0, atol=1e-9)
 
 
 class TestRadiusPerturbation:
@@ -257,7 +264,7 @@ class TestRadiusPerturbation:
         )
         prof = geometry_profile(broken_ring, [0.25, 0.5, 1.0], cfg)
         assert prof.radii[1] == pytest.approx(np.sqrt(0.5))
-        assert np.allclose(prof.phi, np.pi * prof.radii**2, rtol=1e-12)
+        assert np.allclose(prof.area_jacobian, np.pi * prof.radii**2, rtol=1e-12)
 
     def test_nudge_toward_a_tiny_neighbor_does_not_underflow(self, cfg):
         # 1e-200 * 1e-150 underflows to 0, the log-midpoint 1e-175 does not;
@@ -273,4 +280,4 @@ class TestRadiusPerturbation:
                                jacobian=entry.map.jacobian, beltrami=entry.map.beltrami)
         prof = geometry_profile(broken_ring, [1e-200, 1e-150, 1.0], cfg)
         assert prof.radii[0] == pytest.approx(1e-175, rel=1e-15)
-        assert np.allclose(prof.phi, np.pi * 1e300 * prof.radii**2, rtol=1e-12)
+        assert np.allclose(prof.area_jacobian, np.pi * 1e300 * prof.radii**2, rtol=1e-12)

@@ -22,7 +22,7 @@ from qcreg import (
     validate_field,
     wirtinger_from_cartesian,
 )
-from conftest import random_points
+from conftest import entry_id, random_points
 
 ALL_ENTRIES = [
     radial_stretch(1.0),
@@ -144,14 +144,14 @@ class TestBeltramiOf:
         with pytest.raises(SingularPointError):
             beltrami_of(broken, np.array([1.0 + 0j]))
 
-    @pytest.mark.parametrize("entry", ALL_ENTRIES, ids=lambda e: e.spec_string())
+    @pytest.mark.parametrize("entry", ALL_ENTRIES, ids=entry_id)
     def test_agrees_with_attached_field(self, entry, rng):
         z = random_points(rng, 4096)
         got = beltrami_of(entry.map, z)
         assert np.abs(got - entry.map.beltrami(z)).max() <= 1e-12
 
 
-@pytest.mark.parametrize("entry", ALL_ENTRIES, ids=lambda e: e.spec_string())
+@pytest.mark.parametrize("entry", ALL_ENTRIES, ids=entry_id)
 class TestMapIdentities:
     """Pointwise identities tying partials, coefficient and Jacobian together."""
 
