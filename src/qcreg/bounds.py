@@ -12,6 +12,13 @@ Dropping the A factor gives the distortion-only bound 1 / C, and the
 uniform bound 1 / K uses only the certified sup of |mu|. The Gronwall
 check verifies the integrated growth inequality that links C and A to the
 exponent: t^(-2/(A C)) * phi(t) must be nondecreasing.
+
+On a map subject `regularity_report` takes C and A from one pass over the
+admissible circles: the distortion weight of the map's field, the speed
+|d gamma| and the Green density are stacked rows on the same boundary
+points, each with its own convergence test, so both suprema carry the bits
+of `distortion_constant` and `isoperimetric_constant`. A field subject has
+no image curves and takes C from `distortion_constant`.
 """
 
 from __future__ import annotations
@@ -21,7 +28,13 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import FieldValidationError, NumericalError
-from .geometry import DEGENERATE_LENGTH, image_area_green, length_and_area
+from .geometry import (
+    DEGENERATE_LENGTH,
+    _boundary_data,
+    _green_density,
+    image_area_green,
+    length_and_area,
+)
 from .plane import BeltramiField, CircleSpec, DomainSpec, MapModel
 from .quadrature import QuadratureConfig, SupResult, circular_average, sup_over_circles
 
@@ -76,7 +89,11 @@ def isoperimetric_ratio(
 ) -> np.ndarray:
     """4 pi area / length^2 for the image of each circle (boundary data only)."""
     circles = tuple(circles)
-    length, area = length_and_area(map_model, circles, cfg)
+    return _roundness(circles, *length_and_area(map_model, circles, cfg))
+
+
+def _roundness(circles, length, area) -> np.ndarray:
+    """4 pi area / length^2 per circle; a degenerate image length is an error."""
     degenerate = np.flatnonzero(length < DEGENERATE_LENGTH)
     if degenerate.size:
         i = int(degenerate[0])
@@ -93,6 +110,33 @@ def isoperimetric_constant(
 ) -> SupResult:
     """A: supremum of 4 pi area / length^2 over the domain grid (<= 1)."""
     return sup_over_circles(lambda circles: isoperimetric_ratio(map_model, circles, cfg), domain)
+
+
+def _map_suprema(
+    map_model: MapModel, field: BeltramiField, domain: DomainSpec, cfg: QuadratureConfig
+) -> tuple[SupResult, SupResult]:
+    """C and A of a map from one stacked pass over the admissible circles,
+    bit for bit those of `distortion_constant` and `isoperimetric_constant`."""
+
+    def integrand(nodes):
+        z, dgamma = _boundary_data(map_model, nodes)
+        return np.stack((
+            distortion_integrand(field(z), nodes.unit),
+            np.abs(dgamma),
+            _green_density(map_model, z, dgamma),
+        ))
+
+    averages = []
+
+    def distortion(circles):
+        averages[:] = circular_average(integrand, circles, cfg)
+        return averages[0]
+
+    def roundness(circles):
+        _, speed, green = averages
+        return _roundness(circles, 2.0 * np.pi * speed, np.pi * green)
+
+    return sup_over_circles(distortion, domain), sup_over_circles(roundness, domain)
 
 
 def holder_lower_bound(iso_sup: float, dist_sup: float) -> float:
@@ -272,11 +316,11 @@ def regularity_report(
     else:
         map_model, field = None, subject
 
-    c_sup = distortion_constant(field, domain, cfg)
     if map_model is not None:
-        a_sup = isoperimetric_constant(map_model, domain, cfg)
+        c_sup, a_sup = _map_suprema(map_model, field, domain, cfg)
         iso_value, iso_argmax = a_sup.value, a_sup.argmax
     else:
+        c_sup = distortion_constant(field, domain, cfg)
         iso_value, iso_argmax = 1.0, None
 
     alpha_improved = holder_lower_bound(iso_value, c_sup.value)

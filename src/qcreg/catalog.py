@@ -44,18 +44,27 @@ def _power_model(alpha: float, gamma: float) -> tuple[MapModel, complex]:
     c = s / (s + 2.0)
     identity = c == 0
     # (copy of the last node array, |z|^s on it): `value` and `partials` are
-    # called on the same nodes, so the complex power is taken once. The entry
-    # is keyed on content and swapped whole, so a caller that changes its
-    # array in place, or a concurrent caller, never reads a stale power.
+    # called on the same nodes, so the power is taken once. The entry is
+    # keyed on content and swapped whole, so a caller that changes its array
+    # in place, or a concurrent caller, never reads a stale power.
     last = None
 
     def power(z):
+        # |z|^s = rho e^{i phi} with L = log|z|, rho = e^{Re s L}, phi = Im s L:
+        # one real logarithm per node, where `np.abs(z) ** s` goes through the
+        # scalar complex power. Its error is that of the product Im s L, as it
+        # is in the complex power. At z = 0 the power is nan.
         nonlocal last
         entry = last
         if entry is not None and np.array_equal(entry[0], z):
             return entry[1]
+        m = np.empty(z.shape, dtype=complex)
         with np.errstate(all="ignore"):
-            m = np.abs(z) ** s
+            log_r = np.log(np.abs(z))
+            rho = np.exp(s.real * log_r)
+            phi = s.imag * log_r
+            np.multiply(rho, np.cos(phi), out=m.real)
+            np.multiply(rho, np.sin(phi), out=m.imag)
         last = (z.copy(), m)
         return m
 
@@ -65,8 +74,8 @@ def _power_model(alpha: float, gamma: float) -> tuple[MapModel, complex]:
             return z.copy()
         m = power(z)
         # Keep the operand order z * m. Both m * z and z times a fresh
-        # temporary such as np.abs(z) ** s (whose buffer numpy reuses in
-        # place, operands swapped, from 256 KiB on) round differently.
+        # temporary (whose buffer numpy reuses in place, operands swapped,
+        # from 256 KiB on) round differently.
         with np.errstate(all="ignore"):
             out = np.asarray(z * m)
         out[z == 0] = 0

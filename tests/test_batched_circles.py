@@ -39,7 +39,7 @@ from qcreg import (
     sup_over_circles,
     validate_field,
 )
-from qcreg.bounds import distortion_average, distortion_integrand
+from qcreg.bounds import distortion_average, distortion_integrand, isoperimetric_ratio
 from qcreg.geometry import length_and_area
 from qcreg.quadrature import MAX_BATCH_NODES, TIE_ULPS, _argmax_stable, level_nodes
 
@@ -142,6 +142,41 @@ class TestBatchedAgainstLoneCircles:
         lone = {c: lone_roundness(model, c, lone_levels) for c in domain.admissible_circles()}
         assert_close_in_ulps(sup.per_circle, lone)
         assert batch_levels == lone_levels
+
+
+class TestOnePassForCAndA:
+    """A map's C and A come from one pass over its circles: the distortion,
+    speed and Green rows are stacked, each with its own convergence test."""
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_per_circle_values_equal_the_separate_passes(self, name):
+        model = FAMILIES[name]
+        domain = ring_domain()
+        circles = domain.admissible_circles()
+        c_sup, a_sup = qcreg.bounds._map_suprema(model, model.beltrami, domain, CFG)
+        for sup, separate in ((c_sup, distortion_average(model.beltrami, circles, CFG)),
+                              (a_sup, isoperimetric_ratio(model, circles, CFG))):
+            assert [c for c, _ in sup.per_circle] == circles
+            values = np.array([v for _, v in sup.per_circle])
+            assert values.tobytes() == separate.tobytes()
+        assert c_sup == distortion_constant(model.beltrami, domain, CFG)
+        assert a_sup == isoperimetric_constant(model, domain, CFG)
+        report = regularity_report(model, domain, CFG)
+        assert (report.distortion_sup, report.distortion_argmax) == (c_sup.value, c_sup.argmax)
+        assert (report.isoperimetric_sup, report.isoperimetric_argmax) == (a_sup.value,
+                                                                           a_sup.argmax)
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_levels_are_those_of_the_a_pass(self, name, batch_levels):
+        # the distortion row never outlasts the speed and Green rows of a
+        # catalog map, so the map is evaluated where the A pass alone did
+        model = FAMILIES[name]
+        domain = ring_domain()
+        qcreg.bounds._map_suprema(model, model.beltrami, domain, CFG)
+        fused = dict(batch_levels)
+        batch_levels.clear()
+        isoperimetric_constant(model, domain, CFG)
+        assert fused == batch_levels
 
 
 def wavy_grid(interpolation, n=65):

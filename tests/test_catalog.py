@@ -223,9 +223,8 @@ class TestSpecStrings:
 POWER_SPECS = ["radial_stretch(K=2.5)", "spiral(gamma=0.9)", "power_spiral(alpha=0.7,gamma=-0.8)"]
 
 
-def uncached_power_callables(entry):
-    """`value` and `partials` of a power family written without a shared power:
-    each call takes |z|^s itself, and `value` multiplies on the masked copy."""
+def power_exponent(entry) -> complex:
+    """s = alpha - 1 + i gamma of a power family, f(z) = z |z|^s."""
     params = entry.parameters
     if entry.name == "radial_stretch":
         alpha, gamma = 1.0 / params["K"], 0.0
@@ -233,20 +232,34 @@ def uncached_power_callables(entry):
         alpha, gamma = 1.0, params["gamma"]
     else:
         alpha, gamma = params["alpha"], params["gamma"]
-    s = (alpha - 1.0) + 1j * gamma
+    return (alpha - 1.0) + 1j * gamma
+
+
+def power_of_modulus(z, s):
+    """|z|^s as e^{Re s L} (cos(Im s L) + i sin(Im s L)), L = log|z|."""
+    with np.errstate(all="ignore"):
+        log_r = np.log(np.abs(z))
+        rho = np.exp(s.real * log_r)
+        return rho * np.cos(s.imag * log_r) + 1j * (rho * np.sin(s.imag * log_r))
+
+
+def uncached_power_callables(entry):
+    """`value` and `partials` of a power family written without a shared power:
+    each call takes |z|^s itself, and `value` multiplies on the masked copy."""
+    s = power_exponent(entry)
 
     def value(z):
         z = np.asarray(z, dtype=complex)
         out = np.zeros_like(z)
         nz = z != 0
         with np.errstate(all="ignore"):
-            out[nz] = z[nz] * np.abs(z[nz]) ** s
+            out[nz] = z[nz] * power_of_modulus(z[nz], s)
         return out
 
     def partials(z):
         z = np.asarray(z, dtype=complex)
         with np.errstate(all="ignore"):
-            m = np.abs(z) ** s
+            m = power_of_modulus(z, s)
             f_z = (1.0 + s / 2.0) * m
             f_zbar = (s / 2.0) * m * (z / np.conj(z))
             return f_z + f_zbar, 1j * (f_z - f_zbar)
@@ -376,6 +389,55 @@ class TestSharedPower:
     def test_map_model_fields_unchanged(self):
         assert [f.name for f in fields(MapModel)] == [
             "value", "partials", "jacobian", "beltrami", "singular_points"]
+
+
+class TestPowerKernel:
+    """|z|^s from one real logarithm per node, against the complex power."""
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                        reason="longdouble has no more precision than float64 here")
+    @pytest.mark.parametrize("spec", ["radial_stretch(K=2)", "spiral(gamma=1.7)",
+                                      "power_spiral(alpha=0.6,gamma=1.3)",
+                                      "power_spiral(alpha=2,gamma=1)",
+                                      "power_spiral(alpha=0.3,gamma=-2.5)"])
+    def test_value_as_accurate_as_the_complex_power(self, spec):
+        # |z| from 1e-20 to 10: the error grows with |Im s log|z||, whose
+        # float64 product both kernels round the same way; they differ only
+        # in the last rounding of log, exp, cos and sin (under 1 ulp)
+        entry = entry_from_spec(spec)
+        s = power_exponent(entry)
+        rng = np.random.default_rng(19)
+        z = 10.0 ** rng.uniform(-20.0, 1.0, 100_000) * np.exp(2j * np.pi * rng.random(100_000))
+        x, y = z.real.astype(np.longdouble), z.imag.astype(np.longdouble)
+        log_r = np.log(np.abs(z).astype(np.longdouble))
+        rho = np.exp(np.longdouble(s.real) * log_r)
+        phase = np.longdouble(s.imag) * log_r
+        m_re, m_im = rho * np.cos(phase), rho * np.sin(phase)
+        want_re, want_im = x * m_re - y * m_im, x * m_im + y * m_re
+
+        def max_ulps(got):
+            err = np.hypot(got.real - want_re, got.imag - want_im) / np.hypot(want_re, want_im)
+            return float(err.max() / np.finfo(np.float64).eps)
+
+        with np.errstate(all="ignore"):
+            complex_power = z * np.abs(z) ** s
+        assert max_ulps(entry.map.value(z)) <= max_ulps(complex_power) + 1.0
+
+    @pytest.mark.parametrize("spec", [*POWER_SPECS, "power_spiral(alpha=2,gamma=1)",
+                                      "power_spiral(alpha=2,gamma=0)"])
+    def test_origin(self, spec):
+        # the power is nan at z = 0 for every s != 0 (it was 0 for Re s > 0):
+        # the map value stays 0 there and the partials stay non-finite
+        model = entry_from_spec(spec).map
+        z = np.array([0.0, 0.5 - 0.25j, 0.0, -0.1j])
+        for points in (z, np.asarray(0j)):
+            value = model.value(points)
+            f_x, f_y = model.partials(points)
+            origin = points == 0
+            assert np.all(value[origin] == 0)
+            assert not np.isfinite(f_x[origin]).any() and not np.isfinite(f_y[origin]).any()
+            assert np.isfinite(value).all()
+            assert np.isfinite(f_x[~origin]).all() and np.isfinite(f_y[~origin]).all()
 
 
 class TestPipelineBytes:

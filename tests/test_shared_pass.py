@@ -365,17 +365,18 @@ class TestWorkCounts:
         counts, models = work_counts
         run_analysis(build_config({"subject": "radial_stretch(K=2)"}))
         (model,) = models
-        # one average per circle family: C and A on 16 circles, 25 Gronwall
-        # areas, 33 radii x (length and area, length formula), 33 epsilon
-        # averages; the holder estimates reuse the profile's areas and make no
-        # value call, and each doubling evaluates only the angles it adds
-        assert counts == {"distortion_constant": 1, "circular_average": 6}
+        # one average per circle family: C and A together on 16 circles, 25
+        # Gronwall areas, 33 radii x (length and area, length formula), 33
+        # epsilon averages; the holder estimates reuse the profile's areas and
+        # make no value call, and each doubling evaluates only the angles it adds
+        assert counts == {"distortion_constant": 0, "circular_average": 5}
         assert model.points == {"value": 37888, "partials": 37888, "jacobian": 487936}
 
     def test_regularity_report_computes_c_once(self, work_counts):
         counts, _ = work_counts
         regularity_report(spiral_map(1.0).map, domain_with_offsets(), CFG)
-        assert counts["distortion_constant"] == 1
+        # C and A in one pass over the circles, then the Gronwall areas
+        assert counts == {"distortion_constant": 0, "circular_average": 2}
 
     def test_matrix_run_computes_c_once(self, work_counts, tmp_path):
         from qcreg import save_matrix_field
