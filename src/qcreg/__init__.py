@@ -71,8 +71,7 @@ from .geometry import (
     geometry_profile,
     image_area_green,
     image_area_jacobian,
-    quasicircle_length_direct,
-    quasicircle_length_formula,
+    lengths_and_area,
 )
 from .io import (
     load_matrix_field,

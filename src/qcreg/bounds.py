@@ -16,9 +16,11 @@ exponent: t^(-2/(A C)) * phi(t) must be nondecreasing.
 On a map subject `regularity_report` takes C and A from one pass over the
 admissible circles: the distortion weight of the map's field, the speed
 |d gamma| and the Green density are stacked rows on the same boundary
-points, each with its own convergence test, so both suprema carry the bits
-of `distortion_constant` and `isoperimetric_constant`. A field subject has
-no image curves and takes C from `distortion_constant`.
+points, each with its own convergence test, and `sup_over_circles` reduces
+the C and A rows of that one average. C carries the bits of
+`distortion_constant`; `isoperimetric_constant` is the A of the same pass,
+so A has one definition. A field subject has no image curves and takes C
+from `distortion_constant`.
 """
 
 from __future__ import annotations
@@ -33,9 +35,8 @@ from .geometry import (
     _boundary_data,
     _green_density,
     image_area_green,
-    length_and_area,
 )
-from .plane import BeltramiField, CircleSpec, DomainSpec, MapModel
+from .plane import BeltramiField, CircleSpec, DomainSpec, MapModel, derive_beltrami
 from .quadrature import QuadratureConfig, SupResult, circular_average, sup_over_circles
 
 #: slack of the Mori check: a circle average may exceed K by this much
@@ -84,14 +85,6 @@ def distortion_constant(
     return sup_over_circles(lambda circles: distortion_average(field, circles, cfg), domain)
 
 
-def isoperimetric_ratio(
-    map_model: MapModel, circles: Sequence[CircleSpec], cfg: QuadratureConfig
-) -> np.ndarray:
-    """4 pi area / length^2 for the image of each circle (boundary data only)."""
-    circles = tuple(circles)
-    return _roundness(circles, *length_and_area(map_model, circles, cfg))
-
-
 def _roundness(circles, length, area) -> np.ndarray:
     """4 pi area / length^2 per circle; a degenerate image length is an error."""
     degenerate = np.flatnonzero(length < DEGENERATE_LENGTH)
@@ -103,20 +96,16 @@ def _roundness(circles, length, area) -> np.ndarray:
     return 4.0 * np.pi * area / (length * length)
 
 
-def isoperimetric_constant(
-    map_model: MapModel,
-    domain: DomainSpec,
-    cfg: QuadratureConfig = QuadratureConfig(),
-) -> SupResult:
-    """A: supremum of 4 pi area / length^2 over the domain grid (<= 1)."""
-    return sup_over_circles(lambda circles: isoperimetric_ratio(map_model, circles, cfg), domain)
+def _map_rows(
+    map_model: MapModel, field: BeltramiField, circles: Sequence[CircleSpec], cfg: QuadratureConfig
+) -> np.ndarray:
+    """Distortion averages of `field` and roundness 4 pi area / length^2 of
+    the map's images, stacked (2, m), from one average over the circles.
 
-
-def _map_suprema(
-    map_model: MapModel, field: BeltramiField, domain: DomainSpec, cfg: QuadratureConfig
-) -> tuple[SupResult, SupResult]:
-    """C and A of a map from one stacked pass over the admissible circles,
-    bit for bit those of `distortion_constant` and `isoperimetric_constant`."""
+    The distortion weight, the speed |d gamma| and the Green density are
+    rows on the same boundary points, each with its own convergence test,
+    so the distortion row carries the bits of `distortion_average`.
+    """
 
     def integrand(nodes):
         z, dgamma = _boundary_data(map_model, nodes)
@@ -126,17 +115,28 @@ def _map_suprema(
             _green_density(map_model, z, dgamma),
         ))
 
-    averages = []
+    distortion, speed, green = circular_average(integrand, circles, cfg)
+    return np.stack((distortion, _roundness(circles, 2.0 * np.pi * speed, np.pi * green)))
 
-    def distortion(circles):
-        averages[:] = circular_average(integrand, circles, cfg)
-        return averages[0]
 
-    def roundness(circles):
-        _, speed, green = averages
-        return _roundness(circles, 2.0 * np.pi * speed, np.pi * green)
+def _map_suprema(
+    map_model: MapModel, field: BeltramiField, domain: DomainSpec, cfg: QuadratureConfig
+) -> tuple[SupResult, SupResult]:
+    """C and A of a map, each row of `_map_rows` reduced over the admissible
+    circles; C is bit for bit that of `distortion_constant`."""
+    return sup_over_circles(lambda circles: _map_rows(map_model, field, circles, cfg), domain)
 
-    return sup_over_circles(distortion, domain), sup_over_circles(roundness, domain)
+
+def isoperimetric_constant(
+    map_model: MapModel,
+    domain: DomainSpec,
+    cfg: QuadratureConfig = QuadratureConfig(),
+) -> SupResult:
+    """A: supremum of 4 pi area / length^2 over the domain grid (<= 1).
+
+    The A of `regularity_report`'s one pass, C's distortion row riding along.
+    """
+    return _map_suprema(map_model, map_model.beltrami or derive_beltrami(map_model), domain, cfg)[1]
 
 
 def holder_lower_bound(iso_sup: float, dist_sup: float) -> float:
@@ -308,8 +308,6 @@ def regularity_report(
     distortion-only form); the Gronwall check, on the origin circles of
     GRONWALL_RADII, is skipped in that case.
     """
-    from .plane import derive_beltrami  # local import keeps module load light
-
     if isinstance(subject, MapModel):
         map_model = subject
         field = subject.beltrami or derive_beltrami(subject)

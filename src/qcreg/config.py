@@ -163,6 +163,9 @@ def _domain_from(raw: dict) -> tuple[DomainSpec, dict]:
     centers = tuple(
         _point(c, f"domain.centers[{i}]") for i, c in enumerate(merged["centers"])
     )
+    margin = _number(merged["margin"], "domain.margin")
+    if margin < 0:
+        raise ConfigError(f"domain.margin must be >= 0, got {merged['margin']!r}")
     try:
         domain = DomainSpec(
             centers=centers,
@@ -170,7 +173,7 @@ def _domain_from(raw: dict) -> tuple[DomainSpec, dict]:
             outer_center=_point(merged["outer_center"], "domain.outer_center"),
             outer_radius=_number(merged["outer_radius"], "domain.outer_radius", positive=True),
             inner_radius=_number(merged["inner_radius"], "domain.inner_radius"),
-            margin=_number(merged["margin"], "domain.margin"),
+            margin=margin,
         )
     except ValueError as exc:
         raise ConfigError(f"bad domain: {exc}") from exc

@@ -7,6 +7,9 @@ Every quantity is computed along two independent routes:
 * disk area: polar quadrature of the Jacobian vs. the boundary integral
   (1/2) contour_integral (u dv - v du).
 
+Both lengths and the boundary-integral area are stacked rows of one
+circular average (`lengths_and_area`), each row with its own convergence
+test, so a circle's boundary points are built once per doubling level.
 `geometry_profile` enforces agreement of the two routes, which makes the
 length identity chain behind the distortion form an executable check.
 
@@ -75,74 +78,54 @@ def _boundary_data(map_model: MapModel, nodes: CircleNodes):
     return z, dgamma
 
 
-def quasicircle_length_direct(
-    map_model: MapModel,
-    circles: Sequence[CircleSpec],
-    cfg: QuadratureConfig = QuadratureConfig(),
-) -> np.ndarray:
-    """Lengths of the image curves f(circle) by quadrature of the speed."""
-
-    def integrand(nodes):
-        return np.abs(_boundary_data(map_model, nodes)[1])
-
-    return 2.0 * np.pi * circular_average(integrand, circles, cfg)
-
-
 def _green_density(map_model: MapModel, z, dgamma):
     """Integrand of the boundary area integral: Im(conj(f) * d f / d theta)."""
     return (np.conj(map_model.value(z)) * dgamma).imag
 
 
-def length_and_area(
+def lengths_and_area(
     map_model: MapModel,
     circles: Sequence[CircleSpec],
     cfg: QuadratureConfig = QuadratureConfig(),
-) -> tuple[np.ndarray, np.ndarray]:
-    """Direct-route lengths of f(circle) and Green areas of f(disk), one pass.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lengths of f(circle) by both routes and Green areas of f(disk), one pass.
 
-    Both integrands are built from the same boundary data and averaged as
-    two stacked rows, so each converges where `quasicircle_length_direct` /
-    `image_area_green` alone would.
-    """
-
-    def integrand(nodes):
-        z, dgamma = _boundary_data(map_model, nodes)
-        return np.stack((np.abs(dgamma), _green_density(map_model, z, dgamma)))
-
-    speed, green = circular_average(integrand, circles, cfg)
-    return 2.0 * np.pi * speed, np.pi * green
-
-
-def quasicircle_length_formula(
-    map_model: MapModel,
-    circles: Sequence[CircleSpec],
-    cfg: QuadratureConfig = QuadratureConfig(),
-) -> np.ndarray:
-    """Lengths of the image curves f(circle) via the distortion-weighted form.
-
-    Integrates sqrt(|1 - conj(eta)^2 mu|^2 / (1 - |mu|^2)) * sqrt(J_f) * t
-    over the angle, with eta the outward unit normal. Requires mu and J_f
-    on the circles; raises OrientationError if the Jacobian is negative at
-    a node.
+    Three rows are stacked on the boundary points of `_boundary_data`, each
+    with its own convergence test: the speed |d gamma| (the direct length),
+    the distortion-weighted form sqrt(|1 - conj(eta)^2 mu|^2 / (1 - |mu|^2))
+    * sqrt(J_f) * t with eta the outward unit normal (the formula length),
+    and the Green density (the area). mu is the map's field, or
+    `beltrami_of` where it has none. Raises OrientationError if the
+    Jacobian is negative at a node where the boundary data are finite.
     """
     from .bounds import distortion_integrand  # local import avoids a cycle
 
     field = map_model.beltrami
 
     def integrand(nodes):
-        z = nodes.points
-        mu = field(z) if field is not None else beltrami_of(map_model, z)
-        jac = np.asarray(map_model.jacobian(z), dtype=float)
-        if np.any(jac < 0):
-            i, j = np.argwhere(jac < 0)[0]
-            raise OrientationError(
-                f"negative Jacobian {jac[i, j]} at theta = {nodes.theta[j]:.12g} "
-                f"on {nodes.circles[i]}",
-                circle=nodes.circles[i],
-            )
-        return np.sqrt(distortion_integrand(mu, nodes.unit)) * np.sqrt(jac) * nodes.radius
+        z, dgamma = _boundary_data(map_model, nodes)
+        speed, green = np.abs(dgamma), _green_density(map_model, z, dgamma)
+        # the quadrature layer names a circle whose boundary data are not
+        # finite, and a profile nudges it: at those nodes the formula row is
+        # nan, so that its own checks cannot raise first
+        bad = ~(np.isfinite(speed) & np.isfinite(green))
+        with np.errstate(invalid="ignore"):
+            mu = field(z) if field is not None else beltrami_of(map_model, z)
+            jac = np.asarray(map_model.jacobian(z), dtype=float)
+            if bad.any():
+                mu, jac = np.where(bad, 0.0, mu), np.where(bad, np.nan, jac)
+            if np.any(jac < 0):
+                i, j = np.argwhere(jac < 0)[0]
+                raise OrientationError(
+                    f"negative Jacobian {jac[i, j]} at theta = {nodes.theta[j]:.12g} "
+                    f"on {nodes.circles[i]}",
+                    circle=nodes.circles[i],
+                )
+            formula = np.sqrt(distortion_integrand(mu, nodes.unit)) * np.sqrt(jac) * nodes.radius
+        return np.stack((speed, formula, green))
 
-    return 2.0 * np.pi * circular_average(integrand, circles, cfg)
+    speed, formula, green = circular_average(integrand, circles, cfg)
+    return 2.0 * np.pi * speed, 2.0 * np.pi * formula, np.pi * green
 
 
 def _ring_mean_jacobian(map_model, center, radii, unit):
@@ -321,13 +304,14 @@ def geometry_profile(
 
     Both length routes and both area routes are computed for every radius;
     a relative disagreement beyond ORACLE_REL_TOL raises NumericalError.
-    The boundary pass and the length formula each average all radii
-    together. The area column is accumulated incrementally (one
-    singular-aware integral for the smallest radius, annulus increments
-    after that, all stacked in one `image_area_jacobian` call), so the
-    Jacobian-route area is nondecreasing by construction of the Jacobian integral; a decrease
-    or a defect below -1e-6 raises InvariantViolationError. A radius whose
-    boundary pass raises a NumericalError naming its circle is nudged once.
+    Both lengths and the Green area come from one `lengths_and_area` pass
+    that averages all radii together. The Jacobian-route area is
+    accumulated incrementally (one singular-aware integral for the smallest
+    radius, annulus increments after that, all stacked in one
+    `image_area_jacobian` call), so it is nondecreasing by construction; a
+    decrease or a defect below -1e-6 raises InvariantViolationError. A
+    radius whose boundary pass raises a NumericalError naming its circle is
+    nudged once.
     """
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or radii.size == 0:
@@ -340,8 +324,7 @@ def geometry_profile(
     while True:
         circles = [CircleSpec(0j, float(t)) for t in radii]
         try:
-            len_direct, area_green = length_and_area(map_model, circles, cfg)
-            len_formula = quasicircle_length_formula(map_model, circles, cfg)
+            len_direct, len_formula, area_green = lengths_and_area(map_model, circles, cfg)
             break
         except NumericalError as exc:
             # curves can fail to be rectifiable on a null set of radii: nudge

@@ -134,6 +134,8 @@ class DomainSpec(_Frozen):
             raise ValueError("radius grid must be strictly increasing")
         if not (0 <= inner_radius < outer_radius):
             raise ValueError("need 0 <= inner_radius < outer_radius")
+        if not margin >= 0:
+            raise ValueError(f"need margin >= 0, got {margin}")
         self._set(
             centers=centers,
             radii=radii,

@@ -292,7 +292,6 @@ class SupResult(NamedTuple):
 
     value: float
     argmax: CircleSpec
-    per_circle: tuple[tuple[CircleSpec, float], ...]
 
 
 #: values this many units in the last place below the maximum tie with it
@@ -312,28 +311,31 @@ def _argmax_stable(circles, values):
 def sup_over_circles(
     evaluate: Callable[[list[CircleSpec]], Sequence[float]],
     domain: DomainSpec,
-) -> SupResult:
+) -> SupResult | tuple[SupResult, ...]:
     """Evaluate a per-circle functional on every admissible circle, take the max.
 
     `evaluate` maps the list of admissible circles to their values in one
-    call, so a functional built on `circular_average` averages the whole
-    family together. This is a finite-grid approximation of an essential
-    supremum over a continuum of circles; `value` is the largest value and
-    `argmax` the circle that set it, where values within TIE_ULPS of the
-    largest count as tied and the smallest radius (then center) wins.
+    call: shape (m,), or (k, m) for k stacked rows, as `circular_average`
+    returns them, so a functional built on it averages the whole family
+    together. Each row is reduced on its own: this is a finite-grid
+    approximation of an essential supremum over a continuum of circles;
+    `value` is the largest value and `argmax` the circle that set it, where
+    values within TIE_ULPS of the largest count as tied and the smallest
+    radius (then center) wins. Returns one SupResult, or a tuple of one per
+    stacked row. A non-finite value raises NumericalError naming the first
+    such circle of the first such row.
     """
     circles = domain.admissible_circles()
     if not circles:
         raise ConfigError("no admissible circle fits inside the outer domain")
-    values = [float(v) for v in evaluate(circles)]
-    if len(values) != len(circles):
-        raise ValueError(f"expected {len(circles)} values, got {len(values)}")
-    if not all(np.isfinite(values)):
-        i = next(i for i, v in enumerate(values) if not np.isfinite(v))
+    values = np.asarray(evaluate(circles), dtype=float)
+    if values.ndim not in (1, 2) or values.shape[-1] != len(circles):
+        raise ValueError(f"expected {len(circles)} values per row, got shape {values.shape}")
+    rows = np.atleast_2d(values)
+    bad = ~np.isfinite(rows)
+    if bad.any():
+        i = int(np.argwhere(bad)[0][1])
         raise NumericalError(f"per-circle value not finite on {circles[i]}", circle=circles[i])
-    i = _argmax_stable(circles, values)
-    return SupResult(
-        value=max(values),
-        argmax=circles[i],
-        per_circle=tuple(zip(circles, values)),
-    )
+    sups = tuple(SupResult(max(row), circles[_argmax_stable(circles, row)])
+                 for row in rows.tolist())
+    return sups if values.ndim == 2 else sups[0]

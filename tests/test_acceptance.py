@@ -26,10 +26,9 @@ from qcreg import (
     image_area_green,
     image_area_jacobian,
     isoperimetric_constant,
+    lengths_and_area,
     mori_consistency,
     power_spiral,
-    quasicircle_length_direct,
-    quasicircle_length_formula,
     radial_stretch,
     run_analysis,
     spiral_map,
@@ -75,8 +74,7 @@ def test_criterion_01_length_formula_cross_oracle():
     for entry in CATALOG_CASES:
         for t in RADII:
             circle = [CircleSpec(0j, t)]
-            (direct,) = quasicircle_length_direct(entry.map, circle, CFG_8192)
-            (formula,) = quasicircle_length_formula(entry.map, circle, CFG_8192)
+            (direct,), (formula,), _ = lengths_and_area(entry.map, circle, CFG_8192)
             worst = max(worst, abs(formula - direct) / direct)
     _report(1, "length-formula-vs-direct", worst <= 1e-6, f"worst rel = {worst:.3e}")
 

@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import ellipe
 
 import qcreg.bounds
 import qcreg.geometry
@@ -31,17 +32,16 @@ from qcreg import (
     geometry_profile,
     image_area_jacobian,
     isoperimetric_constant,
+    lengths_and_area,
     power_spiral,
-    quasicircle_length_formula,
     radial_stretch,
     regularity_report,
     spiral_map,
     sup_over_circles,
     validate_field,
 )
-from qcreg.bounds import distortion_average, distortion_integrand, isoperimetric_ratio
-from qcreg.geometry import length_and_area
-from qcreg.quadrature import MAX_BATCH_NODES, TIE_ULPS, _argmax_stable, level_nodes
+from qcreg.bounds import _map_rows, _map_suprema, distortion_average, distortion_integrand
+from qcreg.quadrature import MAX_BATCH_NODES, TIE_ULPS, SupResult, _argmax_stable, level_nodes
 
 #: largest distance in units in the last place between a batched and a lone value
 ULPS = 0
@@ -54,6 +54,18 @@ FAMILIES = {
     "affine": affine_map(1.0, 0.3 - 0.2j).map,
     "power_spiral": power_spiral(0.6, 0.8).map,
 }
+
+#: mu = KAPPA z / conj(z) of the power families, KAPPA = s / (s + 2) for
+#: f(z) = z |z|^s, and the constant mu = b / a of the affine map
+KAPPA = {
+    "radial_stretch": (1 / 2.5 - 1) / (1 / 2.5 + 1),
+    "spiral": 1.2j / (2 + 1.2j),
+    "power_spiral": (-0.4 + 0.8j) / (1.6 + 0.8j),
+}
+AFFINE_MU = 0.3 - 0.2j
+
+#: largest relative error allowed against a closed form
+ORACLE_TOL = 1e-12
 
 
 def ring_domain():
@@ -126,39 +138,42 @@ class TestBatchedAgainstLoneCircles:
     @pytest.mark.parametrize("name", FAMILIES)
     def test_distortion_values_and_levels(self, name, batch_levels):
         field = FAMILIES[name].beltrami
-        domain = ring_domain()
-        sup = distortion_constant(field, domain, CFG)
+        circles = ring_domain().admissible_circles()
+        values = distortion_average(field, circles, CFG)
         lone_levels = {}
-        lone = {c: lone_distortion(field, c, lone_levels) for c in domain.admissible_circles()}
-        assert_close_in_ulps(sup.per_circle, lone)
+        lone = {c: lone_distortion(field, c, lone_levels) for c in circles}
+        assert_close_in_ulps(zip(circles, values), lone)
         assert batch_levels == lone_levels
 
     @pytest.mark.parametrize("name", FAMILIES)
     def test_roundness_values_and_levels(self, name, batch_levels):
+        # the A row of the one C and A pass; the distortion row never outlasts
+        # the speed and Green rows, so every circle is evaluated at the levels
+        # of its lone roundness
         model = FAMILIES[name]
-        domain = ring_domain()
-        sup = isoperimetric_constant(model, domain, CFG)
+        circles = ring_domain().admissible_circles()
+        _, roundness = _map_rows(model, model.beltrami, circles, CFG)
         lone_levels = {}
-        lone = {c: lone_roundness(model, c, lone_levels) for c in domain.admissible_circles()}
-        assert_close_in_ulps(sup.per_circle, lone)
+        lone = {c: lone_roundness(model, c, lone_levels) for c in circles}
+        assert_close_in_ulps(zip(circles, roundness), lone)
         assert batch_levels == lone_levels
 
 
 class TestOnePassForCAndA:
     """A map's C and A come from one pass over its circles: the distortion,
-    speed and Green rows are stacked, each with its own convergence test."""
+    speed and Green rows are stacked, each with its own convergence test,
+    and `sup_over_circles` reduces the C and A rows."""
 
     @pytest.mark.parametrize("name", FAMILIES)
     def test_per_circle_values_equal_the_separate_passes(self, name):
         model = FAMILIES[name]
         domain = ring_domain()
         circles = domain.admissible_circles()
-        c_sup, a_sup = qcreg.bounds._map_suprema(model, model.beltrami, domain, CFG)
-        for sup, separate in ((c_sup, distortion_average(model.beltrami, circles, CFG)),
-                              (a_sup, isoperimetric_ratio(model, circles, CFG))):
-            assert [c for c, _ in sup.per_circle] == circles
-            values = np.array([v for _, v in sup.per_circle])
-            assert values.tobytes() == separate.tobytes()
+        rows = _map_rows(model, model.beltrami, circles, CFG)
+        assert rows[0].tobytes() == distortion_average(model.beltrami, circles, CFG).tobytes()
+        c_sup, a_sup = _map_suprema(model, model.beltrami, domain, CFG)
+        for sup, row in zip((c_sup, a_sup), rows):
+            assert sup == SupResult(row.max(), circles[_argmax_stable(circles, row.tolist())])
         assert c_sup == distortion_constant(model.beltrami, domain, CFG)
         assert a_sup == isoperimetric_constant(model, domain, CFG)
         report = regularity_report(model, domain, CFG)
@@ -169,14 +184,91 @@ class TestOnePassForCAndA:
     @pytest.mark.parametrize("name", FAMILIES)
     def test_levels_are_those_of_the_a_pass(self, name, batch_levels):
         # the distortion row never outlasts the speed and Green rows of a
-        # catalog map, so the map is evaluated where the A pass alone did
+        # catalog map, so the map is evaluated where those rows alone are
         model = FAMILIES[name]
         domain = ring_domain()
-        qcreg.bounds._map_suprema(model, model.beltrami, domain, CFG)
-        fused = dict(batch_levels)
-        batch_levels.clear()
         isoperimetric_constant(model, domain, CFG)
-        assert fused == batch_levels
+        assert batch_levels == family_levels(speed_and_green(model), domain.admissible_circles())
+
+
+def speed_and_green(model):
+    """Integrand of the speed and Green rows alone, written on the nodes."""
+
+    def integrand(nodes):
+        z = nodes.points
+        f_x, f_y = model.partials(z)
+        dgamma = nodes.radius * (-np.sin(nodes.theta) * f_x + np.cos(nodes.theta) * f_y)
+        return np.stack((np.abs(dgamma), (np.conj(model.value(z)) * dgamma).imag))
+
+    return integrand
+
+
+def length_formula(model):
+    """Integrand of the distortion-weighted length row alone."""
+
+    def integrand(nodes):
+        z = nodes.points
+        weight = distortion_integrand(model.beltrami(z), nodes.unit)
+        return np.sqrt(weight) * np.sqrt(model.jacobian(z)) * nodes.radius
+
+    return integrand
+
+
+def family_levels(integrand, circles):
+    """Number of doubling levels at which each circle of a family average of
+    `integrand` is evaluated."""
+    levels = {}
+
+    def recorded(nodes):
+        for c in nodes.circles:
+            levels[c] = levels.get(c, 0) + 1
+        return integrand(nodes)
+
+    circular_average(recorded, circles, CFG)
+    return levels
+
+
+class TestClosedForms:
+    """Every catalog family has a closed-form circle average: mu = kappa z / conj(z)
+    averages, with the distortion weight, to
+    C(c, r) = (1 + |kappa|^2 - 2 Re kappa q) / (1 - |kappa|^2), q = max(0, 1 - |c|^2 / r^2),
+    and a constant mu to (1 + |mu|^2) / (1 - |mu|^2). An affine map sends
+    every circle to the same ellipse, and a power map every origin circle to
+    a circle, so their A is closed form too."""
+
+    @pytest.mark.parametrize("name", KAPPA)
+    def test_power_family_distortion_on_every_circle(self, name):
+        kappa = KAPPA[name]
+        circles = ring_domain().admissible_circles()
+        center = np.array([c.center for c in circles])
+        radius = np.array([c.radius for c in circles])
+        q = np.maximum(0.0, 1.0 - np.abs(center) ** 2 / radius**2)
+        exact = (1 + abs(kappa) ** 2 - 2 * kappa.real * q) / (1 - abs(kappa) ** 2)
+        got = distortion_average(FAMILIES[name].beltrami, circles, CFG)
+        assert np.abs(got / exact - 1).max() <= ORACLE_TOL
+
+    def test_affine_distortion_on_every_circle(self):
+        exact = (1 + abs(AFFINE_MU) ** 2) / (1 - abs(AFFINE_MU) ** 2)
+        got = distortion_average(FAMILIES["affine"].beltrami,
+                                 ring_domain().admissible_circles(), CFG)
+        assert np.abs(got / exact - 1).max() <= ORACLE_TOL
+
+    def test_affine_roundness_is_the_ellipse_on_every_circle(self):
+        # f(z) = z + b conj(z): semi-axes (1 + |b|) r and (1 - |b|) r, so
+        # A = 4 pi (pi a_s b_s) / (4 a_s E(m))^2 with m = 1 - (b_s / a_s)^2
+        ratio = (1 - abs(AFFINE_MU)) / (1 + abs(AFFINE_MU))
+        exact = np.pi**2 * ratio / (4 * ellipe(1 - ratio**2) ** 2)
+        model = FAMILIES["affine"]
+        _, got = _map_rows(model, model.beltrami, ring_domain().admissible_circles(), CFG)
+        assert np.abs(got / exact - 1).max() <= ORACLE_TOL
+
+    @pytest.mark.parametrize("name", KAPPA)
+    def test_power_family_roundness_is_one_on_origin_circles(self, name):
+        model = FAMILIES[name]
+        origin = [c for c in ring_domain().admissible_circles() if c.center == 0]
+        assert len(origin) == 32
+        _, got = _map_rows(model, model.beltrami, origin, CFG)
+        assert np.abs(got - 1).max() <= ORACLE_TOL
 
 
 def wavy_grid(interpolation, n=65):
@@ -210,19 +302,30 @@ class TestFamilyEqualsLone:
 
     @pytest.mark.parametrize("name", FAMILIES)
     def test_speed_and_green_rows(self, name):
+        # all three rows of the profile pass, on the circles of the C and A pass
         model = FAMILIES[name]
         assert_family_equals_lone(
-            lambda circles: length_and_area(model, circles, CFG),
+            lambda circles: lengths_and_area(model, circles, CFG),
             ring_domain().admissible_circles(),
         )
 
     @pytest.mark.parametrize("name", FAMILIES)
     def test_length_formula_rows(self, name):
+        # all three rows of the profile pass, on the profile circles
         model = FAMILIES[name]
         circles = [CircleSpec(0j, float(t)) for t in PROFILE_RADII]
-        assert_family_equals_lone(
-            lambda family: quasicircle_length_formula(model, family, CFG), circles
-        )
+        assert_family_equals_lone(lambda family: lengths_and_area(model, family, CFG), circles)
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_profile_pass_levels_are_those_of_the_slower_route(self, name, batch_levels):
+        # each circle is evaluated at the levels of the slower of the speed and
+        # Green rows and the length formula, so no map point is added
+        model = FAMILIES[name]
+        circles = [CircleSpec(0j, float(t)) for t in PROFILE_RADII]
+        lengths_and_area(model, circles, CFG)
+        direct = family_levels(speed_and_green(model), circles)
+        formula = family_levels(length_formula(model), circles)
+        assert batch_levels == {c: max(direct[c], formula[c]) for c in circles}
 
     @pytest.mark.parametrize("name", FAMILIES)
     def test_epsilon_rows(self, name):
@@ -383,9 +486,9 @@ class TestEvaluationCap:
         # each are evaluated together, in batches under the cap
         assert max(sizes) <= MAX_BATCH_NODES
         assert sum(sizes) == 487936  # the points of TestWorkCounts, in fewer calls
-        # both the 33 length-formula circles and the 920 rings converge at the
-        # second level, and each level evaluates 256 angles per row, in
-        # batches of as many whole rows as the cap holds
+        # both the 33 circles of the profile's one boundary pass and the 920
+        # rings converge at the second level, and each level evaluates 256
+        # angles per row, in batches of as many whole rows as the cap holds
         batches = lambda rows: math.ceil(rows / (MAX_BATCH_NODES // CFG.nodes))
         assert len(sizes) == 2 * batches(33) + 2 * batches(920)
 

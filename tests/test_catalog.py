@@ -22,7 +22,7 @@ from qcreg import (
     validate_field,
 )
 from qcreg.extremal import empirical_holder
-from qcreg.geometry import geometry_profile, length_and_area
+from qcreg.geometry import geometry_profile, lengths_and_area
 from conftest import entry_id, random_points
 
 
@@ -451,8 +451,8 @@ class TestPipelineBytes:
     @pytest.mark.parametrize("spec", POWER_SPECS)
     def test_length_and_area(self, spec):
         entry = entry_from_spec(spec)
-        got = length_and_area(entry.map, self.CIRCLES)
-        want = length_and_area(uncached_model(entry), self.CIRCLES)
+        got = lengths_and_area(entry.map, self.CIRCLES)
+        want = lengths_and_area(uncached_model(entry), self.CIRCLES)
         assert_same_partials(got, want)
 
     @pytest.mark.parametrize("spec", POWER_SPECS)

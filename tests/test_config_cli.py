@@ -117,6 +117,9 @@ BAD_CONFIGS = [
     ({"domain": {"outer_center": ["0", "0"]}}, "domain.outer_center"),
     ({"domain": {"outer_radius": None}}, "domain.outer_radius"),
     ({"domain": {"margin": "0.1"}}, "domain.margin"),
+    # a negative margin admits circles outside the outer disk
+    ({"domain": {"margin": -0.5, "radii": {"min": 0.05, "max": 1.5, "count": 8}}},
+     "domain.margin"),
     ({"domain": 5}, "domain"),
     ({"threshold": "x"}, "threshold"),
     ({"threshold": None}, "threshold"),

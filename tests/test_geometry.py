@@ -3,6 +3,7 @@ import pytest
 from scipy.special import ellipe
 
 from qcreg import (
+    BeltramiField,
     CircleSpec,
     MapModel,
     OrientationError,
@@ -12,9 +13,8 @@ from qcreg import (
     geometry_profile,
     image_area_green,
     image_area_jacobian,
+    lengths_and_area,
     power_spiral,
-    quasicircle_length_direct,
-    quasicircle_length_formula,
     radial_stretch,
     run_analysis,
     spiral_map,
@@ -39,36 +39,45 @@ ELLIPSE_AREA = 8 * np.pi / 9
 ELLIPSE_DEFECT = ELLIPSE_PERIMETER**2 / (4 * np.pi * ELLIPSE_AREA) - 1
 
 
+def length_direct(model, circle, cfg):
+    """The direct-route length row of `lengths_and_area` on one circle."""
+    return lengths_and_area(model, [circle], cfg)[0][0]
+
+
+def length_formula(model, circle, cfg):
+    """The distortion-weighted length row of `lengths_and_area` on one circle."""
+    return lengths_and_area(model, [circle], cfg)[1][0]
+
+
 class TestLengthDirect:
     def test_identity_unit_circle(self, cfg):
-        (got,) = quasicircle_length_direct(IDENTITY.map, [UNIT], cfg)
+        got = length_direct(IDENTITY.map, UNIT, cfg)
         assert got == pytest.approx(2 * np.pi, rel=1e-13)
 
     @pytest.mark.parametrize("t", [0.1, 0.5, 1.0])
     def test_radial_stretch_maps_to_circle_of_radius_sqrt_t(self, t, cfg):
-        (got,) = quasicircle_length_direct(radial_stretch(2.0).map, [CircleSpec(0j, t)], cfg)
+        got = length_direct(radial_stretch(2.0).map, CircleSpec(0j, t), cfg)
         assert got == pytest.approx(2 * np.pi * np.sqrt(t), rel=1e-13)
 
     def test_affine_matches_ellipse_perimeter(self, cfg):
-        (got,) = quasicircle_length_direct(affine_map(1.0, 1 / 3).map, [UNIT], cfg)
+        got = length_direct(affine_map(1.0, 1 / 3).map, UNIT, cfg)
         assert got == pytest.approx(ELLIPSE_PERIMETER, rel=1e-12)
         assert got == pytest.approx(6.4590, abs=5e-5)
 
 
 class TestLengthFormula:
     def test_identity(self, cfg):
-        (got,) = quasicircle_length_formula(IDENTITY.map, [UNIT], cfg)
+        got = length_formula(IDENTITY.map, UNIT, cfg)
         assert got == pytest.approx(2 * np.pi, rel=1e-13)
 
     @pytest.mark.parametrize("t", [0.1, 0.5, 1.0])
     def test_radial_stretch(self, t, cfg):
-        (got,) = quasicircle_length_formula(radial_stretch(2.0).map, [CircleSpec(0j, t)], cfg)
+        got = length_formula(radial_stretch(2.0).map, CircleSpec(0j, t), cfg)
         assert got == pytest.approx(2 * np.pi * np.sqrt(t), rel=1e-13)
 
     def test_cross_oracle_spiral(self, cfg):
         entry = spiral_map(1.0)
-        (direct,) = quasicircle_length_direct(entry.map, [UNIT], cfg)
-        (formula,) = quasicircle_length_formula(entry.map, [UNIT], cfg)
+        (direct,), (formula,), _ = lengths_and_area(entry.map, [UNIT], cfg)
         assert formula == pytest.approx(direct, rel=1e-12)
 
     def test_negative_jacobian_rejected(self, cfg):
@@ -80,7 +89,7 @@ class TestLengthFormula:
             beltrami=entry.map.beltrami,
         )
         with pytest.raises(OrientationError):
-            quasicircle_length_formula(flipped, [UNIT], cfg)
+            lengths_and_area(flipped, [UNIT], cfg)
 
 
 class TestAreas:
@@ -265,6 +274,26 @@ class TestRadiusPerturbation:
         prof = geometry_profile(broken_ring, [0.25, 0.5, 1.0], cfg)
         assert prof.radii[1] == pytest.approx(np.sqrt(0.5))
         assert np.allclose(prof.area_jacobian, np.pi * prof.radii**2, rtol=1e-12)
+
+    def test_formula_checks_do_not_preempt_the_nudge(self, cfg):
+        # on the ring where the partials blow up, mu also leaves the unit
+        # disk: the boundary data's failure still comes first, so the radius
+        # is nudged instead of failing the |mu| < 1 check
+        on_ring = lambda z: np.abs(np.abs(z) - 0.5) < 1e-9
+
+        def partials(z):
+            one = np.ones_like(z)
+            return np.where(on_ring(z), np.inf, one), 1j * one
+
+        broken_ring = MapModel(
+            value=lambda z: np.asarray(z, complex),
+            partials=partials,
+            jacobian=lambda z: np.ones(np.asarray(z).shape),
+            beltrami=BeltramiField(lambda z: np.where(on_ring(z), 2.0, 0.0) + 0j, 0.0),
+        )
+        prof = geometry_profile(broken_ring, [0.25, 0.5, 1.0], cfg)
+        assert prof.radii[1] == pytest.approx(np.sqrt(0.5))
+        assert np.allclose(prof.length_formula, 2 * np.pi * prof.radii, rtol=1e-12)
 
     def test_nudge_toward_a_tiny_neighbor_does_not_underflow(self, cfg):
         # 1e-200 * 1e-150 underflows to 0, the log-midpoint 1e-175 does not;

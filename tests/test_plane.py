@@ -63,6 +63,12 @@ class TestCircleAndDomain:
         with pytest.raises(ValueError):
             DomainSpec(centers=(0j,), radii=(0.5, 0.1))
 
+    @pytest.mark.parametrize("margin", [-0.5, -1e-300, float("nan")])
+    def test_domain_rejects_a_negative_margin(self, margin):
+        # a negative margin would admit circles outside the outer disk
+        with pytest.raises(ValueError, match="margin"):
+            DomainSpec(centers=(0j,), radii=(0.5, 1.5), margin=margin)
+
     def test_admissible_filtering(self):
         dom = DomainSpec(centers=(0j, 0.5 + 0j), radii=(0.25, 0.75), outer_radius=1.0)
         circles = dom.admissible_circles()

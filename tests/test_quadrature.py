@@ -15,7 +15,7 @@ from qcreg import (
     sup_over_circles,
 )
 from qcreg.bounds import distortion_average, distortion_integrand
-from qcreg.quadrature import MAX_CIRCLE_NODES, level_nodes, refine
+from qcreg.quadrature import MAX_CIRCLE_NODES, SupResult, level_nodes, refine
 
 UNIT = CircleSpec(0j, 1.0)
 
@@ -268,7 +268,36 @@ class TestSupOverCircles:
     def test_constant_functional(self, domain):
         res = sup_over_circles(lambda circles: [4.5] * len(circles), domain)
         assert res.value == 4.5
-        assert len(res.per_circle) == len(domain.admissible_circles())
+        # every circle ties, so the smallest radius (then center) wins
+        first = min(domain.admissible_circles(),
+                    key=lambda c: (c.radius, c.center.real, c.center.imag))
+        assert res == SupResult(4.5, first)
+
+    def test_stacked_rows_are_reduced_one_by_one(self, domain):
+        circles = domain.admissible_circles()
+        radius = np.array([c.radius for c in circles])
+        rows = np.stack((radius, -radius, np.full(radius.size, 2.0)))
+        stacked = sup_over_circles(lambda family: rows, domain)
+        assert isinstance(stacked, tuple) and len(stacked) == 3
+        for sup, row in zip(stacked, rows):
+            assert sup == sup_over_circles(lambda family: row, domain)
+        assert stacked[0].argmax.radius == radius.max()
+        assert stacked[1].argmax.radius == radius.min()
+
+    def test_non_finite_stacked_value_names_the_first_bad_row_and_circle(self, domain):
+        circles = domain.admissible_circles()
+        rows = np.ones((2, len(circles)))
+        rows[1, 1] = np.nan
+        rows[1, 3] = np.inf
+        with pytest.raises(NumericalError) as err:
+            sup_over_circles(lambda family: rows, domain)
+        assert err.value.circle == circles[1]
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 3), (1, 2, 3)])
+    def test_values_of_the_wrong_shape_are_rejected(self, shape):
+        dom = DomainSpec(centers=(0j,), radii=(0.2, 0.4))
+        with pytest.raises(ValueError, match="expected 2 values per row"):
+            sup_over_circles(lambda circles: np.zeros(shape), dom)
 
     def test_radius_functional_peaks_at_largest(self):
         dom = DomainSpec(centers=(0j,), radii=tuple(np.linspace(0.1, 1.0, 10)))
@@ -278,11 +307,12 @@ class TestSupOverCircles:
 
     def test_constant_distortion_for_radial_stretch(self, domain, cfg):
         entry = radial_stretch(2.0)
+        values = distortion_average(entry.map.beltrami, domain.admissible_circles(), cfg)
+        assert np.allclose(values, 2.0, atol=1e-12)
         res = sup_over_circles(
             lambda circles: distortion_average(entry.map.beltrami, circles, cfg), domain
         )
-        values = [v for _, v in res.per_circle]
-        assert np.allclose(values, 2.0, atol=1e-12)
+        assert res.value == values.max()
 
     def test_empty_admissible_set_is_error(self):
         dom = DomainSpec(centers=(5 + 0j,), radii=(0.5,), outer_radius=1.0)

@@ -13,6 +13,7 @@ import pytest
 
 import qcreg.bounds
 import qcreg.elliptic
+import qcreg.geometry
 import qcreg.quadrature
 import qcreg.reporting
 from qcreg import (
@@ -29,20 +30,18 @@ from qcreg import (
     empirical_holder,
     geometry_profile,
     image_area_green,
+    lengths_and_area,
     matrix_field_from_function,
     matrix_from_beltrami,
     mori_consistency,
     power_spiral,
-    quasicircle_length_direct,
-    quasicircle_length_formula,
     radial_stretch,
     regularity_report,
     run_analysis,
     spiral_map,
     validate_matrix_field,
 )
-from qcreg.bounds import isoperimetric_ratio
-from qcreg.geometry import length_and_area
+from qcreg.bounds import distortion_integrand
 from qcreg.quadrature import CircleNodes, level_nodes
 
 UNIT = CircleSpec(0j, 1.0)
@@ -166,15 +165,35 @@ class TestNodeCache:
         assert np.array_equal(nodes.points[0], circle.center + circle.radius * np.exp(1j * theta))
 
 
+def single_route(model, circle, row):
+    """Row `row` of `lengths_and_area` averaged alone on one circle, as its
+    route was before the rows were stacked: 0 the speed |d gamma|, 1 the
+    distortion-weighted length density, 2 the Green density."""
+
+    def integrand(nodes):
+        z, dgamma = qcreg.geometry._boundary_data(model, nodes)
+        if row == 0:
+            return np.abs(dgamma)
+        if row == 2:
+            return qcreg.geometry._green_density(model, z, dgamma)
+        weight = distortion_integrand(model.beltrami(z), nodes.unit)
+        return np.sqrt(weight) * np.sqrt(model.jacobian(z)) * nodes.radius
+
+    (value,) = circular_average(integrand, [circle], CFG)
+    return value
+
+
 class TestBoundaryPass:
     @pytest.mark.parametrize("model", MAPS, ids=MAP_IDS)
     @pytest.mark.parametrize("circle", CIRCLES)
     def test_length_and_area_equal_the_single_routes(self, model, circle):
-        (length,) = quasicircle_length_direct(model, [circle], CFG)
-        (area,) = image_area_green(model, [circle], CFG)
-        (both_length,), (both_area,) = length_and_area(model, [circle], CFG)
-        assert (both_length, both_area) == (length, area)
-        (ratio,) = isoperimetric_ratio(model, [circle], CFG)
+        (length,), (formula,), (area,) = lengths_and_area(model, [circle], CFG)
+        assert length == 2.0 * np.pi * single_route(model, circle, 0)
+        assert formula == 2.0 * np.pi * single_route(model, circle, 1)
+        assert area == np.pi * single_route(model, circle, 2)
+        assert area == image_area_green(model, [circle], CFG)[0]
+        # the A row of a map's C and A pass is the roundness of these rows
+        (_, (ratio,)) = qcreg.bounds._map_rows(model, model.beltrami, [circle], CFG)
         assert ratio == 4.0 * np.pi * area / (length * length)
 
     @pytest.mark.parametrize("model", MAPS, ids=MAP_IDS)
@@ -182,10 +201,10 @@ class TestBoundaryPass:
         radii = np.geomspace(0.01, 1.0, 6)
         prof = geometry_profile(model, radii, CFG)
         for i, t in enumerate(prof.radii):
-            circle = [CircleSpec(0j, float(t))]
-            assert prof.length_direct[i] == quasicircle_length_direct(model, circle, CFG)[0]
-            assert prof.length_formula[i] == quasicircle_length_formula(model, circle, CFG)[0]
-            assert prof.area_green[i] == image_area_green(model, circle, CFG)[0]
+            circle = CircleSpec(0j, float(t))
+            assert prof.length_direct[i] == 2.0 * np.pi * single_route(model, circle, 0)
+            assert prof.length_formula[i] == 2.0 * np.pi * single_route(model, circle, 1)
+            assert prof.area_green[i] == image_area_green(model, [circle], CFG)[0]
 
 
 def domain_with_offsets():
@@ -366,10 +385,10 @@ class TestWorkCounts:
         run_analysis(build_config({"subject": "radial_stretch(K=2)"}))
         (model,) = models
         # one average per circle family: C and A together on 16 circles, 25
-        # Gronwall areas, 33 radii x (length and area, length formula), 33
+        # Gronwall areas, both lengths and the Green area on 33 radii, 33
         # epsilon averages; the holder estimates reuse the profile's areas and
         # make no value call, and each doubling evaluates only the angles it adds
-        assert counts == {"distortion_constant": 0, "circular_average": 5}
+        assert counts == {"distortion_constant": 0, "circular_average": 4}
         assert model.points == {"value": 37888, "partials": 37888, "jacobian": 487936}
 
     def test_regularity_report_computes_c_once(self, work_counts):
