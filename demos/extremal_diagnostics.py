@@ -32,10 +32,10 @@ radii = np.geomspace(1e-3, 1.0, 33)
 def diagnose(name, entry):
     field = validate_field(entry.map.beltrami)
     K = field.distortion_ratio
-    eps = epsilon_weight_integral(field, K, radii, cfg)
     geo = geometry_profile(entry.map, radii, cfg)
+    eps = epsilon_weight_integral(field, K, geo.radii, cfg)  # the profile's radii
     defect = defect_weight_integral(geo)
-    estimates = empirical_holder(entry.map, radii[radii < 1.0], cfg)
+    estimates = empirical_holder(geo)  # from the profile's areas at its radii below 1
     verdict = extremality_report(eps, defect, estimates)
     t, alpha_area = estimates[0]
     print(f"{name} (K = {K:.4f}):")

@@ -108,7 +108,7 @@ def _map_rows(
     """
 
     def integrand(nodes):
-        z, dgamma = _boundary_data(map_model, nodes)
+        z, dgamma, _ = _boundary_data(map_model, nodes)
         return np.stack((
             distortion_integrand(field(z), nodes.unit),
             np.abs(dgamma),

@@ -142,11 +142,12 @@ def _radii_array(spec, where: str) -> np.ndarray:
     elif isinstance(spec, dict):
         _reject_unknown(spec, ("min", "max", "count"), where)
         merged = {**DEFAULTS["radii"], **spec}
-        radii = np.geomspace(
-            _number(merged["min"], f"{where}.min", positive=True),
-            _number(merged["max"], f"{where}.max", positive=True),
-            _integer(merged["count"], f"{where}.count", 2),
-        )
+        with np.errstate(over="ignore"):  # the float range ends at either bound
+            radii = np.geomspace(
+                _number(merged["min"], f"{where}.min", positive=True),
+                _number(merged["max"], f"{where}.max", positive=True),
+                _integer(merged["count"], f"{where}.count", 2),
+            )
     else:
         raise ConfigError(f"{where} must be a list or a min/max/count object")
     if radii.size < 2 or np.any(np.diff(radii) <= 0):
@@ -186,7 +187,8 @@ def build_config(raw: dict) -> AnalysisConfig:
     subject.
 
     The subject is classified last, once: a catalog spec is parsed and a CSV
-    subject's header read, so an invalid subject raises ConfigError here.
+    subject's header read, so an invalid subject raises ConfigError here, as
+    does a catalog map whose extremal diagnostics lack a profile radius < 1.
     """
     allowed = (
         "subject",
@@ -239,6 +241,12 @@ def build_config(raw: dict) -> AnalysisConfig:
         if not isinstance(raw.get(key), (str, type(None))):
             raise ConfigError(f"{key} must be a path string, got {raw[key]!r}")
 
+    subject_kind = classify_subject(raw["subject"])
+    if subject_kind == "catalog" and run_extremal and not profile_radii[0] < 1.0:
+        raise ConfigError(
+            "the extremal diagnostics need a profile radius below 1, but the radii "
+            f"span [{float(profile_radii[0])!r}, {float(profile_radii[-1])!r}]"
+        )
     resolved = {
         "subject": raw["subject"],
         "domain": domain_resolved,
@@ -250,7 +258,7 @@ def build_config(raw: dict) -> AnalysisConfig:
     }
     return AnalysisConfig(
         subject=raw["subject"],
-        subject_kind=classify_subject(raw["subject"]),
+        subject_kind=subject_kind,
         domain=domain,
         quadrature=quadrature,
         profile_radii=profile_radii,

@@ -13,7 +13,9 @@ averages of Re(eps) and the isoperimetric defect delta(r) decay:
 For a worst-case field the infimum of both ratios over scales is 0 and the
 super-level sets have zero lower density; ratios bounded away from 0 rule
 extremality out. Radial integrals are computed in s = log(1/r), where the
-dr/r measure is uniform, with the trapezoid rule.
+dr/r measure is uniform, with the trapezoid rule. The defects and the area
+exponent estimates read one `GeometryProfile`, and a report averages Re(eps)
+on its radii, so all three diagnostics describe the same circles.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from .errors import NumericalError, SingularPointError
 from .geometry import GeometryProfile
-from .plane import BeltramiField, CircleSpec, MapModel
+from .plane import BeltramiField, CircleSpec
 from .quadrature import QuadratureConfig, circular_average
 
 
@@ -185,35 +187,18 @@ def superlevel_lower_density(delta_samples, delta0: float, gamma_grid) -> float:
     return best
 
 
-def empirical_holder(
-    map_model: MapModel,
-    radii,
-    cfg: QuadratureConfig = QuadratureConfig(),
-    *,
-    profile: GeometryProfile | None = None,
-) -> list[tuple[float, float]]:
-    """Exponent estimates (t, from_area) at each scale t in (0, 1).
+def empirical_holder(profile: GeometryProfile) -> list[tuple[float, float]]:
+    """Exponent estimates (t, from_area) at each profile radius t in (0, 1).
 
-    `from_area` is log(area(f(D_t))) / (2 log t): the squared worst-case
-    displacement is comparable to the image area, so this converges to the
-    pointwise exponent with an O(1/log t) correction.
-
-    A `geometry_profile` of the same map and quadrature config may be
-    passed: its Green areas are used at the radii it holds, and the areas
-    at any other radii (the profile may have nudged one) are averaged
-    together.
+    `from_area` is log(area(f(D_t))) / (2 log t) on the profile's Green
+    areas: the squared worst-case displacement is comparable to the image
+    area, so this converges to the pointwise exponent with an O(1/log t)
+    correction. No area is computed here.
     """
-    from .geometry import image_area_green
-
-    radii = np.asarray(radii, dtype=float)
-    if np.any(radii <= 0) or np.any(radii >= 1):
-        raise ValueError("empirical exponents need radii in (0, 1)")
-    known = {} if profile is None else dict(zip(profile.radii.tolist(), profile.area_green))
-    missing = [CircleSpec(0j, t) for t in radii.tolist() if t not in known]
-    if missing:
-        areas = image_area_green(map_model, missing, cfg)
-        known.update(zip((c.radius for c in missing), areas))
-    areas = np.array([known[t] for t in radii.tolist()])
+    interior = profile.radii < 1.0
+    if not interior.any():
+        raise NumericalError(f"no profile radius below 1 (smallest {profile.radii[0]})")
+    radii, areas = profile.radii[interior], profile.area_green[interior]
     if np.any(areas <= 0):
         raise NumericalError(f"image area vanished at t = {radii[np.argmax(areas <= 0)]}")
     return [

@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import InvariantViolationError, NumericalError, OrientationError
-from .plane import CircleSpec, MapModel, beltrami_of
+from .plane import CircleSpec, MapModel, beltrami_from_partials
 from .quadrature import (
     CircleNodes,
     QuadratureConfig,
@@ -66,21 +66,23 @@ DEGENERATE_LENGTH = 1e-14
 
 
 def _boundary_data(map_model: MapModel, nodes: CircleNodes):
-    """Image points and their theta-derivative along the image curves.
+    """Image points, their theta-derivative along the image curves, and the
+    partials (f_x, f_y) it was taken from.
 
-    Non-finite partials are allowed to propagate: the quadrature layer
-    turns them into a NumericalError naming the circle and node.
+    Non-finite partials and overflow propagate without a warning: the
+    quadrature layer turns them into a NumericalError naming the circle.
     """
     z = nodes.points
     f_x, f_y = map_model.partials(z)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         dgamma = nodes.radius * (-np.sin(nodes.theta) * f_x + np.cos(nodes.theta) * f_y)
-    return z, dgamma
+    return z, dgamma, (f_x, f_y)
 
 
 def _green_density(map_model: MapModel, z, dgamma):
     """Integrand of the boundary area integral: Im(conj(f) * d f / d theta)."""
-    return (np.conj(map_model.value(z)) * dgamma).imag
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (np.conj(map_model.value(z)) * dgamma).imag
 
 
 def lengths_and_area(
@@ -94,23 +96,24 @@ def lengths_and_area(
     with its own convergence test: the speed |d gamma| (the direct length),
     the distortion-weighted form sqrt(|1 - conj(eta)^2 mu|^2 / (1 - |mu|^2))
     * sqrt(J_f) * t with eta the outward unit normal (the formula length),
-    and the Green density (the area). mu is the map's field, or
-    `beltrami_of` where it has none. Raises OrientationError if the
-    Jacobian is negative at a node where the boundary data are finite.
+    and the Green density (the area). mu is the map's field, or where it
+    has none `beltrami_from_partials` of the boundary pass's own partials.
+    Raises OrientationError if the Jacobian is negative at a node where the
+    boundary data are finite.
     """
     from .bounds import distortion_integrand  # local import avoids a cycle
 
     field = map_model.beltrami
 
     def integrand(nodes):
-        z, dgamma = _boundary_data(map_model, nodes)
+        z, dgamma, partials = _boundary_data(map_model, nodes)
         speed, green = np.abs(dgamma), _green_density(map_model, z, dgamma)
         # the quadrature layer names a circle whose boundary data are not
         # finite, and a profile nudges it: at those nodes the formula row is
         # nan, so that its own checks cannot raise first
         bad = ~(np.isfinite(speed) & np.isfinite(green))
         with np.errstate(invalid="ignore"):
-            mu = field(z) if field is not None else beltrami_of(map_model, z)
+            mu = field(z) if field is not None else beltrami_from_partials(*partials, z)
             jac = np.asarray(map_model.jacobian(z), dtype=float)
             if bad.any():
                 mu, jac = np.where(bad, 0.0, mu), np.where(bad, np.nan, jac)
@@ -261,7 +264,7 @@ def image_area_green(
     """
 
     def integrand(nodes):
-        z, dgamma = _boundary_data(map_model, nodes)
+        z, dgamma, _ = _boundary_data(map_model, nodes)
         return _green_density(map_model, z, dgamma)
 
     return np.pi * circular_average(integrand, circles, cfg)
@@ -363,12 +366,14 @@ def geometry_profile(
     if np.any(np.diff(area_jac) < 0):
         raise InvariantViolationError("image area decreased with the radius")
 
-    h = area_jac / len_direct**2
-    delta = len_direct**2 / (4.0 * np.pi * area_jac) - 1.0
+    with np.errstate(over="ignore", invalid="ignore"):  # length^2 ends the float range
+        h = area_jac / len_direct**2
+        delta = len_direct**2 / (4.0 * np.pi * area_jac) - 1.0
+    if not np.isfinite(delta).all():
+        t = radii[np.argmin(np.isfinite(delta))]
+        raise NumericalError(f"isoperimetric defect overflows at t = {t}")
     if np.any(delta < -1e-6):
-        raise InvariantViolationError(
-            f"isoperimetric defect fell to {delta.min():.3e} < -1e-6"
-        )
+        raise InvariantViolationError(f"isoperimetric defect fell to {delta.min():.3e} < -1e-6")
     return GeometryProfile(
         radii=radii,
         length_direct=len_direct,

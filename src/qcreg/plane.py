@@ -16,6 +16,7 @@ thread-safe and never returns a stale value.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -92,9 +93,9 @@ class CircleSpec(_Validated, _CircleFields):
 
     def __new__(cls, center: complex, radius: float):
         c, r = complex(center), float(radius)
-        if not (np.isfinite(c.real) and np.isfinite(c.imag)):
+        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
             raise ValueError("circle center must be finite")
-        if not (np.isfinite(r) and r > 0):
+        if not (math.isfinite(r) and r > 0):
             raise ValueError(f"circle radius must be positive and finite, got {r}")
         return super().__new__(cls, c, r)
 
@@ -128,7 +129,7 @@ class DomainSpec(_Frozen):
         radii = tuple(float(r) for r in radii)
         if not centers or not radii:
             raise ValueError("center grid and radius grid must be nonempty")
-        if any(r <= 0 or not np.isfinite(r) for r in radii):
+        if any(r <= 0 or not math.isfinite(r) for r in radii):
             raise ValueError("all grid radii must be positive and finite")
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise ValueError("radius grid must be strictly increasing")
@@ -262,13 +263,17 @@ def wirtinger_from_cartesian(f_x, f_y):
 
 
 def beltrami_of(map_model: MapModel, z) -> np.ndarray:
-    """Complex distortion mu = f_zbar / f_z of a map at the given points.
+    """Complex distortion mu = f_zbar / f_z of a map at z (`beltrami_from_partials`)."""
+    z = np.asarray(z, dtype=complex)
+    return beltrami_from_partials(*map_model.partials(z), z)
+
+
+def beltrami_from_partials(f_x, f_y, z) -> np.ndarray:
+    """mu = f_zbar / f_z from the partials (f_x, f_y) of a map at the points z.
 
     Raises SingularPointError when |f_z| falls below FZ_SINGULAR_TOL at any
-    requested point.
+    of the points.
     """
-    z = np.asarray(z, dtype=complex)
-    f_x, f_y = map_model.partials(z)
     f_z, f_zbar = wirtinger_from_cartesian(f_x, f_y)
     bad = np.abs(f_z) < FZ_SINGULAR_TOL
     if np.any(bad):

@@ -252,7 +252,8 @@ def circular_average(
                     f"integrand returned shape {vals.shape} for {idx.size} circle(s) "
                     f"of {theta.size} nodes"
                 )
-            means = stacked.mean(axis=-1)
+            with np.errstate(over="ignore"):
+                means = stacked.mean(axis=-1)
             _check_finite(stacked, means, refining[:, rows], batch, theta)
             parts.append(means)
         fresh = np.concatenate(parts, axis=1)
@@ -268,23 +269,24 @@ def circular_average(
 
 def _check_finite(rows, means, refining, batch, theta) -> None:
     """Raise at the first non-finite node, among the nodes a level adds, of a
-    row that is still refining.
+    row that is still refining, or at its circle if only the sum overflowed.
 
     A non-finite value makes its row's mean non-finite, so the nodes are
-    scanned only then (or when a finite sum overflowed).
+    scanned only then.
     """
     if np.isfinite(means).all():
         return
     refining = np.broadcast_to(refining, means.shape)
     for col, circle in enumerate(batch):
+        where = f"on circle(center={circle.center}, radius={circle.radius})"
         bad = ~np.isfinite(rows[refining[:, col], col]).all(axis=0)
         if bad.any():
             j = int(np.flatnonzero(bad)[0])
             raise NumericalError(
-                f"non-finite integrand value at theta = {theta[j]:.12g} "
-                f"on circle(center={circle.center}, radius={circle.radius})",
-                circle=circle,
+                f"non-finite integrand value at theta = {theta[j]:.12g} {where}", circle=circle
             )
+        if not np.isfinite(means[refining[:, col], col]).all():
+            raise NumericalError(f"integrand average overflows {where}", circle=circle)
 
 
 class SupResult(NamedTuple):

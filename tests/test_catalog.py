@@ -462,7 +462,4 @@ class TestPipelineBytes:
         got, want = geometry_profile(entry.map, self.RADII), geometry_profile(old, self.RADII)
         for name in got._fields:
             assert_same_bits(getattr(got, name), getattr(want, name))
-        interior = self.RADII[self.RADII < 1.0]
-        assert (empirical_holder(entry.map, interior, profile=got)
-                == empirical_holder(old, interior, profile=want))
-        assert empirical_holder(entry.map, interior) == empirical_holder(old, interior)
+        assert empirical_holder(got) == empirical_holder(want)

@@ -1,13 +1,15 @@
 """No CLI input ends in a traceback.
 
 `qcreg.cli.main` runs in process on catalog specs with extreme float
-parameters and on extreme smallest profile radii. Every run must return one
-of the documented exit codes (0 ok, 1 config, 2 invariant, 3 numerical);
-an exception escaping `main` fails the test.
+parameters and on extreme smallest and largest profile radii. Every run must
+return one of the documented exit codes (0 ok, 1 config, 2 invariant, 3
+numerical); an exception escaping `main` fails the test, and so does a
+numpy RuntimeWarning, which the pytest settings turn into an error.
 """
 
 import contextlib
 import io
+import json
 import math
 
 from hypothesis import example, given, settings
@@ -56,12 +58,15 @@ def test_catalog_specs_with_extreme_parameters(spec):
     assert run_cli(["analyze", "--subject", spec, *SMALL]) in (0, 1, 2, 3)
 
 
+SUBJECTS = ("radial_stretch(K=2)", "spiral(gamma=1)", "affine(a=1,b=0.3)",
+            "power_spiral(alpha=0.5,gamma=1)")
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @example(subject="radial_stretch(K=2)", radii_min=1e-310)
 @example(subject="affine(a=1,b=0.3)", radii_min=1e-200)  # the image area underflows
 @given(
-    subject=st.sampled_from(("radial_stretch(K=2)", "spiral(gamma=1)", "affine(a=1,b=0.3)",
-                             "power_spiral(alpha=0.5,gamma=1)")),
+    subject=st.sampled_from(SUBJECTS),
     radii_min=st.one_of(
         st.sampled_from((1e-310, 5e-324, 2.2250738585072014e-308, 1e-300, 1e-200, 1e-30)),
         st.floats(min_value=0.0, max_value=1.0, allow_subnormal=True),
@@ -70,3 +75,25 @@ def test_catalog_specs_with_extreme_parameters(spec):
 def test_extreme_smallest_profile_radius(subject, radii_min):
     argv = ["analyze", "--subject", subject, "--radii-min", repr(radii_min), *SMALL]
     assert run_cli(argv) in (0, 1, 2, 3)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+# the profile nudges a circle whose boundary data overflow
+@example(subject="affine(a=1,b=0.5)", radii_max=1e200)
+@example(subject="spiral(gamma=1)", radii_max=1e200)
+@given(subject=st.sampled_from(SUBJECTS), radii_max=st.sampled_from(EXTREMES))
+def test_extreme_largest_profile_radius(subject, radii_max):
+    argv = ["extremal", "--subject", subject, f"--radii-max={radii_max!r}", *SMALL]
+    assert run_cli(argv) in (0, 1, 2, 3)
+
+
+def test_nudged_radius_is_the_radius_of_every_extremal_block():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["extremal", "--subject", "affine(a=1,b=0.5)", "--radii-max", "1e200",
+                     *SMALL]) == 0
+    payload = json.loads(out.getvalue())
+    t = payload["geometry_profile"]["t"]
+    assert t[-1] < 1e200  # nudged
+    assert payload["epsilon_profile"]["t"] == t == payload["defect_profile"]["t"]
+    assert [rec["t"] for rec in payload["holder_estimates"]] == [x for x in t if x < 1]

@@ -5,6 +5,7 @@ from qcreg import (
     BeltramiField,
     CircleSpec,
     GeometryProfile,
+    NumericalError,
     SingularPointError,
     affine_map,
     defect_weight_integral,
@@ -227,24 +228,26 @@ class TestSuperlevelDensity:
 
 class TestEmpiricalHolder:
     def test_identity_area_estimator_within_correction(self, cfg):
-        out = empirical_holder(radial_stretch(1.0).map, [0.01, 0.1, 0.5], cfg)
+        out = empirical_holder(geometry_profile(radial_stretch(1.0).map, [0.01, 0.1, 0.5], cfg))
         for t, from_area in out:
             bound = abs(np.log(np.pi)) / (2 * abs(np.log(t))) + 1e-9
             assert abs(from_area - 1.0) <= bound
 
     def test_radial_stretch_converges_to_half(self, cfg):
-        out = empirical_holder(radial_stretch(2.0).map, [1e-6, 1e-4, 1e-2], cfg)
+        out = empirical_holder(geometry_profile(radial_stretch(2.0).map, [1e-6, 1e-4, 1e-2], cfg))
         for t, from_area in out:
             bound = abs(np.log(np.pi)) / (2 * abs(np.log(t))) + 1e-9
             assert abs(from_area - 0.5) <= bound
 
     def test_spiral_tends_to_one(self, cfg):
-        (t, from_area), = empirical_holder(spiral_map(1.0).map, [1e-4], cfg)
+        (t, from_area), = empirical_holder(geometry_profile(spiral_map(1.0).map, [1e-4], cfg))
         assert abs(from_area - 1.0) <= 1.0 / abs(np.log(t))
 
     def test_rejects_radii_outside_unit_interval(self, cfg):
-        with pytest.raises(ValueError):
-            empirical_holder(radial_stretch(2.0).map, [0.5, 1.5], cfg)
+        model = radial_stretch(2.0).map
+        assert [t for t, _ in empirical_holder(geometry_profile(model, [0.5, 1.5], cfg))] == [0.5]
+        with pytest.raises(NumericalError, match="no profile radius below 1"):
+            empirical_holder(geometry_profile(model, [1.0, 1.5], cfg))
 
 
 class TestExtremalityReport:
@@ -255,7 +258,7 @@ class TestExtremalityReport:
         eps = epsilon_weight_integral(field, K, radii, cfg)
         geo = geometry_profile(entry.map, radii, cfg)
         defect = defect_weight_integral(geo)
-        est = empirical_holder(entry.map, radii[radii < 1.0], cfg)
+        est = empirical_holder(geo)
         return eps, defect, est
 
     def test_radial_stretch_consistent(self, cfg):

@@ -6,6 +6,7 @@ from qcreg import (
     BeltramiField,
     CircleSpec,
     MapModel,
+    NumericalError,
     OrientationError,
     QuadratureConfig,
     affine_map,
@@ -310,3 +311,16 @@ class TestRadiusPerturbation:
         prof = geometry_profile(broken_ring, [1e-200, 1e-150, 1.0], cfg)
         assert prof.radii[0] == pytest.approx(1e-175, rel=1e-15)
         assert np.allclose(prof.area_jacobian, np.pi * 1e300 * prof.radii**2, rtol=1e-12)
+
+    def test_overflowing_boundary_average_is_nudged(self, cfg):
+        # at t = 1e154 the Green density's node values are finite but their
+        # sum overflows; the circle is nudged toward its neighbour
+        prof = geometry_profile(affine_map(1.0, 0.5).map, [1e-3, 1e77, 1e154], cfg)
+        assert prof.radii[-1] == pytest.approx(10**115.5, rel=1e-12)
+        assert np.isfinite(prof.delta).all()
+
+    def test_overflowing_defect_is_a_numerical_error(self):
+        # on 16 nodes the sums stay finite at t = 3e153, the squared length does not
+        cfg = QuadratureConfig(nodes=16, max_doublings=2)
+        with pytest.raises(NumericalError, match="isoperimetric defect overflows at t = 3e"):
+            geometry_profile(affine_map(1.0, 0.5).map, [1e-3, 3e153], cfg)

@@ -128,6 +128,12 @@ class TestCircularAverage:
             theta_average(bad, QuadratureConfig(max_doublings=0))
         assert "theta" in str(err.value)
 
+    def test_overflowing_average_names_the_circle(self):
+        # every node is finite, their sum is not
+        with pytest.raises(NumericalError, match="average overflows on circle") as err:
+            theta_average(lambda t: np.full_like(t, 1e308), QuadratureConfig(max_doublings=0))
+        assert err.value.circle is not None
+
 
 def node_index(theta):
     """The integers i of theta = 2 pi (i + 1/2) / MAX_CIRCLE_NODES."""

@@ -17,12 +17,14 @@ import qcreg.geometry
 import qcreg.quadrature
 import qcreg.reporting
 from qcreg import (
+    BeltramiField,
     CircleSpec,
     DomainSpec,
     MapModel,
     NumericalError,
     QuadratureConfig,
     affine_map,
+    beltrami_of,
     build_config,
     circular_average,
     comparison_bounds,
@@ -171,7 +173,7 @@ def single_route(model, circle, row):
     distortion-weighted length density, 2 the Green density."""
 
     def integrand(nodes):
-        z, dgamma = qcreg.geometry._boundary_data(model, nodes)
+        z, dgamma, _ = qcreg.geometry._boundary_data(model, nodes)
         if row == 0:
             return np.abs(dgamma)
         if row == 2:
@@ -298,38 +300,29 @@ def varying_matrix_field():
     return matrix_field_from_function(fn, K)
 
 
-def nan_on_circle(model, radius):
-    """The map with non-finite partials on the circle |z| = radius only."""
-
-    def partials(z):
-        f_x, f_y = model.partials(z)
-        bad = np.abs(np.abs(z) - radius) < 1e-12
-        return np.where(bad, np.nan, f_x), np.where(bad, np.nan, f_y)
-
-    return replace(model, partials=partials)
-
-
 class TestNoSecondGreenArea:
     def test_profile_areas_equal_computed_areas(self):
         model = power_spiral(0.6, 0.8).map
         radii = np.geomspace(1e-3, 1.0, 9)
         prof = geometry_profile(model, radii, CFG)
         interior = radii[radii < 1.0]
-        alone = empirical_holder(model, interior, CFG)
-        counted = CountingModel(model)
-        assert empirical_holder(counted.model, interior, CFG, profile=prof) == alone
-        assert counted.points["partials"] == 0  # every area came from the profile
+        areas = image_area_green(model, [CircleSpec(0j, t) for t in interior.tolist()], CFG)
+        expected = [(t, float(np.log(a) / (2.0 * np.log(t))))
+                    for t, a in zip(interior.tolist(), areas)]
+        assert empirical_holder(prof) == expected
 
-    def test_nudged_radius_falls_back_to_computing(self):
-        model = radial_stretch(2.0).map
-        radii = np.geomspace(1e-3, 1.0, 9)
-        prof = geometry_profile(nan_on_circle(model, radii[4]), radii, CFG)
-        assert radii[4] not in prof.radii  # the profile nudged that radius
-        interior = radii[radii < 1.0]
+    def test_partials_taken_once_per_boundary_node(self):
+        # a map without a field forms mu from the boundary pass's own partials
+        model = replace(power_spiral(0.6, 1.3).map, beltrami=None)
+        radii = np.geomspace(1e-3, 1.0, 65)
         counted = CountingModel(model)
-        got = empirical_holder(counted.model, interior, CFG, profile=prof)
-        assert got == empirical_holder(model, interior, CFG)
-        assert counted.points["partials"] > 0
+        got = geometry_profile(counted.model, radii)
+        assert counted.points["value"] == counted.points["partials"] == 33280
+        # the two-call route: mu from a second partials call, in `beltrami_of`
+        field = BeltramiField(mu=lambda z: beltrami_of(model, z), k_max=0.99)
+        want = geometry_profile(replace(model, beltrami=field), radii)
+        for name in got._fields:
+            assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 class CountingModel:
