@@ -14,8 +14,12 @@ For a worst-case field the infimum of both ratios over scales is 0 and the
 super-level sets have zero lower density; ratios bounded away from 0 rule
 extremality out. Radial integrals are computed in s = log(1/r), where the
 dr/r measure is uniform, with the trapezoid rule. The defects and the area
-exponent estimates read one `GeometryProfile`, and a report averages Re(eps)
-on its radii, so all three diagnostics describe the same circles.
+exponent estimates read one `GeometryProfile`. A catalog report takes the
+Re(eps) averages from the profile's own boundary pass, where they are a
+stacked row (`geometry_profile(..., K=K)`), and a field subject averages
+them with `epsilon_weight_integral`; both form W and the ratio through
+`EpsilonProfile.from_averages`, so all three diagnostics describe the same
+circles.
 """
 
 from __future__ import annotations
@@ -48,7 +52,16 @@ def epsilon_decompose(field: BeltramiField, K: float, z) -> np.ndarray:
     if np.any(z == 0):
         raise SingularPointError("eps decomposition undefined at z = 0")
     k = stretch_factor(K)
-    return field(z) * (np.conj(z) / z) + k
+    return epsilon_from_mu(field(z), z, k)
+
+
+def epsilon_from_mu(mu, z, k: float) -> np.ndarray:
+    """eps = mu e^{-2 i arg z} + k from the values mu of a field at nodes z != 0.
+
+    The one formula of eps: `epsilon_decompose` and the stacked Re(eps) row
+    of `qcreg.geometry.lengths_and_area` both evaluate it.
+    """
+    return mu * (np.conj(z) / z) + k
 
 
 def _log_integral_from_anchor(radii: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -91,6 +104,19 @@ class EpsilonProfile(NamedTuple):
             "ratio_W": [float(x) for x in self.ratio_w],
         }
 
+    @classmethod
+    def from_averages(cls, radii: np.ndarray, K: float, eps_re_avg: np.ndarray) -> "EpsilonProfile":
+        """The profile of the averages of Re(eps) on increasing radii, with
+        W anchored at the largest radius and its ratio to the log."""
+        W = _log_integral_from_anchor(radii, eps_re_avg)
+        return cls(
+            radii=radii,
+            distortion_bound=float(K),
+            eps_re_avg=eps_re_avg,
+            W=W,
+            ratio_w=_ratio_to_log(radii, W),
+        )
+
 
 def epsilon_weight_integral(
     field: BeltramiField,
@@ -101,7 +127,9 @@ def epsilon_weight_integral(
     """Per-circle averages of Re(eps) and their dr/r accumulation W(t).
 
     Radii must be positive and strictly increasing; the integral is
-    anchored at the largest radius (typically 1).
+    anchored at the largest radius (typically 1). This is the one pass of a
+    field subject; a map's profile stacks the same averages on its
+    boundary pass (`geometry_profile(..., K=K)`).
     """
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or radii.size < 2:
@@ -114,14 +142,7 @@ def epsilon_weight_integral(
         [CircleSpec(0j, float(r)) for r in radii],
         cfg,
     )
-    W = _log_integral_from_anchor(radii, eps_avg)
-    return EpsilonProfile(
-        radii=radii,
-        distortion_bound=float(K),
-        eps_re_avg=eps_avg,
-        W=W,
-        ratio_w=_ratio_to_log(radii, W),
-    )
+    return EpsilonProfile.from_averages(radii, K, eps_avg)
 
 
 class DefectProfile(NamedTuple):

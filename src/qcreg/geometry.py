@@ -10,14 +10,21 @@ Every quantity is computed along two independent routes:
 Both lengths and the boundary-integral area are stacked rows of one
 circular average (`lengths_and_area`), each row with its own convergence
 test, so a circle's boundary points are built once per doubling level.
+Given the distortion bound K, the same pass stacks the circular averages of
+Re eps (see `qcreg.extremal`) as a fourth row, so a catalog report takes
+its perturbation profile from the profile circles' one pass.
 `geometry_profile` enforces agreement of the two routes, which makes the
 length identity chain behind the distortion form an executable check.
 
 The radial Jacobian integral uses geometric (octave) segments toward 0 with
-a fixed-order Gauss-Legendre rule per segment plus a geometric tail
-estimate; the Jacobian of the cataloged worst-case maps blows up like
-r^(2/K - 2) at the origin and this grading keeps the quadrature at machine
-accuracy there.
+a fixed-order Gauss-Legendre rule per segment; the Jacobian of the
+cataloged worst-case maps blows up like r^(2/K - 2) at the origin and this
+grading keeps the quadrature at machine accuracy there. A whole-disk
+integral adds a geometric tail estimate below its last segment, exact for
+power-law Jacobians, and descends octave by octave only until that
+tail-corrected total settles (at most RADIAL_OCTAVES octaves). The segments
+of all stacked integrals form one flat rule, so every doubling level is a
+few array operations whatever the number of disks.
 """
 
 from __future__ import annotations
@@ -40,7 +47,8 @@ from .quadrature import (
 #: relative agreement demanded between the two length / area routes
 ORACLE_REL_TOL = 1e-6
 
-#: octaves of radial grading between the disk radius and the tail cutoff
+#: most octaves of radial grading a whole-disk integral descends toward its
+#: center before its tail-corrected total must have settled
 RADIAL_OCTAVES = 60
 
 #: Gauss-Legendre points per geometric radial segment
@@ -89,7 +97,9 @@ def lengths_and_area(
     map_model: MapModel,
     circles: Sequence[CircleSpec],
     cfg: QuadratureConfig = QuadratureConfig(),
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    *,
+    K: float | None = None,
+) -> tuple[np.ndarray, ...]:
     """Lengths of f(circle) by both routes and Green areas of f(disk), one pass.
 
     Three rows are stacked on the boundary points of `_boundary_data`, each
@@ -98,12 +108,17 @@ def lengths_and_area(
     * sqrt(J_f) * t with eta the outward unit normal (the formula length),
     and the Green density (the area). mu is the map's field, or where it
     has none `beltrami_from_partials` of the boundary pass's own partials.
-    Raises OrientationError if the Jacobian is negative at a node where the
+    Given a distortion bound K, a fourth row averages Re eps of that mu
+    (`qcreg.extremal.epsilon_from_mu`), bit for bit the average
+    `epsilon_weight_integral` takes of the map's field. Raises
+    OrientationError if the Jacobian is negative at a node where the
     boundary data are finite.
     """
-    from .bounds import distortion_integrand  # local import avoids a cycle
+    from .bounds import distortion_integrand  # local imports avoid a cycle
+    from .extremal import epsilon_from_mu, stretch_factor
 
     field = map_model.beltrami
+    k = None if K is None else stretch_factor(K)
 
     def integrand(nodes):
         z, dgamma, partials = _boundary_data(map_model, nodes)
@@ -112,8 +127,11 @@ def lengths_and_area(
         # finite, and a profile nudges it: at those nodes the formula row is
         # nan, so that its own checks cannot raise first
         bad = ~(np.isfinite(speed) & np.isfinite(green))
-        with np.errstate(invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             mu = field(z) if field is not None else beltrami_from_partials(*partials, z)
+            # conj(z) / z overflows on a circle of subnormal radius: a non-finite
+            # Re eps row names its circle like the rows above, and is nudged
+            eps = None if k is None else epsilon_from_mu(mu, z, k).real
             jac = np.asarray(map_model.jacobian(z), dtype=float)
             if bad.any():
                 mu, jac = np.where(bad, 0.0, mu), np.where(bad, np.nan, jac)
@@ -125,72 +143,112 @@ def lengths_and_area(
                     circle=nodes.circles[i],
                 )
             formula = np.sqrt(distortion_integrand(mu, nodes.unit)) * np.sqrt(jac) * nodes.radius
-        return np.stack((speed, formula, green))
+        return np.stack((speed, formula, green) if eps is None else (speed, formula, green, eps))
 
-    speed, formula, green = circular_average(integrand, circles, cfg)
-    return 2.0 * np.pi * speed, 2.0 * np.pi * formula, np.pi * green
+    speed, formula, green, *eps = circular_average(integrand, circles, cfg)
+    return (2.0 * np.pi * speed, 2.0 * np.pi * formula, np.pi * green, *eps)
 
 
 def _ring_mean_jacobian(map_model, center, radii, unit):
     """Mean of J_f over the angle on each ring center[i] + radii[i] e^{i theta}.
 
-    Negative or non-finite values are rejected, naming the first bad ring.
+    Negative values, non-finite values and a mean that overflows are
+    rejected, naming the first bad ring.
     """
     z = radii[:, None] * unit
     z += center[:, None]  # in place: one array of rings, not two
     jac = np.asarray(map_model.jacobian(z), dtype=float)
-    bad, error, what = ~np.isfinite(jac).all(axis=-1), NumericalError, "non-finite"
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = jac.mean(axis=-1)
+    bad, error, what = ~np.isfinite(mean), NumericalError, "non-finite"
     if not bad.any():
         bad, error, what = (jac < 0).any(axis=-1), OrientationError, "negative"
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
         raise error(f"{what} Jacobian on the ring of radius {radii[i]} around {center[i]}")
-    return jac.mean(axis=-1)
+    return mean
 
 
-def _segments_toward_zero(t: float, octaves: int) -> np.ndarray:
-    """Edges t, t/2, ..., t * 2^-octaves (decreasing)."""
+def _segments_toward_zero(t, octaves: int) -> np.ndarray:
+    """Edges t, t/2, ..., t * 2^-octaves (decreasing, along the last axis)."""
     return t * 2.0 ** -np.arange(octaves + 1)
+
+
+def _annulus_segments(t: np.ndarray, r_inner: np.ndarray):
+    """(owner, outer, inner edge) of every segment of the annuli
+    [r_inner[i], t[i]] split at the octaves t[i] * 2^-k, annulus by annulus
+    and each from its rim inward. A ratio t / r_inner that overflows takes
+    its octave count from the two logarithms.
+    """
+    with np.errstate(over="ignore"):
+        ratio = t / r_inner
+    octaves = np.where(np.isinf(ratio), np.log2(t) - np.log2(r_inner), np.log2(ratio))
+    n_oct = np.maximum(1, np.ceil(octaves)).astype(int)
+    edges = _segments_toward_zero(t[:, None], int(n_oct.max(initial=1)))
+    keep = (np.arange(edges.shape[1]) <= n_oct[:, None]) & (edges > r_inner[:, None])
+    edges = np.column_stack((np.where(keep, edges, r_inner[:, None]), r_inner))
+    owner = np.nonzero(keep)[0]
+    return owner, edges[:, :-1][keep], edges[:, 1:][keep]
 
 
 def _annulus_edges(t: float, r_inner: float) -> np.ndarray:
     """Edges of the annulus [r_inner, t] split at the octaves t * 2^-k
     (decreasing, r_inner last and not repeated)."""
-    n_oct = max(1, int(np.ceil(np.log2(t / r_inner))))
-    seg = _segments_toward_zero(t, n_oct)
-    return np.append(seg[seg > r_inner], r_inner)
+    _, outer, _ = _annulus_segments(np.array([t]), np.array([r_inner]))
+    return np.append(outer, r_inner)
 
 
-class _RadialRule(NamedTuple):
-    """Gauss-Legendre radii of one area integral over [r_inner, t] (or (0, t])."""
+class _FlatRule(NamedTuple):
+    """Gauss-Legendre rings of stacked radial integrals, one row per segment.
 
-    center: complex
-    radii: np.ndarray  # (segments * order,) Gauss-Legendre radii, segment by segment
-    half: np.ndarray  # (segments,) half-widths of the segments
-    tail: bool  # add the geometric tail below the last segment
+    A segment [a, b] of integral `owner` around `center` carries the
+    RADIAL_NODES rings (a + b) / 2 + (b - a) / 2 * x of the Gauss-Legendre
+    nodes x. An integral's segments run from its rim inward.
+    """
+
+    owner: np.ndarray  # (S,) integral of each segment
+    center: np.ndarray  # (S,) complex center of each segment's disk
+    half: np.ndarray  # (S,) half-widths
+    radii: np.ndarray  # (S, RADIAL_NODES) ring radii
 
     @classmethod
-    def build(cls, disk: CircleSpec, r_inner: float) -> "_RadialRule":
-        t = disk.radius
-        if r_inner > 0.0:
-            edges = _annulus_edges(t, r_inner)
-        else:
-            edges = _segments_toward_zero(t, RADIAL_OCTAVES)
-        a, b = edges[1:], edges[:-1]
-        mid, half = (a + b) / 2.0, (b - a) / 2.0
-        radii = (mid[:, None] + half[:, None] * GAUSS_LEGENDRE_NODES[None, :]).ravel()
-        return cls(disk.center, radii, half, tail=not r_inner > 0.0)
+    def build(cls, owner, center, outer, inner) -> "_FlatRule":
+        mid, half = (inner + outer) / 2.0, (outer - inner) / 2.0
+        radii = mid[:, None] + half[:, None] * GAUSS_LEGENDRE_NODES[None, :]
+        return cls(owner, center, half, radii)
 
-    def total(self, ring: np.ndarray) -> float:
-        """The integral from the ring values 2 pi r <J_f> at `radii`."""
-        w = GAUSS_LEGENDRE_WEIGHTS
-        seg = (ring.reshape(self.half.size, w.size) * w[None, :]).sum(axis=1) * self.half
-        total = float(seg.sum())
-        # geometric tail below the last segment; exact for power-law Jacobians
-        if self.tail and seg[-2] != 0.0:
-            q = seg[-1] / seg[-2]
-            if 0.0 < q < 1.0:
-                total += float(seg[-1] * q / (1.0 - q))
+    def joined(self, other: "_FlatRule") -> "_FlatRule":
+        """This rule's segments, then those of `other`."""
+        return _FlatRule(*(np.concatenate(pair) for pair in zip(self, other)))
+
+    def ring_means(self, map_model: MapModel, unit: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """Mean Jacobian over the angles `unit` on every ring of the segment
+        `rows`, in batches of at most MAX_BATCH_NODES points."""
+        radii = self.radii[rows].ravel()
+        center = np.repeat(self.center[rows], RADIAL_NODES)
+        return np.concatenate([
+            _ring_mean_jacobian(map_model, center[ring], radii[ring], unit)
+            for ring in row_batches(radii.size, unit.size)
+        ]).reshape(-1, RADIAL_NODES)
+
+    def totals(self, means: np.ndarray, count: int, tail: np.ndarray) -> np.ndarray:
+        """The `count` integrals from the ring means of every segment.
+
+        Each integral sums its segments in order. `tail` holds, per
+        integral, the rows of its last two segments, or -1 where no
+        geometric tail is added below them; the tail, exact for power-law
+        Jacobians, is added where their ratio q lies in (0, 1).
+        """
+        ring = 2.0 * np.pi * self.radii * means
+        seg = (ring * GAUSS_LEGENDRE_WEIGHTS).sum(axis=1) * self.half
+        total = np.bincount(self.owner, weights=seg, minlength=count)
+        has = tail[:, 0] >= 0
+        last, before = seg[tail[has, 1]], seg[tail[has, 0]]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = last / before
+            geometric = last * q / (1.0 - q)
+        use = (before != 0.0) & (0.0 < q) & (q < 1.0)
+        total[np.flatnonzero(has)[use]] += geometric[use]
         return total
 
 
@@ -211,45 +269,89 @@ def image_area_jacobian(
     disks : sequence of CircleSpec
         Integral i runs over r in (r_inner[i], disks[i].radius] around
         disks[i].center; the integrals are stacked (a profile's annulus
-        increments are one call). The radial rule takes RADIAL_NODES
-        Gauss-Legendre points per geometric segment.
+        increments are one call) in one flat rule of geometric segments
+        with RADIAL_NODES Gauss-Legendre rings each.
     cfg : QuadratureConfig
         Angular resolution, doubled by `refine` until each integral is
         stable to cfg.rel_tol, with a convergence test per integral. A
-        doubling evaluates each ring of an integral's radial rule only at
-        the angles it adds (`level_nodes`) and combines their mean with the
-        ring's running mean. The integrals still refining share each
-        level's Jacobian calls, which take the rings of all their rules in
-        batches of at most MAX_BATCH_NODES points.
+        doubling evaluates each ring of an integral only at the angles it
+        adds (`level_nodes`) and combines their mean with the ring's
+        running mean. The integrals still refining share each level's
+        Jacobian calls, which take their rings in batches of at most
+        MAX_BATCH_NODES points.
     r_inner : float or sequence of float
         Inner radius per disk for annulus increments (used by profiles);
-        0 integrates the whole disk, with a geometric tail toward its center.
+        0 integrates the whole disk, with a geometric tail toward its
+        center. At the first angular level a whole disk descends one
+        octave at a time, all whole disks still descending in one Jacobian
+        call per octave, until its tail-corrected total changes by at most
+        cfg.rel_tol relative between two octaves; later levels refine the
+        octaves it stopped at.
+
+    Raises
+    ------
+    NumericalError
+        If a whole disk's total still moves by more than cfg.rel_tol after
+        RADIAL_OCTAVES octaves (a Jacobian not integrable at its center),
+        naming the disk; a ring with a non-finite Jacobian is named too.
     """
     inner = np.broadcast_to(np.asarray(r_inner, dtype=float), (len(disks),))
-    rules = [_RadialRule.build(d, r) for d, r in zip(disks, inner)]
+    center = np.array([d.center for d in disks], dtype=complex)
+    outer = np.array([d.radius for d in disks], dtype=float)
+    annulus = inner > 0.0
+    whole = np.flatnonzero(~annulus)
 
-    # ring means of each rule over the angles of the levels so far: the
-    # geometric tail is nonlinear in them, so levels combine means, not totals
-    means = [None] * len(rules)
+    def octave(owners, k):
+        # segment k of the whole disks `owners`: [t 2^-(k+1), t 2^-k]
+        t = outer[owners]
+        return _FlatRule.build(owners, center[owners], t * 2.0 ** -k, t * 2.0 ** -(k + 1))
 
-    def evaluate(n, items, refining):
-        first = n == cfg.nodes
-        _, unit = level_nodes(n, first)
-        picked = [rules[i] for i in items]
-        radii = np.concatenate([rule.radii for rule in picked])
-        center = np.concatenate([np.full(rule.radii.size, rule.center) for rule in picked])
-        fresh = np.concatenate([
-            _ring_mean_jacobian(map_model, center[rows], radii[rows], unit)
-            for rows in row_batches(radii.size, unit.size)
-        ])
-        ends = np.cumsum([rule.radii.size for rule in picked])
-        totals = []
-        for i, rule, part in zip(items, picked, np.split(fresh, ends[:-1])):
-            means[i] = part if first else 0.5 * (means[i] + part)
-            totals.append(rule.total(2.0 * np.pi * rule.radii * means[i]))
+    owner, outer_edge, inner_edge = _annulus_segments(outer[annulus], inner[annulus])
+    owner = np.flatnonzero(annulus)[owner]
+    rule = _FlatRule.build(owner, center[owner], outer_edge, inner_edge)
+    rule = rule.joined(octave(whole, 0)).joined(octave(whole, 1))
+    # rows of each whole disk's last two segments; -1 for an annulus
+    tail = np.full((len(disks), 2), -1)
+    tail[whole] = owner.size + np.arange(whole.size)[:, None] + [0, whole.size]
+    means = None  # ring means over the angles of the levels so far, (S, RADIAL_NODES)
+
+    def descend(unit):
+        nonlocal rule, means
+        means = rule.ring_means(map_model, unit)
+        totals = rule.totals(means, len(disks), tail)
+        moving = whole
+        for k in range(2, RADIAL_OCTAVES):
+            if not moving.size:
+                return totals
+            step = octave(moving, k)
+            tail[moving] = np.column_stack((tail[moving, 1], rule.owner.size + np.arange(moving.size)))
+            rule = rule.joined(step)
+            means = np.concatenate((means, step.ring_means(map_model, unit)))
+            fresh = rule.totals(means, len(disks), tail)
+            moved = np.abs(fresh - totals)
+            totals = fresh
+            moving = moving[~(moved[moving] <= cfg.rel_tol * np.abs(totals[moving]))]
+        if moving.size:
+            i = moving[0]
+            raise NumericalError(
+                f"the Jacobian area of {disks[i]} still moves by {moved[i]:.3e} "
+                f"(total {totals[i]:.6e}) after {RADIAL_OCTAVES} octaves toward its "
+                "center; the Jacobian is not integrable there",
+                circle=disks[i],
+            )
         return totals
 
-    return refine(evaluate, len(rules), cfg)
+    def evaluate(n, items, refining):
+        nonlocal means
+        first = n == cfg.nodes
+        _, unit = level_nodes(n, first)
+        if first:
+            return descend(unit)
+        rows = np.flatnonzero(np.isin(rule.owner, items))
+        means[rows] = 0.5 * (means[rows] + rule.ring_means(map_model, unit, rows))
+        return rule.totals(means, len(disks), tail)[items]
+
+    return refine(evaluate, len(disks), cfg)
 
 
 def image_area_green(
@@ -302,13 +404,17 @@ def geometry_profile(
     map_model: MapModel,
     radii,
     cfg: QuadratureConfig = QuadratureConfig(),
-) -> GeometryProfile:
+    *,
+    K: float | None = None,
+) -> GeometryProfile | tuple[GeometryProfile, np.ndarray]:
     """Image geometry of origin-centered circles at the given radii.
 
     Both length routes and both area routes are computed for every radius;
     a relative disagreement beyond ORACLE_REL_TOL raises NumericalError.
     Both lengths and the Green area come from one `lengths_and_area` pass
-    that averages all radii together. The Jacobian-route area is
+    that averages all radii together. Given a distortion bound K, that pass
+    also averages Re eps of the map's field, and the pair (profile, those
+    averages on the profile's radii) is returned. The Jacobian-route area is
     accumulated incrementally (one singular-aware integral for the smallest
     radius, annulus increments after that, all stacked in one
     `image_area_jacobian` call), so it is nondecreasing by construction; a
@@ -327,7 +433,9 @@ def geometry_profile(
     while True:
         circles = [CircleSpec(0j, float(t)) for t in radii]
         try:
-            len_direct, len_formula, area_green = lengths_and_area(map_model, circles, cfg)
+            len_direct, len_formula, area_green, *eps = lengths_and_area(
+                map_model, circles, cfg, K=K
+            )
             break
         except NumericalError as exc:
             # curves can fail to be rectifiable on a null set of radii: nudge
@@ -374,7 +482,7 @@ def geometry_profile(
         raise NumericalError(f"isoperimetric defect overflows at t = {t}")
     if np.any(delta < -1e-6):
         raise InvariantViolationError(f"isoperimetric defect fell to {delta.min():.3e} < -1e-6")
-    return GeometryProfile(
+    profile = GeometryProfile(
         radii=radii,
         length_direct=len_direct,
         length_formula=len_formula,
@@ -383,3 +491,4 @@ def geometry_profile(
         h=h,
         delta=delta,
     )
+    return profile if K is None else (profile, eps[0])

@@ -84,8 +84,9 @@ def run_analysis(cfg: AnalysisConfig) -> RunReport:
 
     Each stage runs on what `_resolve` holds: a matrix gets the elliptic
     bounds, a map or field the regularity report, a map the profile, defects,
-    Holder estimates and verdict, and a field epsilon, on the profile's radii
-    if any. Raises InvariantViolationError when a mathematical invariant fails
+    Holder estimates and verdict, and a field epsilon: a map's from a stacked
+    row of its profile pass, a field subject's from its own pass. Raises
+    InvariantViolationError when a mathematical invariant fails
     (isoperimetric sup above 1, negative defects, bound ordering); the CLI
     maps that onto exit code 2.
     """
@@ -97,11 +98,14 @@ def run_analysis(cfg: AnalysisConfig) -> RunReport:
         elliptic = comparison_bounds(matrix, cfg.domain, report)
     else:
         report = regularity_report(map_model or field, cfg.domain, cfg.quadrature)
-    if map_model is not None and (cfg.run_geometry or cfg.run_extremal):
+    K = field.distortion_ratio if cfg.run_extremal and matrix is None else None
+    if map_model is not None and K is not None:
+        geometry, eps_avg = geometry_profile(map_model, cfg.profile_radii, cfg.quadrature, K=K)
+        epsilon = EpsilonProfile.from_averages(geometry.radii, K, eps_avg)
+    elif map_model is not None and cfg.run_geometry:
         geometry = geometry_profile(map_model, cfg.profile_radii, cfg.quadrature)
-    if cfg.run_extremal and matrix is None:
-        radii = cfg.profile_radii if geometry is None else geometry.radii
-        epsilon = epsilon_weight_integral(field, field.distortion_ratio, radii, cfg.quadrature)
+    elif K is not None:
+        epsilon = epsilon_weight_integral(field, K, cfg.profile_radii, cfg.quadrature)
     if cfg.run_extremal and geometry is not None:
         defect = defect_weight_integral(geometry)
         holder = empirical_holder(geometry)

@@ -482,15 +482,16 @@ class TestEvaluationCap:
             return model.jacobian(z)
 
         geometry_profile(replace(model, jacobian=jacobian), np.geomspace(1e-3, 1.0, 33), CFG)
-        # the whole disk's 600 rings and the 32 annulus increments' 10 rings
-        # each are evaluated together, in batches under the cap
+        # the 32 annulus increments' 10 rings each and the whole disk's first
+        # two octaves are evaluated together, in batches under the cap; the
+        # power-law tail has settled after one more octave of 10 rings
         assert max(sizes) <= MAX_BATCH_NODES
-        assert sum(sizes) == 487936  # the points of TestWorkCounts, in fewer calls
-        # both the 33 circles of the profile's one boundary pass and the 920
+        assert sum(sizes) == 196096  # the points of TestWorkCounts, in fewer calls
+        # both the 33 circles of the profile's one boundary pass and the 350
         # rings converge at the second level, and each level evaluates 256
         # angles per row, in batches of as many whole rows as the cap holds
         batches = lambda rows: math.ceil(rows / (MAX_BATCH_NODES // CFG.nodes))
-        assert len(sizes) == 2 * batches(33) + 2 * batches(920)
+        assert len(sizes) == 2 * batches(33) + batches(340) + batches(10) + batches(350)
 
 
 class TestRingChecks:

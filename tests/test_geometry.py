@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.special import ellipe
@@ -25,9 +28,13 @@ from qcreg.geometry import (
     GAUSS_LEGENDRE_NODES,
     GAUSS_LEGENDRE_WEIGHTS,
     RADIAL_NODES,
+    RADIAL_OCTAVES,
     _annulus_edges,
+    _annulus_segments,
     _segments_toward_zero,
 )
+
+from conftest import entry_id
 
 IDENTITY = radial_stretch(1.0)
 UNIT = CircleSpec(0j, 1.0)
@@ -179,6 +186,116 @@ def test_annulus_edges_bit_equal_to_unique_construction():
         got = _annulus_edges(t, r_inner)
         want = annulus_edges_reference(t, r_inner)
         assert got.dtype == want.dtype and np.array_equal(got, want), (t, r_inner)
+
+
+def test_flat_annulus_segments_bit_equal_to_each_lone_annulus():
+    # all edge cases in one vectorised build: annuli of 1 to 848 octaves
+    cases = list(annulus_edge_cases())
+    t, r_inner = (np.array(column) for column in zip(*cases))
+    owner, outer, inner = _annulus_segments(t, r_inner)
+    for i, (ti, ri) in enumerate(cases):
+        want = annulus_edges_reference(ti, ri)
+        mine = owner == i
+        assert np.array_equal(outer[mine], want[:-1]), (ti, ri)
+        assert np.array_equal(inner[mine], want[1:]), (ti, ri)
+
+
+def model_of(jacobian):
+    """A map whose only use is its Jacobian."""
+    return MapModel(value=lambda z: z, partials=lambda z: (z, z), jacobian=jacobian)
+
+
+def recording_radii(model):
+    """`model` with a Jacobian that records the least |z| of every call."""
+    seen = []
+
+    def jacobian(z):
+        seen.append(np.abs(z).min())
+        return model.jacobian(z)
+
+    return replace(model, jacobian=jacobian), seen
+
+
+def power_law_area(entry, t):
+    """Closed-form area of f(D_t): pi t^(2 alpha) for the power family, whose
+    maps have |f(z)| = |z|^alpha, and (|a|^2 - |b|^2) pi t^2 for the affine."""
+    p = entry.parameters
+    if entry.name == "affine":
+        return (abs(p["a"]) ** 2 - abs(p["b"]) ** 2) * np.pi * t * t
+    alpha = p["alpha"] if entry.name == "power_spiral" else 1.0 / p.get("K", 1.0)
+    return np.pi * t ** (2.0 * alpha)
+
+
+DESCENT_ENTRIES = [radial_stretch(2.0), radial_stretch(5.0), spiral_map(1.2),
+                   power_spiral(0.6, 0.8), power_spiral(1.7, -0.3),
+                   affine_map(1.0, 0.3 - 0.2j), affine_map(2.0 + 1.0j, 0.5)]
+
+
+class TestRadialDescent:
+    """A whole disk descends octave by octave until its tail-corrected total
+    settles to rel_tol relative, at most RADIAL_OCTAVES octaves."""
+
+    @pytest.mark.parametrize("t", [1e-3, 0.5, 1.0])
+    @pytest.mark.parametrize("entry", DESCENT_ENTRIES, ids=entry_id)
+    def test_catalog_whole_disks_meet_their_closed_forms(self, entry, t, cfg):
+        model, radii = recording_radii(entry.map)
+        (got,) = image_area_jacobian(model, [CircleSpec(0j, t)], cfg=cfg)
+        assert got == pytest.approx(power_law_area(entry, t), rel=1e-14, abs=0)
+        # the geometric tail is exact for a power law: three octaves settle it
+        assert t / 8 < min(radii) < t / 4
+
+    @pytest.mark.parametrize("t", [1e-3, 0.5, 1.0])
+    def test_two_powers_descend_further_and_meet_their_closed_form(self, t):
+        # the tail extrapolates the slower power, so r^1.5 must fade first;
+        # the error is about a fifth of the last octave's change, which is why
+        # the 1e-12 check takes a rel_tol of 1e-13 (and rel_tol itself holds)
+        want = 2.0 * np.pi * (t + t**2.5 / 2.5)
+        for rel_tol, bound in ((1e-9, 1e-9), (1e-13, 1e-12)):
+            model, radii = recording_radii(model_of(lambda z: 1.0 / np.abs(z) + np.abs(z) ** 0.5))
+            cfg = QuadratureConfig(rel_tol=rel_tol)
+            (got,) = image_area_jacobian(model, [CircleSpec(0j, t)], cfg=cfg)
+            assert got == pytest.approx(want, rel=bound, abs=0)
+            assert min(radii) < t / 16  # more than three octaves
+
+    def test_stacked_whole_disks_equal_lone_ones(self, cfg):
+        # whole disks leave the descent at different octaves; the annulus and
+        # the disks still descending share each octave's calls
+        model = model_of(lambda z: 1.0 / np.abs(z) + np.abs(z - 0.1) ** 0.5)
+        disks = [CircleSpec(0j, 1e-3), CircleSpec(0j, 0.5), CircleSpec(0.1j, 0.3),
+                 CircleSpec(0j, 1.0)]
+        inner = [0.0, 0.0, 0.0, 0.5]
+        both = image_area_jacobian(model, disks, cfg=cfg, r_inner=inner)
+        lone = [image_area_jacobian(model, disks[i:i + 1], cfg=cfg, r_inner=inner[i:i + 1])[0]
+                for i in range(len(disks))]
+        assert both.tobytes() == np.array(lone).tobytes()
+
+    @pytest.mark.parametrize("power", [-2.5, -2.0])
+    def test_non_integrable_jacobian_names_the_disk(self, power, cfg):
+        # |z|^-2.5 and |z|^-2 have no area near 0: each octave adds as much
+        # as the one before or more, so the descent reaches its cap moving
+        model = model_of(lambda z: np.abs(z) ** power)
+        disk = CircleSpec(0j, 0.5)
+        message = f"area of {re.escape(str(disk))} .* after {RADIAL_OCTAVES} octaves"
+        with pytest.raises(NumericalError, match=message) as err:
+            image_area_jacobian(model, [disk], cfg=cfg)
+        assert err.value.circle == disk
+
+    def test_integrable_singular_jacobian_passes(self, cfg):
+        (got,) = image_area_jacobian(model_of(lambda z: 1.0 / np.abs(z)), [CircleSpec(0j, 0.5)],
+                                     cfg=cfg)
+        assert got == pytest.approx(np.pi, rel=1e-14)
+
+    def test_annulus_whose_radius_ratio_overflows(self, cfg):
+        # 1 / 5e-324 overflows: the octave count comes from the two logarithms
+        (got,) = image_area_jacobian(affine_map(1.0, 0.3).map, [CircleSpec(0j, 1.0)], cfg=cfg,
+                                     r_inner=[5e-324])
+        assert got == pytest.approx(0.91 * np.pi, rel=1e-14)
+
+    def test_overflowing_ring_mean_names_the_ring(self, cfg):
+        # finite node values whose mean overflows
+        model = model_of(lambda z: np.full(z.shape, 1.5e308))
+        with pytest.raises(NumericalError, match="non-finite Jacobian on the ring of radius"):
+            image_area_jacobian(model, [CircleSpec(0j, 1.0)], cfg=cfg, r_inner=[0.5])
 
 
 def test_gauss_legendre_table_bit_equal_to_leggauss():

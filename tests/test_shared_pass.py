@@ -30,6 +30,8 @@ from qcreg import (
     comparison_bounds,
     elliptic_holder_bound,
     empirical_holder,
+    entry_from_spec,
+    epsilon_weight_integral,
     geometry_profile,
     image_area_green,
     lengths_and_area,
@@ -41,6 +43,7 @@ from qcreg import (
     regularity_report,
     run_analysis,
     spiral_map,
+    validate_field,
     validate_matrix_field,
 )
 from qcreg.bounds import distortion_integrand
@@ -207,6 +210,55 @@ class TestBoundaryPass:
             assert prof.length_direct[i] == 2.0 * np.pi * single_route(model, circle, 0)
             assert prof.length_formula[i] == 2.0 * np.pi * single_route(model, circle, 1)
             assert prof.area_green[i] == image_area_green(model, [circle], CFG)[0]
+
+
+class TestEpsilonRow:
+    """A map's Re eps averages are the fourth row of its profile pass, bit for
+    bit the lone `epsilon_weight_integral` of its certified field."""
+
+    SPECS = ("radial_stretch(K=2)", "spiral(gamma=1)", "affine(a=1,b=0.3-0.2j)",
+             "power_spiral(alpha=0.6,gamma=0.8)")
+
+    @pytest.mark.parametrize("model", MAPS, ids=MAP_IDS)
+    def test_stacked_rows_keep_their_bits(self, model):
+        field = validate_field(model.beltrami)
+        K = field.distortion_ratio
+        radii = np.geomspace(1e-3, 1.0, 33)
+        circles = [CircleSpec(0j, float(t)) for t in radii]
+        *rows, eps = lengths_and_area(model, circles, CFG, K=K)
+        for got, want in zip(rows, lengths_and_area(model, circles, CFG), strict=True):
+            assert got.tobytes() == want.tobytes()
+        assert np.array_equal(eps, epsilon_weight_integral(field, K, radii, CFG).eps_re_avg)
+        profile, eps_avg = geometry_profile(model, radii, CFG, K=K)
+        alone = geometry_profile(model, radii, CFG)
+        for name in alone._fields:
+            assert np.array_equal(getattr(profile, name), getattr(alone, name))
+        assert np.array_equal(eps_avg, eps)
+
+    @staticmethod
+    def assert_report_epsilon_is_the_lone_pass(config):
+        cfg = build_config(config)
+        report = run_analysis(cfg)
+        field = validate_field(entry_from_spec(cfg.subject).map.beltrami)
+        want = epsilon_weight_integral(field, field.distortion_ratio, report.geometry.radii,
+                                       cfg.quadrature)
+        for name in want._fields:
+            assert np.array_equal(getattr(report.epsilon, name), getattr(want, name)), name
+        return report
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_report_epsilon_profile(self, spec):
+        self.assert_report_epsilon_is_the_lone_pass({"subject": spec})
+
+    def test_nudged_profile(self):
+        # the largest radius's boundary data overflow, so the profile nudges
+        # it, and the epsilon row is averaged on the nudged circle
+        report = self.assert_report_epsilon_is_the_lone_pass({
+            "subject": "affine(a=1,b=0.5)",
+            "radii": {"max": 1e200, "count": 3},
+            "quadrature": {"nodes": 16, "max_doublings": 2},
+        })
+        assert report.geometry.radii[-1] < 1e200
 
 
 def domain_with_offsets():
@@ -378,11 +430,13 @@ class TestWorkCounts:
         run_analysis(build_config({"subject": "radial_stretch(K=2)"}))
         (model,) = models
         # one average per circle family: C and A together on 16 circles, 25
-        # Gronwall areas, both lengths and the Green area on 33 radii, 33
-        # epsilon averages; the holder estimates reuse the profile's areas and
-        # make no value call, and each doubling evaluates only the angles it adds
-        assert counts == {"distortion_constant": 0, "circular_average": 4}
-        assert model.points == {"value": 37888, "partials": 37888, "jacobian": 487936}
+        # Gronwall areas, and both lengths, the Green area and Re eps on the 33
+        # profile radii; the holder estimates reuse the profile's areas and
+        # make no value call, and each doubling evaluates only the angles it
+        # adds. The Jacobian areas take 350 rings: the whole disk descends
+        # three octaves, until its power-law tail settles
+        assert counts == {"distortion_constant": 0, "circular_average": 3}
+        assert model.points == {"value": 37888, "partials": 37888, "jacobian": 196096}
 
     def test_regularity_report_computes_c_once(self, work_counts):
         counts, _ = work_counts
