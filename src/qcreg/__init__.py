@@ -63,7 +63,6 @@ from .extremal import (
     epsilon_distortion_margin,
     epsilon_weight_integral,
     extremality_report,
-    stretch_factor,
     superlevel_lower_density,
 )
 from .geometry import (
@@ -88,6 +87,7 @@ from .plane import (
     beltrami_of,
     derive_beltrami,
     disk_samples,
+    stretch_factor,
     validate_field,
     wirtinger_from_cartesian,
 )

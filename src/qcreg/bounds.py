@@ -157,7 +157,6 @@ class MoriReport(NamedTuple):
     distortion_ratio: float  # K = (1 + k_max) / (1 - k_max)
     max_average: float
     worst_margin: float  # max over circles of (average - K); <= tol when passed
-    worst_circle: CircleSpec
     passed: bool
     tol: float
 
@@ -195,7 +194,6 @@ def mori_from_sup(field: BeltramiField, sup: SupResult) -> MoriReport:
         distortion_ratio=K,
         max_average=sup.value,
         worst_margin=margin,
-        worst_circle=sup.argmax,
         passed=bool(margin <= MORI_TOL),
         tol=MORI_TOL,
     )

@@ -69,10 +69,8 @@ class AnalysisConfig(NamedTuple):
 def classify_subject(subject: str) -> str:
     """One of 'catalog', 'sampled-mu', 'matrix' based on the subject string."""
     if subject.endswith(".csv"):
-        path = Path(subject)
         try:
-            with open(path) as fh:
-                header = fh.readline().strip().replace(" ", "")
+            header = _first_line(subject).replace(" ", "")
         except OSError as exc:
             raise ConfigError(f"cannot read subject file {subject}: {exc}")
         if header == "x,y,re,im":
@@ -85,6 +83,13 @@ def classify_subject(subject: str) -> str:
         )
     entry_from_spec(subject)  # raises ConfigError listing names when invalid
     return "catalog"
+
+
+def _first_line(path) -> str:
+    """The first line of a text file, stripped, read as UTF-8 with each bad
+    byte replaced (so never a decode error, whatever the locale)."""
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        return fh.readline().strip()
 
 
 def _reject_unknown(given: dict, allowed, where: str) -> None:
@@ -281,7 +286,9 @@ def read_config(path) -> dict:
     if not path.exists():
         raise ConfigError(f"no such config file: {path}")
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: JSON parse error at line {exc.lineno}: {exc.msg}")
     if not isinstance(raw, dict):

@@ -30,6 +30,7 @@ from .plane import (
     SampledField,
     _Validated,
     disk_samples,
+    stretch_factor,
     validate_field,
 )
 from .quadrature import QuadratureConfig
@@ -62,7 +63,7 @@ class MatrixField(_Validated, _MatrixFields):
     __slots__ = ()
 
     def __new__(cls, beltrami: BeltramiField, K: float, grid: SampledField | None = None):
-        _k_max(K)  # raises unless K >= 1 is finite
+        stretch_factor(K)  # raises unless K >= 1 is finite
         return super().__new__(cls, beltrami, K, grid)
 
     def __call__(self, z):
@@ -109,14 +110,7 @@ def matrix_field_from_function(fn, K: float) -> MatrixField:
         _check_entries(a11, a12, a22, z, K)
         return beltrami_from_entries(a11, a12, a22)
 
-    return MatrixField(BeltramiField(mu=mu, k_max=_k_max(K)), K)
-
-
-def _k_max(K: float) -> float:
-    """The mu bound (K-1)/(K+1) of eigenvalues in [1/K, K]."""
-    if not (K >= 1.0 and np.isfinite(K)):
-        raise ValueError(f"need K >= 1, got {K}")
-    return (K - 1.0) / (K + 1.0)
+    return MatrixField(BeltramiField(mu=mu, k_max=stretch_factor(K)), K)
 
 
 def validate_matrix_field(field: MatrixField) -> MatrixField:

@@ -30,15 +30,8 @@ import numpy as np
 
 from .errors import NumericalError, SingularPointError
 from .geometry import GeometryProfile
-from .plane import BeltramiField, CircleSpec
+from .plane import BeltramiField, CircleSpec, stretch_factor
 from .quadrature import QuadratureConfig, circular_average
-
-
-def stretch_factor(K: float) -> float:
-    """k = (K - 1) / (K + 1), the coefficient magnitude of the radial stretch."""
-    if not K >= 1.0:
-        raise ValueError(f"need K >= 1, got {K}")
-    return (K - 1.0) / (K + 1.0)
 
 
 def epsilon_decompose(field: BeltramiField, K: float, z) -> np.ndarray:

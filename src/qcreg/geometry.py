@@ -34,7 +34,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import InvariantViolationError, NumericalError, OrientationError
-from .plane import CircleSpec, MapModel, beltrami_from_partials
+from .plane import CircleSpec, MapModel, beltrami_from_partials, stretch_factor
 from .quadrature import (
     CircleNodes,
     QuadratureConfig,
@@ -115,7 +115,7 @@ def lengths_and_area(
     boundary data are finite.
     """
     from .bounds import distortion_integrand  # local imports avoid a cycle
-    from .extremal import epsilon_from_mu, stretch_factor
+    from .extremal import epsilon_from_mu
 
     field = map_model.beltrami
     k = None if K is None else stretch_factor(K)
@@ -290,6 +290,9 @@ def image_area_jacobian(
 
     Raises
     ------
+    ValueError
+        If an r_inner is not a finite number in [0, radius) of its disk,
+        naming the first such disk.
     NumericalError
         If a whole disk's total still moves by more than cfg.rel_tol after
         RADIAL_OCTAVES octaves (a Jacobian not integrable at its center),
@@ -298,6 +301,11 @@ def image_area_jacobian(
     inner = np.broadcast_to(np.asarray(r_inner, dtype=float), (len(disks),))
     center = np.array([d.center for d in disks], dtype=complex)
     outer = np.array([d.radius for d in disks], dtype=float)
+    bad = ~((inner >= 0.0) & (inner < outer))  # nan and inf too
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"r_inner = {float(inner[i])} of {disks[i]} must lie in "
+                         f"[0, {disks[i].radius}) and be finite")
     annulus = inner > 0.0
     whole = np.flatnonzero(~annulus)
 

@@ -13,12 +13,15 @@ positive definite with det 1 (within 1e-9), or is off the declared K, raises
 Numbers are written as ``%.18e`` (19 significant digits, so a float64 reads
 back exactly), byte for byte what ``np.savetxt`` writes. The writers format
 each grid coordinate once and each grid row with one ``%`` call. The loaders
-reject, with ``ConfigError``, a descriptor value of the wrong type or range
-(naming the file and the key), a file with no data rows, a row with the
-wrong number of fields, a whitespace-only line included (naming the file,
-its 1-based line and the expected and found counts), an unparsable or
-non-finite entry (naming the file, its line and the column) and
-coordinates that disagree with the descriptor.
+read the CSV and its sidecar as UTF-8, whatever the locale. They reject,
+with ``ConfigError``, a sidecar that is not UTF-8 JSON or holds a value of
+the wrong type or range (naming the file and the key), a file with no data
+rows and coordinates that disagree with the descriptor. When a parse fails,
+or its rows have the wrong width or a non-finite entry, `_bad_line` reads
+the file once more and names its first bad line (1-based): a row with the
+wrong number of fields, a whitespace-only line included (with the expected
+and found counts), or an entry that is not a number or not finite (with
+its column).
 
 Both loaders read a CSV with one ``np.loadtxt`` call, or, for a file above
 ``BLOCK_BYTES`` on a machine with two usable CPUs and ``os.fork``, with one
@@ -32,20 +35,18 @@ serial call runs, so every result and message is the serial one.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
-import re
 import warnings
 from pathlib import Path
 
 import numpy as np
 
-from .config import _integer, _number, _point
+from .config import _first_line, _integer, _number, _point
 from .elliptic import DET_TOL, MatrixField, beltrami_from_entries
 from .errors import ConfigError, FieldValidationError
-from .plane import SampledField
+from .plane import SampledField, stretch_factor
 
 MU_HEADER = "x,y,re,im"
 MATRIX_HEADER = "x,y,a11,a12,a22"
@@ -55,12 +56,6 @@ BLOCK_BYTES = 4 << 20
 #: bytes a line may start with for the block parse: a number's first character
 _ROW_START = np.zeros(256, dtype=bool)
 _ROW_START[list(b"+-.0123456789")] = True
-#: np.loadtxt's message for an entry it cannot parse: (entry repr, 0-based
-#: data row, 1-based column)
-_UNPARSABLE = r"could not convert string (.*) to \w+ at row (\d+), column (\d+)\."
-#: np.loadtxt's message for a row whose field count differs from the first
-#: row's: (first row's count, this row's count, 1-based data row)
-_RAGGED = r"the number of columns changed from (\d+) to (\d+) at row (\d+);.*"
 
 
 def sidecar_path(csv_path) -> Path:
@@ -75,7 +70,9 @@ def _load_descriptor(csv_path, bound_key: str, bound_range: tuple[float, float])
     if not path.exists():
         raise ConfigError(f"missing sidecar descriptor {path}")
     try:
-        desc = json.loads(path.read_text())
+        desc = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"bad JSON in {path} at line {exc.lineno}: {exc.msg}")
     if not isinstance(desc, dict):
@@ -102,23 +99,16 @@ def _load_grid_csv(csv_path, header: str, rows: int) -> np.ndarray:
     csv_path = Path(csv_path)
     if not csv_path.exists():
         raise ConfigError(f"no such file: {csv_path}")
-    with open(csv_path) as fh:
-        first = fh.readline().strip()
+    first = _first_line(csv_path)
     if first.replace(" ", "") != header:
         raise ConfigError(f"{csv_path} must start with header {header!r}, got {first!r}")
     names = header.split(",")
     data = _parse_rows(csv_path, names, rows)
     if len(data) == 0:
         raise ConfigError(f"{csv_path}: 0 data rows but descriptor says nx*ny = {rows}")
-    if data.shape[1] != len(names):
-        raise _column_count_error(csv_path, len(names), 0, data.shape[1])
-    finite = np.isfinite(data)
-    if not finite.all():
-        row, col = np.argwhere(~finite)[0]
-        raise ConfigError(
-            f"{csv_path} line {_data_line(csv_path, row)[0]}: "
-            f"{names[col]} = {data[row, col]} is not finite"
-        )
+    if data.shape[1] != len(names) or not np.isfinite(data).all():
+        raise _bad_line(csv_path, names, f"expected {len(names)} columns of finite numbers",
+                        finite=True)
     return data
 
 
@@ -139,37 +129,45 @@ def _parse_rows(csv_path, names, rows: int) -> np.ndarray:
         with warnings.catch_warnings():
             # a file with no data rows is reported by the caller
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            return np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
-    except ValueError as exc:
-        raise _parse_error(csv_path, names, str(exc)) from None
+            return np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2, encoding="utf-8")
+    except ValueError as exc:  # a UnicodeDecodeError too
+        raise _bad_line(csv_path, names, str(exc), finite=False) from None
 
 
-def _parse_error(csv_path, names, message: str) -> ConfigError:
-    """The ConfigError for np.loadtxt's `message`, naming the file line: a
-    row of the wrong field count (a whitespace-only line is a row of one
-    field), else an entry that is not a number."""
-    ncols = len(names)
-    ragged = re.fullmatch(_RAGGED, message)
-    if ragged is not None:
-        first, found, row = (int(g) for g in ragged.groups())
-        # the first row's count is the reference, so it may be the wrong one
-        if first != ncols:
-            found, row = first, 1
-        return _column_count_error(csv_path, ncols, row - 1, found)
-    bad = re.fullmatch(_UNPARSABLE, message)
-    if bad is None:
-        return ConfigError(f"{csv_path}: {message}")
-    text, row, col = bad[1], int(bad[2]), int(bad[3])
-    line, row_text = _data_line(csv_path, row)
-    found = row_text.split("#", 1)[0].count(",") + 1
-    if found != ncols:  # a first row np.loadtxt read as one field, say
-        return _column_count_error(csv_path, ncols, row, found)
-    return ConfigError(f"{csv_path} line {line}: {names[col - 1]} = {text} is not a number")
+def _bad_line(csv_path, names, message: str, *, finite: bool) -> ConfigError:
+    """The ConfigError naming the first data line that is not len(names)
+    numbers (finite ones, if `finite`), or, when no line is, the load's
+    `message`. It runs only after a load failed; np.loadtxt reads nan and inf,
+    so after np.loadtxt raised, `finite` is False and only a line it could not
+    read is named.
 
-
-def _column_count_error(csv_path, ncols: int, row: int, found: int) -> ConfigError:
-    line, _ = _data_line(csv_path, row)
-    return ConfigError(f"{csv_path} line {line}: expected {ncols} columns, found {found}")
+    The lines are those np.loadtxt reads, decoded as UTF-8 with each bad byte
+    replaced: the header and every line that is empty up to its end or ``#``
+    are skipped, and a whitespace-only line is a row of one field. An entry
+    holding ``_`` or a non-ASCII character is no number to np.loadtxt, though
+    float() reads one; it is quoted as written.
+    """
+    with open(csv_path, encoding="utf-8", errors="replace") as fh:
+        for line, text in enumerate(fh, 1):
+            row = text.rstrip("\n").split("#", 1)[0]
+            if line == 1 or not row:
+                continue
+            fields = row.split(",")
+            if len(fields) != len(names):
+                return ConfigError(f"{csv_path} line {line}: expected {len(names)} columns, "
+                                   f"found {len(fields)}")
+            for name, entry in zip(names, fields):
+                try:
+                    if "_" in entry or not entry.isascii():
+                        raise ValueError(entry)
+                    value = float(entry)
+                except ValueError:
+                    return ConfigError(
+                        f"{csv_path} line {line}: {name} = {entry!r} is not a number"
+                    )
+                if finite and not math.isfinite(value):
+                    return ConfigError(f"{csv_path} line {line}: {name} = {value} is not finite")
+    return ConfigError(f"{csv_path}: {message}")
 
 
 def _usable_cpus() -> int:
@@ -256,7 +254,8 @@ def _block_child(csv_path, skiprows: int, max_rows, write_fd: int, read_fds) -> 
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, 2)
         block = np.loadtxt(
-            csv_path, delimiter=",", skiprows=skiprows, max_rows=max_rows, ndmin=2
+            csv_path, delimiter=",", skiprows=skiprows, max_rows=max_rows, ndmin=2,
+            encoding="utf-8",
         )
         with open(write_fd, "wb") as pipe:
             pipe.write(np.array(block.shape, dtype=np.int64).tobytes())
@@ -306,18 +305,6 @@ def _plain_rows(csv_path, chunk: int = 1 << 20):
             lines += int(np.count_nonzero(newline))
             buf[0] = buf[n]
     return None if buf[0] == ord("\r") else lines
-
-
-def _data_line(csv_path, row: int) -> tuple[int, str]:
-    """1-based file line and text of data row `row`, skipping what
-    np.loadtxt skips: the header and every line that is empty up to its
-    line end or ``#`` (a whitespace-only line is a data row to np.loadtxt)."""
-    with open(csv_path) as fh:
-        lines = (
-            (n, text) for n, text in enumerate(fh, 1)
-            if n > 1 and text.split("#", 1)[0].rstrip("\n")
-        )
-        return next(itertools.islice(lines, row, None))
 
 
 def _check_grid_coords(data, desc, csv_path):
@@ -423,7 +410,7 @@ def load_matrix_field(csv_path, interpolation: str = "bilinear") -> MatrixField:
         )
     K = desc["K"]
     mu = beltrami_from_entries(a11, a12, a22)
-    sampled = SampledField(origin, h, mu, (K - 1.0) / (K + 1.0), interpolation)
+    sampled = SampledField(origin, h, mu, stretch_factor(K), interpolation)
     return MatrixField(beltrami=sampled.as_beltrami(), K=K, grid=sampled)
 
 

@@ -3,9 +3,9 @@
 Evaluators throughout the package are vectorized: they accept a numpy array
 of complex points and return an array of the same shape. All containers are
 immutable records that cost next to nothing to define at import:
-NamedTuples, whose validating kinds check their fields in `__new__`, and
-`__slots__` classes for a record that keeps a cache (`DomainSpec`) or a
-grid array it checks once (`SampledField`). `MapModel` stays a frozen
+NamedTuples, whose validating kinds check their fields in `__new__`, so
+`_replace` checks them again. A domain's admissible circles are kept in a
+bounded cache keyed on the (hashable) domain. `MapModel` stays a frozen
 dataclass, so `dataclasses.replace` can swap its callables. Every result
 depends only on the arguments, so everything here is safe to evaluate
 concurrently. A map callable may keep a private cache (the catalog's power
@@ -48,39 +48,6 @@ class _Validated:
         return cls(*iterable)
 
 
-class _Frozen:
-    """Immutable `__slots__` record: `__init__` sets the `_fields` once with
-    `_set`, and they make the repr, equality and hash."""
-
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def _set(self, **values) -> None:
-        for name, value in values.items():
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({fields})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-
 class _CircleFields(NamedTuple):
     center: complex
     radius: float
@@ -105,7 +72,16 @@ VALIDATION_DISK = CircleSpec(0j, 1.0)
 VALIDATION_SAMPLES = 4096
 
 
-class DomainSpec(_Frozen):
+class _DomainFields(NamedTuple):
+    centers: tuple[complex, ...]
+    radii: tuple[float, ...]
+    outer_center: complex
+    outer_radius: float
+    inner_radius: float
+    margin: float
+
+
+class DomainSpec(_Validated, _DomainFields):
     """Search grids of circle centers and radii inside an outer disk/annulus.
 
     A pair (center, radius) is admissible when the circle fits inside the
@@ -113,11 +89,10 @@ class DomainSpec(_Frozen):
     the filtering; the grids themselves may contain non-fitting pairs.
     """
 
-    _fields = ("centers", "radii", "outer_center", "outer_radius", "inner_radius", "margin")
-    __slots__ = _fields + ("_admissible",)
+    __slots__ = ()
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         centers: Sequence[complex],
         radii: Sequence[float],
         outer_center: complex = 0j,
@@ -137,14 +112,8 @@ class DomainSpec(_Frozen):
             raise ValueError("need 0 <= inner_radius < outer_radius")
         if not margin >= 0:
             raise ValueError(f"need margin >= 0, got {margin}")
-        self._set(
-            centers=centers,
-            radii=radii,
-            outer_center=complex(outer_center),
-            outer_radius=outer_radius,
-            inner_radius=inner_radius,
-            margin=margin,
-            _admissible=None,
+        return super().__new__(
+            cls, centers, radii, complex(outer_center), outer_radius, inner_radius, margin
         )
 
     def fits(self, center: complex, radius: float) -> bool:
@@ -156,12 +125,11 @@ class DomainSpec(_Frozen):
         return True
 
     def admissible_circles(self) -> list[CircleSpec]:
-        """The fitting circles, centers outer and radii inner (built once)."""
-        if self._admissible is None:
-            self._set(_admissible=tuple(
-                CircleSpec(c, r) for c in self.centers for r in self.radii if self.fits(c, r)
-            ))
-        return list(self._admissible)
+        """The fitting circles, centers outer and radii inner (built once per
+        domain and kept in a bounded cache)."""
+        # equal domains whose centers differ in the sign of a zero build
+        # circles that describe differently, so the centers' repr is keyed too
+        return list(_admissible_circles(self, repr(self.centers)))
 
     @classmethod
     def origin_disk(
@@ -192,10 +160,16 @@ class DomainSpec(_Frozen):
         }
 
 
+@functools.lru_cache(maxsize=32)
+def _admissible_circles(domain: DomainSpec, centers_repr: str) -> tuple[CircleSpec, ...]:
+    return tuple(
+        CircleSpec(c, r) for c in domain.centers for r in domain.radii if domain.fits(c, r)
+    )
+
+
 class _BeltramiFields(NamedTuple):
     mu: ComplexFunc
     k_max: float
-    provenance: str
     singular_points: tuple[complex, ...]
     verified_k_max: float | None
 
@@ -214,15 +188,12 @@ class BeltramiField(_Validated, _BeltramiFields):
         cls,
         mu: ComplexFunc,
         k_max: float,
-        provenance: str = "closed-form",
         singular_points: tuple[complex, ...] = (),
         verified_k_max: float | None = None,
     ):
         if not (0.0 <= k_max < 1.0):
             raise ValueError(f"k_max must lie in [0, 1), got {k_max}")
-        if provenance not in ("closed-form", "sampled-grid"):
-            raise ValueError(f"unknown provenance {provenance!r}")
-        return super().__new__(cls, mu, k_max, provenance, singular_points, verified_k_max)
+        return super().__new__(cls, mu, k_max, singular_points, verified_k_max)
 
     def __call__(self, z) -> np.ndarray:
         return np.asarray(self.mu(np.asarray(z, dtype=complex)), dtype=complex)
@@ -231,6 +202,14 @@ class BeltramiField(_Validated, _BeltramiFields):
     def distortion_ratio(self) -> float:
         """K = (1 + k_max) / (1 - k_max)."""
         return (1.0 + self.k_max) / (1.0 - self.k_max)
+
+
+def stretch_factor(K: float) -> float:
+    """k = (K - 1) / (K + 1), the inverse of `distortion_ratio`: the mu bound
+    of distortion K and the coefficient magnitude of the radial stretch."""
+    if not (K >= 1.0 and math.isfinite(K)):
+        raise ValueError(f"need a finite K >= 1, got {K}")
+    return (K - 1.0) / (K + 1.0)
 
 
 @dataclass(frozen=True)
@@ -406,7 +385,15 @@ def derive_beltrami(map_model: MapModel) -> BeltramiField:
     return validate_field(raw, k)
 
 
-class SampledField(_Frozen):
+class _SampledFields(NamedTuple):
+    origin: complex
+    spacing: float
+    values: np.ndarray
+    k_max: float
+    interpolation: str
+
+
+class SampledField(_Validated, _SampledFields):
     """Grid-sampled complex coefficient with nearest / bilinear interpolation.
 
     `values[iy, ix]` sits at origin + (ix + iy * 1j) * spacing. `evaluate`
@@ -416,10 +403,10 @@ class SampledField(_Frozen):
     `require_covers` rejects a whole disk that leaves the hull.
     """
 
-    __slots__ = _fields = ("origin", "spacing", "values", "k_max", "interpolation")
+    __slots__ = ()
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         origin: complex,
         spacing: float,
         values: np.ndarray,
@@ -445,8 +432,7 @@ class SampledField(_Frozen):
                 f"grid value at [{iy}, {ix}] has |mu| = {mags[iy, ix]} "
                 f"> k_max = {k_max}"
             )
-        self._set(origin=complex(origin), spacing=spacing, values=vals, k_max=k_max,
-                  interpolation=interpolation)
+        return super().__new__(cls, complex(origin), spacing, vals, k_max, interpolation)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -502,6 +488,4 @@ class SampledField(_Frozen):
         )
 
     def as_beltrami(self) -> BeltramiField:
-        return BeltramiField(
-            mu=self.evaluate, k_max=self.k_max, provenance="sampled-grid"
-        )
+        return BeltramiField(mu=self.evaluate, k_max=self.k_max)

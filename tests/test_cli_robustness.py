@@ -1,7 +1,8 @@
 """No CLI input ends in a traceback.
 
 `qcreg.cli.main` runs in process on catalog specs with extreme float
-parameters and on extreme smallest and largest profile radii. Every run must
+parameters, on extreme smallest and largest profile radii, and on grid CSVs,
+sidecars and config files that hold non-ASCII or non-UTF-8 bytes. Every run must
 return one of the documented exit codes (0 ok, 1 config, 2 invariant, 3
 numerical); an exception escaping `main` fails the test, and so does a
 numpy RuntimeWarning, which the pytest settings turn into an error.
@@ -11,10 +12,13 @@ import contextlib
 import io
 import json
 import math
+from pathlib import Path
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qcreg import SampledField, save_sampled_field
 from qcreg.cli import main
 
 #: a small rule keeps each run to a few milliseconds
@@ -97,3 +101,64 @@ def test_nudged_radius_is_the_radius_of_every_extremal_block():
     assert t[-1] < 1e200  # nudged
     assert payload["epsilon_profile"]["t"] == t == payload["defect_profile"]["t"]
     assert [rec["t"] for rec in payload["holder_estimates"]] == [x for x in t if x < 1]
+
+
+# -- input files are read as UTF-8, whatever the locale --------------------------
+
+
+def run_cli_err(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        return main(argv), err.getvalue()
+
+
+def constant_mu_grid(path):
+    """A 5 x 5 grid of mu = 0.1i whose hull covers the default unit disk."""
+    field = SampledField(origin=-1.2 - 1.2j, spacing=0.6, values=np.full((5, 5), 0.1j),
+                         k_max=0.2)
+    save_sampled_field(path, field)
+    return path
+
+
+def test_csv_row_that_is_not_utf8_names_its_line(tmp_path):
+    path = constant_mu_grid(tmp_path / "mu.csv")
+    lines = path.read_bytes().split(b"\n")
+    x, y, _, im = lines[2].split(b",")
+    lines[2] = b",".join([x, y, b"0.1\xe9", im])  # one Latin-1 byte
+    path.write_bytes(b"\n".join(lines))
+    assert run_cli_err(["analyze", "--subject", str(path)]) == (
+        1, f"qcreg: config error: {path} line 3: re = '0.1�' is not a number\n"
+    )
+
+
+def test_utf8_comment_in_a_csv_loads(tmp_path):
+    path = constant_mu_grid(tmp_path / "mu.csv")
+    lines = path.read_bytes().split(b"\n")
+    lines.insert(3, "# mesuré à la main".encode())
+    path.write_bytes(b"\n".join(lines))
+    assert run_cli_err(["analyze", "--subject", str(path), *SMALL]) == (0, "")
+
+
+def test_config_file_that_is_not_utf8_is_named(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"subject": "radial_stretch(K=2)", "note\xe9": 1}')
+    code, err = run_cli_err(["analyze", "--config", str(path)])
+    assert code == 1
+    assert err.startswith(f"qcreg: config error: {path} is not UTF-8 text: ")
+
+
+def test_utf8_config_file_is_read(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_bytes('{"subject": "radial_stretch(K=2)", "noté": 1}'.encode())
+    code, err = run_cli_err(["analyze", "--config", str(path)])
+    assert code == 1
+    assert err.startswith("qcreg: config error: unknown keys ['noté'] in config")
+
+
+def test_sidecar_that_is_not_utf8_is_named(tmp_path):
+    path = constant_mu_grid(tmp_path / "mu.csv")
+    sidecar = Path(str(path) + ".json")
+    sidecar.write_bytes(sidecar.read_bytes().replace(b"{", b'{"note": "\xe9", ', 1))
+    code, err = run_cli_err(["analyze", "--subject", str(path)])
+    assert code == 1
+    assert err.startswith(f"qcreg: config error: {sidecar} is not UTF-8 text: ")

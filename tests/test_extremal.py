@@ -5,6 +5,7 @@ from qcreg import (
     BeltramiField,
     CircleSpec,
     GeometryProfile,
+    MatrixField,
     NumericalError,
     SingularPointError,
     affine_map,
@@ -51,6 +52,20 @@ def synthetic_profile(radii, delta):
         h=area / length**2,
         delta=delta,
     )
+
+
+class TestStretchFactor:
+    @pytest.mark.parametrize("k", [0.0, 1 / 3, 0.9, 1 - 1e-12])
+    def test_inverts_the_distortion_ratio(self, k):
+        K = BeltramiField(mu=lambda z: np.zeros_like(z), k_max=k).distortion_ratio
+        assert stretch_factor(K) == pytest.approx(k, rel=1e-9, abs=1e-15)
+
+    @pytest.mark.parametrize("K", [0.5, -1.0, np.inf, np.nan])
+    def test_rejects_a_bad_K(self, K):
+        with pytest.raises(ValueError, match="need a finite K >= 1"):
+            stretch_factor(K)
+        with pytest.raises(ValueError, match="need a finite K >= 1"):
+            MatrixField(BeltramiField(mu=lambda z: np.zeros_like(z), k_max=0.0), K)
 
 
 class TestEpsilonDecompose:

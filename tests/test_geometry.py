@@ -297,6 +297,23 @@ class TestRadialDescent:
         with pytest.raises(NumericalError, match="non-finite Jacobian on the ring of radius"):
             image_area_jacobian(model, [CircleSpec(0j, 1.0)], cfg=cfg, r_inner=[0.5])
 
+    @pytest.mark.parametrize("disks,inner,named", [
+        ((0.5, 1.0), [0.5, 0.6], 0),  # a family whose first annulus is empty
+        ((0.5, 1.0), [0.25, 1.5], 1),  # the bad annulus need not be first
+        ((0.5,), [0.5], 0),  # a lone disk
+        ((0.5,), [0.75], 0),
+        ((0.5,), [-0.2], 0),
+        ((0.5,), [-0.0 - 1e-300], 0),
+        ((0.5,), [np.nan], 0),
+        ((0.5,), [np.inf], 0),
+    ])
+    def test_bad_inner_radius_names_the_disk(self, cfg, disks, inner, named):
+        circles = [CircleSpec(0.25j, r) for r in disks]
+        with pytest.raises(ValueError) as info:
+            image_area_jacobian(radial_stretch(2.0).map, circles, cfg=cfg, r_inner=inner)
+        assert str(info.value) == (f"r_inner = {inner[named]} of {circles[named]} must lie in "
+                                   f"[0, {circles[named].radius}) and be finite")
+
 
 def test_gauss_legendre_table_bit_equal_to_leggauss():
     # the literal table spares every cold run the numpy.polynomial import

@@ -155,11 +155,8 @@ def special_grid(shape, shift):
 def raw_sampled_field(values, origin, spacing):
     """A SampledField holding `values` unchecked: the writer must write even
     what validation rejects (non-finite, |mu| >= 1)."""
-    field = SampledField(
-        origin=origin, spacing=spacing, values=np.zeros(values.shape), k_max=0.5
-    )
-    object.__setattr__(field, "values", np.asarray(values, dtype=complex))
-    return field
+    values = np.asarray(values, dtype=complex)
+    return tuple.__new__(SampledField, (complex(origin), spacing, values, 0.5, "bilinear"))
 
 
 GRID_SHAPES = [(1, 1), (1, 5), (4, 1), (3, 7), (65, 65)]
@@ -1003,6 +1000,61 @@ class TestBlockParseFallsBackToSerial:
         assert time.monotonic() - start < 60
         assert spy.parent_loads == 1
         assert_no_child_left()
+
+
+# (bytes written as the re entry of a data row, the end of the message naming it)
+BAD_ENTRIES = {
+    "underscore": (b"1_0", "re = '1_0' is not a number"),  # float() reads 10
+    "non-ASCII digit": ("\u0661".encode(), "re = '\u0661' is not a number"),  # float() reads 1
+    "padded word": (b" abc ", "re = ' abc ' is not a number"),
+    "Latin-1 byte": (b"\xe9", "re = '\ufffd' is not a number"),
+    "nan": (b"nan", "re = nan is not finite"),
+    "-inf": (b"-inf", "re = -inf is not finite"),
+}
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+@pytest.mark.parametrize("case", BAD_ENTRIES)
+@pytest.mark.usefixtures("deadline")
+class TestBadLineNamed:
+    """`_bad_line` gives one message on the serial path and on the block path,
+    whether the block parse stands (nan, -inf) or falls back to serial."""
+
+    def _load(self, monkeypatch, blocks, path, entry, before=()):
+        """Write `entry` as re of data row 19, after the lines `before` (put
+        in after data row 1), and load the grid on `blocks` blocks."""
+        lines = path.read_bytes().split(b"\n")
+        x, y, _, im = lines[20].split(b",")
+        lines[20] = b",".join([x, y, entry, im])
+        lines[3:3] = before
+        path.write_bytes(b"\n".join(lines))
+        spy = BlockParse(monkeypatch, blocks) if blocks > 1 else None
+        got = outcome(load_sampled_field, path)
+        assert spy is None or spy.forks == blocks
+        assert_no_child_left()
+        return got
+
+    def test_bad_entry(self, tmp_path, monkeypatch, blocks, case):
+        entry, tail = BAD_ENTRIES[case]
+        path = smooth_mu_grid(tmp_path)
+        got = self._load(monkeypatch, blocks, path, entry)
+        assert got == (ConfigError, f"{path} line 21: {tail}")
+
+    def test_after_blank_and_comment_lines(self, tmp_path, monkeypatch, blocks, case):
+        entry, tail = BAD_ENTRIES[case]
+        path = smooth_mu_grid(tmp_path)
+        got = self._load(monkeypatch, blocks, path, entry, [b"", b"# mesur\xc3\xa9", b"#"])
+        assert got == (ConfigError, f"{path} line 24: {tail}")
+
+
+def test_an_unparsable_line_is_named_before_an_earlier_non_finite_one(tmp_path):
+    # np.loadtxt reads nan, so it fails at the later line; that line is named
+    path = smooth_mu_grid(tmp_path)
+    edit_data_row(path, 3, replace_field(2, "nan"))
+    edit_data_row(path, 9, replace_field(3, "x"))
+    assert outcome(load_sampled_field, path) == (
+        ConfigError, f"{path} line 11: im = 'x' is not a number"
+    )
 
 
 @pytest.mark.usefixtures("deadline")

@@ -97,6 +97,29 @@ class TestCircleAndDomain:
         assert all(a is b for a, b in zip(again, dom.admissible_circles()))
         assert dom == DomainSpec(centers=(0j, 0.5 + 0j), radii=(0.25, 0.75), outer_radius=1.0)
 
+    def test_equal_domains_share_their_circles(self):
+        make = lambda: DomainSpec(centers=(0j, 0.5 + 0j), radii=(0.25, 0.75))
+        first, second = make(), make()
+        assert first is not second and first == second and hash(first) == hash(second)
+        circles = first.admissible_circles()
+        circles.append(CircleSpec(0j, 0.5))  # a caller's edit reaches no later call
+        assert second.admissible_circles() == first.admissible_circles() == circles[:-1]
+
+    def test_signed_zero_centers_keep_their_sign(self):
+        plus = DomainSpec(centers=(complex(0.0, 0.0),), radii=(0.5,))
+        minus = DomainSpec(centers=(complex(-0.0, 0.0),), radii=(0.5,))
+        assert plus == minus
+        for domain in (plus, minus, plus):
+            (circle,) = domain.admissible_circles()
+            assert repr(circle.center) == repr(domain.centers[0])
+
+    @pytest.mark.parametrize("change", [{"margin": -1.0}, {"radii": (0.5, 0.25)},
+                                        {"inner_radius": 2.0}])
+    def test_replace_revalidates_the_domain(self, change):
+        domain = DomainSpec(centers=(0j,), radii=(0.25, 0.5))
+        with pytest.raises(ValueError):
+            domain._replace(**change)
+
 
 class TestWirtinger:
     def test_identity_map(self):
@@ -339,7 +362,6 @@ class TestSampledField:
     def test_as_beltrami_validates(self):
         grid = self._grid(lambda z: np.full(z.shape, 0.25 + 0j), k_max=0.3)
         field = validate_field(grid.as_beltrami())
-        assert field.provenance == "sampled-grid"
         assert field.verified_k_max == pytest.approx(0.25)
 
     def test_interpolated_values_stay_bounded(self, rng):
