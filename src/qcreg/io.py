@@ -16,21 +16,25 @@ each grid coordinate once and each grid row with one ``%`` call. The loaders
 read the CSV and its sidecar as UTF-8, whatever the locale. They reject,
 with ``ConfigError``, a sidecar that is not UTF-8 JSON or holds a value of
 the wrong type or range (naming the file and the key), a file with no data
-rows and coordinates that disagree with the descriptor. When a parse fails,
+rows and coordinates that disagree with the descriptor by more than 1e-9 of
+the spacing (plus round-off of the coordinates' size). When a parse fails,
 or its rows have the wrong width or a non-finite entry, `_bad_line` reads
 the file once more and names its first bad line (1-based): a row with the
 wrong number of fields, a whitespace-only line included (with the expected
 and found counts), or an entry that is not a number or not finite (with
-its column).
+its column); failing those, the first line that is not UTF-8 text.
 
-Both loaders read a CSV with one ``np.loadtxt`` call, or, for a file above
-``BLOCK_BYTES`` on a machine with two usable CPUs and ``os.fork``, with one
-such call per CPU on a contiguous block of rows, each in a forked child
-(`_parse_blocks`). The block result is bit-identical to the serial one: the
-parent checks, while the children parse, that every line after the header
-is one data row (no blank, whitespace-only or ``#`` line, no lone ``\\r``)
-and that there are nx*ny of them. If that check or a child fails, the
-serial call runs, so every result and message is the serial one.
+A grid of more than ``BLOCK_BYTES`` of CSV text, on a machine with two
+usable CPUs and ``os.fork``, is read and written on one forked child per
+usable CPU (`_fork_count`, `_forked`). A load runs one ``np.loadtxt`` call
+per child on a contiguous block of rows (`_parse_blocks`); the result is
+bit-identical to one serial call: the parent checks, while the children
+parse, that every line after the header is one data row (no blank,
+whitespace-only or ``#`` line, no lone ``\\r``) and that there are nx*ny of
+them. A save hands chunks of whole grid rows round-robin to the children,
+which send the formatted text back for the parent to write in order
+(`_write_chunks`). If a check, a fork or a child fails, the load or save
+runs serially, so every result, message and byte is the serial one.
 """
 
 from __future__ import annotations
@@ -115,13 +119,13 @@ def _load_grid_csv(csv_path, header: str, rows: int) -> np.ndarray:
 def _parse_rows(csv_path, names, rows: int) -> np.ndarray:
     """np.loadtxt of the rows after the header, in blocks when that pays.
 
-    A file above BLOCK_BYTES is split into one block of rows per usable CPU
-    (fewer when a block would hold under half of BLOCK_BYTES), each parsed in
-    a forked child; see `_parse_blocks`. Otherwise, or when the block parse
-    cannot vouch for its result, one serial np.loadtxt reads the file.
+    A file above BLOCK_BYTES is split into one block of rows per forked
+    child (`_fork_count`), each parsed in that child; see `_parse_blocks`.
+    Otherwise, or when the block parse cannot vouch for its result, one
+    serial np.loadtxt reads the file.
     """
-    blocks = min(_usable_cpus(), math.ceil(csv_path.stat().st_size / BLOCK_BYTES), rows)
-    if blocks >= 2 and hasattr(os, "fork"):
+    blocks = _fork_count(csv_path.stat().st_size, rows)
+    if blocks:
         data = _parse_blocks(csv_path, len(names), rows, blocks)
         if data is not None:
             return data
@@ -136,10 +140,10 @@ def _parse_rows(csv_path, names, rows: int) -> np.ndarray:
 
 def _bad_line(csv_path, names, message: str, *, finite: bool) -> ConfigError:
     """The ConfigError naming the first data line that is not len(names)
-    numbers (finite ones, if `finite`), or, when no line is, the load's
-    `message`. It runs only after a load failed; np.loadtxt reads nan and inf,
-    so after np.loadtxt raised, `finite` is False and only a line it could not
-    read is named.
+    numbers (finite ones, if `finite`), or, when no line is, the first line
+    that is not UTF-8 text, or else the load's `message`. It runs only after
+    a load failed; np.loadtxt reads nan and inf, so after np.loadtxt raised,
+    `finite` is False and only a line it could not read is named.
 
     The lines are those np.loadtxt reads, decoded as UTF-8 with each bad byte
     replaced: the header and every line that is empty up to its end or ``#``
@@ -147,8 +151,14 @@ def _bad_line(csv_path, names, message: str, *, finite: bool) -> ConfigError:
     holding ``_`` or a non-ASCII character is no number to np.loadtxt, though
     float() reads one; it is quoted as written.
     """
-    with open(csv_path, encoding="utf-8", errors="replace") as fh:
+    not_utf8 = None  # the first line holding a byte that is not UTF-8
+    with open(csv_path, encoding="utf-8", errors="surrogateescape") as fh:
         for line, text in enumerate(fh, 1):
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError:  # an escaped bad byte: read it as U+FFFD
+                not_utf8 = not_utf8 or line
+                text = text.encode("utf-8", "surrogateescape").decode("utf-8", "replace")
             row = text.rstrip("\n").split("#", 1)[0]
             if line == 1 or not row:
                 continue
@@ -167,6 +177,8 @@ def _bad_line(csv_path, names, message: str, *, finite: bool) -> ConfigError:
                     )
                 if finite and not math.isfinite(value):
                     return ConfigError(f"{csv_path} line {line}: {name} = {value} is not finite")
+    if not_utf8:
+        return ConfigError(f"{csv_path} line {not_utf8} is not UTF-8 text")
     return ConfigError(f"{csv_path}: {message}")
 
 
@@ -177,92 +189,123 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _parse_blocks(csv_path, ncols: int, rows: int, blocks: int):
-    """The serial np.loadtxt result, parsed as `blocks` contiguous blocks of
-    rows in forked children, or None when it might differ from it.
+def _fork_count(nbytes: int, rows: int) -> int:
+    """How many forked children share the parse or the formatting of
+    `nbytes` of CSV text in `rows` rows: one per usable CPU, but none with
+    under about half of BLOCK_BYTES and none without a row; 0 (run
+    serially) when that is under 2 or there is no os.fork."""
+    count = min(_usable_cpus(), math.ceil(nbytes / BLOCK_BYTES), rows)
+    return count if count >= 2 and hasattr(os, "fork") else 0
 
-    Child i parses data rows [lo, hi) with skiprows=1 + lo and
-    max_rows=hi - lo (the last block reads to the end) and sends them down
-    a pipe; the parent parses nothing. skiprows counts physical lines and
-    max_rows data rows, so the split is exact only when every line after
-    the header is one data row: while the children run, the parent proves
-    that with `_plain_rows`. A failed scan, a failed or killed child or a
-    block of the wrong shape gives None; no child outlives this call.
+
+def _forked(count: int, work, consume):
+    """Run work(i, pipe) in forked child i for each i < `count` while this
+    process runs consume(pipes); give consume's result, or None when a fork
+    fails, consume gives None or a child does not exit with status 0.
+
+    Child i writes to its `pipe`, which this process reads as pipes[i], an
+    unbuffered binary reader. No child outlives this call: when consume
+    ends early or raises, or a fork fails, every child not yet reaped is
+    killed and waited for.
     """
-    from signal import SIGKILL  # about 1 ms to import: only a block parse pays it
+    from signal import SIGKILL  # about 1 ms to import: only a forked job pays it
 
-    bounds = [rows * i // blocks for i in range(blocks + 1)]
-    children = []  # (pid, read end of its pipe), in block order
+    children = []  # (pid, or None once reaped; read end of its pipe), in child order
     try:
-        for i, lo in enumerate(bounds[:-1]):
-            max_rows = bounds[i + 1] - lo if i < blocks - 1 else None
+        for i in range(count):
             read_fd, write_fd = os.pipe()
+            pipe = open(read_fd, "rb", buffering=0)
             try:
                 with warnings.catch_warnings():
                     # From Python 3.12 os.fork warns when the process has
-                    # threads, as numpy's BLAS pool gives it. The child only
-                    # runs np.loadtxt (no BLAS), writes to its pipe and leaves
-                    # through os._exit, so it needs no lock another thread
-                    # may hold; only that one warning is silenced.
+                    # threads, as numpy's BLAS pool gives it. A child only
+                    # parses or formats (no BLAS), writes to its pipe and
+                    # leaves through os._exit, so it needs no lock another
+                    # thread may hold; only that one warning is silenced.
                     warnings.filterwarnings(
                         "ignore", r"This process .* is multi-threaded", DeprecationWarning
                     )
                     pid = os.fork()
             except OSError:
-                os.close(read_fd)
+                pipe.close()
                 os.close(write_fd)
                 return None
             if pid == 0:
-                _block_child(csv_path, 1 + lo, max_rows, write_fd,
-                             [read_fd] + [fd for _, fd in children])
+                _child(work, i, write_fd, [read_fd] + [p.fileno() for _, p in children])
             os.close(write_fd)
-            children.append((pid, read_fd))
-        if _plain_rows(csv_path) != rows:
+            children.append((pid, pipe))
+        result = consume([pipe for _, pipe in children])
+        if result is None:
             return None
-        out = np.empty((rows, ncols))
-        shape = np.empty(2, dtype=np.int64)
-        for i, (pid, read_fd) in enumerate(children):
-            lo, hi = bounds[i], bounds[i + 1]
-            with open(read_fd, "rb", buffering=0, closefd=False) as pipe:
-                if not (
-                    _read_exactly(pipe, shape)
-                    and tuple(shape) == (hi - lo, ncols)
-                    and _read_exactly(pipe, out[lo:hi])
-                ):
-                    return None
+        for i, (pid, pipe) in enumerate(children):
             status = os.waitpid(pid, 0)[1]
-            children[i] = (None, read_fd)  # reaped
+            children[i] = (None, pipe)  # reaped
             if status != 0:
                 return None
-        return out
+        return result
     finally:
-        for pid, read_fd in children:
-            os.close(read_fd)
+        for pid, pipe in children:
+            pipe.close()
             if pid is not None:
                 os.kill(pid, SIGKILL)
                 os.waitpid(pid, 0)
 
 
-def _block_child(csv_path, skiprows: int, max_rows, write_fd: int, read_fds) -> None:
-    """Body of a forked child: parse one block and write its shape and rows
-    to `write_fd`. It never returns, so it runs no exit hook, no flush of
-    the parent's buffers and no caller's code; it prints nothing."""
+def _child(work, i: int, write_fd: int, read_fds) -> None:
+    """Body of forked child i: run work(i, pipe) on the write end of its
+    pipe. It never returns, so it runs no exit hook, no flush of the
+    parent's buffers and no caller's code; it prints nothing."""
     code = 1
     try:
         for fd in read_fds:
             os.close(fd)
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, 2)
-        block = np.loadtxt(
-            csv_path, delimiter=",", skiprows=skiprows, max_rows=max_rows, ndmin=2,
-            encoding="utf-8",
-        )
         with open(write_fd, "wb") as pipe:
-            pipe.write(np.array(block.shape, dtype=np.int64).tobytes())
-            pipe.write(memoryview(block).cast("B"))
+            work(i, pipe)
         code = 0
     finally:
         os._exit(code)
+
+
+def _parse_blocks(csv_path, ncols: int, rows: int, blocks: int):
+    """The serial np.loadtxt result, parsed as `blocks` contiguous blocks of
+    rows in forked children, or None when it might differ from it.
+
+    Child i parses data rows [lo, hi) with skiprows=1 + lo and
+    max_rows=hi - lo (the last block reads to the end) and sends their
+    shape and values down its pipe; the parent parses nothing. skiprows
+    counts physical lines and max_rows data rows, so the split is exact
+    only when every line after the header is one data row: while the
+    children run, the parent proves that with `_plain_rows`. A failed
+    scan, a failed or killed child or a block of the wrong shape gives None.
+    """
+    bounds = [rows * i // blocks for i in range(blocks + 1)]
+
+    def parse(i, pipe):
+        block = np.loadtxt(
+            csv_path, delimiter=",", skiprows=1 + bounds[i],
+            max_rows=bounds[i + 1] - bounds[i] if i < blocks - 1 else None, ndmin=2,
+            encoding="utf-8",
+        )
+        pipe.write(np.array(block.shape, dtype=np.int64).tobytes())
+        pipe.write(memoryview(block).cast("B"))
+
+    def gather(pipes):
+        if _plain_rows(csv_path) != rows:
+            return None
+        out = np.empty((rows, ncols))
+        shape = np.empty(2, dtype=np.int64)
+        for lo, hi, pipe in zip(bounds, bounds[1:], pipes):
+            if not (
+                _read_exactly(pipe, shape)
+                and tuple(shape) == (hi - lo, ncols)
+                and _read_exactly(pipe, out[lo:hi])
+            ):
+                return None
+        return out
+
+    return _forked(blocks, parse, gather)
 
 
 def _read_exactly(pipe, array) -> bool:
@@ -314,38 +357,90 @@ def _check_grid_coords(data, desc, csv_path):
         raise ConfigError(
             f"{csv_path}: {data.shape[0]} rows but descriptor says nx*ny = {nx * ny}"
         )
-    # compared per axis, so no full-size expected coordinate arrays are built
-    atol = 1e-9 * max(1.0, h)
-    if not (
-        np.allclose(data[:, 0].reshape(ny, nx), x0 + np.arange(nx) * h, atol=atol)
-        and np.allclose(
-            data[:, 1].reshape(ny, nx), (y0 + np.arange(ny) * h)[:, None], atol=atol
-        )
-    ):
+    xs, ys = data[:, 0].reshape(ny, nx), data[:, 1].reshape(ny, nx)
+    if not (_on_axis(xs, x0, nx, h) and _on_axis(ys.T, y0, ny, h)):
         raise ConfigError(f"{csv_path}: grid coordinates disagree with the descriptor")
     return nx, ny, h, complex(x0, y0)
+
+
+def _on_axis(coords, start: float, n: int, h: float) -> bool:
+    """Whether each row of `coords` is start + h * arange(n), within 1e-9 of
+    the spacing plus a few ulps of the largest coordinate: a grid line out of
+    place is off by at least h, however far the grid lies from the origin.
+    The expected axis is built once, not at full size."""
+    expected = start + np.arange(n) * h
+    tol = 1e-9 * h + 8 * np.finfo(float).eps * np.abs(expected).max()
+    return np.allclose(coords, expected, rtol=0, atol=tol)
 
 
 def _write_grid_csv(csv_path, header: str, origin: complex, spacing, columns) -> None:
     """Write float value grids of shape (ny, nx) as CSV rows ``x, y, *values``.
 
     The bytes are those of ``np.savetxt(fmt="%.18e", delimiter=",")`` on the
-    stacked columns, but each of the nx + ny coordinates is formatted once
-    and each grid row of nx lines is one ``%`` call over its values, so
-    memory stays bounded by one grid row.
+    stacked columns. Each of the nx + ny coordinates is formatted once, each
+    grid row of nx lines is one ``%`` call over its values, and the rows are
+    formatted in chunks of whole grid rows (`_grid_text`), about BLOCK_BYTES
+    / 16 of text each. Above BLOCK_BYTES of text, `_fork_count` forked
+    children format the chunks (`_write_chunks`); if that fails, the file is
+    truncated and written serially. No process holds more than about one
+    chunk of text.
     """
     ny, nx = columns[0].shape
     if any(c.shape != (ny, nx) for c in columns):
         raise ValueError("value grids must share one (ny, nx) shape")
-    xs = ["%.18e" % x for x in (origin.real + np.arange(nx) * spacing).tolist()]
-    ys = ["%.18e" % y for y in (origin.imag + np.arange(ny) * spacing).tolist()]
-    # "{y}" stands for the row's y; no formatted number contains a brace
-    row_format = "".join(f"{x},{{y}}" + ",%.18e" * len(columns) + "\n" for x in xs)
-    with open(csv_path, "w") as fh:
-        fh.write(header + "\n")
-        for iy, y in enumerate(ys):
-            values = np.stack([c[iy] for c in columns], axis=-1).ravel().tolist()
-            fh.write(row_format.replace("{y}", y) % tuple(values))
+    xs = [b"%.18e" % x for x in (origin.real + np.arange(nx) * spacing).tolist()]
+    ys = [b"%.18e" % y for y in (origin.imag + np.arange(ny) * spacing).tolist()]
+    # b"{y}" stands for the row's y; no formatted number contains a brace
+    row_format = b"".join(x + b",{y}" + b",%.18e" * len(columns) + b"\n" for x in xs)
+    row_bytes = nx * 25 * (2 + len(columns))  # about: an entry and its comma
+    step = max(1, BLOCK_BYTES // 16 // max(row_bytes, 1))  # grid rows per chunk
+
+    def text(lo: int) -> bytes:
+        return _grid_text(row_format, ys, columns, lo, lo + step)
+
+    head = header.encode() + b"\n"
+    with open(csv_path, "wb") as fh:
+        fh.write(head)
+        children = _fork_count(ny * row_bytes, ny)
+        if children and _write_chunks(fh, text, range(0, ny, step), children):
+            return
+        fh.truncate(fh.seek(len(head)))
+        for lo in range(0, ny, step):
+            fh.write(text(lo))
+
+
+def _grid_text(row_format: bytes, ys, columns, lo: int, hi: int) -> bytes:
+    """The CSV lines of grid rows [lo, hi), whose formatted y are in `ys`."""
+    values = np.stack([c[lo:hi] for c in columns], axis=-1)
+    rows = values.reshape(len(values), -1).tolist()
+    return b"".join(row_format.replace(b"{y}", y) % tuple(row)
+                    for y, row in zip(ys[lo:hi], rows))
+
+
+def _write_chunks(fh, text, starts, children: int) -> bool:
+    """Write text(lo) for each lo of `starts` to `fh`, in order, with chunk
+    k formatted by forked child k % `children` and sent down its pipe after
+    its length. False when a child failed or sent a short chunk; some
+    chunks may then have been written."""
+    def send(i, pipe):
+        for lo in starts[i::children]:
+            chunk = text(lo)
+            pipe.write(len(chunk).to_bytes(8, "little"))
+            pipe.write(chunk)
+
+    def copy(pipes):
+        size = bytearray(8)
+        for k in range(len(starts)):
+            pipe = pipes[k % children]
+            if not _read_exactly(pipe, size):
+                return None
+            chunk = bytearray(int.from_bytes(size, "little"))
+            if not _read_exactly(pipe, chunk):
+                return None
+            fh.write(chunk)
+        return True
+
+    return _forked(children, send, copy) is not None
 
 
 def _write_sidecar(csv_path, desc: dict) -> None:

@@ -212,6 +212,200 @@ class TestGridWriterMatchesSavetxt:
             save_matrix_field(tmp_path / "m.csv", grids, origin=0, spacing=1.0, K=2.0)
 
 
+class GridWrite:
+    """Makes every grid write format its chunks (one grid row each) in
+    forked children on `cpus` usable CPUs, and counts what happens: the
+    forks (their pids in `children`) and the chunks formatted in this
+    process, by the serial path or a fallback. `child_action` maps a
+    chunk's first grid row to what the child formatting it does instead:
+    "kill" itself before sending it, or "exit 3" after sending all its
+    chunks. `cut` is a chunk whose child the parent kills once it has read
+    the chunk's length, so that the chunk ends short."""
+
+    def __init__(self, monkeypatch, cpus):
+        self.pid = os.getpid()
+        self.children = []
+        self.parent_chunks = 0
+        self.child_action = {}
+        self.cut = None
+        self.chunks_read = 0
+        real_fork, real_text = os.fork, qcreg.io._grid_text
+        real_read = qcreg.io._read_exactly
+        monkeypatch.setattr(qcreg.io, "BLOCK_BYTES", 1)
+        monkeypatch.setattr(qcreg.io, "_usable_cpus", lambda: cpus)
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                self.children.append(pid)
+            return pid
+
+        def grid_text(row_format, ys, columns, lo, hi):
+            if os.getpid() == self.pid:
+                self.parent_chunks += 1
+            elif self.child_action.get(lo) == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            elif self.child_action.get(lo) == "exit 3":
+                real_exit = os._exit
+                os._exit = lambda code: real_exit(3)
+            return real_text(row_format, ys, columns, lo, hi)
+
+        def read_exactly(pipe, array):
+            if isinstance(array, bytearray) and len(array) != 8:  # a chunk, after its length
+                if self.chunks_read == self.cut:
+                    os.kill(self.children[self.cut % len(self.children)], signal.SIGKILL)
+                self.chunks_read += 1
+            return real_read(pipe, array)
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(qcreg.io, "_grid_text", grid_text)
+        monkeypatch.setattr(qcreg.io, "_read_exactly", read_exactly)
+
+    @property
+    def forks(self):
+        return len(self.children)
+
+
+def forked_writers(ny, cpus):
+    """The children a write of ny grid rows forks under GridWrite."""
+    return min(ny, cpus) if min(ny, cpus) >= 2 else 0
+
+
+def save_special_mu_grid(path, shape):
+    """Save a mu grid of the special values, unchecked; the oracle's bytes."""
+    origin, spacing = complex(-3.7, -0.0), np.float64(0.1)
+    re, im = special_grid(shape, 0), special_grid(shape, 3)
+    values = re.astype(complex)
+    values.imag = im
+    save_sampled_field(path, raw_sampled_field(values, origin, spacing))
+    return savetxt_oracle(path.parent, MU_HEADER, origin, spacing, (re, im))
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.usefixtures("deadline")
+class TestForkedGridWriterMatchesSavetxt:
+    # (2, 9): fewer grid rows than 3 CPUs, so only 2 children
+    @pytest.mark.parametrize("shape", GRID_SHAPES + [(2, 9)])
+    def test_sampled_field_special_values(self, tmp_path, monkeypatch, cpus, shape):
+        spy = GridWrite(monkeypatch, cpus)
+        path = tmp_path / "mu.csv"
+        want = save_special_mu_grid(path, shape)
+        assert path.read_bytes() == want
+        forks = forked_writers(shape[0], cpus)
+        assert spy.forks == forks and spy.parent_chunks == (0 if forks else shape[0])
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("shape", GRID_SHAPES + [(2, 9)])
+    def test_matrix_field_special_values(self, tmp_path, monkeypatch, cpus, shape):
+        origin, spacing = complex(-1e-3, -250.0), np.float64(2.4 / 64)
+        grids = tuple(special_grid(shape, k) for k in (0, 4, 7))
+        spy = GridWrite(monkeypatch, cpus)
+        path = tmp_path / "matrix.csv"
+        save_matrix_field(path, grids, origin=origin, spacing=spacing, K=2.0)
+        assert path.read_bytes() == savetxt_oracle(
+            tmp_path, MATRIX_HEADER, origin, spacing, grids
+        )
+        forks = forked_writers(shape[0], cpus)
+        assert spy.forks == forks and spy.parent_chunks == (0 if forks else shape[0])
+        assert_no_child_left()
+
+    def test_sampled_field_smooth(self, tmp_path, monkeypatch, cpus):
+        field = make_field()
+        spy = GridWrite(monkeypatch, cpus)
+        path = tmp_path / "mu.csv"
+        save_sampled_field(path, field)
+        assert path.read_bytes() == savetxt_oracle(
+            tmp_path, MU_HEADER, field.origin, field.spacing,
+            (field.values.real, field.values.imag),
+        )
+        assert spy.forks == cpus and spy.parent_chunks == 0
+        assert_no_child_left()
+
+
+# 7 grid rows, which neither 2 nor 3 children share evenly
+WRITE_SHAPE = (7, 5)
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.usefixtures("deadline")
+class TestForkedGridWriterFallsBackToSerial:
+    """Each failure leaves the serial bytes, written by this process after
+    the file was truncated, and no child running."""
+
+    @pytest.mark.parametrize("failing", [1, 2])
+    def test_fork_fails(self, tmp_path, monkeypatch, cpus, failing):
+        spy = GridWrite(monkeypatch, cpus)
+        forked = os.fork
+
+        def fork():
+            if spy.forks + 1 == failing:
+                raise OSError("no more processes")
+            return forked()
+
+        monkeypatch.setattr(os, "fork", fork)
+        path = tmp_path / "mu.csv"
+        assert save_special_mu_grid(path, WRITE_SHAPE) == path.read_bytes()
+        assert spy.forks == failing - 1 and spy.parent_chunks == WRITE_SHAPE[0]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("action", ["kill", "exit 3"])
+    @pytest.mark.parametrize("row", [0, 1, 6])
+    def test_failed_child(self, tmp_path, monkeypatch, cpus, action, row):
+        spy = GridWrite(monkeypatch, cpus)
+        spy.child_action = {row: action}
+        path = tmp_path / "mu.csv"
+        assert save_special_mu_grid(path, WRITE_SHAPE) == path.read_bytes()
+        assert spy.forks == cpus and spy.parent_chunks == WRITE_SHAPE[0]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("chunk", [0, 2])
+    def test_child_killed_mid_chunk(self, tmp_path, monkeypatch, cpus, chunk):
+        # a grid row of 4,097 lines is about 400 kB of text, more than a
+        # pipe holds, so its child is still writing it when it is killed
+        spy = GridWrite(monkeypatch, cpus)
+        spy.cut = chunk
+        path = tmp_path / "mu.csv"
+        assert save_special_mu_grid(path, (4, 4097)) == path.read_bytes()
+        assert spy.chunks_read == chunk + 1 and spy.parent_chunks == 4
+        assert_no_child_left()
+
+
+class TestForkedGridWriterNeedsCpusAndFork:
+    def test_no_fork_forks_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(qcreg.io, "BLOCK_BYTES", 1)
+        monkeypatch.setattr(qcreg.io, "_usable_cpus", lambda: 2)
+        monkeypatch.delattr(os, "fork")
+        path = tmp_path / "mu.csv"
+        assert save_special_mu_grid(path, WRITE_SHAPE) == path.read_bytes()
+
+    def test_one_usable_cpu_forks_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(qcreg.io, "BLOCK_BYTES", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked on one usable CPU"))
+        path = tmp_path / "mu.csv"
+        assert save_special_mu_grid(path, WRITE_SHAPE) == path.read_bytes()
+
+    @pytest.mark.usefixtures("deadline")
+    def test_real_settings_on_a_grid_above_block_bytes(self, tmp_path, monkeypatch):
+        # run under `taskset -c 0` in CI, so the one-CPU path runs for real
+        n = 257
+        h = 2.4 / (n - 1)
+        xs = -1.2 + h * np.arange(n)
+        field = SampledField(origin=-1.2 - 1.2j, spacing=h, values=varying_mu(
+            xs[None, :], xs[:, None]), k_max=VARYING_K_MAX)
+        real_fork, forks = os.fork, []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        path = tmp_path / "mu.csv"
+        save_sampled_field(path, field)
+        assert path.stat().st_size > qcreg.io.BLOCK_BYTES
+        assert path.read_bytes() == savetxt_oracle(
+            tmp_path, MU_HEADER, field.origin, h, (field.values.real, field.values.imag)
+        )
+        usable = qcreg.io._usable_cpus()
+        assert len(forks) == (min(usable, 2) if usable >= 2 else 0)
+        assert_no_child_left()
+
+
 def read_lines(path):
     return path.read_text().splitlines(keepends=True)
 
@@ -224,6 +418,12 @@ def non_square_field():
     ny, nx = 3, 5
     values = 0.1 * np.arange(ny * nx).reshape(ny, nx) / (ny * nx) + 0.02j
     return SampledField(origin=-0.5 + 0.25j, spacing=0.125, values=values, k_max=0.2)
+
+
+def far_field():
+    """A 4 x 4 grid at 1000 + 1000i with spacing 1e-3 and a value per node."""
+    values = 0.01 * np.arange(16).reshape(4, 4) + 0j
+    return SampledField(origin=1000 + 1000j, spacing=1e-3, values=values, k_max=0.2)
 
 
 class TestGridCoordinateCheck:
@@ -255,6 +455,23 @@ class TestGridCoordinateCheck:
         write_lines(path, lines)
         with pytest.raises(ConfigError, match="coordinates disagree"):
             load_sampled_field(path)
+
+    def test_far_from_the_origin_round_trip(self, tmp_path):
+        path = tmp_path / "mu.csv"
+        field = far_field()
+        save_sampled_field(path, field)
+        assert np.array_equal(load_sampled_field(path).values, field.values)
+
+    def test_swapped_rows_far_from_the_origin_exit_1(self, tmp_path, capsys):
+        # at x, y ~ 1000 a tolerance relative to the coordinates would be
+        # far above the spacing, and the swap would load unnoticed
+        path = tmp_path / "mu.csv"
+        save_sampled_field(path, far_field())
+        lines = read_lines(path)
+        lines[5:9], lines[13:17] = lines[13:17], lines[5:9]  # grid rows 1 and 3
+        write_lines(path, lines)
+        assert main(["analyze", "--subject", str(path)]) == 1
+        assert f"{path}: grid coordinates disagree with the descriptor" in capsys.readouterr().err
 
     def test_swapped_nx_ny_rejected(self, tmp_path):
         path = tmp_path / "mu.csv"
@@ -1045,6 +1262,47 @@ class TestBadLineNamed:
         path = smooth_mu_grid(tmp_path)
         got = self._load(monkeypatch, blocks, path, entry, [b"", b"# mesur\xc3\xa9", b"#"])
         assert got == (ConfigError, f"{path} line 24: {tail}")
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+@pytest.mark.usefixtures("deadline")
+class TestNotUtf8LineNamed:
+    """np.loadtxt decodes the whole file before it drops comments, so a byte
+    that is not UTF-8 fails the load even in a comment. When no line breaks
+    another rule, the first line holding such a byte is named, on the serial
+    path and after the block path fell back to it."""
+
+    def _load(self, tmp_path, monkeypatch, blocks, edit):
+        """Edit the list of lines of a grid CSV and load it on `blocks` blocks."""
+        path = smooth_mu_grid(tmp_path)
+        lines = path.read_bytes().split(b"\n")
+        edit(lines)
+        path.write_bytes(b"\n".join(lines))
+        spy = BlockParse(monkeypatch, blocks) if blocks > 1 else None
+        got = outcome(load_sampled_field, path)
+        assert spy is None or (spy.forks == blocks and spy.parent_loads == 1)
+        assert_no_child_left()
+        return path, got
+
+    def test_comment_line(self, tmp_path, monkeypatch, blocks):
+        path, got = self._load(tmp_path, monkeypatch, blocks,
+                               lambda lines: lines.insert(3, b"# mesur\xe9"))
+        assert got == (ConfigError, f"{path} line 4 is not UTF-8 text")
+
+    def test_comment_after_a_data_row(self, tmp_path, monkeypatch, blocks):
+        def edit(lines):
+            lines[5] += b" # caf\xe9"
+            lines[9] += b" # \xff"
+        path, got = self._load(tmp_path, monkeypatch, blocks, edit)
+        assert got == (ConfigError, f"{path} line 6 is not UTF-8 text")
+
+    def test_a_bad_entry_is_named_first(self, tmp_path, monkeypatch, blocks):
+        def edit(lines):
+            x, y, _, im = lines[20].split(b",")
+            lines[20] = b",".join([x, y, b"1_0", im])
+            lines.insert(3, b"# mesur\xe9")
+        path, got = self._load(tmp_path, monkeypatch, blocks, edit)
+        assert got == (ConfigError, f"{path} line 22: re = '1_0' is not a number")
 
 
 def test_an_unparsable_line_is_named_before_an_earlier_non_finite_one(tmp_path):
