@@ -68,7 +68,6 @@ from .extremal import (
 from .geometry import (
     GeometryProfile,
     geometry_profile,
-    image_area_green,
     image_area_jacobian,
     lengths_and_area,
 )

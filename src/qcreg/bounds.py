@@ -13,11 +13,12 @@ uniform bound 1 / K uses only the certified sup of |mu|. The Gronwall
 check verifies the integrated growth inequality that links C and A to the
 exponent: t^(-2/(A C)) * phi(t) must be nondecreasing.
 
-On a map subject `regularity_report` takes C and A from one pass over the
-admissible circles: the distortion weight of the map's field, the speed
-|d gamma| and the Green density are stacked rows on the same boundary
-points, each with its own convergence test, and `sup_over_circles` reduces
-the C and A rows of that one average. C carries the bits of
+On a map subject `regularity_report` makes one pass over the admissible
+circles: the distortion weight of the map's field, the speed |d gamma| and
+the Green density are stacked rows on the same boundary points, each with
+its own convergence test. `sup_over_circles` reduces the C and A rows of
+that one average, and the Green areas of each center's circles are the
+samples of that center's Gronwall check. C carries the bits of
 `distortion_constant`; `isoperimetric_constant` is the A of the same pass,
 so A has one definition. A field subject has no image curves and takes C
 from `distortion_constant`.
@@ -29,13 +30,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import FieldValidationError, NumericalError
-from .geometry import (
-    DEGENERATE_LENGTH,
-    _boundary_data,
-    _green_density,
-    image_area_green,
-)
+from .errors import ConfigError, FieldValidationError, NumericalError
+from .geometry import DEGENERATE_LENGTH, _boundary_data, _green_density
 from .plane import BeltramiField, CircleSpec, DomainSpec, MapModel, derive_beltrami
 from .quadrature import QuadratureConfig, SupResult, circular_average, sup_over_circles
 
@@ -44,9 +40,6 @@ MORI_TOL = 1e-9
 
 #: allowed relative drop in the Gronwall monotonicity check
 GRONWALL_REL_TOL = 1e-6
-
-#: radii t of the origin circles whose image areas phi(t) the Gronwall check reads
-GRONWALL_RADII = np.geomspace(0.01, 1.0, 25)
 
 
 def distortion_integrand(mu, eta):
@@ -76,13 +69,22 @@ def distortion_average(
     return circular_average(integrand, circles, cfg)
 
 
+def _admissible(domain: DomainSpec) -> list[CircleSpec]:
+    """The domain's admissible circles; none is a ConfigError."""
+    circles = domain.admissible_circles()
+    if not circles:
+        raise ConfigError("no admissible circle fits inside the outer domain")
+    return circles
+
+
 def distortion_constant(
     field: BeltramiField,
     domain: DomainSpec,
     cfg: QuadratureConfig = QuadratureConfig(),
 ) -> SupResult:
     """C: supremum of per-circle distortion averages over the domain grid."""
-    return sup_over_circles(lambda circles: distortion_average(field, circles, cfg), domain)
+    circles = _admissible(domain)
+    return sup_over_circles(circles, distortion_average(field, circles, cfg))
 
 
 def _roundness(circles, length, area) -> np.ndarray:
@@ -99,12 +101,14 @@ def _roundness(circles, length, area) -> np.ndarray:
 def _map_rows(
     map_model: MapModel, field: BeltramiField, circles: Sequence[CircleSpec], cfg: QuadratureConfig
 ) -> np.ndarray:
-    """Distortion averages of `field` and roundness 4 pi area / length^2 of
-    the map's images, stacked (2, m), from one average over the circles.
+    """Distortion averages of `field`, roundness 4 pi area / length^2 and
+    Green areas of the map's images, stacked (3, m), from one average over
+    the circles.
 
     The distortion weight, the speed |d gamma| and the Green density are
     rows on the same boundary points, each with its own convergence test,
-    so the distortion row carries the bits of `distortion_average`.
+    so the distortion row carries the bits of `distortion_average` and the
+    area row those of `lengths_and_area`.
     """
 
     def integrand(nodes):
@@ -116,15 +120,8 @@ def _map_rows(
         ))
 
     distortion, speed, green = circular_average(integrand, circles, cfg)
-    return np.stack((distortion, _roundness(circles, 2.0 * np.pi * speed, np.pi * green)))
-
-
-def _map_suprema(
-    map_model: MapModel, field: BeltramiField, domain: DomainSpec, cfg: QuadratureConfig
-) -> tuple[SupResult, SupResult]:
-    """C and A of a map, each row of `_map_rows` reduced over the admissible
-    circles; C is bit for bit that of `distortion_constant`."""
-    return sup_over_circles(lambda circles: _map_rows(map_model, field, circles, cfg), domain)
+    area = np.pi * green
+    return np.stack((distortion, _roundness(circles, 2.0 * np.pi * speed, area), area))
 
 
 def isoperimetric_constant(
@@ -136,7 +133,9 @@ def isoperimetric_constant(
 
     The A of `regularity_report`'s one pass, C's distortion row riding along.
     """
-    return _map_suprema(map_model, map_model.beltrami or derive_beltrami(map_model), domain, cfg)[1]
+    circles = _admissible(domain)
+    field = map_model.beltrami or derive_beltrami(map_model)
+    return sup_over_circles(circles, _map_rows(map_model, field, circles, cfg)[1])
 
 
 def holder_lower_bound(iso_sup: float, dist_sup: float) -> float:
@@ -228,8 +227,8 @@ def gronwall_check(samples, exponent: float) -> GronwallVerdict:
 
     Parameters
     ----------
-    samples : sequence of (t, phi)
-        t strictly increasing in (0, 1], phi positive.
+    samples : iterable of (t, phi)
+        t positive and strictly increasing, phi positive.
     exponent : float
         Growth exponent, typically 2 / (A * C).
 
@@ -237,11 +236,9 @@ def gronwall_check(samples, exponent: float) -> GronwallVerdict:
     monotonicity is used instead of numerical differentiation to avoid
     noise amplification.
     """
-    pts = [(float(t), float(p)) for t, p in samples]
-    if len(pts) < 2:
+    t, phi = np.array(list(samples), dtype=float).reshape(-1, 2).T
+    if t.size < 2:
         raise ValueError("need at least two samples")
-    t = np.array([p[0] for p in pts])
-    phi = np.array([p[1] for p in pts])
     if np.any(np.diff(t) <= 0):
         raise ValueError("t samples must be strictly increasing")
     if np.any(t <= 0) or np.any(phi <= 0):
@@ -257,6 +254,36 @@ def gronwall_check(samples, exponent: float) -> GronwallVerdict:
         worst_margin=worst,
         endpoint_margin=endpoint,
         rel_tol=GRONWALL_REL_TOL,
+    )
+
+
+def _gronwall_by_center(
+    domain: DomainSpec, circles: Sequence[CircleSpec], area: np.ndarray, exponent: float
+) -> GronwallVerdict | None:
+    """The Gronwall check on each entry of `domain.centers` with two or more
+    of the admissible `circles` (which list an entry's radii together and
+    increasing), from the image areas `area` of their disks: passed when
+    every family passes, with the largest margins; None without a family.
+    A non-positive area in a family raises NumericalError naming its circle.
+    """
+    sizes = [sum(domain.fits(c, r) for r in domain.radii) for c in domain.centers]
+    radius = np.array([c.radius for c in circles])
+    verdicts = []
+    for family in np.split(np.arange(len(circles)), np.cumsum(sizes)[:-1]):
+        if family.size < 2:
+            continue
+        bad = family[~(area[family] > 0)]
+        if bad.size:
+            c = circles[bad[0]]
+            raise NumericalError(f"Gronwall check needs a positive image area, got "
+                                 f"{area[bad[0]]} on {c}", circle=c)
+        verdicts.append(gronwall_check(zip(radius[family], area[family]), exponent))
+    if not verdicts:
+        return None
+    return verdicts[0]._replace(
+        passed=all(v.passed for v in verdicts),
+        worst_margin=max(v.worst_margin for v in verdicts),
+        endpoint_margin=max(v.endpoint_margin for v in verdicts),
     )
 
 
@@ -303,39 +330,31 @@ def regularity_report(
 
     With only a BeltramiField the roundness factor A defaults to 1 (no
     image geometry is available and the bound degrades gracefully to the
-    distortion-only form); the Gronwall check, on the origin circles of
-    GRONWALL_RADII, is skipped in that case.
+    distortion-only form) and the Gronwall check is skipped. A map's C, A
+    and Gronwall samples come from one pass over the admissible circles:
+    the check reads the Green areas of each center's circles, and its
+    verdict is the worst over the centers (`_gronwall_by_center`).
     """
     if isinstance(subject, MapModel):
-        map_model = subject
+        circles = _admissible(domain)
         field = subject.beltrami or derive_beltrami(subject)
+        distortion, roundness, area = _map_rows(subject, field, circles, cfg)
+        c_sup, a_sup = sup_over_circles(circles, np.stack((distortion, roundness)))
     else:
-        map_model, field = None, subject
+        field, area = subject, None
+        c_sup, a_sup = distortion_constant(field, domain, cfg), SupResult(1.0, None)
 
-    if map_model is not None:
-        c_sup, a_sup = _map_suprema(map_model, field, domain, cfg)
-        iso_value, iso_argmax = a_sup.value, a_sup.argmax
-    else:
-        c_sup = distortion_constant(field, domain, cfg)
-        iso_value, iso_argmax = 1.0, None
-
-    alpha_improved = holder_lower_bound(iso_value, c_sup.value)
-    mori = mori_from_sup(field, c_sup)
-
-    verdict = None
-    if map_model is not None:
-        circles = [CircleSpec(0j, float(t)) for t in GRONWALL_RADII]
-        phi = image_area_green(map_model, circles, cfg)
-        verdict = gronwall_check(zip(GRONWALL_RADII, phi), 2.0 * alpha_improved)
-
+    alpha_improved = holder_lower_bound(a_sup.value, c_sup.value)
+    verdict = None if area is None else _gronwall_by_center(
+        domain, circles, area, 2.0 * alpha_improved)
     return RegularityReport(
         distortion_sup=c_sup.value,
-        isoperimetric_sup=iso_value,
+        isoperimetric_sup=a_sup.value,
         alpha_improved=alpha_improved,
         alpha_distortion=1.0 / c_sup.value,
         alpha_classical=1.0 / field.distortion_ratio,
         distortion_argmax=c_sup.argmax,
-        isoperimetric_argmax=iso_argmax,
-        mori=mori,
+        isoperimetric_argmax=a_sup.argmax,
+        mori=mori_from_sup(field, c_sup),
         gronwall=verdict,
     )

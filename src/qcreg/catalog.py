@@ -30,8 +30,8 @@ class CatalogEntry:
     exact_exponent: float | None = None
 
 
-def _power_model(alpha: float, gamma: float) -> tuple[MapModel, complex]:
-    """MapModel for f(z) = z |z|^(alpha-1+i gamma) plus its constant mu factor.
+def _power_model(alpha: float, gamma: float) -> MapModel:
+    """MapModel for f(z) = z |z|^(alpha-1+i gamma).
 
     mu(z) = c * z / conj(z) with c = (alpha-1+i gamma) / (alpha+1+i gamma);
     the Jacobian is alpha * |z|^(2 alpha - 2). The origin is a fixed point
@@ -116,14 +116,13 @@ def _power_model(alpha: float, gamma: float) -> tuple[MapModel, complex]:
         k_max=abs(c),
         singular_points=() if identity else _ORIGIN,
     )
-    model = MapModel(
+    return MapModel(
         value=value,
         partials=partials,
         jacobian=jacobian,
         beltrami=field,
         singular_points=() if identity else _ORIGIN,
     )
-    return model, c
 
 
 def power_spiral(alpha: float, gamma: float = 0.0) -> CatalogEntry:
@@ -131,11 +130,10 @@ def power_spiral(alpha: float, gamma: float = 0.0) -> CatalogEntry:
     alpha, gamma = float(alpha), float(gamma)
     if not (alpha > 0 and np.isfinite(alpha) and np.isfinite(gamma)):
         raise ValueError(f"need alpha > 0 and finite gamma, got {alpha}, {gamma}")
-    model, _ = _power_model(alpha, gamma)
     return CatalogEntry(
         name="power_spiral",
         parameters={"alpha": alpha, "gamma": gamma},
-        map=model,
+        map=_power_model(alpha, gamma),
         exact_exponent=min(1.0, alpha),
     )
 
@@ -145,11 +143,10 @@ def radial_stretch(K: float) -> CatalogEntry:
     K = float(K)
     if not (K >= 1 and np.isfinite(K)):
         raise ValueError(f"need K >= 1, got {K}")
-    model, _ = _power_model(1.0 / K, 0.0)
     return CatalogEntry(
         name="radial_stretch",
         parameters={"K": K},
-        map=model,
+        map=_power_model(1.0 / K, 0.0),
         exact_exponent=1.0 / K,
     )
 
@@ -159,11 +156,10 @@ def spiral_map(gamma: float) -> CatalogEntry:
     gamma = float(gamma)
     if not np.isfinite(gamma):
         raise ValueError("gamma must be finite")
-    model, _ = _power_model(1.0, gamma)
     return CatalogEntry(
         name="spiral",
         parameters={"gamma": gamma},
-        map=model,
+        map=_power_model(1.0, gamma),
         exact_exponent=1.0,
     )
 

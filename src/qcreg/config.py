@@ -23,6 +23,10 @@ from .errors import ConfigError
 from .plane import DomainSpec
 from .quadrature import MAX_CIRCLE_NODES, QuadratureConfig
 
+#: first lines of the sampled-mu and coefficient-matrix grid CSVs
+MU_HEADER = "x,y,re,im"
+MATRIX_HEADER = "x,y,a11,a12,a22"
+
 DEFAULTS = {
     "domain": {
         "centers": [[0.0, 0.0]],
@@ -73,13 +77,13 @@ def classify_subject(subject: str) -> str:
             header = _first_line(subject).replace(" ", "")
         except OSError as exc:
             raise ConfigError(f"cannot read subject file {subject}: {exc}")
-        if header == "x,y,re,im":
+        if header == MU_HEADER:
             return "sampled-mu"
-        if header == "x,y,a11,a12,a22":
+        if header == MATRIX_HEADER:
             return "matrix"
         raise ConfigError(
             f"{subject}: unrecognized header {header!r}; expected "
-            f"'x,y,re,im' or 'x,y,a11,a12,a22'"
+            f"{MU_HEADER!r} or {MATRIX_HEADER!r}"
         )
     entry_from_spec(subject)  # raises ConfigError listing names when invalid
     return "catalog"

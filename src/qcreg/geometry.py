@@ -362,24 +362,6 @@ def image_area_jacobian(
     return refine(evaluate, len(disks), cfg)
 
 
-def image_area_green(
-    map_model: MapModel,
-    circles: Sequence[CircleSpec],
-    cfg: QuadratureConfig = QuadratureConfig(),
-) -> np.ndarray:
-    """Areas of f(disk) via the boundary integral (1/2) contour (u dv - v du).
-
-    Needs only boundary data; exact for maps injective on the closed disks,
-    which makes it the independent oracle for the Jacobian route.
-    """
-
-    def integrand(nodes):
-        z, dgamma, _ = _boundary_data(map_model, nodes)
-        return _green_density(map_model, z, dgamma)
-
-    return np.pi * circular_average(integrand, circles, cfg)
-
-
 class GeometryProfile(NamedTuple):
     """Per-radius image geometry with both routes for each quantity.
 

@@ -47,13 +47,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import _first_line, _integer, _number, _point
+from .config import MATRIX_HEADER, MU_HEADER, _first_line, _integer, _number, _point
 from .elliptic import DET_TOL, MatrixField, beltrami_from_entries
 from .errors import ConfigError, FieldValidationError
 from .plane import SampledField, stretch_factor
-
-MU_HEADER = "x,y,re,im"
-MATRIX_HEADER = "x,y,a11,a12,a22"
 
 #: grid CSVs above this many bytes are parsed in blocks on several CPUs
 BLOCK_BYTES = 4 << 20

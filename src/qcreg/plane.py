@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -46,6 +47,13 @@ class _Validated:
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
+
+
+def _finite_real(name: str, value) -> float:
+    """`value` as a float; a bool, a non-real or a non-finite value is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
 
 
 class _CircleFields(NamedTuple):
@@ -108,6 +116,9 @@ class DomainSpec(_Validated, _DomainFields):
             raise ValueError("all grid radii must be positive and finite")
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise ValueError("radius grid must be strictly increasing")
+        outer_radius = _finite_real("outer_radius", outer_radius)
+        inner_radius = _finite_real("inner_radius", inner_radius)
+        margin = _finite_real("margin", margin)
         if not (0 <= inner_radius < outer_radius):
             raise ValueError("need 0 <= inner_radius < outer_radius")
         if not margin >= 0:
@@ -132,22 +143,17 @@ class DomainSpec(_Validated, _DomainFields):
         return list(_admissible_circles(self, repr(self.centers)))
 
     @classmethod
-    def origin_disk(
-        cls,
-        n_radii: int = 16,
-        r_min: float = 0.05,
-        r_max: float = 1.0,
-        centers: Sequence[complex] = (0j,),
-        outer_radius: float = 1.0,
-    ) -> "DomainSpec":
-        """Default search domain: log-spaced radii around the given centers.
+    def origin_disk(cls) -> "DomainSpec":
+        """The default search domain of a config: log-spaced radii 0.05..1
+        around the origin, in the unit disk.
 
-        The default center grid contains only the origin; the per-circle
-        distortion averages of the cataloged worst-case fields are constant
-        on origin-centered circles, which keeps the reported suprema exact.
+        The per-circle distortion averages of the cataloged worst-case fields
+        are constant on origin-centered circles, which keeps the reported
+        suprema exact.
         """
-        radii = tuple(np.geomspace(r_min, r_max, n_radii))
-        return cls(centers=tuple(centers), radii=radii, outer_radius=outer_radius)
+        from .config import _domain_from  # the config owns the defaults
+
+        return _domain_from({})[0]
 
     def describe(self) -> dict:
         return {

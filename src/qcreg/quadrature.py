@@ -31,8 +31,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
-from .plane import CircleSpec, DomainSpec, _Validated
+from .errors import NumericalError
+from .plane import CircleSpec, _Validated, _finite_real
 
 
 #: ceiling on nodes * 2**max_doublings, the finest rule one circle can reach
@@ -76,8 +76,9 @@ class QuadratureConfig(_Validated, _QuadratureFields):
                 f"nodes * 2**max_doublings = {n} * 2**{max_doublings} exceeds "
                 f"the ceiling of {MAX_CIRCLE_NODES} nodes per circle"
             )
-        if not (rel_tol > 0):
-            raise ValueError("rel_tol must be positive")
+        rel_tol = _finite_real("rel_tol", rel_tol)
+        if not rel_tol > 0:
+            raise ValueError(f"rel_tol must be positive, got {rel_tol!r}")
         return super().__new__(cls, n, max_doublings, rel_tol)
 
     def describe(self) -> dict:
@@ -311,26 +312,20 @@ def _argmax_stable(circles, values):
 
 
 def sup_over_circles(
-    evaluate: Callable[[list[CircleSpec]], Sequence[float]],
-    domain: DomainSpec,
+    circles: Sequence[CircleSpec], values
 ) -> SupResult | tuple[SupResult, ...]:
-    """Evaluate a per-circle functional on every admissible circle, take the max.
+    """Largest value of a per-circle quantity over a circle family, and where.
 
-    `evaluate` maps the list of admissible circles to their values in one
-    call: shape (m,), or (k, m) for k stacked rows, as `circular_average`
-    returns them, so a functional built on it averages the whole family
-    together. Each row is reduced on its own: this is a finite-grid
-    approximation of an essential supremum over a continuum of circles;
-    `value` is the largest value and `argmax` the circle that set it, where
-    values within TIE_ULPS of the largest count as tied and the smallest
-    radius (then center) wins. Returns one SupResult, or a tuple of one per
-    stacked row. A non-finite value raises NumericalError naming the first
-    such circle of the first such row.
+    `values` holds one value per circle: shape (m,), or (k, m) for k stacked
+    rows, as `circular_average` returns them. Each row is reduced on its
+    own: this is a finite-grid approximation of an essential supremum over
+    a continuum of circles; `value` is the largest value and `argmax` the
+    circle that set it, where values within TIE_ULPS of the largest count as
+    tied and the smallest radius (then center) wins. Returns one SupResult,
+    or a tuple of one per stacked row. A non-finite value raises
+    NumericalError naming the first such circle of the first such row.
     """
-    circles = domain.admissible_circles()
-    if not circles:
-        raise ConfigError("no admissible circle fits inside the outer domain")
-    values = np.asarray(evaluate(circles), dtype=float)
+    values = np.asarray(values, dtype=float)
     if values.ndim not in (1, 2) or values.shape[-1] != len(circles):
         raise ValueError(f"expected {len(circles)} values per row, got shape {values.shape}")
     rows = np.atleast_2d(values)

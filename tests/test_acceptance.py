@@ -23,7 +23,6 @@ from qcreg import (
     epsilon_distortion_margin,
     epsilon_weight_integral,
     geometry_profile,
-    image_area_green,
     image_area_jacobian,
     isoperimetric_constant,
     lengths_and_area,
@@ -84,7 +83,7 @@ def test_criterion_02_area_cross_oracle():
     for entry in CATALOG_CASES:
         for t in RADII:
             circle = [CircleSpec(0j, t)]
-            (green,) = image_area_green(entry.map, circle, CFG)
+            _, _, (green,) = lengths_and_area(entry.map, circle, CFG)
             (jac,) = image_area_jacobian(entry.map, circle, cfg=CFG)
             worst = max(worst, abs(green - jac) / jac)
     _report(2, "area-green-vs-jacobian", worst <= 1e-6, f"worst rel = {worst:.3e}")

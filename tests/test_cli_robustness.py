@@ -15,10 +15,11 @@ import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qcreg import SampledField, save_sampled_field
+from qcreg import SampledField, save_matrix_field, save_sampled_field
 from qcreg.cli import main
 
 #: a small rule keeps each run to a few milliseconds
@@ -162,3 +163,40 @@ def test_sidecar_that_is_not_utf8_is_named(tmp_path):
     code, err = run_cli_err(["analyze", "--subject", str(path)])
     assert code == 1
     assert err.startswith(f"qcreg: config error: {sidecar} is not UTF-8 text: ")
+
+
+# -- the circle domain ------------------------------------------------------------
+
+
+def constant_matrix_grid(path):
+    """A 5 x 5 grid of the det-1 matrix diag(0.5, 2) whose hull covers the unit disk."""
+    grids = (np.full((5, 5), 0.5), np.zeros((5, 5)), np.full((5, 5), 2.0))
+    save_matrix_field(path, grids, origin=-1.2 - 1.2j, spacing=0.6, K=2.0)
+    return path
+
+
+@pytest.mark.parametrize("command,subject", [
+    ("analyze", lambda tmp: "radial_stretch(K=2)"),
+    ("analyze", lambda tmp: str(constant_mu_grid(tmp / "mu.csv"))),
+    ("elliptic", lambda tmp: str(constant_matrix_grid(tmp / "matrix.csv"))),
+], ids=["catalog", "sampled-mu", "matrix"])
+def test_a_domain_that_admits_no_circle_exits_1(tmp_path, command, subject):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"subject": subject(tmp_path),
+                                  "domain": {"radii": {"min": 1.5, "max": 2, "count": 4}}}))
+    assert run_cli_err([command, "--config", str(config)]) == (
+        1, "qcreg: config error: no admissible circle fits inside the outer domain\n"
+    )
+
+
+def test_repeated_and_signed_zero_centers_each_pass_gronwall(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"subject": "spiral(gamma=1)",
+                                  "domain": {"centers": [[0, 0], [0, 0], [-0.0, 0]]}}))
+    out = tmp_path / "report.json"
+    assert run_cli_err(["analyze", "--config", str(config), "--out", str(out)]) == (
+        0, f"wrote {out}\n"
+    )
+    report = json.loads(out.read_text())
+    assert report["provenance"]["grid"]["domain_circles"] == 48
+    assert report["regularity"]["gronwall"]["passed"] is True

@@ -15,7 +15,6 @@ from qcreg import (
     affine_map,
     emit_report,
     geometry_profile,
-    image_area_green,
     image_area_jacobian,
     lengths_and_area,
     power_spiral,
@@ -104,7 +103,7 @@ class TestAreas:
     def test_identity_unit_disk(self, cfg):
         (jac,) = image_area_jacobian(IDENTITY.map, [UNIT], cfg=cfg)
         assert jac == pytest.approx(np.pi, rel=1e-13)
-        (green,) = image_area_green(IDENTITY.map, [UNIT], cfg)
+        _, _, (green,) = lengths_and_area(IDENTITY.map, [UNIT], cfg)
         assert green == pytest.approx(np.pi, rel=1e-13)
 
     def test_radial_stretch_quarter_disk(self, cfg):
@@ -113,18 +112,18 @@ class TestAreas:
         # image of D_t is the disk of radius t^(1/2): area pi t
         (jac,) = image_area_jacobian(entry.map, [disk], cfg=cfg)
         assert jac == pytest.approx(np.pi / 4, rel=1e-12)
-        (green,) = image_area_green(entry.map, [disk], cfg)
+        _, _, (green,) = lengths_and_area(entry.map, [disk], cfg)
         assert green == pytest.approx(np.pi / 4, rel=1e-12)
 
     def test_affine_unit_disk(self, cfg):
         entry = affine_map(1.0, 1 / 3)
         (jac,) = image_area_jacobian(entry.map, [UNIT], cfg=cfg)
         assert jac == pytest.approx(ELLIPSE_AREA, rel=1e-12)
-        (green,) = image_area_green(entry.map, [UNIT], cfg)
+        _, _, (green,) = lengths_and_area(entry.map, [UNIT], cfg)
         assert green == pytest.approx(ELLIPSE_AREA, rel=1e-12)
 
     def test_spiral_preserves_disk(self, cfg):
-        (green,) = image_area_green(spiral_map(1.0).map, [UNIT], cfg)
+        _, _, (green,) = lengths_and_area(spiral_map(1.0).map, [UNIT], cfg)
         assert green == pytest.approx(np.pi, rel=1e-12)
 
     def test_offcenter_disk_smooth_map(self, cfg):

@@ -6,6 +6,7 @@ from scipy.stats import qmc
 
 from qcreg import (
     BeltramiField,
+    build_config,
     CircleSpec,
     DomainSpec,
     FieldValidationError,
@@ -68,6 +69,15 @@ class TestCircleAndDomain:
         # a negative margin would admit circles outside the outer disk
         with pytest.raises(ValueError, match="margin"):
             DomainSpec(centers=(0j,), radii=(0.5, 1.5), margin=margin)
+
+    @pytest.mark.parametrize("name", ["outer_radius", "inner_radius", "margin"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan, True, "1e-9"], ids=repr)
+    def test_domain_rejects_a_bound_that_is_not_a_finite_real(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be a finite real number"):
+            DomainSpec(centers=(0j,), radii=(0.5,), **{name: value})
+
+    def test_origin_disk_is_the_default_config_domain(self):
+        assert DomainSpec.origin_disk() == build_config({"subject": "spiral(gamma=1)"}).domain
 
     def test_admissible_filtering(self):
         dom = DomainSpec(centers=(0j, 0.5 + 0j), radii=(0.25, 0.75), outer_radius=1.0)

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import qcreg.bounds
+import qcreg.quadrature
 from qcreg import (
     CircleSpec,
     ConfigError,
@@ -11,10 +13,11 @@ from qcreg import (
     QuadratureConfig,
     circular_average,
     radial_stretch,
+    regularity_report,
     spiral_map,
     sup_over_circles,
 )
-from qcreg.bounds import distortion_average, distortion_integrand
+from qcreg.bounds import distortion_average, distortion_constant, distortion_integrand
 from qcreg.quadrature import MAX_CIRCLE_NODES, SupResult, level_nodes, refine
 
 UNIT = CircleSpec(0j, 1.0)
@@ -38,6 +41,15 @@ class TestConfig:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
             QuadratureConfig(rel_tol=0.0)
+
+    @pytest.mark.parametrize("rel_tol", [math.inf, math.nan, True, "1e-9", None], ids=repr)
+    def test_rejects_a_tolerance_that_is_not_a_finite_real(self, rel_tol):
+        with pytest.raises(ValueError, match="rel_tol must be a finite real number"):
+            QuadratureConfig(rel_tol=rel_tol)
+
+    def test_tolerance_is_stored_as_a_float(self):
+        cfg = QuadratureConfig(rel_tol=np.float32(0.5))
+        assert type(cfg.rel_tol) is float and cfg.describe()["rel_tol"] == 0.5
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -272,21 +284,21 @@ class TestRefine:
 
 class TestSupOverCircles:
     def test_constant_functional(self, domain):
-        res = sup_over_circles(lambda circles: [4.5] * len(circles), domain)
+        circles = domain.admissible_circles()
+        res = sup_over_circles(circles, [4.5] * len(circles))
         assert res.value == 4.5
         # every circle ties, so the smallest radius (then center) wins
-        first = min(domain.admissible_circles(),
-                    key=lambda c: (c.radius, c.center.real, c.center.imag))
+        first = min(circles, key=lambda c: (c.radius, c.center.real, c.center.imag))
         assert res == SupResult(4.5, first)
 
     def test_stacked_rows_are_reduced_one_by_one(self, domain):
         circles = domain.admissible_circles()
         radius = np.array([c.radius for c in circles])
         rows = np.stack((radius, -radius, np.full(radius.size, 2.0)))
-        stacked = sup_over_circles(lambda family: rows, domain)
+        stacked = sup_over_circles(circles, rows)
         assert isinstance(stacked, tuple) and len(stacked) == 3
         for sup, row in zip(stacked, rows):
-            assert sup == sup_over_circles(lambda family: row, domain)
+            assert sup == sup_over_circles(circles, row)
         assert stacked[0].argmax.radius == radius.max()
         assert stacked[1].argmax.radius == radius.min()
 
@@ -296,18 +308,23 @@ class TestSupOverCircles:
         rows[1, 1] = np.nan
         rows[1, 3] = np.inf
         with pytest.raises(NumericalError) as err:
-            sup_over_circles(lambda family: rows, domain)
+            sup_over_circles(circles, rows)
         assert err.value.circle == circles[1]
 
     @pytest.mark.parametrize("shape", [(), (3,), (2, 3), (1, 2, 3)])
     def test_values_of_the_wrong_shape_are_rejected(self, shape):
-        dom = DomainSpec(centers=(0j,), radii=(0.2, 0.4))
+        circles = DomainSpec(centers=(0j,), radii=(0.2, 0.4)).admissible_circles()
         with pytest.raises(ValueError, match="expected 2 values per row"):
-            sup_over_circles(lambda circles: np.zeros(shape), dom)
+            sup_over_circles(circles, np.zeros(shape))
+
+    def test_no_circle_is_rejected(self):
+        with pytest.raises(ValueError):
+            sup_over_circles([], [])
 
     def test_radius_functional_peaks_at_largest(self):
         dom = DomainSpec(centers=(0j,), radii=tuple(np.linspace(0.1, 1.0, 10)))
-        res = sup_over_circles(lambda circles: [c.radius for c in circles], dom)
+        circles = dom.admissible_circles()
+        res = sup_over_circles(circles, [c.radius for c in circles])
         assert res.value == pytest.approx(1.0)
         assert res.argmax.radius == pytest.approx(1.0)
 
@@ -315,23 +332,28 @@ class TestSupOverCircles:
         entry = radial_stretch(2.0)
         values = distortion_average(entry.map.beltrami, domain.admissible_circles(), cfg)
         assert np.allclose(values, 2.0, atol=1e-12)
-        res = sup_over_circles(
-            lambda circles: distortion_average(entry.map.beltrami, circles, cfg), domain
-        )
+        res = distortion_constant(entry.map.beltrami, domain, cfg)
         assert res.value == values.max()
 
-    def test_empty_admissible_set_is_error(self):
+    @pytest.mark.parametrize("subject", ["field", "map"])
+    def test_empty_admissible_set_is_error_before_any_average(self, subject, monkeypatch):
+        def no_average(*args, **kwargs):
+            raise AssertionError("an average ran")
+
+        for module in (qcreg.bounds, qcreg.quadrature):
+            monkeypatch.setattr(module, "circular_average", no_average)
         dom = DomainSpec(centers=(5 + 0j,), radii=(0.5,), outer_radius=1.0)
-        with pytest.raises(ConfigError):
-            sup_over_circles(lambda circles: [1.0] * len(circles), dom)
+        entry = radial_stretch(2.0)
+        with pytest.raises(ConfigError, match="no admissible circle fits"):
+            regularity_report(entry.map if subject == "map" else entry.map.beltrami, dom)
 
     def test_permutation_invariance(self, rng):
         radii = tuple(np.geomspace(0.1, 0.9, 12))
         dom = DomainSpec(centers=(0j, 0.05 + 0.05j), radii=radii)
         fn = lambda c: np.sin(7 * c.radius) + 0.1 * c.center.real
-        base = sup_over_circles(lambda circles: [fn(c) for c in circles], dom)
-
         circles = dom.admissible_circles()
+        base = sup_over_circles(circles, [fn(c) for c in circles])
+
         perm = rng.permutation(len(circles))
         shuffled = [circles[i] for i in perm]
         values = [fn(c) for c in shuffled]

@@ -33,7 +33,7 @@ from qcreg import (
     entry_from_spec,
     epsilon_weight_integral,
     geometry_profile,
-    image_area_green,
+    gronwall_check,
     lengths_and_area,
     matrix_field_from_function,
     matrix_from_beltrami,
@@ -196,10 +196,11 @@ class TestBoundaryPass:
         assert length == 2.0 * np.pi * single_route(model, circle, 0)
         assert formula == 2.0 * np.pi * single_route(model, circle, 1)
         assert area == np.pi * single_route(model, circle, 2)
-        assert area == image_area_green(model, [circle], CFG)[0]
-        # the A row of a map's C and A pass is the roundness of these rows
-        (_, (ratio,)) = qcreg.bounds._map_rows(model, model.beltrami, [circle], CFG)
+        # the A row of a map's C and A pass is the roundness of these rows,
+        # and its area row is this Green area
+        (_, (ratio,), (map_area,)) = qcreg.bounds._map_rows(model, model.beltrami, [circle], CFG)
         assert ratio == 4.0 * np.pi * area / (length * length)
+        assert map_area == area
 
     @pytest.mark.parametrize("model", MAPS, ids=MAP_IDS)
     def test_geometry_profile_columns_equal_the_single_routes(self, model):
@@ -209,7 +210,7 @@ class TestBoundaryPass:
             circle = CircleSpec(0j, float(t))
             assert prof.length_direct[i] == 2.0 * np.pi * single_route(model, circle, 0)
             assert prof.length_formula[i] == 2.0 * np.pi * single_route(model, circle, 1)
-            assert prof.area_green[i] == image_area_green(model, [circle], CFG)[0]
+            assert prof.area_green[i] == np.pi * single_route(model, circle, 2)
 
 
 class TestEpsilonRow:
@@ -358,7 +359,7 @@ class TestNoSecondGreenArea:
         radii = np.geomspace(1e-3, 1.0, 9)
         prof = geometry_profile(model, radii, CFG)
         interior = radii[radii < 1.0]
-        areas = image_area_green(model, [CircleSpec(0j, t) for t in interior.tolist()], CFG)
+        _, _, areas = lengths_and_area(model, [CircleSpec(0j, t) for t in interior.tolist()], CFG)
         expected = [(t, float(np.log(a) / (2.0 * np.log(t))))
                     for t, a in zip(interior.tolist(), areas)]
         assert empirical_holder(prof) == expected
@@ -375,6 +376,67 @@ class TestNoSecondGreenArea:
         want = geometry_profile(replace(model, beltrami=field), radii)
         for name in got._fields:
             assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+def record_gronwall(monkeypatch):
+    """The (t, phi) samples of every Gronwall check a report runs, in order."""
+    families = []
+    check = qcreg.bounds.gronwall_check
+
+    def recording(samples, exponent):
+        families.append(list(samples))
+        return check(families[-1], exponent)
+
+    monkeypatch.setattr(qcreg.bounds, "gronwall_check", recording)
+    return families
+
+
+class TestGronwallFamilies:
+    """A map's Gronwall check reads the Green areas of its C and A pass: one
+    family per entry of the domain's centers, a center listed twice (or as
+    0 and -0) checked twice."""
+
+    DOMAIN = DomainSpec(centers=(0j, 0.5 + 0j, 0j, complex(-0.0, 0.0)),
+                        radii=tuple(np.geomspace(0.05, 0.6, 5)))
+
+    @pytest.mark.parametrize("model", MAPS, ids=MAP_IDS)
+    def test_each_family_is_its_circles_lone_green_areas(self, model, monkeypatch):
+        families = record_gronwall(monkeypatch)
+        rep = regularity_report(model, self.DOMAIN, CFG)
+        expected = []
+        for c in self.DOMAIN.centers:
+            radii = [r for r in self.DOMAIN.radii if self.DOMAIN.fits(c, r)]
+            # a family of one is the reference value, bit for bit
+            expected.append([(r, lengths_and_area(model, [CircleSpec(c, r)], CFG)[2][0])
+                             for r in radii])
+        assert [len(f) for f in expected] == [5, 4, 5, 5]
+        assert families == expected
+        verdicts = [gronwall_check(f, rep.gronwall.exponent) for f in families]
+        assert rep.gronwall == verdicts[0]._replace(
+            passed=all(v.passed for v in verdicts),
+            worst_margin=max(v.worst_margin for v in verdicts),
+            endpoint_margin=max(v.endpoint_margin for v in verdicts),
+        )
+        assert rep.gronwall.passed
+
+    def test_one_radius_per_center_gives_no_verdict(self, monkeypatch):
+        families = record_gronwall(monkeypatch)
+        domain = DomainSpec(centers=(0.5 + 0j, -0.5 + 0j), radii=(0.3, 0.6))
+        assert len(domain.admissible_circles()) == 2
+        assert regularity_report(MAPS[0], domain, CFG).gronwall is None
+        cfg = build_config({"subject": "radial_stretch(K=2)", "domain": {
+            "centers": [[0.5, 0.0], [-0.5, 0.0]], "radii": [0.3, 0.6]}})
+        assert run_analysis(cfg).to_json_dict()["regularity"]["gronwall"] is None
+        assert families == []
+
+    def test_a_non_positive_area_names_its_circle(self):
+        model = radial_stretch(2.0).map
+        # the image of every circle inside |z| < 0.1 runs clockwise: negative area
+        flipped = replace(model, value=lambda z: np.where(np.abs(z) < 0.1, -1, 1) * model.value(z))
+        domain = DomainSpec.origin_disk()
+        with pytest.raises(NumericalError, match=r"positive image area.*radius=0\.05\)") as err:
+            regularity_report(flipped, domain, CFG)
+        assert err.value.circle == domain.admissible_circles()[0]
 
 
 class CountingModel:
@@ -429,20 +491,20 @@ class TestWorkCounts:
         counts, models = work_counts
         run_analysis(build_config({"subject": "radial_stretch(K=2)"}))
         (model,) = models
-        # one average per circle family: C and A together on 16 circles, 25
-        # Gronwall areas, and both lengths, the Green area and Re eps on the 33
+        # one average per circle family: C, A and the Gronwall areas together
+        # on 16 circles, and both lengths, the Green area and Re eps on the 33
         # profile radii; the holder estimates reuse the profile's areas and
         # make no value call, and each doubling evaluates only the angles it
         # adds. The Jacobian areas take 350 rings: the whole disk descends
         # three octaves, until its power-law tail settles
-        assert counts == {"distortion_constant": 0, "circular_average": 3}
-        assert model.points == {"value": 37888, "partials": 37888, "jacobian": 196096}
+        assert counts == {"distortion_constant": 0, "circular_average": 2}
+        assert model.points == {"value": 25088, "partials": 25088, "jacobian": 196096}
 
     def test_regularity_report_computes_c_once(self, work_counts):
         counts, _ = work_counts
         regularity_report(spiral_map(1.0).map, domain_with_offsets(), CFG)
-        # C and A in one pass over the circles, then the Gronwall areas
-        assert counts == {"distortion_constant": 0, "circular_average": 2}
+        # C, A and the Gronwall areas in one pass over the circles
+        assert counts == {"distortion_constant": 0, "circular_average": 1}
 
     def test_matrix_run_computes_c_once(self, work_counts, tmp_path):
         from qcreg import save_matrix_field
