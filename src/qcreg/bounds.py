@@ -30,9 +30,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, FieldValidationError, NumericalError
+from .errors import ConfigError, NumericalError
 from .geometry import DEGENERATE_LENGTH, _boundary_data, _green_density
-from .plane import BeltramiField, CircleSpec, DomainSpec, MapModel, derive_beltrami
+from .plane import (BeltramiField, CircleSpec, DomainSpec, MapModel, _finite_real,
+                    derive_beltrami, distortion_integrand)
 from .quadrature import QuadratureConfig, SupResult, circular_average, sup_over_circles
 
 #: slack of the Mori check: a circle average may exceed K by this much
@@ -40,22 +41,6 @@ MORI_TOL = 1e-9
 
 #: allowed relative drop in the Gronwall monotonicity check
 GRONWALL_REL_TOL = 1e-6
-
-
-def distortion_integrand(mu, eta):
-    """Pointwise distortion weight |1 - conj(eta)^2 mu|^2 / (1 - |mu|^2).
-
-    `eta` is a unit complex number (the outward normal); the value is 1 for
-    mu = 0, equals (1+k)/(1-k) when mu = -k eta^2 (radial-stretch
-    direction) and (1-k)/(1+k) when mu = +k eta^2. Raises
-    FieldValidationError if |mu| >= 1 anywhere.
-    """
-    mu = np.asarray(mu, dtype=complex)
-    eta = np.asarray(eta, dtype=complex)
-    m2 = np.abs(mu) ** 2
-    if np.any(m2 >= 1.0):
-        raise FieldValidationError("distortion integrand needs |mu| < 1")
-    return np.abs(1.0 - np.conj(eta) ** 2 * mu) ** 2 / (1.0 - m2)
 
 
 def distortion_average(
@@ -139,10 +124,9 @@ def isoperimetric_constant(
 
 
 def holder_lower_bound(iso_sup: float, dist_sup: float) -> float:
-    """Exponent lower bound 1 / (A * C) from the two suprema."""
-    if not (iso_sup > 0 and dist_sup > 0):
-        raise ValueError(f"suprema must be positive, got A={iso_sup}, C={dist_sup}")
-    return 1.0 / (iso_sup * dist_sup)
+    """Exponent lower bound 1 / (A * C) from the two suprema, positive finite reals."""
+    A, C = _finite_real("A", iso_sup, positive=True), _finite_real("C", dist_sup, positive=True)
+    return 1.0 / (A * C)
 
 
 class MoriReport(NamedTuple):

@@ -9,7 +9,6 @@ pure radial stretch (gamma = 0, alpha = 1/K) and the pure rotation map
 
 from __future__ import annotations
 
-import cmath
 import math
 import re
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .plane import BeltramiField, MapModel
+from .plane import BeltramiField, MapModel, _finite_complex, _finite_real, stretch_factor
 
 _ORIGIN = (0.0 + 0.0j,)
 
@@ -127,9 +126,7 @@ def _power_model(alpha: float, gamma: float) -> MapModel:
 
 def power_spiral(alpha: float, gamma: float = 0.0) -> CatalogEntry:
     """f(z) = z |z|^(alpha - 1 + i gamma); stretch and rotation combined."""
-    alpha, gamma = float(alpha), float(gamma)
-    if not (alpha > 0 and np.isfinite(alpha) and np.isfinite(gamma)):
-        raise ValueError(f"need alpha > 0 and finite gamma, got {alpha}, {gamma}")
+    alpha, gamma = _finite_real("alpha", alpha, positive=True), _finite_real("gamma", gamma)
     return CatalogEntry(
         name="power_spiral",
         parameters={"alpha": alpha, "gamma": gamma},
@@ -140,9 +137,8 @@ def power_spiral(alpha: float, gamma: float = 0.0) -> CatalogEntry:
 
 def radial_stretch(K: float) -> CatalogEntry:
     """f(z) = z |z|^(1/K - 1), the classical worst case: mu = -k z/conj(z)."""
+    stretch_factor(K)  # raises unless K >= 1 is a finite real number
     K = float(K)
-    if not (K >= 1 and np.isfinite(K)):
-        raise ValueError(f"need K >= 1, got {K}")
     return CatalogEntry(
         name="radial_stretch",
         parameters={"K": K},
@@ -153,9 +149,7 @@ def radial_stretch(K: float) -> CatalogEntry:
 
 def spiral_map(gamma: float) -> CatalogEntry:
     """f(z) = z |z|^(i gamma): modulus-preserving rotation, bilipschitz."""
-    gamma = float(gamma)
-    if not np.isfinite(gamma):
-        raise ValueError("gamma must be finite")
+    gamma = _finite_real("gamma", gamma)
     return CatalogEntry(
         name="spiral",
         parameters={"gamma": gamma},
@@ -169,9 +163,7 @@ def affine_map(a: complex, b: complex) -> CatalogEntry:
 
     The Jacobian |a|^2 - |b|^2 must be a finite positive float.
     """
-    a, b = complex(a), complex(b)
-    if not (cmath.isfinite(a) and cmath.isfinite(b)):
-        raise ValueError(f"need finite a and b, got a={a}, b={b}")
+    a, b = _finite_complex("a", a), _finite_complex("b", b)
     try:
         if abs(b) >= abs(a):
             raise ValueError(f"need |b| < |a| for orientation, got |a|={abs(a)}, |b|={abs(b)}")
@@ -197,8 +189,7 @@ def affine_map(a: complex, b: complex) -> CatalogEntry:
 
     field = BeltramiField(mu=lambda z: np.full(np.asarray(z).shape, mu_c), k_max=abs(mu_c))
     model = MapModel(value=value, partials=partials, jacobian=jacobian, beltrami=field)
-    params: dict = {"a": a, "b": b}
-    return CatalogEntry(name="affine", parameters=params, map=model, exact_exponent=1.0)
+    return CatalogEntry(name="affine", parameters={"a": a, "b": b}, map=model, exact_exponent=1.0)
 
 
 # the catalog: spec name -> (constructor, ordered parameter names, formula of f)
@@ -268,7 +259,5 @@ def entry_from_spec(spec: str) -> CatalogEntry:
             kwargs[key] = _parse_value(raw)
     try:
         return ctor(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad parameters for {name}: {exc}") from exc
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad parameters for {name}: {exc}") from exc

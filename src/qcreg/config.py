@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
-import numbers
 from pathlib import Path
 from typing import NamedTuple
 
@@ -20,7 +18,7 @@ import numpy as np
 
 from .catalog import entry_from_spec
 from .errors import ConfigError
-from .plane import DomainSpec
+from .plane import DomainSpec, _finite_real, _integer
 from .quadrature import MAX_CIRCLE_NODES, QuadratureConfig
 
 #: first lines of the sampled-mu and coefficient-matrix grid CSVs
@@ -102,24 +100,18 @@ def _reject_unknown(given: dict, allowed, where: str) -> None:
         raise ConfigError(f"unknown keys {unknown} in {where}; allowed: {sorted(allowed)}")
 
 
-def _is_real(value) -> bool:
-    # bool is an int subclass; JSON true/false is never a number here
-    return not isinstance(value, bool) and isinstance(value, numbers.Real)
+def _config_check(check):
+    """`check`, a scalar check of `qcreg.plane`, for config and sidecar values
+    named by their key: its ValueError is raised as a ConfigError of that text."""
+    def checked(where: str, value, *args, **kwargs):
+        try:
+            return check(where, value, *args, **kwargs)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+    return checked
 
 
-def _number(value, where: str, *, positive: bool = False) -> float:
-    if not _is_real(value):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
-    if not math.isfinite(value) or (positive and not value > 0):
-        kind = "positive and finite" if positive else "finite"
-        raise ConfigError(f"{where} must be {kind}, got {value!r}")
-    return float(value)
-
-
-def _integer(value, where: str, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise ConfigError(f"{where} must be an integer >= {minimum}, got {value!r}")
-    return int(value)
+_key_real, _key_integer = _config_check(_finite_real), _config_check(_integer)
 
 
 def _flag(value, where: str) -> bool:
@@ -129,13 +121,9 @@ def _flag(value, where: str) -> bool:
 
 
 def _point(value, where: str) -> complex:
-    if not (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(_is_real(v) and math.isfinite(v) for v in value)
-    ):
+    if not (isinstance(value, (list, tuple)) and len(value) == 2):
         raise ConfigError(f"{where} must be an [x, y] pair of finite numbers, got {value!r}")
-    return complex(value[0], value[1])
+    return complex(*(_key_real(where, v) for v in value))
 
 
 def _section(raw: dict, key: str) -> dict:
@@ -147,15 +135,15 @@ def _section(raw: dict, key: str) -> dict:
 
 def _radii_array(spec, where: str) -> np.ndarray:
     if isinstance(spec, list):
-        radii = np.array([_number(r, where, positive=True) for r in spec])
+        radii = np.array([_key_real(where, r, positive=True) for r in spec])
     elif isinstance(spec, dict):
         _reject_unknown(spec, ("min", "max", "count"), where)
         merged = {**DEFAULTS["radii"], **spec}
         with np.errstate(over="ignore"):  # the float range ends at either bound
             radii = np.geomspace(
-                _number(merged["min"], f"{where}.min", positive=True),
-                _number(merged["max"], f"{where}.max", positive=True),
-                _integer(merged["count"], f"{where}.count", 2),
+                _key_real(f"{where}.min", merged["min"], positive=True),
+                _key_real(f"{where}.max", merged["max"], positive=True),
+                _key_integer(f"{where}.count", merged["count"], 2),
             )
     else:
         raise ConfigError(f"{where} must be a list or a min/max/count object")
@@ -170,10 +158,8 @@ def _domain_from(raw: dict) -> tuple[DomainSpec, dict]:
     radii = _radii_array(merged["radii"], "domain.radii")
     if not (isinstance(merged["centers"], (list, tuple)) and merged["centers"]):
         raise ConfigError(f"domain.centers must be a nonempty list, got {merged['centers']!r}")
-    centers = tuple(
-        _point(c, f"domain.centers[{i}]") for i, c in enumerate(merged["centers"])
-    )
-    margin = _number(merged["margin"], "domain.margin")
+    centers = tuple(_point(c, f"domain.centers[{i}]") for i, c in enumerate(merged["centers"]))
+    margin = _key_real("domain.margin", merged["margin"])
     if margin < 0:
         raise ConfigError(f"domain.margin must be >= 0, got {merged['margin']!r}")
     try:
@@ -181,8 +167,8 @@ def _domain_from(raw: dict) -> tuple[DomainSpec, dict]:
             centers=centers,
             radii=tuple(radii),
             outer_center=_point(merged["outer_center"], "domain.outer_center"),
-            outer_radius=_number(merged["outer_radius"], "domain.outer_radius", positive=True),
-            inner_radius=_number(merged["inner_radius"], "domain.inner_radius"),
+            outer_radius=_key_real("domain.outer_radius", merged["outer_radius"], positive=True),
+            inner_radius=_key_real("domain.inner_radius", merged["inner_radius"]),
             margin=margin,
         )
     except ValueError as exc:
@@ -217,8 +203,8 @@ def build_config(raw: dict) -> AnalysisConfig:
     quad_raw = _section(raw, "quadrature")
     _reject_unknown(quad_raw, DEFAULTS["quadrature"].keys(), "quadrature")
     quad_merged = {**DEFAULTS["quadrature"], **quad_raw}
-    nodes = _integer(quad_merged["nodes"], "quadrature.nodes", 16)
-    max_doublings = _integer(quad_merged["max_doublings"], "quadrature.max_doublings", 0)
+    nodes = _key_integer("quadrature.nodes", quad_merged["nodes"], 16)
+    max_doublings = _key_integer("quadrature.max_doublings", quad_merged["max_doublings"], 0)
     if nodes << min(max_doublings, 64) > MAX_CIRCLE_NODES:
         raise ConfigError(
             f"quadrature.nodes * 2**quadrature.max_doublings = {nodes} * 2**{max_doublings} "
@@ -228,7 +214,7 @@ def build_config(raw: dict) -> AnalysisConfig:
         quadrature = QuadratureConfig(
             nodes=nodes,
             max_doublings=max_doublings,
-            rel_tol=_number(quad_merged["rel_tol"], "quadrature.rel_tol", positive=True),
+            rel_tol=_key_real("quadrature.rel_tol", quad_merged["rel_tol"], positive=True),
         )
     except ValueError as exc:
         raise ConfigError(f"bad quadrature: {exc}") from exc
@@ -241,7 +227,7 @@ def build_config(raw: dict) -> AnalysisConfig:
     diag = {**DEFAULTS["diagnostics"], **diag_raw}
     run_geometry = _flag(diag["geometry"], "diagnostics.geometry")
     run_extremal = _flag(diag["extremal"], "diagnostics.extremal")
-    threshold = _number(raw.get("threshold", DEFAULTS["threshold"]), "threshold", positive=True)
+    threshold = _key_real("threshold", raw.get("threshold", DEFAULTS["threshold"]), positive=True)
 
     interpolation = raw.get("interpolation", DEFAULTS["interpolation"])
     if interpolation not in ("bilinear", "nearest"):

@@ -63,7 +63,7 @@ class MatrixField(_Validated, _MatrixFields):
     __slots__ = ()
 
     def __new__(cls, beltrami: BeltramiField, K: float, grid: SampledField | None = None):
-        stretch_factor(K)  # raises unless K >= 1 is finite
+        stretch_factor(K)  # raises unless K >= 1 is a finite real number
         return super().__new__(cls, beltrami, K, grid)
 
     def __call__(self, z):
@@ -97,6 +97,7 @@ def matrix_field_from_function(fn, K: float) -> MatrixField:
     [1/K, K] and |det A - 1| <= DET_TOL, naming the first bad point, and
     then converts the entries to mu.
     """
+    k_max = stretch_factor(K)  # raises unless K >= 1 is a finite real number
     K = float(K)
 
     def mu(z):
@@ -110,7 +111,7 @@ def matrix_field_from_function(fn, K: float) -> MatrixField:
         _check_entries(a11, a12, a22, z, K)
         return beltrami_from_entries(a11, a12, a22)
 
-    return MatrixField(BeltramiField(mu=mu, k_max=stretch_factor(K)), K)
+    return MatrixField(BeltramiField(mu=mu, k_max=k_max), K)
 
 
 def validate_matrix_field(field: MatrixField) -> MatrixField:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import NumericalError, SingularPointError
 from .geometry import GeometryProfile
-from .plane import BeltramiField, CircleSpec, stretch_factor
+from .plane import BeltramiField, CircleSpec, _finite_real, epsilon_from_mu, stretch_factor
 from .quadrature import QuadratureConfig, circular_average
 
 
@@ -46,15 +46,6 @@ def epsilon_decompose(field: BeltramiField, K: float, z) -> np.ndarray:
         raise SingularPointError("eps decomposition undefined at z = 0")
     k = stretch_factor(K)
     return epsilon_from_mu(field(z), z, k)
-
-
-def epsilon_from_mu(mu, z, k: float) -> np.ndarray:
-    """eps = mu e^{-2 i arg z} + k from the values mu of a field at nodes z != 0.
-
-    The one formula of eps: `epsilon_decompose` and the stacked Re(eps) row
-    of `qcreg.geometry.lengths_and_area` both evaluate it.
-    """
-    return mu * (np.conj(z) / z) + k
 
 
 def _log_integral_from_anchor(radii: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -178,14 +169,14 @@ def superlevel_lower_density(delta_samples, delta0: float, gamma_grid) -> float:
         (each sample owns the interval up to the midpoints with its
         neighbors, the smallest down to 0).
     delta0 : float
-        Positive super-level threshold.
+        Positive finite super-level threshold.
     gamma_grid : sequence of float
-        Scales over which |{delta > delta0} cap [0, gamma]| / gamma is
-        minimized; the minimum approximates the liminf at 0.
+        Positive finite scales over which |{delta > delta0} cap [0, gamma]|
+        / gamma is minimized; the minimum approximates the liminf at 0.
     """
-    if delta0 <= 0:
-        raise ValueError("delta0 must be positive")
-    gammas = np.asarray(list(gamma_grid), dtype=float)
+    delta0 = _finite_real("delta0", delta0, positive=True)
+    gammas = np.array([_finite_real(f"gamma_grid[{i}]", g, positive=True)
+                       for i, g in enumerate(gamma_grid)])
     if gammas.size == 0:
         raise ValueError("gamma grid must be nonempty")
     pairs = sorted((float(r), float(d)) for r, d in delta_samples)
@@ -260,7 +251,9 @@ def extremality_report(
 
     Profiles must share their radius grid. The anchor radius (where both
     ratios are 0/0 by construction) is excluded from the running minima.
+    `threshold` must be a positive finite real number.
     """
+    threshold = _finite_real("threshold", threshold, positive=True)
     if eps.radii.shape != defect.radii.shape or not np.allclose(
         eps.radii, defect.radii, rtol=1e-12, atol=0
     ):

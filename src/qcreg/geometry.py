@@ -34,7 +34,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import InvariantViolationError, NumericalError, OrientationError
-from .plane import CircleSpec, MapModel, beltrami_from_partials, stretch_factor
+from .plane import (CircleSpec, MapModel, beltrami_from_partials, distortion_integrand,
+                    epsilon_from_mu, stretch_factor)
 from .quadrature import (
     CircleNodes,
     QuadratureConfig,
@@ -109,14 +110,11 @@ def lengths_and_area(
     and the Green density (the area). mu is the map's field, or where it
     has none `beltrami_from_partials` of the boundary pass's own partials.
     Given a distortion bound K, a fourth row averages Re eps of that mu
-    (`qcreg.extremal.epsilon_from_mu`), bit for bit the average
+    (`qcreg.plane.epsilon_from_mu`), bit for bit the average
     `epsilon_weight_integral` takes of the map's field. Raises
     OrientationError if the Jacobian is negative at a node where the
     boundary data are finite.
     """
-    from .bounds import distortion_integrand  # local imports avoid a cycle
-    from .extremal import epsilon_from_mu
-
     field = map_model.beltrami
     k = None if K is None else stretch_factor(K)
 
@@ -169,11 +167,6 @@ def _ring_mean_jacobian(map_model, center, radii, unit):
     return mean
 
 
-def _segments_toward_zero(t, octaves: int) -> np.ndarray:
-    """Edges t, t/2, ..., t * 2^-octaves (decreasing, along the last axis)."""
-    return t * 2.0 ** -np.arange(octaves + 1)
-
-
 def _annulus_segments(t: np.ndarray, r_inner: np.ndarray):
     """(owner, outer, inner edge) of every segment of the annuli
     [r_inner[i], t[i]] split at the octaves t[i] * 2^-k, annulus by annulus
@@ -184,18 +177,11 @@ def _annulus_segments(t: np.ndarray, r_inner: np.ndarray):
         ratio = t / r_inner
     octaves = np.where(np.isinf(ratio), np.log2(t) - np.log2(r_inner), np.log2(ratio))
     n_oct = np.maximum(1, np.ceil(octaves)).astype(int)
-    edges = _segments_toward_zero(t[:, None], int(n_oct.max(initial=1)))
+    edges = t[:, None] * 2.0 ** -np.arange(int(n_oct.max(initial=1)) + 1)
     keep = (np.arange(edges.shape[1]) <= n_oct[:, None]) & (edges > r_inner[:, None])
     edges = np.column_stack((np.where(keep, edges, r_inner[:, None]), r_inner))
     owner = np.nonzero(keep)[0]
     return owner, edges[:, :-1][keep], edges[:, 1:][keep]
-
-
-def _annulus_edges(t: float, r_inner: float) -> np.ndarray:
-    """Edges of the annulus [r_inner, t] split at the octaves t * 2^-k
-    (decreasing, r_inner last and not repeated)."""
-    _, outer, _ = _annulus_segments(np.array([t]), np.array([r_inner]))
-    return np.append(outer, r_inner)
 
 
 class _FlatRule(NamedTuple):

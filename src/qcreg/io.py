@@ -16,8 +16,8 @@ each grid coordinate once and each grid row with one ``%`` call. The loaders
 read the CSV and its sidecar as UTF-8, whatever the locale. They reject,
 with ``ConfigError``, a sidecar that is not UTF-8 JSON or holds a value of
 the wrong type or range (naming the file and the key), a file with no data
-rows and coordinates that disagree with the descriptor by more than 1e-9 of
-the spacing (plus round-off of the coordinates' size). When a parse fails,
+rows and coordinates off the descriptor's grid by more than 1e-9 of the
+spacing plus round-off, naming the first such node. When a parse fails,
 or its rows have the wrong width or a non-finite entry, `_bad_line` reads
 the file once more and names its first bad line (1-based): a row with the
 wrong number of fields, a whitespace-only line included (with the expected
@@ -47,10 +47,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import MATRIX_HEADER, MU_HEADER, _first_line, _integer, _number, _point
+from .config import MATRIX_HEADER, MU_HEADER, _first_line, _key_integer, _key_real, _point
 from .elliptic import DET_TOL, MatrixField, beltrami_from_entries
 from .errors import ConfigError, FieldValidationError
-from .plane import SampledField, stretch_factor
+from .plane import SampledField, _finite_complex, _finite_real, stretch_factor
 
 #: grid CSVs above this many bytes are parsed in blocks on several CPUs
 BLOCK_BYTES = 4 << 20
@@ -83,13 +83,13 @@ def _load_descriptor(csv_path, bound_key: str, bound_range: tuple[float, float])
         raise ConfigError(f"descriptor {path} missing keys {missing}")
     where = f"descriptor {path}:"
     low, high = bound_range
-    bound = _number(desc[bound_key], f"{where} {bound_key}")
+    bound = _key_real(f"{where} {bound_key}", desc[bound_key])
     if not low <= bound < high:
         raise ConfigError(f"{where} {bound_key} must lie in [{low}, {high}), got {bound!r}")
     return {
-        "nx": _integer(desc["nx"], f"{where} nx", 1),
-        "ny": _integer(desc["ny"], f"{where} ny", 1),
-        "spacing": _number(desc["spacing"], f"{where} spacing", positive=True),
+        "nx": _key_integer(f"{where} nx", desc["nx"], 1),
+        "ny": _key_integer(f"{where} ny", desc["ny"], 1),
+        "spacing": _key_real(f"{where} spacing", desc["spacing"], positive=True),
         "origin": _point(desc["origin"], f"{where} origin"),
         bound_key: bound,
     }
@@ -355,19 +355,22 @@ def _check_grid_coords(data, desc, csv_path):
             f"{csv_path}: {data.shape[0]} rows but descriptor says nx*ny = {nx * ny}"
         )
     xs, ys = data[:, 0].reshape(ny, nx), data[:, 1].reshape(ny, nx)
-    if not (_on_axis(xs, x0, nx, h) and _on_axis(ys.T, y0, ny, h)):
-        raise ConfigError(f"{csv_path}: grid coordinates disagree with the descriptor")
+    off = ~(_on_axis(xs, x0, nx, h) & _on_axis(ys.T, y0, ny, h).T)
+    if off.any():
+        iy, ix = np.argwhere(off)[0]
+        raise ConfigError(f"{csv_path}: grid coordinates disagree with the descriptor "
+                          f"at node [{iy}, {ix}]")
     return nx, ny, h, complex(x0, y0)
 
 
-def _on_axis(coords, start: float, n: int, h: float) -> bool:
-    """Whether each row of `coords` is start + h * arange(n), within 1e-9 of
+def _on_axis(coords, start: float, n: int, h: float) -> np.ndarray:
+    """Where each row of `coords` is start + h * arange(n), within 1e-9 of
     the spacing plus a few ulps of the largest coordinate: a grid line out of
     place is off by at least h, however far the grid lies from the origin.
     The expected axis is built once, not at full size."""
     expected = start + np.arange(n) * h
     tol = 1e-9 * h + 8 * np.finfo(float).eps * np.abs(expected).max()
-    return np.allclose(coords, expected, rtol=0, atol=tol)
+    return np.abs(coords - expected) <= tol
 
 
 def _write_grid_csv(csv_path, header: str, origin: complex, spacing, columns) -> None:
@@ -507,16 +510,19 @@ def load_matrix_field(csv_path, interpolation: str = "bilinear") -> MatrixField:
 
 
 def save_matrix_field(csv_path, entries_grid, origin, spacing, K) -> None:
-    """Write matrix-entry grids (a11, a12, a22 arrays of shape (ny, nx))."""
+    """Write matrix-entry grids (a11, a12, a22 arrays of shape (ny, nx)); the
+    origin, spacing and K are checked as the sidecar reader checks them."""
+    origin = _finite_complex("origin", origin)
+    spacing = _finite_real("spacing", spacing, positive=True)
+    stretch_factor(K)  # raises unless K >= 1 is a finite real number
     a11, a12, a22 = (np.asarray(g, dtype=float) for g in entries_grid)
     ny, nx = a11.shape
-    origin = complex(origin)
     _write_grid_csv(csv_path, MATRIX_HEADER, origin, spacing, (a11, a12, a22))
     _write_sidecar(
         csv_path,
         {
             "origin": [origin.real, origin.imag],
-            "spacing": float(spacing),
+            "spacing": spacing,
             "nx": nx,
             "ny": ny,
             "K": float(K),

@@ -11,6 +11,12 @@ depends only on the arguments, so everything here is safe to evaluate
 concurrently. A map callable may keep a private cache (the catalog's power
 maps share |z|^s between `value` and `partials`), provided it is
 thread-safe and never returns a stale value.
+
+The package's scalar input checks live here: `_finite_real`, `_finite_complex`
+and `_integer` raise a ValueError whose message starts with the name they are
+given, a config key where a config or a sidecar is read. A bool, a string or
+None is no number; ints and numpy scalars pass. So do the pointwise mu
+formulas `beltrami_from_partials`, `distortion_integrand` and `epsilon_from_mu`.
 """
 
 from __future__ import annotations
@@ -49,11 +55,49 @@ class _Validated:
         return cls(*iterable)
 
 
-def _finite_real(name: str, value) -> float:
-    """`value` as a float; a bool, a non-real or a non-finite value is a ValueError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+def _real(value) -> bool:
+    """Whether `value` is a real number (not a bool) that is finite as a float."""
+    try:
+        return (not isinstance(value, bool) and isinstance(value, numbers.Real)
+                and math.isfinite(value))
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _finite_real(name: str, value, *, positive: bool = False) -> float:
+    """`value` as a float; a bool, a non-real or a non-finite value is a
+    ValueError, and so is one <= 0 when `positive`."""
+    if not _real(value):
         raise ValueError(f"{name} must be a finite real number, got {value!r}")
-    return float(value)
+    x = float(value)
+    if positive and not x > 0:
+        raise ValueError(f"{name} must be positive, got {value!r}")
+    return x
+
+
+def _finite_complex(name: str, value) -> complex:
+    """`value` as a complex; a bool, a non-number or a value with a
+    non-finite part is a ValueError."""
+    finite = isinstance(value, numbers.Complex) and _real(value.real) and _real(value.imag)
+    if isinstance(value, bool) or not finite:
+        raise ValueError(f"{name} must be a finite complex number, got {value!r}")
+    return complex(value)
+
+
+def _integer(name: str, value, minimum: int) -> int:
+    """`value` as an int; a bool, a non-integer or a value below `minimum`
+    is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def _k_max(value) -> float:
+    """A bound on |mu|: a finite real number in [0, 1)."""
+    k = _finite_real("k_max", value)
+    if not 0.0 <= k < 1.0:
+        raise ValueError(f"k_max must lie in [0, 1), got {value!r}")
+    return k
 
 
 class _CircleFields(NamedTuple):
@@ -67,12 +111,9 @@ class CircleSpec(_Validated, _CircleFields):
     __slots__ = ()
 
     def __new__(cls, center: complex, radius: float):
-        c, r = complex(center), float(radius)
-        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-            raise ValueError("circle center must be finite")
-        if not (math.isfinite(r) and r > 0):
-            raise ValueError(f"circle radius must be positive and finite, got {r}")
-        return super().__new__(cls, c, r)
+        return super().__new__(
+            cls, _finite_complex("center", center), _finite_real("radius", radius, positive=True)
+        )
 
 
 #: the disk a field is certified on, and the size of its validation sample
@@ -108,14 +149,13 @@ class DomainSpec(_Validated, _DomainFields):
         inner_radius: float = 0.0,
         margin: float = 0.0,
     ):
-        centers = tuple(complex(c) for c in centers)
-        radii = tuple(float(r) for r in radii)
+        centers = tuple(_finite_complex(f"centers[{i}]", c) for i, c in enumerate(centers))
+        radii = tuple(_finite_real(f"radii[{i}]", r, positive=True) for i, r in enumerate(radii))
         if not centers or not radii:
             raise ValueError("center grid and radius grid must be nonempty")
-        if any(r <= 0 or not math.isfinite(r) for r in radii):
-            raise ValueError("all grid radii must be positive and finite")
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise ValueError("radius grid must be strictly increasing")
+        outer_center = _finite_complex("outer_center", outer_center)
         outer_radius = _finite_real("outer_radius", outer_radius)
         inner_radius = _finite_real("inner_radius", inner_radius)
         margin = _finite_real("margin", margin)
@@ -123,9 +163,8 @@ class DomainSpec(_Validated, _DomainFields):
             raise ValueError("need 0 <= inner_radius < outer_radius")
         if not margin >= 0:
             raise ValueError(f"need margin >= 0, got {margin}")
-        return super().__new__(
-            cls, centers, radii, complex(outer_center), outer_radius, inner_radius, margin
-        )
+        return super().__new__(cls, centers, radii, outer_center, outer_radius, inner_radius,
+                               margin)
 
     def fits(self, center: complex, radius: float) -> bool:
         d = abs(complex(center) - self.outer_center)
@@ -197,9 +236,7 @@ class BeltramiField(_Validated, _BeltramiFields):
         singular_points: tuple[complex, ...] = (),
         verified_k_max: float | None = None,
     ):
-        if not (0.0 <= k_max < 1.0):
-            raise ValueError(f"k_max must lie in [0, 1), got {k_max}")
-        return super().__new__(cls, mu, k_max, singular_points, verified_k_max)
+        return super().__new__(cls, mu, _k_max(k_max), singular_points, verified_k_max)
 
     def __call__(self, z) -> np.ndarray:
         return np.asarray(self.mu(np.asarray(z, dtype=complex)), dtype=complex)
@@ -213,8 +250,9 @@ class BeltramiField(_Validated, _BeltramiFields):
 def stretch_factor(K: float) -> float:
     """k = (K - 1) / (K + 1), the inverse of `distortion_ratio`: the mu bound
     of distortion K and the coefficient magnitude of the radial stretch."""
-    if not (K >= 1.0 and math.isfinite(K)):
-        raise ValueError(f"need a finite K >= 1, got {K}")
+    if not (_real(K) and K >= 1):
+        raise ValueError(f"need a finite K >= 1, got {K!r}")
+    K = float(K)
     return (K - 1.0) / (K + 1.0)
 
 
@@ -267,6 +305,31 @@ def beltrami_from_partials(f_x, f_y, z) -> np.ndarray:
     return f_zbar / f_z
 
 
+def distortion_integrand(mu, eta):
+    """Pointwise distortion weight |1 - conj(eta)^2 mu|^2 / (1 - |mu|^2).
+
+    `eta` is a unit complex number (the outward normal); the value is 1 for
+    mu = 0, equals (1+k)/(1-k) when mu = -k eta^2 (radial-stretch
+    direction) and (1-k)/(1+k) when mu = +k eta^2. Raises
+    FieldValidationError if |mu| >= 1 anywhere.
+    """
+    mu = np.asarray(mu, dtype=complex)
+    eta = np.asarray(eta, dtype=complex)
+    m2 = np.abs(mu) ** 2
+    if np.any(m2 >= 1.0):
+        raise FieldValidationError("distortion integrand needs |mu| < 1")
+    return np.abs(1.0 - np.conj(eta) ** 2 * mu) ** 2 / (1.0 - m2)
+
+
+def epsilon_from_mu(mu, z, k: float) -> np.ndarray:
+    """eps = mu e^{-2 i arg z} + k from the values mu of a field at nodes z != 0.
+
+    The one formula of eps: `qcreg.extremal.epsilon_decompose` and the
+    stacked Re(eps) row of `qcreg.geometry.lengths_and_area` both evaluate it.
+    """
+    return mu * (np.conj(z) / z) + k
+
+
 def _radical_inverse(indices: np.ndarray, base: int) -> np.ndarray:
     """Van der Corput radical inverse: reflect the base-`base` digits of each index."""
     out = np.zeros(indices.shape)
@@ -316,10 +379,7 @@ def validate_field(beltrami: BeltramiField, k_max: float | None = None) -> Beltr
         If any sample has |mu| >= 1 - 1e-12 or |mu| > k_max + 1e-12, naming
         the first such point; later evaluations raise the same way.
     """
-    if k_max is None:
-        k_max = beltrami.k_max
-    if not (0.0 <= k_max < 1.0):
-        raise FieldValidationError(f"k_max must lie in [0, 1), got {k_max}")
+    k_max = beltrami.k_max if k_max is None else _k_max(k_max)
     pts = _validation_points(beltrami.singular_points)
     sampled = beltrami(pts)
     _check_mu_bound(sampled, k_max, "validation sample", pts)
@@ -333,7 +393,7 @@ def validate_field(beltrami: BeltramiField, k_max: float | None = None) -> Beltr
         _check_mu_bound(out, k_max, "evaluation", z)
         return out
 
-    return beltrami._replace(mu=checked, k_max=float(k_max), verified_k_max=observed)
+    return beltrami._replace(mu=checked, k_max=k_max, verified_k_max=observed)
 
 
 def _check_mu_bound(values: np.ndarray, k_max: float, context: str, points) -> None:
@@ -419,11 +479,12 @@ class SampledField(_Validated, _SampledFields):
         k_max: float,
         interpolation: str = "bilinear",
     ):
+        origin = _finite_complex("origin", origin)
+        spacing = _finite_real("spacing", spacing, positive=True)
+        k_max = _k_max(k_max)
         vals = np.asarray(values, dtype=complex)
         if vals.ndim != 2 or vals.size == 0:
             raise ValueError("values must be a nonempty 2-D array")
-        if not (spacing > 0 and np.isfinite(spacing)):
-            raise ValueError("spacing must be positive and finite")
         if interpolation not in ("nearest", "bilinear"):
             raise ValueError(f"unknown interpolation {interpolation!r}")
         mags = np.abs(vals)
@@ -438,7 +499,7 @@ class SampledField(_Validated, _SampledFields):
                 f"grid value at [{iy}, {ix}] has |mu| = {mags[iy, ix]} "
                 f"> k_max = {k_max}"
             )
-        return super().__new__(cls, complex(origin), spacing, vals, k_max, interpolation)
+        return super().__new__(cls, origin, spacing, vals, k_max, interpolation)
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -26,13 +26,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import NumericalError
-from .plane import CircleSpec, _Validated, _finite_real
+from .plane import CircleSpec, _Validated, _finite_real, _integer
 
 
 #: ceiling on nodes * 2**max_doublings, the finest rule one circle can reach
@@ -63,22 +62,16 @@ class QuadratureConfig(_Validated, _QuadratureFields):
     __slots__ = ()
 
     def __new__(cls, nodes: int = 256, max_doublings: int = 6, rel_tol: float = 1e-9):
-        for name, value in (("nodes", nodes), ("max_doublings", max_doublings)):
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        n, max_doublings = int(nodes), int(max_doublings)
-        if n < 16 or (n & (n - 1)) != 0:
+        n = _integer("nodes", nodes, 16)
+        max_doublings = _integer("max_doublings", max_doublings, 0)
+        if n & (n - 1):
             raise ValueError(f"nodes must be a power of two >= 16, got {n}")
-        if max_doublings < 0:
-            raise ValueError("max_doublings must be >= 0")
         if n << min(max_doublings, 64) > MAX_CIRCLE_NODES:
             raise ValueError(
                 f"nodes * 2**max_doublings = {n} * 2**{max_doublings} exceeds "
                 f"the ceiling of {MAX_CIRCLE_NODES} nodes per circle"
             )
-        rel_tol = _finite_real("rel_tol", rel_tol)
-        if not rel_tol > 0:
-            raise ValueError(f"rel_tol must be positive, got {rel_tol!r}")
+        rel_tol = _finite_real("rel_tol", rel_tol, positive=True)
         return super().__new__(cls, n, max_doublings, rel_tol)
 
     def describe(self) -> dict:

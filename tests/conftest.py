@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from qcreg import DomainSpec, QuadratureConfig
+
+# every Hypothesis test draws the same examples on every run, locally and in
+# CI, and none is timed per example; a test sets only its max_examples
+settings.register_profile("qcreg", derandomize=True, deadline=None)
+settings.load_profile("qcreg")
 
 
 @pytest.fixture

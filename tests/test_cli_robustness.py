@@ -6,6 +6,10 @@ sidecars and config files that hold non-ASCII or non-UTF-8 bytes. Every run must
 return one of the documented exit codes (0 ok, 1 config, 2 invariant, 3
 numerical); an exception escaping `main` fails the test, and so does a
 numpy RuntimeWarning, which the pytest settings turn into an error.
+
+The config path and the library path check a scalar alike: `build_config`
+rejects a value exactly when the record or catalog constructor it configures
+rejects the same value.
 """
 
 import contextlib
@@ -19,7 +23,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qcreg import SampledField, save_matrix_field, save_sampled_field
+from qcreg import (
+    BeltramiField,
+    CircleSpec,
+    ConfigError,
+    DomainSpec,
+    QuadratureConfig,
+    SampledField,
+    affine_map,
+    build_config,
+    constant_matrix_field,
+    power_spiral,
+    radial_stretch,
+    save_matrix_field,
+    save_sampled_field,
+    spiral_map,
+    stretch_factor,
+)
 from qcreg.cli import main
 
 #: a small rule keeps each run to a few milliseconds
@@ -55,7 +75,7 @@ def run_cli(argv) -> int:
         return main(argv)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @example(spec="affine(a=1e200,b=0)")
 @example(spec="affine(a=inf,b=0)")
 @given(spec=SPECS)
@@ -67,7 +87,7 @@ SUBJECTS = ("radial_stretch(K=2)", "spiral(gamma=1)", "affine(a=1,b=0.3)",
             "power_spiral(alpha=0.5,gamma=1)")
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @example(subject="radial_stretch(K=2)", radii_min=1e-310)
 @example(subject="affine(a=1,b=0.3)", radii_min=1e-200)  # the image area underflows
 @given(
@@ -82,7 +102,7 @@ def test_extreme_smallest_profile_radius(subject, radii_min):
     assert run_cli(argv) in (0, 1, 2, 3)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 # the profile nudges a circle whose boundary data overflow
 @example(subject="affine(a=1,b=0.5)", radii_max=1e200)
 @example(subject="spiral(gamma=1)", radii_max=1e200)
@@ -200,3 +220,186 @@ def test_repeated_and_signed_zero_centers_each_pass_gronwall(tmp_path):
     report = json.loads(out.read_text())
     assert report["provenance"]["grid"]["domain_circles"] == 48
     assert report["regularity"]["gronwall"]["passed"] is True
+
+
+# -- the library path checks what the config path checks --------------------------
+
+
+def _spec_text(value) -> str:
+    """`value` as a catalog spec string writes it: a real number, numpy's
+    included, as its Python repr, which the spec parser reads back to the
+    same float; anything else as its repr, which it cannot parse."""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return repr(int(value))
+    return repr(value)
+
+
+#: config field -> (config fragment holding the value, library call taking it)
+FIELDS = {
+    "domain.centers": (lambda v: {"domain": {"centers": [[v, 0]]}},
+                       lambda v: DomainSpec(centers=(v,), radii=(0.5,))),
+    "domain.radii": (lambda v: {"domain": {"radii": [v, 2.0]}},
+                     lambda v: DomainSpec(centers=(0j,), radii=(v, 2.0))),
+    "domain.outer_center": (lambda v: {"domain": {"outer_center": [v, 0]}},
+                            lambda v: DomainSpec(centers=(0j,), radii=(0.5,), outer_center=v)),
+    "domain.outer_radius": (lambda v: {"domain": {"outer_radius": v}},
+                            lambda v: DomainSpec(centers=(0j,), radii=(0.5,), outer_radius=v)),
+    "domain.inner_radius": (lambda v: {"domain": {"inner_radius": v}},
+                            lambda v: DomainSpec(centers=(0j,), radii=(0.5,), inner_radius=v)),
+    "domain.margin": (lambda v: {"domain": {"margin": v}},
+                      lambda v: DomainSpec(centers=(0j,), radii=(0.5,), margin=v)),
+    "quadrature.nodes": (lambda v: {"quadrature": {"nodes": v}},
+                         lambda v: QuadratureConfig(nodes=v)),
+    "quadrature.max_doublings": (lambda v: {"quadrature": {"max_doublings": v}},
+                                 lambda v: QuadratureConfig(max_doublings=v)),
+    "quadrature.rel_tol": (lambda v: {"quadrature": {"rel_tol": v}},
+                           lambda v: QuadratureConfig(rel_tol=v)),
+    "radial_stretch.K": (lambda v: {"subject": f"radial_stretch(K={_spec_text(v)})"},
+                         radial_stretch),
+    "spiral.gamma": (lambda v: {"subject": f"spiral(gamma={_spec_text(v)})"}, spiral_map),
+    "power_spiral.alpha": (
+        lambda v: {"subject": f"power_spiral(alpha={_spec_text(v)},gamma=0.5)"},
+        lambda v: power_spiral(v, 0.5)),
+    "power_spiral.gamma": (
+        lambda v: {"subject": f"power_spiral(alpha=0.5,gamma={_spec_text(v)})"},
+        lambda v: power_spiral(0.5, v)),
+    "affine.a": (lambda v: {"subject": f"affine(a={_spec_text(v)},b=0.25)"},
+                 lambda v: affine_map(v, 0.25)),
+    "affine.b": (lambda v: {"subject": f"affine(a=1.0,b={_spec_text(v)})"},
+                 lambda v: affine_map(1.0, v)),
+}
+
+SCALARS = st.one_of(
+    st.sampled_from((0, 1, 2, 16, 256, -1, 0.0, -0.0, 0.5, 1.5, 2.0, 5e-324, 1e-9, 1e308,
+                     2**70, math.inf, -math.inf, math.nan, True, False, None)),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(min_value=-5, max_value=300).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.floats(width=32, allow_nan=True, allow_infinity=True).map(np.float32),
+    st.integers(min_value=-(2**62), max_value=2**62).map(np.int64),
+    st.booleans().map(np.bool_),
+)
+
+
+def _config_accepts(fragment) -> bool:
+    try:
+        build_config({"subject": "radial_stretch(K=2)", **fragment})
+    except ConfigError:
+        return False
+    return True
+
+
+def _library_accepts(make, value) -> bool:
+    try:
+        make(value)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@settings(max_examples=100)
+@example(value=True)
+@example(value="1")
+@example(value=None)
+@example(value=math.nan)
+@example(value=np.int64(256))
+@example(value=10**400)  # as JSON holds it; no float holds it
+@given(value=SCALARS)
+def test_config_rejects_a_value_exactly_when_the_library_does(field, value):
+    fragment, make = FIELDS[field]
+    assert _config_accepts(fragment(value)) == _library_accepts(make, value)
+
+
+ZEROS = np.zeros((2, 2))
+
+#: library call -> its ValueError message, which names the field
+LIBRARY_REJECTS = {
+    "CircleSpec radius True": (lambda: CircleSpec(0j, True),
+                               "radius must be a finite real number, got True"),
+    "CircleSpec center '1'": (lambda: CircleSpec("1", 0.5),
+                              "center must be a finite complex number, got '1'"),
+    "DomainSpec center '1'": (lambda: DomainSpec(centers=("1",), radii=(0.5,)),
+                              "centers[0] must be a finite complex number, got '1'"),
+    "DomainSpec center None": (lambda: DomainSpec(centers=(None,), radii=(0.5,)),
+                               "centers[0] must be a finite complex number, got None"),
+    "DomainSpec center inf": (lambda: DomainSpec(centers=(complex(math.inf, 0),), radii=(0.5,)),
+                              "centers[0] must be a finite complex number, got (inf+0j)"),
+    "DomainSpec radius True": (lambda: DomainSpec(centers=(0j,), radii=(True,)),
+                               "radii[0] must be a finite real number, got True"),
+    # a nan outer center made every rejecting comparison of `fits` false
+    "DomainSpec outer_center nan": (
+        lambda: DomainSpec(centers=(0j,), radii=(5.0,), outer_center=complex(math.nan, 0),
+                           outer_radius=2.0),
+        "outer_center must be a finite complex number, got (nan+0j)"),
+    "SampledField k_max 1.0": (lambda: SampledField(0j, 0.5, ZEROS, 1.0),
+                               "k_max must lie in [0, 1), got 1.0"),
+    "SampledField k_max True": (lambda: SampledField(0j, 0.5, ZEROS, True),
+                                "k_max must be a finite real number, got True"),
+    "SampledField spacing True": (lambda: SampledField(0j, True, ZEROS, 0.5),
+                                  "spacing must be a finite real number, got True"),
+    "SampledField origin nan": (lambda: SampledField(complex(math.nan, 0), 0.5, ZEROS, 0.5),
+                                "origin must be a finite complex number, got (nan+0j)"),
+    "SampledField origin '1'": (lambda: SampledField("1", 0.5, ZEROS, 0.5),
+                                "origin must be a finite complex number, got '1'"),
+    "BeltramiField k_max False": (lambda: BeltramiField(lambda z: 0 * z, False),
+                                  "k_max must be a finite real number, got False"),
+    "stretch_factor True": (lambda: stretch_factor(True), "need a finite K >= 1, got True"),
+    "constant_matrix_field K True": (lambda: constant_matrix_field(np.eye(2), True),
+                                     "need a finite K >= 1, got True"),
+    "radial_stretch True": (lambda: radial_stretch(True), "need a finite K >= 1, got True"),
+    "spiral_map True": (lambda: spiral_map(True), "gamma must be a finite real number, got True"),
+    "power_spiral '0.5'": (lambda: power_spiral("0.5"),
+                           "alpha must be a finite real number, got '0.5'"),
+    "affine_map '1'": (lambda: affine_map("1", 0.2), "a must be a finite complex number, got '1'"),
+}
+
+
+@pytest.mark.parametrize("case", LIBRARY_REJECTS)
+def test_library_rejects_a_scalar_naming_the_field(case):
+    make, message = LIBRARY_REJECTS[case]
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
+
+
+def test_ints_and_numpy_scalars_stay_accepted():
+    assert CircleSpec(1, 2) == CircleSpec(1 + 0j, 2.0)
+    assert type(CircleSpec(np.int64(1), np.float32(2)).radius) is float
+    assert DomainSpec(centers=(0,), radii=(0.5,)).centers == (0j,)
+    domain = DomainSpec(centers=(np.complex128(0.5j),), radii=(np.float32(0.25), np.int64(1)),
+                        outer_center=np.float64(0), outer_radius=np.int64(2))
+    assert domain.radii == (0.25, 1.0) and domain.outer_center == 0j
+    assert QuadratureConfig(nodes=np.int64(256)).nodes == 256
+    field = SampledField(np.float64(0), np.int64(1), ZEROS, np.float32(0.5))
+    assert (field.origin, field.spacing, field.k_max) == (0j, 1.0, 0.5)
+    assert radial_stretch(np.int64(2)).parameters == {"K": 2.0}
+    assert affine_map(np.complex64(1), 0).parameters == {"a": 1 + 0j, "b": 0j}
+
+
+#: (config fragment, key its exit-1 message starts with): cases above that a
+#: JSON config can hold, and numbers JSON holds that no float does
+CONFIG_REJECTS = [
+    ({"domain": {"centers": [["1", 0]]}}, "domain.centers[0]"),
+    ({"domain": {"centers": [[None, 0]]}}, "domain.centers[0]"),
+    ({"domain": {"centers": [[math.inf, 0]]}}, "domain.centers[0]"),
+    ({"domain": {"radii": [True, 2]}}, "domain.radii"),
+    ({"domain": {"outer_center": [math.nan, 0], "outer_radius": 2}}, "domain.outer_center"),
+    ({"domain": {"margin": 10**400}}, "domain.margin"),
+    ({"threshold": 10**400}, "threshold"),
+    ({"quadrature": {"rel_tol": -(10**400)}}, "quadrature.rel_tol"),
+]
+
+
+@pytest.mark.parametrize("fragment,key", CONFIG_REJECTS, ids=[k for _, k in CONFIG_REJECTS])
+def test_config_file_exits_1_naming_the_key(tmp_path, fragment, key):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"subject": "radial_stretch(K=2)", **fragment}))
+    code, err = run_cli_err(["analyze", "--config", str(config)])
+    assert code == 1 and err.startswith(f"qcreg: config error: {key} must be "), err

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -240,6 +242,30 @@ class TestSuperlevelDensity:
         with pytest.raises(ValueError):
             superlevel_lower_density([(0.5, 1.0)], 0.1, [])
 
+    # a nan delta0 used to give 0.0, the zero-density signature of an
+    # extremal field, where delta0 = 0.1 gives 1.0
+    SAMPLES = [(0.01, 0.5), (0.1, 0.5), (1.0, 0.5)]
+
+    def test_rejects_a_nan_threshold(self):
+        assert superlevel_lower_density(self.SAMPLES, 0.1, [0.5, 1.0]) == 1.0
+        with pytest.raises(ValueError, match="^delta0 must be a finite real number, got nan"):
+            superlevel_lower_density(self.SAMPLES, math.nan, [0.5, 1.0])
+
+    def test_rejects_a_negative_scale(self):
+        # used to give -0.0
+        with pytest.raises(ValueError, match=r"^gamma_grid\[1\] must be positive, got -1"):
+            superlevel_lower_density(self.SAMPLES, 0.1, [0.5, -1.0])
+
+    def test_rejects_a_zero_scale(self):
+        # used to divide by zero
+        with pytest.raises(ValueError, match=r"^gamma_grid\[0\] must be positive, got 0"):
+            superlevel_lower_density(self.SAMPLES, 0.1, [0, 1.0])
+
+    def test_rejects_a_nan_scale(self):
+        # used to give inf
+        with pytest.raises(ValueError, match=r"^gamma_grid\[0\] must be a finite real number"):
+            superlevel_lower_density(self.SAMPLES, 0.1, [math.nan])
+
 
 class TestEmpiricalHolder:
     def test_identity_area_estimator_within_correction(self, cfg):
@@ -304,6 +330,13 @@ class TestExtremalityReport:
         )
         with pytest.raises(ValueError):
             extremality_report(eps, other, est)
+
+    def test_rejects_a_nan_threshold(self, cfg):
+        # no ratio is below nan, so the verdict was always `inconsistent`
+        eps, defect, est = self._diagnostics(radial_stretch(2.0), cfg)
+        assert extremality_report(eps, defect, est, threshold=0.01).consistent
+        with pytest.raises(ValueError, match="^threshold must be a finite real number, got nan"):
+            extremality_report(eps, defect, est, threshold=math.nan)
 
 
 class TestEpsilonDistortionBound:

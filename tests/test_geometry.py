@@ -28,9 +28,7 @@ from qcreg.geometry import (
     GAUSS_LEGENDRE_WEIGHTS,
     RADIAL_NODES,
     RADIAL_OCTAVES,
-    _annulus_edges,
     _annulus_segments,
-    _segments_toward_zero,
 )
 
 from conftest import entry_id
@@ -165,7 +163,7 @@ def annulus_edges_reference(t, r_inner):
     numpy.ma on every cold run)."""
     n_oct = max(1, int(np.ceil(np.log2(t / r_inner))))
     edges = np.unique(
-        np.concatenate((_segments_toward_zero(t, n_oct), [r_inner]))
+        np.concatenate((t * 2.0 ** -np.arange(n_oct + 1), [r_inner]))
     )[::-1]
     return edges[edges >= r_inner - 1e-300]
 
@@ -178,13 +176,6 @@ def annulus_edge_cases():
             yield t, r
         yield t, np.nextafter(t / 4, 0.0)
         yield t, np.nextafter(t / 4, np.inf)
-
-
-def test_annulus_edges_bit_equal_to_unique_construction():
-    for t, r_inner in annulus_edge_cases():
-        got = _annulus_edges(t, r_inner)
-        want = annulus_edges_reference(t, r_inner)
-        assert got.dtype == want.dtype and np.array_equal(got, want), (t, r_inner)
 
 
 def test_flat_annulus_segments_bit_equal_to_each_lone_annulus():

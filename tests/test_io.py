@@ -1,5 +1,7 @@
 import json
 import os
+import random
+import re
 import signal
 import subprocess
 import sys
@@ -1386,3 +1388,93 @@ def test_cli_analyze_on_a_block_parsed_grid(tmp_path):
     for proc in procs.values():
         assert proc.returncode == 0 and proc.stderr == b""
     assert procs["blocks"].stdout == procs["serial"].stdout
+
+
+# -- damaged grids: every one exits 1 or 2 naming its file and where -------------
+
+
+def covering_mu_grid(tmp_path):
+    """A 7 x 5 grid of mu = 0.1i whose hull covers the default unit disk."""
+    path = tmp_path / "mu.csv"
+    save_sampled_field(path, SampledField(origin=-1.2 - 1.2j, spacing=0.6,
+                                          values=np.full(BLOCK_SHAPE, 0.1j), k_max=0.2))
+    return path
+
+
+def damage_rows(damage):
+    """A damage of the data lines: damage(rng, lines) edits them in place."""
+    def apply(path, rng):
+        lines = read_lines(path)
+        damage(rng, lines)
+        write_lines(path, lines)
+    return apply
+
+
+def drop_field(rng, lines):
+    at = rng.randrange(1, len(lines))
+    fields = lines[at].rstrip("\n").split(",")
+    del fields[rng.randrange(len(fields))]
+    lines[at] = ",".join(fields) + "\n"
+
+
+def set_field(texts):
+    def damage(rng, lines):
+        at = rng.randrange(1, len(lines))
+        replace_field(rng.randrange(4), rng.choice(texts))(lines, at)
+    return damage
+
+
+def swap_rows(rng, lines):
+    i, j = rng.sample(range(1, len(lines)), 2)
+    lines[i], lines[j] = lines[j], lines[i]
+
+
+def truncate(path, rng):
+    """Cut the file inside its data, before the last line starts."""
+    data = path.read_bytes()
+    first, last = data.index(b"\n") + 1, data.rstrip(b"\n").rindex(b"\n") + 1
+    path.write_bytes(data[:rng.randrange(first, last)])
+
+
+def non_utf8_byte(path, rng):
+    data = path.read_bytes()
+    at = rng.randrange(data.index(b"\n") + 1, len(data) - 1)
+    path.write_bytes(data[:at] + rng.choice((b"\xe9", b"\xff", b"\xc3")) + data[at:])
+
+
+def wrong_sidecar_type(path, rng):
+    value = rng.choice(("1", "x", None, True, [1], {"x": 1}))
+    rewrite_sidecar(path, **{rng.choice(("origin", "spacing", "nx", "ny", "k_max")): value})
+
+
+DAMAGES = {
+    "dropped field": damage_rows(drop_field),
+    "non-number": damage_rows(set_field(("abc", "1.0e", "--1", "0.1.2", "", "1_0", "0x10"))),
+    "nan": damage_rows(set_field(("nan", "NaN", "-nan"))),
+    "swapped row": damage_rows(swap_rows),
+    "truncated file": truncate,
+    "non-UTF-8 byte": non_utf8_byte,
+    "sidecar value of the wrong type": wrong_sidecar_type,
+}
+
+#: where a message says the damage is: a line, a grid node, or a sidecar key
+WHERE = re.compile(r"line \d+|node \[\d+, \d+\]|rows but descriptor says nx\*ny"
+                   r"|\.json: (origin|spacing|nx|ny|k_max) must")
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("damage", DAMAGES)
+@pytest.mark.usefixtures("deadline")
+def test_damaged_grid_names_file_and_place_on_both_paths(tmp_path, monkeypatch, capsys,
+                                                         damage, seed):
+    path = covering_mu_grid(tmp_path)
+    DAMAGES[damage](path, random.Random(f"{damage}:{seed}"))
+    argv = ["analyze", "--subject", str(path), "--nodes", "16", "--radii-count", "3"]
+    serial = main(argv), capsys.readouterr().err
+    spy = BlockParse(monkeypatch, 2)
+    blocks = main(argv), capsys.readouterr().err
+    code, err = serial
+    assert code in (1, 2) and str(path) in err and WHERE.search(err), err
+    assert blocks == serial
+    assert spy.forks == (0 if damage.startswith("sidecar") else 2)
+    assert_no_child_left()
