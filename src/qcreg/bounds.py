@@ -73,13 +73,20 @@ def distortion_constant(
 
 
 def _roundness(circles, length, area) -> np.ndarray:
-    """4 pi area / length^2 per circle; a degenerate image length is an error."""
+    """4 pi area / length^2 per circle. A degenerate image length is an
+    error, and so is an image area that is not positive (an image that runs
+    clockwise, or one the rule does not resolve): each names its circle."""
     degenerate = np.flatnonzero(length < DEGENERATE_LENGTH)
     if degenerate.size:
         i = int(degenerate[0])
         raise NumericalError(
             f"degenerate image of {circles[i]}: length = {length[i]}", circle=circles[i]
         )
+    unresolved = np.flatnonzero(~(area > 0))
+    if unresolved.size:
+        i = int(unresolved[0])
+        raise NumericalError(f"need a positive image area, got {area[i]} on {circles[i]}",
+                             circle=circles[i])
     return 4.0 * np.pi * area / (length * length)
 
 
@@ -246,9 +253,9 @@ def _gronwall_by_center(
 ) -> GronwallVerdict | None:
     """The Gronwall check on each entry of `domain.centers` with two or more
     of the admissible `circles` (which list an entry's radii together and
-    increasing), from the image areas `area` of their disks: passed when
-    every family passes, with the largest margins; None without a family.
-    A non-positive area in a family raises NumericalError naming its circle.
+    increasing), from the positive image areas `area` of their disks:
+    passed when every family passes, with the largest margins; None without
+    a family.
     """
     sizes = [sum(domain.fits(c, r) for r in domain.radii) for c in domain.centers]
     radius = np.array([c.radius for c in circles])
@@ -256,11 +263,6 @@ def _gronwall_by_center(
     for family in np.split(np.arange(len(circles)), np.cumsum(sizes)[:-1]):
         if family.size < 2:
             continue
-        bad = family[~(area[family] > 0)]
-        if bad.size:
-            c = circles[bad[0]]
-            raise NumericalError(f"Gronwall check needs a positive image area, got "
-                                 f"{area[bad[0]]} on {c}", circle=c)
         verdicts.append(gronwall_check(zip(radius[family], area[family]), exponent))
     if not verdicts:
         return None

@@ -4,13 +4,16 @@ A config names exactly one subject (a catalog spec string like
 ``radial_stretch(K=2)``, a sampled-coefficient CSV, or a coefficient-matrix
 CSV), the circle-search domain, the quadrature settings, the profile radii
 and the diagnostics toggles. Unknown keys are rejected so typos cannot
-silently fall back to defaults.
+silently fall back to defaults. The config checks the JSON's shape; the
+quadrature and domain values are checked once, by the records built from
+them (`_keyed` prefixes their messages with the section).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -19,7 +22,7 @@ import numpy as np
 from .catalog import entry_from_spec
 from .errors import ConfigError
 from .plane import DomainSpec, _finite_real, _integer
-from .quadrature import MAX_CIRCLE_NODES, QuadratureConfig
+from .quadrature import QuadratureConfig
 
 #: first lines of the sampled-mu and coefficient-matrix grid CSVs
 MU_HEADER = "x,y,re,im"
@@ -100,18 +103,20 @@ def _reject_unknown(given: dict, allowed, where: str) -> None:
         raise ConfigError(f"unknown keys {unknown} in {where}; allowed: {sorted(allowed)}")
 
 
-def _config_check(check):
-    """`check`, a scalar check of `qcreg.plane`, for config and sidecar values
-    named by their key: its ValueError is raised as a ConfigError of that text."""
-    def checked(where: str, value, *args, **kwargs):
-        try:
-            return check(where, value, *args, **kwargs)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    return checked
+def _keyed(section: str, make, *args, **kwargs):
+    """`make(*args, **kwargs)`: a record, or a scalar check of `qcreg.plane`.
+
+    Every ValueError of these starts with the field it rejects, so it is
+    raised as a ConfigError of its text after `section` ("quadrature.",
+    "domain.", or "" for a check handed the full key), which names the key.
+    """
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(section + str(exc)) from None
 
 
-_key_real, _key_integer = _config_check(_finite_real), _config_check(_integer)
+_key_real, _key_integer = partial(_keyed, "", _finite_real), partial(_keyed, "", _integer)
 
 
 def _flag(value, where: str) -> bool:
@@ -159,20 +164,15 @@ def _domain_from(raw: dict) -> tuple[DomainSpec, dict]:
     if not (isinstance(merged["centers"], (list, tuple)) and merged["centers"]):
         raise ConfigError(f"domain.centers must be a nonempty list, got {merged['centers']!r}")
     centers = tuple(_point(c, f"domain.centers[{i}]") for i, c in enumerate(merged["centers"]))
-    margin = _key_real("domain.margin", merged["margin"])
-    if margin < 0:
-        raise ConfigError(f"domain.margin must be >= 0, got {merged['margin']!r}")
-    try:
-        domain = DomainSpec(
-            centers=centers,
-            radii=tuple(radii),
-            outer_center=_point(merged["outer_center"], "domain.outer_center"),
-            outer_radius=_key_real("domain.outer_radius", merged["outer_radius"], positive=True),
-            inner_radius=_key_real("domain.inner_radius", merged["inner_radius"]),
-            margin=margin,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad domain: {exc}") from exc
+    domain = _keyed(
+        "domain.", DomainSpec,
+        centers=centers,
+        radii=tuple(radii),
+        outer_center=_point(merged["outer_center"], "domain.outer_center"),
+        outer_radius=merged["outer_radius"],
+        inner_radius=merged["inner_radius"],
+        margin=merged["margin"],
+    )
     return domain, {**merged, "radii": [float(r) for r in radii],
                     "centers": [[c.real, c.imag] for c in centers]}
 
@@ -202,22 +202,8 @@ def build_config(raw: dict) -> AnalysisConfig:
 
     quad_raw = _section(raw, "quadrature")
     _reject_unknown(quad_raw, DEFAULTS["quadrature"].keys(), "quadrature")
-    quad_merged = {**DEFAULTS["quadrature"], **quad_raw}
-    nodes = _key_integer("quadrature.nodes", quad_merged["nodes"], 16)
-    max_doublings = _key_integer("quadrature.max_doublings", quad_merged["max_doublings"], 0)
-    if nodes << min(max_doublings, 64) > MAX_CIRCLE_NODES:
-        raise ConfigError(
-            f"quadrature.nodes * 2**quadrature.max_doublings = {nodes} * 2**{max_doublings} "
-            f"exceeds the ceiling of {MAX_CIRCLE_NODES} nodes per circle"
-        )
-    try:
-        quadrature = QuadratureConfig(
-            nodes=nodes,
-            max_doublings=max_doublings,
-            rel_tol=_key_real("quadrature.rel_tol", quad_merged["rel_tol"], positive=True),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad quadrature: {exc}") from exc
+    quadrature = _keyed("quadrature.", QuadratureConfig,
+                        **{**DEFAULTS["quadrature"], **quad_raw})
 
     domain, domain_resolved = _domain_from(_section(raw, "domain"))
     profile_radii = _radii_array(raw.get("radii", dict(DEFAULTS["radii"])), "radii")
@@ -268,19 +254,26 @@ def build_config(raw: dict) -> AnalysisConfig:
 
 
 def read_config(path) -> dict:
-    """The JSON object of a config file, as written (not yet validated).
+    """The JSON object of a config file, as written (not yet validated)."""
+    return _json_object(path, "config file")
 
-    Parse errors carry the offending line.
-    """
+
+def _json_object(path, what: str) -> dict:
+    """The JSON object in the file at `path`, a `what` (a config file or a
+    grid's sidecar), read as UTF-8. A missing file, text that is not UTF-8
+    or not JSON (naming the line), an integer beyond Python's digit limit and
+    a top level that is not an object are ConfigErrors naming the file."""
     path = Path(path)
     if not path.exists():
-        raise ConfigError(f"no such config file: {path}")
+        raise ConfigError(f"no such {what}: {path}")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: JSON parse error at line {exc.lineno}: {exc.msg}")
+        raise ConfigError(f"{path}: JSON parse error at line {exc.lineno}: {exc.msg}") from None
+    except ValueError as exc:  # an integer of more digits than int() converts
+        raise ConfigError(f"{path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     return raw

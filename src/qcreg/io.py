@@ -47,7 +47,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import MATRIX_HEADER, MU_HEADER, _first_line, _key_integer, _key_real, _point
+from .config import (
+    MATRIX_HEADER, MU_HEADER, _first_line, _json_object, _key_integer, _key_real, _point,
+)
 from .elliptic import DET_TOL, MatrixField, beltrami_from_entries
 from .errors import ConfigError, FieldValidationError
 from .plane import SampledField, _finite_complex, _finite_real, stretch_factor
@@ -68,16 +70,7 @@ def _load_descriptor(csv_path, bound_key: str, bound_range: tuple[float, float])
     positive and finite, origin a finite [x, y] pair (as a complex) and the
     field bound `bound_key` a finite number in [low, high)."""
     path = sidecar_path(csv_path)
-    if not path.exists():
-        raise ConfigError(f"missing sidecar descriptor {path}")
-    try:
-        desc = json.loads(path.read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"bad JSON in {path} at line {exc.lineno}: {exc.msg}")
-    if not isinstance(desc, dict):
-        raise ConfigError(f"descriptor {path} must be a JSON object")
+    desc = _json_object(path, "sidecar descriptor")
     missing = [k for k in ("origin", "spacing", "nx", "ny", bound_key) if k not in desc]
     if missing:
         raise ConfigError(f"descriptor {path} missing keys {missing}")
@@ -367,9 +360,13 @@ def _on_axis(coords, start: float, n: int, h: float) -> np.ndarray:
     """Where each row of `coords` is start + h * arange(n), within 1e-9 of
     the spacing plus a few ulps of the largest coordinate: a grid line out of
     place is off by at least h, however far the grid lies from the origin.
-    The expected axis is built once, not at full size."""
-    expected = start + np.arange(n) * h
-    tol = 1e-9 * h + 8 * np.finfo(float).eps * np.abs(expected).max()
+    The expected axis is built once, not at full size. The ulps are those
+    of its finite part, so on an axis that overflows the float range the
+    tolerance stays finite and no coordinate matches a node past the end."""
+    with np.errstate(over="ignore"):
+        expected = start + np.arange(n) * h
+    largest = np.abs(expected[np.isfinite(expected)]).max()  # start is finite
+    tol = 1e-9 * h + 8 * np.finfo(float).eps * largest
     return np.abs(coords - expected) <= tol
 
 

@@ -156,15 +156,13 @@ class DomainSpec(_Validated, _DomainFields):
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise ValueError("radius grid must be strictly increasing")
         outer_center = _finite_complex("outer_center", outer_center)
-        outer_radius = _finite_real("outer_radius", outer_radius)
-        inner_radius = _finite_real("inner_radius", inner_radius)
-        margin = _finite_real("margin", margin)
-        if not (0 <= inner_radius < outer_radius):
-            raise ValueError("need 0 <= inner_radius < outer_radius")
-        if not margin >= 0:
-            raise ValueError(f"need margin >= 0, got {margin}")
-        return super().__new__(cls, centers, radii, outer_center, outer_radius, inner_radius,
-                               margin)
+        outer = _finite_real("outer_radius", outer_radius, positive=True)
+        inner = _finite_real("inner_radius", inner_radius)
+        if not 0 <= inner < outer:
+            raise ValueError(f"inner_radius must lie in [0, outer_radius), got {inner_radius!r}")
+        if not _finite_real("margin", margin) >= 0:
+            raise ValueError(f"margin must be >= 0, got {margin!r}")
+        return super().__new__(cls, centers, radii, outer_center, outer, inner, float(margin))
 
     def fits(self, center: complex, radius: float) -> bool:
         d = abs(complex(center) - self.outer_center)

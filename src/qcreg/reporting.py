@@ -87,8 +87,8 @@ def run_analysis(cfg: AnalysisConfig) -> RunReport:
     Holder estimates and verdict, and a field epsilon: a map's from a stacked
     row of its profile pass, a field subject's from its own pass. Raises
     InvariantViolationError when a mathematical invariant fails
-    (isoperimetric sup above 1, negative defects, bound ordering); the CLI
-    maps that onto exit code 2.
+    (isoperimetric sup above 1, negative defects, bound ordering, a failed
+    Mori or Gronwall check); the CLI maps that onto exit code 2.
     """
     field, map_model, matrix = _resolve(cfg)
     geometry = epsilon = defect = holder = verdict = elliptic = None
@@ -180,6 +180,9 @@ def _enforce_invariants(report, elliptic) -> None:
         raise InvariantViolationError("distortion bound fell below the uniform bound")
     if elliptic is not None and elliptic.alpha_eigen_ratio > report.alpha_distortion + 1e-9:
         raise InvariantViolationError("eigen-ratio bound exceeded divergence bound")
+    for name, verdict in (("Mori", report.mori), ("Gronwall", report.gronwall)):
+        if verdict is not None and not verdict.passed:
+            raise InvariantViolationError(f"the {name} check failed: {verdict.describe()}")
 
 
 def report_json_bytes(report: RunReport) -> bytes:

@@ -9,7 +9,8 @@ numpy RuntimeWarning, which the pytest settings turn into an error.
 
 The config path and the library path check a scalar alike: `build_config`
 rejects a value exactly when the record or catalog constructor it configures
-rejects the same value.
+rejects the same value. Every report of a catalog subject that exits 0
+satisfies the invariants the benchmark checks (`bench/check.py`).
 """
 
 import contextlib
@@ -41,6 +42,8 @@ from qcreg import (
     stretch_factor,
 )
 from qcreg.cli import main
+from qcreg.errors import QcregError
+from qcreg.reporting import report_json_bytes, run_analysis
 
 #: a small rule keeps each run to a few milliseconds
 SMALL = ["--nodes", "16", "--max-doublings", "2", "--radii-count", "3"]
@@ -183,6 +186,33 @@ def test_sidecar_that_is_not_utf8_is_named(tmp_path):
     code, err = run_cli_err(["analyze", "--subject", str(path)])
     assert code == 1
     assert err.startswith(f"qcreg: config error: {sidecar} is not UTF-8 text: ")
+
+
+#: more digits than Python converts to an int by default (its limit is 4300)
+HUGE_INTEGER = "1" * 5001
+
+
+def _huge_config_threshold(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(f'{{"subject": "radial_stretch(K=2)", "threshold": {HUGE_INTEGER}}}')
+    return ["analyze", "--config", str(path)], path
+
+
+def _huge_sidecar_nx(tmp_path):
+    path = constant_mu_grid(tmp_path / "mu.csv")
+    sidecar = Path(str(path) + ".json")
+    sidecar.write_text(sidecar.read_text().replace('"nx": 5', f'"nx": {HUGE_INTEGER}'))
+    return ["analyze", "--subject", str(path)], sidecar
+
+
+@pytest.mark.parametrize("make", [_huge_config_threshold, _huge_sidecar_nx],
+                         ids=["config threshold", "sidecar nx"])
+def test_integer_beyond_the_digit_limit_names_the_file(tmp_path, make):
+    argv, path = make(tmp_path)
+    code, err = run_cli_err(argv)
+    assert code == 1
+    assert err.startswith(f"qcreg: config error: {path}: Exceeds the limit"), err
+    assert "Traceback" not in err
 
 
 # -- the circle domain ------------------------------------------------------------
@@ -333,6 +363,12 @@ LIBRARY_REJECTS = {
                               "centers[0] must be a finite complex number, got (inf+0j)"),
     "DomainSpec radius True": (lambda: DomainSpec(centers=(0j,), radii=(True,)),
                                "radii[0] must be a finite real number, got True"),
+    "DomainSpec outer_radius -1": (
+        lambda: DomainSpec(centers=(0j,), radii=(0.5,), outer_radius=-1),
+        "outer_radius must be positive, got -1"),
+    "DomainSpec inner_radius 2": (
+        lambda: DomainSpec(centers=(0j,), radii=(0.5,), inner_radius=2),
+        "inner_radius must lie in [0, outer_radius), got 2"),
     # a nan outer center made every rejecting comparison of `fits` false
     "DomainSpec outer_center nan": (
         lambda: DomainSpec(centers=(0j,), radii=(5.0,), outer_center=complex(math.nan, 0),
@@ -403,3 +439,82 @@ def test_config_file_exits_1_naming_the_key(tmp_path, fragment, key):
     config.write_text(json.dumps({"subject": "radial_stretch(K=2)", **fragment}))
     code, err = run_cli_err(["analyze", "--config", str(config)])
     assert code == 1 and err.startswith(f"qcreg: config error: {key} must be "), err
+
+
+# -- every exit-0 report satisfies the benchmark's invariants ---------------------
+
+ORDER_SLACK, ISO_SLACK = 1e-9, 1e-6  # as bench/check.py allows
+
+
+def _complex_text(z: complex) -> str:
+    return f"{z.real!r}{z.imag:+}j"
+
+
+CATALOG_SUBJECTS = st.one_of(
+    st.builds("radial_stretch(K={!r})".format, st.floats(1.0, 50.0)),
+    st.builds("spiral(gamma={!r})".format, st.floats(-10.0, 10.0)),
+    st.builds(lambda a, b: f"affine(a={_complex_text(a)},b={_complex_text(b)})",
+              st.complex_numbers(max_magnitude=3.0), st.complex_numbers(max_magnitude=3.0)),
+    st.builds("power_spiral(alpha={!r},gamma={!r})".format,
+              st.floats(0.05, 3.0), st.floats(-10.0, 10.0)),
+)
+UNIT = st.floats(-1.0, 1.0)
+DOMAINS = st.fixed_dictionaries({
+    "centers": st.lists(st.lists(UNIT, min_size=2, max_size=2), min_size=1, max_size=3),
+    "radii": st.fixed_dictionaries({"min": st.floats(1e-3, 0.5), "max": st.floats(0.5, 1.5),
+                                    "count": st.integers(2, 5)}),
+    "margin": st.floats(0.0, 0.3),
+})
+SMALL_RULES = st.fixed_dictionaries({"nodes": st.sampled_from((16, 32, 64)),
+                                     "max_doublings": st.integers(0, 2)})
+
+
+@settings(max_examples=300)
+@given(subject=CATALOG_SUBJECTS, domain=DOMAINS, quadrature=SMALL_RULES)
+def test_every_exit_0_report_satisfies_the_benchmark_invariants(subject, domain, quadrature):
+    raw = {"subject": subject, "domain": domain, "quadrature": quadrature,
+           "diagnostics": {"geometry": False, "extremal": False}}
+    try:  # what the CLI maps onto exit codes 1, 2 and 3
+        report = json.loads(report_json_bytes(run_analysis(build_config(raw))))
+    except QcregError:
+        return
+    reg = report["regularity"]
+    a_imp, a_dist, a_cls = reg["alpha_improved"], reg["alpha_distortion"], reg["alpha_classical"]
+    assert a_cls - ORDER_SLACK <= a_dist <= a_imp + ORDER_SLACK
+    assert reg["distortion_sup"] <= (1.0 / a_cls) * (1.0 + ORDER_SLACK)
+    assert reg["isoperimetric_sup"] <= 1.0 + ISO_SLACK
+    assert reg["mori"]["passed"] is True
+    assert reg["gronwall"] is None or reg["gronwall"]["passed"] is True
+
+
+#: 16 nodes and no doubling: a rule too coarse for the circles below
+COARSE = {"quadrature": {"nodes": 16, "max_doublings": 0},
+          "diagnostics": {"geometry": False, "extremal": False}}
+
+
+def test_a_failed_gronwall_check_exits_2(tmp_path):
+    # the rule does not resolve the image area of the circle through the
+    # map's singular point 0; the report exited 0 with a failed verdict
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"subject": "power_spiral(alpha=0.25,gamma=1.0)",
+                                  "domain": {"centers": [[0, 0.25]], "radii": [0.25, 0.5]},
+                                  **COARSE}))
+    code, err = run_cli_err(["analyze", "--config", str(config)])
+    assert code == 2
+    assert err.startswith("qcreg: invariant violation: the Gronwall check failed: "), err
+
+
+@pytest.mark.parametrize("centers", [[[0, 0], [0.4, 0]], [[0.4, 0]]],
+                         ids=["beside a round circle", "alone"])
+def test_a_non_positive_image_area_exits_3_naming_its_circle(tmp_path, centers):
+    # on the circle of radius 0.35 about 0.4 the rule gives a negative image
+    # area: next to positive ones it was averaged into A unnoticed, alone it
+    # made A negative and ended in a traceback
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"subject": "radial_stretch(K=48)",
+                                  "domain": {"centers": centers, "radii": [0.35, 0.7]},
+                                  **COARSE}))
+    code, err = run_cli_err(["analyze", "--config", str(config)])
+    assert code == 3
+    assert err.startswith("qcreg: numerical failure: need a positive image area, got "), err
+    assert err.endswith(" on CircleSpec(center=(0.4+0j), radius=0.35)\n")

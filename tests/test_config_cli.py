@@ -116,6 +116,8 @@ BAD_CONFIGS = [
     ({"domain": {"outer_center": [0]}}, "domain.outer_center"),
     ({"domain": {"outer_center": ["0", "0"]}}, "domain.outer_center"),
     ({"domain": {"outer_radius": None}}, "domain.outer_radius"),
+    ({"domain": {"inner_radius": 2}}, "domain.inner_radius"),
+    ({"domain": {"outer_radius": 0.5, "inner_radius": 0.5}}, "domain.inner_radius"),
     ({"domain": {"margin": "0.1"}}, "domain.margin"),
     # a negative margin admits circles outside the outer disk
     ({"domain": {"margin": -0.5, "radii": {"min": 0.05, "max": 1.5, "count": 8}}},
@@ -129,6 +131,7 @@ BAD_CONFIGS = [
     ({"quadrature": {"nodes": None}}, "quadrature.nodes"),
     ({"quadrature": {"nodes": 16.5}}, "quadrature.nodes"),
     ({"quadrature": {"nodes": "256"}}, "quadrature.nodes"),
+    ({"quadrature": {"nodes": 24}}, "quadrature.nodes"),
     ({"quadrature": {"max_doublings": 2.5}}, "quadrature.max_doublings"),
     ({"quadrature": {"max_doublings": True}}, "quadrature.max_doublings"),
     ({"quadrature": {"rel_tol": "1e-9"}}, "quadrature.rel_tol"),
@@ -390,13 +393,19 @@ class TestCli:
         stderr = proc.stderr.decode()
         assert proc.returncode == 1, stderr
         assert "Traceback" not in stderr
-        assert "config error: quadrature.nodes * 2**quadrature.max_doublings" in stderr
+        assert stderr == ("qcreg: config error: quadrature.nodes * 2**max_doublings = "
+                          "1125899906842624 * 2**6 exceeds the ceiling of 1048576 nodes per "
+                          "circle\n")
 
     @pytest.mark.parametrize("quad", [{"nodes": 2**20, "max_doublings": 1},
                                       {"nodes": 256, "max_doublings": 13}], ids=str)
     def test_build_config_names_the_node_ceiling(self, quad):
-        with pytest.raises(ConfigError, match=r"quadrature\.nodes \* 2\*\*quadrature\.max_doublings"):
+        with pytest.raises(ConfigError) as info:
             build_config({"subject": "radial_stretch(K=2)", "quadrature": quad})
+        assert str(info.value) == (
+            f"quadrature.nodes * 2**max_doublings = {quad['nodes']} * 2**{quad['max_doublings']} "
+            "exceeds the ceiling of 1048576 nodes per circle"
+        )
 
     def test_catalog_listing(self, capsys):
         assert main(["catalog"]) == 0

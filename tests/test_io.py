@@ -484,6 +484,35 @@ class TestGridCoordinateCheck:
         with pytest.raises(ConfigError, match="coordinates disagree"):
             load_sampled_field(path)
 
+    @pytest.mark.parametrize("save,load", [
+        (lambda path: save_sampled_field(path, SampledField(
+            origin=-1.2 - 1.2j, spacing=0.6, values=np.full((5, 5), 0.1j), k_max=0.2)),
+         load_sampled_field),
+        (lambda path: save_matrix_field(
+            path, (np.full((5, 5), 0.5), np.zeros((5, 5)), np.full((5, 5), 2.0)),
+            origin=-1.2 - 1.2j, spacing=0.6, K=2.0),
+         load_matrix_field),
+    ], ids=["mu", "matrix"])
+    def test_descriptor_whose_grid_overflows_rejected(self, tmp_path, save, load):
+        # (n - 1) * h overflows: a tolerance taken over the whole axis was
+        # inf, and every coordinate matched
+        path = tmp_path / "grid.csv"
+        save(path)
+        rewrite_sidecar(path, origin=[-1e308, -1e308], spacing=1e308)
+        with pytest.raises(ConfigError) as info:
+            load(path)
+        assert str(info.value) == (
+            f"{path}: grid coordinates disagree with the descriptor at node [0, 0]")
+
+    def test_node_past_the_float_range_matches_no_coordinate(self, tmp_path):
+        path = tmp_path / "mu.csv"
+        xs = (1e308, 1.5e308, 1.7976931348623157e308)  # the last node is at 2e308
+        path.write_text(MU_HEADER + "\n" + "".join(f"{x!r},0.0,0.0,0.0\n" for x in xs))
+        sidecar_path(path).write_text(json.dumps(
+            {"origin": [1e308, 0.0], "spacing": 5e307, "nx": 3, "ny": 1, "k_max": 0.5}))
+        with pytest.raises(ConfigError, match=r"disagree with the descriptor at node \[0, 2\]$"):
+            load_sampled_field(path)
+
     def test_matrix_grid_shifted_y_rejected(self, tmp_path):
         path = tmp_path / "matrix.csv"
         shape = (4, 6)
