@@ -195,6 +195,8 @@ class GronwallVerdict(NamedTuple):
     `worst_margin` is the largest relative drop between consecutive samples
     (negative when the sequence strictly increases); `endpoint_margin` is
     the largest relative excess of phi(t) over phi(end) * (t/end)^exponent.
+    A verdict merged over a domain's centers lists those whose family
+    failed in `failed_centers`, which the report's JSON leaves out.
     """
 
     passed: bool
@@ -202,6 +204,7 @@ class GronwallVerdict(NamedTuple):
     worst_margin: float
     endpoint_margin: float
     rel_tol: float
+    failed_centers: tuple[complex, ...] = ()
 
     def describe(self) -> dict:
         return {
@@ -254,22 +257,22 @@ def _gronwall_by_center(
     """The Gronwall check on each entry of `domain.centers` with two or more
     of the admissible `circles` (which list an entry's radii together and
     increasing), from the positive image areas `area` of their disks:
-    passed when every family passes, with the largest margins; None without
-    a family.
+    passed when every family passes, with the largest margins and the
+    centers of the failed families; None without a family.
     """
     sizes = [sum(domain.fits(c, r) for r in domain.radii) for c in domain.centers]
     radius = np.array([c.radius for c in circles])
-    verdicts = []
-    for family in np.split(np.arange(len(circles)), np.cumsum(sizes)[:-1]):
-        if family.size < 2:
-            continue
-        verdicts.append(gronwall_check(zip(radius[family], area[family]), exponent))
-    if not verdicts:
+    families = np.split(np.arange(len(circles)), np.cumsum(sizes)[:-1])
+    checked = [(center, gronwall_check(zip(radius[family], area[family]), exponent))
+               for center, family in zip(domain.centers, families) if family.size >= 2]
+    if not checked:
         return None
+    verdicts = [v for _, v in checked]
     return verdicts[0]._replace(
         passed=all(v.passed for v in verdicts),
         worst_margin=max(v.worst_margin for v in verdicts),
         endpoint_margin=max(v.endpoint_margin for v in verdicts),
+        failed_centers=tuple(center for center, v in checked if not v.passed),
     )
 
 

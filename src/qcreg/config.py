@@ -138,12 +138,14 @@ def _section(raw: dict, key: str) -> dict:
     return dict(value)
 
 
-def _radii_array(spec, where: str) -> np.ndarray:
+def _radii_array(spec, where: str, defaults: dict) -> np.ndarray:
+    """A radii list, or a min/max/count object whose missing keys come from
+    `defaults`, its own section's radii."""
     if isinstance(spec, list):
         radii = np.array([_key_real(where, r, positive=True) for r in spec])
     elif isinstance(spec, dict):
         _reject_unknown(spec, ("min", "max", "count"), where)
-        merged = {**DEFAULTS["radii"], **spec}
+        merged = {**defaults, **spec}
         with np.errstate(over="ignore"):  # the float range ends at either bound
             radii = np.geomspace(
                 _key_real(f"{where}.min", merged["min"], positive=True),
@@ -157,14 +159,14 @@ def _radii_array(spec, where: str) -> np.ndarray:
     return radii
 
 
-def _domain_from(raw: dict) -> tuple[DomainSpec, dict]:
+def _domain_from(raw: dict) -> DomainSpec:
     _reject_unknown(raw, DEFAULTS["domain"].keys(), "domain")
     merged = {**DEFAULTS["domain"], **raw}
-    radii = _radii_array(merged["radii"], "domain.radii")
+    radii = _radii_array(merged["radii"], "domain.radii", DEFAULTS["domain"]["radii"])
     if not (isinstance(merged["centers"], (list, tuple)) and merged["centers"]):
         raise ConfigError(f"domain.centers must be a nonempty list, got {merged['centers']!r}")
     centers = tuple(_point(c, f"domain.centers[{i}]") for i, c in enumerate(merged["centers"]))
-    domain = _keyed(
+    return _keyed(
         "domain.", DomainSpec,
         centers=centers,
         radii=tuple(radii),
@@ -173,8 +175,6 @@ def _domain_from(raw: dict) -> tuple[DomainSpec, dict]:
         inner_radius=merged["inner_radius"],
         margin=merged["margin"],
     )
-    return domain, {**merged, "radii": [float(r) for r in radii],
-                    "centers": [[c.real, c.imag] for c in centers]}
 
 
 def build_config(raw: dict) -> AnalysisConfig:
@@ -205,8 +205,8 @@ def build_config(raw: dict) -> AnalysisConfig:
     quadrature = _keyed("quadrature.", QuadratureConfig,
                         **{**DEFAULTS["quadrature"], **quad_raw})
 
-    domain, domain_resolved = _domain_from(_section(raw, "domain"))
-    profile_radii = _radii_array(raw.get("radii", dict(DEFAULTS["radii"])), "radii")
+    domain = _domain_from(_section(raw, "domain"))
+    profile_radii = _radii_array(raw.get("radii", DEFAULTS["radii"]), "radii", DEFAULTS["radii"])
 
     diag_raw = _section(raw, "diagnostics")
     _reject_unknown(diag_raw, DEFAULTS["diagnostics"].keys(), "diagnostics")
@@ -230,7 +230,7 @@ def build_config(raw: dict) -> AnalysisConfig:
         )
     resolved = {
         "subject": raw["subject"],
-        "domain": domain_resolved,
+        "domain": domain.describe(),
         "quadrature": quadrature.describe(),
         "radii": [float(r) for r in profile_radii],
         "diagnostics": diag,

@@ -15,9 +15,10 @@ back exactly), byte for byte what ``np.savetxt`` writes. The writers format
 each grid coordinate once and each grid row with one ``%`` call. The loaders
 read the CSV and its sidecar as UTF-8, whatever the locale. They reject,
 with ``ConfigError``, a sidecar that is not UTF-8 JSON or holds a value of
-the wrong type or range (naming the file and the key), a file with no data
-rows and coordinates off the descriptor's grid by more than 1e-9 of the
-spacing plus round-off, naming the first such node. When a parse fails,
+the wrong type or range (naming the file and the key) or a spacing that
+is not above the coordinates' resolution (`_load_descriptor`), a file with
+no data rows and coordinates off the descriptor's grid by more than 1e-9 of
+the spacing plus round-off, naming the first such node. When a parse fails,
 or its rows have the wrong width or a non-finite entry, `_bad_line` reads
 the file once more and names its first bad line (1-based): a row with the
 wrong number of fields, a whitespace-only line included (with the expected
@@ -27,14 +28,14 @@ its column); failing those, the first line that is not UTF-8 text.
 A grid of more than ``BLOCK_BYTES`` of CSV text, on a machine with two
 usable CPUs and ``os.fork``, is read and written on one forked child per
 usable CPU (`_fork_count`, `_forked`). A load runs one ``np.loadtxt`` call
-per child on a contiguous block of rows (`_parse_blocks`); the result is
-bit-identical to one serial call: the parent checks, while the children
-parse, that every line after the header is one data row (no blank,
-whitespace-only or ``#`` line, no lone ``\\r``) and that there are nx*ny of
-them. A save hands chunks of whole grid rows round-robin to the children,
-which send the formatted text back for the parent to write in order
-(`_write_chunks`). If a check, a fork or a child fails, the load or save
-runs serially, so every result, message and byte is the serial one.
+per child on a contiguous block of rows (`_parse_blocks`) and the parent
+only collects them. A blank or comment line can shift a block, which then
+repeats rows and fails the coordinate check; such a result is freed and
+the file read serially, so a result that stands is bit-identical to one
+serial call. A save hands chunks of whole grid rows round-robin to the
+children, which send the formatted text back for the parent to write in
+order (`_write_chunks`). If a check, a fork or a child fails, the load or
+save runs serially, so every result, message and byte is the serial one.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import warnings
 from pathlib import Path
 
@@ -56,9 +58,6 @@ from .plane import SampledField, _finite_complex, _finite_real, stretch_factor
 
 #: grid CSVs above this many bytes are parsed in blocks on several CPUs
 BLOCK_BYTES = 4 << 20
-#: bytes a line may start with for the block parse: a number's first character
-_ROW_START = np.zeros(256, dtype=bool)
-_ROW_START[list(b"+-.0123456789")] = True
 
 
 def sidecar_path(csv_path) -> Path:
@@ -67,8 +66,9 @@ def sidecar_path(csv_path) -> Path:
 
 def _load_descriptor(csv_path, bound_key: str, bound_range: tuple[float, float]) -> dict:
     """The sidecar's values, checked: nx and ny integers >= 1, spacing
-    positive and finite, origin a finite [x, y] pair (as a complex) and the
-    field bound `bound_key` a finite number in [low, high)."""
+    positive, finite and above the coordinates' resolution, origin a finite
+    [x, y] pair (as a complex) and the field bound `bound_key` a finite
+    number in [low, high)."""
     path = sidecar_path(csv_path)
     desc = _json_object(path, "sidecar descriptor")
     missing = [k for k in ("origin", "spacing", "nx", "ny", bound_key) if k not in desc]
@@ -79,17 +79,31 @@ def _load_descriptor(csv_path, bound_key: str, bound_range: tuple[float, float])
     bound = _key_real(f"{where} {bound_key}", desc[bound_key])
     if not low <= bound < high:
         raise ConfigError(f"{where} {bound_key} must lie in [{low}, {high}), got {bound!r}")
-    return {
-        "nx": _key_integer(f"{where} nx", desc["nx"], 1),
-        "ny": _key_integer(f"{where} ny", desc["ny"], 1),
-        "spacing": _key_real(f"{where} spacing", desc["spacing"], positive=True),
-        "origin": _point(desc["origin"], f"{where} origin"),
-        bound_key: bound,
-    }
+    nx = _key_integer(f"{where} nx", desc["nx"], 1)
+    ny = _key_integer(f"{where} ny", desc["ny"], 1)
+    h = _key_real(f"{where} spacing", desc["spacing"], positive=True)
+    origin = _point(desc["origin"], f"{where} origin")
+    # No row matches two nodes of an axis when h exceeds twice `_on_axis`'s
+    # tolerance plus the rounding of two expected nodes, under 2 ulps of the
+    # largest each (half a tolerance); the block parse rests on that.
+    for name, start, n in (("x", origin.real, nx), ("y", origin.imag, ny)):
+        tol = _axis_tolerance(start, n, h)
+        if n > 1 and not h > 2.5 * tol:
+            raise ConfigError(f"{where} spacing {h!r} is below the resolution of the {name} "
+                              f"axis of {n} nodes from {start!r}; it must exceed {2.5 * tol!r}")
+    return {"nx": nx, "ny": ny, "spacing": h, "origin": origin, bound_key: bound}
 
 
-def _load_grid_csv(csv_path, header: str, rows: int) -> np.ndarray:
-    """The data rows of a grid CSV whose descriptor says nx*ny = `rows`."""
+def _load_grid_csv(csv_path, header: str, desc: dict) -> np.ndarray:
+    """The data rows of a grid CSV, checked against its descriptor `desc`:
+    nx*ny rows of len(header) finite numbers whose x, y are the grid's nodes.
+
+    A file above BLOCK_BYTES is parsed in blocks of rows on forked children
+    (`_fork_count`, `_parse_blocks`). A block result whose coordinates fail
+    the check is freed and the file read serially, as is every file when
+    the block parse does not run or fails; every value and message is thus
+    the serial one.
+    """
     csv_path = Path(csv_path)
     if not csv_path.exists():
         raise ConfigError(f"no such file: {csv_path}")
@@ -97,28 +111,22 @@ def _load_grid_csv(csv_path, header: str, rows: int) -> np.ndarray:
     if first.replace(" ", "") != header:
         raise ConfigError(f"{csv_path} must start with header {header!r}, got {first!r}")
     names = header.split(",")
-    data = _parse_rows(csv_path, names, rows)
-    if len(data) == 0:
-        raise ConfigError(f"{csv_path}: 0 data rows but descriptor says nx*ny = {rows}")
-    if data.shape[1] != len(names) or not np.isfinite(data).all():
-        raise _bad_line(csv_path, names, f"expected {len(names)} columns of finite numbers",
-                        finite=True)
+    rows = desc["nx"] * desc["ny"]
+    blocks = _fork_count(csv_path.stat().st_size, rows)
+    data = _parse_blocks(csv_path, len(names), rows, blocks) if blocks else None
+    if data is not None and _off_grid(csv_path, names, data, desc) is None:
+        return data
+    del data  # a mis-split block result is freed before the serial read
+    data = _loadtxt(csv_path, names)
+    node = _off_grid(csv_path, names, data, desc)
+    if node is not None:
+        raise ConfigError(f"{csv_path}: grid coordinates disagree with the descriptor "
+                          f"at node [{node[0]}, {node[1]}]")
     return data
 
 
-def _parse_rows(csv_path, names, rows: int) -> np.ndarray:
-    """np.loadtxt of the rows after the header, in blocks when that pays.
-
-    A file above BLOCK_BYTES is split into one block of rows per forked
-    child (`_fork_count`), each parsed in that child; see `_parse_blocks`.
-    Otherwise, or when the block parse cannot vouch for its result, one
-    serial np.loadtxt reads the file.
-    """
-    blocks = _fork_count(csv_path.stat().st_size, rows)
-    if blocks:
-        data = _parse_blocks(csv_path, len(names), rows, blocks)
-        if data is not None:
-            return data
+def _loadtxt(csv_path, names) -> np.ndarray:
+    """One serial np.loadtxt of the rows after the header."""
     try:
         with warnings.catch_warnings():
             # a file with no data rows is reported by the caller
@@ -259,16 +267,19 @@ def _child(work, i: int, write_fd: int, read_fds) -> None:
 
 
 def _parse_blocks(csv_path, ncols: int, rows: int, blocks: int):
-    """The serial np.loadtxt result, parsed as `blocks` contiguous blocks of
-    rows in forked children, or None when it might differ from it.
+    """The data rows parsed as `blocks` contiguous blocks of rows in forked
+    children, or None when a child fails or sends a block of the wrong shape.
 
     Child i parses data rows [lo, hi) with skiprows=1 + lo and
     max_rows=hi - lo (the last block reads to the end) and sends their
-    shape and values down its pipe; the parent parses nothing. skiprows
-    counts physical lines and max_rows data rows, so the split is exact
-    only when every line after the header is one data row: while the
-    children run, the parent proves that with `_plain_rows`. A failed
-    scan, a failed or killed child or a block of the wrong shape gives None.
+    shape and values down its pipe; the parent only collects them. skiprows
+    counts lines and max_rows data rows, so a blank or comment line before a
+    block's first row makes that block start early and repeat a row of the
+    block before it, and a whitespace-only line makes a child fail. A
+    repeated row sits at two grid nodes, which no row matches once the
+    descriptor's spacing is above the coordinates' resolution: a result of
+    the right shape whose coordinates pass `_off_grid` is the serial
+    np.loadtxt result, bit for bit.
     """
     bounds = [rows * i // blocks for i in range(blocks + 1)]
 
@@ -282,8 +293,6 @@ def _parse_blocks(csv_path, ncols: int, rows: int, blocks: int):
         pipe.write(memoryview(block).cast("B"))
 
     def gather(pipes):
-        if _plain_rows(csv_path) != rows:
-            return None
         out = np.empty((rows, ncols))
         shape = np.empty(2, dtype=np.int64)
         for lo, hi, pipe in zip(bounds, bounds[1:], pipes):
@@ -309,65 +318,44 @@ def _read_exactly(pipe, array) -> bool:
     return True
 
 
-def _plain_rows(csv_path, chunk: int = 1 << 20):
-    """The number of lines after the header, when each of them starts with
-    a number's first character and no line ends in a lone carriage return;
-    None otherwise.
-
-    np.loadtxt then reads each of those lines as one data row, so its
-    skiprows and max_rows count alike. Blank, whitespace-only and ``#``
-    lines, which it skips or reads differently, give None, and so does a
-    lone ``\\r``, which it reads as a line end that this count would miss.
-    """
-    # buf[0] holds the previous chunk's last byte: a line end whose next byte
-    # is still unread is checked with the next chunk, and one at the end of
-    # the file starts no line. The header's first byte is not checked.
-    buf = bytearray(chunk + 1)
-    lines = 0
-    with open(csv_path, "rb", buffering=0) as fh:
-        while n := fh.readinto(memoryview(buf)[1:]):
-            a = np.frombuffer(buf, dtype=np.uint8, count=n + 1)
-            ends, following = a[:-1], a[1:]
-            newline = ends == ord("\n")
-            if not _ROW_START[following[newline]].all():
-                return None
-            if buf.find(b"\r", 0, n + 1) >= 0 and (
-                following[ends == ord("\r")] != ord("\n")
-            ).any():
-                return None
-            lines += int(np.count_nonzero(newline))
-            buf[0] = buf[n]
-    return None if buf[0] == ord("\r") else lines
-
-
-def _check_grid_coords(data, desc, csv_path):
+def _off_grid(csv_path, names, data, desc):
+    """The first node [iy, ix] whose row's x, y are off the grid of the
+    descriptor `desc`, or None. The rows must first be nx*ny rows of
+    len(names) finite numbers; a ConfigError says where they are not."""
     nx, ny, h = desc["nx"], desc["ny"], desc["spacing"]
+    if len(data) == 0:
+        raise ConfigError(f"{csv_path}: 0 data rows but descriptor says nx*ny = {nx * ny}")
+    if data.shape[1] != len(names) or not np.isfinite(data).all():
+        raise _bad_line(csv_path, names, f"expected {len(names)} columns of finite numbers",
+                        finite=True)
+    if len(data) != nx * ny:
+        raise ConfigError(f"{csv_path}: {len(data)} rows but descriptor says nx*ny = {nx * ny}")
     x0, y0 = desc["origin"].real, desc["origin"].imag
-    if data.shape[0] != nx * ny:
-        raise ConfigError(
-            f"{csv_path}: {data.shape[0]} rows but descriptor says nx*ny = {nx * ny}"
-        )
     xs, ys = data[:, 0].reshape(ny, nx), data[:, 1].reshape(ny, nx)
     off = ~(_on_axis(xs, x0, nx, h) & _on_axis(ys.T, y0, ny, h).T)
-    if off.any():
-        iy, ix = np.argwhere(off)[0]
-        raise ConfigError(f"{csv_path}: grid coordinates disagree with the descriptor "
-                          f"at node [{iy}, {ix}]")
-    return nx, ny, h, complex(x0, y0)
+    return tuple(np.argwhere(off)[0]) if off.any() else None
 
 
 def _on_axis(coords, start: float, n: int, h: float) -> np.ndarray:
-    """Where each row of `coords` is start + h * arange(n), within 1e-9 of
-    the spacing plus a few ulps of the largest coordinate: a grid line out of
-    place is off by at least h, however far the grid lies from the origin.
-    The expected axis is built once, not at full size. The ulps are those
-    of its finite part, so on an axis that overflows the float range the
-    tolerance stays finite and no coordinate matches a node past the end."""
+    """Where each row of `coords` is start + h * arange(n), within
+    `_axis_tolerance`. The expected axis is built once, not at full size."""
     with np.errstate(over="ignore"):
         expected = start + np.arange(n) * h
-    largest = np.abs(expected[np.isfinite(expected)]).max()  # start is finite
-    tol = 1e-9 * h + 8 * np.finfo(float).eps * largest
-    return np.abs(coords - expected) <= tol
+    return np.abs(coords - expected) <= _axis_tolerance(start, n, h)
+
+
+def _axis_tolerance(start: float, n: int, h: float) -> float:
+    """1e-9 of the spacing plus 8 ulps of the largest node of the axis
+    start + h * arange(n): a grid line out of place is off by at least h,
+    however far the grid lies from the origin. On an axis that overflows
+    the float range the ulps are those of the largest float, so the
+    tolerance stays finite and no coordinate matches a node past the end."""
+    try:
+        end = start + (n - 1) * h
+    except OverflowError:  # n - 1 has no float
+        end = math.inf
+    largest = min(max(abs(start), abs(end)), sys.float_info.max)
+    return 1e-9 * h + 8 * sys.float_info.epsilon * largest
 
 
 def _write_grid_csv(csv_path, header: str, origin: complex, spacing, columns) -> None:
@@ -447,14 +435,13 @@ def _write_sidecar(csv_path, desc: dict) -> None:
 def load_sampled_field(csv_path, interpolation: str = "bilinear") -> SampledField:
     """Read a sampled complex-distortion grid (CSV + sidecar descriptor)."""
     desc = _load_descriptor(csv_path, "k_max", (0.0, 1.0))
-    data = _load_grid_csv(csv_path, MU_HEADER, desc["nx"] * desc["ny"])
-    nx, ny, h, origin = _check_grid_coords(data, desc, csv_path)
+    data = _load_grid_csv(csv_path, MU_HEADER, desc)
     # the adjacent re, im columns of each row read as one complex number in
     # place: no complex grid is built, and signed zeros survive as written
-    values = data.view(complex)[:, 1].reshape(ny, nx)
+    values = data.view(complex)[:, 1].reshape(desc["ny"], desc["nx"])
     return SampledField(
-        origin=origin,
-        spacing=h,
+        origin=desc["origin"],
+        spacing=desc["spacing"],
         values=values,
         k_max=desc["k_max"],
         interpolation=interpolation,
@@ -489,9 +476,8 @@ def load_matrix_field(csv_path, interpolation: str = "bilinear") -> MatrixField:
     eigenvalues in [1/K, K] between the nodes too.
     """
     desc = _load_descriptor(csv_path, "K", (1.0, math.inf))
-    data = _load_grid_csv(csv_path, MATRIX_HEADER, desc["nx"] * desc["ny"])
-    nx, ny, h, origin = _check_grid_coords(data, desc, csv_path)
-    a11, a12, a22 = (data[:, col].reshape(ny, nx) for col in (2, 3, 4))
+    data = _load_grid_csv(csv_path, MATRIX_HEADER, desc)
+    a11, a12, a22 = (data[:, col].reshape(desc["ny"], desc["nx"]) for col in (2, 3, 4))
     dev = np.abs(a11 * a22 - a12**2 - 1.0)
     bad = (dev > DET_TOL) | (a11 <= 0)  # with det 1, a11 > 0 means positive definite
     if bad.any():
@@ -502,7 +488,7 @@ def load_matrix_field(csv_path, interpolation: str = "bilinear") -> MatrixField:
         )
     K = desc["K"]
     mu = beltrami_from_entries(a11, a12, a22)
-    sampled = SampledField(origin, h, mu, stretch_factor(K), interpolation)
+    sampled = SampledField(desc["origin"], desc["spacing"], mu, stretch_factor(K), interpolation)
     return MatrixField(beltrami=sampled.as_beltrami(), K=K, grid=sampled)
 
 

@@ -190,7 +190,7 @@ class DomainSpec(_Validated, _DomainFields):
         """
         from .config import _domain_from  # the config owns the defaults
 
-        return _domain_from({})[0]
+        return _domain_from({})
 
     def describe(self) -> dict:
         return {

@@ -180,9 +180,14 @@ def _enforce_invariants(report, elliptic) -> None:
         raise InvariantViolationError("distortion bound fell below the uniform bound")
     if elliptic is not None and elliptic.alpha_eigen_ratio > report.alpha_distortion + 1e-9:
         raise InvariantViolationError("eigen-ratio bound exceeded divergence bound")
-    for name, verdict in (("Mori", report.mori), ("Gronwall", report.gronwall)):
-        if verdict is not None and not verdict.passed:
-            raise InvariantViolationError(f"the {name} check failed: {verdict.describe()}")
+    if not report.mori.passed:
+        raise InvariantViolationError(f"the Mori check failed: {report.mori.describe()}")
+    gronwall = report.gronwall
+    if gronwall is not None and not gronwall.passed:
+        where = ", ".join(f"[{c.real!r}, {c.imag!r}]" for c in gronwall.failed_centers)
+        raise InvariantViolationError(
+            f"the Gronwall check failed: {gronwall.describe()}; failed centers: {where}"
+        )
 
 
 def report_json_bytes(report: RunReport) -> bytes:

@@ -34,6 +34,7 @@ from qcreg import (
     affine_map,
     build_config,
     constant_matrix_field,
+    matrix_from_beltrami,
     power_spiral,
     radial_stretch,
     save_matrix_field,
@@ -487,6 +488,80 @@ def test_every_exit_0_report_satisfies_the_benchmark_invariants(subject, domain,
     assert reg["gronwall"] is None or reg["gronwall"]["passed"] is True
 
 
+def _assert_benchmark_invariants(report: dict, K: float) -> None:
+    """What `bench/check.py` checks of an exit-0 report of a subject of
+    distortion K, and on a matrix subject its elliptic ordering."""
+    reg = report["regularity"]
+    a_imp, a_dist, a_cls = reg["alpha_improved"], reg["alpha_distortion"], reg["alpha_classical"]
+    A, C = reg["isoperimetric_sup"], reg["distortion_sup"]
+    assert math.isclose(a_cls, 1.0 / K, rel_tol=1e-12)
+    assert math.isclose(a_dist, 1.0 / C, rel_tol=1e-12)
+    assert math.isclose(a_imp, 1.0 / (A * C), rel_tol=1e-12)
+    assert a_cls - ORDER_SLACK <= a_dist <= a_imp + ORDER_SLACK
+    assert C <= K * (1.0 + ORDER_SLACK)
+    assert A <= 1.0 + ISO_SLACK
+    assert reg["mori"]["passed"] is True
+    assert reg["gronwall"] is None or reg["gronwall"]["passed"] is True
+    if report["subject_kind"] == "matrix":
+        ell = report["elliptic"]
+        assert ell["alpha_eigen_ratio"] <= ell["alpha_divergence"] + ORDER_SLACK
+
+
+def _varying_mu(k: float, x, y):
+    """A smooth mu with |mu| <= k that varies along both axes."""
+    return k * np.exp(1j * (2.0 * x - 1.3 * y)) * (0.75 + 0.25 * np.sin(3.0 * y + x))
+
+
+@pytest.fixture(scope="module")
+def grid_subjects(tmp_path_factory):
+    """(path, K) of spatially varying grids on [-1.2, 1.2]^2, whose hull
+    covers the unit disk: mu grids of 33^2 and 17^2 nodes and a det-1
+    matrix grid of 17^2 nodes."""
+    work = tmp_path_factory.mktemp("grids")
+    subjects = []
+    for name, n, k in (("mu33", 33, 0.3), ("mu17", 17, 0.6), ("matrix17", 17, 0.45)):
+        h = 2.4 / (n - 1)
+        xs = -1.2 + h * np.arange(n)
+        mu = _varying_mu(k, xs[None, :], xs[:, None])
+        path = work / f"{name}.csv"
+        if name.startswith("mu"):
+            save_sampled_field(path, SampledField(origin=-1.2 - 1.2j, spacing=h, values=mu,
+                                                  k_max=k))
+        else:
+            save_matrix_field(path, matrix_from_beltrami(mu), origin=-1.2 - 1.2j, spacing=h,
+                              K=(1 + k) / (1 - k))
+        subjects.append((str(path), (1 + k) / (1 - k)))
+    return subjects
+
+
+#: a domain inside the grids' hull: every admissible circle lies in an outer
+#: disk within [-1.2, 1.2]^2, which the eigenvalue sample of a matrix covers
+GRID_DOMAINS = st.fixed_dictionaries({
+    "centers": st.lists(st.lists(st.floats(-0.6, 0.6), min_size=2, max_size=2),
+                        min_size=1, max_size=3),
+    "radii": st.fixed_dictionaries({"min": st.floats(0.02, 0.3), "max": st.floats(0.3, 1.0),
+                                    "count": st.integers(2, 4)}),
+    "outer_center": st.lists(st.floats(-0.2, 0.2), min_size=2, max_size=2),
+    "outer_radius": st.floats(0.6, 1.0),
+    "margin": st.floats(0.0, 0.2),
+})
+
+
+@settings(max_examples=200)
+@given(which=st.integers(0, 2), domain=GRID_DOMAINS, quadrature=SMALL_RULES,
+       interpolation=st.sampled_from(("bilinear", "nearest")))
+def test_every_exit_0_grid_report_satisfies_the_benchmark_invariants(
+        grid_subjects, which, domain, quadrature, interpolation):
+    subject, K = grid_subjects[which]
+    raw = {"subject": subject, "domain": domain, "quadrature": quadrature,
+           "interpolation": interpolation, "diagnostics": {"geometry": False, "extremal": False}}
+    try:  # what the CLI maps onto exit codes 1, 2 and 3
+        report = json.loads(report_json_bytes(run_analysis(build_config(raw))))
+    except QcregError:
+        return
+    _assert_benchmark_invariants(report, K)
+
+
 #: 16 nodes and no doubling: a rule too coarse for the circles below
 COARSE = {"quadrature": {"nodes": 16, "max_doublings": 0},
           "diagnostics": {"geometry": False, "extremal": False}}
@@ -502,6 +577,20 @@ def test_a_failed_gronwall_check_exits_2(tmp_path):
     code, err = run_cli_err(["analyze", "--config", str(config)])
     assert code == 2
     assert err.startswith("qcreg: invariant violation: the Gronwall check failed: "), err
+
+
+@pytest.mark.parametrize("centers", [[[0, 0.25]], [[0, 0], [0, 0.25]], [[0, 0.25], [0, 0.25]]],
+                         ids=["alone", "after a center that passes", "twice"])
+def test_a_failed_gronwall_check_names_its_centers(tmp_path, centers):
+    # beside the family about 0, which passes, the message gave only the
+    # merged margins and did not say which family failed
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"subject": "power_spiral(alpha=0.25,gamma=1.0)",
+                                  "domain": {"centers": centers, "radii": [0.25, 0.5]},
+                                  **COARSE}))
+    code, err = run_cli_err(["analyze", "--config", str(config)])
+    failed = ", ".join("[0.0, 0.25]" for c in centers if c == [0, 0.25])
+    assert code == 2 and err.endswith(f"; failed centers: {failed}\n"), err
 
 
 @pytest.mark.parametrize("centers", [[[0, 0], [0.4, 0]], [[0.4, 0]]],

@@ -97,6 +97,15 @@ class TestRadiiValidation:
         with pytest.raises(ConfigError, match=r"^domain\.radii"):
             build_config({"subject": "radial_stretch(K=2)", "domain": {"radii": radii}})
 
+    @pytest.mark.parametrize("radii,count,largest", [({"max": 0.5}, 16, 0.5),
+                                                      ({"count": 4}, 4, 1.0)])
+    def test_a_partial_domain_radii_object_takes_the_domain_defaults(self, radii, count,
+                                                                     largest):
+        # the profile radii's defaults (1e-3 .. 1, 33 radii) filled it in
+        cfg = build_config({"subject": "radial_stretch(K=2)", "domain": {"radii": radii}})
+        assert cfg.domain.radii == tuple(np.geomspace(0.05, largest, count))
+        assert cfg.profile_radii.size == 33
+
     def test_numpy_scalars_accepted(self):
         cfg = build_config(
             {"subject": "radial_stretch(K=2)",
@@ -168,6 +177,16 @@ class TestConfigValidation:
         assert (cfg.quadrature.nodes, cfg.quadrature.max_doublings) == (64, 0)
         assert (cfg.run_geometry, cfg.run_extremal, cfg.threshold) == (False, False, 1.0)
         assert cfg.resolved["domain"]["outer_radius"] == 1
+
+    def test_equal_domains_give_equal_config_hashes(self):
+        # the provenance held the domain as written, so integers hashed apart
+        default = build_config({"subject": "radial_stretch(K=2)"})
+        spelled = build_config({"subject": "radial_stretch(K=2)", "domain": {
+            "centers": [[0, 0]], "radii": {"min": 0.05, "max": 1, "count": 16},
+            "outer_center": [0, 0], "outer_radius": 1, "inner_radius": 0, "margin": 0}})
+        assert spelled.domain == default.domain
+        assert spelled.resolved == default.resolved
+        assert spelled.config_hash() == default.config_hash()
 
 
 class TestLoadConfig:

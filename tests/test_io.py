@@ -475,6 +475,23 @@ class TestGridCoordinateCheck:
         assert main(["analyze", "--subject", str(path)]) == 1
         assert f"{path}: grid coordinates disagree with the descriptor" in capsys.readouterr().err
 
+    def test_spacing_below_the_coordinates_resolution_rejected(self, tmp_path):
+        # at 1e7 + 1e7i a spacing of 1e-8 is under the tolerance of 8 ulps of
+        # the coordinates, so one row matched two nodes: two swapped rows
+        # loaded with each value at the other's node
+        path = tmp_path / "mu.csv"
+        values = 0.01 * np.arange(9).reshape(3, 3) + 0j
+        save_sampled_field(path, SampledField(origin=1e7 + 1e7j, spacing=1e-8, values=values,
+                                              k_max=0.2))
+        lines = read_lines(path)
+        lines[1], lines[2] = lines[2], lines[1]
+        write_lines(path, lines)
+        with pytest.raises(ConfigError) as info:
+            load_sampled_field(path)
+        assert str(info.value) == (
+            f"descriptor {sidecar_path(path)}: spacing 1e-08 is below the resolution of the x "
+            f"axis of 3 nodes from 10000000.0; it must exceed 4.440892101000636e-08")
+
     def test_swapped_nx_ny_rejected(self, tmp_path):
         path = tmp_path / "mu.csv"
         save_sampled_field(path, non_square_field())
@@ -933,6 +950,12 @@ def serial_rows(path):
     return SERIAL_LOADTXT(path, delimiter=",", skiprows=1, ndmin=2)
 
 
+def grid_rows(path, header):
+    """`_load_grid_csv` of a grid CSV, checked against its sidecar."""
+    bound = ("k_max", (0.0, 1.0)) if header == MU_HEADER else ("K", (1.0, np.inf))
+    return qcreg.io._load_grid_csv(path, header, qcreg.io._load_descriptor(path, *bound))
+
+
 class BlockParse:
     """Makes every grid CSV take the block parse in `blocks` children, and
     counts what happens: the forks, and the np.loadtxt calls of this process
@@ -1033,6 +1056,15 @@ def special_matrix_grid(tmp_path, shape=BLOCK_SHAPE):
     return path
 
 
+def smooth_matrix_grid(tmp_path, shape=BLOCK_SHAPE):
+    """The det-1 matrix grid of the mu of `smooth_mu_grid`."""
+    field = load_sampled_field(smooth_mu_grid(tmp_path, shape))
+    path = tmp_path / "matrix.csv"
+    save_matrix_field(path, matrix_from_beltrami(field.values), origin=field.origin,
+                      spacing=field.spacing, K=2.0)
+    return path
+
+
 def smooth_mu_grid(tmp_path, shape=BLOCK_SHAPE):
     ny, nx = shape
     values = 0.3 * np.exp(1j * (np.arange(nx)[None, :] - 0.7 * np.arange(ny)[:, None]))
@@ -1051,7 +1083,7 @@ class TestBlockParseEqualsSerial:
         path = write(tmp_path)
         want = serial_rows(path)
         spy = BlockParse(monkeypatch, blocks)
-        got = qcreg.io._load_grid_csv(path, header, len(want))
+        got = grid_rows(path, header)
         assert spy.ran and spy.forks == blocks
         assert got.shape == want.shape and np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))  # -0.0 stays -0.0
@@ -1079,7 +1111,7 @@ class TestBlockParseEqualsSerial:
         path = smooth_mu_grid(tmp_path, (1, blocks))
         want = serial_rows(path)
         spy = BlockParse(monkeypatch, blocks)
-        assert np.array_equal(qcreg.io._load_grid_csv(path, MU_HEADER, blocks), want)
+        assert np.array_equal(grid_rows(path, MU_HEADER), want)
         assert spy.ran and spy.forks == blocks
 
 
@@ -1119,36 +1151,26 @@ ODD_CASES = [(odd, how) for odd in ODD_LINES for how in ("insert", "replace")] +
 ]
 
 
+def block_result_stands(odd, how, row, blocks):
+    """Whether the block parse of a 35-row grid edited by odd_edit(odd, how)
+    at data row `row` stands. A row ending in a lone CR is one line to
+    skiprows and max_rows alike. An inserted line that np.loadtxt skips
+    starts every block whose first row lies past `row` one row early, so
+    only one put in at or after the last block's first row leaves every
+    block in place; any other edit changes the row count or fails a child.
+    """
+    if odd == "CR end":
+        return True
+    skipped = odd in ("blank", "comment", "empty CRLF", "lone CR")
+    return how == "insert" and skipped and row % 35 >= 35 * (blocks - 1) // blocks
+
+
 def replace_field(col, text):
     def edit(lines, at):
         fields = lines[at].rstrip("\n").split(",")
         fields[col] = text
         lines[at] = ",".join(fields) + "\n"
     return edit
-
-
-class TestPlainRowsScan:
-    @pytest.mark.parametrize("chunk", [1, 2, 7, 1 << 20])
-    @pytest.mark.parametrize("ending", [b"\n", b"\r\n"])
-    @pytest.mark.parametrize("last_newline", [True, False])
-    def test_counts_the_data_lines(self, tmp_path, chunk, ending, last_newline):
-        path = smooth_mu_grid(tmp_path)
-        data = path.read_bytes().replace(b"\n", ending)
-        path.write_bytes(data if last_newline else data[: -len(ending)])
-        assert qcreg.io._plain_rows(path, chunk) == 35
-
-    @pytest.mark.parametrize("chunk", [1, 2, 7, 1 << 20])
-    @pytest.mark.parametrize("row", [0, 17, -1])
-    @pytest.mark.parametrize("odd,how", ODD_CASES)
-    def test_rejects_odd_lines(self, tmp_path, chunk, row, odd, how):
-        path = smooth_mu_grid(tmp_path)
-        edit_data_row(path, row, odd_edit(odd, how))
-        assert qcreg.io._plain_rows(path, chunk) is None
-
-    def test_header_only(self, tmp_path):
-        path = tmp_path / "mu.csv"
-        path.write_text(MU_HEADER + "\n")
-        assert qcreg.io._plain_rows(path) == 0
 
 
 @pytest.mark.parametrize("blocks", [2, 3])
@@ -1159,11 +1181,44 @@ class TestBlockParseFallsBackToSerial:
     def test_odd_line(self, tmp_path, monkeypatch, blocks, row, odd, how):
         path = smooth_mu_grid(tmp_path)
         edit_data_row(path, row, odd_edit(odd, how))
-        want = outcome(qcreg.io._load_grid_csv, path, MU_HEADER, 35)
+        want = outcome(grid_rows, path, MU_HEADER)
         spy = BlockParse(monkeypatch, blocks)
-        got = outcome(qcreg.io._load_grid_csv, path, MU_HEADER, 35)
+        got = outcome(grid_rows, path, MU_HEADER)
         assert same(got, want)
-        assert spy.forks == blocks and spy.parent_loads == 1  # scanned, then serial
+        assert spy.forks == blocks
+        assert spy.parent_loads == (0 if block_result_stands(odd, how, row, blocks) else 1)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("row", [0, -1])
+    @pytest.mark.parametrize("odd,how", ODD_CASES)
+    def test_odd_line_in_a_matrix_grid(self, tmp_path, monkeypatch, blocks, row, odd, how):
+        path = smooth_matrix_grid(tmp_path)
+        edit_data_row(path, row, odd_edit(odd, how))
+        want = outcome(load_matrix_field, path)
+        spy = BlockParse(monkeypatch, blocks)
+        got = outcome(load_matrix_field, path)
+        if type(want) is tuple:  # an error, not a MatrixField
+            assert got == want
+        else:
+            assert np.array_equal(got.grid.values, want.grid.values) and got.K == want.K
+        assert spy.forks == blocks
+        assert spy.parent_loads == (0 if block_result_stands(odd, how, row, blocks) else 1)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_count_keeping_mis_split(self, tmp_path, monkeypatch, blocks, k):
+        # k comment lines after data row 0 and the last k rows gone: every
+        # block has its row count, but each later one starts k rows early
+        path = smooth_mu_grid(tmp_path)
+        lines = read_lines(path)
+        write_lines(path, lines[:2] + ["# a comment\n"] * k + lines[2:-k])
+        want = outcome(load_sampled_field, path)
+        spy = BlockParse(monkeypatch, blocks)
+        got = outcome(load_sampled_field, path)
+        assert got == want == (
+            ConfigError, f"{path}: {35 - k} rows but descriptor says nx*ny = 35"
+        )
+        assert spy.forks == blocks and spy.parent_loads == 1
         assert_no_child_left()
 
     def test_crlf_file(self, tmp_path, monkeypatch, blocks):
