@@ -1305,6 +1305,60 @@ class TestBlockParseFallsBackToSerial:
         assert_no_child_left()
 
 
+# (blocks, data row) at each block boundary of the 35-row grid: the last row
+# of a block and the first row of the next
+BOUNDARY_ROWS = [(blocks, 35 * j // blocks - before) for blocks in (3, 4)
+                 for j in range(1, blocks) for before in (1, 0)]
+
+
+@pytest.mark.usefixtures("deadline")
+class TestBlockBoundaries:
+    """The split is vouched for by the row-count and coordinate checks
+    alone, with no scan of the file's lines: an odd line on either side of a
+    block boundary, any line end and a file with no data row each give the
+    serial outcome, and the block result stands exactly where the blocks
+    keep their rows."""
+
+    @pytest.mark.parametrize("blocks,row", BOUNDARY_ROWS)
+    @pytest.mark.parametrize("odd,how", ODD_CASES)
+    def test_odd_line(self, tmp_path, monkeypatch, blocks, row, odd, how):
+        path = smooth_mu_grid(tmp_path)
+        edit_data_row(path, row, odd_edit(odd, how))
+        want = outcome(grid_rows, path, MU_HEADER)
+        spy = BlockParse(monkeypatch, blocks)
+        got = outcome(grid_rows, path, MU_HEADER)
+        assert same(got, want)
+        assert spy.forks == blocks
+        assert spy.parent_loads == (0 if block_result_stands(odd, how, row, blocks) else 1)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("blocks", [2, 3, 4, 5])
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["LF", "CRLF"])
+    @pytest.mark.parametrize("last_newline", [True, False])
+    def test_line_ends(self, tmp_path, monkeypatch, blocks, ending, last_newline):
+        path = smooth_mu_grid(tmp_path)
+        text = path.read_bytes().replace(b"\n", ending.encode())
+        path.write_bytes(text if last_newline else text[: -len(ending)])
+        want = serial_rows(path)
+        spy = BlockParse(monkeypatch, blocks)
+        got = grid_rows(path, MU_HEADER)
+        assert spy.ran and spy.forks == blocks
+        assert got.shape == want.shape == (35, 4) and np.array_equal(got, want)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("blocks", [2, 3])
+    @pytest.mark.parametrize("write,header", [(smooth_mu_grid, MU_HEADER),
+                                              (smooth_matrix_grid, MATRIX_HEADER)])
+    def test_header_only(self, tmp_path, monkeypatch, blocks, write, header):
+        path = write(tmp_path)
+        path.write_text(header + "\n")
+        spy = BlockParse(monkeypatch, blocks)
+        got = outcome(grid_rows, path, header)
+        assert got == (ConfigError, f"{path}: 0 data rows but descriptor says nx*ny = 35")
+        assert spy.forks == blocks and spy.parent_loads == 1
+        assert_no_child_left()
+
+
 # (bytes written as the re entry of a data row, the end of the message naming it)
 BAD_ENTRIES = {
     "underscore": (b"1_0", "re = '1_0' is not a number"),  # float() reads 10
