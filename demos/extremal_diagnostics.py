@@ -33,13 +33,13 @@ def diagnose(name, entry):
     field = validate_field(entry.map.beltrami)
     K = field.distortion_ratio
     geo = geometry_profile(entry.map, radii, cfg)
-    eps = epsilon_weight_integral(field, K, geo.radii, cfg)  # the profile's radii
+    eps = epsilon_weight_integral(field, K, geo.t, cfg)  # the profile's radii
     defect = defect_weight_integral(geo)
     estimates = empirical_holder(geo)  # from the profile's areas at its radii below 1
     verdict = extremality_report(eps, defect, estimates)
     t, alpha_area = estimates[0]
     print(f"{name} (K = {K:.4f}):")
-    print(f"  min ratio-W = {verdict.min_ratio_w:.3e}, min ratio-I = {verdict.min_ratio_i:.3e}")
+    print(f"  min ratio-W = {verdict.min_ratio_W:.3e}, min ratio-I = {verdict.min_ratio_I:.3e}")
     print(f"  exponent estimate at t = {t:g} from the image area: {alpha_area:.4f} "
           f"(1/K = {1/K:.4f})")
     print(f"  verdict: {verdict.verdict}")
@@ -62,7 +62,7 @@ perturbed = BeltramiField(
 )
 eps = epsilon_weight_integral(perturbed, 2.0, radii, cfg)
 print("constant offset 0.1 -> ratio-W pins its size:",
-      f"{eps.ratio_w[0]:.6f} at the smallest scale")
+      f"{eps.ratio_W[0]:.6f} at the smallest scale")
 
 print()
 print("=== super-level density of a dyadic-block defect pattern ===")

@@ -137,27 +137,13 @@ def holder_lower_bound(iso_sup: float, dist_sup: float) -> float:
 
 
 class MoriReport(NamedTuple):
-    """Per-circle distortion averages checked against the uniform bound K.
-
-    `max_average` is the C supremum; `describe` leaves it out, because a
-    report already carries it as `distortion_sup`.
-    """
+    """Per-circle distortion averages checked against the uniform bound K."""
 
     k_max: float
-    distortion_ratio: float  # K = (1 + k_max) / (1 - k_max)
-    max_average: float
+    K: float  # (1 + k_max) / (1 - k_max)
     worst_margin: float  # max over circles of (average - K); <= tol when passed
     passed: bool
     tol: float
-
-    def describe(self) -> dict:
-        return {
-            "k_max": self.k_max,
-            "K": self.distortion_ratio,
-            "worst_margin": self.worst_margin,
-            "passed": self.passed,
-            "tol": self.tol,
-        }
 
 
 def mori_consistency(
@@ -181,8 +167,7 @@ def mori_from_sup(field: BeltramiField, sup: SupResult) -> MoriReport:
     margin = sup.value - K
     return MoriReport(
         k_max=field.k_max,
-        distortion_ratio=K,
-        max_average=sup.value,
+        K=K,
         worst_margin=margin,
         passed=bool(margin <= MORI_TOL),
         tol=MORI_TOL,
@@ -276,12 +261,6 @@ def _gronwall_by_center(
     )
 
 
-def _circle_dict(circle: CircleSpec | None):
-    if circle is None:
-        return None
-    return {"center": [circle.center.real, circle.center.imag], "radius": circle.radius}
-
-
 class RegularityReport(NamedTuple):
     """Exponent bounds with the circles that realized the suprema."""
 
@@ -294,20 +273,6 @@ class RegularityReport(NamedTuple):
     isoperimetric_argmax: CircleSpec | None
     mori: MoriReport
     gronwall: GronwallVerdict | None
-
-    def describe(self) -> dict:
-        out = {
-            "distortion_sup": self.distortion_sup,
-            "isoperimetric_sup": self.isoperimetric_sup,
-            "alpha_improved": self.alpha_improved,
-            "alpha_distortion": self.alpha_distortion,
-            "alpha_classical": self.alpha_classical,
-            "distortion_argmax": _circle_dict(self.distortion_argmax),
-            "isoperimetric_argmax": _circle_dict(self.isoperimetric_argmax),
-            "mori": self.mori.describe(),
-            "gronwall": self.gronwall.describe() if self.gronwall else None,
-        }
-        return out
 
 
 def regularity_report(

@@ -21,7 +21,7 @@ import numpy as np
 
 from .catalog import entry_from_spec
 from .errors import ConfigError
-from .plane import DomainSpec, _finite_real, _integer
+from .plane import DomainSpec, _finite_real, _integer, to_json
 from .quadrature import QuadratureConfig
 
 #: first lines of the sampled-mu and coefficient-matrix grid CSVs
@@ -230,9 +230,9 @@ def build_config(raw: dict) -> AnalysisConfig:
         )
     resolved = {
         "subject": raw["subject"],
-        "domain": domain.describe(),
-        "quadrature": quadrature.describe(),
-        "radii": [float(r) for r in profile_radii],
+        "domain": to_json(domain),
+        "quadrature": to_json(quadrature),
+        "radii": to_json(profile_radii),
         "diagnostics": diag,
         "threshold": threshold,
         "interpolation": interpolation,

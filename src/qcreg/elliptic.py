@@ -218,15 +218,6 @@ class ComparisonReport(NamedTuple):
     lambda_max: float
     sample_count: int
 
-    def describe(self) -> dict:
-        return {
-            "alpha_eigen_ratio": self.alpha_eigen_ratio,
-            "alpha_divergence": self.alpha_divergence,
-            "lambda_min": self.lambda_min,
-            "lambda_max": self.lambda_max,
-            "sample_count": self.sample_count,
-        }
-
 
 def comparison_bounds(
     field: MatrixField, domain: DomainSpec, improved: RegularityReport

@@ -67,39 +67,25 @@ def _ratio_to_log(radii: np.ndarray, integral: np.ndarray) -> np.ndarray:
 
 
 class EpsilonProfile(NamedTuple):
-    """Circular averages of Re(eps) with their weighted log-integral.
+    """Circular averages of Re(eps) on the radii t with their weighted
+    log-integral.
 
-    `ratio_w[i] = W(t_i) / log(r_max / t_i)`; at the anchor radius both
+    `ratio_W[i] = W(t_i) / log(r_max / t_i)`; at the anchor radius both
     numerator and denominator vanish and the ratio is reported as 0.
     """
 
-    radii: np.ndarray
-    distortion_bound: float  # K used for the decomposition
+    t: np.ndarray
+    K: float  # the distortion bound of the decomposition
     eps_re_avg: np.ndarray
     W: np.ndarray
-    ratio_w: np.ndarray
-
-    def describe(self) -> dict:
-        return {
-            "K": self.distortion_bound,
-            "t": [float(x) for x in self.radii],
-            "eps_re_avg": [float(x) for x in self.eps_re_avg],
-            "W": [float(x) for x in self.W],
-            "ratio_W": [float(x) for x in self.ratio_w],
-        }
+    ratio_W: np.ndarray
 
     @classmethod
-    def from_averages(cls, radii: np.ndarray, K: float, eps_re_avg: np.ndarray) -> "EpsilonProfile":
-        """The profile of the averages of Re(eps) on increasing radii, with
+    def from_averages(cls, t: np.ndarray, K: float, eps_re_avg: np.ndarray) -> "EpsilonProfile":
+        """The profile of the averages of Re(eps) on increasing radii t, with
         W anchored at the largest radius and its ratio to the log."""
-        W = _log_integral_from_anchor(radii, eps_re_avg)
-        return cls(
-            radii=radii,
-            distortion_bound=float(K),
-            eps_re_avg=eps_re_avg,
-            W=W,
-            ratio_w=_ratio_to_log(radii, W),
-        )
+        W = _log_integral_from_anchor(t, eps_re_avg)
+        return cls(t=t, K=float(K), eps_re_avg=eps_re_avg, W=W, ratio_W=_ratio_to_log(t, W))
 
 
 def epsilon_weight_integral(
@@ -130,33 +116,20 @@ def epsilon_weight_integral(
 
 
 class DefectProfile(NamedTuple):
-    """Isoperimetric defects with their weighted log-integral."""
+    """Isoperimetric defects on the radii t with their weighted log-integral."""
 
-    radii: np.ndarray
+    t: np.ndarray
     delta: np.ndarray
     I: np.ndarray
-    ratio_i: np.ndarray
-
-    def describe(self) -> dict:
-        return {
-            "t": [float(x) for x in self.radii],
-            "delta": [float(x) for x in self.delta],
-            "I": [float(x) for x in self.I],
-            "ratio_I": [float(x) for x in self.ratio_i],
-        }
+    ratio_I: np.ndarray
 
 
 def defect_weight_integral(profile: GeometryProfile) -> DefectProfile:
     """I(t) = integral_t^{r_max} delta(r) dr/r from a geometry profile."""
-    radii = np.asarray(profile.radii, dtype=float)
+    t = np.asarray(profile.t, dtype=float)
     delta = np.asarray(profile.delta, dtype=float)
-    integral = _log_integral_from_anchor(radii, delta)
-    return DefectProfile(
-        radii=radii,
-        delta=delta,
-        I=integral,
-        ratio_i=_ratio_to_log(radii, integral),
-    )
+    integral = _log_integral_from_anchor(t, delta)
+    return DefectProfile(t=t, delta=delta, I=integral, ratio_I=_ratio_to_log(t, integral))
 
 
 def superlevel_lower_density(delta_samples, delta0: float, gamma_grid) -> float:
@@ -192,22 +165,29 @@ def superlevel_lower_density(delta_samples, delta0: float, gamma_grid) -> float:
     return best
 
 
-def empirical_holder(profile: GeometryProfile) -> list[tuple[float, float]]:
-    """Exponent estimates (t, from_area) at each profile radius t in (0, 1).
+class HolderEstimate(NamedTuple):
+    """The exponent estimate from the image area at one profile radius t."""
+
+    t: float
+    from_area: float
+
+
+def empirical_holder(profile: GeometryProfile) -> list[HolderEstimate]:
+    """Exponent estimates at each profile radius t in (0, 1).
 
     `from_area` is log(area(f(D_t))) / (2 log t) on the profile's Green
     areas: the squared worst-case displacement is comparable to the image
     area, so this converges to the pointwise exponent with an O(1/log t)
     correction. No area is computed here.
     """
-    interior = profile.radii < 1.0
+    interior = profile.t < 1.0
     if not interior.any():
-        raise NumericalError(f"no profile radius below 1 (smallest {profile.radii[0]})")
-    radii, areas = profile.radii[interior], profile.area_green[interior]
+        raise NumericalError(f"no profile radius below 1 (smallest {profile.t[0]})")
+    radii, areas = profile.t[interior], profile.area_green[interior]
     if np.any(areas <= 0):
         raise NumericalError(f"image area vanished at t = {radii[np.argmax(areas <= 0)]}")
     return [
-        (t, float(np.log(area) / (2.0 * np.log(t))))
+        HolderEstimate(t, float(np.log(area) / (2.0 * np.log(t))))
         for t, area in zip(radii.tolist(), areas)
     ]
 
@@ -222,23 +202,14 @@ class ExtremalityVerdict(NamedTuple):
     """
 
     verdict: str  # "consistent-with-extremal" | "inconsistent"
-    min_ratio_w: float
-    min_ratio_i: float
+    min_ratio_W: float
+    min_ratio_I: float
     alpha_gap: float  # |alpha_est - 1/K| at the smallest sampled scale
     threshold: float
 
     @property
     def consistent(self) -> bool:
         return self.verdict == "consistent-with-extremal"
-
-    def describe(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "min_ratio_W": self.min_ratio_w,
-            "min_ratio_I": self.min_ratio_i,
-            "alpha_gap": self.alpha_gap,
-            "threshold": self.threshold,
-        }
 
 
 def extremality_report(
@@ -254,22 +225,20 @@ def extremality_report(
     `threshold` must be a positive finite real number.
     """
     threshold = _finite_real("threshold", threshold, positive=True)
-    if eps.radii.shape != defect.radii.shape or not np.allclose(
-        eps.radii, defect.radii, rtol=1e-12, atol=0
-    ):
+    if eps.t.shape != defect.t.shape or not np.allclose(eps.t, defect.t, rtol=1e-12, atol=0):
         raise ValueError("profiles must be sampled on the same radii")
-    interior = eps.radii < eps.radii[-1] * (1.0 - 1e-12)
+    interior = eps.t < eps.t[-1] * (1.0 - 1e-12)
     if not np.any(interior):
         raise ValueError("need at least one radius below the anchor")
-    min_w = float(eps.ratio_w[interior].min())
-    min_i = float(defect.ratio_i[interior].min())
+    min_w = float(eps.ratio_W[interior].min())
+    min_i = float(defect.ratio_I[interior].min())
     t_min = min(alpha_estimates, key=lambda rec: rec[0])
-    alpha_gap = abs(t_min[1] - 1.0 / eps.distortion_bound)
+    alpha_gap = abs(t_min[1] - 1.0 / eps.K)
     consistent = min_w < threshold and min_i < threshold
     return ExtremalityVerdict(
         verdict="consistent-with-extremal" if consistent else "inconsistent",
-        min_ratio_w=min_w,
-        min_ratio_i=min_i,
+        min_ratio_W=min_w,
+        min_ratio_I=min_i,
         alpha_gap=float(alpha_gap),
         threshold=threshold,
     )

@@ -351,29 +351,18 @@ def image_area_jacobian(
 class GeometryProfile(NamedTuple):
     """Per-radius image geometry with both routes for each quantity.
 
-    `area_jacobian` is the Jacobian-route area (the quantity whose growth
-    rate carries the Holder exponent), `h = area_jacobian / length^2`, and
-    `delta = 1 / (4 pi h) - 1` is the isoperimetric defect.
+    `t` are the radii, `area_jac` is the Jacobian-route area (the quantity
+    whose growth rate carries the Holder exponent), `h = area_jac /
+    len_direct^2`, and `delta = 1 / (4 pi h) - 1` is the isoperimetric defect.
     """
 
-    radii: np.ndarray
-    length_direct: np.ndarray
-    length_formula: np.ndarray
-    area_jacobian: np.ndarray
+    t: np.ndarray
+    len_direct: np.ndarray
+    len_formula: np.ndarray
+    area_jac: np.ndarray
     area_green: np.ndarray
     h: np.ndarray
     delta: np.ndarray
-
-    def describe(self) -> dict:
-        return {
-            "t": [float(x) for x in self.radii],
-            "len_direct": [float(x) for x in self.length_direct],
-            "len_formula": [float(x) for x in self.length_formula],
-            "area_jac": [float(x) for x in self.area_jacobian],
-            "area_green": [float(x) for x in self.area_green],
-            "h": [float(x) for x in self.h],
-            "delta": [float(x) for x in self.delta],
-        }
 
 
 def geometry_profile(
@@ -458,13 +447,5 @@ def geometry_profile(
         raise NumericalError(f"isoperimetric defect overflows at t = {t}")
     if np.any(delta < -1e-6):
         raise InvariantViolationError(f"isoperimetric defect fell to {delta.min():.3e} < -1e-6")
-    profile = GeometryProfile(
-        radii=radii,
-        length_direct=len_direct,
-        length_formula=len_formula,
-        area_jacobian=area_jac,
-        area_green=area_green,
-        h=h,
-        delta=delta,
-    )
+    profile = GeometryProfile(radii, len_direct, len_formula, area_jac, area_green, h, delta)
     return profile if K is None else (profile, eps[0])

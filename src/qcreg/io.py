@@ -293,14 +293,16 @@ def _parse_blocks(csv_path, ncols: int, rows: int, blocks: int):
         pipe.write(memoryview(block).cast("B"))
 
     def gather(pipes):
-        out = np.empty((rows, ncols))
+        # allocated once block 0 has its shape, so the file holds a
+        # 1/blocks share of the rows: a sidecar's nx*ny alone allocates nothing
+        out = None
         shape = np.empty(2, dtype=np.int64)
         for lo, hi, pipe in zip(bounds, bounds[1:], pipes):
-            if not (
-                _read_exactly(pipe, shape)
-                and tuple(shape) == (hi - lo, ncols)
-                and _read_exactly(pipe, out[lo:hi])
-            ):
+            if not (_read_exactly(pipe, shape) and tuple(shape) == (hi - lo, ncols)):
+                return None
+            if out is None:
+                out = np.empty((rows, ncols))
+            if not _read_exactly(pipe, out[lo:hi]):
                 return None
         return out
 

@@ -17,6 +17,7 @@ and `_integer` raise a ValueError whose message starts with the name they are
 given, a config key where a config or a sidecar is read. A bool, a string or
 None is no number; ints and numpy scalars pass. So do the pointwise mu
 formulas `beltrami_from_partials`, `distortion_integrand` and `epsilon_from_mu`.
+Every record of a report reaches JSON through `to_json`.
 """
 
 from __future__ import annotations
@@ -100,6 +101,26 @@ def _k_max(value) -> float:
     return k
 
 
+def to_json(value):
+    """The JSON form of a record or a value in one: the record's own
+    `describe()` if it defines one, else a NamedTuple as an object of its
+    fields, an ndarray as its `tolist()`, a tuple or list as a list, a
+    complex number as [re, im], each part converted the same way; anything
+    else as it is. A record's field names are thus its JSON keys."""
+    describe = getattr(value, "describe", None)
+    if describe is not None:
+        return describe()
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        return {key: to_json(item) for key, item in zip(value._fields, value)}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (tuple, list)):
+        return [to_json(item) for item in value]
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    return value
+
+
 class _CircleFields(NamedTuple):
     center: complex
     radius: float
@@ -165,10 +186,13 @@ class DomainSpec(_Validated, _DomainFields):
         return super().__new__(cls, centers, radii, outer_center, outer, inner, float(margin))
 
     def fits(self, center: complex, radius: float) -> bool:
+        """Whether the circle lies in the outer region with the margin, up to
+        a slack of 1e-12 of the domain's scale, outer_radius + |outer_center|."""
         d = abs(complex(center) - self.outer_center)
-        if d + radius > self.outer_radius - self.margin + 1e-12:
+        slack = 1e-12 * (self.outer_radius + abs(self.outer_center))
+        if d + radius > self.outer_radius - self.margin + slack:
             return False
-        if self.inner_radius > 0 and d - radius < self.inner_radius + self.margin - 1e-12:
+        if self.inner_radius > 0 and d - radius < self.inner_radius + self.margin - slack:
             return False
         return True
 
@@ -176,7 +200,7 @@ class DomainSpec(_Validated, _DomainFields):
         """The fitting circles, centers outer and radii inner (built once per
         domain and kept in a bounded cache)."""
         # equal domains whose centers differ in the sign of a zero build
-        # circles that describe differently, so the centers' repr is keyed too
+        # circles that serialize differently, so the centers' repr is keyed too
         return list(_admissible_circles(self, repr(self.centers)))
 
     @classmethod
@@ -191,16 +215,6 @@ class DomainSpec(_Validated, _DomainFields):
         from .config import _domain_from  # the config owns the defaults
 
         return _domain_from({})
-
-    def describe(self) -> dict:
-        return {
-            "centers": [[c.real, c.imag] for c in self.centers],
-            "radii": list(self.radii),
-            "outer_center": [self.outer_center.real, self.outer_center.imag],
-            "outer_radius": self.outer_radius,
-            "inner_radius": self.inner_radius,
-            "margin": self.margin,
-        }
 
 
 @functools.lru_cache(maxsize=32)

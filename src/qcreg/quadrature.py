@@ -74,13 +74,6 @@ class QuadratureConfig(_Validated, _QuadratureFields):
         rel_tol = _finite_real("rel_tol", rel_tol, positive=True)
         return super().__new__(cls, n, max_doublings, rel_tol)
 
-    def describe(self) -> dict:
-        return {
-            "nodes": self.nodes,
-            "max_doublings": self.max_doublings,
-            "rel_tol": self.rel_tol,
-        }
-
 
 @functools.lru_cache(maxsize=None)
 def level_nodes(n: int, first: bool) -> tuple[np.ndarray, np.ndarray]:

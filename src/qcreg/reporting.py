@@ -30,6 +30,7 @@ from .extremal import (
     DefectProfile,
     EpsilonProfile,
     ExtremalityVerdict,
+    HolderEstimate,
     defect_weight_integral,
     empirical_holder,
     epsilon_weight_integral,
@@ -37,46 +38,29 @@ from .extremal import (
 )
 from .geometry import GeometryProfile, geometry_profile
 from .io import load_matrix_field, load_sampled_field
-from .plane import VALIDATION_DISK, CircleSpec, validate_field
+from .plane import VALIDATION_DISK, CircleSpec, to_json, validate_field
 
 #: slack allowed on the isoperimetric sup before a run is declared invalid
 ISO_SUP_TOL = 1e-6
 
 
 class RunReport(NamedTuple):
+    """The blocks of a report; a block that did not run is None."""
+
     subject: str
     subject_kind: str
     regularity: RegularityReport
-    geometry: GeometryProfile | None
-    epsilon: EpsilonProfile | None
-    defect: DefectProfile | None
-    holder_estimates: list | None
+    geometry_profile: GeometryProfile | None
+    epsilon_profile: EpsilonProfile | None
+    defect_profile: DefectProfile | None
+    holder_estimates: list[HolderEstimate] | None
     extremality: ExtremalityVerdict | None
     elliptic: ComparisonReport | None
     provenance: dict
 
     def to_json_dict(self) -> dict:
-        out = {
-            "subject": self.subject,
-            "subject_kind": self.subject_kind,
-            "regularity": self.regularity.describe(),
-            "provenance": self.provenance,
-        }
-        if self.geometry is not None:
-            out["geometry_profile"] = self.geometry.describe()
-        if self.epsilon is not None:
-            out["epsilon_profile"] = self.epsilon.describe()
-        if self.defect is not None:
-            out["defect_profile"] = self.defect.describe()
-        if self.holder_estimates is not None:
-            out["holder_estimates"] = [
-                {"t": t, "from_area": a} for t, a in self.holder_estimates
-            ]
-        if self.extremality is not None:
-            out["extremality"] = self.extremality.describe()
-        if self.elliptic is not None:
-            out["elliptic"] = self.elliptic.describe()
-        return out
+        """The JSON report: each block present, under its field name."""
+        return {key: to_json(block) for key, block in self._asdict().items() if block is not None}
 
 
 def run_analysis(cfg: AnalysisConfig) -> RunReport:
@@ -101,7 +85,7 @@ def run_analysis(cfg: AnalysisConfig) -> RunReport:
     K = field.distortion_ratio if cfg.run_extremal and matrix is None else None
     if map_model is not None and K is not None:
         geometry, eps_avg = geometry_profile(map_model, cfg.profile_radii, cfg.quadrature, K=K)
-        epsilon = EpsilonProfile.from_averages(geometry.radii, K, eps_avg)
+        epsilon = EpsilonProfile.from_averages(geometry.t, K, eps_avg)
     elif map_model is not None and cfg.run_geometry:
         geometry = geometry_profile(map_model, cfg.profile_radii, cfg.quadrature)
     elif K is not None:
@@ -127,9 +111,9 @@ def run_analysis(cfg: AnalysisConfig) -> RunReport:
         subject=cfg.subject,
         subject_kind=cfg.subject_kind,
         regularity=report,
-        geometry=geometry,
-        epsilon=epsilon,
-        defect=defect,
+        geometry_profile=geometry,
+        epsilon_profile=epsilon,
+        defect_profile=defect,
         holder_estimates=holder,
         extremality=verdict,
         elliptic=elliptic,
@@ -181,12 +165,12 @@ def _enforce_invariants(report, elliptic) -> None:
     if elliptic is not None and elliptic.alpha_eigen_ratio > report.alpha_distortion + 1e-9:
         raise InvariantViolationError("eigen-ratio bound exceeded divergence bound")
     if not report.mori.passed:
-        raise InvariantViolationError(f"the Mori check failed: {report.mori.describe()}")
+        raise InvariantViolationError(f"the Mori check failed: {to_json(report.mori)}")
     gronwall = report.gronwall
     if gronwall is not None and not gronwall.passed:
         where = ", ".join(f"[{c.real!r}, {c.imag!r}]" for c in gronwall.failed_centers)
         raise InvariantViolationError(
-            f"the Gronwall check failed: {gronwall.describe()}; failed centers: {where}"
+            f"the Gronwall check failed: {to_json(gronwall)}; failed centers: {where}"
         )
 
 

@@ -18,6 +18,7 @@ from qcreg import (
     comparison_bounds,
     constant_matrix_field,
     defect_weight_integral,
+    distortion_constant,
     elliptic_holder_bound,
     empirical_holder,
     epsilon_distortion_margin,
@@ -26,7 +27,6 @@ from qcreg import (
     image_area_jacobian,
     isoperimetric_constant,
     lengths_and_area,
-    mori_consistency,
     power_spiral,
     radial_stretch,
     run_analysis,
@@ -147,8 +147,7 @@ def test_criterion_07_uniform_bound_chain():
             return (1 / 3) * np.exp(1j * (phase + ax * z.real + ay * z.imag))
 
         field = BeltramiField(mu=mu, k_max=1 / 3)
-        rep = mori_consistency(field, DOMAIN, CFG)
-        worst = max(worst, rep.max_average)
+        worst = max(worst, distortion_constant(field, DOMAIN, CFG).value)
     _report(7, "uniform-bound-chain", worst <= 2.0 + 1e-9, f"max average = {worst:.12f}")
 
 
@@ -161,8 +160,8 @@ def test_criterion_08_extremizer_diagnostics():
     eps = epsilon_weight_integral(field, 2.0, radii, CFG)
     defect = defect_weight_integral(geometry_profile(stretch.map, radii, CFG))
     stretch_ok = (
-        float(np.abs(eps.ratio_w).max()) <= 1e-9
-        and float(np.abs(defect.ratio_i).max()) <= 1e-9
+        float(np.abs(eps.ratio_W).max()) <= 1e-9
+        and float(np.abs(defect.ratio_I).max()) <= 1e-9
     )
 
     k = stretch_factor(2.0)
@@ -170,11 +169,11 @@ def test_criterion_08_extremizer_diagnostics():
         mu=lambda z: (z / np.conj(z)) * (-k + 0.1), k_max=k, singular_points=(0j,)
     )
     eps_p = epsilon_weight_integral(perturbed, 2.0, radii, CFG)
-    perturbed_dev = float(np.abs(eps_p.ratio_w[interior] - 0.1).max())
+    perturbed_dev = float(np.abs(eps_p.ratio_W[interior] - 0.1).max())
 
     affine_cfg = default_config_for("affine(a=1,b=0.3333333333333333)")
     rep = run_analysis(affine_cfg)
-    affine_dev = abs(rep.extremality.min_ratio_i - ELLIPSE_DEFECT)
+    affine_dev = abs(rep.extremality.min_ratio_I - ELLIPSE_DEFECT)
     affine_ok = affine_dev <= 1e-3 and rep.extremality.verdict == "inconsistent"
 
     ok = stretch_ok and perturbed_dev <= 1e-3 and affine_ok

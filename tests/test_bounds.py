@@ -132,13 +132,13 @@ class TestHolderLowerBound:
 class TestMoriConsistency:
     def test_zero_field(self, domain, cfg):
         rep = mori_consistency(constant_field(0.0), domain, cfg)
-        assert rep.passed and rep.max_average == pytest.approx(1.0)
+        assert rep.passed and rep.worst_margin == pytest.approx(0.0)
 
     def test_radial_stretch_equality_case(self, domain, cfg):
         field = radial_stretch(2.0).map.beltrami
         rep = mori_consistency(field, domain, cfg)
         assert rep.passed
-        assert rep.max_average == pytest.approx(2.0, abs=1e-11)
+        assert distortion_constant(field, domain, cfg).value == pytest.approx(2.0, abs=1e-11)
         assert abs(rep.worst_margin) <= 1e-9
 
     def test_random_bounded_fields(self, domain, cfg, rng):
@@ -150,8 +150,9 @@ class TestMoriConsistency:
             def mu(z, a=a, b=b, phase=phase, amp=amp):
                 return amp * np.exp(1j * (phase + a * z.real + b * z.imag))
 
-            rep = mori_consistency(BeltramiField(mu=mu, k_max=1 / 3), domain, cfg)
-            assert rep.max_average <= 2.0 + 1e-9
+            field = BeltramiField(mu=mu, k_max=1 / 3)
+            rep = mori_consistency(field, domain, cfg)
+            assert distortion_constant(field, domain, cfg).value <= 2.0 + 1e-9
             assert rep.passed
 
 

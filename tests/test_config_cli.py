@@ -250,7 +250,7 @@ class TestRunAnalysis:
         rep = run_analysis(cfg)
         assert rep.regularity.alpha_improved == pytest.approx(0.5, abs=1e-6)
         assert rep.extremality.consistent
-        assert rep.geometry is not None
+        assert rep.geometry_profile is not None
 
     def test_affine_run(self):
         cfg = default_config_for("affine(a=1,b=0.3333333333333333)")
@@ -265,7 +265,7 @@ class TestRunAnalysis:
         assert rep.elliptic.alpha_eigen_ratio == pytest.approx(0.5, abs=1e-9)
         assert rep.elliptic.alpha_divergence == pytest.approx(0.8, abs=1e-9)
         assert rep.regularity.alpha_improved == pytest.approx(0.8, abs=1e-9)
-        assert rep.geometry is None
+        assert rep.geometry_profile is None
 
     def test_sampled_mu_subject(self, tmp_path):
         cfg = default_config_for(str(write_mu_grid(tmp_path)))
@@ -273,8 +273,8 @@ class TestRunAnalysis:
         # constant 0.25 coefficient: C = (1 + 1/16) / (1 - 1/16) = 17/15
         assert rep.regularity.distortion_sup == pytest.approx(17 / 15, abs=1e-9)
         assert rep.regularity.isoperimetric_sup == 1.0
-        assert rep.epsilon is not None
-        assert rep.defect is None
+        assert rep.epsilon_profile is not None
+        assert rep.defect_profile is None
 
     def test_bounds_reproducible_from_recorded_grid(self):
         cfg = default_config_for("affine(a=1,b=0.25)")

@@ -46,10 +46,10 @@ def synthetic_profile(radii, delta):
     area = np.pi * radii**2
     length = np.sqrt(4 * np.pi * area * (1 + delta))
     return GeometryProfile(
-        radii=radii,
-        length_direct=length,
-        length_formula=length,
-        area_jacobian=area,
+        t=radii,
+        len_direct=length,
+        len_formula=length,
+        area_jac=area,
         area_green=area,
         h=area / length**2,
         delta=delta,
@@ -122,7 +122,7 @@ class TestEpsilonWeightIntegral:
         prof = epsilon_weight_integral(field, 2.0, np.geomspace(1e-3, 1, 17), cfg)
         assert np.abs(prof.eps_re_avg).max() <= 1e-14
         assert np.abs(prof.W).max() <= 1e-13
-        assert np.abs(prof.ratio_w).max() <= 1e-13
+        assert np.abs(prof.ratio_W).max() <= 1e-13
 
     def test_constant_offset_closed_form(self, cfg):
         # Re eps = 0.1 everywhere: W(t) = 0.1 log(1/t), ratio identically 0.1
@@ -132,8 +132,8 @@ class TestEpsilonWeightIntegral:
         assert np.allclose(prof.eps_re_avg, 0.1, atol=1e-13)
         assert np.allclose(prof.W, 0.1 * np.log(1.0 / radii), atol=1e-12)
         interior = radii < 1.0
-        assert np.allclose(prof.ratio_w[interior], 0.1, atol=1e-12)
-        assert prof.ratio_w[-1] == 0.0  # anchor convention
+        assert np.allclose(prof.ratio_W[interior], 0.1, atol=1e-12)
+        assert prof.ratio_W[-1] == 0.0  # anchor convention
 
     def test_piecewise_plateau(self, cfg):
         # offset 0.1 on [1/4, 1], zero below: W plateaus at 0.1 log 4
@@ -149,7 +149,7 @@ class TestEpsilonWeightIntegral:
         below = radii <= 0.25 / 2
         assert np.abs(prof.W[below] - plateau).max() <= 0.1 * cell + 1e-12
         # ratio decays toward zero below the jump
-        ratios = prof.ratio_w[below]
+        ratios = prof.ratio_W[below]
         assert ratios[0] < ratios[-1]
         assert ratios[0] <= (plateau + 0.1 * cell) / np.log(1 / radii[0]) + 1e-9
 
@@ -190,20 +190,20 @@ class TestDefectWeightIntegral:
         prof = synthetic_profile(np.geomspace(0.01, 1, 17), np.zeros(17))
         out = defect_weight_integral(prof)
         assert np.abs(out.I).max() == 0.0
-        assert np.abs(out.ratio_i).max() == 0.0
+        assert np.abs(out.ratio_I).max() == 0.0
 
     def test_constant_defect_closed_form(self):
         radii = np.geomspace(0.01, 1, 33)
         d0 = 0.25
         out = defect_weight_integral(synthetic_profile(radii, np.full(33, d0)))
         assert np.allclose(out.I, d0 * np.log(1.0 / radii), atol=1e-12)
-        assert np.allclose(out.ratio_i[:-1], d0, atol=1e-12)
+        assert np.allclose(out.ratio_I[:-1], d0, atol=1e-12)
 
     def test_affine_profile_flags_structure(self, cfg):
         radii = np.geomspace(0.05, 1.0, 17)
         geo = geometry_profile(affine_map(1.0, 1 / 3).map, radii, cfg)
         out = defect_weight_integral(geo)
-        assert np.allclose(out.ratio_i[:-1], ELLIPSE_DEFECT, atol=1e-9)
+        assert np.allclose(out.ratio_I[:-1], ELLIPSE_DEFECT, atol=1e-9)
 
 
 class TestSuperlevelDensity:
@@ -306,20 +306,20 @@ class TestExtremalityReport:
         eps, defect, est = self._diagnostics(radial_stretch(2.0), cfg)
         verdict = extremality_report(eps, defect, est)
         assert verdict.consistent
-        assert verdict.min_ratio_w <= 1e-9
-        assert verdict.min_ratio_i <= 1e-9
+        assert verdict.min_ratio_W <= 1e-9
+        assert verdict.min_ratio_I <= 1e-9
 
     def test_affine_inconsistent(self, cfg):
         eps, defect, est = self._diagnostics(affine_map(1.0, 1 / 3), cfg)
         verdict = extremality_report(eps, defect, est)
         assert not verdict.consistent
-        assert verdict.min_ratio_i == pytest.approx(ELLIPSE_DEFECT, abs=1e-3)
+        assert verdict.min_ratio_I == pytest.approx(ELLIPSE_DEFECT, abs=1e-3)
 
     def test_spiral_inconsistent_for_its_own_K(self, cfg):
         eps, defect, est = self._diagnostics(spiral_map(1.0), cfg)
         verdict = extremality_report(eps, defect, est)
         assert not verdict.consistent
-        assert verdict.min_ratio_w > 0.01
+        assert verdict.min_ratio_W > 0.01
         # alpha estimate sits near 1, far above 1/K
         assert verdict.alpha_gap > 0.1
 

@@ -330,13 +330,13 @@ class TestIsoperimetricDefect:
 class TestGeometryProfile:
     def test_identity_two_radii(self, cfg):
         prof = geometry_profile(IDENTITY.map, [0.5, 1.0], cfg)
-        assert prof.area_jacobian == pytest.approx([np.pi / 4, np.pi], rel=1e-13)
+        assert prof.area_jac == pytest.approx([np.pi / 4, np.pi], rel=1e-13)
         assert np.abs(prof.delta).max() <= 1e-12
 
     def test_radial_stretch_linear_phi(self, cfg):
         radii = np.geomspace(0.01, 1.0, 9)
         prof = geometry_profile(radial_stretch(2.0).map, radii, cfg)
-        assert np.allclose(prof.area_jacobian, np.pi * radii, rtol=1e-11)
+        assert np.allclose(prof.area_jac, np.pi * radii, rtol=1e-11)
         assert np.abs(prof.delta).max() <= 1e-10
 
     def test_affine_constant_defect(self, cfg):
@@ -344,12 +344,12 @@ class TestGeometryProfile:
         prof = geometry_profile(affine_map(1.0, 1 / 3).map, radii, cfg)
         assert np.allclose(prof.delta, ELLIPSE_DEFECT, atol=1e-9)
         # both oracle pairs agree within the enforced tolerance
-        assert np.abs(prof.length_formula / prof.length_direct - 1).max() <= 1e-6
-        assert np.abs(prof.area_green / prof.area_jacobian - 1).max() <= 1e-6
+        assert np.abs(prof.len_formula / prof.len_direct - 1).max() <= 1e-6
+        assert np.abs(prof.area_green / prof.area_jac - 1).max() <= 1e-6
 
     def test_phi_nondecreasing(self, cfg):
         prof = geometry_profile(power_spiral(0.5, 1.0).map, np.geomspace(0.05, 1, 9), cfg)
-        assert np.all(np.diff(prof.area_jacobian) >= 0)
+        assert np.all(np.diff(prof.area_jac) >= 0)
 
     def test_rejects_unsorted_radii(self, cfg):
         with pytest.raises(ValueError):
@@ -361,14 +361,14 @@ class TestGeometryProfile:
             diagnostics={"geometry": True, "extremal": False},
         )
         report = run_analysis(cfg)
-        prof = report.geometry
+        prof = report.geometry_profile
         path = tmp_path / "geometry.csv"
         assert path in emit_report(report, csv_dir=tmp_path)
         header = path.read_text().splitlines()[0]
         assert header == "t,len_direct,len_formula,area_jac,area_green,h,delta"
         data = np.loadtxt(path, delimiter=",", skiprows=1)
         assert data.shape == (2, 7)
-        assert data[:, 3] == pytest.approx(prof.area_jacobian)
+        assert data[:, 3] == pytest.approx(prof.area_jac)
 
 
 class TestScaleInvariance:
@@ -377,7 +377,7 @@ class TestScaleInvariance:
         K = 5.0
         radii = np.geomspace(0.01, 1.0, 7)
         prof = geometry_profile(radial_stretch(K).map, radii, cfg)
-        assert np.allclose(prof.area_jacobian / (np.pi * radii ** (2 / K)), 1.0, atol=1e-9)
+        assert np.allclose(prof.area_jac / (np.pi * radii ** (2 / K)), 1.0, atol=1e-9)
 
 
 class TestRadiusPerturbation:
@@ -397,8 +397,8 @@ class TestRadiusPerturbation:
             jacobian=lambda z: np.ones(np.asarray(z).shape),
         )
         prof = geometry_profile(broken_ring, [0.25, 0.5, 1.0], cfg)
-        assert prof.radii[1] == pytest.approx(np.sqrt(0.5))
-        assert np.allclose(prof.area_jacobian, np.pi * prof.radii**2, rtol=1e-12)
+        assert prof.t[1] == pytest.approx(np.sqrt(0.5))
+        assert np.allclose(prof.area_jac, np.pi * prof.t**2, rtol=1e-12)
 
     def test_formula_checks_do_not_preempt_the_nudge(self, cfg):
         # on the ring where the partials blow up, mu also leaves the unit
@@ -417,8 +417,8 @@ class TestRadiusPerturbation:
             beltrami=BeltramiField(lambda z: np.where(on_ring(z), 2.0, 0.0) + 0j, 0.0),
         )
         prof = geometry_profile(broken_ring, [0.25, 0.5, 1.0], cfg)
-        assert prof.radii[1] == pytest.approx(np.sqrt(0.5))
-        assert np.allclose(prof.length_formula, 2 * np.pi * prof.radii, rtol=1e-12)
+        assert prof.t[1] == pytest.approx(np.sqrt(0.5))
+        assert np.allclose(prof.len_formula, 2 * np.pi * prof.t, rtol=1e-12)
 
     def test_nudge_toward_a_tiny_neighbor_does_not_underflow(self, cfg):
         # 1e-200 * 1e-150 underflows to 0, the log-midpoint 1e-175 does not;
@@ -433,14 +433,14 @@ class TestRadiusPerturbation:
         broken_ring = MapModel(value=entry.map.value, partials=partials,
                                jacobian=entry.map.jacobian, beltrami=entry.map.beltrami)
         prof = geometry_profile(broken_ring, [1e-200, 1e-150, 1.0], cfg)
-        assert prof.radii[0] == pytest.approx(1e-175, rel=1e-15)
-        assert np.allclose(prof.area_jacobian, np.pi * 1e300 * prof.radii**2, rtol=1e-12)
+        assert prof.t[0] == pytest.approx(1e-175, rel=1e-15)
+        assert np.allclose(prof.area_jac, np.pi * 1e300 * prof.t**2, rtol=1e-12)
 
     def test_overflowing_boundary_average_is_nudged(self, cfg):
         # at t = 1e154 the Green density's node values are finite but their
         # sum overflows; the circle is nudged toward its neighbour
         prof = geometry_profile(affine_map(1.0, 0.5).map, [1e-3, 1e77, 1e154], cfg)
-        assert prof.radii[-1] == pytest.approx(10**115.5, rel=1e-12)
+        assert prof.t[-1] == pytest.approx(10**115.5, rel=1e-12)
         assert np.isfinite(prof.delta).all()
 
     def test_overflowing_defect_is_a_numerical_error(self):

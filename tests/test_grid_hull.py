@@ -120,7 +120,7 @@ class TestSampledMu:
                                               r"center=0j, radius=1\.3\) leaves"):
             run_analysis(build_config(raw))
         report = run_analysis(build_config({**raw, "diagnostics": {"extremal": False}}))
-        assert report.epsilon is None
+        assert report.epsilon_profile is None
 
     def test_covering_grid_still_runs(self, tmp_path):
         report = run_analysis(build_config({"subject": str(write_mu_grid(tmp_path))}))

@@ -1280,6 +1280,21 @@ class TestBlockParseFallsBackToSerial:
         assert spy.forks == blocks and spy.parent_loads == 1
         assert_no_child_left()
 
+    def test_sidecar_far_beyond_the_file(self, tmp_path, monkeypatch, blocks):
+        # nx*ny = 2**62 rows would not fit in memory: nothing is allocated
+        # for them before block 0 shows the file is short
+        path = smooth_mu_grid(tmp_path, (3, 3))
+        desc = json.loads(sidecar_path(path).read_text())
+        sidecar_path(path).write_text(json.dumps({**desc, "nx": 2**31, "ny": 2**31}))
+        want = outcome(load_sampled_field, path)
+        spy = BlockParse(monkeypatch, blocks)
+        got = outcome(load_sampled_field, path)
+        assert got == want == (
+            ConfigError, f"{path}: 9 rows but descriptor says nx*ny = {2**62}"
+        )
+        assert spy.forks == blocks and spy.parent_loads == 1
+        assert_no_child_left()
+
     @pytest.mark.parametrize("action", ["kill", "short", "long", "exit 3"])
     @pytest.mark.parametrize("block", ["first", "last"])
     def test_failed_child(self, tmp_path, monkeypatch, blocks, action, block):

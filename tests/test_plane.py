@@ -96,6 +96,22 @@ class TestCircleAndDomain:
         )
         assert dom2.admissible_circles() == []
 
+    # the fit slack scales with the domain: 1e-12 regardless of scale would
+    # admit circles ten times a small outer disk, or circles around its hole
+    def test_fit_slack_scales_with_a_small_disk(self):
+        dom = DomainSpec(centers=(0j,), radii=(1e-13, 5e-13, 1e-12), outer_radius=1e-13)
+        assert dom.admissible_circles() == [CircleSpec(0j, 1e-13)]
+
+    def test_fit_slack_scales_with_a_small_annulus(self):
+        ring = DomainSpec(centers=(0j,), radii=(5e-14,), outer_radius=1e-13, inner_radius=5e-14)
+        assert ring.admissible_circles() == []
+
+    def test_fit_slack_scales_with_a_far_domain(self):
+        # the circle touches the outer one, but 1e6 + 0.3 rounds 4.7e-11 outward
+        far = DomainSpec(centers=(1e6 + 0.3 + 0j,), radii=(0.7, 0.7 + 1e-5),
+                         outer_center=1e6 + 0j)
+        assert far.admissible_circles() == [CircleSpec(1e6 + 0.3, 0.7)]
+
     def test_admissible_circles_are_built_once(self):
         dom = DomainSpec(centers=(0j, 0.5 + 0j), radii=(0.25, 0.75), outer_radius=1.0)
         first = dom.admissible_circles()

@@ -18,6 +18,7 @@ from qcreg import (
     sup_over_circles,
 )
 from qcreg.bounds import distortion_average, distortion_constant, distortion_integrand
+from qcreg.plane import to_json
 from qcreg.quadrature import MAX_CIRCLE_NODES, SupResult, level_nodes, refine
 
 UNIT = CircleSpec(0j, 1.0)
@@ -49,7 +50,7 @@ class TestConfig:
 
     def test_tolerance_is_stored_as_a_float(self):
         cfg = QuadratureConfig(rel_tol=np.float32(0.5))
-        assert type(cfg.rel_tol) is float and cfg.describe()["rel_tol"] == 0.5
+        assert type(cfg.rel_tol) is float and to_json(cfg)["rel_tol"] == 0.5
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -80,7 +81,7 @@ class TestConfig:
     def test_numpy_integers_stored_as_int(self):
         cfg = QuadratureConfig(nodes=np.int64(64), max_doublings=np.int32(3))
         assert type(cfg.nodes) is int and type(cfg.max_doublings) is int
-        assert cfg.describe() == {"nodes": 64, "max_doublings": 3, "rel_tol": 1e-9}
+        assert to_json(cfg) == {"nodes": 64, "max_doublings": 3, "rel_tol": 1e-9}
 
 
 class TestCircularAverage:

@@ -206,10 +206,10 @@ class TestBoundaryPass:
     def test_geometry_profile_columns_equal_the_single_routes(self, model):
         radii = np.geomspace(0.01, 1.0, 6)
         prof = geometry_profile(model, radii, CFG)
-        for i, t in enumerate(prof.radii):
+        for i, t in enumerate(prof.t):
             circle = CircleSpec(0j, float(t))
-            assert prof.length_direct[i] == 2.0 * np.pi * single_route(model, circle, 0)
-            assert prof.length_formula[i] == 2.0 * np.pi * single_route(model, circle, 1)
+            assert prof.len_direct[i] == 2.0 * np.pi * single_route(model, circle, 0)
+            assert prof.len_formula[i] == 2.0 * np.pi * single_route(model, circle, 1)
             assert prof.area_green[i] == np.pi * single_route(model, circle, 2)
 
 
@@ -241,10 +241,10 @@ class TestEpsilonRow:
         cfg = build_config(config)
         report = run_analysis(cfg)
         field = validate_field(entry_from_spec(cfg.subject).map.beltrami)
-        want = epsilon_weight_integral(field, field.distortion_ratio, report.geometry.radii,
+        want = epsilon_weight_integral(field, field.distortion_ratio, report.geometry_profile.t,
                                        cfg.quadrature)
         for name in want._fields:
-            assert np.array_equal(getattr(report.epsilon, name), getattr(want, name)), name
+            assert np.array_equal(getattr(report.epsilon_profile, name), getattr(want, name)), name
         return report
 
     @pytest.mark.parametrize("spec", SPECS)
@@ -259,7 +259,7 @@ class TestEpsilonRow:
             "radii": {"max": 1e200, "count": 3},
             "quadrature": {"nodes": 16, "max_doublings": 2},
         })
-        assert report.geometry.radii[-1] < 1e200
+        assert report.geometry_profile.t[-1] < 1e200
 
 
 def domain_with_offsets():
