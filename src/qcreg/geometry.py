@@ -24,7 +24,9 @@ integral adds a geometric tail estimate below its last segment, exact for
 power-law Jacobians, and descends octave by octave only until that
 tail-corrected total settles (at most RADIAL_OCTAVES octaves). The segments
 of all stacked integrals form one flat rule, so every doubling level is a
-few array operations whatever the number of disks.
+few array operations whatever the number of disks. An integral whose rings
+all show a decayed Fourier tail at the first angular level
+(`qcreg.quadrature.tail_settled`) takes no second.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .quadrature import (
     level_nodes,
     refine,
     row_batches,
+    tail_settled,
 )
 
 #: relative agreement demanded between the two length / area routes
@@ -147,8 +150,10 @@ def lengths_and_area(
     return (2.0 * np.pi * speed, 2.0 * np.pi * formula, np.pi * green, *eps)
 
 
-def _ring_mean_jacobian(map_model, center, radii, unit):
-    """Mean of J_f over the angle on each ring center[i] + radii[i] e^{i theta}.
+def _ring_mean_jacobian(map_model, center, radii, unit, rel_tol=None):
+    """Mean of J_f over the angle on each ring center[i] + radii[i] e^{i theta},
+    and given rel_tol whether the samples of each ring settle its mean to
+    rel_tol relative (`tail_settled`, None without).
 
     Negative values, non-finite values and a mean that overflows are
     rejected, naming the first bad ring.
@@ -164,7 +169,7 @@ def _ring_mean_jacobian(map_model, center, radii, unit):
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
         raise error(f"{what} Jacobian on the ring of radius {radii[i]} around {center[i]}")
-    return mean
+    return mean, None if rel_tol is None else tail_settled(jac, rel_tol * mean)
 
 
 def _annulus_segments(t: np.ndarray, r_inner: np.ndarray):
@@ -207,15 +212,19 @@ class _FlatRule(NamedTuple):
         """This rule's segments, then those of `other`."""
         return _FlatRule(*(np.concatenate(pair) for pair in zip(self, other)))
 
-    def ring_means(self, map_model: MapModel, unit: np.ndarray, rows=slice(None)) -> np.ndarray:
-        """Mean Jacobian over the angles `unit` on every ring of the segment
-        `rows`, in batches of at most MAX_BATCH_NODES points."""
+    def ring_means(self, map_model: MapModel, unit: np.ndarray, rows=slice(None), rel_tol=None):
+        """Mean Jacobian over the angles `unit` on every ring of the segments
+        `rows`, in batches of at most MAX_BATCH_NODES points, and given
+        rel_tol whether each ring settles on those samples (None without);
+        both of shape (segments, RADIAL_NODES)."""
         radii = self.radii[rows].ravel()
         center = np.repeat(self.center[rows], RADIAL_NODES)
-        return np.concatenate([
-            _ring_mean_jacobian(map_model, center[ring], radii[ring], unit)
+        means, settled = zip(*(
+            _ring_mean_jacobian(map_model, center[ring], radii[ring], unit, rel_tol)
             for ring in row_batches(radii.size, unit.size)
-        ]).reshape(-1, RADIAL_NODES)
+        ))
+        means = np.concatenate(means).reshape(-1, RADIAL_NODES)
+        return means, None if rel_tol is None else np.concatenate(settled).reshape(means.shape)
 
     def totals(self, means: np.ndarray, count: int, tail: np.ndarray) -> np.ndarray:
         """The `count` integrals from the ring means of every segment.
@@ -259,10 +268,18 @@ def image_area_jacobian(
         with RADIAL_NODES Gauss-Legendre rings each.
     cfg : QuadratureConfig
         Angular resolution, doubled by `refine` until each integral is
-        stable to cfg.rel_tol, with a convergence test per integral. A
-        doubling evaluates each ring of an integral only at the angles it
-        adds (`level_nodes`) and combines their mean with the ring's
-        running mean. The integrals still refining share each level's
+        stable to cfg.rel_tol, with a convergence test per integral. At the
+        first angular level a ring settles when `tail_settled` finds each
+        discrete Fourier coefficient of its cfg.nodes samples with
+        k >= cfg.nodes / 4 at most cfg.rel_tol * |ring mean|, and an
+        integral settles there when all its rings have: J >= 0 and the
+        Gauss-Legendre weights are positive, so the rings' relative bound
+        carries over to the total. Like a circle's rows, an integral
+        settles at the level it would reach alone, and the samples cannot
+        see a term at an exact multiple of cfg.nodes. A doubling evaluates
+        each ring of an integral only at the angles it adds
+        (`level_nodes`) and combines their mean with the ring's running
+        mean. The integrals still refining share each level's
         Jacobian calls, which take their rings in batches of at most
         MAX_BATCH_NODES points.
     r_inner : float or sequence of float
@@ -310,17 +327,21 @@ def image_area_jacobian(
     means = None  # ring means over the angles of the levels so far, (S, RADIAL_NODES)
 
     def descend(unit):
+        # the first angular level: every integral's totals, and whether all
+        # its rings settled on their samples
         nonlocal rule, means
-        means = rule.ring_means(map_model, unit)
+        means, settled = rule.ring_means(map_model, unit, rel_tol=cfg.rel_tol)
         totals = rule.totals(means, len(disks), tail)
         moving = whole
         for k in range(2, RADIAL_OCTAVES):
             if not moving.size:
-                return totals
+                break
             step = octave(moving, k)
             tail[moving] = np.column_stack((tail[moving, 1], rule.owner.size + np.arange(moving.size)))
             rule = rule.joined(step)
-            means = np.concatenate((means, step.ring_means(map_model, unit)))
+            step_means, step_settled = step.ring_means(map_model, unit, rel_tol=cfg.rel_tol)
+            means = np.concatenate((means, step_means))
+            settled = np.concatenate((settled, step_settled))
             fresh = rule.totals(means, len(disks), tail)
             moved = np.abs(fresh - totals)
             totals = fresh
@@ -333,7 +354,9 @@ def image_area_jacobian(
                 "center; the Jacobian is not integrable there",
                 circle=disks[i],
             )
-        return totals
+        unsettled = np.zeros(len(disks), dtype=bool)
+        unsettled[rule.owner[~settled.all(axis=1)]] = True
+        return totals, ~unsettled
 
     def evaluate(n, items, refining):
         nonlocal means
@@ -342,7 +365,7 @@ def image_area_jacobian(
         if first:
             return descend(unit)
         rows = np.flatnonzero(np.isin(rule.owner, items))
-        means[rows] = 0.5 * (means[rows] + rule.ring_means(map_model, unit, rows))
+        means[rows] = 0.5 * (means[rows] + rule.ring_means(map_model, unit, rows)[0])
         return rule.totals(means, len(disks), tail)[items]
 
     return refine(evaluate, len(disks), cfg)

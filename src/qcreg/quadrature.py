@@ -11,6 +11,21 @@ where z / conj(z) fields may carry tabulated branch data. `refine` is the
 one node-doubling loop: the circle averages here and the Jacobian areas of
 `qcreg.geometry` both refine through it.
 
+At its first level a row may settle on its own samples. The N-node rule
+errs by the row's Fourier coefficients at the nonzero multiples of N, and
+on a smooth periodic integrand those decay with the frequency (Trefethen &
+Weideman, SIAM Review 56, 2014, section 3). So `tail_settled` settles a row
+whose discrete Fourier coefficients have decayed to round-off across the
+whole upper half of its spectrum, N/4 <= k <= N/2: each at most rel_tol
+max(1, |mean|) for a circle average, rel_tol |mean| for a ring of the
+nonnegative Jacobian. Every other row, and every row at a later level,
+converges by the doubling test. The decision reads the row's samples alone,
+so a row settles at the level it would reach in a family of one. The rule
+has a limit the doubling test lacks: N samples cannot see a term at an
+exact multiple of N (cos(N theta) samples as a constant), so a row whose
+upper spectrum is empty but which carries such a term settles at the
+aliased value, where the next level's nodes would have shown it.
+
 Circle families and ring rules are evaluated in batches of at most
 MAX_BATCH_NODES nodes, for two reasons. A complex node array of the cap is
 128 KiB, so the temporaries of a batch stay cache-sized, and fewer of them
@@ -130,6 +145,24 @@ def row_batches(rows: int, n: int) -> list[slice]:
     return [slice(k, k + step) for k in range(0, rows, step)]
 
 
+def tail_settled(rows: np.ndarray, bound) -> np.ndarray:
+    """Which rows of samples show a Fourier tail decayed below their bound.
+
+    `rows` holds along its last axis the samples of periodic functions at N
+    equally spaced angles, and `bound` one bound per row (shape rows.shape[:-1]).
+    A row settles when each of its discrete Fourier coefficients
+    c_k = (1/N) sum_j f_j e^{-2 pi i j k / N} with N/4 <= k <= N/2 is at most
+    its bound: the spectrum has decayed across its whole upper half, not only
+    at its top. Only content within N/4 of a nonzero multiple of N, which
+    aliases below N/4, escapes the test. A transform that overflows leaves
+    its row unsettled.
+    """
+    n = rows.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        tail = np.abs(np.fft.rfft(rows, axis=-1)[..., n // 4:])
+        return (tail <= n * np.asarray(bound)[..., None]).all(axis=-1)
+
+
 def refine(evaluate: Callable, count: int, cfg: QuadratureConfig) -> np.ndarray:
     """Estimates of `count` items, each refined by node doubling until stable.
 
@@ -138,7 +171,10 @@ def refine(evaluate: Callable, count: int, cfg: QuadratureConfig) -> np.ndarray:
     item, or (k, items.size) for k stacked rows. `refining` marks the rows
     of those items that have not converged yet, shape (k, items.size); at
     the first level, where every row refines, it is all True of shape
-    (1, items.size).
+    (1, items.size). At the first level only, `evaluate` may return a pair
+    (estimates, settled) instead, `settled` a boolean array of the
+    estimates' shape marking the rows that their own samples show converged
+    (`tail_settled`): those rows keep their first estimate and never refine.
 
     Node counts double from cfg.nodes, and n is the size of the level's
     whole rule. On the nested rule of `level_nodes` a later level evaluates
@@ -151,21 +187,23 @@ def refine(evaluate: Callable, count: int, cfg: QuadratureConfig) -> np.ndarray:
     its last estimate. Returns shape (count,) or (k, count), as `evaluate`.
     """
     items = np.arange(count)
-    refining = np.ones((1, count), dtype=bool)
     n = cfg.nodes
     for level in range(cfg.max_doublings + 1):
-        values = np.asarray(evaluate(n, items, refining[:, items]), dtype=float)
+        values = evaluate(n, items, refining[:, items] if level else np.ones((1, count), bool))
+        settled = False
+        if not level and isinstance(values, tuple):
+            values, settled = values
+        values = np.asarray(values, dtype=float)
         cur = values.reshape(-1, items.size)
-        if not level:
-            est = np.empty((cur.shape[0], count))
-            prev = np.empty_like(est)
-            refining = np.ones(est.shape, dtype=bool)
-        ref = refining[:, items]
-        est[:, items] = np.where(ref, cur, est[:, items])
         if level:
+            ref = refining[:, items]
+            est[:, items] = np.where(ref, cur, est[:, items])
             ref &= ~(np.abs(cur - prev[:, items]) <= cfg.rel_tol * np.maximum(1.0, np.abs(cur)))
             refining[:, items] = ref
-        prev[:, items] = cur
+            prev[:, items] = cur
+        else:
+            est, prev = cur.copy(), cur.copy()
+            refining = ref = ~np.broadcast_to(settled, values.shape).reshape(cur.shape)
         items = items[ref.any(axis=0)]
         if not items.size:
             break
@@ -198,9 +236,14 @@ def circular_average(
         size for reusing temporaries in place, so an elementwise integrand
         gives every row the bits it has in a family of one.
     cfg : QuadratureConfig
-        The doubling rule of `refine`: each row of each circle has its own
+        The rule of `refine`: each row of each circle has its own
         convergence test, so a row converges at the level it would reach in
-        a family of one, with the value it has there.
+        a family of one, with the value it has there. At the first level a
+        row settles when `tail_settled` finds each discrete Fourier
+        coefficient of its cfg.nodes samples with k >= cfg.nodes / 4 at
+        most cfg.rel_tol * max(1, |mean|), the scale of the doubling test;
+        every other row doubles. The samples alone cannot see a term at an
+        exact multiple of cfg.nodes, which the doubling test would catch.
 
     Returns
     -------
@@ -225,7 +268,7 @@ def circular_average(
         nonlocal running
         first = n == cfg.nodes
         theta, unit = level_nodes(n, first)
-        parts = []
+        parts, settled = [], []
         for rows in row_batches(items.size, theta.size):
             idx = items[rows]
             batch = tuple(circles[i] for i in idx)
@@ -243,11 +286,13 @@ def circular_average(
                 means = stacked.mean(axis=-1)
             _check_finite(stacked, means, refining[:, rows], batch, theta)
             parts.append(means)
+            if first:
+                settled.append(tail_settled(stacked, cfg.rel_tol * np.maximum(1.0, np.abs(means))))
         fresh = np.concatenate(parts, axis=1)
         if first:
-            running = fresh
-        else:
-            running[:, items] = 0.5 * (running[:, items] + fresh)
+            running, settled = fresh, np.concatenate(settled, axis=1)
+            return (fresh, settled) if vals.ndim == 3 else (fresh[0], settled[0])
+        running[:, items] = 0.5 * (running[:, items] + fresh)
         means = running[:, items]
         return means if vals.ndim == 3 else means[0]
 

@@ -23,7 +23,6 @@ from qcreg import (
     NumericalError,
     OrientationError,
     QuadratureConfig,
-    SampledField,
     affine_map,
     circular_average,
     distortion_constant,
@@ -33,27 +32,20 @@ from qcreg import (
     image_area_jacobian,
     isoperimetric_constant,
     lengths_and_area,
-    power_spiral,
     radial_stretch,
     regularity_report,
-    spiral_map,
     sup_over_circles,
     validate_field,
 )
 from qcreg.bounds import _map_rows, distortion_average, distortion_integrand
 from qcreg.quadrature import MAX_BATCH_NODES, TIE_ULPS, SupResult, _argmax_stable, level_nodes
 
+from conftest import FAMILIES, PROFILE_RADII, ring_domain, wavy_grid
+
 #: largest distance in units in the last place between a batched and a lone value
 ULPS = 0
 
 CFG = QuadratureConfig()
-
-FAMILIES = {
-    "radial_stretch": radial_stretch(2.5).map,
-    "spiral": spiral_map(1.2).map,
-    "affine": affine_map(1.0, 0.3 - 0.2j).map,
-    "power_spiral": power_spiral(0.6, 0.8).map,
-}
 
 #: mu = KAPPA z / conj(z) of the power families, KAPPA = s / (s + 2) for
 #: f(z) = z |z|^s, and the constant mu = b / a of the affine map
@@ -66,15 +58,6 @@ AFFINE_MU = 0.3 - 0.2j
 
 #: largest relative error allowed against a closed form
 ORACLE_TOL = 1e-12
-
-
-def ring_domain():
-    """The origin plus 8 centers on a ring of radius 0.4, 32 log-spaced radii."""
-    ring = [
-        complex(round(0.4 * math.cos(a), 4), round(0.4 * math.sin(a), 4))
-        for a in np.arange(8) * math.pi / 4
-    ]
-    return DomainSpec(centers=(0j, *ring), radii=tuple(np.geomspace(0.05, 1.0, 32)))
 
 
 def lone_distortion(field, circle, levels):
@@ -268,18 +251,6 @@ class TestClosedForms:
         _, got, _ = _map_rows(model, model.beltrami, origin, CFG)
         assert np.abs(got - 1).max() <= ORACLE_TOL
 
-
-def wavy_grid(interpolation, n=65):
-    """A spatially varying mu grid on [-1.05, 1.05]^2."""
-    x = np.linspace(-1.05, 1.05, n)
-    z = x[None, :] + 1j * x[:, None]
-    mu = 0.4 * np.exp(1j * (1.3 * z.real - 0.7 * z.imag)) * (0.5 + 0.5 * np.cos(2 * z.real))
-    return SampledField(origin=-1.05 - 1.05j, spacing=2.1 / (n - 1), values=mu,
-                        k_max=0.4, interpolation=interpolation)
-
-
-#: the profile radii of a default analysis
-PROFILE_RADII = np.geomspace(1e-3, 1.0, 65)
 
 
 def assert_family_equals_lone(rows, circles):
@@ -484,12 +455,12 @@ class TestEvaluationCap:
         # two octaves are evaluated together, in batches under the cap; the
         # power-law tail has settled after one more octave of 10 rings
         assert max(sizes) <= MAX_BATCH_NODES
-        assert sum(sizes) == 196096  # the points of TestWorkCounts, in fewer calls
+        assert sum(sizes) == 98048  # the points of TestWorkCounts, in fewer calls
         # both the 33 circles of the profile's one boundary pass and the 350
-        # rings converge at the second level, and each level evaluates 256
-        # angles per row, in batches of as many whole rows as the cap holds
+        # rings settle at the first level on the Fourier tail of their 256
+        # angles, evaluated in batches of as many whole rows as the cap holds
         batches = lambda rows: math.ceil(rows / (MAX_BATCH_NODES // CFG.nodes))
-        assert len(sizes) == 2 * batches(33) + batches(340) + batches(10) + batches(350)
+        assert len(sizes) == batches(33) + batches(340) + batches(10)
 
 
 class TestRingChecks:

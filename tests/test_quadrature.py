@@ -1,9 +1,13 @@
 import math
+import sys
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import qcreg.bounds
+import qcreg.geometry
 import qcreg.quadrature
 from qcreg import (
     CircleSpec,
@@ -11,23 +15,42 @@ from qcreg import (
     DomainSpec,
     NumericalError,
     QuadratureConfig,
+    affine_map,
     circular_average,
+    geometry_profile,
+    image_area_jacobian,
     radial_stretch,
     regularity_report,
     spiral_map,
     sup_over_circles,
+    validate_field,
 )
 from qcreg.bounds import distortion_average, distortion_constant, distortion_integrand
 from qcreg.plane import to_json
-from qcreg.quadrature import MAX_CIRCLE_NODES, SupResult, level_nodes, refine
+from qcreg.quadrature import (MAX_CIRCLE_NODES, CircleNodes, SupResult, level_nodes, refine,
+                              tail_settled)
+
+from conftest import FAMILIES, PROFILE_RADII, ring_domain, wavy_grid
 
 UNIT = CircleSpec(0j, 1.0)
 
 
+def counted_average(f, cfg):
+    """Average of f(theta) on the unit circle as a family of one, and the
+    number of levels it was evaluated at."""
+    calls = []
+
+    def integrand(nodes):
+        calls.append(nodes.theta.size)
+        return f(nodes.theta)[None, :]
+
+    (value,) = circular_average(integrand, [UNIT], cfg)
+    return value, len(calls)
+
+
 def theta_average(f, cfg=QuadratureConfig()):
     """Average of f(theta) on the unit circle, as a family of one."""
-    (value,) = circular_average(lambda nodes: f(nodes.theta)[None, :], [UNIT], cfg)
-    return value
+    return counted_average(f, cfg)[0]
 
 
 class TestConfig:
@@ -281,6 +304,284 @@ class TestRefine:
         evaluate = ScriptedEvaluate(script, 16)
         refine(evaluate, 3, QuadratureConfig(nodes=16, max_doublings=2, rel_tol=1e-9))
         assert [items for _, items, _ in evaluate.calls] == [[0, 1, 2], [0, 1, 2], [2]]
+
+
+def trig_row(ks, amplitude=1e-6):
+    """2 + amplitude * sum of cos(k theta) over the frequencies ks: mean 2."""
+    ks = np.asarray(ks, dtype=float)
+    return lambda theta: 2.0 + amplitude * np.cos(np.outer(theta, ks)).sum(axis=1)
+
+
+class TestFourierTailRule:
+    """A row settles at its first level exactly when its discrete Fourier
+    coefficients with N/4 <= k <= N/2 are all at most rel_tol max(1, |mean|)."""
+
+    @pytest.mark.parametrize("nodes", [16, 256])
+    def test_a_constant_settles_at_the_first_level_with_its_mean(self, nodes):
+        cfg = QuadratureConfig(nodes=nodes)
+        assert counted_average(lambda t: np.full(t.size, 2.5), cfg) == (2.5, 1)
+
+    @pytest.mark.parametrize("nodes", [16, 256])
+    def test_a_trig_polynomial_below_a_quarter_of_the_nodes_settles(self, nodes, rng):
+        degree = nodes // 4 - 1
+        coeffs = rng.normal(size=degree) + 1j * rng.normal(size=degree)
+        k = np.arange(1, degree + 1)
+        poly = lambda theta: 2.0 + (np.exp(1j * np.outer(theta, k)) @ coeffs).real
+        value, levels = counted_average(poly, QuadratureConfig(nodes=nodes))
+        assert levels == 1
+        assert abs(value - 2.0) <= 1e-14
+
+    @pytest.mark.parametrize("nodes", [16, 256])
+    def test_content_anywhere_in_the_upper_half_does_not_settle(self, nodes):
+        cfg = QuadratureConfig(nodes=nodes)
+        theta, _ = level_nodes(nodes, True)
+        for k in range(nodes // 4, nodes // 2 + 1):
+            rows = trig_row([k])(theta)[None]
+            assert not tail_settled(rows, cfg.rel_tol * np.abs(rows.mean(axis=-1))).any(), k
+        # through the average: the doubling test settles it one level later
+        for k in (nodes // 4, nodes // 2):
+            value, levels = counted_average(trig_row([k]), cfg)
+            assert levels == 2 and abs(value - 2.0) <= 1e-15
+
+    @pytest.mark.parametrize("mean, amplitude, settles", [
+        (1e-3, 1.9e-9, True), (1e-3, 2.1e-9, False),  # a floor of 1 below |mean| = 1
+        (1e3, 1.9e-6, True), (1e3, 2.1e-6, False),  # relative to |mean| above it
+    ])
+    def test_the_tail_is_judged_at_rel_tol_max_1_mean(self, mean, amplitude, settles):
+        # a cos(80 theta) term has the coefficient amplitude / 2 at k = 80
+        cfg = QuadratureConfig()
+        row = lambda t: mean + amplitude * np.cos(80 * t)
+        assert counted_average(row, cfg)[1] == (1 if settles else 2)
+
+    def test_a_row_whose_top_coefficient_vanishes_does_not_settle(self):
+        cfg = QuadratureConfig()
+        n = cfg.nodes
+        row = trig_row(range(n // 4, n // 2))  # every upper frequency but N/2
+        theta, _ = level_nodes(n, True)
+        coeffs = np.abs(np.fft.rfft(row(theta))) / n
+        assert coeffs[n // 2] <= 1e-15 < 1e-7 <= coeffs[n // 4:n // 2].min()
+        assert not tail_settled(row(theta)[None], [cfg.rel_tol * 2.0])[0]
+        value, levels = counted_average(row, cfg)
+        assert levels == 2 and abs(value - 2.0) <= 1e-14
+
+    def test_a_row_whose_transform_overflows_does_not_settle(self):
+        cfg = QuadratureConfig(nodes=256, max_doublings=1)
+        theta, _ = level_nodes(cfg.nodes, True)
+        # a square wave of +-1e308 that flips every 8 nodes: each partial sum
+        # of numpy's 8-way pairwise mean stays finite and the mean is 0, but
+        # its low harmonics sum N / 2 nodes of 1e308
+        huge = lambda t: np.where(np.arange(t.size) // 8 % 2, -1e308, 1e308)
+        with np.errstate(all="warn"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            samples = huge(theta)[None]
+            mean = samples.mean(axis=-1)
+            assert mean.tolist() == [0.0]
+            with np.errstate(all="ignore"):
+                assert not np.isfinite(np.fft.rfft(samples)).all()
+            assert not tail_settled(samples, cfg.rel_tol * np.maximum(1.0, np.abs(mean)))[0]
+            # huge at the first level only: the second level is evaluated
+            _, levels = counted_average(lambda t: huge(t) if t.size == cfg.nodes else 0 * t, cfg)
+            assert levels == 2
+
+    def test_a_term_at_a_multiple_of_the_node_count_is_the_rules_limit(self):
+        # 1 + cos(N theta) samples as a constant near 2 on the first level's
+        # N nodes: its upper spectrum is empty, so it settles there at the
+        # aliased value; the doubling test sees the term once the upper
+        # spectrum keeps the row refining
+        cfg = QuadratureConfig()
+        n = cfg.nodes
+        aliased = lambda t: 1.0 + np.cos(n * t)
+        value, levels = counted_average(aliased, cfg)
+        assert levels == 1 and abs(value - 2.0) <= 1e-6
+        wobbled = lambda t: aliased(t) + 1e-6 * np.cos(n // 2 * t)
+        value, levels = counted_average(wobbled, cfg)
+        assert levels == 3 and abs(value - 1.0) <= 1e-15
+
+
+class FirstLevel:
+    """Records every circular average a run takes: its integrand, and for each
+    circle the samples of its rows at the first level, their settle decisions
+    and the values returned; and every ring of the Jacobian areas whose first
+    angular level was tested: its center, radius, mean and decision."""
+
+    def __init__(self, monkeypatch):
+        self.averages, self.rings = [], []
+        average = qcreg.quadrature.circular_average
+        settle = qcreg.quadrature.tail_settled
+        ring_mean = qcreg.geometry._ring_mean_jacobian
+
+        def recording_settle(rows, bound):
+            settled = settle(rows, bound)
+            record = self.averages[-1]
+            for j, circle in enumerate(record["batch"]):
+                record["rows"][circle] = (rows[:, j], settled[:, j])
+            return settled
+
+        def recording_average(integrand, circles, cfg=QuadratureConfig()):
+            record = {"integrand": integrand, "rows": {}, "batch": ()}
+            self.averages.append(record)
+
+            def recorded(nodes):
+                record["batch"] = nodes.circles
+                return integrand(nodes)
+
+            values = average(recorded, circles, cfg)
+            record["values"] = dict(zip(circles, np.atleast_2d(values).T))
+            return values
+
+        def recording_ring_mean(map_model, center, radii, unit, rel_tol=None):
+            mean, settled = ring_mean(map_model, center, radii, unit, rel_tol)
+            if settled is not None:
+                self.rings.extend((map_model, c, r, m, s)
+                                  for c, r, m, s in zip(center, radii, mean, settled))
+            return mean, settled
+
+        monkeypatch.setattr(qcreg.quadrature, "tail_settled", recording_settle)
+        monkeypatch.setattr(qcreg.geometry, "_ring_mean_jacobian", recording_ring_mean)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("qcreg") and getattr(module, "circular_average", None) is average:
+                monkeypatch.setattr(module, "circular_average", recording_average)
+
+    def decisions(self):
+        """{circle: settle decision per row} of every average, in order."""
+        return [{c: settled.tolist() for c, (_, settled) in rec["rows"].items()}
+                for rec in self.averages]
+
+
+#: nodes of the one-shot oracle mean
+ORACLE_NODES = 1 << 14
+
+
+def oracle_means(integrand, circle):
+    """Means of the integrand's rows over the first ORACLE_NODES-node rule."""
+    theta, unit = level_nodes(ORACLE_NODES, True)
+    nodes = CircleNodes((circle,), theta, unit, np.array([[circle.center]]),
+                        np.array([[circle.radius]]))
+    vals = np.asarray(integrand(nodes), dtype=float)
+    return (vals if vals.ndim == 3 else vals[None]).mean(axis=-1)[:, 0]
+
+
+def assert_settled_circles_meet_the_oracle(record, cfg):
+    """Every settled row returns its first level's mean, within rel_tol
+    max(1, |v|) of the oracle; returns the number of settled rows."""
+    count = 0
+    for circle, (rows, settled) in record["rows"].items():
+        if not settled.any():
+            continue
+        first = rows.mean(axis=-1)
+        value = record["values"][circle]
+        oracle = oracle_means(record["integrand"], circle)
+        for i in np.flatnonzero(settled):
+            assert value[i] == first[i], (circle, i)
+            assert abs(value[i] - oracle[i]) <= cfg.rel_tol * max(1.0, abs(value[i])), (circle, i)
+            count += 1
+    return count
+
+
+class TestSettledAgainstTheOracle:
+    """Every row and ring the first level settles is within the tolerance of
+    a one-shot 2**14-node mean: one catalog subject per family on the
+    catalog-batch domain and profile radii, and sampled mu grids."""
+
+    CFG = QuadratureConfig()
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_catalog_circles_and_rings(self, name, monkeypatch):
+        model = FAMILIES[name]
+        first = FirstLevel(monkeypatch)
+        regularity_report(model, ring_domain(), self.CFG)
+        geometry_profile(model, PROFILE_RADII, self.CFG, K=validate_field(model.beltrami).distortion_ratio)
+        assert len(first.averages) == 2  # the C and A pass, the profile pass
+        settled = [assert_settled_circles_meet_the_oracle(rec, self.CFG) for rec in first.averages]
+        assert min(settled) > 0
+        _, unit = level_nodes(ORACLE_NODES, True)
+        rings = [ring for ring in first.rings if ring[4]]
+        assert rings
+        for map_model, center, radius, mean, _ in rings:
+            oracle = float(map_model.jacobian(center + radius * unit).mean())
+            assert abs(mean - oracle) <= self.CFG.rel_tol * abs(mean), (center, radius)
+
+    @pytest.mark.parametrize("interpolation", ["nearest", "bilinear"])
+    def test_sampled_grid_circles(self, interpolation, monkeypatch):
+        field = validate_field(wavy_grid(interpolation, n=33).as_beltrami())
+        # small circles inside one cell settle, larger ones cross cell edges
+        domain = DomainSpec(centers=(0j, 0.3 + 0.2j, -0.41 + 0.1j),
+                            radii=tuple(np.geomspace(0.005, 1.0, 16)))
+        first = FirstLevel(monkeypatch)
+        distortion_average(field, domain.admissible_circles(), self.CFG)
+        (record,) = first.averages
+        assert assert_settled_circles_meet_the_oracle(record, self.CFG) > 0
+        assert not all(settled.all() for _, settled in record["rows"].values())
+
+
+class TestSettleDecisionsFamilyEqualsLone:
+    """On the catalog-batch domain each circle's settle decisions and values
+    are those of its family of one, bit for bit."""
+
+    CFG = QuadratureConfig()
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_c_and_a_pass(self, name, monkeypatch):
+        model = FAMILIES[name]
+        circles = ring_domain().admissible_circles()
+        first = FirstLevel(monkeypatch)
+        family = qcreg.bounds._map_rows(model, model.beltrami, circles, self.CFG)
+        lone = np.column_stack([qcreg.bounds._map_rows(model, model.beltrami, [c], self.CFG)
+                                for c in circles])
+        assert family.tobytes() == lone.tobytes()
+        (together,), alone = first.decisions()[:1], first.decisions()[1:]
+        assert together == {c: d for one in alone for c, d in one.items()}
+        # the rule settles some rows and leaves others to the doubling test;
+        # every row of the affine map is a trigonometric polynomial and settles
+        flat = [s for d in together.values() for s in d]
+        assert any(flat) and (name == "affine" or not all(flat))
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_ring_jacobians(self, name, monkeypatch):
+        model = FAMILIES[name]
+        disks = [CircleSpec(0j, float(t)) for t in PROFILE_RADII]
+        inner = np.concatenate(([0.0], PROFILE_RADII[:-1]))
+        first = FirstLevel(monkeypatch)
+        family = image_area_jacobian(model, disks, self.CFG, r_inner=inner)
+        together, first.rings = first.rings, []
+        lone = [image_area_jacobian(model, disks[i:i + 1], self.CFG, r_inner=inner[i:i + 1])[0]
+                for i in range(len(disks))]
+        assert family.tobytes() == np.array(lone).tobytes()
+        key = lambda ring: (ring[2], ring[3], ring[4])
+        assert sorted(map(key, together)) == sorted(map(key, first.rings))
+
+
+class TestRingIntegralsSettleTogether:
+    @pytest.mark.parametrize("scale", [1.0, 1e-4])
+    def test_an_integral_settles_only_when_all_its_rings_do(self, scale, monkeypatch):
+        # J = scale (1 + 5e-9 cos(100 theta)) beyond |z| = 0.55 and scale
+        # inside: the term lies in the upper half of the 256-node spectrum,
+        # its coefficient 2.5 rel_tol times the ring's own mean, with no floor
+        # of 1, so the annulus [0.2, 0.4] has only smooth rings and
+        # [0.45, 0.65] smooth and rough ones
+        model = affine_map(1.0, 0.0).map
+        jacobian = lambda z: scale * (1.0 + np.where(np.abs(z) > 0.55,
+                                                     5e-9 * np.cos(100 * np.angle(z)), 0.0))
+        calls = []
+
+        def recorded(z):
+            calls.append(np.abs(z))
+            return jacobian(z)
+
+        first = FirstLevel(monkeypatch)
+        disks = [CircleSpec(0j, 0.4), CircleSpec(0j, 0.65)]
+        areas = image_area_jacobian(replace(model, jacobian=recorded), disks, QuadratureConfig(),
+                                    r_inner=[0.2, 0.45])
+        rough = [s for _, _, r, _, s in first.rings if r > 0.45]
+        assert any(rough) and not all(rough)
+        assert all(s for _, _, r, _, s in first.rings if r < 0.45)
+        # the first level takes both annuli in one call; the rough annulus
+        # alone refines, all its rings, and converges at the second level
+        assert len(calls) == 2
+        assert (calls[0] < 0.41).any() and (calls[0] > 0.44).any()
+        assert (calls[1] > 0.44).all() and calls[1].shape[0] == 10
+        exact = scale * np.pi * np.array([0.4**2 - 0.2**2, 0.65**2 - 0.45**2])
+        assert np.abs(areas / exact - 1).max() <= 1e-13
 
 
 class TestSupOverCircles:

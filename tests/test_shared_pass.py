@@ -63,18 +63,26 @@ CIRCLES = [CircleSpec(0j, 0.05), CircleSpec(0j, 0.7), CircleSpec(0.4 + 0.0j, 0.3
            CircleSpec(-0.2 + 0.3j, 0.15)]
 
 
+def wobble(theta):
+    """+1, -1, +1, ... on the angles of a level: a top-frequency term of mean
+    exactly 0, which keeps a row's Fourier tail visible at the first level, so
+    that only the doubling test can converge it."""
+    return np.resize([1.0, -1.0], theta.size)
+
+
 def level_row(settle_at):
     """Row averaging to the rule size n until `settle_at` nodes, then constant.
 
     A later level's nodes carry 2 min(n, s) - min(n / 2, s), so the mean of
-    the level before and theirs is min(n, s), exactly.
+    the level before and theirs is min(n, s), exactly; the wobble keeps the
+    first level from settling the row.
     """
 
     def row(theta, n):
         value = min(n, settle_at)
         if n > CFG.nodes:
             value = 2 * value - min(n // 2, settle_at)
-        return np.full(theta.size, float(value))
+        return float(value) + wobble(theta)
 
     return row
 
@@ -83,11 +91,12 @@ def smooth_row(theta, n):
     return np.abs(1.0 - (1 / 3) * np.exp(-2j * theta)) ** 2 + 0.1 * np.cos(5 * theta)
 
 
-def unit_average(f):
+def unit_average(f, levels=None):
     """Averages of f(theta, n), one (N',) row or (k, N') rows at the angles a
     level evaluates, n the size of its whole rule, on UNIT as a family of one:
-    a tuple of one float per row."""
-    levels = []
+    a tuple of one float per row. `levels` collects the rule size of each
+    level evaluated."""
+    levels = [] if levels is None else levels
 
     def integrand(nodes):
         levels.append(CFG.nodes << len(levels))  # one call per level
@@ -97,25 +106,42 @@ def unit_average(f):
     return tuple(est.reshape(-1).tolist())
 
 
+def lone_levels(row):
+    """The rule sizes at which `row` alone is evaluated."""
+    levels = []
+    unit_average(row, levels)
+    return levels
+
+
 class TestStackedAverage:
     def test_rows_converging_at_different_levels(self):
-        rows = [smooth_row, level_row(512), level_row(1024), lambda t, n: 1.0 + np.cos(256 * t)]
+        # the smooth row settles at the first level on its Fourier tail, the
+        # others by the doubling test: the level rows at 1024 and 2048 nodes,
+        # the cos(256 theta) row, which the first level's 256 nodes see as a
+        # constant, at 1024
+        rows = [smooth_row, level_row(512), level_row(1024),
+                lambda t, n: 1.0 + np.cos(256 * t) + wobble(t)]
         stacked = unit_average(lambda t, n: np.stack([r(t, n) for r in rows]))
         separate = tuple(unit_average(r)[0] for r in rows)
         assert stacked == separate
         assert stacked[1:3] == (512.0, 1024.0)
+        assert abs(stacked[3] - 1.0) <= 1e-15
+        assert [lone_levels(r)[-1] for r in rows] == [256, 1024, 2048, 1024]
 
     def test_row_that_exhausts_the_budget(self):
         never = level_row(np.inf)
         rows = [smooth_row, never]
-        stacked = unit_average(lambda t, n: np.stack([r(t, n) for r in rows]))
+        levels = []
+        stacked = unit_average(lambda t, n: np.stack([r(t, n) for r in rows]), levels)
         separate = tuple(unit_average(r)[0] for r in rows)
         assert stacked == separate
         assert stacked[1] == CFG.nodes * 2.0**CFG.max_doublings
+        assert len(levels) == CFG.max_doublings + 1
 
     def test_nan_in_a_converged_row_does_not_raise(self):
+        # the row converges by the doubling test at 512 nodes, before its NaN
         def late_nan(theta, n):
-            out = np.full(theta.size, 2.0)
+            out = 2.0 + wobble(theta)
             if n >= 1024:
                 out[7] = np.nan
             return out
@@ -125,7 +151,7 @@ class TestStackedAverage:
 
     def test_nan_in_a_refining_row_names_the_node(self):
         def early_nan(theta, n):
-            out = np.ones(theta.size)
+            out = 1.0 + wobble(theta)
             if n >= 512:
                 out[3] = np.inf
             return out
@@ -139,7 +165,7 @@ class TestStackedAverage:
     def test_converged_rows_do_not_name_the_node(self):
         def nan_at(node, from_size):
             def row(theta, n):
-                out = np.full(theta.size, 2.0)
+                out = 2.0 + wobble(theta)
                 if n >= from_size:
                     out[node] = np.nan
                 return out
@@ -370,7 +396,8 @@ class TestNoSecondGreenArea:
         radii = np.geomspace(1e-3, 1.0, 65)
         counted = CountingModel(model)
         got = geometry_profile(counted.model, radii)
-        assert counted.points["value"] == counted.points["partials"] == 33280
+        # every one of the 65 circles settles on the Fourier tail of its 256 nodes
+        assert counted.points["value"] == counted.points["partials"] == 65 * 256
         # the two-call route: mu from a second partials call, in `beltrami_of`
         field = BeltramiField(mu=lambda z: beltrami_of(model, z), k_max=0.99)
         want = geometry_profile(replace(model, beltrami=field), radii)
@@ -494,11 +521,14 @@ class TestWorkCounts:
         # one average per circle family: C, A and the Gronwall areas together
         # on 16 circles, and both lengths, the Green area and Re eps on the 33
         # profile radii; the holder estimates reuse the profile's areas and
-        # make no value call, and each doubling evaluates only the angles it
-        # adds. The Jacobian areas take 350 rings: the whole disk descends
-        # three octaves, until its power-law tail settles
+        # make no value call. Every circle settles on the Fourier tail of its
+        # first 256 nodes, so (16 + 33) * 256 value and partials points. The
+        # Jacobian areas take 350 rings: the whole disk descends three
+        # octaves, until its power-law tail settles, and every ring settles
+        # at its first 256 angles; the profile pass's formula row adds
+        # 33 * 256 Jacobian points
         assert counts == {"distortion_constant": 0, "circular_average": 2}
-        assert model.points == {"value": 25088, "partials": 25088, "jacobian": 196096}
+        assert model.points == {"value": 12544, "partials": 12544, "jacobian": 98048}
 
     def test_regularity_report_computes_c_once(self, work_counts):
         counts, _ = work_counts
