@@ -62,14 +62,16 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 def build_parser() -> _Parser:
     parser = _Parser(prog="qcreg", description=__doc__, epilog=_EPILOG)
     subs = parser.add_subparsers(dest="command", required=True)
+    # built once and shared: each add_argument builds a help formatter
+    common = _Parser(add_help=False)
+    _add_common(common)
     for name, descr in (
         ("analyze", "exponent bounds and configured diagnostics"),
         ("profile", "image-geometry profile of a catalog map"),
         ("extremal", "extremality diagnostics of a catalog map"),
         ("elliptic", "bound comparisons for a coefficient-matrix subject"),
     ):
-        sub = subs.add_parser(name, help=descr, epilog=_EPILOG)
-        _add_common(sub)
+        subs.add_parser(name, help=descr, epilog=_EPILOG, parents=[common])
     subs.add_parser("catalog", help="list the built-in test maps")
     return parser
 

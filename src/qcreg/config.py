@@ -11,7 +11,6 @@ them (`_keyed` prefixes their messages with the section).
 
 from __future__ import annotations
 
-import hashlib
 import json
 from functools import partial
 from pathlib import Path
@@ -23,6 +22,16 @@ from .catalog import entry_from_spec
 from .errors import ConfigError
 from .plane import DomainSpec, _finite_real, _integer, to_json
 from .quadrature import QuadratureConfig
+
+# hashlib loads OpenSSL's libcrypto (milliseconds of a cold CLI run) for one
+# short digest; the interpreter's built-in sha256 gives the same bytes
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 #: first lines of the sampled-mu and coefficient-matrix grid CSVs
 MU_HEADER = "x,y,re,im"
@@ -68,7 +77,7 @@ class AnalysisConfig(NamedTuple):
 
     def config_hash(self) -> str:
         canon = json.dumps(self.resolved, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode()).hexdigest()
+        return _sha256(canon.encode()).hexdigest()
 
 
 def classify_subject(subject: str) -> str:

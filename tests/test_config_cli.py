@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -20,8 +21,8 @@ from qcreg import (
     save_matrix_field,
     save_sampled_field,
 )
-from qcreg.cli import main
-from qcreg.config import build_config, default_config_for, read_config
+from qcreg.cli import build_parser, main
+from qcreg.config import DEFAULTS, build_config, default_config_for, read_config
 from qcreg.bounds import distortion_average
 from qcreg.reporting import report_json_bytes
 
@@ -187,6 +188,46 @@ class TestConfigValidation:
         assert spelled.domain == default.domain
         assert spelled.resolved == default.resolved
         assert spelled.config_hash() == default.config_hash()
+
+
+def hash_oracle(cfg):
+    """hashlib's SHA-256 of the canonical JSON of the resolved config."""
+    canon = json.dumps(cfg.resolved, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode()).hexdigest()
+
+
+class TestConfigHash:
+    # config_hash takes the interpreter's built-in sha256 so that no run loads
+    # OpenSSL; the digest must stay hashlib's, the one reports always carried
+    @pytest.mark.parametrize("subject", [
+        lambda tmp_path: "radial_stretch(K=2)",
+        write_mu_grid,
+        write_matrix_grid,
+        # the name's bytes are UTF-8; under an ASCII filesystem encoding
+        # Python spells it with surrogate escapes
+        lambda tmp_path: write_mu_grid(tmp_path, name=os.fsdecode("grille-μ-é.csv".encode())),
+    ], ids=["catalog", "sampled-mu", "matrix", "non-ascii-path"])
+    def test_digest_is_hashlibs(self, tmp_path, subject):
+        cfg = build_config({"subject": str(subject(tmp_path)), "radii": {"count": 5}})
+        assert cfg.config_hash() == hash_oracle(cfg)
+
+    def test_hashlib_fallback_gives_the_same_digest(self):
+        # a build with neither built-in module (_sha2 from 3.12, _sha256
+        # before) falls back to hashlib
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys\n"
+             "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+             "from qcreg.config import build_config\n"
+             "print(build_config({'subject': 'radial_stretch(K=2)'}).config_hash(),"
+             " 'hashlib' in sys.modules)"],
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        cfg = build_config({"subject": "radial_stretch(K=2)"})
+        assert proc.stdout.split() == [hash_oracle(cfg), "True"]
 
 
 class TestLoadConfig:
@@ -624,3 +665,55 @@ class TestCli:
         assert proc.returncode == 1, stderr
         assert "Traceback" not in stderr
         assert "config error: radii" in stderr
+
+
+COMMON_FLAGS = ["--config", "--subject", "--out", "--csv-dir", "--nodes", "--max-doublings",
+                "--rel-tol", "--radii-min", "--radii-max", "--radii-count", "--outer-radius",
+                "--threshold", "--interpolation"]
+
+
+class TestParserContract:
+    # the four analysis commands share one set of common flags; catalog takes
+    # none, and usage errors exit 1
+    @pytest.mark.parametrize("command", ["analyze", "profile", "extremal", "elliptic"])
+    def test_help_lists_every_common_flag_and_the_defaults(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "1000")  # the defaults epilog on one line
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: qcreg {command} [-h] [--config CONFIG]")
+        assert all(f"  {flag} " in out for flag in COMMON_FLAGS)
+        assert out.count("  --") == len(COMMON_FLAGS)
+        assert "defaults: " + json.dumps(DEFAULTS, sort_keys=True) in out
+
+    @pytest.mark.parametrize("flag", COMMON_FLAGS)
+    def test_every_common_flag_reaches_each_analysis_command(self, flag):
+        parser = build_parser()
+        dest = flag[2:].replace("-", "_")
+        value = "nearest" if flag == "--interpolation" else "7"
+        for command in ("analyze", "profile", "extremal", "elliptic"):
+            assert getattr(parser.parse_args([command, flag, value]), dest) is not None
+
+    @pytest.mark.parametrize("argv,message", [
+        (["catalog", "--nodes", "5"], "unrecognized arguments: --nodes 5"),
+        ([], "the following arguments are required: command"),
+    ], ids=["catalog-takes-no-flags", "no-command"])
+    def test_usage_errors_exit_1(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "usage: qcreg [-h] {analyze,profile,extremal,elliptic,catalog} ...",
+            f"qcreg: error: {message}",
+        ]
+
+    def test_unknown_command_exits_1_naming_the_five(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["bogus"])
+        assert info.value.code == 1
+        # how the choices are quoted differs between Python versions
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert error.startswith("qcreg: error: argument command: invalid choice: ")
+        assert all(name in error for name in
+                   ("analyze", "profile", "extremal", "elliptic", "catalog"))

@@ -61,6 +61,27 @@ def test_cold_analyze_loads_no_numpy_polynomial(cold_analyze_modules):
     assert loaded(modules, "numpy.polynomial") == []
 
 
+def test_import_loads_no_hashlib():
+    # hashlib loads OpenSSL's libcrypto through _hashlib, 2.5-6 ms and about
+    # 1.3 MB of a cold run, for the one short digest of config_hash
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import qcreg, sys; print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_cold_analyze_loads_no_hashlib(cold_analyze_modules):
+    code, modules = cold_analyze_modules
+    assert code == "0"
+    assert loaded(modules, "hashlib") == []
+    assert loaded(modules, "_hashlib") == []
+
+
 def test_only_the_replaced_records_are_dataclasses():
     # a dataclass costs about 1 ms to define at import, a NamedTuple a fifth
     # of that; MapModel and CatalogEntry stay dataclasses because the
