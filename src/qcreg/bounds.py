@@ -245,9 +245,8 @@ def _gronwall_by_center(
     passed when every family passes, with the largest margins and the
     centers of the failed families; None without a family.
     """
-    sizes = [sum(domain.fits(c, r) for r in domain.radii) for c in domain.centers]
     radius = np.array([c.radius for c in circles])
-    families = np.split(np.arange(len(circles)), np.cumsum(sizes)[:-1])
+    families = np.split(np.arange(len(circles)), np.cumsum(domain.family_sizes())[:-1])
     checked = [(center, gronwall_check(zip(radius[family], area[family]), exponent))
                for center, family in zip(domain.centers, families) if family.size >= 2]
     if not checked:

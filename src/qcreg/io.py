@@ -25,17 +25,30 @@ wrong number of fields, a whitespace-only line included (with the expected
 and found counts), or an entry that is not a number or not finite (with
 its column); failing those, the first line that is not UTF-8 text.
 
-A grid of more than ``BLOCK_BYTES`` of CSV text, on a machine with two
-usable CPUs and ``os.fork``, is read and written on one forked child per
-usable CPU (`_fork_count`, `_forked`). A load runs one ``np.loadtxt`` call
-per child on a contiguous block of rows (`_parse_blocks`) and the parent
-only collects them. A blank or comment line can shift a block, which then
-repeats rows and fails the coordinate check; such a result is freed and
-the file read serially, so a result that stands is bit-identical to one
-serial call. A save hands chunks of whole grid rows round-robin to the
-children, which send the formatted text back for the parent to write in
-order (`_write_chunks`). If a check, a fork or a child fails, the load or
-save runs serially, so every result, message and byte is the serial one.
+A grid CSV is first read with its coordinates kept as text and only its
+value columns converted (`_text_parse`): a row's x must be byte-equal to
+the x text at its column of grid row 0, and its y to the y text of its grid
+row's first node, and those nx + ny reference texts are parsed and checked
+against the descriptor (`_on_axis`). Equal text is an equal float, so every
+node gets the verdict a float read gives it. A grid of more than
+``BLOCK_BYTES`` of CSV text, on a machine with two usable CPUs and
+``os.fork``, is read and written on one forked child per usable CPU
+(`_fork_count`, `_forked`). A load parses one contiguous block of rows per
+child (`_parse_blocks`), and each child sends back only its values and the
+texts the other blocks are compared with; a smaller grid, or any on one
+CPU, is read the same way in this process. Every process reads at most
+``CHUNK_ROWS`` rows of text at once (`_parse_text_block`). A text mismatch,
+a field that fills ``TEXT_WIDTH``, a NUL byte, an unparsable reference, a
+wrong row count or a failed child makes the load read the file serially as
+floats (`_loadtxt`, `_off_grid`), the one source of its error messages; a
+non-finite field in a text read that otherwise stands goes to `_bad_line`,
+as it does after the float read. A blank or comment line that shifts a
+block fails the row count or the text check, so a result that stands is
+bit-identical to one serial np.loadtxt call. A save hands chunks of whole
+grid rows round-robin to the children, which send the formatted text back
+for the parent to write in order (`_write_chunks`). If a fork or a child
+fails, the save runs serially, so every result, message and byte is the
+serial one.
 """
 
 from __future__ import annotations
@@ -58,6 +71,14 @@ from .plane import SampledField, _finite_complex, _finite_real, stretch_factor
 
 #: grid CSVs above this many bytes are parsed in blocks on several CPUs
 BLOCK_BYTES = 4 << 20
+
+#: bytes of a coordinate's text in the text parse; a longer one is cut off
+#: by np.loadtxt, so one that fills the width sends the load to the float read
+TEXT_WIDTH = 32
+
+#: rows one np.loadtxt call of the text parse reads at most: about 5 MB
+#: of text and values
+CHUNK_ROWS = 1 << 16
 
 
 def sidecar_path(csv_path) -> Path:
@@ -95,14 +116,17 @@ def _load_descriptor(csv_path, bound_key: str, bound_range: tuple[float, float])
 
 
 def _load_grid_csv(csv_path, header: str, desc: dict) -> np.ndarray:
-    """The data rows of a grid CSV, checked against its descriptor `desc`:
-    nx*ny rows of len(header) finite numbers whose x, y are the grid's nodes.
+    """The value columns (all but x, y) of the data rows of a grid CSV,
+    checked against its descriptor `desc`: nx*ny rows of len(header) finite
+    numbers whose x, y are the grid's nodes.
 
-    A file above BLOCK_BYTES is parsed in blocks of rows on forked children
-    (`_fork_count`, `_parse_blocks`). A block result whose coordinates fail
-    the check is freed and the file read serially, as is every file when
-    the block parse does not run or fails; every value and message is thus
-    the serial one.
+    The coordinates are compared as text with those of grid row 0 and of
+    each grid row's first node, and only the values are converted
+    (`_text_parse`), on forked children above BLOCK_BYTES. When that read
+    does not stand (a text mismatch, a width-filling or NUL-holding field,
+    a bad reference, a wrong row count or a failed child), the file is read
+    serially as floats and checked by `_off_grid`; every value and message
+    is thus the serial one.
     """
     csv_path = Path(csv_path)
     if not csv_path.exists():
@@ -111,18 +135,15 @@ def _load_grid_csv(csv_path, header: str, desc: dict) -> np.ndarray:
     if first.replace(" ", "") != header:
         raise ConfigError(f"{csv_path} must start with header {header!r}, got {first!r}")
     names = header.split(",")
-    rows = desc["nx"] * desc["ny"]
-    blocks = _fork_count(csv_path.stat().st_size, rows)
-    data = _parse_blocks(csv_path, len(names), rows, blocks) if blocks else None
-    if data is not None and _off_grid(csv_path, names, data, desc) is None:
-        return data
-    del data  # a mis-split block result is freed before the serial read
+    values = _text_parse(csv_path, names, desc)
+    if values is not None:
+        return values
     data = _loadtxt(csv_path, names)
     node = _off_grid(csv_path, names, data, desc)
     if node is not None:
         raise ConfigError(f"{csv_path}: grid coordinates disagree with the descriptor "
                           f"at node [{node[0]}, {node[1]}]")
-    return data
+    return np.ascontiguousarray(data[:, 2:])
 
 
 def _loadtxt(csv_path, names) -> np.ndarray:
@@ -178,6 +199,13 @@ def _bad_line(csv_path, names, message: str, *, finite: bool) -> ConfigError:
     if not_utf8:
         return ConfigError(f"{csv_path} line {not_utf8} is not UTF-8 text")
     return ConfigError(f"{csv_path}: {message}")
+
+
+def _not_finite(csv_path, names) -> ConfigError:
+    """The ConfigError of rows that np.loadtxt read but that are not all
+    len(names) finite numbers: `_bad_line` names the first bad line."""
+    return _bad_line(csv_path, names, f"expected {len(names)} columns of finite numbers",
+                     finite=True)
 
 
 def _usable_cpus() -> int:
@@ -266,45 +294,245 @@ def _child(work, i: int, write_fd: int, read_fds) -> None:
         os._exit(code)
 
 
-def _parse_blocks(csv_path, ncols: int, rows: int, blocks: int):
-    """The data rows parsed as `blocks` contiguous blocks of rows in forked
-    children, or None when a child fails or sends a block of the wrong shape.
+def _text_parse(csv_path, names, desc: dict):
+    """The (nx*ny, len(names) - 2) values of a grid CSV read with its
+    coordinates as text, or None when that read does not stand; a field
+    that is not finite raises `_bad_line`'s ConfigError.
 
-    Child i parses data rows [lo, hi) with skiprows=1 + lo and
-    max_rows=hi - lo (the last block reads to the end) and sends their
-    shape and values down its pipe; the parent only collects them. skiprows
-    counts lines and max_rows data rows, so a blank or comment line before a
+    The rows are parsed in `_fork_count` blocks on forked children
+    (`_parse_blocks`), or as one block in this process. Each block checks
+    its texts against its own first nx x texts and first text of each grid
+    row; `_reference_texts` then checks those against grid row 0 and each
+    row's first node, whose texts must be finite numbers on the
+    descriptor's axes.
+    """
+    nx, ny, ncols = desc["nx"], desc["ny"], len(names)
+    rows, size = nx * ny, csv_path.stat().st_size
+    blocks = _fork_count(size, rows)
+    if blocks:
+        parsed = _parse_blocks(csv_path, ncols, nx, rows, blocks)
+    else:
+        try:
+            parsed = _parse_text_block(csv_path, ncols, nx, 0, rows, True, (0, size))
+        except ValueError:  # a UnicodeDecodeError too
+            parsed = None
+        if parsed is not None:
+            values, x_text, y_text = parsed
+            parsed = values, [(0, rows, x_text, y_text)]
+    if parsed is None:
+        return None
+    values, anchors = parsed
+    texts = _reference_texts(nx, ny, anchors)
+    axes = None if texts is None else [_text_floats(text) for text in texts]
+    if axes is None or any(axis is None for axis in axes):
+        return None
+    # every field is a number, so the serial read would reach this check too
+    if not all(np.isfinite(a).all() for a in (*axes, values)):
+        raise _not_finite(csv_path, names)
+    origin, h = desc["origin"], desc["spacing"]
+    for axis, start, n in zip(axes, (origin.real, origin.imag), (nx, ny)):
+        if not _on_axis(axis, start, n, h).all():
+            return None
+    return values
+
+
+def _parse_text_block(csv_path, ncols: int, nx: int, lo: int, hi: int, last: bool, nul_span):
+    """Data rows [lo, hi) of a grid CSV of nx columns read with x, y as text
+    (to the end of the file if `last`): (values, x texts, y texts), or None
+    when the file cannot hold them or the rows disagree with each other.
+    np.loadtxt raises a ValueError when a row is not ncols fields or a value
+    no number.
+
+    The file is read through one handle, ``CHUNK_ROWS`` rows at a time,
+    with skiprows=1 + lo first. The block's first min(nx, hi - lo) x texts
+    are given back, and every later row's x must equal the one nx rows
+    before it; the y texts of the block's first row and of each grid row's
+    first node in it are given back, and every other row's y must equal
+    that of its grid row's. Texts are rows of uint64 words. No field may
+    fill TEXT_WIDTH, and the bytes `nul_span` = (start, stop) of the file
+    may hold no NUL, which np.loadtxt keeps in a field but the bytes type
+    drops from its end.
+    """
+    nv = ncols - 2
+    # a row is ncols - 1 commas, nv values of a character or more and a line
+    # end (but the last), so a sidecar's nx*ny far beyond the file allocates
+    # nothing
+    most = (os.path.getsize(csv_path) + 1) // (ncols + nv)
+    if hi - lo > most or _holds_nul(csv_path, *nul_span):
+        return None
+    values = np.empty((hi - lo, nv))
+    dtype = np.dtype([("x", f"S{TEXT_WIDTH}"), ("y", f"S{TEXT_WIDTH}"), ("v", "f8", (nv,))])
+    w = TEXT_WIDTH // 8  # uint64 words of a text
+    x_text, y_text = [], []
+    count, skip = 0, 1 + lo
+    with open(csv_path, encoding="utf-8") as fh, warnings.catch_warnings():
+        # an empty chunk at the end, and a blank or comment line within one,
+        # are no news: the row count is checked below
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        warnings.filterwarnings("ignore", "Input line .* contained no data", UserWarning)
+        while True:
+            want = CHUNK_ROWS if last else min(CHUNK_ROWS, hi - lo - count)
+            if not want:
+                break
+            chunk = np.loadtxt(fh, delimiter=",", skiprows=skip, max_rows=want, dtype=dtype,
+                               ndmin=1)
+            n, skip = len(chunk), 0
+            if not n:
+                break
+            if count + n > hi - lo:
+                return None
+            raw = chunk.view(np.uint8).reshape(n, dtype.itemsize)
+            if (raw[:, TEXT_WIDTH - 1] | raw[:, 2 * TEXT_WIDTH - 1]).any():
+                return None
+            words = chunk.view(np.uint64).reshape(n, -1)
+            xs, ys = words[:, :w], words[:, w:2 * w]
+            own = min(n, max(0, nx - count))  # rows of the block's first nx
+            if own:
+                x_text.append(xs[:own].copy())
+            if own < n:
+                x_text = [np.concatenate(x_text)] if len(x_text) > 1 else x_text
+                if not _cyclic(xs[own:], x_text[0], (count + own) % nx):
+                    return None
+            if not count:
+                carry = ys[:1].copy()  # the y text of the grid row in progress
+                if lo % nx:
+                    y_text.append(carry)
+            head = min(n, -(lo + count) % nx)  # rows before the first grid row start
+            starts = ys[head::nx]
+            if not ((ys[:head] == carry).all() and _runs(ys[head:], nx)):
+                return None
+            if len(starts):
+                y_text.append(starts.copy())
+                carry = y_text[-1][-1:]
+            values[count:count + n] = chunk["v"]
+            count += n
+            if n < want:
+                break
+    if count != hi - lo:
+        return None
+    return values, np.concatenate(x_text), np.concatenate(y_text)
+
+
+def _cyclic(texts, pattern, phase: int) -> bool:
+    """Whether texts[k] is pattern[(phase + k) % len(pattern)] for each k."""
+    n = len(pattern)
+    head = min(len(texts), -phase % n)
+    full = head + (len(texts) - head) // n * n
+    return bool((texts[:head] == pattern[phase:phase + head]).all()
+                and (texts[head:full].reshape(-1, n, texts.shape[1]) == pattern).all()
+                and (texts[full:] == pattern[:len(texts) - full]).all())
+
+
+def _runs(texts, n: int) -> bool:
+    """Whether each run of n texts, and the shorter one after them, holds
+    one text n times."""
+    full = len(texts) // n * n
+    return bool((texts[:full].reshape(-1, n, texts.shape[1]) == texts[:full:n, None]).all()
+                and (texts[full:] == texts[full:full + 1]).all())
+
+
+def _holds_nul(csv_path, start: int, stop: int) -> bool:
+    """Whether bytes [start, stop) of the file hold a NUL byte."""
+    buf = bytearray(min(1 << 20, max(0, stop - start)))
+    with open(csv_path, "rb", buffering=0) as fh:
+        fh.seek(start)
+        while start < stop:
+            n = fh.readinto(memoryview(buf)[:stop - start])
+            if not n:
+                return False
+            if buf.find(b"\0", 0, n) >= 0:
+                return True
+            start += n
+    return False
+
+
+def _row_starts(lo: int, hi: int, nx: int) -> np.ndarray:
+    """The rows of block [lo, hi) whose y texts it gives back: its first
+    row and each grid row's first node in it."""
+    starts = np.arange(lo - lo % nx, hi, nx)
+    starts[0] = lo
+    return starts
+
+
+def _reference_texts(nx: int, ny: int, anchors):
+    """The x texts of grid row 0 and the y texts of each grid row's first
+    node, as two arrays of TEXT_WIDTH-byte strings, when every block's (lo,
+    hi, x texts, y texts) of `anchors` agrees with them; else None."""
+    x_ref = np.zeros((nx, TEXT_WIDTH // 8), np.uint64)
+    y_ref = np.zeros((ny, TEXT_WIDTH // 8), np.uint64)
+    for lo, hi, x_text, y_text in anchors:
+        x_ref[lo:min(hi, nx)] = x_text[:max(0, min(hi, nx) - lo)]
+        starts = _row_starts(lo, hi, nx)
+        first = starts % nx == 0
+        y_ref[starts[first] // nx] = y_text[first]
+    for lo, hi, x_text, y_text in anchors:
+        starts = _row_starts(lo, hi, nx)
+        if not ((x_text == x_ref[(lo + np.arange(len(x_text))) % nx]).all()
+                and (y_text == y_ref[starts // nx]).all()):
+            return None
+    return x_ref.view(f"S{TEXT_WIDTH}")[:, 0], y_ref.view(f"S{TEXT_WIDTH}")[:, 0]
+
+
+def _text_floats(texts):
+    """The numbers the byte strings `texts` spell, as np.loadtxt reads them,
+    or None when one is no number to it: float() also reads ``_`` between
+    digits, which np.loadtxt does not. The texts are ASCII."""
+    words = texts.tolist()
+    if any(b"_" in word for word in words):
+        return None
+    try:
+        return np.array([float(word) for word in words])
+    except ValueError:
+        return None
+
+
+def _parse_blocks(csv_path, ncols: int, nx: int, rows: int, blocks: int):
+    """The values of the data rows parsed as `blocks` contiguous blocks of
+    rows in forked children, with each block's (lo, hi, x texts, y texts);
+    None when a child fails or sends a block of the wrong shape.
+
+    Child i parses data rows [lo, hi) with `_parse_text_block` (the last
+    block reads to the end), checks bytes [size * i // blocks, size * (i +
+    1) // blocks) of the file for a NUL and sends its row count, values
+    and texts down its pipe; the parent only collects them. skiprows counts
+    lines and max_rows data rows, so a blank or comment line before a
     block's first row makes that block start early and repeat a row of the
     block before it, and a whitespace-only line makes a child fail. A
     repeated row sits at two grid nodes, which no row matches once the
-    descriptor's spacing is above the coordinates' resolution: a result of
-    the right shape whose coordinates pass `_off_grid` is the serial
+    descriptor's spacing is above the coordinates' resolution, so the text
+    check fails: a result of the right shape whose texts pass is the serial
     np.loadtxt result, bit for bit.
     """
     bounds = [rows * i // blocks for i in range(blocks + 1)]
+    size = csv_path.stat().st_size
+    nv, w = ncols - 2, TEXT_WIDTH // 8
 
     def parse(i, pipe):
-        block = np.loadtxt(
-            csv_path, delimiter=",", skiprows=1 + bounds[i],
-            max_rows=bounds[i + 1] - bounds[i] if i < blocks - 1 else None, ndmin=2,
-            encoding="utf-8",
-        )
-        pipe.write(np.array(block.shape, dtype=np.int64).tobytes())
-        pipe.write(memoryview(block).cast("B"))
+        lo, hi = bounds[i], bounds[i + 1]
+        nul_span = (size * i // blocks, size * (i + 1) // blocks)
+        parsed = _parse_text_block(csv_path, ncols, nx, lo, hi, i == blocks - 1, nul_span)
+        if parsed is None:
+            return
+        pipe.write(np.array((hi - lo, nv), dtype=np.int64).tobytes())
+        for part in parsed:
+            pipe.write(memoryview(part).cast("B"))
 
     def gather(pipes):
         # allocated once block 0 has its shape, so the file holds a
         # 1/blocks share of the rows: a sidecar's nx*ny alone allocates nothing
-        out = None
+        out, anchors = None, []
         shape = np.empty(2, dtype=np.int64)
         for lo, hi, pipe in zip(bounds, bounds[1:], pipes):
-            if not (_read_exactly(pipe, shape) and tuple(shape) == (hi - lo, ncols)):
+            if not (_read_exactly(pipe, shape) and tuple(shape) == (hi - lo, nv)):
                 return None
             if out is None:
-                out = np.empty((rows, ncols))
-            if not _read_exactly(pipe, out[lo:hi]):
+                out = np.empty((rows, nv))
+            x_text = np.empty((min(nx, hi - lo), w), np.uint64)
+            y_text = np.empty((len(_row_starts(lo, hi, nx)), w), np.uint64)
+            if not all(_read_exactly(pipe, a) for a in (out[lo:hi], x_text, y_text)):
                 return None
-        return out
+            anchors.append((lo, hi, x_text, y_text))
+        return out, anchors
 
     return _forked(blocks, parse, gather)
 
@@ -328,8 +556,7 @@ def _off_grid(csv_path, names, data, desc):
     if len(data) == 0:
         raise ConfigError(f"{csv_path}: 0 data rows but descriptor says nx*ny = {nx * ny}")
     if data.shape[1] != len(names) or not np.isfinite(data).all():
-        raise _bad_line(csv_path, names, f"expected {len(names)} columns of finite numbers",
-                        finite=True)
+        raise _not_finite(csv_path, names)
     if len(data) != nx * ny:
         raise ConfigError(f"{csv_path}: {len(data)} rows but descriptor says nx*ny = {nx * ny}")
     x0, y0 = desc["origin"].real, desc["origin"].imag
@@ -440,7 +667,7 @@ def load_sampled_field(csv_path, interpolation: str = "bilinear") -> SampledFiel
     data = _load_grid_csv(csv_path, MU_HEADER, desc)
     # the adjacent re, im columns of each row read as one complex number in
     # place: no complex grid is built, and signed zeros survive as written
-    values = data.view(complex)[:, 1].reshape(desc["ny"], desc["nx"])
+    values = data.view(complex)[:, 0].reshape(desc["ny"], desc["nx"])
     return SampledField(
         origin=desc["origin"],
         spacing=desc["spacing"],
@@ -479,7 +706,7 @@ def load_matrix_field(csv_path, interpolation: str = "bilinear") -> MatrixField:
     """
     desc = _load_descriptor(csv_path, "K", (1.0, math.inf))
     data = _load_grid_csv(csv_path, MATRIX_HEADER, desc)
-    a11, a12, a22 = (data[:, col].reshape(desc["ny"], desc["nx"]) for col in (2, 3, 4))
+    a11, a12, a22 = (data[:, col].reshape(desc["ny"], desc["nx"]) for col in range(3))
     dev = np.abs(a11 * a22 - a12**2 - 1.0)
     bad = (dev > DET_TOL) | (a11 <= 0)  # with det 1, a11 > 0 means positive definite
     if bad.any():

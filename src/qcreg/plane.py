@@ -4,13 +4,13 @@ Evaluators throughout the package are vectorized: they accept a numpy array
 of complex points and return an array of the same shape. All containers are
 immutable records that cost next to nothing to define at import:
 NamedTuples, whose validating kinds check their fields in `__new__`, so
-`_replace` checks them again. A domain's admissible circles are kept in a
-bounded cache keyed on the (hashable) domain. `MapModel` stays a frozen
-dataclass, so `dataclasses.replace` can swap its callables. Every result
-depends only on the arguments, so everything here is safe to evaluate
-concurrently. A map callable may keep a private cache (the catalog's power
-maps share |z|^s between `value` and `partials`), provided it is
-thread-safe and never returns a stale value.
+`_replace` checks them again. A domain's admissible circles, and how many
+each center has, are kept in a bounded cache keyed on the (hashable)
+domain. `MapModel` stays a frozen dataclass, so `dataclasses.replace` can
+swap its callables. Every result depends only on the arguments, so
+everything here is safe to evaluate concurrently. A map callable may keep a
+private cache (the catalog's power maps share |z|^s between `value` and
+`partials`), provided it is thread-safe and never returns a stale value.
 
 The package's scalar input checks live here: `_finite_real`, `_finite_complex`
 and `_integer` raise a ValueError whose message starts with the name they are
@@ -201,7 +201,12 @@ class DomainSpec(_Validated, _DomainFields):
         domain and kept in a bounded cache)."""
         # equal domains whose centers differ in the sign of a zero build
         # circles that serialize differently, so the centers' repr is keyed too
-        return list(_admissible_circles(self, repr(self.centers)))
+        return list(_admissible_circles(self, repr(self.centers))[0])
+
+    def family_sizes(self) -> tuple[int, ...]:
+        """How many of the admissible circles each entry of `centers` has,
+        in order (counted with the circles, in the same cache)."""
+        return _admissible_circles(self, repr(self.centers))[1]
 
     @classmethod
     def origin_disk(cls) -> "DomainSpec":
@@ -218,10 +223,13 @@ class DomainSpec(_Validated, _DomainFields):
 
 
 @functools.lru_cache(maxsize=32)
-def _admissible_circles(domain: DomainSpec, centers_repr: str) -> tuple[CircleSpec, ...]:
-    return tuple(
-        CircleSpec(c, r) for c in domain.centers for r in domain.radii if domain.fits(c, r)
-    )
+def _admissible_circles(
+    domain: DomainSpec, centers_repr: str
+) -> tuple[tuple[CircleSpec, ...], tuple[int, ...]]:
+    """The fitting circles of the domain and how many each center has."""
+    families = [[CircleSpec(c, r) for r in domain.radii if domain.fits(c, r)]
+                for c in domain.centers]
+    return tuple(c for family in families for c in family), tuple(map(len, families))
 
 
 class _BeltramiFields(NamedTuple):

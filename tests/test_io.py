@@ -951,9 +951,16 @@ def serial_rows(path):
 
 
 def grid_rows(path, header):
-    """`_load_grid_csv` of a grid CSV, checked against its sidecar."""
+    """`_load_grid_csv` of a grid CSV, checked against its sidecar, as whole
+    rows. The loader gives the value columns; a load that stands vouches
+    that each row's x, y are the descriptor's node, which is rebuilt here
+    as the writers format it, so a written grid's rows compare bit for bit."""
     bound = ("k_max", (0.0, 1.0)) if header == MU_HEADER else ("K", (1.0, np.inf))
-    return qcreg.io._load_grid_csv(path, header, qcreg.io._load_descriptor(path, *bound))
+    desc = qcreg.io._load_descriptor(path, *bound)
+    values = qcreg.io._load_grid_csv(path, header, desc)
+    nx, ny, h, origin = desc["nx"], desc["ny"], desc["spacing"], desc["origin"]
+    xs, ys = origin.real + np.arange(nx) * h, origin.imag + np.arange(ny) * h
+    return np.column_stack([np.tile(xs, ny), np.repeat(ys, nx), values])
 
 
 class BlockParse:
@@ -1541,6 +1548,246 @@ def test_cli_analyze_on_a_block_parsed_grid(tmp_path):
     for proc in procs.values():
         assert proc.returncode == 0 and proc.stderr == b""
     assert procs["blocks"].stdout == procs["serial"].stdout
+
+
+# -- coordinates compared as text ------------------------------------------------
+
+
+def float_read(load, *args):
+    """What `load` gives when the text parse is skipped and the file read
+    serially as floats only: the outcome the text parse must give."""
+    text_parse = qcreg.io._text_parse
+    qcreg.io._text_parse = lambda *a: None
+    try:
+        return outcome(load, *args)
+    finally:
+        qcreg.io._text_parse = text_parse
+
+
+def respell(path, col, spell, rows=None):
+    """Write coordinate `col` (0: x, 1: y) of data rows `rows` (every one
+    when None) as spell(value), where value is the number it holds."""
+    lines = path.read_bytes().decode().splitlines(keepends=True)
+    for at in range(1, len(lines)) if rows is None else [1 + r for r in rows]:
+        fields = lines[at].rstrip("\n").split(",")
+        fields[col] = spell(float(fields[col]))
+        lines[at] = ",".join(fields) + "\n"
+    path.write_bytes("".join(lines).encode())
+
+
+def spelled_as(text):
+    """A spelling for `respell` that writes `text` whatever the value."""
+    return lambda value: text
+
+
+class FloatReads:
+    """Counts the serial float reads of this process (`_loadtxt` calls)."""
+
+    def __init__(self, monkeypatch):
+        self.count = 0
+        loadtxt = qcreg.io._loadtxt
+
+        def counted(*args):
+            self.count += 1
+            return loadtxt(*args)
+
+        monkeypatch.setattr(qcreg.io, "_loadtxt", counted)
+
+
+def spelled_mu_grid(tmp_path):
+    """A 7 x 5 mu grid from -1.05 - 1.05i whose first x, y are written
+    -1.050000000000000044e+00, with a signed zero among its values."""
+    values = 0.3 * np.exp(1j * np.arange(35.0)).reshape(BLOCK_SHAPE)
+    values[2, 3] = complex(-0.0, 0.0)
+    path = tmp_path / "mu.csv"
+    save_sampled_field(path, SampledField(origin=-1.05 - 1.05j, spacing=0.35, values=values,
+                                          k_max=0.3))
+    return path
+
+
+# (coordinate, its spelling, the data rows written so: None for every one)
+SPELLINGS = {
+    "x as %.6f": (0, lambda v: "%.6f" % v, None),
+    "y as %.6f": (1, lambda v: "%.6f" % v, None),
+    "x as repr": (0, repr, None),
+    "y as repr": (1, repr, None),
+    "x padded": (0, lambda v: "  %r " % v, None),
+    "y padded": (1, lambda v: " %.18e" % v, None),
+    "one x as -1.05": (0, spelled_as("-1.05"), [10]),
+    "first x as -1.05": (0, spelled_as("-1.05"), [0]),
+    "one y padded": (1, lambda v: " %.18e" % v, [22]),
+    "x of 40 digits": (0, lambda v: "%.39e" % v, None),
+    "one y of 40 digits": (1, lambda v: "%.39e" % v, [0]),
+}
+
+# (coordinate, text, data row, the end of the message naming it)
+BAD_COORDINATES = {
+    "nan x in row 0": (0, "nan", 0, "line 2: x = nan is not finite"),
+    "nan y in a later row": (1, "nan", 17, "line 19: y = nan is not finite"),
+    "1_0 x": (0, "1_0", 0, "line 2: x = '1_0' is not a number"),
+    "1_0 y in a later row": (1, "1_0", 8, "line 10: y = '1_0' is not a number"),
+    "non-ASCII x": (0, "\u0661", 3, "line 5: x = '\u0661' is not a number"),
+    "non-ASCII y in row 0": (1, "-1\u0665", 0, "line 2: y = '-1\u0665' is not a number"),
+}
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+@pytest.mark.usefixtures("deadline")
+class TestCoordinateText:
+    """Each row's x is compared as text with that of grid row 0 in its
+    column, and its y with that of its grid row's first node. A grid the
+    float read accepts loads bit-equal to it, signed zeros included, and
+    one it rejects gives its message, whether the text parse stood or fell
+    back to the float read; the text parse stands exactly when every
+    coordinate is spelled as its reference is, within the text width."""
+
+    def _load(self, monkeypatch, blocks, path):
+        float_reads = FloatReads(monkeypatch)
+        spy = BlockParse(monkeypatch, blocks) if blocks > 1 else None
+        got = outcome(load_sampled_field, path)
+        assert spy is None or spy.forks == blocks
+        assert_no_child_left()
+        return got, float_reads.count
+
+    @pytest.mark.parametrize("case", SPELLINGS)
+    def test_spelling(self, tmp_path, monkeypatch, blocks, case):
+        col, spell, rows = SPELLINGS[case]
+        path = spelled_mu_grid(tmp_path)
+        respell(path, col, spell, rows)
+        want = serial_rows(path)
+        got, float_reads = self._load(monkeypatch, blocks, path)
+        values = np.stack([got.values.real.ravel(), got.values.imag.ravel()], axis=-1)
+        assert np.array_equal(values, want[:, 2:])
+        assert np.array_equal(np.signbit(values), np.signbit(want[:, 2:]))
+        # the texts agree with their references when every row is spelled
+        # alike, unless a spelling fills the text width
+        stands = rows is None and "40 digits" not in case
+        assert float_reads == (0 if stands else 1)
+
+    @pytest.mark.parametrize("case", BAD_COORDINATES)
+    def test_bad_coordinate(self, tmp_path, monkeypatch, blocks, case):
+        col, text, row, tail = BAD_COORDINATES[case]
+        path = spelled_mu_grid(tmp_path)
+        respell(path, col, spelled_as(text), [row])
+        want = float_read(load_sampled_field, path)
+        got, _ = self._load(monkeypatch, blocks, path)
+        assert got == want == (ConfigError, f"{path} {tail}")
+
+    @pytest.mark.parametrize("spell,text", [
+        # float() reads -1.0_5 as -1.05, on the grid
+        (lambda t: t[:4] + "_" + t[4:], "-1.0_50000000000000044e+00"),
+        # 40 significant digits: the text width cuts the field before its
+        # letter, and the cut text reads as the same number
+        (lambda t: "%.39fx" % float(t), "%.39fx" % -1.05),
+    ], ids=["underscore", "letter past the text width"])
+    def test_every_x_no_number(self, tmp_path, monkeypatch, blocks, spell, text):
+        # every x agrees with its reference, and the reference texts would
+        # stand for numbers on the grid; np.loadtxt reads no number in them
+        path = spelled_mu_grid(tmp_path)
+        respell(path, 0, lambda v: spell("%.18e" % v))
+        want = float_read(load_sampled_field, path)
+        got, _ = self._load(monkeypatch, blocks, path)
+        assert got == want == (ConfigError, f"{path} line 2: x = {text!r} is not a number")
+
+    @pytest.mark.parametrize("col", [0, 1])
+    def test_off_the_grid_alike_past_a_block_boundary(self, tmp_path, monkeypatch, blocks, col):
+        # from the first row of the second block (row 17, or 11 for three
+        # blocks) every x, or the y of the rest of that grid row, is moved
+        # by half a spacing: each block agrees with itself, and only the
+        # comparison with grid row 0 or the grid row's first node, which
+        # lie in the first block, catches it
+        path = spelled_mu_grid(tmp_path)
+        first = 35 // max(blocks, 2)
+        rows = range(first, 35) if col == 0 else range(first, (first // 5 + 1) * 5)
+        respell(path, col, lambda v: "%.18e" % (v + 0.175), rows)
+        want = float_read(load_sampled_field, path)
+        got, _ = self._load(monkeypatch, blocks, path)
+        iy, ix = divmod(first, 5)
+        assert got == want == (
+            ConfigError,
+            f"{path}: grid coordinates disagree with the descriptor at node [{iy}, {ix}]",
+        )
+
+    def test_swapped_rows_across_a_block_boundary(self, tmp_path, monkeypatch, blocks):
+        # rows 16, 17 for one or two blocks, 10, 11 for three: the last row
+        # of a block and the first of the next
+        path = spelled_mu_grid(tmp_path)
+        first = 35 // max(blocks, 2)
+        lines = read_lines(path)
+        lines[first], lines[first + 1] = lines[first + 1], lines[first]
+        write_lines(path, lines)
+        iy, ix = divmod(first - 1, 5)
+        want = float_read(load_sampled_field, path)
+        got, _ = self._load(monkeypatch, blocks, path)
+        assert got == want == (
+            ConfigError,
+            f"{path}: grid coordinates disagree with the descriptor at node [{iy}, {ix}]",
+        )
+
+    def test_nul_after_a_reference(self, tmp_path, monkeypatch, blocks):
+        # a bytes field drops a NUL from its end, so the text parse would
+        # take "x\0" for "x"; np.loadtxt reads no number in it
+        path = spelled_mu_grid(tmp_path)
+        respell(path, 0, lambda v: "%.18e\0" % v, [0])
+        want = float_read(load_sampled_field, path)
+        got, float_reads = self._load(monkeypatch, blocks, path)
+        assert got == want
+        assert want[0] is ConfigError and "line 2: x = " in want[1]
+        assert float_reads == 1
+
+    def test_matrix_grid_respelled(self, tmp_path, monkeypatch, blocks):
+        path, _ = write_varying_matrix_grid(tmp_path)
+        respell(path, 1, repr)
+        want = serial_rows(path)
+        float_reads = FloatReads(monkeypatch)
+        spy = BlockParse(monkeypatch, blocks) if blocks > 1 else None
+        got = grid_rows(path, MATRIX_HEADER)
+        assert spy is None or spy.ran
+        assert float_reads.count == 0
+        assert np.array_equal(got[:, 2:], want[:, 2:])
+        assert np.array_equal(np.signbit(got[:, 2:]), np.signbit(want[:, 2:]))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 5, 7])
+@pytest.mark.usefixtures("deadline")
+class TestTextParseInChunks:
+    """The text parse reads at most CHUNK_ROWS rows per np.loadtxt call (as
+    seen in this process), and its checks carry across chunk ends that fall
+    anywhere in a grid row, in this process and in the children."""
+
+    @pytest.mark.parametrize("blocks", [1, 2, 3])
+    @pytest.mark.parametrize("write,header", [(special_mu_grid, MU_HEADER),
+                                              (special_matrix_grid, MATRIX_HEADER)])
+    def test_rows_bit_equal(self, tmp_path, monkeypatch, chunk, blocks, write, header):
+        path = write(tmp_path)
+        want = serial_rows(path)
+        monkeypatch.setattr(qcreg.io, "CHUNK_ROWS", chunk)
+        calls = []
+        loadtxt = np.loadtxt
+
+        def recorded(*args, **kwargs):
+            calls.append(kwargs.get("max_rows"))
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", recorded)
+        spy = BlockParse(monkeypatch, blocks) if blocks > 1 else None
+        got = grid_rows(path, header)
+        assert spy is None or spy.ran
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+        if spy is None:  # the children's calls are not seen here
+            assert len(calls) >= 35 // chunk and max(calls) <= chunk
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("row", [4, 5, 17, 34])
+    def test_respelled_row(self, tmp_path, monkeypatch, chunk, row):
+        path = spelled_mu_grid(tmp_path)
+        respell(path, row % 2, repr, [row])
+        want = float_read(load_sampled_field, path)
+        monkeypatch.setattr(qcreg.io, "CHUNK_ROWS", chunk)
+        float_reads = FloatReads(monkeypatch)
+        got = load_sampled_field(path)
+        assert float_reads.count == 1
+        assert np.array_equal(got.values, want.values)
 
 
 # -- damaged grids: every one exits 1 or 2 naming its file and where -------------

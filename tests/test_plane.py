@@ -123,6 +123,14 @@ class TestCircleAndDomain:
         assert all(a is b for a, b in zip(again, dom.admissible_circles()))
         assert dom == DomainSpec(centers=(0j, 0.5 + 0j), radii=(0.25, 0.75), outer_radius=1.0)
 
+    def test_family_sizes_are_counted_with_the_circles(self, monkeypatch):
+        # (0.5, 0.75) does not fit, and the second 0.5 center is a family of its own
+        dom = DomainSpec(centers=(0j, 0.5 + 0j, 0.9j, 0.5 + 0j), radii=(0.25, 0.75))
+        assert dom.family_sizes() == (2, 1, 0, 1)
+        assert sum(dom.family_sizes()) == len(dom.admissible_circles())
+        monkeypatch.setattr(DomainSpec, "fits", lambda *a: pytest.fail("fits called again"))
+        assert dom.family_sizes() == (2, 1, 0, 1)
+
     def test_equal_domains_share_their_circles(self):
         make = lambda: DomainSpec(centers=(0j, 0.5 + 0j), radii=(0.25, 0.75))
         first, second = make(), make()
