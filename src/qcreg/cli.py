@@ -10,11 +10,18 @@ Subcommands map one-to-one onto the library surfaces:
 
 Flags mirror config keys and override them. Exit codes: 0 ok, 1 usage or
 configuration error, 2 invariant violation, 3 numerical failure.
+
+``python -m qcreg`` and the ``qcreg`` script run `entry`, which freezes the
+garbage collector's objects once `main` returns, so interpreter shutdown
+skips its full cyclic collections; atexit handlers, stream flushes and
+module teardown still run, after every report file is closed. `main`
+called from Python changes no GC state.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -136,10 +143,11 @@ def main(argv=None) -> int:
             )
         if args.command in ("profile", "extremal") and cfg.subject_kind != "catalog":
             raise ConfigError(f"'{args.command}' needs a catalog subject")
-        report = run_analysis(cfg)
-        written = emit_report(report, cfg.output_json, cfg.output_csv_dir)
+        # built once for the JSON report and the CSV bundle alike
+        payload = run_analysis(cfg).to_json_dict()
+        written = emit_report(payload, cfg.output_json, cfg.output_csv_dir)
         if cfg.output_json is None:
-            sys.stdout.write(report_json_bytes(report).decode())
+            sys.stdout.write(report_json_bytes(payload).decode())
         for path in written:
             print(f"wrote {path}", file=sys.stderr)
         return 0
@@ -154,5 +162,19 @@ def main(argv=None) -> int:
         return 3
 
 
+def entry() -> int:
+    """Run `main` as a whole process, then freeze every GC-tracked object.
+
+    Frozen objects sit in the permanent generation, which the collections
+    of interpreter shutdown do not traverse; nothing else about the exit
+    changes. Only a process entry may call this, since the freeze lasts
+    for the rest of the interpreter's life.
+    """
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(entry())

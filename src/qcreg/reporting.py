@@ -174,9 +174,17 @@ def _enforce_invariants(report, elliptic) -> None:
         )
 
 
-def report_json_bytes(report: RunReport) -> bytes:
-    """Canonical JSON encoding: sorted keys, fixed separators, trailing newline."""
-    text = json.dumps(report.to_json_dict(), sort_keys=True, indent=2)
+def _payload(report: RunReport | dict) -> dict:
+    """The `to_json_dict()` of a RunReport; a dict is taken as that, already built."""
+    return report if isinstance(report, dict) else report.to_json_dict()
+
+
+def report_json_bytes(report: RunReport | dict) -> bytes:
+    """Canonical JSON encoding: sorted keys, fixed separators, trailing newline.
+
+    Takes a RunReport or the `to_json_dict()` of one.
+    """
+    text = json.dumps(_payload(report), sort_keys=True, indent=2)
     return (text + "\n").encode()
 
 
@@ -219,28 +227,29 @@ def _columns(block) -> dict:
 
 
 def emit_report(
-    report: RunReport,
+    report: RunReport | dict,
     json_path=None,
     csv_dir=None,
 ) -> list[Path]:
     """Write the JSON report and/or the CSV bundle; returns the files written.
 
-    Every CSV comes from its block of `RunReport.to_json_dict()`:
+    Takes a RunReport or the `to_json_dict()` of one, and builds that dict
+    at most once. Every CSV comes from its block of the dict:
     regularity.csv is the header and the row of `_regularity_row` (CRLF line
     ends, an empty cell for None), and each file of `_CSV_FILES` has one
     ``%.18e`` column per list-valued key of its block, in the block's order
     (README "File formats" lists the headers).
     """
     written: list[Path] = []
+    payload = _payload(report)
     if json_path is not None:
         json_path = Path(json_path)
         json_path.parent.mkdir(parents=True, exist_ok=True)
-        json_path.write_bytes(report_json_bytes(report))
+        json_path.write_bytes(report_json_bytes(payload))
         written.append(json_path)
     if csv_dir is not None:
         csv_dir = Path(csv_dir)
         csv_dir.mkdir(parents=True, exist_ok=True)
-        payload = report.to_json_dict()
         row = _regularity_row(payload["regularity"])
         cells = ("" if value is None else str(value) for value in row.values())
         path = csv_dir / "regularity.csv"
