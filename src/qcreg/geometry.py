@@ -212,19 +212,21 @@ class _FlatRule(NamedTuple):
         """This rule's segments, then those of `other`."""
         return _FlatRule(*(np.concatenate(pair) for pair in zip(self, other)))
 
-    def ring_means(self, map_model: MapModel, unit: np.ndarray, rows=slice(None), rel_tol=None):
-        """Mean Jacobian over the angles `unit` on every ring of the segments
-        `rows`, in batches of at most MAX_BATCH_NODES points, and given
-        rel_tol whether each ring settles on those samples (None without);
-        both of shape (segments, RADIAL_NODES)."""
-        radii = self.radii[rows].ravel()
-        center = np.repeat(self.center[rows], RADIAL_NODES)
+    def ring_means(self, map_model: MapModel, unit: np.ndarray, rings=slice(None), rel_tol=None):
+        """Mean Jacobian over the angles `unit` on the rings `rings` selects
+        from the (segments, RADIAL_NODES) rings, all by default, in batches
+        of at most MAX_BATCH_NODES points, and given rel_tol whether each
+        ring settles on those samples (None without); both of the shape of
+        self.radii[rings]."""
+        radii = self.radii[rings]
+        flat = radii.ravel()
+        center = np.broadcast_to(self.center[:, None], self.radii.shape)[rings].ravel()
         means, settled = zip(*(
-            _ring_mean_jacobian(map_model, center[ring], radii[ring], unit, rel_tol)
-            for ring in row_batches(radii.size, unit.size)
+            _ring_mean_jacobian(map_model, center[ring], flat[ring], unit, rel_tol)
+            for ring in row_batches(flat.size, unit.size)
         ))
-        means = np.concatenate(means).reshape(-1, RADIAL_NODES)
-        return means, None if rel_tol is None else np.concatenate(settled).reshape(means.shape)
+        means = np.concatenate(means).reshape(radii.shape)
+        return means, None if rel_tol is None else np.concatenate(settled).reshape(radii.shape)
 
     def totals(self, means: np.ndarray, count: int, tail: np.ndarray) -> np.ndarray:
         """The `count` integrals from the ring means of every segment.
@@ -276,12 +278,12 @@ def image_area_jacobian(
         Gauss-Legendre weights are positive, so the rings' relative bound
         carries over to the total. Like a circle's rows, an integral
         settles at the level it would reach alone, and the samples cannot
-        see a term at an exact multiple of cfg.nodes. A doubling evaluates
-        each ring of an integral only at the angles it adds
-        (`level_nodes`) and combines their mean with the ring's running
-        mean. The integrals still refining share each level's
-        Jacobian calls, which take their rings in batches of at most
-        MAX_BATCH_NODES points.
+        see a term at an exact multiple of cfg.nodes. A settled ring keeps
+        its first mean; a doubling evaluates each other ring of an
+        integral only at the angles it adds (`level_nodes`) and combines
+        their mean with the ring's running mean. The integrals still
+        refining share each level's Jacobian calls, which take their
+        rings in batches of at most MAX_BATCH_NODES points.
     r_inner : float or sequence of float
         Inner radius per disk for annulus increments (used by profiles);
         0 integrates the whole disk, with a geometric tail toward its
@@ -325,11 +327,12 @@ def image_area_jacobian(
     tail = np.full((len(disks), 2), -1)
     tail[whole] = owner.size + np.arange(whole.size)[:, None] + [0, whole.size]
     means = None  # ring means over the angles of the levels so far, (S, RADIAL_NODES)
+    settled = None  # whether each ring settled at the first level, (S, RADIAL_NODES)
 
     def descend(unit):
         # the first angular level: every integral's totals, and whether all
         # its rings settled on their samples
-        nonlocal rule, means
+        nonlocal rule, means, settled
         means, settled = rule.ring_means(map_model, unit, rel_tol=cfg.rel_tol)
         totals = rule.totals(means, len(disks), tail)
         moving = whole
@@ -364,8 +367,8 @@ def image_area_jacobian(
         _, unit = level_nodes(n, first)
         if first:
             return descend(unit)
-        rows = np.flatnonzero(np.isin(rule.owner, items))
-        means[rows] = 0.5 * (means[rows] + rule.ring_means(map_model, unit, rows)[0])
+        rings = np.isin(rule.owner, items)[:, None] & ~settled
+        means[rings] = 0.5 * (means[rings] + rule.ring_means(map_model, unit, rings)[0])
         return rule.totals(means, len(disks), tail)[items]
 
     return refine(evaluate, len(disks), cfg)

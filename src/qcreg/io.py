@@ -12,9 +12,12 @@ positive definite with det 1 (within 1e-9), or is off the declared K, raises
 
 Numbers are written as ``%.18e`` (19 significant digits, so a float64 reads
 back exactly), byte for byte what ``np.savetxt`` writes. The writers format
-each grid coordinate once and each grid row with one ``%`` call. The loaders
-read the CSV and its sidecar as UTF-8, whatever the locale. They reject,
-with ``ConfigError``, a sidecar that is not UTF-8 JSON or holds a value of
+in integer arithmetic over whole arrays (`_sci_slots`): ±0 and every
+magnitude in [2^-29, 2^48) get the digits ``%`` rounds to, and only nan,
+±inf, subnormals and the other finite values take ``%``, one value at a
+time. Each grid coordinate is formatted once. The loaders read the CSV
+and its sidecar as UTF-8, whatever the locale. They reject, with
+``ConfigError``, a sidecar that is not UTF-8 JSON or holds a value of
 the wrong type or range (naming the file and the key) or a spacing that
 is not above the coordinates' resolution (`_load_descriptor`), a file with
 no data rows and coordinates off the descriptor's grid by more than 1e-9 of
@@ -32,7 +35,7 @@ row's first node, and those nx + ny reference texts are parsed and checked
 against the descriptor (`_on_axis`). Equal text is an equal float, so every
 node gets the verdict a float read gives it. A grid of more than
 ``BLOCK_BYTES`` of CSV text, on a machine with two usable CPUs and
-``os.fork``, is read and written on one forked child per usable CPU
+``os.fork``, is read on one forked child per usable CPU
 (`_fork_count`, `_forked`). A load parses one contiguous block of rows per
 child (`_parse_blocks`), and each child sends back only its values and the
 texts the other blocks are compared with; a smaller grid, or any on one
@@ -44,15 +47,13 @@ floats (`_loadtxt`, `_off_grid`), the one source of its error messages; a
 non-finite field in a text read that otherwise stands goes to `_bad_line`,
 as it does after the float read. A blank or comment line that shifts a
 block fails the row count or the text check, so a result that stands is
-bit-identical to one serial np.loadtxt call. A save hands chunks of whole
-grid rows round-robin to the children, which send the formatted text back
-for the parent to write in order (`_write_chunks`). If a fork or a child
-fails, the save runs serially, so every result, message and byte is the
-serial one.
+bit-identical to one serial np.loadtxt call. A save formats and writes
+in this process alone.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -216,7 +217,7 @@ def _usable_cpus() -> int:
 
 
 def _fork_count(nbytes: int, rows: int) -> int:
-    """How many forked children share the parse or the formatting of
+    """How many forked children share the parse of
     `nbytes` of CSV text in `rows` rows: one per usable CPU, but none with
     under about half of BLOCK_BYTES and none without a row; 0 (run
     serially) when that is under 2 or there is no os.fork."""
@@ -245,7 +246,7 @@ def _forked(count: int, work, consume):
                 with warnings.catch_warnings():
                     # From Python 3.12 os.fork warns when the process has
                     # threads, as numpy's BLAS pool gives it. A child only
-                    # parses or formats (no BLAS), writes to its pipe and
+                    # parses (no BLAS), writes to its pipe and
                     # leaves through os._exit, so it needs no lock another
                     # thread may hold; only that one warning is silenced.
                     warnings.filterwarnings(
@@ -591,70 +592,165 @@ def _write_grid_csv(csv_path, header: str, origin: complex, spacing, columns) ->
     """Write float value grids of shape (ny, nx) as CSV rows ``x, y, *values``.
 
     The bytes are those of ``np.savetxt(fmt="%.18e", delimiter=",")`` on the
-    stacked columns. Each of the nx + ny coordinates is formatted once, each
-    grid row of nx lines is one ``%`` call over its values, and the rows are
-    formatted in chunks of whole grid rows (`_grid_text`), about BLOCK_BYTES
-    / 16 of text each. Above BLOCK_BYTES of text, `_fork_count` forked
-    children format the chunks (`_write_chunks`); if that fails, the file is
-    truncated and written serially. No process holds more than about one
-    chunk of text.
+    stacked columns. Each of the nx + ny coordinates is formatted once into
+    a slot (`_sci_slots`), and the lines are laid out and written in chunks
+    of whole grid rows (`_grid_text`), about BLOCK_BYTES / 16 of text each,
+    so the writer holds about one chunk at a time. Every slot starts with
+    the separator before its number, a newline before a line's x, so the
+    header goes out without its newline and the file ends with one.
     """
     ny, nx = columns[0].shape
     if any(c.shape != (ny, nx) for c in columns):
         raise ValueError("value grids must share one (ny, nx) shape")
-    xs = [b"%.18e" % x for x in (origin.real + np.arange(nx) * spacing).tolist()]
-    ys = [b"%.18e" % y for y in (origin.imag + np.arange(ny) * spacing).tolist()]
-    # b"{y}" stands for the row's y; no formatted number contains a brace
-    row_format = b"".join(x + b",{y}" + b",%.18e" * len(columns) + b"\n" for x in xs)
-    row_bytes = nx * 25 * (2 + len(columns))  # about: an entry and its comma
+    xs = _sci_slots(origin.real + np.arange(nx) * spacing, b"\n")
+    ys = _sci_slots(origin.imag + np.arange(ny) * spacing, b",")
+    row_bytes = nx * SLOT_BYTES * (2 + len(columns))
     step = max(1, BLOCK_BYTES // 16 // max(row_bytes, 1))  # grid rows per chunk
-
-    def text(lo: int) -> bytes:
-        return _grid_text(row_format, ys, columns, lo, lo + step)
-
-    head = header.encode() + b"\n"
     with open(csv_path, "wb") as fh:
-        fh.write(head)
-        children = _fork_count(ny * row_bytes, ny)
-        if children and _write_chunks(fh, text, range(0, ny, step), children):
-            return
-        fh.truncate(fh.seek(len(head)))
+        fh.write(header.encode())
         for lo in range(0, ny, step):
-            fh.write(text(lo))
+            fh.write(_grid_text(xs, ys, columns, lo, lo + step))
+        fh.write(b"\n")
 
 
-def _grid_text(row_format: bytes, ys, columns, lo: int, hi: int) -> bytes:
-    """The CSV lines of grid rows [lo, hi), whose formatted y are in `ys`."""
+def _grid_text(xs, ys, columns, lo: int, hi: int) -> bytes:
+    """The CSV lines of grid rows [lo, hi), each after its newline, from
+    the coordinate slots `xs` (nx, width) and `ys` (ny, width)."""
     values = np.stack([c[lo:hi] for c in columns], axis=-1)
-    rows = values.reshape(len(values), -1).tolist()
-    return b"".join(row_format.replace(b"{y}", y) % tuple(row)
-                    for y, row in zip(ys[lo:hi], rows))
+    rows, nx, k = values.shape
+    slots = _sci_slots(values.ravel(), b",")
+    slots = slots.reshape(rows, nx, k * slots.shape[1])
+    wx, wy = xs.shape[1], ys.shape[1]
+    lines = np.empty((rows, nx, wx + wy + slots.shape[2]), np.uint8)
+    lines[:, :, :wx] = xs
+    lines[:, :, wx:wx + wy] = ys[lo:hi, None]
+    lines[:, :, wx + wy:] = slots
+    return lines[lines != 0].tobytes()
 
 
-def _write_chunks(fh, text, starts, children: int) -> bool:
-    """Write text(lo) for each lo of `starts` to `fh`, in order, with chunk
-    k formatted by forked child k % `children` and sent down its pipe after
-    its length. False when a child failed or sent a short chunk; some
-    chunks may then have been written."""
-    def send(i, pipe):
-        for lo in starts[i::children]:
-            chunk = text(lo)
-            pipe.write(len(chunk).to_bytes(8, "little"))
-            pipe.write(chunk)
+#: bytes of a slot of `_sci_slots`: the separator, the sign or a NUL, and
+#: ``%.18e`` of a magnitude whose decimal exponent has two digits
+SLOT_BYTES = 26
 
-    def copy(pipes):
-        size = bytearray(8)
-        for k in range(len(starts)):
-            pipe = pipes[k % children]
-            if not _read_exactly(pipe, size):
-                return None
-            chunk = bytearray(int.from_bytes(size, "little"))
-            if not _read_exactly(pipe, chunk):
-                return None
-            fh.write(chunk)
-        return True
+#: a slot's fields, their types and byte offsets: the separator, the sign
+#: or a NUL, the first digit with the point and digits 1-2, digits 3-6,
+#: 7-10, 11-14 and 15-18, and ``e`` with the exponent's sign and two digits
+_SLOT_FIELDS = (("sep", "u1", 0), ("sign", "u1", 1), ("lead", "<u4", 2), ("g1", "<u4", 6),
+                ("g2", "<u4", 10), ("g3", "<u4", 14), ("g4", "<u4", 18), ("exp", "<u4", 22))
 
-    return _forked(children, send, copy) is not None
+
+def _sci_slots(values, sep: bytes) -> np.ndarray:
+    """``sep + b"%.18e" % v`` for each float v of `values`, one row each of
+    a (values.size, width) uint8 array, padded with NUL bytes.
+
+    The width is SLOT_BYTES, or more when a value's text is longer. ±0
+    and every |v| in [2^-29, 2^48), whose decimal exponent lies in [-9,
+    14], are formatted in integer arithmetic (`_decimal`) to the bytes
+    ``%`` gives. The rest (nan, ±inf, subnormal, tiny or huge numbers)
+    take ``%`` one value at a time.
+    """
+    v = np.asarray(values, dtype=float).ravel()
+    a = np.abs(v)
+    fast = (a >= 2.0**-29) & (a < 2.0**48)  # nan is neither
+    other = np.flatnonzero(~fast & (a != 0.0))
+    texts = [b"%.18e" % x for x in v[other].tolist()]
+    width = 1 + max([SLOT_BYTES - 1] + [len(t) for t in texts])
+    names, formats, offsets = zip(*_SLOT_FIELDS)
+    out = np.zeros(v.size, np.dtype({"names": names, "formats": formats,
+                                     "offsets": offsets, "itemsize": width}))
+    slow = ~fast
+    a[slow] = 1.0  # a stand-in: ±0 gets zero digits below, the rest its text
+    digits, exp10 = _decimal(a)
+    digits[slow] = 0
+    exp10[slow] = 0
+    four, lead, exponent = _ascii_tables()
+    out["sep"] = ord(sep)
+    out["sign"] = np.where(np.signbit(v), ord("-"), 0)
+    for field in ("g4", "g3", "g2", "g1"):  # 4 digits at a time, from the last
+        rest = digits // 10**4
+        out[field] = four.take(digits - rest * 10**4)
+        digits = rest
+    out["lead"] = lead.take(digits)
+    out["exp"] = exponent.take(exp10 + 9)
+    slots = out.view(np.uint8).reshape(v.size, width)
+    if texts:
+        slots[other, 1:] = np.array(texts, f"S{width - 1}").view(np.uint8).reshape(-1, width - 1)
+    return slots
+
+
+@functools.cache
+def _ascii_tables():
+    """The ASCII bytes, as little-endian uint32, of each 4-digit group
+    0000-9999, of each 3-digit lead as ``d.dd`` (0.00-9.99, indexed by
+    0-999) and of the exponents ``e-09`` to ``e+14`` (indexed by k + 9)."""
+    k = np.arange(10000)
+    four = np.stack([k // 1000, k // 100 % 10, k // 10 % 10, k % 10], axis=-1).astype(np.uint8)
+    four += ord("0")
+    lead = four[:1000, [1, 0, 2, 3]].copy()
+    lead[:, 1] = ord(".")
+    exponent = np.frombuffer(b"".join(b"e%+03d" % k for k in range(-9, 15)), "<u4")
+    tables = four.view("<u4").ravel(), lead.view("<u4").ravel(), exponent
+    for table in tables:
+        table.flags.writeable = False  # every caller shares them
+    return tables
+
+
+@functools.cache
+def _powers_of_5() -> np.ndarray:
+    """5^q for q in [0, 27], every power of 5 below 2^64, as uint64."""
+    powers = np.array([5**q for q in range(28)], np.uint64)
+    powers.flags.writeable = False  # every caller shares it
+    return powers
+
+
+def _decimal(a):
+    """(N, E) with 10^18 <= N < 10^19 the 19 significant digits of a = N
+    10^(E - 18), rounded half to even, as uint64 and int64 arrays, for
+    float64 a in [2^-29, 2^48).
+
+    With a = m 2^e (m < 2^53 an integer) and q = 18 - E in [4, 27], N is
+    m 5^q 2^(e + q) rounded: the product m 5^q is exact in 128 bits, and
+    it is shifted right by 1 to 54 bits (`_scaled`). E starts at
+    floor(log10 a), which may be one off near a power of 10; every N
+    outside [10^18, 10^19), an N past 64 bits included, moves its E by one
+    and is formed again, so the result does not depend on the last bits
+    of np.log10.
+    """
+    mantissa, e = np.frexp(a)
+    m = np.ldexp(mantissa, 53).astype(np.uint64)
+    e = e - 53
+    exp10 = np.floor(np.log10(a)).astype(np.int64)
+    digits = _scaled(m, e, exp10)
+    while True:
+        step = (digits >= 10**19).astype(np.int64) - (digits < 10**18)
+        moved = np.flatnonzero(step)
+        if not moved.size:
+            return digits, exp10
+        exp10[moved] += step[moved]
+        digits[moved] = _scaled(m[moved], e[moved], exp10[moved])
+
+
+def _scaled(m, e, exp10):
+    """m 2^e 10^(18 - exp10) rounded half to even, as uint64, or 2^64 - 1
+    where it is 10^19 or more before rounding (past 64 bits included).
+    The product and its shifts stay in uint64, since numpy takes an int64
+    and a uint64 together to float64; the 128-bit product is formed from
+    32-bit limbs."""
+    q = 18 - exp10
+    power = _powers_of_5().take(q)
+    shift = (-(e + q)).astype(np.uint64)
+    m_lo, m_hi = m & 0xFFFFFFFF, m >> 32
+    p_lo, p_hi = power & 0xFFFFFFFF, power >> 32
+    low = m_lo * p_lo
+    mid = m_hi * p_lo + m_lo * p_hi  # below 2^53 + 2^63
+    lower = low + (mid << 32)  # the product's low 64 bits
+    upper = m_hi * p_hi + (mid >> 32) + (lower < low)  # and its high 64 bits
+    left = 64 - shift
+    n = upper << left | lower >> shift
+    big = (upper >> shift != 0) | (n >= 10**19)
+    n += lower << left > 2**63 - (n & 1)  # the bits shifted out, against one half
+    n[big] = np.iinfo(np.uint64).max
+    return n
 
 
 def _write_sidecar(csv_path, desc: dict) -> None:

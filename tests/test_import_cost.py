@@ -75,6 +75,21 @@ def test_import_loads_no_hashlib():
     assert proc.stdout.strip() == "[]"
 
 
+def test_import_builds_no_grid_writer_table():
+    # the grid writer's digit, exponent and power-of-5 tables are built by
+    # the first save, not by the import every cold CLI call pays
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import qcreg.io as io; print(io._ascii_tables.cache_info().currsize,"
+         " io._powers_of_5.cache_info().currsize)"],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]
+
+
 def test_cold_analyze_loads_no_hashlib(cold_analyze_modules):
     code, modules = cold_analyze_modules
     assert code == "0"

@@ -214,65 +214,6 @@ class TestGridWriterMatchesSavetxt:
             save_matrix_field(tmp_path / "m.csv", grids, origin=0, spacing=1.0, K=2.0)
 
 
-class GridWrite:
-    """Makes every grid write format its chunks (one grid row each) in
-    forked children on `cpus` usable CPUs, and counts what happens: the
-    forks (their pids in `children`) and the chunks formatted in this
-    process, by the serial path or a fallback. `child_action` maps a
-    chunk's first grid row to what the child formatting it does instead:
-    "kill" itself before sending it, or "exit 3" after sending all its
-    chunks. `cut` is a chunk whose child the parent kills once it has read
-    the chunk's length, so that the chunk ends short."""
-
-    def __init__(self, monkeypatch, cpus):
-        self.pid = os.getpid()
-        self.children = []
-        self.parent_chunks = 0
-        self.child_action = {}
-        self.cut = None
-        self.chunks_read = 0
-        real_fork, real_text = os.fork, qcreg.io._grid_text
-        real_read = qcreg.io._read_exactly
-        monkeypatch.setattr(qcreg.io, "BLOCK_BYTES", 1)
-        monkeypatch.setattr(qcreg.io, "_usable_cpus", lambda: cpus)
-
-        def fork():
-            pid = real_fork()
-            if pid:
-                self.children.append(pid)
-            return pid
-
-        def grid_text(row_format, ys, columns, lo, hi):
-            if os.getpid() == self.pid:
-                self.parent_chunks += 1
-            elif self.child_action.get(lo) == "kill":
-                os.kill(os.getpid(), signal.SIGKILL)
-            elif self.child_action.get(lo) == "exit 3":
-                real_exit = os._exit
-                os._exit = lambda code: real_exit(3)
-            return real_text(row_format, ys, columns, lo, hi)
-
-        def read_exactly(pipe, array):
-            if isinstance(array, bytearray) and len(array) != 8:  # a chunk, after its length
-                if self.chunks_read == self.cut:
-                    os.kill(self.children[self.cut % len(self.children)], signal.SIGKILL)
-                self.chunks_read += 1
-            return real_read(pipe, array)
-
-        monkeypatch.setattr(os, "fork", fork)
-        monkeypatch.setattr(qcreg.io, "_grid_text", grid_text)
-        monkeypatch.setattr(qcreg.io, "_read_exactly", read_exactly)
-
-    @property
-    def forks(self):
-        return len(self.children)
-
-
-def forked_writers(ny, cpus):
-    """The children a write of ny grid rows forks under GridWrite."""
-    return min(ny, cpus) if min(ny, cpus) >= 2 else 0
-
-
 def save_special_mu_grid(path, shape):
     """Save a mu grid of the special values, unchecked; the oracle's bytes."""
     origin, spacing = complex(-3.7, -0.0), np.float64(0.1)
@@ -283,96 +224,71 @@ def save_special_mu_grid(path, shape):
     return savetxt_oracle(path.parent, MU_HEADER, origin, spacing, (re, im))
 
 
-@pytest.mark.parametrize("cpus", [2, 3])
-@pytest.mark.usefixtures("deadline")
-class TestForkedGridWriterMatchesSavetxt:
-    # (2, 9): fewer grid rows than 3 CPUs, so only 2 children
-    @pytest.mark.parametrize("shape", GRID_SHAPES + [(2, 9)])
-    def test_sampled_field_special_values(self, tmp_path, monkeypatch, cpus, shape):
-        spy = GridWrite(monkeypatch, cpus)
-        path = tmp_path / "mu.csv"
-        want = save_special_mu_grid(path, shape)
-        assert path.read_bytes() == want
-        forks = forked_writers(shape[0], cpus)
-        assert spy.forks == forks and spy.parent_chunks == (0 if forks else shape[0])
-        assert_no_child_left()
+class SerialWrite:
+    """Makes every grid write of `ncols` value grids, nx points wide, use
+    chunks of `rows` grid rows on two usable CPUs, fails any fork, and
+    records the first grid row of each chunk formatted."""
+
+    def __init__(self, monkeypatch, rows, nx, ncols):
+        self.starts = []
+        real_text = qcreg.io._grid_text
+        row_bytes = nx * qcreg.io.SLOT_BYTES * (2 + ncols)
+        monkeypatch.setattr(qcreg.io, "BLOCK_BYTES", 16 * rows * row_bytes)
+        monkeypatch.setattr(qcreg.io, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("a grid write forked"))
+
+        def grid_text(xs, ys, columns, lo, hi):
+            self.starts.append(lo)
+            return real_text(xs, ys, columns, lo, hi)
+
+        monkeypatch.setattr(qcreg.io, "_grid_text", grid_text)
+
+
+WRITE_SHAPE = (7, 5)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+class TestGridWriterInChunks:
+    """A write formats and writes its chunks of `rows` grid rows in order,
+    the last one short where they do not divide the grid, in this process
+    whatever the usable CPUs and the size, and the chunks join to the
+    oracle's bytes."""
 
     @pytest.mark.parametrize("shape", GRID_SHAPES + [(2, 9)])
-    def test_matrix_field_special_values(self, tmp_path, monkeypatch, cpus, shape):
+    def test_sampled_field_special_values(self, tmp_path, monkeypatch, rows, shape):
+        spy = SerialWrite(monkeypatch, rows, shape[1], 2)
+        path = tmp_path / "mu.csv"
+        assert save_special_mu_grid(path, shape) == path.read_bytes()
+        assert spy.starts == list(range(0, shape[0], rows))
+
+    @pytest.mark.parametrize("shape", GRID_SHAPES + [(2, 9)])
+    def test_matrix_field_special_values(self, tmp_path, monkeypatch, rows, shape):
         origin, spacing = complex(-1e-3, -250.0), np.float64(2.4 / 64)
         grids = tuple(special_grid(shape, k) for k in (0, 4, 7))
-        spy = GridWrite(monkeypatch, cpus)
+        spy = SerialWrite(monkeypatch, rows, shape[1], 3)
         path = tmp_path / "matrix.csv"
         save_matrix_field(path, grids, origin=origin, spacing=spacing, K=2.0)
         assert path.read_bytes() == savetxt_oracle(
             tmp_path, MATRIX_HEADER, origin, spacing, grids
         )
-        forks = forked_writers(shape[0], cpus)
-        assert spy.forks == forks and spy.parent_chunks == (0 if forks else shape[0])
-        assert_no_child_left()
+        assert spy.starts == list(range(0, shape[0], rows))
 
-    def test_sampled_field_smooth(self, tmp_path, monkeypatch, cpus):
+    def test_sampled_field_smooth(self, tmp_path, monkeypatch, rows):
         field = make_field()
-        spy = GridWrite(monkeypatch, cpus)
+        spy = SerialWrite(monkeypatch, rows, field.values.shape[1], 2)
         path = tmp_path / "mu.csv"
         save_sampled_field(path, field)
         assert path.read_bytes() == savetxt_oracle(
             tmp_path, MU_HEADER, field.origin, field.spacing,
             (field.values.real, field.values.imag),
         )
-        assert spy.forks == cpus and spy.parent_chunks == 0
-        assert_no_child_left()
+        assert spy.starts == list(range(0, field.values.shape[0], rows))
 
 
-# 7 grid rows, which neither 2 nor 3 children share evenly
-WRITE_SHAPE = (7, 5)
+class TestGridWriterNeedsNoFork:
+    """A write runs where os.fork is missing or one CPU is usable, and at
+    the real settings never forks."""
 
-
-@pytest.mark.parametrize("cpus", [2, 3])
-@pytest.mark.usefixtures("deadline")
-class TestForkedGridWriterFallsBackToSerial:
-    """Each failure leaves the serial bytes, written by this process after
-    the file was truncated, and no child running."""
-
-    @pytest.mark.parametrize("failing", [1, 2])
-    def test_fork_fails(self, tmp_path, monkeypatch, cpus, failing):
-        spy = GridWrite(monkeypatch, cpus)
-        forked = os.fork
-
-        def fork():
-            if spy.forks + 1 == failing:
-                raise OSError("no more processes")
-            return forked()
-
-        monkeypatch.setattr(os, "fork", fork)
-        path = tmp_path / "mu.csv"
-        assert save_special_mu_grid(path, WRITE_SHAPE) == path.read_bytes()
-        assert spy.forks == failing - 1 and spy.parent_chunks == WRITE_SHAPE[0]
-        assert_no_child_left()
-
-    @pytest.mark.parametrize("action", ["kill", "exit 3"])
-    @pytest.mark.parametrize("row", [0, 1, 6])
-    def test_failed_child(self, tmp_path, monkeypatch, cpus, action, row):
-        spy = GridWrite(monkeypatch, cpus)
-        spy.child_action = {row: action}
-        path = tmp_path / "mu.csv"
-        assert save_special_mu_grid(path, WRITE_SHAPE) == path.read_bytes()
-        assert spy.forks == cpus and spy.parent_chunks == WRITE_SHAPE[0]
-        assert_no_child_left()
-
-    @pytest.mark.parametrize("chunk", [0, 2])
-    def test_child_killed_mid_chunk(self, tmp_path, monkeypatch, cpus, chunk):
-        # a grid row of 4,097 lines is about 400 kB of text, more than a
-        # pipe holds, so its child is still writing it when it is killed
-        spy = GridWrite(monkeypatch, cpus)
-        spy.cut = chunk
-        path = tmp_path / "mu.csv"
-        assert save_special_mu_grid(path, (4, 4097)) == path.read_bytes()
-        assert spy.chunks_read == chunk + 1 and spy.parent_chunks == 4
-        assert_no_child_left()
-
-
-class TestForkedGridWriterNeedsCpusAndFork:
     def test_no_fork_forks_nothing(self, tmp_path, monkeypatch):
         monkeypatch.setattr(qcreg.io, "BLOCK_BYTES", 1)
         monkeypatch.setattr(qcreg.io, "_usable_cpus", lambda: 2)
@@ -387,25 +303,138 @@ class TestForkedGridWriterNeedsCpusAndFork:
         path = tmp_path / "mu.csv"
         assert save_special_mu_grid(path, WRITE_SHAPE) == path.read_bytes()
 
-    @pytest.mark.usefixtures("deadline")
     def test_real_settings_on_a_grid_above_block_bytes(self, tmp_path, monkeypatch):
-        # run under `taskset -c 0` in CI, so the one-CPU path runs for real
         n = 257
         h = 2.4 / (n - 1)
         xs = -1.2 + h * np.arange(n)
         field = SampledField(origin=-1.2 - 1.2j, spacing=h, values=varying_mu(
             xs[None, :], xs[:, None]), k_max=VARYING_K_MAX)
-        real_fork, forks = os.fork, []
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        monkeypatch.setattr(qcreg.io, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("a grid write forked"))
         path = tmp_path / "mu.csv"
         save_sampled_field(path, field)
         assert path.stat().st_size > qcreg.io.BLOCK_BYTES
         assert path.read_bytes() == savetxt_oracle(
             tmp_path, MU_HEADER, field.origin, h, (field.values.real, field.values.imag)
         )
-        usable = qcreg.io._usable_cpus()
-        assert len(forks) == (min(usable, 2) if usable >= 2 else 0)
-        assert_no_child_left()
+
+
+# -- the writer's number format ----------------------------------------------------
+
+
+def assert_formats_as_percent(values):
+    """`_sci_slots` gives, slot by slot, ``b"," + b"%.18e" % v``: each slot
+    holds one separator, in its first byte, and its bytes other than NUL
+    join to the texts of every value in order."""
+    values = np.asarray(values, dtype=float)
+    slots = qcreg.io._sci_slots(values, b",")
+    assert slots.shape[0] == values.size and slots.shape[1] >= qcreg.io.SLOT_BYTES
+    assert (slots[:, 0] == ord(",")).all() and (slots[:, 1:] != ord(",")).all()
+    got = slots[slots != 0].tobytes()
+    want = b"".join(b",%.18e" % v for v in values.tolist())
+    if got != want:
+        pairs = zip(values.tolist(), got.split(b",")[1:], want.split(b",")[1:])
+        v, g, w = next((v, g, w) for v, g, w in pairs if g != w)
+        pytest.fail(f"{v!r} formats as {g!r}, not {w!r}")
+
+
+def fast_range_floats(rng, size):
+    """Floats of random sign and 52 random fraction bits whose binary
+    exponent runs past both ends of [2^-29, 2^48), the range formatted in
+    integer arithmetic."""
+    exponent = rng.integers(1023 - 33, 1023 + 52, size, dtype=np.uint64)
+    fraction = rng.integers(0, 1 << 52, size, dtype=np.uint64)
+    sign = rng.integers(0, 2, size, dtype=np.uint64)
+    return (sign << 63 | exponent << 52 | fraction).view(float)
+
+
+class TestSciSlotsMatchPercentFormat:
+    """The integer-arithmetic formatter against Python's ``%.18e``, which
+    np.savetxt calls, on seeded draws of 10^6 values and on the values where
+    rounding or the decimal exponent is hardest to get right."""
+
+    def test_uniform_bit_patterns(self):
+        # about 4 % of these lie in the integer range; the rest take %
+        rng = np.random.default_rng(34)
+        assert_formats_as_percent(rng.integers(0, 2**64, 10**6, dtype=np.uint64).view(float))
+
+    @pytest.mark.parametrize("seed", [34, 35])
+    def test_uniform_bits_across_the_integer_range(self, seed):
+        assert_formats_as_percent(fast_range_floats(np.random.default_rng(seed), 10**6))
+
+    def test_neighbours_of_powers_of_ten(self):
+        # 10^k and 5 10^k, where floor(log10) may be one off, from below the
+        # integer range (10^-11) to past its top (10^16), and its two ends
+        centres = [c * 10.0**k for k in range(-11, 17) for c in (1.0, 5.0)] + [2.0**-29, 2.0**48]
+        steps = np.arange(1, 65, dtype=float)
+        values = []
+        for c in centres:
+            up, down = [c], [c]
+            for _ in steps:
+                up.append(np.nextafter(up[-1], np.inf))
+                down.append(np.nextafter(down[-1], -np.inf))
+            values += up + down[1:]
+        values = np.array(values)
+        assert_formats_as_percent(np.concatenate((values, -values)))
+
+    def test_ties_round_half_to_even(self):
+        # an odd multiple of 2^-j in [10^d, 10^(d+1)) with j = 18 - d has 20
+        # significant digits, the last a 5: %.18e must round it to even
+        rng = np.random.default_rng(34)
+        values = []
+        for d in range(-8, 15):
+            j = 18 - d
+            lo, hi = int(10.0**d * 2**j) // 2, int(10.0**(d + 1) * 2**j) // 2
+            if hi >= 2**52:  # an odd multiple needs more than 53 bits
+                continue
+            values.append(np.ldexp(2.0 * rng.integers(lo, hi, 20000) + 1, -j))
+        values = np.concatenate(values)
+        assert values.size >= 10**5
+        assert_formats_as_percent(np.concatenate((values, -values)))
+
+    def test_special_values(self):
+        rng = np.random.default_rng(34)
+        subnormal = rng.integers(1, 1 << 52, 1000, dtype=np.uint64).view(float)
+        wide = rng.uniform(1.0, 10.0, 1000) * 10.0 ** rng.integers(100, 308, 1000)
+        specials = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, 2.2250738585072014e-308,
+                    1.7976931348623157e308, 1e100, 1e-100, 9.999999999999999e99, 1e-99]
+        values = np.concatenate((subnormal, wide, 1 / wide, specials))
+        assert_formats_as_percent(np.concatenate((values, -values)))
+
+    def test_wide_slots_only_where_a_text_needs_them(self):
+        assert qcreg.io._sci_slots(np.array([-0.0, 1e300, -1e-30, np.nan]), b",").shape[1] == 26
+        assert qcreg.io._sci_slots(np.array([0.5, -1e-300]), b",").shape[1] == 27
+
+
+def test_varying_mu_grid_with_a_zero_region_round_trips(tmp_path, capsys):
+    """A seeded 257^2 mu grid, 0 outside a disk, on coordinates that cross 0:
+    the saved file is np.savetxt's, the load gives back every bit, and both
+    interpolations report the same bytes from it and from np.savetxt's file."""
+    n = 257
+    rng = np.random.default_rng(34)
+    h = 2.4 / (n - 1)
+    origin = complex(-1.2 + 0.3 * h, -1.2)
+    xs = origin.real + h * np.arange(n)
+    ys = origin.imag + h * np.arange(n)
+    assert xs[0] < 0 < xs[-1] and 0.0 in ys  # y crosses 0 on a node
+    x, y = xs[None, :], ys[:, None]
+    freq, phase, weight = rng.uniform(-3, 3, (4, 2)), rng.uniform(0, 7, 4), rng.standard_normal(4)
+    mu = sum(w * np.exp(1j * (a * x + b * y + c)) for (a, b), c, w in zip(freq, phase, weight))
+    mu *= VARYING_K_MAX / np.abs(mu).max()
+    mu = np.where(np.abs(x + 1j * y) < 0.9, mu, 0.0)
+    field = SampledField(origin=origin, spacing=h, values=mu, k_max=VARYING_K_MAX)
+    path = tmp_path / "mu.csv"
+    save_sampled_field(path, field)
+    written = path.read_bytes()
+    assert written == savetxt_oracle(tmp_path, MU_HEADER, origin, h, (mu.real, mu.imag))
+    assert (load_sampled_field(path).values.view(np.uint64) == mu.view(np.uint64)).all()
+    for interpolation in INTERPOLATIONS:
+        reports = []
+        for text in (written, savetxt_oracle(tmp_path, MU_HEADER, origin, h, (mu.real, mu.imag))):
+            path.write_bytes(text)
+            assert main(["analyze", "--subject", str(path), "--interpolation", interpolation]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
 
 
 def read_lines(path):

@@ -572,14 +572,15 @@ class TestRingIntegralsSettleTogether:
         disks = [CircleSpec(0j, 0.4), CircleSpec(0j, 0.65)]
         areas = image_area_jacobian(replace(model, jacobian=recorded), disks, QuadratureConfig(),
                                     r_inner=[0.2, 0.45])
-        rough = [s for _, _, r, _, s in first.rings if r > 0.45]
-        assert any(rough) and not all(rough)
+        outer = [s for _, _, r, _, s in first.rings if r > 0.45]  # settle decisions
+        assert any(outer) and not all(outer)
         assert all(s for _, _, r, _, s in first.rings if r < 0.45)
         # the first level takes both annuli in one call; the rough annulus
-        # alone refines, all its rings, and converges at the second level
+        # alone refines, only its rough rings, and converges at the second
+        # level, its settled rings keeping their first means
         assert len(calls) == 2
         assert (calls[0] < 0.41).any() and (calls[0] > 0.44).any()
-        assert (calls[1] > 0.44).all() and calls[1].shape[0] == 10
+        assert (calls[1] > 0.44).all() and calls[1].shape[0] == outer.count(False) < 10
         exact = scale * np.pi * np.array([0.4**2 - 0.2**2, 0.65**2 - 0.45**2])
         assert np.abs(areas / exact - 1).max() <= 1e-13
 
