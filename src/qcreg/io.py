@@ -28,27 +28,27 @@ wrong number of fields, a whitespace-only line included (with the expected
 and found counts), or an entry that is not a number or not finite (with
 its column); failing those, the first line that is not UTF-8 text.
 
-A grid CSV is first read with its coordinates kept as text and only its
-value columns converted (`_text_parse`): a row's x must be byte-equal to
-the x text at its column of grid row 0, and its y to the y text of its grid
-row's first node, and those nx + ny reference texts are parsed and checked
-against the descriptor (`_on_axis`). Equal text is an equal float, so every
-node gets the verdict a float read gives it. A grid of more than
-``BLOCK_BYTES`` of CSV text, on a machine with two usable CPUs and
-``os.fork``, is read on one forked child per usable CPU
-(`_fork_count`, `_forked`). A load parses one contiguous block of rows per
-child (`_parse_blocks`), and each child sends back only its values and the
-texts the other blocks are compared with; a smaller grid, or any on one
-CPU, is read the same way in this process. Every process reads at most
-``CHUNK_ROWS`` rows of text at once (`_parse_text_block`). A text mismatch,
-a field that fills ``TEXT_WIDTH``, a NUL byte, an unparsable reference, a
-wrong row count or a failed child makes the load read the file serially as
-floats (`_loadtxt`, `_off_grid`), the one source of its error messages; a
-non-finite field in a text read that otherwise stands goes to `_bad_line`,
-as it does after the float read. A blank or comment line that shifts a
-block fails the row count or the text check, so a result that stands is
-bit-identical to one serial np.loadtxt call. A save formats and writes
-in this process alone.
+A grid CSV is read as bytes in one process (`_byte_parse`), in chunks of
+whole lines of at most ``CHUNK_BYTES``. A line is canonical when each of
+its fields is ``[-]d.dddddddddddddddddde±dd`` (or ``e±ddd``), which is
+what the writers and ``np.savetxt(fmt="%.18e")`` write (`_parse_lines`).
+A value field is converted exactly from its 19 digits N and exponent E:
+on an x87 long double (`_extended_precision`), N 10^(E - 18) is one
+correctly rounded long-double product or quotient for E in [-9, 45], and
+rounding that to float64 is exact unless it sits on a float64 midpoint;
+such a field, one outside that range (a subnormal, a 3-digit exponent)
+and every field on another platform take ``float()``, which rounds
+correctly as np.loadtxt does (`_column_values`). A row's x must be
+byte-equal to the x at its column of grid row 0, and its y to the y of
+its grid row's first node; those nx + ny reference texts are parsed with
+``float()`` and checked against the descriptor (`_on_axis`). Equal text is
+an equal float, so every node gets the verdict a float read gives it. A
+file with a line that is not canonical (a CRLF end, a ``+`` sign, another
+digit count, a blank or comment line, a NUL byte, ...), a value past the
+float range, a wrong row count or a reference off the grid is read
+serially as floats (`_loadtxt`, `_off_grid`), the one source of its error
+messages. A result that stands is thus bit-identical to one np.loadtxt
+call. No load or save starts another process.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import os
 import sys
 import warnings
 from pathlib import Path
@@ -70,16 +69,9 @@ from .elliptic import DET_TOL, MatrixField, beltrami_from_entries
 from .errors import ConfigError, FieldValidationError
 from .plane import SampledField, _finite_complex, _finite_real, stretch_factor
 
-#: grid CSVs above this many bytes are parsed in blocks on several CPUs
-BLOCK_BYTES = 4 << 20
-
-#: bytes of a coordinate's text in the text parse; a longer one is cut off
-#: by np.loadtxt, so one that fills the width sends the load to the float read
-TEXT_WIDTH = 32
-
-#: rows one np.loadtxt call of the text parse reads at most: about 5 MB
-#: of text and values
-CHUNK_ROWS = 1 << 16
+#: bytes of grid CSV text a load holds at once, in whole lines; a save
+#: formats about a quarter of that at once
+CHUNK_BYTES = 1 << 20
 
 
 def sidecar_path(csv_path) -> Path:
@@ -107,7 +99,7 @@ def _load_descriptor(csv_path, bound_key: str, bound_range: tuple[float, float])
     origin = _point(desc["origin"], f"{where} origin")
     # No row matches two nodes of an axis when h exceeds twice `_on_axis`'s
     # tolerance plus the rounding of two expected nodes, under 2 ulps of the
-    # largest each (half a tolerance); the block parse rests on that.
+    # largest each (half a tolerance), so rows out of place fail the check.
     for name, start, n in (("x", origin.real, nx), ("y", origin.imag, ny)):
         tol = _axis_tolerance(start, n, h)
         if n > 1 and not h > 2.5 * tol:
@@ -121,11 +113,11 @@ def _load_grid_csv(csv_path, header: str, desc: dict) -> np.ndarray:
     checked against its descriptor `desc`: nx*ny rows of len(header) finite
     numbers whose x, y are the grid's nodes.
 
-    The coordinates are compared as text with those of grid row 0 and of
-    each grid row's first node, and only the values are converted
-    (`_text_parse`), on forked children above BLOCK_BYTES. When that read
-    does not stand (a text mismatch, a width-filling or NUL-holding field,
-    a bad reference, a wrong row count or a failed child), the file is read
+    The file is first read as bytes (`_byte_parse`), with the coordinates
+    compared as text with those of grid row 0 and of each grid row's first
+    node. When that read does not stand (a line that is not canonical, a
+    value past the float range, a wrong row count or a reference off the
+    grid), the file is read
     serially as floats and checked by `_off_grid`; every value and message
     is thus the serial one.
     """
@@ -136,7 +128,7 @@ def _load_grid_csv(csv_path, header: str, desc: dict) -> np.ndarray:
     if first.replace(" ", "") != header:
         raise ConfigError(f"{csv_path} must start with header {header!r}, got {first!r}")
     names = header.split(",")
-    values = _text_parse(csv_path, names, desc)
+    values = _byte_parse(csv_path, names, desc)
     if values is not None:
         return values
     data = _loadtxt(csv_path, names)
@@ -202,351 +194,286 @@ def _bad_line(csv_path, names, message: str, *, finite: bool) -> ConfigError:
     return ConfigError(f"{csv_path}: {message}")
 
 
-def _not_finite(csv_path, names) -> ConfigError:
-    """The ConfigError of rows that np.loadtxt read but that are not all
-    len(names) finite numbers: `_bad_line` names the first bad line."""
-    return _bad_line(csv_path, names, f"expected {len(names)} columns of finite numbers",
-                     finite=True)
+def _byte_parse(csv_path, names, desc: dict):
+    """The (nx*ny, len(names) - 2) values of a grid CSV whose data lines are
+    all canonical, read as bytes with x, y compared as text; None when the
+    file is not so: a line that is not canonical (`_parse_lines`), a value
+    that is not finite, a wrong row count, or a reference text that is not
+    on the descriptor's axes.
 
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _fork_count(nbytes: int, rows: int) -> int:
-    """How many forked children share the parse of
-    `nbytes` of CSV text in `rows` rows: one per usable CPU, but none with
-    under about half of BLOCK_BYTES and none without a row; 0 (run
-    serially) when that is under 2 or there is no os.fork."""
-    count = min(_usable_cpus(), math.ceil(nbytes / BLOCK_BYTES), rows)
-    return count if count >= 2 and hasattr(os, "fork") else 0
-
-
-def _forked(count: int, work, consume):
-    """Run work(i, pipe) in forked child i for each i < `count` while this
-    process runs consume(pipes); give consume's result, or None when a fork
-    fails, consume gives None or a child does not exit with status 0.
-
-    Child i writes to its `pipe`, which this process reads as pipes[i], an
-    unbuffered binary reader. No child outlives this call: when consume
-    ends early or raises, or a fork fails, every child not yet reaped is
-    killed and waited for.
-    """
-    from signal import SIGKILL  # about 1 ms to import: only a forked job pays it
-
-    children = []  # (pid, or None once reaped; read end of its pipe), in child order
-    try:
-        for i in range(count):
-            read_fd, write_fd = os.pipe()
-            pipe = open(read_fd, "rb", buffering=0)
-            try:
-                with warnings.catch_warnings():
-                    # From Python 3.12 os.fork warns when the process has
-                    # threads, as numpy's BLAS pool gives it. A child only
-                    # parses (no BLAS), writes to its pipe and
-                    # leaves through os._exit, so it needs no lock another
-                    # thread may hold; only that one warning is silenced.
-                    warnings.filterwarnings(
-                        "ignore", r"This process .* is multi-threaded", DeprecationWarning
-                    )
-                    pid = os.fork()
-            except OSError:
-                pipe.close()
-                os.close(write_fd)
-                return None
-            if pid == 0:
-                _child(work, i, write_fd, [read_fd] + [p.fileno() for _, p in children])
-            os.close(write_fd)
-            children.append((pid, pipe))
-        result = consume([pipe for _, pipe in children])
-        if result is None:
-            return None
-        for i, (pid, pipe) in enumerate(children):
-            status = os.waitpid(pid, 0)[1]
-            children[i] = (None, pipe)  # reaped
-            if status != 0:
-                return None
-        return result
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            if pid is not None:
-                os.kill(pid, SIGKILL)
-                os.waitpid(pid, 0)
-
-
-def _child(work, i: int, write_fd: int, read_fds) -> None:
-    """Body of forked child i: run work(i, pipe) on the write end of its
-    pipe. It never returns, so it runs no exit hook, no flush of the
-    parent's buffers and no caller's code; it prints nothing."""
-    code = 1
-    try:
-        for fd in read_fds:
-            os.close(fd)
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, 2)
-        with open(write_fd, "wb") as pipe:
-            work(i, pipe)
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _text_parse(csv_path, names, desc: dict):
-    """The (nx*ny, len(names) - 2) values of a grid CSV read with its
-    coordinates as text, or None when that read does not stand; a field
-    that is not finite raises `_bad_line`'s ConfigError.
-
-    The rows are parsed in `_fork_count` blocks on forked children
-    (`_parse_blocks`), or as one block in this process. Each block checks
-    its texts against its own first nx x texts and first text of each grid
-    row; `_reference_texts` then checks those against grid row 0 and each
-    row's first node, whose texts must be finite numbers on the
-    descriptor's axes.
+    The lines after the header are read in chunks of whole lines into one
+    buffer of CHUNK_BYTES, and the bytes after a chunk's last newline start
+    the next chunk; the file's last line may lack its newline. Each row's x
+    key must equal the x key of grid row 0 at its column (`_x_repeats`) and
+    its y key that of its grid row's first node (`_y_repeats`); the texts
+    of those nx + ny keys are checked last (`_reference_texts`).
     """
     nx, ny, ncols = desc["nx"], desc["ny"], len(names)
-    rows, size = nx * ny, csv_path.stat().st_size
-    blocks = _fork_count(size, rows)
-    if blocks:
-        parsed = _parse_blocks(csv_path, ncols, nx, rows, blocks)
-    else:
-        try:
-            parsed = _parse_text_block(csv_path, ncols, nx, 0, rows, True, (0, size))
-        except ValueError:  # a UnicodeDecodeError too
-            parsed = None
-        if parsed is not None:
-            values, x_text, y_text = parsed
-            parsed = values, [(0, rows, x_text, y_text)]
-    if parsed is None:
+    rows = nx * ny
+    # a canonical line holds at least 25 bytes a field, so a sidecar's nx*ny
+    # far beyond the file allocates nothing
+    if rows > csv_path.stat().st_size // (25 * ncols):
         return None
-    values, anchors = parsed
-    texts = _reference_texts(nx, ny, anchors)
-    axes = None if texts is None else [_text_floats(text) for text in texts]
-    if axes is None or any(axis is None for axis in axes):
+    pad = 32 * ncols  # see `_parse_lines`
+    buf = bytearray(pad + CHUNK_BYTES + 1)  # and a newline after a last line without one
+    buf[pad - 1] = ord("\n")
+    values = np.empty((rows, ncols - 2))
+    x_ref = np.empty((nx, 4), np.uint64)
+    y_ref = np.empty((ny, 4), np.uint64)
+    done = carry = 0  # rows read, and bytes of a line the last chunk began
+    with open(csv_path, "rb") as fh:
+        fh.readline()  # the header, checked by the caller
+        while True:
+            got = fh.readinto(memoryview(buf)[pad + carry:pad + CHUNK_BYTES])
+            stop = pad + carry + got
+            if not got and carry:  # the last line, without its newline
+                buf[stop] = ord("\n")
+                stop += 1
+            end = buf.rfind(b"\n", pad, stop) + 1
+            if not end:  # no whole line
+                if stop == pad:  # the end of the file
+                    break
+                if stop == pad + CHUNK_BYTES:  # a line longer than the buffer
+                    return None
+                carry = stop - pad
+                continue
+            parsed = _parse_lines(buf, end, ncols)
+            if parsed is None or done + len(parsed[0]) > rows:
+                return None
+            chunk, x_keys, y_keys = parsed
+            if not (_x_repeats(x_keys, x_ref, done) and _y_repeats(y_keys, y_ref, done, nx)):
+                return None
+            values[done:done + len(chunk)] = chunk
+            done += len(chunk)
+            carry = stop - end
+            buf[pad:pad + carry] = buf[end:stop]
+    if done != rows:
         return None
-    # every field is a number, so the serial read would reach this check too
-    if not all(np.isfinite(a).all() for a in (*axes, values)):
-        raise _not_finite(csv_path, names)
+    texts = [_reference_texts(ref) for ref in (x_ref, y_ref)]
+    if None in texts:
+        return None
     origin, h = desc["origin"], desc["spacing"]
-    for axis, start, n in zip(axes, (origin.real, origin.imag), (nx, ny)):
-        if not _on_axis(axis, start, n, h).all():
+    for text, start, n in zip(texts, (origin.real, origin.imag), (nx, ny)):
+        if not _on_axis(_text_floats(text), start, n, h).all():
             return None
     return values
 
 
-def _parse_text_block(csv_path, ncols: int, nx: int, lo: int, hi: int, last: bool, nul_span):
-    """Data rows [lo, hi) of a grid CSV of nx columns read with x, y as text
-    (to the end of the file if `last`): (values, x texts, y texts), or None
-    when the file cannot hold them or the rows disagree with each other.
-    np.loadtxt raises a ValueError when a row is not ncols fields or a value
-    no number.
+def _parse_lines(buf, end: int, ncols: int):
+    """The fields of the lines of buf[32 * ncols:end], each ending at its
+    newline, after the newline at byte 32 * ncols - 1: (values, x keys, y
+    keys), the values an (n, ncols - 2) float array and the keys (n, 4)
+    uint64 arrays, for n lines of ncols canonical fields; None when a line
+    is not so.
 
-    The file is read through one handle, ``CHUNK_ROWS`` rows at a time,
-    with skiprows=1 + lo first. The block's first min(nx, hi - lo) x texts
-    are given back, and every later row's x must equal the one nx rows
-    before it; the y texts of the block's first row and of each grid row's
-    first node in it are given back, and every other row's y must equal
-    that of its grid row's. Texts are rows of uint64 words. No field may
-    fill TEXT_WIDTH, and the bytes `nul_span` = (start, stop) of the file
-    may hold no NUL, which np.loadtxt keeps in a field but the bytes type
-    drops from its end.
+    A canonical field is ``[-]d.dddddddddddddddddde±dd``, or ``e±ddd`` for
+    a value, between separators: commas, and newlines before the first
+    field and after the last. Each field is read back from the separator
+    after it, as the 32 bytes before that separator: three little-endian
+    words hold its last 24 bytes, and the word before them the sign or the
+    separator before it (shifted by a byte for a 3-digit exponent). The
+    separator before a line's first field must be a newline: since no
+    field holds one, it ends the line before. A coordinate's key is the
+    byte before its last 24 and those three words: a key equal to that of
+    a canonical coordinate with a 2-digit exponent is an equal text. The
+    bytes before 32 * ncols only keep the gathers of a line too short to
+    hold its fields inside buf.
     """
-    nv = ncols - 2
-    # a row is ncols - 1 commas, nv values of a character or more and a line
-    # end (but the last), so a sidecar's nx*ny far beyond the file allocates
-    # nothing
-    most = (os.path.getsize(csv_path) + 1) // (ncols + nv)
-    if hi - lo > most or _holds_nul(csv_path, *nul_span):
+    pad = 32 * ncols
+    ends = np.flatnonzero(np.frombuffer(buf, np.uint8, end - pad, pad) == ord("\n")) + pad
+    quads = np.ndarray((end - 31,), "V32", buf, 0, (1,))  # the 32 bytes from each offset
+    fields = [None] * ncols
+    at = ends  # the separator after field j
+    ok = np.ones(len(ends), bool)
+    for j in reversed(range(ncols)):
+        words = quads[at - 32].view(np.uint64).reshape(-1, 4)
+        wide = ((words[:, 3] >> 32) & 0xFF) != ord("e")  # a 3-digit exponent
+        before = words[:, 0]
+        if wide.any():
+            before = before << (wide * np.uint64(8))
+        last = before >> 56
+        neg = last == ord("-")
+        sep = ord(",") if j else ord("\n")
+        ok &= (last == sep) | ((before >> 48) == (ord("-") << 8 | sep))
+        if j < 2:  # a coordinate: its key
+            words[:, 0] = last
+        fields[j] = words, wide, neg, at
+        at = at - 25 - wide - neg
+    if not ok.all():
         return None
-    values = np.empty((hi - lo, nv))
-    dtype = np.dtype([("x", f"S{TEXT_WIDTH}"), ("y", f"S{TEXT_WIDTH}"), ("v", "f8", (nv,))])
-    w = TEXT_WIDTH // 8  # uint64 words of a text
-    x_text, y_text = [], []
-    count, skip = 0, 1 + lo
-    with open(csv_path, encoding="utf-8") as fh, warnings.catch_warnings():
-        # an empty chunk at the end, and a blank or comment line within one,
-        # are no news: the row count is checked below
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        warnings.filterwarnings("ignore", "Input line .* contained no data", UserWarning)
-        while True:
-            want = CHUNK_ROWS if last else min(CHUNK_ROWS, hi - lo - count)
-            if not want:
-                break
-            chunk = np.loadtxt(fh, delimiter=",", skiprows=skip, max_rows=want, dtype=dtype,
-                               ndmin=1)
-            n, skip = len(chunk), 0
-            if not n:
-                break
-            if count + n > hi - lo:
-                return None
-            raw = chunk.view(np.uint8).reshape(n, dtype.itemsize)
-            if (raw[:, TEXT_WIDTH - 1] | raw[:, 2 * TEXT_WIDTH - 1]).any():
-                return None
-            words = chunk.view(np.uint64).reshape(n, -1)
-            xs, ys = words[:, :w], words[:, w:2 * w]
-            own = min(n, max(0, nx - count))  # rows of the block's first nx
-            if own:
-                x_text.append(xs[:own].copy())
-            if own < n:
-                x_text = [np.concatenate(x_text)] if len(x_text) > 1 else x_text
-                if not _cyclic(xs[own:], x_text[0], (count + own) % nx):
-                    return None
-            if not count:
-                carry = ys[:1].copy()  # the y text of the grid row in progress
-                if lo % nx:
-                    y_text.append(carry)
-            head = min(n, -(lo + count) % nx)  # rows before the first grid row start
-            starts = ys[head::nx]
-            if not ((ys[:head] == carry).all() and _runs(ys[head:], nx)):
-                return None
-            if len(starts):
-                y_text.append(starts.copy())
-                carry = y_text[-1][-1:]
-            values[count:count + n] = chunk["v"]
-            count += n
-            if n < want:
-                break
-    if count != hi - lo:
-        return None
-    return values, np.concatenate(x_text), np.concatenate(y_text)
-
-
-def _cyclic(texts, pattern, phase: int) -> bool:
-    """Whether texts[k] is pattern[(phase + k) % len(pattern)] for each k."""
-    n = len(pattern)
-    head = min(len(texts), -phase % n)
-    full = head + (len(texts) - head) // n * n
-    return bool((texts[:head] == pattern[phase:phase + head]).all()
-                and (texts[head:full].reshape(-1, n, texts.shape[1]) == pattern).all()
-                and (texts[full:] == pattern[:len(texts) - full]).all())
-
-
-def _runs(texts, n: int) -> bool:
-    """Whether each run of n texts, and the shorter one after them, holds
-    one text n times."""
-    full = len(texts) // n * n
-    return bool((texts[:full].reshape(-1, n, texts.shape[1]) == texts[:full:n, None]).all()
-                and (texts[full:] == texts[full:full + 1]).all())
-
-
-def _holds_nul(csv_path, start: int, stop: int) -> bool:
-    """Whether bytes [start, stop) of the file hold a NUL byte."""
-    buf = bytearray(min(1 << 20, max(0, stop - start)))
-    with open(csv_path, "rb", buffering=0) as fh:
-        fh.seek(start)
-        while start < stop:
-            n = fh.readinto(memoryview(buf)[:stop - start])
-            if not n:
-                return False
-            if buf.find(b"\0", 0, n) >= 0:
-                return True
-            start += n
-    return False
-
-
-def _row_starts(lo: int, hi: int, nx: int) -> np.ndarray:
-    """The rows of block [lo, hi) whose y texts it gives back: its first
-    row and each grid row's first node in it."""
-    starts = np.arange(lo - lo % nx, hi, nx)
-    starts[0] = lo
-    return starts
-
-
-def _reference_texts(nx: int, ny: int, anchors):
-    """The x texts of grid row 0 and the y texts of each grid row's first
-    node, as two arrays of TEXT_WIDTH-byte strings, when every block's (lo,
-    hi, x texts, y texts) of `anchors` agrees with them; else None."""
-    x_ref = np.zeros((nx, TEXT_WIDTH // 8), np.uint64)
-    y_ref = np.zeros((ny, TEXT_WIDTH // 8), np.uint64)
-    for lo, hi, x_text, y_text in anchors:
-        x_ref[lo:min(hi, nx)] = x_text[:max(0, min(hi, nx) - lo)]
-        starts = _row_starts(lo, hi, nx)
-        first = starts % nx == 0
-        y_ref[starts[first] // nx] = y_text[first]
-    for lo, hi, x_text, y_text in anchors:
-        starts = _row_starts(lo, hi, nx)
-        if not ((x_text == x_ref[(lo + np.arange(len(x_text))) % nx]).all()
-                and (y_text == y_ref[starts // nx]).all()):
+    values = np.empty((len(ends), ncols - 2))
+    for j in range(2, ncols):
+        column = _column_values(buf, *fields[j])
+        if column is None:
             return None
-    return x_ref.view(f"S{TEXT_WIDTH}")[:, 0], y_ref.view(f"S{TEXT_WIDTH}")[:, 0]
+        values[:, j - 2] = column
+    return values, fields[0][0], fields[1][0]
+
+
+def _column_values(buf, words, wide, neg, ends):
+    """The floats of the value fields that end at the offsets `ends` of buf,
+    given their 32-byte `words`, 3-digit-exponent flags `wide` and signs
+    `neg` (`_parse_lines`); None when one is not canonical or not finite
+    (a 3-digit exponent past the float range).
+
+    The 19 digits N and the exponent E of a field give N 10^(E - 18)
+    (`_decimal_parts`, `_quotients`). A field outside `_quotients`' range
+    or on a float64 midpoint, and every field without x87 long doubles
+    (`_extended_precision`), takes float() of its text instead.
+    """
+    w0, w1, w2 = words[:, 1:].T.copy()
+    ok = _canonical(w0, w1, w2)
+    if wide.any():  # their 25 bytes start a byte early, and end in a digit
+        text = words[wide].view(np.uint8)[:, 7:]
+        ok[wide] = (_canonical(*text[:, :24].copy().view(np.uint64).T)
+                    & (text[:, 24] - ord("0") <= 9))
+    if not ok.all():
+        return None
+    if _extended_precision():
+        digits, exp10 = _decimal_parts(w0, w1, w2)
+        out, slow = _quotients(digits, exp10)
+        slow |= wide | (exp10 < -9) | (exp10 > 45)
+    else:
+        out, slow = np.empty(len(w0)), np.ones(len(w0), bool)
+    redo = np.flatnonzero(slow)
+    texts = words[redo, 1:].copy().view("S24")[:, 0].tolist()  # the last 24 bytes
+    for k in np.flatnonzero(wide[redo]).tolist():
+        end = int(ends[redo[k]])
+        texts[k] = bytes(buf[end - 25:end])
+    out[redo] = [float(text) for text in texts]
+    if not np.isfinite(out[redo]).all():
+        return None
+    bits = out.view(np.uint64)
+    bits |= neg.astype(np.uint64) << 63  # every magnitude above is positive
+    return out
+
+
+#: ``0`` in each byte of a word
+_ZEROS = int.from_bytes(b"00000000", "little")
+
+#: each word of a canonical text ``d.dddddddddddddddddde+dd``, with 0 for
+#: each digit, and per byte what a byte of the word XOR the template may
+#: add to stay below 16: 6 for a digit (0-9), 15 for a literal (0 only)
+_TEMPLATES = (int.from_bytes(b"0.000000", "little"), _ZEROS,
+              int.from_bytes(b"0000e+00", "little"))
+_ADDENDS = (0x0606060606060F06, 0x0606060606060606, 0x06060F0F06060606)
+
+
+def _canonical(w0, w1, w2):
+    """Whether the 24 bytes of each text, as the little-endian uint64 words
+    w0, w1, w2, are ``d.dddddddddddddddddde±dd``."""
+    # an exponent's - (0x2D) is + (0x2B) with bits 1 and 2 flipped
+    minus = (w2 >> 42) & 1
+    w2 = w2 ^ (minus << 41 | minus << 42)
+    bad = np.zeros(len(w0), np.uint64)
+    for word, template, addend in zip((w0, w1, w2), _TEMPLATES, _ADDENDS):
+        x = word ^ template
+        bad |= x | (x + addend)
+    return (bad & 0xF0F0F0F0F0F0F0F0) == 0
+
+
+def _eight_digits(t):
+    """The 8-digit number whose digits, first the most significant, are
+    the bytes 0-9 of each little-endian uint64 of t."""
+    t = t * 10 + (t >> 8)  # two-digit numbers in bytes 0, 2, 4 and 6
+    return ((t & 0x000000FF000000FF) * (100 + (1000000 << 32))
+            + ((t >> 16) & 0x000000FF000000FF) * (1 + (10000 << 32))) >> 32
+
+
+def _decimal_parts(w0, w1, w2):
+    """(N, E) as uint64 and int64 arrays for canonical texts ``d.ddd...e±dd``
+    given as their little-endian words w0, w1, w2: N the 19 digits as one
+    integer and E the exponent, so a text is N 10^(E - 18)."""
+    t0 = (w0 ^ _ZEROS) & 0xFFFFFFFFFFFF00FF  # d0, the point as 0, d1-d6
+    lead = _eight_digits(t0) - (t0 & 0xFF) * 9000000  # d0 d1 ... d6
+    t2 = w2 ^ _ZEROS
+    pairs = t2 * 10 + (t2 >> 8)  # d15 d16 in byte 0, d17 d18 in byte 2
+    tail = (pairs & 0xFF) * 100 + ((pairs >> 16) & 0xFF)
+    digits = lead * 10**12 + _eight_digits(w1 ^ _ZEROS) * 10**4 + tail
+    size = ((t2 >> 48) & 0xFF) * 10 + (t2 >> 56)
+    minus = (w2 >> 42) & 1
+    return digits, ((size ^ -minus) + minus).view(np.int64)
+
+
+def _extended_precision() -> bool:
+    """Whether np.longdouble is the x87 80-bit format: a 64-bit significand,
+    the first 8 bytes of each value, as `_quotients` reads it."""
+    return np.finfo(np.longdouble).nmant == 63
+
+
+@functools.cache
+def _powers_of_10():
+    """Long-double factors and divisors indexed by E + 99, E in [-99, 99]:
+    10^(E - 18) for E in [18, 45] and 10^(18 - E) for E in [-9, 17], 1
+    elsewhere. Each 10^k = 5^k 2^k is exact, since 5^k < 2^64 for k <= 27."""
+    e = np.arange(-99, 100)
+    k = np.minimum(np.abs(18 - e), 27)
+    powers = _powers_of_5().take(k).astype(np.longdouble) * np.exp2(k).astype(np.longdouble)
+    exact = (e >= -9) & (e <= 45)
+    tables = (np.where(exact & (e >= 18), powers, 1).astype(np.longdouble),
+              np.where(exact & (e < 18), powers, 1).astype(np.longdouble))
+    for table in tables:
+        table.flags.writeable = False  # every caller shares them
+    return tables
+
+
+def _quotients(digits, exp10):
+    """(N 10^(E - 18) as float64, whether it may be rounded wrongly) for
+    uint64 N and int64 E; an E outside [-9, 45] gives nothing of use.
+
+    N (below 2^64) and the power of 10 are exact long doubles, so the
+    product or quotient is rounded once, to 64 bits. Rounding that to
+    float64 then rounds the true value correctly, unless it lies exactly
+    halfway between two float64 values: its low 11 significand bits are
+    10000000000. Those are flagged, since the true value may lie on either
+    side of it."""
+    factors, divisors = _powers_of_10()
+    at = exp10 + 99
+    q = digits.astype(np.longdouble)
+    if (exp10 >= 18).any():
+        q *= factors.take(at, mode="clip")
+    q /= divisors.take(at, mode="clip")
+    significand = np.ndarray(q.shape, np.uint64, q, 0, (q.itemsize,))
+    return q.astype(np.float64), (significand & 0x7FF) == 0x400
+
+
+def _x_repeats(keys, x_ref, lo: int) -> bool:
+    """Whether the x keys of data rows lo, lo + 1, ... each equal the key of
+    grid row 0 at their column, after those of grid row 0 among them are
+    put into `x_ref` (one per column)."""
+    nx = len(x_ref)
+    head = np.arange(lo, lo + min(len(keys), nx))  # the rest repeat a row before them
+    own = head < nx
+    x_ref[head[own]] = keys[:len(head)][own]
+    return bool((keys[:len(head)] == x_ref[head % nx]).all() and (keys[nx:] == keys[:-nx]).all())
+
+
+def _y_repeats(keys, y_ref, lo: int, nx: int) -> bool:
+    """Whether the y keys of data rows lo, lo + 1, ... each equal the key of
+    their grid row's first node, after those of the first nodes among them
+    are put into `y_ref` (one per grid row)."""
+    first = -lo % nx  # the first row starting a grid row
+    starts = np.arange(first, len(keys), nx)
+    y_ref[(lo + starts) // nx] = keys[starts]
+    differs = (keys[1:] != keys[:-1]).any(axis=1)
+    differs[starts[starts > 0] - 1] = False
+    return not differs.any() and (first == 0 or bool((keys[0] == y_ref[lo // nx]).all()))
+
+
+def _reference_texts(keys):
+    """The texts of the coordinate keys `keys` (`_parse_lines`), or None
+    when one is not canonical."""
+    if not _canonical(*keys[:, 1:].T).all():
+        return None
+    bodies = keys[:, 1:].copy().view("S24")[:, 0].tolist()
+    return [b"-" + body if last == ord("-") else body
+            for body, last in zip(bodies, keys[:, 0].tolist())]
 
 
 def _text_floats(texts):
-    """The numbers the byte strings `texts` spell, as np.loadtxt reads them,
-    or None when one is no number to it: float() also reads ``_`` between
-    digits, which np.loadtxt does not. The texts are ASCII."""
-    words = texts.tolist()
-    if any(b"_" in word for word in words):
-        return None
-    try:
-        return np.array([float(word) for word in words])
-    except ValueError:
-        return None
-
-
-def _parse_blocks(csv_path, ncols: int, nx: int, rows: int, blocks: int):
-    """The values of the data rows parsed as `blocks` contiguous blocks of
-    rows in forked children, with each block's (lo, hi, x texts, y texts);
-    None when a child fails or sends a block of the wrong shape.
-
-    Child i parses data rows [lo, hi) with `_parse_text_block` (the last
-    block reads to the end), checks bytes [size * i // blocks, size * (i +
-    1) // blocks) of the file for a NUL and sends its row count, values
-    and texts down its pipe; the parent only collects them. skiprows counts
-    lines and max_rows data rows, so a blank or comment line before a
-    block's first row makes that block start early and repeat a row of the
-    block before it, and a whitespace-only line makes a child fail. A
-    repeated row sits at two grid nodes, which no row matches once the
-    descriptor's spacing is above the coordinates' resolution, so the text
-    check fails: a result of the right shape whose texts pass is the serial
-    np.loadtxt result, bit for bit.
-    """
-    bounds = [rows * i // blocks for i in range(blocks + 1)]
-    size = csv_path.stat().st_size
-    nv, w = ncols - 2, TEXT_WIDTH // 8
-
-    def parse(i, pipe):
-        lo, hi = bounds[i], bounds[i + 1]
-        nul_span = (size * i // blocks, size * (i + 1) // blocks)
-        parsed = _parse_text_block(csv_path, ncols, nx, lo, hi, i == blocks - 1, nul_span)
-        if parsed is None:
-            return
-        pipe.write(np.array((hi - lo, nv), dtype=np.int64).tobytes())
-        for part in parsed:
-            pipe.write(memoryview(part).cast("B"))
-
-    def gather(pipes):
-        # allocated once block 0 has its shape, so the file holds a
-        # 1/blocks share of the rows: a sidecar's nx*ny alone allocates nothing
-        out, anchors = None, []
-        shape = np.empty(2, dtype=np.int64)
-        for lo, hi, pipe in zip(bounds, bounds[1:], pipes):
-            if not (_read_exactly(pipe, shape) and tuple(shape) == (hi - lo, nv)):
-                return None
-            if out is None:
-                out = np.empty((rows, nv))
-            x_text = np.empty((min(nx, hi - lo), w), np.uint64)
-            y_text = np.empty((len(_row_starts(lo, hi, nx)), w), np.uint64)
-            if not all(_read_exactly(pipe, a) for a in (out[lo:hi], x_text, y_text)):
-                return None
-            anchors.append((lo, hi, x_text, y_text))
-        return out, anchors
-
-    return _forked(blocks, parse, gather)
-
-
-def _read_exactly(pipe, array) -> bool:
-    """Fill the contiguous `array` from `pipe`; False at an early end."""
-    view = memoryview(array).cast("B")
-    while view:
-        n = pipe.readinto(view)
-        if not n:
-            return False
-        view = view[n:]
-    return True
+    """The numbers the canonical byte strings `texts` spell, as np.loadtxt
+    reads them."""
+    return np.array([float(text) for text in texts])
 
 
 def _off_grid(csv_path, names, data, desc):
@@ -557,7 +484,9 @@ def _off_grid(csv_path, names, data, desc):
     if len(data) == 0:
         raise ConfigError(f"{csv_path}: 0 data rows but descriptor says nx*ny = {nx * ny}")
     if data.shape[1] != len(names) or not np.isfinite(data).all():
-        raise _not_finite(csv_path, names)
+        # np.loadtxt read these rows: `_bad_line` names the first bad one
+        raise _bad_line(csv_path, names, f"expected {len(names)} columns of finite numbers",
+                        finite=True)
     if len(data) != nx * ny:
         raise ConfigError(f"{csv_path}: {len(data)} rows but descriptor says nx*ny = {nx * ny}")
     x0, y0 = desc["origin"].real, desc["origin"].imag
@@ -594,7 +523,7 @@ def _write_grid_csv(csv_path, header: str, origin: complex, spacing, columns) ->
     The bytes are those of ``np.savetxt(fmt="%.18e", delimiter=",")`` on the
     stacked columns. Each of the nx + ny coordinates is formatted once into
     a slot (`_sci_slots`), and the lines are laid out and written in chunks
-    of whole grid rows (`_grid_text`), about BLOCK_BYTES / 16 of text each,
+    of whole grid rows (`_grid_text`), about CHUNK_BYTES / 4 of text each,
     so the writer holds about one chunk at a time. Every slot starts with
     the separator before its number, a newline before a line's x, so the
     header goes out without its newline and the file ends with one.
@@ -605,7 +534,7 @@ def _write_grid_csv(csv_path, header: str, origin: complex, spacing, columns) ->
     xs = _sci_slots(origin.real + np.arange(nx) * spacing, b"\n")
     ys = _sci_slots(origin.imag + np.arange(ny) * spacing, b",")
     row_bytes = nx * SLOT_BYTES * (2 + len(columns))
-    step = max(1, BLOCK_BYTES // 16 // max(row_bytes, 1))  # grid rows per chunk
+    step = max(1, CHUNK_BYTES // 4 // max(row_bytes, 1))  # grid rows per chunk
     with open(csv_path, "wb") as fh:
         fh.write(header.encode())
         for lo in range(0, ny, step):
@@ -615,7 +544,8 @@ def _write_grid_csv(csv_path, header: str, origin: complex, spacing, columns) ->
 
 def _grid_text(xs, ys, columns, lo: int, hi: int) -> bytes:
     """The CSV lines of grid rows [lo, hi), each after its newline, from
-    the coordinate slots `xs` (nx, width) and `ys` (ny, width)."""
+    the coordinate slots `xs` (nx, width) and `ys` (ny, width): the slots
+    laid out in order, with their NUL bytes dropped."""
     values = np.stack([c[lo:hi] for c in columns], axis=-1)
     rows, nx, k = values.shape
     slots = _sci_slots(values.ravel(), b",")
@@ -625,7 +555,7 @@ def _grid_text(xs, ys, columns, lo: int, hi: int) -> bytes:
     lines[:, :, :wx] = xs
     lines[:, :, wx:wx + wy] = ys[lo:hi, None]
     lines[:, :, wx + wy:] = slots
-    return lines[lines != 0].tobytes()
+    return lines.tobytes().replace(b"\0", b"")
 
 
 #: bytes of a slot of `_sci_slots`: the separator, the sign or a NUL, and

@@ -90,6 +90,19 @@ def test_import_builds_no_grid_writer_table():
     assert proc.stdout.split() == ["0", "0"]
 
 
+def test_import_builds_no_grid_reader_table():
+    # the grid reader's long-double powers of 10 are built by the first load
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import qcreg, qcreg.io as io; print(io._powers_of_10.cache_info().currsize)"],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
+
+
 def test_cold_analyze_loads_no_hashlib(cold_analyze_modules):
     code, modules = cold_analyze_modules
     assert code == "0"

@@ -1,11 +1,11 @@
 import json
+import math
 import os
 import random
 import re
-import signal
 import subprocess
 import sys
-import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -224,18 +224,16 @@ def save_special_mu_grid(path, shape):
     return savetxt_oracle(path.parent, MU_HEADER, origin, spacing, (re, im))
 
 
-class SerialWrite:
+class ChunkedWrite:
     """Makes every grid write of `ncols` value grids, nx points wide, use
-    chunks of `rows` grid rows on two usable CPUs, fails any fork, and
-    records the first grid row of each chunk formatted."""
+    chunks of `rows` grid rows, and records the first grid row of each
+    chunk formatted."""
 
     def __init__(self, monkeypatch, rows, nx, ncols):
         self.starts = []
         real_text = qcreg.io._grid_text
         row_bytes = nx * qcreg.io.SLOT_BYTES * (2 + ncols)
-        monkeypatch.setattr(qcreg.io, "BLOCK_BYTES", 16 * rows * row_bytes)
-        monkeypatch.setattr(qcreg.io, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(os, "fork", lambda: pytest.fail("a grid write forked"))
+        monkeypatch.setattr(qcreg.io, "CHUNK_BYTES", 4 * rows * row_bytes)
 
         def grid_text(xs, ys, columns, lo, hi):
             self.starts.append(lo)
@@ -244,19 +242,15 @@ class SerialWrite:
         monkeypatch.setattr(qcreg.io, "_grid_text", grid_text)
 
 
-WRITE_SHAPE = (7, 5)
-
-
 @pytest.mark.parametrize("rows", [1, 2, 3])
 class TestGridWriterInChunks:
     """A write formats and writes its chunks of `rows` grid rows in order,
-    the last one short where they do not divide the grid, in this process
-    whatever the usable CPUs and the size, and the chunks join to the
-    oracle's bytes."""
+    the last one short where they do not divide the grid, and the chunks
+    join to the oracle's bytes."""
 
     @pytest.mark.parametrize("shape", GRID_SHAPES + [(2, 9)])
     def test_sampled_field_special_values(self, tmp_path, monkeypatch, rows, shape):
-        spy = SerialWrite(monkeypatch, rows, shape[1], 2)
+        spy = ChunkedWrite(monkeypatch, rows, shape[1], 2)
         path = tmp_path / "mu.csv"
         assert save_special_mu_grid(path, shape) == path.read_bytes()
         assert spy.starts == list(range(0, shape[0], rows))
@@ -265,7 +259,7 @@ class TestGridWriterInChunks:
     def test_matrix_field_special_values(self, tmp_path, monkeypatch, rows, shape):
         origin, spacing = complex(-1e-3, -250.0), np.float64(2.4 / 64)
         grids = tuple(special_grid(shape, k) for k in (0, 4, 7))
-        spy = SerialWrite(monkeypatch, rows, shape[1], 3)
+        spy = ChunkedWrite(monkeypatch, rows, shape[1], 3)
         path = tmp_path / "matrix.csv"
         save_matrix_field(path, grids, origin=origin, spacing=spacing, K=2.0)
         assert path.read_bytes() == savetxt_oracle(
@@ -275,7 +269,7 @@ class TestGridWriterInChunks:
 
     def test_sampled_field_smooth(self, tmp_path, monkeypatch, rows):
         field = make_field()
-        spy = SerialWrite(monkeypatch, rows, field.values.shape[1], 2)
+        spy = ChunkedWrite(monkeypatch, rows, field.values.shape[1], 2)
         path = tmp_path / "mu.csv"
         save_sampled_field(path, field)
         assert path.read_bytes() == savetxt_oracle(
@@ -285,38 +279,26 @@ class TestGridWriterInChunks:
         assert spy.starts == list(range(0, field.values.shape[0], rows))
 
 
-class TestGridWriterNeedsNoFork:
-    """A write runs where os.fork is missing or one CPU is usable, and at
-    the real settings never forks."""
-
-    def test_no_fork_forks_nothing(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(qcreg.io, "BLOCK_BYTES", 1)
-        monkeypatch.setattr(qcreg.io, "_usable_cpus", lambda: 2)
-        monkeypatch.delattr(os, "fork")
-        path = tmp_path / "mu.csv"
-        assert save_special_mu_grid(path, WRITE_SHAPE) == path.read_bytes()
-
-    def test_one_usable_cpu_forks_nothing(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(qcreg.io, "BLOCK_BYTES", 1)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked on one usable CPU"))
-        path = tmp_path / "mu.csv"
-        assert save_special_mu_grid(path, WRITE_SHAPE) == path.read_bytes()
-
-    def test_real_settings_on_a_grid_above_block_bytes(self, tmp_path, monkeypatch):
-        n = 257
-        h = 2.4 / (n - 1)
-        xs = -1.2 + h * np.arange(n)
-        field = SampledField(origin=-1.2 - 1.2j, spacing=h, values=varying_mu(
-            xs[None, :], xs[:, None]), k_max=VARYING_K_MAX)
-        monkeypatch.setattr(qcreg.io, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(os, "fork", lambda: pytest.fail("a grid write forked"))
-        path = tmp_path / "mu.csv"
-        save_sampled_field(path, field)
-        assert path.stat().st_size > qcreg.io.BLOCK_BYTES
-        assert path.read_bytes() == savetxt_oracle(
-            tmp_path, MU_HEADER, field.origin, h, (field.values.real, field.values.imag)
-        )
+def test_grid_of_several_chunks_round_trips_in_this_process(tmp_path, monkeypatch):
+    """At the real chunk size a 257^2 grid is written in several chunks as
+    np.savetxt writes it and read back bit for bit by the byte parse, in
+    this process alone."""
+    n = 257
+    h = 2.4 / (n - 1)
+    xs = -1.2 + h * np.arange(n)
+    field = SampledField(origin=-1.2 - 1.2j, spacing=h, values=varying_mu(
+        xs[None, :], xs[:, None]), k_max=VARYING_K_MAX)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("a grid save or load forked"))
+    path = tmp_path / "mu.csv"
+    save_sampled_field(path, field)
+    assert path.stat().st_size > 3 * qcreg.io.CHUNK_BYTES
+    assert path.read_bytes() == savetxt_oracle(
+        tmp_path, MU_HEADER, field.origin, h, (field.values.real, field.values.imag)
+    )
+    spy = ByteParse(monkeypatch)
+    loaded = load_sampled_field(path)
+    assert spy.ran and spy.chunks > 3
+    assert (loaded.values.view(np.uint64) == field.values.view(np.uint64)).all()
 
 
 # -- the writer's number format ----------------------------------------------------
@@ -970,7 +952,7 @@ def test_header_only_grid(tmp_path, recwarn, capsys, load, header):
     assert not recwarn.list
 
 
-# -- the block parse -------------------------------------------------------------
+# -- the byte parse --------------------------------------------------------------
 
 SERIAL_LOADTXT = np.loadtxt
 
@@ -992,69 +974,45 @@ def grid_rows(path, header):
     return np.column_stack([np.tile(xs, ny), np.repeat(ys, nx), values])
 
 
-class BlockParse:
-    """Makes every grid CSV take the block parse in `blocks` children, and
-    counts what happens: the forks, and the np.loadtxt calls of this process
-    (the serial path or a fallback). `child_action` maps a child's skiprows
-    to what that child does instead of its normal parse: "kill" itself,
-    "hang", return a "short" or "long" block (a row less or more), or
-    "exit 3" after sending its block."""
+class ByteParse:
+    """Makes every grid load read chunks of `chunk` bytes (the real size
+    when None), fails any fork, and counts what a load does: the chunks the
+    byte parse reads (`_parse_lines` calls) and the serial float reads
+    (`_loadtxt` calls) that follow when it does not stand."""
 
-    def __init__(self, monkeypatch, blocks):
-        self.pid = os.getpid()
-        self.forks = 0
-        self.parent_loads = 0
-        self.child_action = {}
-        real_fork = os.fork
-        monkeypatch.setattr(qcreg.io, "BLOCK_BYTES", 1)
-        monkeypatch.setattr(qcreg.io, "_usable_cpus", lambda: blocks)
+    def __init__(self, monkeypatch, chunk=None):
+        self.chunks = self.float_reads = 0
+        if chunk is not None:
+            monkeypatch.setattr(qcreg.io, "CHUNK_BYTES", chunk)
+        parse_lines, loadtxt = qcreg.io._parse_lines, qcreg.io._loadtxt
 
-        def fork():
-            self.forks += 1
-            return real_fork()
+        def counted_parse(*args):
+            self.chunks += 1
+            return parse_lines(*args)
 
-        def loadtxt(*args, **kwargs):
-            if os.getpid() == self.pid:
-                self.parent_loads += 1
-                return SERIAL_LOADTXT(*args, **kwargs)
-            action = self.child_action.get(kwargs["skiprows"])
-            if action == "kill":
-                os.kill(os.getpid(), signal.SIGKILL)
-            elif action == "hang":
-                time.sleep(120)
-            elif action == "exit 3":
-                real_exit = os._exit
-                os._exit = lambda code: real_exit(3)
-            rows = SERIAL_LOADTXT(*args, **kwargs)
-            if action == "short":
-                return rows[:-1]
-            return np.vstack([rows, rows[-1:]]) if action == "long" else rows
+        def counted_loadtxt(*args):
+            self.float_reads += 1
+            return loadtxt(*args)
 
-        monkeypatch.setattr(os, "fork", fork)
-        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        monkeypatch.setattr(qcreg.io, "_parse_lines", counted_parse)
+        monkeypatch.setattr(qcreg.io, "_loadtxt", counted_loadtxt)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("a grid load forked"))
 
     @property
     def ran(self):
-        """The last load took the block path and did not fall back."""
-        return self.forks > 0 and self.parent_loads == 0
+        """The last load stood on the byte parse, with no float read."""
+        return self.chunks > 0 and self.float_reads == 0
 
 
-@pytest.fixture
-def deadline():
-    """Turn a wait on a child that never ends into a TimeoutError."""
-    def expire(signum, frame):
-        raise TimeoutError("still waiting on a block child after 60 s")
-
-    old = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(60)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, old)
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def float_read(load, *args):
+    """What `load` gives when the byte parse is skipped and the file read
+    serially as floats only: the outcome every load must give."""
+    byte_parse = qcreg.io._byte_parse
+    qcreg.io._byte_parse = lambda *a: None
+    try:
+        return outcome(load, *args)
+    finally:
+        qcreg.io._byte_parse = byte_parse
 
 
 def outcome(load, *args):
@@ -1066,16 +1024,27 @@ def outcome(load, *args):
 
 
 def same(a, b):
-    if isinstance(a, tuple):
-        return a == b
-    return a.shape == b.shape and np.array_equal(a, b)
+    """Whether two load outcomes agree: arrays and fields bit for bit, and
+    errors by type and text."""
+    if isinstance(a, np.ndarray):
+        return (isinstance(b, np.ndarray) and a.shape == b.shape
+                and np.array_equal(a.view(np.uint64), b.view(np.uint64)))
+    if isinstance(a, SampledField):
+        return isinstance(b, SampledField) and same(a.values, b.values)
+    if hasattr(a, "grid"):  # a MatrixField
+        return hasattr(b, "grid") and a.K == b.K and same(a.grid, b.grid)
+    return a == b
 
 
-# 7 x 5 = 35 data rows, which neither 2 nor 3 blocks divide
-BLOCK_SHAPE = (7, 5)
+# 7 x 5 = 35 data rows of about 100 bytes (mu) or 125 bytes (matrix)
+CSV_SHAPE = (7, 5)
+
+#: chunk sizes in bytes: lines straddle the ends of the first two, and the
+#: last holds every line of a small grid
+CHUNKS = [160, 257, 1 << 12]
 
 
-def special_mu_grid(tmp_path, shape=BLOCK_SHAPE):
+def special_mu_grid(tmp_path, shape=CSV_SHAPE):
     """A mu grid of the finite special values, written unchecked."""
     finite = [v for v in SPECIAL_VALUES if np.isfinite(v)]
     values = np.resize(finite, shape) + 1j * np.resize(np.roll(finite, 3), shape)
@@ -1084,7 +1053,7 @@ def special_mu_grid(tmp_path, shape=BLOCK_SHAPE):
     return path
 
 
-def special_matrix_grid(tmp_path, shape=BLOCK_SHAPE):
+def special_matrix_grid(tmp_path, shape=CSV_SHAPE):
     finite = [v for v in SPECIAL_VALUES if np.isfinite(v)]
     grids = tuple(np.resize(np.roll(finite, k), shape) for k in (0, 4, 7))
     path = tmp_path / "matrix.csv"
@@ -1092,7 +1061,7 @@ def special_matrix_grid(tmp_path, shape=BLOCK_SHAPE):
     return path
 
 
-def smooth_matrix_grid(tmp_path, shape=BLOCK_SHAPE):
+def smooth_matrix_grid(tmp_path, shape=CSV_SHAPE):
     """The det-1 matrix grid of the mu of `smooth_mu_grid`."""
     field = load_sampled_field(smooth_mu_grid(tmp_path, shape))
     path = tmp_path / "matrix.csv"
@@ -1101,7 +1070,7 @@ def smooth_matrix_grid(tmp_path, shape=BLOCK_SHAPE):
     return path
 
 
-def smooth_mu_grid(tmp_path, shape=BLOCK_SHAPE):
+def smooth_mu_grid(tmp_path, shape=CSV_SHAPE):
     ny, nx = shape
     values = 0.3 * np.exp(1j * (np.arange(nx)[None, :] - 0.7 * np.arange(ny)[:, None]))
     path = tmp_path / "mu.csv"
@@ -1110,45 +1079,46 @@ def smooth_mu_grid(tmp_path, shape=BLOCK_SHAPE):
     return path
 
 
-@pytest.mark.parametrize("blocks", [2, 3])
-@pytest.mark.usefixtures("deadline")
-class TestBlockParseEqualsSerial:
+@pytest.mark.parametrize("chunk", CHUNKS + [None])
+class TestByteParseEqualsSerial:
+    """A written grid stands on the byte parse, whatever the chunk ends,
+    and loads bit-equal to np.loadtxt, signed zeros, subnormals and 3-digit
+    exponents included."""
+
     @pytest.mark.parametrize("write,header", [(special_mu_grid, MU_HEADER),
                                               (special_matrix_grid, MATRIX_HEADER)])
-    def test_rows_bit_equal(self, tmp_path, monkeypatch, blocks, write, header):
+    def test_rows_bit_equal(self, tmp_path, monkeypatch, chunk, write, header):
         path = write(tmp_path)
         want = serial_rows(path)
-        spy = BlockParse(monkeypatch, blocks)
+        spy = ByteParse(monkeypatch, chunk)
         got = grid_rows(path, header)
-        assert spy.ran and spy.forks == blocks
+        assert spy.ran and spy.chunks >= path.stat().st_size // (chunk or qcreg.io.CHUNK_BYTES)
         assert got.shape == want.shape and np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))  # -0.0 stays -0.0
-        assert_no_child_left()
 
-    def test_sampled_field(self, tmp_path, monkeypatch, blocks):
+    def test_sampled_field(self, tmp_path, monkeypatch, chunk):
         path = smooth_mu_grid(tmp_path)
-        want = load_sampled_field(path)
-        spy = BlockParse(monkeypatch, blocks)
+        want = float_read(load_sampled_field, path)
+        spy = ByteParse(monkeypatch, chunk)
         got = load_sampled_field(path)
         assert spy.ran
-        assert np.array_equal(got.values, want.values) and got.origin == want.origin
-        assert_no_child_left()
+        assert same(got, want) and got.origin == want.origin
 
-    def test_matrix_field(self, tmp_path, monkeypatch, blocks):
+    def test_matrix_field(self, tmp_path, monkeypatch, chunk):
         path, _ = write_varying_matrix_grid(tmp_path)
-        want = load_matrix_field(path)
-        spy = BlockParse(monkeypatch, blocks)
+        want = float_read(load_matrix_field, path)
+        spy = ByteParse(monkeypatch, chunk)
         got = load_matrix_field(path)
         assert spy.ran
-        assert np.array_equal(got.grid.values, want.grid.values) and got.K == want.K
-        assert_no_child_left()
+        assert same(got, want)
 
-    def test_one_row_per_block(self, tmp_path, monkeypatch, blocks):
-        path = smooth_mu_grid(tmp_path, (1, blocks))
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 3), (3, 1)])
+    def test_few_rows(self, tmp_path, monkeypatch, chunk, shape):
+        path = special_mu_grid(tmp_path, shape)
         want = serial_rows(path)
-        spy = BlockParse(monkeypatch, blocks)
+        spy = ByteParse(monkeypatch, chunk)
         assert np.array_equal(grid_rows(path, MU_HEADER), want)
-        assert spy.ran and spy.forks == blocks
+        assert spy.ran
 
 
 def edit_data_row(path, row, edit):
@@ -1159,8 +1129,7 @@ def edit_data_row(path, row, edit):
     write_lines(path, lines)
 
 
-# lines that np.loadtxt skips or reads otherwise than as one data row, so
-# that skiprows and max_rows count them apart or a line count would miss them
+# lines that np.loadtxt skips or reads otherwise than as one data row
 ODD_LINES = {
     "blank": "\n",
     "whitespace-only": "  \t\n",
@@ -1187,20 +1156,6 @@ ODD_CASES = [(odd, how) for odd in ODD_LINES for how in ("insert", "replace")] +
 ]
 
 
-def block_result_stands(odd, how, row, blocks):
-    """Whether the block parse of a 35-row grid edited by odd_edit(odd, how)
-    at data row `row` stands. A row ending in a lone CR is one line to
-    skiprows and max_rows alike. An inserted line that np.loadtxt skips
-    starts every block whose first row lies past `row` one row early, so
-    only one put in at or after the last block's first row leaves every
-    block in place; any other edit changes the row count or fails a child.
-    """
-    if odd == "CR end":
-        return True
-    skipped = odd in ("blank", "comment", "empty CRLF", "lone CR")
-    return how == "insert" and skipped and row % 35 >= 35 * (blocks - 1) // blocks
-
-
 def replace_field(col, text):
     def edit(lines, at):
         fields = lines[at].rstrip("\n").split(",")
@@ -1209,205 +1164,198 @@ def replace_field(col, text):
     return edit
 
 
-@pytest.mark.parametrize("blocks", [2, 3])
-@pytest.mark.usefixtures("deadline")
-class TestBlockParseFallsBackToSerial:
+# (the text of one field of a data row, the column it replaces)
+ODD_FIELDS = {
+    "+ sign": (lambda v: "+%.18e" % v, 2),
+    "short": (lambda v: "%.6e" % v, 3),
+    "repr": (repr, 2),
+    "NUL after it": (lambda v: "%.18e\0" % v, 3),
+    "NUL before it": (lambda v: "\0%.18e" % v, 2),
+    "20 digits": (lambda v: "%.19e" % v, 3),
+    "capital E": (lambda v: ("%.18e" % v).upper(), 2),
+    "space after it": (lambda v: "%.18e " % v, 3),
+}
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+class TestByteParseFallsBackToSerial:
+    """A file with a line that is not canonical, or the wrong row count,
+    is read serially as floats, wherever the line falls among the chunks,
+    and gives the serial outcome: its values or its message."""
+
     @pytest.mark.parametrize("row", [0, 17, -1])
     @pytest.mark.parametrize("odd,how", ODD_CASES)
-    def test_odd_line(self, tmp_path, monkeypatch, blocks, row, odd, how):
+    def test_odd_line(self, tmp_path, monkeypatch, chunk, row, odd, how):
         path = smooth_mu_grid(tmp_path)
         edit_data_row(path, row, odd_edit(odd, how))
-        want = outcome(grid_rows, path, MU_HEADER)
-        spy = BlockParse(monkeypatch, blocks)
+        want = float_read(grid_rows, path, MU_HEADER)
+        spy = ByteParse(monkeypatch, chunk)
         got = outcome(grid_rows, path, MU_HEADER)
         assert same(got, want)
-        assert spy.forks == blocks
-        assert spy.parent_loads == (0 if block_result_stands(odd, how, row, blocks) else 1)
-        assert_no_child_left()
+        assert spy.float_reads == 1
 
     @pytest.mark.parametrize("row", [0, -1])
     @pytest.mark.parametrize("odd,how", ODD_CASES)
-    def test_odd_line_in_a_matrix_grid(self, tmp_path, monkeypatch, blocks, row, odd, how):
+    def test_odd_line_in_a_matrix_grid(self, tmp_path, monkeypatch, chunk, row, odd, how):
         path = smooth_matrix_grid(tmp_path)
         edit_data_row(path, row, odd_edit(odd, how))
-        want = outcome(load_matrix_field, path)
-        spy = BlockParse(monkeypatch, blocks)
+        want = float_read(load_matrix_field, path)
+        spy = ByteParse(monkeypatch, chunk)
         got = outcome(load_matrix_field, path)
-        if type(want) is tuple:  # an error, not a MatrixField
-            assert got == want
-        else:
-            assert np.array_equal(got.grid.values, want.grid.values) and got.K == want.K
-        assert spy.forks == blocks
-        assert spy.parent_loads == (0 if block_result_stands(odd, how, row, blocks) else 1)
-        assert_no_child_left()
+        assert same(got, want)
+        assert spy.float_reads == 1
+
+    @pytest.mark.parametrize("row", [0, 3, 17, -1])
+    @pytest.mark.parametrize("case", ODD_FIELDS)
+    def test_odd_field(self, tmp_path, monkeypatch, chunk, row, case):
+        spell, col = ODD_FIELDS[case]
+        path = smooth_mu_grid(tmp_path)
+        edit_data_row(path, row, lambda lines, at: replace_field(
+            col, spell(float(lines[at].split(",")[col])))(lines, at))
+        want = float_read(load_sampled_field, path)
+        spy = ByteParse(monkeypatch, chunk)
+        got = outcome(load_sampled_field, path)
+        assert same(got, want)
+        assert spy.float_reads == 1
 
     @pytest.mark.parametrize("k", [1, 2])
-    def test_count_keeping_mis_split(self, tmp_path, monkeypatch, blocks, k):
-        # k comment lines after data row 0 and the last k rows gone: every
-        # block has its row count, but each later one starts k rows early
+    def test_count_keeping_comment_lines(self, tmp_path, monkeypatch, chunk, k):
+        # k comment lines after data row 0 and the last k rows gone
         path = smooth_mu_grid(tmp_path)
         lines = read_lines(path)
         write_lines(path, lines[:2] + ["# a comment\n"] * k + lines[2:-k])
-        want = outcome(load_sampled_field, path)
-        spy = BlockParse(monkeypatch, blocks)
-        got = outcome(load_sampled_field, path)
-        assert got == want == (
+        want = float_read(load_sampled_field, path)
+        spy = ByteParse(monkeypatch, chunk)
+        assert outcome(load_sampled_field, path) == want == (
             ConfigError, f"{path}: {35 - k} rows but descriptor says nx*ny = 35"
         )
-        assert spy.forks == blocks and spy.parent_loads == 1
-        assert_no_child_left()
+        assert spy.float_reads == 1
 
-    def test_crlf_file(self, tmp_path, monkeypatch, blocks):
+    def test_crlf_file(self, tmp_path, monkeypatch, chunk):
         path = smooth_mu_grid(tmp_path)
         path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-        want = load_sampled_field(path)
-        spy = BlockParse(monkeypatch, blocks)
+        want = float_read(load_sampled_field, path)
+        spy = ByteParse(monkeypatch, chunk)
         got = load_sampled_field(path)
-        assert spy.ran  # CRLF line ends count alike in skiprows and max_rows
-        assert np.array_equal(got.values, want.values)
+        assert spy.float_reads == 1
+        assert same(got, want)
 
     @pytest.mark.parametrize("text", ["nan", "-inf"])
-    def test_non_finite_in_the_last_block(self, tmp_path, monkeypatch, blocks, text):
+    def test_non_finite_in_the_last_row(self, tmp_path, monkeypatch, chunk, text):
         path = smooth_mu_grid(tmp_path)
         edit_data_row(path, 33, replace_field(3, text))
-        want = outcome(load_sampled_field, path)
-        spy = BlockParse(monkeypatch, blocks)
-        got = outcome(load_sampled_field, path)
-        assert got == want == (ConfigError, f"{path} line 35: im = {text} is not finite")
-        assert spy.ran
-        assert_no_child_left()
+        want = float_read(load_sampled_field, path)
+        spy = ByteParse(monkeypatch, chunk)
+        assert outcome(load_sampled_field, path) == want == (
+            ConfigError, f"{path} line 35: im = {text} is not finite")
+        assert spy.float_reads == 1
 
-    def test_unparsable_in_the_last_block(self, tmp_path, monkeypatch, blocks):
+    def test_unparsable_in_the_last_row(self, tmp_path, monkeypatch, chunk):
         path = smooth_mu_grid(tmp_path)
         edit_data_row(path, -1, replace_field(2, "1.0e"))
-        want = outcome(load_sampled_field, path)
-        spy = BlockParse(monkeypatch, blocks)
-        got = outcome(load_sampled_field, path)
-        assert got == want == (ConfigError, f"{path} line 36: re = '1.0e' is not a number")
-        assert spy.forks == blocks and spy.parent_loads == 1
-        assert_no_child_left()
+        want = float_read(load_sampled_field, path)
+        spy = ByteParse(monkeypatch, chunk)
+        assert outcome(load_sampled_field, path) == want == (
+            ConfigError, f"{path} line 36: re = '1.0e' is not a number")
+        assert spy.float_reads == 1
 
     @pytest.mark.parametrize("text,found", [("0.5,1.25,0.1\n", 3), ("  \n", 1)],
                              ids=["ragged row", "whitespace-only line"])
     @pytest.mark.parametrize("row", [0, 17, -1])
-    def test_wrong_column_count(self, tmp_path, monkeypatch, blocks, text, found, row):
+    def test_wrong_column_count(self, tmp_path, monkeypatch, chunk, text, found, row):
         path = smooth_mu_grid(tmp_path)
         edit_data_row(path, row, lambda lines, at: lines.__setitem__(at, text))
-        want = outcome(load_sampled_field, path)
-        spy = BlockParse(monkeypatch, blocks)
-        got = outcome(load_sampled_field, path)
+        want = float_read(load_sampled_field, path)
+        spy = ByteParse(monkeypatch, chunk)
         line = 2 + row if row >= 0 else 36
-        assert got == want == (ConfigError, f"{path} line {line}: expected 4 columns, "
-                                            f"found {found}")
-        assert spy.forks == blocks and spy.parent_loads == 1
-        assert_no_child_left()
+        assert outcome(load_sampled_field, path) == want == (
+            ConfigError, f"{path} line {line}: expected 4 columns, found {found}")
+        assert spy.float_reads == 1
 
     @pytest.mark.parametrize("extra", [-1, 1])
-    def test_row_count_off_by_one(self, tmp_path, monkeypatch, blocks, extra):
+    def test_row_count_off_by_one(self, tmp_path, monkeypatch, chunk, extra):
         path = smooth_mu_grid(tmp_path)
         lines = read_lines(path)
         write_lines(path, lines[:-1] if extra < 0 else lines + lines[-1:])
-        want = outcome(load_sampled_field, path)
-        spy = BlockParse(monkeypatch, blocks)
-        got = outcome(load_sampled_field, path)
-        assert got == want == (
-            ConfigError, f"{path}: {35 + extra} rows but descriptor says nx*ny = 35"
-        )
-        assert spy.forks == blocks and spy.parent_loads == 1
-        assert_no_child_left()
+        want = float_read(load_sampled_field, path)
+        spy = ByteParse(monkeypatch, chunk)
+        assert outcome(load_sampled_field, path) == want == (
+            ConfigError, f"{path}: {35 + extra} rows but descriptor says nx*ny = 35")
+        assert spy.float_reads == 1
 
-    def test_sidecar_far_beyond_the_file(self, tmp_path, monkeypatch, blocks):
-        # nx*ny = 2**62 rows would not fit in memory: nothing is allocated
-        # for them before block 0 shows the file is short
+    def test_sidecar_far_beyond_the_file(self, tmp_path, monkeypatch, chunk):
+        # nx*ny = 2**62 rows would not fit in memory: the file's size shows
+        # it cannot hold them before anything is allocated or read
         path = smooth_mu_grid(tmp_path, (3, 3))
         desc = json.loads(sidecar_path(path).read_text())
         sidecar_path(path).write_text(json.dumps({**desc, "nx": 2**31, "ny": 2**31}))
-        want = outcome(load_sampled_field, path)
-        spy = BlockParse(monkeypatch, blocks)
-        got = outcome(load_sampled_field, path)
-        assert got == want == (
-            ConfigError, f"{path}: 9 rows but descriptor says nx*ny = {2**62}"
-        )
-        assert spy.forks == blocks and spy.parent_loads == 1
-        assert_no_child_left()
+        want = float_read(load_sampled_field, path)
+        spy = ByteParse(monkeypatch, chunk)
+        assert outcome(load_sampled_field, path) == want == (
+            ConfigError, f"{path}: 9 rows but descriptor says nx*ny = {2**62}")
+        assert spy.chunks == 0 and spy.float_reads == 1
 
-    @pytest.mark.parametrize("action", ["kill", "short", "long", "exit 3"])
-    @pytest.mark.parametrize("block", ["first", "last"])
-    def test_failed_child(self, tmp_path, monkeypatch, blocks, action, block):
+    def test_header_only(self, tmp_path, monkeypatch, chunk):
         path = smooth_mu_grid(tmp_path)
-        want = load_sampled_field(path)
-        spy = BlockParse(monkeypatch, blocks)
-        spy.child_action = {1 if block == "first" else 1 + 35 * (blocks - 1) // blocks: action}
-        got = load_sampled_field(path)
-        assert spy.forks == blocks and spy.parent_loads == 1
-        assert np.array_equal(got.values, want.values)
-        assert_no_child_left()
-
-    def test_other_children_are_stopped(self, tmp_path, monkeypatch, blocks):
-        # the first child dies, so the parse falls back without waiting for
-        # the last one, which would otherwise run for two minutes
-        path = smooth_mu_grid(tmp_path)
-        spy = BlockParse(monkeypatch, blocks)
-        spy.child_action = {1: "kill", 1 + 35 * (blocks - 1) // blocks: "hang"}
-        start = time.monotonic()
-        load_sampled_field(path)
-        assert time.monotonic() - start < 60
-        assert spy.parent_loads == 1
-        assert_no_child_left()
-
-
-# (blocks, data row) at each block boundary of the 35-row grid: the last row
-# of a block and the first row of the next
-BOUNDARY_ROWS = [(blocks, 35 * j // blocks - before) for blocks in (3, 4)
-                 for j in range(1, blocks) for before in (1, 0)]
-
-
-@pytest.mark.usefixtures("deadline")
-class TestBlockBoundaries:
-    """The split is vouched for by the row-count and coordinate checks
-    alone, with no scan of the file's lines: an odd line on either side of a
-    block boundary, any line end and a file with no data row each give the
-    serial outcome, and the block result stands exactly where the blocks
-    keep their rows."""
-
-    @pytest.mark.parametrize("blocks,row", BOUNDARY_ROWS)
-    @pytest.mark.parametrize("odd,how", ODD_CASES)
-    def test_odd_line(self, tmp_path, monkeypatch, blocks, row, odd, how):
-        path = smooth_mu_grid(tmp_path)
-        edit_data_row(path, row, odd_edit(odd, how))
-        want = outcome(grid_rows, path, MU_HEADER)
-        spy = BlockParse(monkeypatch, blocks)
+        path.write_text(MU_HEADER + "\n")
+        spy = ByteParse(monkeypatch, chunk)
         got = outcome(grid_rows, path, MU_HEADER)
-        assert same(got, want)
-        assert spy.forks == blocks
-        assert spy.parent_loads == (0 if block_result_stands(odd, how, row, blocks) else 1)
-        assert_no_child_left()
+        assert got == (ConfigError, f"{path}: 0 data rows but descriptor says nx*ny = 35")
+        assert spy.float_reads == 1
 
-    @pytest.mark.parametrize("blocks", [2, 3, 4, 5])
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+class TestChunkBoundaries:
+    """The byte parse reads whole lines: one that straddles a chunk end is
+    finished in the next chunk, the last one needs no newline, and a line
+    longer than a chunk sends the file to the float read."""
+
     @pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["LF", "CRLF"])
     @pytest.mark.parametrize("last_newline", [True, False])
-    def test_line_ends(self, tmp_path, monkeypatch, blocks, ending, last_newline):
-        path = smooth_mu_grid(tmp_path)
+    def test_line_ends(self, tmp_path, monkeypatch, chunk, ending, last_newline):
+        path = special_mu_grid(tmp_path)
         text = path.read_bytes().replace(b"\n", ending.encode())
         path.write_bytes(text if last_newline else text[: -len(ending)])
         want = serial_rows(path)
-        spy = BlockParse(monkeypatch, blocks)
+        spy = ByteParse(monkeypatch, chunk)
         got = grid_rows(path, MU_HEADER)
-        assert spy.ran and spy.forks == blocks
+        assert spy.float_reads == (ending == "\r\n")
         assert got.shape == want.shape == (35, 4) and np.array_equal(got, want)
-        assert_no_child_left()
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
-    @pytest.mark.parametrize("blocks", [2, 3])
-    @pytest.mark.parametrize("write,header", [(smooth_mu_grid, MU_HEADER),
-                                              (smooth_matrix_grid, MATRIX_HEADER)])
-    def test_header_only(self, tmp_path, monkeypatch, blocks, write, header):
-        path = write(tmp_path)
-        path.write_text(header + "\n")
-        spy = BlockParse(monkeypatch, blocks)
-        got = outcome(grid_rows, path, header)
-        assert got == (ConfigError, f"{path}: 0 data rows but descriptor says nx*ny = 35")
-        assert spy.forks == blocks and spy.parent_loads == 1
-        assert_no_child_left()
+    @pytest.mark.parametrize("row", range(0, 35, 3))
+    @pytest.mark.parametrize("odd", ["blank", "comment"])
+    def test_odd_line_at_every_place(self, tmp_path, monkeypatch, chunk, row, odd):
+        path = smooth_mu_grid(tmp_path)
+        edit_data_row(path, row, odd_edit(odd, "insert"))
+        want = float_read(grid_rows, path, MU_HEADER)
+        spy = ByteParse(monkeypatch, chunk)
+        assert same(outcome(grid_rows, path, MU_HEADER), want)
+        assert spy.float_reads == 1
+
+    def test_line_longer_than_a_chunk(self, tmp_path, monkeypatch, chunk):
+        # a line of 40-digit numbers outgrows the smaller chunks
+        path = smooth_mu_grid(tmp_path)
+        edit_data_row(path, 20, lambda lines, at: lines.__setitem__(at, ",".join(
+            "%.39e" % float(f) for f in lines[at].split(",")) + "\n"))
+        want = float_read(grid_rows, path, MU_HEADER)
+        spy = ByteParse(monkeypatch, chunk)
+        assert same(outcome(grid_rows, path, MU_HEADER), want)
+        assert spy.float_reads == 1
+
+
+def test_chunks_of_one_line(tmp_path, monkeypatch):
+    # every line of this grid is 100 bytes: a chunk of 100 holds one, one of
+    # 99 none
+    path = tmp_path / "mu.csv"
+    save_sampled_field(path, SampledField(origin=0.5 + 0.5j, spacing=0.125,
+                                          values=np.full((7, 1), 0.25 + 0.125j), k_max=0.3))
+    assert {len(line) for line in path.read_bytes().split(b"\n")[1:-1]} == {99}
+    want = serial_rows(path)
+    for size, chunks in ((100, 7), (99, 0)):
+        spy = ByteParse(monkeypatch, size)
+        assert np.array_equal(grid_rows(path, MU_HEADER), want)
+        assert spy.chunks == chunks and spy.float_reads == (not chunks)
 
 
 # (bytes written as the re entry of a data row, the end of the message naming it)
@@ -1417,82 +1365,82 @@ BAD_ENTRIES = {
     "padded word": (b" abc ", "re = ' abc ' is not a number"),
     "Latin-1 byte": (b"\xe9", "re = '\ufffd' is not a number"),
     "nan": (b"nan", "re = nan is not finite"),
+    "inf": (b"inf", "re = inf is not finite"),
     "-inf": (b"-inf", "re = -inf is not finite"),
+    "past the float range": (b"1.000000000000000000e+400", "re = inf is not finite"),
+    "-1e400": (b"-1.000000000000000000e+400", "re = -inf is not finite"),
 }
 
 
-@pytest.mark.parametrize("blocks", [1, 2, 3])
+@pytest.mark.parametrize("chunk", [None, 257])
 @pytest.mark.parametrize("case", BAD_ENTRIES)
-@pytest.mark.usefixtures("deadline")
 class TestBadLineNamed:
-    """`_bad_line` gives one message on the serial path and on the block path,
-    whether the block parse stands (nan, -inf) or falls back to serial."""
+    """`_bad_line` names the line after the byte parse fell back to the
+    float read, a canonical value past the float range included."""
 
-    def _load(self, monkeypatch, blocks, path, entry, before=()):
+    def _load(self, monkeypatch, chunk, path, entry, before=()):
         """Write `entry` as re of data row 19, after the lines `before` (put
-        in after data row 1), and load the grid on `blocks` blocks."""
+        in after data row 1), and load the grid in chunks of `chunk` bytes."""
         lines = path.read_bytes().split(b"\n")
         x, y, _, im = lines[20].split(b",")
         lines[20] = b",".join([x, y, entry, im])
         lines[3:3] = before
         path.write_bytes(b"\n".join(lines))
-        spy = BlockParse(monkeypatch, blocks) if blocks > 1 else None
+        spy = ByteParse(monkeypatch, chunk)
         got = outcome(load_sampled_field, path)
-        assert spy is None or spy.forks == blocks
-        assert_no_child_left()
+        assert spy.float_reads == 1
         return got
 
-    def test_bad_entry(self, tmp_path, monkeypatch, blocks, case):
+    def test_bad_entry(self, tmp_path, monkeypatch, chunk, case):
         entry, tail = BAD_ENTRIES[case]
         path = smooth_mu_grid(tmp_path)
-        got = self._load(monkeypatch, blocks, path, entry)
+        got = self._load(monkeypatch, chunk, path, entry)
         assert got == (ConfigError, f"{path} line 21: {tail}")
 
-    def test_after_blank_and_comment_lines(self, tmp_path, monkeypatch, blocks, case):
+    def test_after_blank_and_comment_lines(self, tmp_path, monkeypatch, chunk, case):
         entry, tail = BAD_ENTRIES[case]
         path = smooth_mu_grid(tmp_path)
-        got = self._load(monkeypatch, blocks, path, entry, [b"", b"# mesur\xc3\xa9", b"#"])
+        got = self._load(monkeypatch, chunk, path, entry, [b"", b"# mesur\xc3\xa9", b"#"])
         assert got == (ConfigError, f"{path} line 24: {tail}")
 
 
-@pytest.mark.parametrize("blocks", [1, 2])
-@pytest.mark.usefixtures("deadline")
+@pytest.mark.parametrize("chunk", [None, 257])
 class TestNotUtf8LineNamed:
     """np.loadtxt decodes the whole file before it drops comments, so a byte
     that is not UTF-8 fails the load even in a comment. When no line breaks
-    another rule, the first line holding such a byte is named, on the serial
-    path and after the block path fell back to it."""
+    another rule, the first line holding such a byte is named after the
+    byte parse fell back to the float read."""
 
-    def _load(self, tmp_path, monkeypatch, blocks, edit):
-        """Edit the list of lines of a grid CSV and load it on `blocks` blocks."""
+    def _load(self, tmp_path, monkeypatch, chunk, edit):
+        """Edit the list of lines of a grid CSV and load it in chunks of
+        `chunk` bytes."""
         path = smooth_mu_grid(tmp_path)
         lines = path.read_bytes().split(b"\n")
         edit(lines)
         path.write_bytes(b"\n".join(lines))
-        spy = BlockParse(monkeypatch, blocks) if blocks > 1 else None
+        spy = ByteParse(monkeypatch, chunk)
         got = outcome(load_sampled_field, path)
-        assert spy is None or (spy.forks == blocks and spy.parent_loads == 1)
-        assert_no_child_left()
+        assert spy.float_reads == 1
         return path, got
 
-    def test_comment_line(self, tmp_path, monkeypatch, blocks):
-        path, got = self._load(tmp_path, monkeypatch, blocks,
+    def test_comment_line(self, tmp_path, monkeypatch, chunk):
+        path, got = self._load(tmp_path, monkeypatch, chunk,
                                lambda lines: lines.insert(3, b"# mesur\xe9"))
         assert got == (ConfigError, f"{path} line 4 is not UTF-8 text")
 
-    def test_comment_after_a_data_row(self, tmp_path, monkeypatch, blocks):
+    def test_comment_after_a_data_row(self, tmp_path, monkeypatch, chunk):
         def edit(lines):
             lines[5] += b" # caf\xe9"
             lines[9] += b" # \xff"
-        path, got = self._load(tmp_path, monkeypatch, blocks, edit)
+        path, got = self._load(tmp_path, monkeypatch, chunk, edit)
         assert got == (ConfigError, f"{path} line 6 is not UTF-8 text")
 
-    def test_a_bad_entry_is_named_first(self, tmp_path, monkeypatch, blocks):
+    def test_a_bad_entry_is_named_first(self, tmp_path, monkeypatch, chunk):
         def edit(lines):
             x, y, _, im = lines[20].split(b",")
             lines[20] = b",".join([x, y, b"1_0", im])
             lines.insert(3, b"# mesur\xe9")
-        path, got = self._load(tmp_path, monkeypatch, blocks, edit)
+        path, got = self._load(tmp_path, monkeypatch, chunk, edit)
         assert got == (ConfigError, f"{path} line 22: re = '1_0' is not a number")
 
 
@@ -1506,91 +1454,37 @@ def test_an_unparsable_line_is_named_before_an_earlier_non_finite_one(tmp_path):
     )
 
 
-@pytest.mark.usefixtures("deadline")
-class TestBlockParseNeedsCpusAndFork:
-    def test_one_usable_cpu_forks_nothing(self, tmp_path, monkeypatch):
-        path = smooth_mu_grid(tmp_path)
-        want = load_sampled_field(path)
-        monkeypatch.setattr(qcreg.io, "BLOCK_BYTES", 1)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked on one usable CPU"))
-        assert np.array_equal(load_sampled_field(path).values, want.values)
-
-    def test_no_fork_forks_nothing(self, tmp_path, monkeypatch):
-        path = smooth_mu_grid(tmp_path)
-        want = load_sampled_field(path)
-        monkeypatch.setattr(qcreg.io, "BLOCK_BYTES", 1)
-        monkeypatch.setattr(qcreg.io, "_usable_cpus", lambda: 2)
-        monkeypatch.delattr(os, "fork")
-        assert np.array_equal(load_sampled_field(path).values, want.values)
-
-    def test_real_affinity_sets_the_block_count(self, tmp_path, monkeypatch):
-        # run under `taskset -c 0` in CI, so the one-CPU path runs for real
-        path = smooth_mu_grid(tmp_path)
-        want = load_sampled_field(path)
-        real_fork, forks = os.fork, []
-        monkeypatch.setattr(qcreg.io, "BLOCK_BYTES", 1)
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
-        assert np.array_equal(load_sampled_field(path).values, want.values)
-        usable = qcreg.io._usable_cpus()
-        assert len(forks) == (min(usable, 35) if usable >= 2 else 0)
-        assert_no_child_left()
-
-    def test_small_file_stays_serial(self, tmp_path, monkeypatch):
-        path = smooth_mu_grid(tmp_path)
-        monkeypatch.setattr(qcreg.io, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked for a small file"))
-        assert path.stat().st_size <= qcreg.io.BLOCK_BYTES
-        load_sampled_field(path)
-
-
-def test_cli_analyze_on_a_block_parsed_grid(tmp_path):
-    """A cold `qcreg analyze` whose grid is parsed in two blocks exits 0 with
-    empty stderr, and prints what the serial parse gives."""
+def test_cli_analyze_on_a_byte_parsed_grid(tmp_path):
+    """A cold `qcreg analyze` whose grid stands on the byte parse exits 0
+    with empty stderr, and prints what the float read gives."""
     path = tmp_path / "mu.csv"
     h = 2.4 / 64
     xs = -1.2 + h * np.arange(65)
     save_sampled_field(path, SampledField(origin=-1.2 - 1.2j, spacing=h, values=varying_mu(
         xs[None, :], xs[:, None]), k_max=VARYING_K_MAX))
     run = (
-        "import os, sys\n"
+        "import sys\n"
         "import qcreg.io\n"
         "from qcreg.cli import main\n"
-        "forks, fork = [], os.fork\n"
-        "if sys.argv[1] == 'blocks':\n"
-        "    qcreg.io.BLOCK_BYTES = 1\n"
-        "    qcreg.io._usable_cpus = lambda: 2\n"
-        "    os.fork = lambda: forks.append(1) or fork()\n"
+        "reads, loadtxt = [], qcreg.io._loadtxt\n"
+        "qcreg.io._loadtxt = lambda *a: reads.append(1) or loadtxt(*a)\n"
+        "if sys.argv[1] == 'floats':\n"
+        "    qcreg.io._byte_parse = lambda *a: None\n"
         "code = main(['analyze', '--subject', sys.argv[2]])\n"
-        "sys.exit(code or len(forks) != (sys.argv[1] == 'blocks') * 2)\n"
+        "sys.exit(code or len(reads) != (sys.argv[1] == 'floats'))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(qcreg.io.__file__).parents[1]))
-    # From Python 3.12 os.fork warns in a process with threads, which numpy's
-    # BLAS pool can start. Called through the lambda above, the warning
-    # belongs to __main__, where Python shows DeprecationWarnings by default,
-    # so one the block parse failed to silence would reach stderr.
     procs = {
         mode: subprocess.run([sys.executable, "-c", run, mode, str(path)],
                              capture_output=True, env=env, timeout=300)
-        for mode in ("serial", "blocks")
+        for mode in ("bytes", "floats")
     }
     for proc in procs.values():
         assert proc.returncode == 0 and proc.stderr == b""
-    assert procs["blocks"].stdout == procs["serial"].stdout
+    assert procs["bytes"].stdout == procs["floats"].stdout
 
 
 # -- coordinates compared as text ------------------------------------------------
-
-
-def float_read(load, *args):
-    """What `load` gives when the text parse is skipped and the file read
-    serially as floats only: the outcome the text parse must give."""
-    text_parse = qcreg.io._text_parse
-    qcreg.io._text_parse = lambda *a: None
-    try:
-        return outcome(load, *args)
-    finally:
-        qcreg.io._text_parse = text_parse
 
 
 def respell(path, col, spell, rows=None):
@@ -1609,24 +1503,10 @@ def spelled_as(text):
     return lambda value: text
 
 
-class FloatReads:
-    """Counts the serial float reads of this process (`_loadtxt` calls)."""
-
-    def __init__(self, monkeypatch):
-        self.count = 0
-        loadtxt = qcreg.io._loadtxt
-
-        def counted(*args):
-            self.count += 1
-            return loadtxt(*args)
-
-        monkeypatch.setattr(qcreg.io, "_loadtxt", counted)
-
-
 def spelled_mu_grid(tmp_path):
     """A 7 x 5 mu grid from -1.05 - 1.05i whose first x, y are written
     -1.050000000000000044e+00, with a signed zero among its values."""
-    values = 0.3 * np.exp(1j * np.arange(35.0)).reshape(BLOCK_SHAPE)
+    values = 0.3 * np.exp(1j * np.arange(35.0)).reshape(CSV_SHAPE)
     values[2, 3] = complex(-0.0, 0.0)
     path = tmp_path / "mu.csv"
     save_sampled_field(path, SampledField(origin=-1.05 - 1.05j, spacing=0.35, values=values,
@@ -1647,6 +1527,8 @@ SPELLINGS = {
     "one y padded": (1, lambda v: " %.18e" % v, [22]),
     "x of 40 digits": (0, lambda v: "%.39e" % v, None),
     "one y of 40 digits": (1, lambda v: "%.39e" % v, [0]),
+    "x with + signs": (0, lambda v: "%+.18e" % v, None),
+    "y with 3-digit exponents": (1, lambda v: "%.18e" % v + "0", None),
 }
 
 # (coordinate, text, data row, the end of the message naming it)
@@ -1660,163 +1542,248 @@ BAD_COORDINATES = {
 }
 
 
-@pytest.mark.parametrize("blocks", [1, 2, 3])
-@pytest.mark.usefixtures("deadline")
+@pytest.mark.parametrize("chunk", [None, 257])
 class TestCoordinateText:
     """Each row's x is compared as text with that of grid row 0 in its
     column, and its y with that of its grid row's first node. A grid the
     float read accepts loads bit-equal to it, signed zeros included, and
-    one it rejects gives its message, whether the text parse stood or fell
-    back to the float read; the text parse stands exactly when every
-    coordinate is spelled as its reference is, within the text width."""
-
-    def _load(self, monkeypatch, blocks, path):
-        float_reads = FloatReads(monkeypatch)
-        spy = BlockParse(monkeypatch, blocks) if blocks > 1 else None
-        got = outcome(load_sampled_field, path)
-        assert spy is None or spy.forks == blocks
-        assert_no_child_left()
-        return got, float_reads.count
+    one it rejects gives its message; only a file whose coordinates are all
+    canonical stands on the byte parse."""
 
     @pytest.mark.parametrize("case", SPELLINGS)
-    def test_spelling(self, tmp_path, monkeypatch, blocks, case):
+    def test_spelling(self, tmp_path, monkeypatch, chunk, case):
         col, spell, rows = SPELLINGS[case]
         path = spelled_mu_grid(tmp_path)
         respell(path, col, spell, rows)
-        want = serial_rows(path)
-        got, float_reads = self._load(monkeypatch, blocks, path)
-        values = np.stack([got.values.real.ravel(), got.values.imag.ravel()], axis=-1)
-        assert np.array_equal(values, want[:, 2:])
-        assert np.array_equal(np.signbit(values), np.signbit(want[:, 2:]))
-        # the texts agree with their references when every row is spelled
-        # alike, unless a spelling fills the text width
-        stands = rows is None and "40 digits" not in case
-        assert float_reads == (0 if stands else 1)
+        want = float_read(load_sampled_field, path)
+        spy = ByteParse(monkeypatch, chunk)
+        got = outcome(load_sampled_field, path)
+        assert same(got, want)
+        assert spy.float_reads == 1
 
     @pytest.mark.parametrize("case", BAD_COORDINATES)
-    def test_bad_coordinate(self, tmp_path, monkeypatch, blocks, case):
+    def test_bad_coordinate(self, tmp_path, monkeypatch, chunk, case):
         col, text, row, tail = BAD_COORDINATES[case]
         path = spelled_mu_grid(tmp_path)
         respell(path, col, spelled_as(text), [row])
         want = float_read(load_sampled_field, path)
-        got, _ = self._load(monkeypatch, blocks, path)
-        assert got == want == (ConfigError, f"{path} {tail}")
+        ByteParse(monkeypatch, chunk)
+        assert outcome(load_sampled_field, path) == want == (ConfigError, f"{path} {tail}")
 
     @pytest.mark.parametrize("spell,text", [
         # float() reads -1.0_5 as -1.05, on the grid
         (lambda t: t[:4] + "_" + t[4:], "-1.0_50000000000000044e+00"),
-        # 40 significant digits: the text width cuts the field before its
-        # letter, and the cut text reads as the same number
         (lambda t: "%.39fx" % float(t), "%.39fx" % -1.05),
-    ], ids=["underscore", "letter past the text width"])
-    def test_every_x_no_number(self, tmp_path, monkeypatch, blocks, spell, text):
-        # every x agrees with its reference, and the reference texts would
-        # stand for numbers on the grid; np.loadtxt reads no number in them
+    ], ids=["underscore", "letter after 40 digits"])
+    def test_every_x_no_number(self, tmp_path, monkeypatch, chunk, spell, text):
+        # every x agrees with its reference; np.loadtxt reads no number in it
         path = spelled_mu_grid(tmp_path)
         respell(path, 0, lambda v: spell("%.18e" % v))
         want = float_read(load_sampled_field, path)
-        got, _ = self._load(monkeypatch, blocks, path)
-        assert got == want == (ConfigError, f"{path} line 2: x = {text!r} is not a number")
+        ByteParse(monkeypatch, chunk)
+        assert outcome(load_sampled_field, path) == want == (
+            ConfigError, f"{path} line 2: x = {text!r} is not a number")
 
+    @pytest.mark.parametrize("first", [1, 3, 5, 17, 34])
     @pytest.mark.parametrize("col", [0, 1])
-    def test_off_the_grid_alike_past_a_block_boundary(self, tmp_path, monkeypatch, blocks, col):
-        # from the first row of the second block (row 17, or 11 for three
-        # blocks) every x, or the y of the rest of that grid row, is moved
-        # by half a spacing: each block agrees with itself, and only the
-        # comparison with grid row 0 or the grid row's first node, which
-        # lie in the first block, catches it
+    def test_off_the_grid_from_a_row_on(self, tmp_path, monkeypatch, chunk, col, first):
+        # from data row `first` on, every x, or the y of the rest of that
+        # grid row, is moved by half a spacing and written canonically:
+        # only the comparison with grid row 0, or with the grid row's first
+        # node, which may lie in an earlier chunk, catches it
         path = spelled_mu_grid(tmp_path)
-        first = 35 // max(blocks, 2)
         rows = range(first, 35) if col == 0 else range(first, (first // 5 + 1) * 5)
         respell(path, col, lambda v: "%.18e" % (v + 0.175), rows)
         want = float_read(load_sampled_field, path)
-        got, _ = self._load(monkeypatch, blocks, path)
+        spy = ByteParse(monkeypatch, chunk)
+        got = outcome(load_sampled_field, path)
         iy, ix = divmod(first, 5)
+        if col == 0 and first < 5:  # a reference itself is off the grid
+            iy, ix = 0, first
         assert got == want == (
             ConfigError,
             f"{path}: grid coordinates disagree with the descriptor at node [{iy}, {ix}]",
         )
+        assert spy.float_reads == 1
 
-    def test_swapped_rows_across_a_block_boundary(self, tmp_path, monkeypatch, blocks):
-        # rows 16, 17 for one or two blocks, 10, 11 for three: the last row
-        # of a block and the first of the next
+    @pytest.mark.parametrize("first", [0, 4, 10, 16, 33])
+    def test_swapped_rows(self, tmp_path, monkeypatch, chunk, first):
         path = spelled_mu_grid(tmp_path)
-        first = 35 // max(blocks, 2)
         lines = read_lines(path)
-        lines[first], lines[first + 1] = lines[first + 1], lines[first]
+        lines[first + 1], lines[first + 2] = lines[first + 2], lines[first + 1]
         write_lines(path, lines)
-        iy, ix = divmod(first - 1, 5)
         want = float_read(load_sampled_field, path)
-        got, _ = self._load(monkeypatch, blocks, path)
-        assert got == want == (
+        spy = ByteParse(monkeypatch, chunk)
+        iy, ix = divmod(first, 5)
+        assert outcome(load_sampled_field, path) == want == (
             ConfigError,
             f"{path}: grid coordinates disagree with the descriptor at node [{iy}, {ix}]",
         )
+        assert spy.float_reads == 1
 
-    def test_nul_after_a_reference(self, tmp_path, monkeypatch, blocks):
-        # a bytes field drops a NUL from its end, so the text parse would
-        # take "x\0" for "x"; np.loadtxt reads no number in it
+    def test_nul_after_a_reference(self, tmp_path, monkeypatch, chunk):
         path = spelled_mu_grid(tmp_path)
         respell(path, 0, lambda v: "%.18e\0" % v, [0])
         want = float_read(load_sampled_field, path)
-        got, float_reads = self._load(monkeypatch, blocks, path)
-        assert got == want
+        spy = ByteParse(monkeypatch, chunk)
+        assert outcome(load_sampled_field, path) == want
         assert want[0] is ConfigError and "line 2: x = " in want[1]
-        assert float_reads == 1
+        assert spy.float_reads == 1
 
-    def test_matrix_grid_respelled(self, tmp_path, monkeypatch, blocks):
+    def test_matrix_grid_respelled(self, tmp_path, monkeypatch, chunk):
         path, _ = write_varying_matrix_grid(tmp_path)
         respell(path, 1, repr)
         want = serial_rows(path)
-        float_reads = FloatReads(monkeypatch)
-        spy = BlockParse(monkeypatch, blocks) if blocks > 1 else None
+        spy = ByteParse(monkeypatch, chunk)
         got = grid_rows(path, MATRIX_HEADER)
-        assert spy is None or spy.ran
-        assert float_reads.count == 0
+        assert spy.float_reads == 1
         assert np.array_equal(got[:, 2:], want[:, 2:])
         assert np.array_equal(np.signbit(got[:, 2:]), np.signbit(want[:, 2:]))
 
 
-@pytest.mark.parametrize("chunk", [1, 3, 5, 7])
-@pytest.mark.usefixtures("deadline")
-class TestTextParseInChunks:
-    """The text parse reads at most CHUNK_ROWS rows per np.loadtxt call (as
-    seen in this process), and its checks carry across chunk ends that fall
-    anywhere in a grid row, in this process and in the children."""
+# -- the reader's number conversion -------------------------------------------------
 
-    @pytest.mark.parametrize("blocks", [1, 2, 3])
-    @pytest.mark.parametrize("write,header", [(special_mu_grid, MU_HEADER),
-                                              (special_matrix_grid, MATRIX_HEADER)])
-    def test_rows_bit_equal(self, tmp_path, monkeypatch, chunk, blocks, write, header):
-        path = write(tmp_path)
-        want = serial_rows(path)
-        monkeypatch.setattr(qcreg.io, "CHUNK_ROWS", chunk)
-        calls = []
-        loadtxt = np.loadtxt
+ZERO_TEXT = b"0.000000000000000000e+00"
 
-        def recorded(*args, **kwargs):
-            calls.append(kwargs.get("max_rows"))
-            return loadtxt(*args, **kwargs)
 
-        monkeypatch.setattr(np, "loadtxt", recorded)
-        spy = BlockParse(monkeypatch, blocks) if blocks > 1 else None
-        got = grid_rows(path, header)
-        assert spy is None or spy.ran
-        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
-        if spy is None:  # the children's calls are not seen here
-            assert len(calls) >= 35 // chunk and max(calls) <= chunk
-        assert_no_child_left()
+def parse_values(texts):
+    """The floats that `_parse_lines` reads from the byte strings `texts`,
+    each the value field of a line after a canonical x and y, or None."""
+    pad = 32 * 3
+    buf = bytearray(pad - 1) + b"\n" + b"".join(
+        b"%s,%s,%s\n" % (ZERO_TEXT, ZERO_TEXT, text) for text in texts)
+    parsed = qcreg.io._parse_lines(buf, len(buf), 3)
+    return None if parsed is None else parsed[0][:, 0]
 
-    @pytest.mark.parametrize("row", [4, 5, 17, 34])
-    def test_respelled_row(self, tmp_path, monkeypatch, chunk, row):
-        path = spelled_mu_grid(tmp_path)
-        respell(path, row % 2, repr, [row])
-        want = float_read(load_sampled_field, path)
-        monkeypatch.setattr(qcreg.io, "CHUNK_ROWS", chunk)
-        float_reads = FloatReads(monkeypatch)
-        got = load_sampled_field(path)
-        assert float_reads.count == 1
-        assert np.array_equal(got.values, want.values)
+
+def assert_reads_as_float(texts):
+    got = parse_values(texts)
+    want = np.array([float(t) for t in texts])
+    if got is None:
+        pytest.fail("a canonical text was not read")
+    if not np.array_equal(got.view(np.uint64), want.view(np.uint64)):
+        t, g, w = next((t, g, w) for t, g, w in zip(texts, got, want)
+                       if np.float64(g).view(np.uint64) != np.float64(w).view(np.uint64))
+        pytest.fail(f"{t!r} reads as {g!r}, not {w!r}")
+
+
+def random_texts(rng, size):
+    """`size` texts d.dddddddddddddddddde±dd of 19 random digits (the first
+    not 0), a random exponent in [-99, 99] and a random sign."""
+    digits = rng.integers(0, 10, (size, 19), dtype=np.uint8)
+    digits[:, 0] = rng.integers(1, 10, size)
+    exp10 = rng.integers(-99, 100, size)
+    text = np.empty((size, 25), np.uint8)
+    text[:, 0] = np.where(rng.integers(0, 2, size) == 1, ord("-"), ord("+"))
+    text[:, 1] = digits[:, 0] + ord("0")
+    text[:, 2] = ord(".")
+    text[:, 3:21] = digits[:, 1:] + ord("0")
+    text[:, 21] = ord("e")
+    text[:, 22] = np.where(exp10 < 0, ord("-"), ord("+"))
+    text[:, 23] = np.abs(exp10) // 10 + ord("0")
+    text[:, 24] = np.abs(exp10) % 10 + ord("0")
+    return [t.lstrip(b"+") for t in text.view("S25")[:, 0].tolist()]
+
+
+def round_to_bits(x: Fraction, bits: int) -> Fraction:
+    """x > 0 rounded to `bits` significant bits, half to even."""
+    e = x.numerator.bit_length() - x.denominator.bit_length()
+    if x < Fraction(2) ** e:
+        e -= 1
+    scale = Fraction(2) ** (bits - 1 - e)
+    return Fraction(round(x * scale)) / scale
+
+
+def midpoint_texts(doubles):
+    """Texts of 19 significant digits next to the midpoint m of each double
+    d and the next one up that round to m at 64 bits, as the long-double
+    route rounds them: their float64 cannot be read from that route."""
+    texts = []
+    for d in doubles:
+        m = (Fraction(float(d)) + Fraction(float(np.nextafter(d, np.inf)))) / 2
+        exp10 = math.floor(math.log10(d))
+        while m >= Fraction(10) ** (exp10 + 1):
+            exp10 += 1
+        while m < Fraction(10) ** exp10:
+            exp10 -= 1
+        scale = Fraction(10) ** (18 - exp10)
+        near = math.floor(m * scale)
+        for n in range(near - 1, near + 3):
+            if 10**18 <= n < 10**19 and round_to_bits(n / scale, 64) == m:
+                s = str(n)
+                texts.append(f"{s[0]}.{s[1:]}e{exp10:+03d}".encode())
+    return texts
+
+
+@pytest.fixture(params=["long double", "float()"])
+def route(request, monkeypatch):
+    """Each conversion test runs on the x87 long-double route where this
+    platform has it, and on the float() route that other platforms take."""
+    if request.param == "float()":
+        monkeypatch.setattr(qcreg.io, "_extended_precision", lambda: False)
+    elif not qcreg.io._extended_precision():
+        pytest.skip("np.longdouble is not x87 extended precision here")
+    return request.param
+
+
+class TestValueConversion:
+    """The byte parse's conversion of canonical value texts against
+    float(), which rounds correctly as np.loadtxt does, bit for bit."""
+
+    def test_random_texts(self, route):
+        # 10^6 texts, or 10^5 on the float() route, which the sweep of the
+        # other route's float() cases also runs
+        rng = np.random.default_rng(35)
+        for _ in range(10 if route == "long double" else 1):
+            assert_reads_as_float(random_texts(rng, 10**5))
+
+    def test_midpoints(self, route):
+        rng = np.random.default_rng(35)
+        doubles = np.concatenate([
+            10.0 ** rng.uniform(-9, 45, 3000),
+            [np.nextafter(2.0**k, 0) for k in range(-29, 150)],  # below a power of 2
+            2.0 ** np.arange(-29, 150),
+        ])
+        texts = midpoint_texts(doubles)
+        assert len(texts) >= 100
+        # rounding the 64-bit midpoint to even is wrong for some of them
+        assert any(float(round_to_bits(Fraction(t.decode()), 64)) != float(t) for t in texts)
+        parts = qcreg.io._decimal_parts(*np.array(
+            [t.ljust(24) for t in texts], "S24").view(np.uint64).reshape(-1, 3).T)
+        assert qcreg.io._quotients(*parts)[1].all()  # each flagged for float()
+        assert_reads_as_float(texts + [b"-" + t for t in texts])
+
+    def test_neighbours_of_powers_of_two(self, route):
+        values = []
+        for k in range(-40, 160):
+            p = 2.0**k
+            values += [np.nextafter(p, 0), p, np.nextafter(p, np.inf)]
+        texts = [b"%.18e" % v for v in values]
+        assert_reads_as_float(texts + [b"-" + t for t in texts])
+
+    def test_special_values(self, route):
+        texts = [
+            ZERO_TEXT, b"-" + ZERO_TEXT,
+            b"4.940656458412465442e-324", b"2.225073858507200889e-308",  # subnormal
+            b"2.225073858507201383e-308", b"1.797693134862315708e+308",  # smallest, largest
+            b"1.000000000000000000e+100", b"1.000000000000000000e-100",
+            b"9.999999999999999999e+99", b"1.000000000000000000e-99",
+            b"9.999999999999999999e+45", b"1.000000000000000000e+46",  # the route's ends
+            b"1.000000000000000000e-09", b"9.999999999999999999e-10",
+            b"1.000000000000000000e-400",  # below the float range: 0
+        ]
+        texts += [b"-" + t for t in texts[2:]]
+        got = parse_values(texts)
+        assert_reads_as_float(texts)
+        assert list(np.signbit(got)) == [t.startswith(b"-") for t in texts]
+
+    def test_not_canonical(self, route):
+        good = b"1.234567890123456789e-01"
+        for bad in [good[:-1] + b"x", good.replace(b".", b","), good.replace(b"e", b"E"),
+                    good.replace(b"-", b""), b"+" + good, b"--" + good,
+                    good.replace(b"e-", b"e*"), good[:-2] + b"1\0", b" " + good[1:],
+                    good[:-2] + b"1000", good[:-3] + b"1"]:
+            assert parse_values([good, bad]) is None, bad
 
 
 # -- damaged grids: every one exits 1 or 2 naming its file and where -------------
@@ -1826,7 +1793,7 @@ def covering_mu_grid(tmp_path):
     """A 7 x 5 grid of mu = 0.1i whose hull covers the default unit disk."""
     path = tmp_path / "mu.csv"
     save_sampled_field(path, SampledField(origin=-1.2 - 1.2j, spacing=0.6,
-                                          values=np.full(BLOCK_SHAPE, 0.1j), k_max=0.2))
+                                          values=np.full(CSV_SHAPE, 0.1j), k_max=0.2))
     return path
 
 
@@ -1893,17 +1860,17 @@ WHERE = re.compile(r"line \d+|node \[\d+, \d+\]|rows but descriptor says nx\*ny"
 
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("damage", DAMAGES)
-@pytest.mark.usefixtures("deadline")
 def test_damaged_grid_names_file_and_place_on_both_paths(tmp_path, monkeypatch, capsys,
                                                          damage, seed):
     path = covering_mu_grid(tmp_path)
     DAMAGES[damage](path, random.Random(f"{damage}:{seed}"))
     argv = ["analyze", "--subject", str(path), "--nodes", "16", "--radii-count", "3"]
-    serial = main(argv), capsys.readouterr().err
-    spy = BlockParse(monkeypatch, 2)
-    blocks = main(argv), capsys.readouterr().err
-    code, err = serial
+    spy = ByteParse(monkeypatch, 257)
+    bytes_first = main(argv), capsys.readouterr().err
+    float_reads = spy.float_reads
+    monkeypatch.setattr(qcreg.io, "_byte_parse", lambda *a: None)
+    floats = main(argv), capsys.readouterr().err
+    code, err = floats
     assert code in (1, 2) and str(path) in err and WHERE.search(err), err
-    assert blocks == serial
-    assert spy.forks == (0 if damage.startswith("sidecar") else 2)
-    assert_no_child_left()
+    assert bytes_first == floats
+    assert float_reads == (0 if damage.startswith("sidecar") else 1)
