@@ -32,23 +32,23 @@ A grid CSV is read as bytes in one process (`_byte_parse`), in chunks of
 whole lines of at most ``CHUNK_BYTES``. A line is canonical when each of
 its fields is ``[-]d.dddddddddddddddddde±dd`` (or ``e±ddd``), which is
 what the writers and ``np.savetxt(fmt="%.18e")`` write (`_parse_lines`).
-A value field is converted exactly from its 19 digits N and exponent E:
-on an x87 long double (`_extended_precision`), N 10^(E - 18) is one
-correctly rounded long-double product or quotient for E in [-9, 45], and
-rounding that to float64 is exact unless it sits on a float64 midpoint;
-such a field, one outside that range (a subnormal, a 3-digit exponent)
-and every field on another platform take ``float()``, which rounds
-correctly as np.loadtxt does (`_column_values`). A row's x must be
-byte-equal to the x at its column of grid row 0, and its y to the y of
-its grid row's first node; those nx + ny reference texts are parsed with
-``float()`` and checked against the descriptor (`_on_axis`). Equal text is
-an equal float, so every node gets the verdict a float read gives it. A
-file with a line that is not canonical (a CRLF end, a ``+`` sign, another
-digit count, a blank or comment line, a NUL byte, ...), a value past the
-float range, a wrong row count or a reference off the grid is read
-serially as floats (`_loadtxt`, `_off_grid`), the one source of its error
-messages. A result that stands is thus bit-identical to one np.loadtxt
-call. No load or save starts another process.
+A value field is converted exactly from its 19 digits N and exponent E,
+in integer arithmetic on every platform: N times the 64 leading bits of
+10^(E - 18) is formed in 128 bits and rounded to float64, which is exact
+unless the product lies too near a float64 midpoint to tell (`_floats`).
+Such a field and one with a 3-digit exponent (a subnormal, say) take
+``float()``, which rounds correctly as np.loadtxt does (`_column_values`).
+A row's x must be byte-equal to the x at its column of grid row 0, and
+its y to the y of its grid row's first node; those nx + ny reference
+texts are parsed with ``float()`` and checked against the descriptor
+(`_on_axis`). Equal text is an equal float, so every node gets the
+verdict a float read gives it. A file with a line that is not canonical
+(a CRLF end, a ``+`` sign, another digit count, a blank or comment line,
+a NUL byte, ...), a value past the float range, a wrong row count or a
+reference off the grid is read serially as floats (`_loadtxt`,
+`_off_grid`), the one source of its error messages. A result that stands
+is thus bit-identical to one np.loadtxt call. No load or save starts
+another process.
 """
 
 from __future__ import annotations
@@ -117,9 +117,8 @@ def _load_grid_csv(csv_path, header: str, desc: dict) -> np.ndarray:
     compared as text with those of grid row 0 and of each grid row's first
     node. When that read does not stand (a line that is not canonical, a
     value past the float range, a wrong row count or a reference off the
-    grid), the file is read
-    serially as floats and checked by `_off_grid`; every value and message
-    is thus the serial one.
+    grid), the file is read serially as floats and checked by `_off_grid`;
+    every value and message is thus the serial one.
     """
     csv_path = Path(csv_path)
     if not csv_path.exists():
@@ -317,9 +316,8 @@ def _column_values(buf, words, wide, neg, ends):
     (a 3-digit exponent past the float range).
 
     The 19 digits N and the exponent E of a field give N 10^(E - 18)
-    (`_decimal_parts`, `_quotients`). A field outside `_quotients`' range
-    or on a float64 midpoint, and every field without x87 long doubles
-    (`_extended_precision`), takes float() of its text instead.
+    (`_decimal_parts`, `_floats`). A field that `_floats` flags and one with
+    a 3-digit exponent take float() of its text instead.
     """
     w0, w1, w2 = words[:, 1:].T.copy()
     ok = _canonical(w0, w1, w2)
@@ -329,12 +327,8 @@ def _column_values(buf, words, wide, neg, ends):
                     & (text[:, 24] - ord("0") <= 9))
     if not ok.all():
         return None
-    if _extended_precision():
-        digits, exp10 = _decimal_parts(w0, w1, w2)
-        out, slow = _quotients(digits, exp10)
-        slow |= wide | (exp10 < -9) | (exp10 > 45)
-    else:
-        out, slow = np.empty(len(w0)), np.ones(len(w0), bool)
+    out, slow = _floats(*_decimal_parts(w0, w1, w2))
+    slow |= wide
     redo = np.flatnonzero(slow)
     texts = words[redo, 1:].copy().view("S24")[:, 0].tolist()  # the last 24 bytes
     for k in np.flatnonzero(wide[redo]).tolist():
@@ -395,46 +389,87 @@ def _decimal_parts(w0, w1, w2):
     return digits, ((size ^ -minus) + minus).view(np.int64)
 
 
-def _extended_precision() -> bool:
-    """Whether np.longdouble is the x87 80-bit format: a 64-bit significand,
-    the first 8 bytes of each value, as `_quotients` reads it."""
-    return np.finfo(np.longdouble).nmant == 63
-
-
 @functools.cache
 def _powers_of_10():
-    """Long-double factors and divisors indexed by E + 99, E in [-99, 99]:
-    10^(E - 18) for E in [18, 45] and 10^(18 - E) for E in [-9, 17], 1
-    elsewhere. Each 10^k = 5^k 2^k is exact, since 5^k < 2^64 for k <= 27."""
-    e = np.arange(-99, 100)
-    k = np.minimum(np.abs(18 - e), 27)
-    powers = _powers_of_5().take(k).astype(np.longdouble) * np.exp2(k).astype(np.longdouble)
-    exact = (e >= -9) & (e <= 45)
-    tables = (np.where(exact & (e >= 18), powers, 1).astype(np.longdouble),
-              np.where(exact & (e < 18), powers, 1).astype(np.longdouble))
+    """For E in [-99, 99], indexed by E + 99: the high and low 32-bit halves
+    of the uint64 P in [2^63, 2^64) with 10^(E - 18) = (P + f) 2^s for some
+    f in [0, 1), and 1148 + s, from which `_floats` forms a float64's
+    exponent field."""
+    high, terms = [], []
+    for q in range(-117, 82):  # E - 18
+        num, den = (10**q, 1) if q >= 0 else (1, 10**-q)
+        s = num.bit_length() - den.bit_length() - 64
+        p = (num << max(-s, 0)) // (den << max(s, 0))
+        if p >> 64:
+            s += 1
+            p = (num << max(-s, 0)) // (den << max(s, 0))
+        high.append(p)
+        terms.append(1148 + s)
+    high = np.array(high, np.uint64)
+    tables = high >> 32, high & 0xFFFFFFFF, np.array(terms, np.uint64)
     for table in tables:
         table.flags.writeable = False  # every caller shares them
     return tables
 
 
-def _quotients(digits, exp10):
+def _floats(digits, exp10):
     """(N 10^(E - 18) as float64, whether it may be rounded wrongly) for
-    uint64 N and int64 E; an E outside [-9, 45] gives nothing of use.
+    uint64 N and int64 E in [-99, 99], in integer arithmetic; an E outside
+    that range gives nothing of use.
 
-    N (below 2^64) and the power of 10 are exact long doubles, so the
-    product or quotient is rounded once, to 64 bits. Rounding that to
-    float64 then rounds the true value correctly, unless it lies exactly
-    halfway between two float64 values: its low 11 significand bits are
-    10000000000. Those are flagged, since the true value may lie on either
-    side of it."""
-    factors, divisors = _powers_of_10()
+    N is shifted left by z bits to w in [2^63, 2^64) and multiplied by the
+    P of `_powers_of_10`. The product is exact in 128 bits, formed from
+    32-bit limbs, and the true w 10^(E - 18) 2^-s lies in [wP, wP + w), so
+    its high 64 bits are U, those of wP, or U + 1. U has 63 or 64 bits: its
+    first 53 are the float64's significand, the next is the rounding bit,
+    and rounding half up rounds U and U + 1 alike to nearest, unless the
+    bits from the rounding bit on are 0111...1 (a carry may set it) or
+    1000...0 (the value may be a tie). Those two are flagged. Each value
+    is a normal float64: |N 10^(E - 18)| lies in [1e-117, 1e100) or is 0.
+    This is the first step of Lemire's "Number Parsing at a Gigabyte per
+    Second" (2021), with float() in place of its second product."""
+    high, low, terms = _powers_of_10()
     at = exp10 + 99
-    q = digits.astype(np.longdouble)
-    if (exp10 >= 18).any():
-        q *= factors.take(at, mode="clip")
-    q /= divisors.take(at, mode="clip")
-    significand = np.ndarray(q.shape, np.uint64, q, 0, (q.itemsize,))
-    return q.astype(np.float64), (significand & 0x7FF) == 0x400
+    # in place where it can be: each new temporary of a chunk's column is an allocation
+    z = digits.astype(np.float64).view(np.uint64)
+    z >>= 52
+    np.subtract(1086, z, out=z)  # N's leading zeros, or one fewer
+    w = digits << z
+    short = w >> 63
+    short ^= 1
+    w <<= short
+    z += short
+    w_hi = w >> 32
+    w &= 0xFFFFFFFF  # w's low half
+    p = low.take(at, mode="clip")
+    mid = w_hi * p
+    p *= w
+    p >>= 32
+    mid += p  # below 2^64, as is `cross`
+    high.take(at, out=p, mode="clip")
+    cross = w * p
+    p *= w_hi
+    upper = mid >> 32
+    upper += p
+    mid &= 0xFFFFFFFF
+    cross += mid
+    cross >>= 32
+    upper += cross
+    top = upper >> 63
+    drop = top + 9
+    rounded = upper >> drop  # the significand and the rounding bit
+    bits = terms.take(at, mode="clip")
+    bits += top
+    bits -= z
+    bits <<= 52
+    rounded += 1  # rounded half up
+    rounded >>= 1
+    bits += rounded
+    bits[digits == 0] = 0
+    half = np.left_shift(1, drop, out=drop)  # the rounding bit; below it, the dropped bits
+    tail = upper & (2 * half - 1)
+    tail -= half
+    return bits.view(np.float64), tail + 1 <= 1
 
 
 def _x_repeats(keys, x_ref, lo: int) -> bool:

@@ -91,7 +91,8 @@ def test_import_builds_no_grid_writer_table():
 
 
 def test_import_builds_no_grid_reader_table():
-    # the grid reader's long-double powers of 10 are built by the first load
+    # the grid reader's table of the leading bits of powers of 10 is built
+    # by the first load
     proc = subprocess.run(
         [sys.executable, "-c",
          "import qcreg, qcreg.io as io; print(io._powers_of_10.cache_info().currsize)"],

@@ -1685,19 +1685,10 @@ def random_texts(rng, size):
     return [t.lstrip(b"+") for t in text.view("S25")[:, 0].tolist()]
 
 
-def round_to_bits(x: Fraction, bits: int) -> Fraction:
-    """x > 0 rounded to `bits` significant bits, half to even."""
-    e = x.numerator.bit_length() - x.denominator.bit_length()
-    if x < Fraction(2) ** e:
-        e -= 1
-    scale = Fraction(2) ** (bits - 1 - e)
-    return Fraction(round(x * scale)) / scale
-
-
 def midpoint_texts(doubles):
-    """Texts of 19 significant digits next to the midpoint m of each double
-    d and the next one up that round to m at 64 bits, as the long-double
-    route rounds them: their float64 cannot be read from that route."""
+    """Texts of 19 significant digits around the midpoint m of each double
+    d and the next one up: the largest at or below m (m itself, a tie,
+    where m has 19 digits), the one before it and the one after it."""
     texts = []
     for d in doubles:
         m = (Fraction(float(d)) + Fraction(float(np.nextafter(d, np.inf)))) / 2
@@ -1706,54 +1697,60 @@ def midpoint_texts(doubles):
             exp10 += 1
         while m < Fraction(10) ** exp10:
             exp10 -= 1
-        scale = Fraction(10) ** (18 - exp10)
-        near = math.floor(m * scale)
-        for n in range(near - 1, near + 3):
-            if 10**18 <= n < 10**19 and round_to_bits(n / scale, 64) == m:
-                s = str(n)
-                texts.append(f"{s[0]}.{s[1:]}e{exp10:+03d}".encode())
+        near = math.floor(m * Fraction(10) ** (18 - exp10))
+        for n in (near - 1, near, near + 1):
+            s = str(n)
+            texts.append(f"{s[0]}.{s[1:]}e{exp10:+03d}".encode())
     return texts
 
 
-@pytest.fixture(params=["long double", "float()"])
-def route(request, monkeypatch):
-    """Each conversion test runs on the x87 long-double route where this
-    platform has it, and on the float() route that other platforms take."""
-    if request.param == "float()":
-        monkeypatch.setattr(qcreg.io, "_extended_precision", lambda: False)
-    elif not qcreg.io._extended_precision():
-        pytest.skip("np.longdouble is not x87 extended precision here")
-    return request.param
+def tie_texts():
+    """The ties 2^k + 2^(k - 53) (rounded down, to the even 2^k) and
+    2^k + 3 2^(k - 53) (rounded up, to the even 2^k + 2^(k - 51)) for k in
+    [53, 62], exactly, in %.18e form."""
+    texts = []
+    for k in range(53, 63):
+        for odd in (1, 3):
+            s = str(2**k + odd * 2 ** (k - 53))
+            texts.append(f"{s[0]}.{s[1:].ljust(18, '0')}e+{len(s) - 1:02d}".encode())
+    return texts
+
+
+def split_texts(texts):
+    """(N, E) of canonical unsigned texts, as `_decimal_parts` reads them."""
+    words = np.array(texts, "S24").view(np.uint64).reshape(-1, 3).T
+    return qcreg.io._decimal_parts(*words)
 
 
 class TestValueConversion:
     """The byte parse's conversion of canonical value texts against
     float(), which rounds correctly as np.loadtxt does, bit for bit."""
 
-    def test_random_texts(self, route):
-        # 10^6 texts, or 10^5 on the float() route, which the sweep of the
-        # other route's float() cases also runs
+    def test_random_texts(self):
         rng = np.random.default_rng(35)
-        for _ in range(10 if route == "long double" else 1):
+        for _ in range(10):  # 10^6 texts
             assert_reads_as_float(random_texts(rng, 10**5))
 
-    def test_midpoints(self, route):
+    def test_midpoints(self):
         rng = np.random.default_rng(35)
         doubles = np.concatenate([
-            10.0 ** rng.uniform(-9, 45, 3000),
-            [np.nextafter(2.0**k, 0) for k in range(-29, 150)],  # below a power of 2
-            2.0 ** np.arange(-29, 150),
+            10.0 ** rng.uniform(-99, 99, 3000),
+            [np.nextafter(2.0**k, 0) for k in range(-300, 300)],  # below a power of 2
+            2.0 ** np.arange(-300, 300),
         ])
         texts = midpoint_texts(doubles)
-        assert len(texts) >= 100
-        # rounding the 64-bit midpoint to even is wrong for some of them
-        assert any(float(round_to_bits(Fraction(t.decode()), 64)) != float(t) for t in texts)
-        parts = qcreg.io._decimal_parts(*np.array(
-            [t.ljust(24) for t in texts], "S24").view(np.uint64).reshape(-1, 3).T)
-        assert qcreg.io._quotients(*parts)[1].all()  # each flagged for float()
         assert_reads_as_float(texts + [b"-" + t for t in texts])
 
-    def test_neighbours_of_powers_of_two(self, route):
+    def test_ties(self):
+        texts = tie_texts()
+        assert [float(t) for t in texts[:2]] == [2.0**53, 2.0**53 + 4]
+        got, flagged = qcreg.io._floats(*split_texts(texts))
+        assert flagged.all()  # each is read with float()
+        # rounding half up is wrong for some of them
+        assert any(g != float(t) for g, t in zip(got, texts))
+        assert_reads_as_float(texts + [b"-" + t for t in texts])
+
+    def test_neighbours_of_powers_of_two(self):
         values = []
         for k in range(-40, 160):
             p = 2.0**k
@@ -1761,15 +1758,15 @@ class TestValueConversion:
         texts = [b"%.18e" % v for v in values]
         assert_reads_as_float(texts + [b"-" + t for t in texts])
 
-    def test_special_values(self, route):
+    def test_special_values(self):
         texts = [
             ZERO_TEXT, b"-" + ZERO_TEXT,
             b"4.940656458412465442e-324", b"2.225073858507200889e-308",  # subnormal
             b"2.225073858507201383e-308", b"1.797693134862315708e+308",  # smallest, largest
             b"1.000000000000000000e+100", b"1.000000000000000000e-100",
-            b"9.999999999999999999e+99", b"1.000000000000000000e-99",
-            b"9.999999999999999999e+45", b"1.000000000000000000e+46",  # the route's ends
-            b"1.000000000000000000e-09", b"9.999999999999999999e-10",
+            b"9.999999999999999999e+99", b"1.000000000000000000e-99",  # 2-digit ends
+            b"0.000000000000000001e-99", b"0.999999999999999999e+99",  # a leading 0
+            b"9.223372036854775807e+18", b"9.223372036854775808e+18",  # 2^63 - 1, 2^63
             b"1.000000000000000000e-400",  # below the float range: 0
         ]
         texts += [b"-" + t for t in texts[2:]]
@@ -1777,7 +1774,7 @@ class TestValueConversion:
         assert_reads_as_float(texts)
         assert list(np.signbit(got)) == [t.startswith(b"-") for t in texts]
 
-    def test_not_canonical(self, route):
+    def test_not_canonical(self):
         good = b"1.234567890123456789e-01"
         for bad in [good[:-1] + b"x", good.replace(b".", b","), good.replace(b"e", b"E"),
                     good.replace(b"-", b""), b"+" + good, b"--" + good,
